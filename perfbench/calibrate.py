@@ -11,11 +11,20 @@ Each op's latency is then reported at the reference speed:
 
 i.e. the time the op would take on a host where the kernel takes exactly
 ``REFERENCE_S``.  Raw times are kept in the provenance.
+
+Ops that are whole processes (golden's CLI commands) are dominated by
+interpreter start-up and imports, whose speed the in-process kernel tracks
+poorly.  ``ChildClock`` samples a reference child process instead (start-up,
+the kernel's imports and two kernel runs) before and after every op, and
+scales to a host where that child takes ``CHILD_REFERENCE_S``.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from time import perf_counter
 
@@ -23,6 +32,11 @@ import oracles as orc
 
 REFERENCE_S = 0.010
 INTERVAL_S = 0.25
+CHILD_REFERENCE_S = 0.100
+HERE = os.path.dirname(os.path.abspath(__file__))
+CHILD = [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {HERE!r}); import calibrate; "
+         "calibrate.kernel(); calibrate.kernel()"]
 
 _rng = random.Random(0)
 _BIG = [[_rng.randint(-1000, 1000) for _ in range(9)] for _ in range(9)]
@@ -60,14 +74,19 @@ def kernel() -> None:
 class Clock:
     """Kernel timings taken along a run; scales the latencies measured between them."""
 
+    reference = REFERENCE_S
+
     def __init__(self) -> None:
         self.samples: list[float] = []
         self.last = 0.0
-        kernel()  # first call warms the interpreter's caches; not a sample
+        self.work()  # first call warms the caches; not a sample
+
+    def work(self) -> None:
+        kernel()
 
     def sample(self) -> None:
         t0 = perf_counter()
-        kernel()
+        self.work()
         self.last = perf_counter()
         self.samples.append(self.last - t0)
 
@@ -76,4 +95,16 @@ class Clock:
 
     def scale(self, raw: float, k: int) -> float:
         """raw seconds measured between samples k and k+1, at the reference speed."""
-        return raw * REFERENCE_S * 2 / (self.samples[k] + self.samples[k + 1])
+        return raw * self.reference * 2 / (self.samples[k] + self.samples[k + 1])
+
+
+class ChildClock(Clock):
+    """Reference child processes around every op, for ops that are processes."""
+
+    reference = CHILD_REFERENCE_S
+
+    def work(self) -> None:
+        subprocess.run(CHILD, check=True, capture_output=True, timeout=170)
+
+    def due(self) -> bool:
+        return True

@@ -3,14 +3,17 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout (it imports ``src/roofpairs``).  One
-client drives the program in a closed loop for S seconds and every output is
-checked by an oracle that does not use roofpairs.  The last line of stdout is
-the JSON result; the lines before it are a readable report with provenance.
+client drives the program in a closed loop and every output is checked by an
+oracle that does not use roofpairs.  A run is a fixed number of blocks,
+``round(S * blocks_per_s)`` of the workload, sized to take about S seconds on
+a 2-vCPU host; so the ops a run attempts, and those that fail, depend on the
+seed and S only, never on the host's speed.  The last line of stdout is the
+JSON result; the lines before it are a readable report with provenance.
 
 ``--trace 0`` reports the end-to-end metrics of BENCHMARK.json.  ``--trace
-1`` runs the same ops untraced for S/2 seconds, then again with every public
-function of the program wrapped, and reports the per-layer metrics; the
-ratio of the two run times over the same ops is ``trace.overhead_ratio``.
+1`` runs the first half of those blocks untraced, then the same blocks again
+with every public function of the program wrapped, and reports the per-layer
+metrics; the ratio of the two run times is ``trace.overhead_ratio``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ import tracer as tr
 from workloads import WORKLOADS
 
 SETUP_REPEATS = 5
+# No block starts this long after start-up, so a run that has become very slow
+# still ends within the contract's 180 s; a cut run says so in its report.
+DEADLINE_S = 140.0
+STARTED = perf_counter()
 VERDICT = object()
 # the tracer self-test: call counts of one traced verify-all
 VERIFY_ALL_COUNTS = {"latticecore.det": 4088, "latticecore.smith_normal_form": 1020,
@@ -50,6 +57,7 @@ class Run:
         self.wrong = 0
         self.verdicts = 0
         self.failures: dict[str, dict] = {}
+        self.cut = False
 
     def fail(self, cls: str, replay) -> None:
         self.failed += 1
@@ -66,14 +74,15 @@ def _escape_class(exc: BaseException) -> str:
     return f"escaped {type(exc).__name__}: {exc} (in {where})"
 
 
-def measure(wl, seconds: float, tracer=None, min_blocks: int = 1) -> Run:
+def measure(wl, blocks: int, tracer=None) -> Run:
     run = Run()
-    clock = cal.Clock()
+    clock = wl.clock()
     clock.sample()
     brackets = []
-    start = perf_counter()
-    i = 0
-    while i < min_blocks or perf_counter() - start < seconds:
+    for i in range(blocks):
+        if i and perf_counter() - STARTED > DEADLINE_S:
+            run.cut = True
+            break
         for op in wl.block(i):
             if clock.due():
                 clock.sample()
@@ -107,7 +116,6 @@ def measure(wl, seconds: float, tracer=None, min_blocks: int = 1) -> Run:
                 elif bad is not None:
                     run.wrong += 1
                     run.fail(f"wrong value: {bad}", op.replay)
-        i += 1
     clock.sample()
     run.latency = [clock.scale(dt, k) for dt, k in zip(run.raw, brackets)]
     run.calibration = clock.samples
@@ -118,7 +126,7 @@ def setup(wl, root: str) -> float:
     """Median time, at the reference speed, of SETUP_REPEATS fresh imports plus
     warm-up (a child for golden)."""
     times = []
-    clock = cal.Clock()
+    clock = wl.clock()
     clock.sample()
     for k in range(SETUP_REPEATS):
         for name in [m for m in sys.modules if m == "roofpairs" or m.startswith("roofpairs.")]:
@@ -232,6 +240,10 @@ def overhead_ratio(untraced: Run, traced: Run) -> float:
     return sum(t for t, b in zip(traced.latency, traced.block) if b < m) / base
 
 
+def block_count(wl, seconds: float) -> int:
+    return max(1, round(seconds * wl.blocks_per_s))
+
+
 def git_commit(root: str) -> str:
     try:
         with open(os.path.join(root, ".git", "HEAD"), encoding="utf-8") as fh:
@@ -269,8 +281,8 @@ def report_run(run: Run) -> dict:
     for lab in run.label:
         per_label[lab] = per_label.get(lab, 0) + 1
     return {"attempted": len(run.latency), "failed": run.failed, "wrong_values": run.wrong,
-            "verdicts": run.verdicts, "blocks": run.block[-1] + 1, "ops_by_label": per_label,
-            "failure_classes": run.failures}
+            "verdicts": run.verdicts, "blocks": run.block[-1] + 1, "cut": run.cut,
+            "ops_by_label": per_label, "failure_classes": run.failures}
 
 
 def main(argv=None) -> int:
@@ -296,21 +308,24 @@ def main(argv=None) -> int:
     wl = WORKLOADS[args.workload](root, args.seed)
     try:
         setup_s = setup(wl, root)
+        blocks = block_count(wl, args.seconds)
         if not args.trace:
-            run = measure(wl, args.seconds)
+            run = measure(wl, blocks)
             values, info = end_to_end(wl, run, setup_s)
             specs, runs, problems = spec["end_to_end"], [run], []
         else:
-            untraced = measure(wl, args.seconds / 2)
+            # golden's self-test compares two traced sessions
+            half = max(1 if wl.in_process else 2, blocks // 2)
+            untraced = measure(wl, half)
             if wl.in_process:
                 tracer = tr.Tracer()
                 tracer.install()
-                traced = measure(wl, args.seconds / 2, tracer)
+                traced = measure(wl, half, tracer)
                 tracer.uninstall()
                 summary, problems = tracer.summary(), []
             else:
                 wl.traced = True
-                traced = measure(wl, args.seconds / 2, min_blocks=2)
+                traced = measure(wl, half)
                 summary = {}
                 for _, part in wl.summaries:
                     tr.merge(summary, part)
@@ -346,6 +361,8 @@ def main(argv=None) -> int:
         print(f"  failure x{rec['count']}: {cls}\n    first input: {json.dumps(rec['first_input'])}")
     for pr in problems:
         print(f"  tracer self-test: {pr}")
+    if any(r.cut for r in runs):
+        print(f"  run cut: no block starts {DEADLINE_S:g} s after start-up")
     prov = provenance(args, root)
     prov.update(info, runs=[report_run(r) for r in runs])
     print("provenance " + json.dumps(prov, sort_keys=True))

@@ -1,11 +1,13 @@
 """The four workloads: inputs made from the seed, calls into roofpairs, oracles.
 
-A workload hands out blocks of ops.  Each op has ``run`` (the timed call
-into the program), ``check`` (the untimed oracle: returns None, a short
-failure class when the output is wrong, or an exception that escaped the
-program inside ``run`` and was kept) and ``replay`` (the input, printed with
-the first failure of each class).  Blocks have a fixed composition, so
-every run measures the same mix whatever its seed and length.
+A workload hands out blocks of ops; ``blocks_per_s`` is how many blocks a
+2-vCPU host runs in about a second, which sizes a run of S seconds.  Each op
+has ``run`` (the timed call into the program), ``check`` (the untimed
+oracle: returns None, a short failure class when the output is wrong, or
+an exception that escaped the program inside ``run`` and was kept) and
+``replay`` (the input, printed with the first failure of each class).
+Blocks have a fixed composition, so every run measures the same mix whatever
+its seed and length.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 import tempfile
 from math import comb, prod
 
+import calibrate as cal
 import oracles as orc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -36,6 +39,7 @@ class Workload:
     """Defaults; a workload overrides what it needs."""
 
     in_process = True
+    clock = cal.Clock
     verdicts: tuple = ()
 
     def warmup(self) -> None:
@@ -128,7 +132,9 @@ def _golden_check(command: str, proc) -> str | None:
 
 class Golden(Workload):
     name = "golden"
+    blocks_per_s = 0.15
     in_process = False
+    clock = cal.ChildClock
 
     def __init__(self, root: str, seed: int):
         self.root = root
@@ -213,6 +219,7 @@ def _lattice_check(m, s, sub, out) -> str | None:
 
 class Lattice(Workload):
     name = "lattice"
+    blocks_per_s = 3.2
 
     def __init__(self, root: str, seed: int):
         self.rng = random.Random(seed)
@@ -361,6 +368,7 @@ def _roofs_check(cfg, out):
 
 class Roofs(Workload):
     name = "roofs"
+    blocks_per_s = 0.9
     DIMS = tuple(range(4, 11))
 
     def __init__(self, root: str, seed: int):
@@ -467,6 +475,7 @@ def _table_check(n, name, t, out) -> str | None:
 
 class Cohomology(Workload):
     name = "cohomology"
+    blocks_per_s = 3.0
     TABLES_PER_BLOCK = 24
     PIPELINES_PER_BLOCK = 4
     TWISTS = range(-15, 16)
@@ -481,7 +490,7 @@ class Cohomology(Workload):
         """Seeded orders of every table, every pipeline and every motivic rank pair.
 
         Ranks come in pairs (r, 122 - r), one pair per block, so that any
-        run of 60 blocks covers ranks 2..120 once and the heavy ranks that
+        run of 60 blocks (20 s) covers ranks 2..120 once and the heavy ranks that
         set the tail are always present.
         """
         tables = [(n, name, t) for n in range(5, 16) for name in dictionary(n)
