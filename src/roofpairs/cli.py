@@ -112,7 +112,7 @@ def cmd_lemma7(cfg) -> dict:
             "class": str(roofcalc.class_from_coordinates(lat_t, coords)),
         }
 
-    pk, pw = scan.declared_witness
+    declared = scan.declared_witness
     return {
         "command": "lemma7",
         "name": cfg.name,
@@ -132,7 +132,7 @@ def cmd_lemma7(cfg) -> dict:
         "declared_form": {
             "locus_signs": list(cfg.declared_locus_signs),
             "residue_set": list(scan.declared_residue_set),
-            "witness": witness_entry(pk, pw),
+            "witness": None if declared is None else witness_entry(*declared),
         },
     }
 
@@ -252,7 +252,10 @@ def render_text(report: dict, out) -> None:
         for w in report["witnesses"]:
             out.write(f"  witness k={w['k']}: {w['class']}\n")
         pf = report["declared_form"]
-        out.write(f"  declared-representative witness (k={pf['witness']['k']}): {pf['witness']['class']}\n")
+        if pf["witness"] is None:
+            out.write("  declared-representative witness: none\n")
+        else:
+            out.write(f"  declared-representative witness (k={pf['witness']['k']}): {pf['witness']['class']}\n")
         out.write(f"  isomorphism obstructed: {report['iso_obstructed']}\n")
     elif cmd == "bwb":
         what = f"case {report['case']}" if "case" in report else \

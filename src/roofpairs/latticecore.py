@@ -5,13 +5,18 @@ nondegenerate symmetric forms, saturated orthogonal kernels, an exhaustive
 bounded search for hyperbolic-type isotropic pairs, and the change-of-basis
 pipeline that extracts the Fourier-Mukai vector of a roof configuration.
 
+Determinants, unimodular inverses and the exact linear solves (here and in
+``roofcalc``) all run on one fraction-free Bareiss elimination over the
+integers; rational systems have their denominators cleared per row first.
+
 Matrices are plain lists of lists of Python ints; everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Matrix = list[list[int]]
@@ -43,53 +48,79 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free Gaussian elimination (exact)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign, d = 1, Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
+def _bareiss(a: Matrix, ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the first ``ncols`` columns, in place.
+
+    One-step Bareiss (1968): every update is divided exactly by the previous
+    pivot, so every entry stays an integer (a minor of the input).  The pivot
+    of a column is its first nonzero entry at or below the current row;
+    columns without one are skipped.  Returns ``(pivots, d, sign)``: the pivot
+    columns, the last pivot ``d`` and the sign of the row permutation.  On
+    return the pivot rows come first and are ``d`` times the reduced row
+    echelon form; the other rows are zero in the first ``ncols`` columns.
+    For a square ``a`` with ``ncols`` pivots, ``sign * d`` is its determinant.
+    """
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        d *= a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] / a[i][i]
-            a[r] = [a[r][k] - f * a[i][k] for k in range(n)]
-    assert d.denominator == 1
-    return sign * d.numerator
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
+
+
+def _augmented(columns: Sequence[Sequence], target: Sequence) -> Matrix:
+    """Integer rows of [A | b] for A x = b with A given by columns.
+
+    Entries may be ints or Fractions; each row is scaled by the lcm of its
+    denominators, which leaves the solutions unchanged.
+    """
+    out = []
+    for i, t in enumerate(target):
+        row = [col[i] for col in columns] + [t]
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination over the integers."""
+    n = len(m)
+    pivots, d, sign = _bareiss([list(row) for row in m], n)
+    return sign * d if len(pivots) == n else 0
 
 
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular, not unimodular")
-        a[i], a[piv] = a[piv], a[i]
-        inv = Fraction(1) / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i] != 0:
-                f = a[r][i]
-                a[r] = [a[r][k] - f * a[i][k] for k in range(2 * n)]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, d, _ = _bareiss(a, n)
+    if len(pivots) != n:
+        raise LatticeError("matrix is singular, not unimodular")
+    if abs(d) != 1:
         raise LatticeError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    # a is now [d*I | d*m^-1], and 1/d = d
+    return [[d * x for x in row[n:]] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -370,35 +401,18 @@ def _isotropic_orthogonal_vectors(
     return out
 
 
-def _solve_integral(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Vector:
+def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:
     """Solve sum_j x_j * columns[j] = target; the solution must be integral."""
-    n = len(target)
-    a = [[Fraction(columns[j][i]) for j in range(len(columns))] + [Fraction(target[i])] for i in range(n)]
     ncols = len(columns)
-    row = 0
-    pivots = []
-    for c in range(ncols):
-        piv = next((r for r in range(row, n) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][c]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [a[r][k] - f * a[row][k] for k in range(ncols + 1)]
-        pivots.append(c)
-        row += 1
-    for r in range(row, n):
-        if a[r][ncols] != 0:
-            raise InconsistencyError("vector lies outside the span")
+    a = _augmented(columns, target)
+    pivots, d, _ = _bareiss(a, ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
+        raise InconsistencyError("vector lies outside the span")
     if len(pivots) != ncols:
         raise InconsistencyError("basis vectors are linearly dependent")
-    sol = [a[i][ncols] for i in range(ncols)]
-    if any(x.denominator != 1 for x in sol):
+    if any(row[ncols] % d for row in a[:ncols]):
         raise InconsistencyError("image is not in the integer span of the basis")
-    return tuple(int(x) for x in sol)
+    return tuple(row[ncols] // d for row in a[:ncols])
 
 
 def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
@@ -423,12 +437,7 @@ def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
     image = roofcalc.switch_side(config, theta_v)
     image_coords = roofcalc.coordinates_in_lattice(lat_t, image)
 
-    cols = [
-        [Fraction(x) for x in sol_t.a],
-        [Fraction(x) for x in ell_t],
-        [Fraction(x) for x in sol_t.b],
-    ]
-    x, y, z = _solve_integral(cols, [Fraction(c) for c in image_coords])
+    x, y, z = _solve_integral([sol_t.a, ell_t, sol_t.b], image_coords)
     candidates = {(x, y, z), (z, y, x), (-x, -y, -z), (-z, -y, -x)}
     chosen = [c for c in candidates if c[0] > 0 and c[1] > 0]
     if len(chosen) != 1:

@@ -512,36 +512,22 @@ def _l_xi_monomials(side: RoofSide, d: int) -> list[tuple[tuple[int, int], Bundl
 
 def _solve_rational(columns: list[list[Fraction]], target: list[Fraction]):
     """Particular solution (free variables zero) and kernel basis of A x = b."""
-    rows, ncols = len(target), len(columns)
-    a = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][k] - f * a[r][k] for k in range(ncols + 1)]
-        pivots.append(c)
-        r += 1
-    if any(a[i][ncols] != 0 for i in range(r, rows)):
+    ncols = len(columns)
+    a = latticecore._augmented(columns, target)
+    pivots, d, _ = latticecore._bareiss(a, ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
         return None
     solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = a[i][ncols]
+    for row, c in zip(a, pivots):
+        solution[c] = Fraction(row[ncols], d)
     kernel = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][c]
-        kernel.append(vec)
+    for c in range(ncols):
+        if c not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[c] = Fraction(1)
+            for row, pc in zip(a, pivots):
+                vec[pc] = Fraction(-row[c], d)
+            kernel.append(vec)
     return solution, kernel
 
 
@@ -654,11 +640,13 @@ class ResidueScan:
     declared_witnesses: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
-    def declared_witness(self) -> tuple[int, tuple[int, ...]]:
-        """The declared-convention witness with the smallest coefficients."""
+    def declared_witness(self) -> Optional[tuple[int, tuple[int, ...]]]:
+        """The declared-convention witness with the smallest coefficients, or None
+        when the declared residue set is empty."""
         return min(
             self.declared_witnesses,
             key=lambda kw: (max(map(abs, kw[1]), default=0), sum(map(abs, kw[1])), abs(kw[0]), kw[0]),
+            default=None,
         )
 
 

@@ -79,6 +79,20 @@ class TestLemma7:
         assert report["residue_set"] == [1]
         assert report["iso_obstructed"] is False
 
+    def test_empty_declared_residue_set(self, tmp_path, capsys):
+        # no k makes (j - k*j~)/8 integral, so there is no declared witness
+        side = {"groth": [[["L", 4]], [["Pi1", 4], ["Pi2", 4]]],
+                "middle_basis": [["L", 1], ["Pi1", 0], ["Pi2", 0]], "declared_locus_sign": 1}
+        cfg = tmp_path / "roof-q4-1.json"
+        cfg.write_text(json.dumps({"name": "roof-q4-1", "rank": 2, "base_dim": [4, 4],
+                                   "polarization_degree": 8, "sides": [side, side]}))
+        code, report = run_json(capsys, "lemma7", "--config", str(cfg))
+        assert code == 0
+        assert report["declared_form"] == {"locus_signs": [1, 1], "residue_set": [], "witness": None}
+        code, out = run(capsys, "lemma7", "--config", str(cfg))
+        assert code == 0
+        assert "  declared-representative witness: none\n" in out
+
     def test_pipeline_failure_names_stage(self, tmp_path, capsys, toy_path):
         # a middle basis missing the top xi-monomial leaves no rank-1 complement
         with open(toy_path) as fh:

@@ -7,14 +7,19 @@ from hypothesis import given, settings, strategies as st
 from roofpairs import latticecore
 from roofpairs.latticecore import (
     DegenerateLatticeError,
+    InconsistencyError,
     LatticeError,
     SearchExhaustedError,
+    det,
     discriminant_group,
     isotropic_pair_solve,
+    mat_mul,
     mukai_vector,
     orthogonal_kernel,
     smith_normal_form,
+    unimodular_inverse,
 )
+from roofpairs.roofcalc import _solve_rational
 
 G2_GRAM = [[0, 1, 5], [1, 10, 32], [5, 32, 82]]
 D4_GRAM = [
@@ -59,6 +64,191 @@ class TestSmithNormalForm:
     @given(st.lists(st.lists(st.integers(-20, 20), min_size=4, max_size=4), min_size=4, max_size=4))
     def test_random_validity(self, m):
         assert smith_normal_form(m).verify(m)
+
+
+# Reference eliminations over Fraction: the implementations the Bareiss kernel
+# replaced, kept as oracles for it.
+
+def _ref_unimodular_inverse(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for i in range(n):
+        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if piv is None:
+            raise LatticeError("matrix is singular, not unimodular")
+        a[i], a[piv] = a[piv], a[i]
+        inv = Fraction(1) / a[i][i]
+        a[i] = [x * inv for x in a[i]]
+        for r in range(n):
+            if r != i and a[r][i] != 0:
+                f = a[r][i]
+                a[r] = [a[r][k] - f * a[i][k] for k in range(2 * n)]
+    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise LatticeError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in out]
+
+
+def _ref_rref(columns, target):
+    """Reduced row echelon form of [A | b] over Fraction and its pivot columns."""
+    n, ncols = len(target), len(columns)
+    a = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(n)]
+    row, pivots = 0, []
+    for c in range(ncols):
+        piv = next((r for r in range(row, n) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = Fraction(1) / a[row][c]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(n):
+            if r != row and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [a[r][k] - f * a[row][k] for k in range(ncols + 1)]
+        pivots.append(c)
+        row += 1
+    return a, pivots
+
+
+def _ref_solve_integral(columns, target):
+    a, pivots = _ref_rref(columns, target)
+    ncols = len(columns)
+    if any(a[r][ncols] != 0 for r in range(len(pivots), len(target))):
+        raise InconsistencyError("vector lies outside the span")
+    if len(pivots) != ncols:
+        raise InconsistencyError("basis vectors are linearly dependent")
+    sol = [a[i][ncols] for i in range(ncols)]
+    if any(x.denominator != 1 for x in sol):
+        raise InconsistencyError("image is not in the integer span of the basis")
+    return tuple(int(x) for x in sol)
+
+
+def _ref_solve_rational(columns, target):
+    a, pivots = _ref_rref(columns, target)
+    ncols = len(columns)
+    if any(a[i][ncols] != 0 for i in range(len(pivots), len(target))):
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        solution[c] = a[i][ncols]
+    kernel = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -a[i][c]
+        kernel.append(vec)
+    return solution, kernel
+
+
+def _cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+def _square(entries, max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+_RATIONAL = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _rational_system(draw):
+    """Columns and target of A x = b with rational entries.
+
+    Targets are drawn at random (mostly inconsistent when rows exceed
+    columns), as A x for an integral x, or as A x for a rational x; the last
+    column is sometimes a multiple of the first, making the columns dependent.
+    """
+    rows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(_RATIONAL, min_size=rows, max_size=rows), min_size=ncols, max_size=ncols))
+    if ncols > 1 and draw(st.booleans()):
+        k = draw(_RATIONAL)
+        cols[-1] = [k * x for x in cols[0]]
+    kind = draw(st.sampled_from(["random", "integral", "rational"]))
+    if kind == "random":
+        return cols, draw(st.lists(_RATIONAL, min_size=rows, max_size=rows))
+    x = draw(st.lists(st.integers(-5, 5) if kind == "integral" else _RATIONAL, min_size=ncols, max_size=ncols))
+    return cols, [sum(x[j] * cols[j][i] for j in range(ncols)) for i in range(rows)]
+
+
+class TestExactKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_square(st.integers(-9, 9), 4))
+    def test_det_is_cofactor_expansion(self, m):
+        assert det(m) == _cofactor_det(m)
+
+    def test_det_of_singular_and_empty(self):
+        assert det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+        assert det([[0, 0], [0, 0]]) == 0
+        assert det([]) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_square(st.integers(-20, 20), 6))
+    def test_det_is_product_of_smith_diagonal(self, m):
+        prod = 1
+        for d in smith_normal_form(m).invariant_factors:
+            prod *= d
+        assert abs(det(m)) == prod
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c), min_size=r, max_size=r))))
+    def test_inverse_of_smith_transforms(self, m):
+        snf = smith_normal_form(m)
+        for t in (snf.U, snf.V):
+            t = [list(row) for row in t]
+            inv = unimodular_inverse(t)
+            eye = [[int(i == j) for j in range(len(t))] for i in range(len(t))]
+            assert mat_mul(inv, t) == eye and mat_mul(t, inv) == eye
+
+    @pytest.mark.parametrize("m, message", [
+        ([[1, 2], [2, 4]], "matrix is singular, not unimodular"),
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix is singular, not unimodular"),
+        ([[2, 0], [0, 1]], "matrix is not unimodular"),
+        ([[2, 1], [1, 2]], "matrix is not unimodular"),
+    ])
+    def test_inverse_errors(self, m, message):
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            unimodular_inverse(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_square(st.integers(-2, 2), 4))
+    def test_inverse_matches_reference(self, m):
+        assert _outcome(unimodular_inverse, m) == _outcome(_ref_unimodular_inverse, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rational_system())
+    def test_solve_integral_matches_reference(self, system):
+        assert _outcome(latticecore._solve_integral, *system) == _outcome(_ref_solve_integral, *system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rational_system())
+    def test_solve_rational_matches_reference(self, system):
+        got = _solve_rational(*system)
+        assert got == _ref_solve_rational(*system)
+        if got is not None:
+            solution, kernel = got
+            assert all(type(x) is Fraction for vec in [solution, *kernel] for x in vec)
+
+    def test_mat_mul_matches_index_loop(self):
+        rng = random.Random(3)
+        for rows, inner, cols in ((2, 3, 4), (1, 1, 1), (3, 2, 0), (2, 0, 0)):
+            a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+            want = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+            assert mat_mul(a, b) == want
 
 
 class TestDiscriminantGroup:
