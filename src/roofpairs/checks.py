@@ -276,31 +276,39 @@ def _structural(cs: CheckSet, g2, d4) -> None:
 
 def _bundle_ring_laws(side) -> bool:
     """Exact associativity/commutativity of the bundle ring on all basis triples."""
-    import numpy as np
-
     monos = [(b.label, e) for e in range(side.rank) for b in side.base.basis]
     classes = [roofcalc.monomial(side, lbl, e) for lbl, e in monos]
     index = {m: i for i, m in enumerate(monos)}
     dim = len(monos)
 
-    def coords(cls) -> list[int]:
-        v = [0] * dim
+    def coords(cls) -> dict[int, int]:
+        v = {}
         for e, part in enumerate(cls.parts):
             for lbl, c in part.coeffs.items():
                 assert c.denominator == 1
-                v[index[(lbl, e)]] = int(c)
+                if c:
+                    v[index[(lbl, e)]] = int(c)
         return v
 
-    s = np.zeros((dim, dim, dim), dtype=np.int64)
+    # sparse structure constants: e_i * e_j = sum over m of s[i, j][m] * e_m
+    s = {}
     for i in range(dim):
         for j in range(i, dim):
-            v = coords(classes[i] * classes[j])
-            s[i, j] = v
-            s[j, i] = v  # commutativity built into the table; verified below
-    for i in range(dim):
-        for j in range(i):
-            if coords(classes[i] * classes[j]) != list(s[i, j]):
-                return False
-    left = np.einsum("ijm,mkl->ijkl", s, s)
-    right = np.einsum("jkm,iml->ijkl", s, s)
-    return bool(np.array_equal(left, right))
+            s[i, j] = s[j, i] = coords(classes[i] * classes[j])  # commutativity built in; verified below
+    if any(coords(classes[i] * classes[j]) != s[i, j] for i in range(dim) for j in range(i)):
+        return False
+
+    def times(v: dict[int, int], k: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for m, c in v.items():
+            for n, d in s[m, k].items():
+                out[n] = out.get(n, 0) + c * d
+        return {n: c for n, c in out.items() if c}
+
+    # (e_i e_j) e_k for every triple, each unordered {i, j} multiplied out once
+    prod = {}
+    for (i, j), v in s.items():
+        if i <= j:
+            for k in range(dim):
+                prod[i, j, k] = prod[j, i, k] = times(v, k)
+    return all(prod[i, j, k] == prod[j, k, i] for i, j, k in prod)

@@ -304,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    bound_help = "report the isotropic pair only if all its coordinates lie in [-BOUND, BOUND]"
 
     def add_config_args(sp):
         sp.add_argument("name", nargs="?", default="",
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mukai", help="isotropic pair and Fourier-Mukai vector")
     add_config_args(sp)
-    sp.add_argument("--bound", type=int, default=50, help="coordinate box for the search")
+    sp.add_argument("--bound", type=int, default=50, help=bound_help)
 
     sp = sub.add_parser("motivic", help="Grothendieck-ring fibration identities")
     sp.add_argument("--rank", type=int, help="single rank instead of 2..12")
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-all", help="run every golden check")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--bound", type=int, default=50)
+    sp.add_argument("--bound", type=int, default=50, help=bound_help)
     sp.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     return p
 

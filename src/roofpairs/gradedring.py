@@ -81,7 +81,6 @@ class RingPresentation:
         table: Mapping[tuple[str, str], Mapping[str, int]],
         hyperplane_form: Optional[Mapping[str, Fraction]] = None,
         l_powers: Optional[Sequence[Mapping[str, Fraction]]] = None,
-        l_forms: Optional[Mapping[str, tuple[int, Fraction]]] = None,
         fano_index: Optional[int] = None,
     ):
         self.name = name
@@ -121,8 +120,6 @@ class RingPresentation:
         )
         # L^p expressed on the basis, p = 0 .. dimension (beyond is zero).
         self._l_powers = tuple(dict(p) for p in l_powers) if l_powers is not None else None
-        # basis label -> (p, c) meaning the element equals c * L^p, when such a form exists
-        self._l_forms = dict(l_forms) if l_forms is not None else None
 
     def _key(self, x: str, y: str) -> tuple[str, str]:
         return (x, y) if self._order[x] <= self._order[y] else (y, x)
@@ -194,12 +191,6 @@ class RingPresentation:
         if p > self.dimension:
             return self.zero(p)
         return GradedClass(self, p, dict(self._l_powers[p]))
-
-    def l_form(self, label: str) -> Optional[tuple[int, Fraction]]:
-        """``(p, c)`` with ``basis_class(label) == c * L^p`` when such a form exists."""
-        if self._l_forms is None:
-            return None
-        return self._l_forms.get(label)
 
     def __repr__(self):
         return f"RingPresentation({self.name!r}, dim={self.dimension}, basis={len(self.basis)})"
@@ -393,9 +384,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
                 if i + j <= m:
                     table[(lpow_label(i), pilab("Pi", j))] = {pilab("Pi", i + j): 1}
         # Pi L^i * Pi L^j is always beyond the top degree
-        l_forms = {lpow_label(p): (p, Fraction(1)) for p in range(1, m + 1)}
-        l_forms["1"] = (0, Fraction(1))
-        l_forms.update({pilab("Pi", j): (m + 1 + j, Fraction(1, 2)) for j in range(0, m + 1)})
         hyperplane = {"L": Fraction(1)}
     else:
         m = dim // 2
@@ -431,10 +419,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
         table[("Pi1", "Pi1")] = {point: pi_square} if pi_square else {}
         table[("Pi2", "Pi2")] = {point: pi_square} if pi_square else {}
         table[("Pi1", "Pi2")] = {point: pi_cross} if pi_cross else {}
-        l_forms = {lpow_label(p): (p, Fraction(1)) for p in range(1, m)}
-        l_forms["1"] = (0, Fraction(1))
-        l_forms.update({pilab("Pi1", j): (m + j, Fraction(1, 2)) for j in range(1, m + 1)})
-        # Pi1 and Pi2 individually are not rational multiples of a power of L
         hyperplane = (
             {"L": Fraction(1)} if m >= 2 else {"Pi1": Fraction(1), "Pi2": Fraction(1)}
         )
@@ -448,7 +432,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
         table,
         hyperplane_form=hyperplane,
         l_powers=l_powers,
-        l_forms=l_forms,
         fano_index=dim,
     )
 
@@ -469,10 +452,9 @@ def make_projective_space_ring(dim: int, name: Optional[str] = None) -> RingPres
         for j in range(i, dim + 1)
     }
     l_powers = [{lab(p): Fraction(1)} for p in range(dim + 1)]
-    l_forms = {lab(p): (p, Fraction(1)) for p in range(dim + 1)}
     return RingPresentation(
         name, dim, basis, lab(dim), table,
-        hyperplane_form={"L": Fraction(1)}, l_powers=l_powers, l_forms=l_forms,
+        hyperplane_form={"L": Fraction(1)}, l_powers=l_powers,
         fano_index=dim + 1,
     )
 

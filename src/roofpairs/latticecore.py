@@ -1,9 +1,10 @@
 """Integer-lattice algorithms over arbitrary-precision integers.
 
 Smith normal form with unimodular transforms, discriminant groups of
-nondegenerate symmetric forms, saturated orthogonal kernels, an exhaustive
-bounded search for hyperbolic-type isotropic pairs, and the change-of-basis
-pipeline that extracts the Fourier-Mukai vector of a roof configuration.
+nondegenerate symmetric forms, saturated orthogonal kernels, hyperbolic-type
+isotropic pairs in rank 3 read off in closed form from the binary form on
+the polarization's orthogonal plane, and the change-of-basis pipeline that
+extracts the Fourier-Mukai vector of a roof configuration.
 
 Determinants, unimodular inverses and the exact linear solves (here and in
 ``roofcalc``) all run on one fraction-free Bareiss elimination over the
@@ -15,7 +16,7 @@ Matrices are plain lists of lists of Python ints; everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -318,12 +319,11 @@ def orthogonal_kernel(
 
 @dataclass(frozen=True)
 class MukaiSolution:
-    """A canonical isotropic pair and every solution orbit found in the box."""
+    """The canonical isotropic pair and its solution orbits (at most one exists)."""
 
     a: Vector
     b: Vector
     orbits: tuple[tuple[Vector, Vector], ...]
-    mukai_vector: Optional[tuple[int, int, int]] = None
 
 
 def _form(gram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
@@ -342,15 +342,47 @@ def _canonical_pair(a: Vector, b: Vector) -> tuple[Vector, Vector]:
     return min(norm(a, b), norm(b, a))
 
 
+def _isotropic_rays(gram: Sequence[Sequence[int]], w: Sequence[int]) -> Optional[tuple[Vector, Vector]]:
+    """Primitive generators of the two isotropic rays in the plane w^perp of Z^3.
+
+    On a basis p, q of the plane the form is A x^2 + B xy + C y^2.  It has
+    exactly two isotropic rays iff B^2 - 4AC is a nonzero square; otherwise
+    it has none, or (when degenerate) only isotropic vectors that pair to zero
+    with each other, and ``None`` is returned.  w^perp meets Z^3 in a
+    saturated sublattice, so dividing a ray by the gcd of its coordinates
+    gives its generator.  Signs are arbitrary.
+    """
+    k = next(i for i in range(3) if w[i])
+    i, j = (t for t in range(3) if t != k)
+    p, q = [0, 0, 0], [0, 0, 0]
+    p[i], p[k] = w[k], -w[i]
+    q[j], q[k] = w[k], -w[j]
+    a, b, c = _form(gram, p, p), 2 * _form(gram, p, q), _form(gram, q, q)
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc > 0 else 0
+    if s == 0 or s * s != disc:
+        return None
+    coeffs = [(-b + s, 2 * a), (-b - s, 2 * a)] if a else [(1, 0), (-c, b)]
+    rays = []
+    for x, y in coeffs:
+        r = [x * pi + y * qi for pi, qi in zip(p, q)]
+        g = gcd(*r)
+        rays.append(tuple(v // g for v in r))
+    return rays[0], rays[1]
+
+
 def isotropic_pair_solve(
     gram: Sequence[Sequence[int]], ell: Sequence[int], bound: int = 50
 ) -> MukaiSolution:
-    """Exhaustive search for pairs a, b with a^2 = b^2 = a.ell = b.ell = 0 and a.b = 1.
+    """Pairs a, b with a^2 = b^2 = a.ell = b.ell = 0 and a.b = 1, in closed form.
 
-    The whole coordinate box [-bound, bound]^3 is scanned, solutions are
-    grouped into orbits of the symmetry group {swap a and b, global sign},
-    and the canonical representative is the lexicographically smallest pair
-    after normalizing the first nonzero coordinate of ``a`` positive.
+    Such a pair spans the plane ell^perp, so a and b generate its two
+    isotropic rays and exist iff those generators u, v satisfy |u.v| = 1.
+    The solutions then form exactly one orbit of the symmetry group {swap a
+    and b, global sign}.  It is reported iff every coordinate of the pair lies
+    in [-bound, bound], which is what a search of that coordinate box finds.
+    The canonical representative is the lexicographically smallest pair after
+    normalizing the first nonzero coordinate of ``a`` positive.
     """
     n = len(gram)
     if n != 3 or any(len(row) != 3 for row in gram):
@@ -358,47 +390,16 @@ def isotropic_pair_solve(
     if _form(gram, ell, ell) == 0:
         raise LatticeError("the polarization vector must have nonzero self-pairing")
 
-    iso = _isotropic_orthogonal_vectors(gram, ell, bound)
-    pairs = set()
-    for ai, a in enumerate(iso):
-        for b in iso[ai:]:
-            if _form(gram, a, b) == 1:
-                pairs.add(_canonical_pair(a, b))
-            elif _form(gram, b, a) == 1:  # symmetric form, kept for clarity
-                pairs.add(_canonical_pair(b, a))
-    if not pairs:
+    rays = _isotropic_rays(gram, mat_vec(gram, ell))
+    pair = None
+    if rays is not None:
+        u, v = rays
+        uv = _form(gram, u, v)
+        if abs(uv) == 1 and max(abs(x) for x in u + v) <= bound:
+            pair = _canonical_pair(u, tuple(uv * x for x in v))
+    if pair is None:
         raise SearchExhaustedError(f"no isotropic pair inside the [-{bound}, {bound}] box")
-    orbits = tuple(sorted(pairs))
-    a, b = orbits[0]
-    return MukaiSolution(a, b, orbits)
-
-
-def _isotropic_orthogonal_vectors(
-    gram: Sequence[Sequence[int]], ell: Sequence[int], bound: int
-) -> list[Vector]:
-    max_g = max(abs(x) for row in gram for x in row)
-    max_l = max(max(abs(x) for x in ell), 1)
-    # worst case |v G w| <= 9 * max_g * bound * max(bound, max_l); stay well inside int64
-    if 9 * max_g * bound * max(bound, max_l) < 2**60:
-        import numpy as np
-
-        rng = np.arange(-bound, bound + 1, dtype=np.int64)
-        vs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-        g = np.asarray(gram, dtype=np.int64)
-        gv = vs @ g
-        iso = np.einsum("ij,ij->i", gv, vs) == 0
-        orth = gv @ np.asarray(ell, dtype=np.int64) == 0
-        nonzero = np.any(vs != 0, axis=1)
-        sel = vs[iso & orth & nonzero]
-        return [tuple(int(x) for x in row) for row in sel]
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            for z in range(-bound, bound + 1):
-                v = (x, y, z)
-                if v != (0, 0, 0) and _form(gram, v, v) == 0 and _form(gram, v, ell) == 0:
-                    out.append(v)
-    return out
+    return MukaiSolution(pair[0], pair[1], (pair,))
 
 
 def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:

@@ -145,6 +145,10 @@ class TestMukai:
         code, report = run_json(capsys, "mukai", "g2dagger", "--bound", "6")
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
 
+    def test_huge_bound(self, capsys):
+        code, report = run_json(capsys, "mukai", "g2dagger", "--bound", "1000000")
+        assert code == 0 and report["mukai_vector"] == [2, 1, -3]
+
 
 class TestMotivic:
     def test_all_ranks(self, capsys):
@@ -189,3 +193,19 @@ def test_module_entry_point(toy_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "toy-sym"
+
+
+# Runs the CLI with numpy made unimportable: the package must need nothing beyond the stdlib.
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                 "from roofpairs.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["mukai", "g2dagger"], "mukai_vector", [2, 1, -3]),
+    (["verify-all"], "failures", 0),
+])
+def test_runs_without_numpy(argv, key, expected):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv, "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[key] == expected

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -331,7 +332,85 @@ class TestOrthogonalKernel:
             assert res is not None  # s lies in the rational span of the complement
 
 
+def _ref_box_search(gram, ell, bound):
+    """Brute-force reference: every isotropic pair in the box [-bound, bound]^3."""
+    def form(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(3) for j in range(3))
+
+    if form(ell, ell) == 0:
+        raise LatticeError("the polarization vector must have nonzero self-pairing")
+    box = itertools.product(range(-bound, bound + 1), repeat=3)
+    iso = [v for v in box if any(v) and form(v, ell) == 0 and form(v, v) == 0]
+    neg = lambda v: tuple(-x for x in v)
+    orbits = set()
+    for a, b in itertools.product(iso, repeat=2):
+        if form(a, b) == 1:
+            members = [(a, b), (b, a), (neg(a), neg(b)), (neg(b), neg(a))]
+            orbits.add(min(p for p in members if next(x for x in p[0] if x) > 0))
+    if not orbits:
+        raise SearchExhaustedError(f"no isotropic pair inside the [-{bound}, {bound}] box")
+    orbits = tuple(sorted(orbits))
+    return orbits[0][0], orbits[0][1], orbits
+
+
+def _solve_triple(gram, ell, bound):
+    sol = isotropic_pair_solve(gram, ell, bound)
+    return sol.a, sol.b, sol.orbits
+
+
+@st.composite
+def _hyperbolic_plus_line(draw):
+    """B + <d> for a binary B with isotropic vectors, in a random unimodular basis.
+
+    ``ell`` is the generator of <d>, so ell^perp is B: U carries an isotropic
+    pair, U(2) only isotropic rays pairing to 2, [[2, 1], [1, 0]] a pair again.
+    """
+    (p, q), (_, r) = draw(st.sampled_from([((0, 1), (1, 0)), ((0, 2), (2, 0)), ((2, 1), (1, 0))]))
+    d = draw(st.integers(-6, 6).filter(bool))
+    g0 = [[p, q, 0], [q, r, 0], [0, 0, d]]
+    basis = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)),
+                                 max_size=4)):
+        if i != j:
+            for row in basis:
+                row[j] += c * row[i]
+    order = draw(st.permutations(range(3)))
+    basis = [[row[k] for k in order] for row in basis]
+    gram = mat_mul(mat_mul([list(c) for c in zip(*basis)], g0), basis)
+    ell = [row[2] for row in unimodular_inverse(basis)]
+    return gram, ell
+
+
+@st.composite
+def _small_symmetric(draw):
+    entries = draw(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+    it = iter(entries)
+    gram = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            gram[i][j] = gram[j][i] = next(it)
+    return gram, draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+
+
 class TestIsotropicPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(_hyperbolic_plus_line(), st.integers(0, 6))
+    def test_matches_box_search_on_hyperbolic_planes(self, lattice, bound):
+        gram, ell = lattice
+        assert _outcome(_solve_triple, gram, ell, bound) == _outcome(_ref_box_search, gram, ell, bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_symmetric(), st.integers(0, 6))
+    def test_matches_box_search_on_small_grams(self, lattice, bound):
+        gram, ell = lattice
+        assert _outcome(_solve_triple, gram, ell, bound) == _outcome(_ref_box_search, gram, ell, bound)
+
+    def test_bound_filters_the_pair(self):
+        sol = isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=5)
+        assert (sol.a, sol.b) == ((1, 0, 0), (-5, 1, 0))
+        with pytest.raises(SearchExhaustedError, match=r"\[-4, 4\] box"):
+            isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=4)
+
     def test_gram_3x3_solution(self):
         sol = isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=50)
         assert sol.a == (1, 0, 0)
@@ -354,6 +433,18 @@ class TestIsotropicPairs:
     def test_definite_form_exhausts(self):
         with pytest.raises(SearchExhaustedError):
             isotropic_pair_solve([[2, 0, 0], [0, 2, 0], [0, 0, 2]], (1, 0, 0), bound=4)
+
+    @pytest.mark.parametrize("gram", [
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],   # the form vanishes on ell^perp
+        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],   # ell^perp has a radical line only
+        [[1, 0, 0], [0, -2, 0], [0, 0, 1]],  # discriminant 8 is not a square
+        [[0, 2, 0], [2, 0, 0], [0, 0, 1]],   # U(2): the isotropic rays pair to 2
+    ])
+    def test_planes_without_a_pair_exhaust(self, gram):
+        with pytest.raises(SearchExhaustedError):
+            _ref_box_search(gram, (0, 0, 1), 6)
+        with pytest.raises(SearchExhaustedError):
+            isotropic_pair_solve(gram, (0, 0, 1), bound=6)
 
     def test_isotropic_polarization_rejected(self):
         with pytest.raises(LatticeError):
