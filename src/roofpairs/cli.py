@@ -158,23 +158,18 @@ def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) ->
 
 
 def cmd_mukai(cfg, bound: int) -> dict:
-    lat = roofcalc.middle_lattice(cfg.side)
-    lat_t = roofcalc.middle_lattice(cfg.tilde_side)
-    ell = roofcalc.locus_coordinates(cfg.side)
-    sol = latticecore.isotropic_pair_solve([list(r) for r in lat.gram], ell, bound)
-    image = roofcalc.switch_side(cfg, roofcalc.class_from_coordinates(lat, sol.a))
-    image_coords = [int(c) for c in roofcalc.coordinates_in_lattice(lat_t, image)]
-    vec = latticecore.mukai_vector(cfg, bound)
+    run = latticecore._mukai_pipeline(cfg, bound)
+    lat, sol = run.lattice, run.solution
     return {
         "command": "mukai",
         "name": cfg.name,
         "bound": bound,
-        "polarization": {"coordinates": list(ell)},
+        "polarization": {"coordinates": list(run.ell)},
         "theta_v": {"coordinates": list(sol.a), "class": str(roofcalc.class_from_coordinates(lat, sol.a))},
         "theta_w": {"coordinates": list(sol.b), "class": str(roofcalc.class_from_coordinates(lat, sol.b))},
         "solution_orbits": len(sol.orbits),
-        "switched_generator": {"coordinates": image_coords, "class": str(image)},
-        "mukai_vector": list(vec),
+        "switched_generator": {"coordinates": [int(c) for c in run.image_coords], "class": str(run.image)},
+        "mukai_vector": list(run.vector),
     }
 
 
@@ -297,6 +292,17 @@ def emit(report: dict, as_json: bool, out=None) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _bound(text: str) -> int:
+    """argparse type of ``--bound``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roofpairs",
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mukai", help="isotropic pair and Fourier-Mukai vector")
     add_config_args(sp)
-    sp.add_argument("--bound", type=int, default=50, help=bound_help)
+    sp.add_argument("--bound", type=_bound, default=50, help=bound_help)
 
     sp = sub.add_parser("motivic", help="Grothendieck-ring fibration identities")
     sp.add_argument("--rank", type=int, help="single rank instead of 2..12")
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-all", help="run every golden check")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--bound", type=int, default=50, help=bound_help)
+    sp.add_argument("--bound", type=_bound, default=50, help=bound_help)
     sp.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     return p
 

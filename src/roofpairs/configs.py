@@ -29,7 +29,6 @@ representative relative to the positivity-normalized one (default 1).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
@@ -97,13 +96,13 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def _class_from_pairs(ring: RingPresentation, degree: int, pairs: Sequence) -> GradedClass:
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, int] = {}
     for item in pairs:
         try:
             label, value = item
         except (TypeError, ValueError):
             raise ConfigError(f"expected [label, integer] pair, got {item!r}") from None
-        coeffs[str(label)] = coeffs.get(str(label), Fraction(0)) + Fraction(int(value))
+        coeffs[str(label)] = coeffs.get(str(label), 0) + int(value)
     try:
         return GradedClass(ring, degree, coeffs)
     except ValueError as exc:

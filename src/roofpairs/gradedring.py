@@ -1,7 +1,9 @@
 """Exact arithmetic in finite graded commutative quotient rings.
 
 A ring is presented by a finite graded basis together with an integer
-multiplication table; all class coefficients are exact rationals.  The two
+multiplication table; all class coefficients are exact rationals, stored as
+Python ints when integral and as Fractions otherwise, so the integral
+classes that make up almost all roof arithmetic never build a Fraction.  The two
 families shipped here are the cohomology rings of smooth quadric
 hypersurfaces (odd and even dimensional), graded by codimension, but the
 presentation machinery is generic: any finite graded basis with a
@@ -53,11 +55,14 @@ class BasisElement:
     degree: int
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> int | Fraction:
+    """An exact rational coefficient: an int when integral, a Fraction otherwise."""
+    if type(x) is int:
         return x
+    if type(x) is Fraction or isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise GradedRingError(f"coefficients must be exact integers or Fractions, got {type(x).__name__}")
 
 
@@ -70,6 +75,8 @@ class RingPresentation:
     empty).  The table is validated at construction: gradedness,
     commutativity, associativity on all basis triples, uniqueness of the top
     class, and proportionality to the point class in complementary degrees.
+    Validation also fills the full product table over all label pairs, which
+    class multiplication reads with one lookup per pair of terms.
     """
 
     def __init__(
@@ -79,8 +86,8 @@ class RingPresentation:
         basis: Sequence[BasisElement],
         point_label: str,
         table: Mapping[tuple[str, str], Mapping[str, int]],
-        hyperplane_form: Optional[Mapping[str, Fraction]] = None,
-        l_powers: Optional[Sequence[Mapping[str, Fraction]]] = None,
+        hyperplane_form: Optional[Mapping[str, int | Fraction]] = None,
+        l_powers: Optional[Sequence[Mapping[str, int | Fraction]]] = None,
         fano_index: Optional[int] = None,
     ):
         self.name = name
@@ -93,6 +100,7 @@ class RingPresentation:
         if len(set(labels)) != len(labels):
             raise GradedRingError(f"duplicate basis labels in {name!r}")
         self._by_label = {b.label: b for b in self.basis}
+        self._degrees = {b.label: b.degree for b in self.basis}
         for b in self.basis:
             if not 0 <= b.degree <= dimension:
                 raise GradedRingError(f"basis degree {b.degree} outside [0, {dimension}]")
@@ -125,7 +133,7 @@ class RingPresentation:
         return (x, y) if self._order[x] <= self._order[y] else (y, x)
 
     def degree_of(self, label: str) -> int:
-        return self._by_label[label].degree
+        return self._degrees[label]
 
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Product of two basis elements as an integer combination of basis labels."""
@@ -142,11 +150,13 @@ class RingPresentation:
 
     def _validate_table(self) -> None:
         labels = [b.label for b in self.basis]
+        products: dict[tuple[str, str], dict[str, int]] = {}
+        self._products = products
         # gradedness and completeness
         for x in labels:
             for y in labels:
                 d = self.degree_of(x) + self.degree_of(y)
-                prod = self.basis_product(x, y)
+                prod = products[x, y] = self.basis_product(x, y)
                 if d > self.dimension and prod:
                     raise GradedRingError(f"{x}*{y} exceeds top degree but is nonzero")
                 for z in prod:
@@ -157,16 +167,17 @@ class RingPresentation:
         # associativity on all basis triples, exactly
         for x in labels:
             for y in labels:
+                xy = products[x, y]
                 for z in labels:
-                    left = self._combo_times_label(self.basis_product(x, y), z)
-                    right = self._combo_times_label(self.basis_product(y, z), x)
+                    left = self._combo_times_label(xy, z)
+                    right = self._combo_times_label(products[y, z], x)
                     if left != right:
                         raise GradedRingError(f"table not associative at ({x}, {y}, {z})")
 
     def _combo_times_label(self, combo: Mapping[str, int], z: str) -> dict[str, int]:
         out: dict[str, int] = {}
         for w, c in combo.items():
-            for v, d in self.basis_product(w, z).items():
+            for v, d in self._products[w, z].items():
                 out[v] = out.get(v, 0) + c * d
         return {k: v for k, v in out.items() if v}
 
@@ -176,11 +187,11 @@ class RingPresentation:
         return GradedClass(self, degree, {})
 
     def unit(self) -> "GradedClass":
-        return GradedClass(self, 0, {self.unit_label: Fraction(1)})
+        return GradedClass(self, 0, {self.unit_label: 1})
 
     def basis_class(self, label: str) -> "GradedClass":
         b = self._by_label[label]
-        return GradedClass(self, b.degree, {label: Fraction(1)})
+        return GradedClass(self, b.degree, {label: 1})
 
     def l_power(self, p: int) -> "GradedClass":
         """The class of L^p on the basis (zero beyond the top degree)."""
@@ -197,20 +208,27 @@ class RingPresentation:
 
 
 class GradedClass:
-    """A homogeneous class: exact rational coefficients over basis labels of one degree."""
+    """A homogeneous class: exact rational coefficients over basis labels of one degree.
+
+    Zero coefficients are dropped; a nonzero one is stored as an ``int`` when
+    it is integral and as a ``Fraction`` otherwise (``Fraction(4, 2)`` is
+    stored as ``2``).
+    """
 
     __slots__ = ("ring", "degree", "coeffs")
 
-    def __init__(self, ring: RingPresentation, degree: int, coeffs: Mapping[str, Fraction]):
+    def __init__(self, ring: RingPresentation, degree: int, coeffs: Mapping[str, int | Fraction]):
         self.ring = ring
         self.degree = degree
-        clean: dict[str, Fraction] = {}
+        degrees = ring._degrees
+        clean: dict[str, int | Fraction] = {}
         for label, c in coeffs.items():
-            c = _as_fraction(c)
-            if c == 0:
+            if type(c) is not int:
+                c = _exact(c)
+            if not c:
                 continue
-            if ring.degree_of(label) != degree:
-                raise GradedRingError(f"coefficient key {label!r} has degree {ring.degree_of(label)}, not {degree}")
+            if degrees[label] != degree:
+                raise GradedRingError(f"coefficient key {label!r} has degree {degrees[label]}, not {degree}")
             clean[label] = c
         self.coeffs = clean
 
@@ -229,8 +247,8 @@ class GradedClass:
             raise IntegralityError(f"non-integral class {self}")
         return self
 
-    def coefficient(self, label: str) -> Fraction:
-        return self.coeffs.get(label, Fraction(0))
+    def coefficient(self, label: str) -> int | Fraction:
+        return self.coeffs.get(label, 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -246,7 +264,7 @@ class GradedClass:
             raise GradedRingError("cannot add classes of different degrees")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return GradedClass(self.ring, self.degree, out)
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
@@ -256,20 +274,22 @@ class GradedClass:
         return GradedClass(self.ring, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c) -> "GradedClass":
-        c = _as_fraction(c)
+        c = _exact(c)
         return GradedClass(self.ring, self.degree, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GradedClass and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
         d = self.degree + other.degree
-        out: dict[str, Fraction] = {}
+        out: dict[str, int | Fraction] = {}
         if d <= self.ring.dimension:
+            products = self.ring._products
             for x, c in self.coeffs.items():
                 for y, e in other.coeffs.items():
-                    for z, m in self.ring.basis_product(x, y).items():
-                        out[z] = out.get(z, Fraction(0)) + c * e * m
+                    ce = c * e
+                    for z, m in products[x, y].items():
+                        out[z] = out.get(z, 0) + ce * m
         return GradedClass(self.ring, d, out)
 
     __rmul__ = __mul__
@@ -282,7 +302,7 @@ class GradedClass:
     def __hash__(self):
         return hash((id(self.ring), self.degree, frozenset(self.coeffs.items())))
 
-    def sorted_items(self) -> list[tuple[str, Fraction]]:
+    def sorted_items(self) -> list[tuple[str, int | Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: self.ring._order[kv[0]])
 
     def __str__(self):
@@ -365,26 +385,24 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
         basis += [BasisElement(pilab("Pi", j), m + 1 + j) for j in range(0, m + 1)]
         point = pilab("Pi", m)
 
-        def l_power_combo(p: int) -> dict[str, Fraction]:
+        def l_power_combo(p: int) -> dict[str, int]:
             if p == 0:
-                return {"1": Fraction(1)}
+                return {"1": 1}
             if p <= m:
-                return {lpow_label(p): Fraction(1)}
-            return {pilab("Pi", p - m - 1): Fraction(2)}
+                return {lpow_label(p): 1}
+            return {pilab("Pi", p - m - 1): 2}
 
         # L^i * L^j
         for i in range(1, m + 1):
             for j in range(i, m + 1):
-                table[(lpow_label(i), lpow_label(j))] = {
-                    k: int(v) for k, v in l_power_combo(i + j).items()
-                }
+                table[(lpow_label(i), lpow_label(j))] = l_power_combo(i + j)
         # L^i * Pi L^j
         for i in range(1, m + 1):
             for j in range(0, m + 1):
                 if i + j <= m:
                     table[(lpow_label(i), pilab("Pi", j))] = {pilab("Pi", i + j): 1}
         # Pi L^i * Pi L^j is always beyond the top degree
-        hyperplane = {"L": Fraction(1)}
+        hyperplane = {"L": 1}
     else:
         m = dim // 2
         basis = [BasisElement("1", 0)]
@@ -396,20 +414,18 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
         pi_square = 1 if m % 2 == 0 else 0
         pi_cross = 1 - pi_square
 
-        def l_power_combo(p: int) -> dict[str, Fraction]:
+        def l_power_combo(p: int) -> dict[str, int]:
             if p == 0:
-                return {"1": Fraction(1)}
+                return {"1": 1}
             if p <= m - 1:
-                return {lpow_label(p): Fraction(1)}
+                return {lpow_label(p): 1}
             if p == m:
-                return {"Pi1": Fraction(1), "Pi2": Fraction(1)}
-            return {pilab("Pi1", p - m): Fraction(2)}
+                return {"Pi1": 1, "Pi2": 1}
+            return {pilab("Pi1", p - m): 2}
 
         for i in range(1, m):
             for j in range(i, m):
-                table[(lpow_label(i), lpow_label(j))] = {
-                    k: int(v) for k, v in l_power_combo(i + j).items()
-                }
+                table[(lpow_label(i), lpow_label(j))] = l_power_combo(i + j)
         for i in range(1, m):
             for pi in ("Pi1", "Pi2"):
                 table[(lpow_label(i), pi)] = {pilab("Pi1", i): 1}
@@ -419,9 +435,7 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
         table[("Pi1", "Pi1")] = {point: pi_square} if pi_square else {}
         table[("Pi2", "Pi2")] = {point: pi_square} if pi_square else {}
         table[("Pi1", "Pi2")] = {point: pi_cross} if pi_cross else {}
-        hyperplane = (
-            {"L": Fraction(1)} if m >= 2 else {"Pi1": Fraction(1), "Pi2": Fraction(1)}
-        )
+        hyperplane = {"L": 1} if m >= 2 else {"Pi1": 1, "Pi2": 1}
 
     l_powers = [l_power_combo(p) for p in range(0, dim + 1)]
     return RingPresentation(
@@ -451,10 +465,10 @@ def make_projective_space_ring(dim: int, name: Optional[str] = None) -> RingPres
         for i in range(1, dim + 1)
         for j in range(i, dim + 1)
     }
-    l_powers = [{lab(p): Fraction(1)} for p in range(dim + 1)]
+    l_powers = [{lab(p): 1} for p in range(dim + 1)]
     return RingPresentation(
         name, dim, basis, lab(dim), table,
-        hyperplane_form={"L": Fraction(1)}, l_powers=l_powers,
+        hyperplane_form={"L": 1}, l_powers=l_powers,
         fano_index=dim + 1,
     )
 
@@ -468,10 +482,10 @@ def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
     return a * b
 
 
-def integrate(a: GradedClass) -> Fraction:
+def integrate(a: GradedClass) -> int | Fraction:
     """Coefficient of the point class in top degree, 0 in any other degree."""
     if a.degree != a.ring.dimension:
-        return Fraction(0)
+        return 0
     return a.coefficient(a.ring.point_label)
 
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from . import roofcalc
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -380,13 +383,16 @@ def isotropic_pair_solve(
     isotropic rays and exist iff those generators u, v satisfy |u.v| = 1.
     The solutions then form exactly one orbit of the symmetry group {swap a
     and b, global sign}.  It is reported iff every coordinate of the pair lies
-    in [-bound, bound], which is what a search of that coordinate box finds.
+    in [-bound, bound], which is what a search of that coordinate box finds;
+    a negative bound is a ``LatticeError``.
     The canonical representative is the lexicographically smallest pair after
     normalizing the first nonzero coordinate of ``a`` positive.
     """
     n = len(gram)
     if n != 3 or any(len(row) != 3 for row in gram):
         raise LatticeError("isotropic_pair_solve expects a rank-3 gram matrix")
+    if bound < 0:
+        raise LatticeError(f"the coordinate bound must be non-negative, got {bound}")
     if _form(gram, ell, ell) == 0:
         raise LatticeError("the polarization vector must have nonzero self-pairing")
 
@@ -416,6 +422,18 @@ def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:
     return tuple(row[ncols] // d for row in a[:ncols])
 
 
+@dataclass(frozen=True)
+class _MukaiPipeline:
+    """Everything the Mukai-vector pipeline derives for the first side."""
+
+    lattice: roofcalc.MiddleLattice
+    ell: Vector
+    solution: MukaiSolution
+    image: roofcalc.BundleClass  # theta(v) carried to the other side
+    image_coords: tuple
+    vector: tuple[int, int, int]
+
+
 def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
     """Fourier-Mukai vector of the K3 pair of a rank-3-lattice roof configuration.
 
@@ -425,6 +443,10 @@ def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
     and normalized by the residual exchange/sign symmetry so that the first
     two components are positive.
     """
+    return _mukai_pipeline(config, bound).vector
+
+
+def _mukai_pipeline(config, bound: int) -> _MukaiPipeline:
     from . import roofcalc  # local import; roofcalc builds on this module
 
     lat = roofcalc.middle_lattice(config.side)
@@ -443,4 +465,4 @@ def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
     chosen = [c for c in candidates if c[0] > 0 and c[1] > 0]
     if len(chosen) != 1:
         raise InconsistencyError(f"sign/exchange normalization is not unique: {sorted(candidates)}")
-    return chosen[0]
+    return _MukaiPipeline(lat, ell, sol, image, image_coords, chosen[0])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Mapping, Optional, Sequence
 
@@ -83,6 +84,11 @@ class RoofSide:
         for i, c in enumerate(self.groth_coeffs, start=1):
             if c.ring is not self.base or c.degree != i:
                 raise InvalidRoofError(f"relation coefficient {i} must live on the base in degree {i}")
+
+    @cached_property
+    def _signed_coeffs(self) -> tuple[GradedClass, ...]:
+        """(-1)^(i+1) c_i: xi^r = sum_i of these times xi^(r-i)."""
+        return tuple(c if i % 2 else -c for i, c in enumerate(self.groth_coeffs, start=1))
 
     @property
     def dim_total(self) -> int:
@@ -169,7 +175,7 @@ class BundleClass:
         return BundleClass(self.side, self.degree, [p.scale(c) for p in self.parts])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not BundleClass and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         terms: dict[int, GradedClass] = {}
@@ -243,8 +249,10 @@ def reduce(
 ) -> BundleClass:
     """Fold a formal polynomial in xi with base-class coefficients to normal form.
 
-    Repeatedly substitutes the degree-r relation for the highest xi power;
-    equality in the bundle ring is preserved at every step.
+    One descending pass over the xi powers from the highest down to r
+    substitutes the degree-r relation for each in turn; a substitution only
+    feeds lower powers, so every power is folded once, and equality in the
+    bundle ring is preserved at every step.
     """
     terms: dict[int, GradedClass] = {}
     for e, cls in expression.items():
@@ -261,13 +269,13 @@ def reduce(
             raise RoofError("expression is not homogeneous")
 
     r = side.rank
-    while True:
-        top = max((e for e, cls in terms.items() if e >= r and not cls.is_zero), default=None)
-        if top is None:
-            break
-        cls = terms.pop(top)
-        for i, coeff in enumerate(side.groth_coeffs, start=1):
-            piece = (cls * coeff).scale((-1) ** (i + 1))
+    signed = side._signed_coeffs
+    for top in range(max(terms, default=0), r - 1, -1):
+        cls = terms.pop(top, None)
+        if cls is None or cls.is_zero:
+            continue
+        for i, coeff in enumerate(signed, start=1):
+            piece = cls * coeff
             tgt = top - i
             cur = terms.get(tgt)
             terms[tgt] = piece if cur is None else cur + piece

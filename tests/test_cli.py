@@ -149,6 +149,23 @@ class TestMukai:
         code, report = run_json(capsys, "mukai", "g2dagger", "--bound", "1000000")
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
 
+    def test_one_isotropic_solve_per_side(self, capsys, count_calls):
+        counts = count_calls("latticecore.isotropic_pair_solve")
+        code, report = run_json(capsys, "mukai", "g2dagger")
+        assert code == 0 and report["mukai_vector"] == [2, 1, -3]
+        assert counts["latticecore.isotropic_pair_solve"] == 2
+
+
+@pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])
+@pytest.mark.parametrize("bound", ["-3", "-1"])
+def test_negative_bound_is_usage_error(argv, bound):
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv, "--bound", bound],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --bound: must be a non-negative integer, got {bound}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 class TestMotivic:
     def test_all_ranks(self, capsys):

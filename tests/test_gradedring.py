@@ -181,3 +181,105 @@ def test_integrality_closed_and_bilinear(a, b, c):
     assert (a + a).is_integral
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+
+
+# ---------------------------------------------------------------------------
+# integral coefficients as ints: oracle against the all-Fraction kernel
+# ---------------------------------------------------------------------------
+
+RINGS = {n: make_quadric_ring(n) for n in range(4, 11)}
+
+# ints, integral Fractions such as 4/2, and non-integral Fractions
+exact = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=4)),
+)
+
+
+def ref_mul(a, b):
+    """The product of the all-Fraction kernel: every coefficient is a Fraction
+    and each term reads the multiplication table through ``basis_product``."""
+    ring = a.ring
+    d = a.degree + b.degree
+    out = {}
+    if d <= ring.dimension:
+        for x, c in a.coeffs.items():
+            for y, e in b.coeffs.items():
+                for z, m in ring.basis_product(x, y).items():
+                    out[z] = out.get(z, Fraction(0)) + Fraction(c) * Fraction(e) * m
+    return d, {z: v for z, v in out.items() if v}
+
+
+def ref_add(a, b):
+    out = {k: Fraction(v) for k, v in a.coeffs.items()}
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, Fraction(0)) + Fraction(v)
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_normalised(cls):
+    for c in cls.coeffs.values():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@st.composite
+def exact_class(draw, ring, degree):
+    return GradedClass(ring, degree, {lbl: draw(exact) for lbl in ring.degree_labels.get(degree, ())})
+
+
+@st.composite
+def class_triples(draw):
+    """(a, b, c) on one of Q4..Q10, with a and c of the same degree."""
+    ring = RINGS[draw(st.integers(min_value=4, max_value=10))]
+    da = draw(st.integers(min_value=0, max_value=ring.dimension))
+    db = draw(st.integers(min_value=0, max_value=ring.dimension))
+    return draw(exact_class(ring, da)), draw(exact_class(ring, db)), draw(exact_class(ring, da))
+
+
+@given(abc=class_triples(), q=exact)
+def test_arithmetic_matches_all_fraction_kernel(abc, q):
+    a, b, c = abc
+    for x in (a, b, c):
+        assert_normalised(x)
+    prod = a * b
+    assert (prod.degree, prod.coeffs) == ref_mul(a, b)
+    assert_normalised(prod)
+    total = a + c
+    assert total.coeffs == ref_add(a, c)
+    assert_normalised(total)
+    scaled = a * q
+    assert scaled.coeffs == {k: Fraction(v) * q for k, v in a.coeffs.items() if q}
+    assert_normalised(scaled)
+    assert_normalised(-a)
+
+
+class TestCoefficientRepresentation:
+    def test_integral_values_are_ints(self):
+        cls = GradedClass(Q5, 1, {"L": Fraction(4, 2)})
+        assert type(cls.coeffs["L"]) is int and cls.coeffs["L"] == 2
+        assert type(Q5.unit().coefficient("1")) is int
+        assert all(type(c) is int for c in (Q5.l_power(3) * Q5.l_power(2)).coeffs.values())
+
+    def test_non_integral_values_are_fractions(self):
+        cls = GradedClass(Q5, 1, {"L": Fraction(3, 2)})
+        assert type(cls.coeffs["L"]) is Fraction
+        doubled = cls * 2
+        assert type(doubled.coeffs["L"]) is int and doubled.coeffs["L"] == 3
+
+    def test_zero_dropped_and_missing_coefficient_is_zero(self):
+        cls = GradedClass(Q6, 3, {"Pi1": Fraction(0), "Pi2": 5})
+        assert cls.coeffs == {"Pi2": 5}
+        assert cls.coefficient("Pi1") == 0
+
+    @pytest.mark.parametrize("bad", [1.5, "2", None])
+    def test_inexact_coefficient_rejected(self, bad):
+        with pytest.raises(GradedRingError, match="exact integers or Fractions"):
+            GradedClass(Q5, 1, {"L": bad})
+
+    def test_degree_checked(self):
+        with pytest.raises(GradedRingError, match="has degree 2, not 1"):
+            GradedClass(Q5, 1, {"L^2": 1})
+
+    def test_quadric_rings_are_not_shared(self):
+        assert make_quadric_ring(5) is not make_quadric_ring(5)

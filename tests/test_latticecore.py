@@ -411,6 +411,12 @@ class TestIsotropicPairs:
         with pytest.raises(SearchExhaustedError, match=r"\[-4, 4\] box"):
             isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=4)
 
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_bound_rejected(self, bound):
+        with pytest.raises(LatticeError, match=f"bound must be non-negative, got {bound}") as info:
+            isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=bound)
+        assert not isinstance(info.value, SearchExhaustedError)
+
     def test_gram_3x3_solution(self):
         sol = isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=50)
         assert sol.a == (1, 0, 0)

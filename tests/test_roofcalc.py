@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roofpairs import roofcalc
-from roofpairs.gradedring import ChernVector, IntegralityError, integrate, make_quadric_ring
+from roofpairs.gradedring import ChernVector, GradedClass, IntegralityError, integrate, make_quadric_ring
 from roofpairs.roofcalc import (
     DegenerateBasisError,
     DegreeMismatchError,
@@ -331,3 +332,61 @@ class TestConfigInvariants:
 
     def test_swap_roundtrip(self, g2):
         assert g2.swap().swap().side is g2.side
+
+
+# ---------------------------------------------------------------------------
+# one-pass fold: oracle against the repeated highest-power substitution
+# ---------------------------------------------------------------------------
+
+QUADRICS = {n: make_quadric_ring(n) for n in range(4, 11)}
+exact = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=3)),
+)
+
+
+def ref_reduce(side, expression):
+    """The fold before the single descending pass: while some xi power e >= r
+    is nonzero, take the highest, and substitute the relation for it term by
+    term, as (class * c_i) scaled by (-1)^(i+1)."""
+    terms = {}
+    for e, cls in expression.items():
+        if not cls.is_zero:
+            terms[e] = cls if e not in terms else terms[e] + cls
+    r = side.rank
+    while True:
+        top = max((e for e, cls in terms.items() if e >= r and not cls.is_zero), default=None)
+        if top is None:
+            break
+        cls = terms.pop(top)
+        for i, coeff in enumerate(side.groth_coeffs, start=1):
+            piece = (cls * coeff).scale((-1) ** (i + 1))
+            terms[top - i] = piece if top - i not in terms else terms[top - i] + piece
+    return [terms[i].coeffs if i in terms else {} for i in range(r)]
+
+
+@st.composite
+def sides_and_expressions(draw):
+    """A rank 1-6 side on Q4..Q10 with random relation coefficients, and a
+    homogeneous expression with xi exponents up to 2r."""
+    base = QUADRICS[draw(st.integers(min_value=4, max_value=10))]
+    r = draw(st.integers(min_value=1, max_value=6))
+
+    def cls(degree):
+        labels = base.degree_labels.get(degree, ())
+        return GradedClass(base, degree, {lbl: draw(exact) for lbl in labels})
+
+    side = RoofSide("random", base, r, tuple(cls(i) for i in range(1, r + 1)))
+    degree = draw(st.integers(min_value=0, max_value=base.dimension + r - 1))
+    exponents = [e for e in range(2 * r + 1) if 0 <= degree - e <= base.dimension]
+    chosen = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=len(exponents), unique=True))
+    return side, degree, {e: cls(degree - e) for e in chosen}
+
+
+@settings(deadline=None)
+@given(case=sides_and_expressions())
+def test_reduce_matches_repeated_substitution(case):
+    side, degree, expression = case
+    folded = reduce(side, expression, degree=degree)
+    assert folded.degree == degree
+    assert [p.coeffs for p in folded.parts] == ref_reduce(side, expression)
