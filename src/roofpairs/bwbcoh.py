@@ -5,7 +5,11 @@ system is B_((n+1)/2) for odd n and D_((n+2)/2) for even n.  An irreducible
 bundle is labeled by its weight in epsilon-coordinates; its cohomology is
 computed by the standard rho-shifted dominance test (at most one nonzero
 group, in the degree counting positive roots made negative) together with
-the Weyl dimension formula, all in exact rational arithmetic.
+the Weyl dimension formula.  All of it runs on Python integers in doubled
+coordinates (2w, with rho doubled too), so a half-integral weight is an odd
+integer vector; the Weyl dimension is one exact division of two integer
+products.  ``Fraction`` appears only at the boundary: ``weight()`` validates
+its input and the public functions return weights as ``Fraction`` tuples.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 Weight = tuple[Fraction, ...]
@@ -86,35 +91,82 @@ def quadric_root_system(n: int) -> RootSystem:
     return RootSystem("B", (n + 1) // 2) if n % 2 else RootSystem("D", (n + 2) // 2)
 
 
+def _doubled(coords: Sequence) -> tuple[int, ...]:
+    """``2*w`` as ints for a weight ``w``, validated as ``weight()`` does."""
+    doubled = [2 * c if type(c) is int else 2 * Fraction(c) for c in coords]
+    if any(type(d) is not int and d.denominator != 1 for d in doubled):
+        raise BWBError(f"coordinates must be integral or half-integral: {coords}")
+    doubled = tuple(int(d) for d in doubled)
+    if len({d % 2 for d in doubled}) > 1:
+        raise BWBError(f"half-integrality must be uniform across coordinates: {coords}")
+    return doubled
+
+
+def _halved(doubled: Sequence[int]) -> Weight:
+    return tuple(Fraction(d, 2) for d in doubled)
+
+
 def weight(coords: Sequence) -> Weight:
     """Validate and normalize an epsilon-coordinate weight.
 
     All coordinates must be integers or all half-odd-integers.
     """
-    w = tuple(Fraction(c) for c in coords)
-    doubled = [2 * c for c in w]
-    if any(d.denominator != 1 for d in doubled):
-        raise BWBError(f"coordinates must be integral or half-integral: {coords}")
-    parities = {int(d) % 2 for d in doubled}
-    if len(parities) > 1:
-        raise BWBError(f"half-integrality must be uniform across coordinates: {coords}")
-    return w
+    return _halved(_doubled(coords))
+
+
+def _doubled_of_rank(rs: RootSystem, coords: Sequence) -> tuple[int, ...]:
+    doubled = _doubled(coords)
+    if len(doubled) != rs.rank:
+        raise BWBError("weight rank mismatch")
+    return doubled
+
+
+def _doubled_rho(rs: RootSystem) -> tuple[int, ...]:
+    m = rs.rank
+    if rs.family == "B":
+        return tuple(2 * (m - i) - 1 for i in range(m))
+    return tuple(2 * (m - 1 - i) for i in range(m))
 
 
 def rho(rs: RootSystem) -> Weight:
     """Half-sum of the positive roots."""
-    m = rs.rank
+    return _halved(_doubled_rho(rs))
+
+
+def _pairings(rs: RootSystem, doubled: Sequence[int]) -> list[int]:
+    """Pairings of a doubled weight with the positive roots, in ``positive_roots()`` order.
+
+    Read off the coordinates (s_i + s_j, s_i - s_j, then s_i), so no root is built.
+    """
+    out: list[int] = []
+    for i, a in enumerate(doubled):
+        for b in doubled[i + 1:]:
+            out += (a + b, a - b)
     if rs.family == "B":
-        return tuple(Fraction(2 * (m - i) - 1, 2) for i in range(m))
-    return tuple(Fraction(m - 1 - i) for i in range(m))
+        out += doubled
+    return out
 
 
-def _ip(w: Weight, root: tuple[int, ...]) -> Fraction:
-    return sum(c * r for c, r in zip(w, root))
+def _conjugate(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Doubled dominant conjugate and word length; None for a singular weight."""
+    pairs = _pairings(rs, doubled)
+    if 0 in pairs:
+        return None
+    ab = sorted(map(abs, doubled), reverse=True)
+    if rs.family == "D" and sum(c < 0 for c in doubled) % 2:
+        ab[-1] = -ab[-1]
+    return tuple(ab), sum(v < 0 for v in pairs)
+
+
+def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
+    """Weyl dimension from the doubled dominant weight ``lambda + rho``."""
+    dim, rem = divmod(prod(_pairings(rs, shifted)), prod(_pairings(rs, _doubled_rho(rs))))
+    assert rem == 0 and dim > 0
+    return dim
 
 
 def is_dominant(rs: RootSystem, w: Weight) -> bool:
-    return all(_ip(w, a) >= 0 for a in rs.positive_roots())
+    return all(v >= 0 for v in _pairings(rs, _doubled_of_rank(rs, w)))
 
 
 def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]]:
@@ -124,36 +176,19 @@ def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]
     length is the number of positive roots made negative, i.e. the
     cohomological degree in the dominance algorithm.
     """
-    w = weight(w)
-    if len(w) != rs.rank:
-        raise BWBError("weight rank mismatch")
-    length = 0
-    for a in rs.positive_roots():
-        v = _ip(w, a)
-        if v == 0:
-            return None
-        if v < 0:
-            length += 1
-    ab = sorted((abs(c) for c in w), reverse=True)
-    if rs.family == "D" and sum(1 for c in w if c < 0) % 2:
-        ab[-1] = -ab[-1]
-    return tuple(ab), length
+    res = _conjugate(rs, _doubled_of_rank(rs, w))
+    if res is None:
+        return None
+    dom, length = res
+    return _halved(dom), length
 
 
 def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
-    lam = weight(dominant)
-    if len(lam) != rs.rank:
-        raise BWBError("weight rank mismatch")
-    if not is_dominant(rs, lam):
+    lam = _doubled_of_rank(rs, dominant)
+    if any(v < 0 for v in _pairings(rs, lam)):
         raise NonDominantError(f"{dominant} is not dominant for {rs}")
-    r = rho(rs)
-    shifted = tuple(a + b for a, b in zip(lam, r))
-    dim = Fraction(1)
-    for a in rs.positive_roots():
-        dim *= _ip(shifted, a) / _ip(r, a)
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+    return _dimension(rs, [a + b for a, b in zip(lam, _doubled_rho(rs))])
 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
@@ -226,14 +261,12 @@ def dictionary_names(n: int) -> tuple[str, ...]:
 def bundle_cohomology_of_weight(n: int, lam: Weight) -> CohomologyTable:
     """Table of the irreducible bundle with the given weight: empty or one entry."""
     rs = quadric_root_system(n)
-    r = rho(rs)
-    shifted = tuple(a + b for a, b in zip(weight(lam), r))
-    res = dominant_conjugate(rs, shifted)
+    shifted = [a + b for a, b in zip(_doubled_of_rank(rs, lam), _doubled_rho(rs))]
+    res = _conjugate(rs, shifted)
     if res is None:
         return {}
     dom, length = res
-    hw = tuple(a - b for a, b in zip(dom, r))
-    return {length: weyl_dimension(rs, hw)}
+    return {length: _dimension(rs, dom)}
 
 
 def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import __version__, bwbcoh, latticecore, motivicring, roofcalc
+from . import __version__, bwbcoh, latticecore, roofcalc
 from .checks import run_all
 from .configs import ConfigError, builtin_names, resolve_config
 from .gradedring import GradedRingError
@@ -292,15 +292,22 @@ def emit(report: dict, as_json: bool, out=None) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _bound(text: str) -> int:
-    """argparse type of ``--bound``: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer of at least ``low``, described as ``what`` when too small."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
+
+
+_bound = _int_at_least(0, "a non-negative integer")
+_rank = _int_at_least(2, "an integer of at least 2")
+_quadric_dim = _int_at_least(3, "an integer of at least 3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(sp)
 
     sp = sub.add_parser("bwb", help="cohomology of homogeneous bundles on quadrics")
-    sp.add_argument("dim", nargs="?", type=int, help="quadric dimension")
+    sp.add_argument("dim", nargs="?", type=_quadric_dim, help="quadric dimension (at least 3)")
     sp.add_argument("bundle", nargs="?", help="bundle descriptor, e.g. O, Sdual, Sym2Sdual, G, C")
     sp.add_argument("twist", nargs="?", type=int, default=0)
     sp.add_argument("--case", type=int, choices=(1, 2, 3), help="scripted vanishing pipeline")
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_bound, default=50, help=bound_help)
 
     sp = sub.add_parser("motivic", help="Grothendieck-ring fibration identities")
-    sp.add_argument("--rank", type=int, help="single rank instead of 2..12")
+    sp.add_argument("--rank", type=_rank, help="single rank (at least 2) instead of 2..12")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("verify-all", help="run every golden check")
@@ -364,8 +371,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = resolve_config(args.name, args.config)
             emit(cmd_mukai(cfg, args.bound), args.json)
         elif args.command == "motivic":
-            if args.rank is not None and args.rank < 2:
-                raise motivicring.InvalidRankError("rank must be at least 2")
             report = cmd_motivic(args.rank)
             emit(report, args.json)
             if not report["all_match"]:

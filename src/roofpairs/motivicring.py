@@ -3,7 +3,11 @@
 The fragment is the free commutative ring on six formal symbols: the class
 ``L`` of the affine line and the classes of the two surfaces, two bases and
 the hyperplane section of a roof.  Everything is kept in canonical expanded
-form (sorted integer-coefficient monomials) so equality is coefficient-wise.
+form (integer-coefficient monomials with integer exponents; a non-integral
+value raises ``ValueError`` instead of being truncated) so equality is
+coefficient-wise.  Projective-space classes are written down in closed form,
+powers are taken by repeated squaring, and a substitution powers only the
+images of the symbols it assigns.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -13,25 +17,47 @@ checked here as an exact polynomial identity for each concrete rank.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping
 
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; ValueError unless it is an integral number."""
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return n
+
+
 class MotivicPoly:
-    """Multivariate integer polynomial in the fixed symbol set, canonical form."""
+    """Multivariate integer polynomial in the fixed symbol set, canonical form.
+
+    Coefficients and exponents must be integral numbers; anything else raises
+    ValueError rather than being truncated.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], int] = ()):
         clean: dict[tuple[int, ...], int] = {}
         for mono, c in dict(coeffs).items():
-            if len(mono) != len(SYMBOLS) or any(e < 0 for e in mono):
+            if len(mono) != len(SYMBOLS):
                 raise ValueError(f"bad monomial {mono}")
-            c = int(c)
+            if type(mono) is not tuple or set(map(type, mono)) != {int}:
+                mono = tuple(_integer(e, "exponent") for e in mono)
+            if min(mono) < 0:
+                raise ValueError(f"bad monomial {mono}")
+            c = _integer(c, "coefficient")
             if c:
-                clean[tuple(mono)] = c
+                clean[mono] = c
         self.coeffs = clean
 
     # -- constructors --------------------------------------------------------
@@ -45,7 +71,7 @@ class MotivicPoly:
 
     @classmethod
     def const(cls, c: int) -> "MotivicPoly":
-        return cls({(0,) * len(SYMBOLS): int(c)})
+        return cls({(0,) * len(SYMBOLS): c})
 
     # -- ring structure -------------------------------------------------------
 
@@ -86,18 +112,23 @@ class MotivicPoly:
         out: dict[tuple[int, ...], int] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return MotivicPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """Square-and-multiply power."""
         if e < 0:
             raise ValueError("negative powers are not in the ring")
-        out = MotivicPoly.const(1)
-        for _ in range(e):
-            out = out * self
+        out, base = MotivicPoly.const(1), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -114,17 +145,21 @@ class MotivicPoly:
         return not self.coeffs
 
     def substitute(self, assignments: Mapping[str, "MotivicPoly"]) -> "MotivicPoly":
-        """Ring homomorphism sending each named symbol to the given polynomial."""
-        out = MotivicPoly()
+        """Ring homomorphism sending each named symbol to the given polynomial.
+
+        Unassigned symbols keep their exponents; only the images of assigned
+        symbols are powered.
+        """
+        assigned = {i: assignments[s] for i, s in enumerate(SYMBOLS) if s in assignments}
+        out: dict[tuple[int, ...], int] = {}
         for mono, c in self.coeffs.items():
-            term = MotivicPoly.const(c)
-            for sym, e in zip(SYMBOLS, mono):
-                if not e:
-                    continue
-                base = assignments.get(sym, MotivicPoly.var(sym))
-                term = term * base ** e
-            out = out + term
-        return out
+            term = MotivicPoly({tuple(0 if i in assigned else e for i, e in enumerate(mono)): c})
+            for i, image in assigned.items():
+                if mono[i]:
+                    term = term * image ** mono[i]
+            for m, v in term.coeffs.items():
+                out[m] = out.get(m, 0) + v
+        return MotivicPoly(out)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
@@ -173,10 +208,8 @@ def proj_class(k: int) -> MotivicPoly:
     """
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
-    out = MotivicPoly.const(0)
-    for i in range(k + 1):
-        out = out + L ** i
-    return out
+    rest = (0,) * (len(SYMBOLS) - 1)
+    return MotivicPoly({(i,) + rest: 1 for i in range(k + 1)})
 
 
 def fibration_class(r: int) -> MotivicPoly:
@@ -197,5 +230,5 @@ def l_equivalence_residual(r: int) -> MotivicPoly:
     the two bases have equal class, the surface-class difference is
     annihilated by L^(r-1).
     """
-    tilde = fibration_class(r).substitute({"Y": Y_TILDE, "B": B_TILDE})
-    return fibration_class(r) - tilde
+    section = fibration_class(r)
+    return section - section.substitute({"Y": Y_TILDE, "B": B_TILDE})

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roofpairs.bwbcoh import (
+    BWBError,
     InconsistentSequenceError,
     NonDominantError,
     RootSystem,
@@ -10,6 +13,7 @@ from roofpairs.bwbcoh import (
     Underdetermined,
     UnsupportedBundleError,
     bundle_cohomology,
+    bundle_cohomology_of_weight,
     bundle_weights,
     cayley_table,
     dictionary_names,
@@ -17,6 +21,7 @@ from roofpairs.bwbcoh import (
     dual_weight,
     euler_characteristic,
     ideal_section_table,
+    is_dominant,
     les_solve,
     named_bundle_table,
     ottaviani_dual_table,
@@ -24,6 +29,7 @@ from roofpairs.bwbcoh import (
     quadric_root_system,
     rho,
     vanishing_case,
+    weight,
     weyl_dimension,
 )
 
@@ -252,3 +258,156 @@ class TestEuler:
         assert euler_characteristic({2: 1}) == 1
         assert euler_characteristic({}) == 0
         assert euler_characteristic({0: 3, 1: 5}) == -2
+
+
+# ---------------------------------------------------------------------------
+# the all-Fraction engine, kept as the reference for the doubled-int kernel
+# ---------------------------------------------------------------------------
+
+def ref_rho(rs):
+    m = rs.rank
+    if rs.family == "B":
+        return tuple(Fraction(2 * (m - i) - 1, 2) for i in range(m))
+    return tuple(Fraction(m - 1 - i) for i in range(m))
+
+
+def ref_ip(w, root):
+    return sum(c * r for c, r in zip(w, root))
+
+
+def ref_is_dominant(rs, w):
+    return all(ref_ip(w, a) >= 0 for a in rs.positive_roots())
+
+
+def ref_dominant_conjugate(rs, w):
+    w = weight(w)
+    length = 0
+    for a in rs.positive_roots():
+        v = ref_ip(w, a)
+        if v == 0:
+            return None
+        if v < 0:
+            length += 1
+    ab = sorted((abs(c) for c in w), reverse=True)
+    if rs.family == "D" and sum(1 for c in w if c < 0) % 2:
+        ab[-1] = -ab[-1]
+    return tuple(ab), length
+
+
+def ref_weyl_dimension(rs, dominant):
+    lam = weight(dominant)
+    if not ref_is_dominant(rs, lam):
+        raise NonDominantError(f"{dominant} is not dominant for {rs}")
+    r = ref_rho(rs)
+    shifted = tuple(a + b for a, b in zip(lam, r))
+    dim = Fraction(1)
+    for a in rs.positive_roots():
+        dim *= ref_ip(shifted, a) / ref_ip(r, a)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
+def ref_bundle_cohomology_of_weight(n, lam):
+    rs = quadric_root_system(n)
+    r = ref_rho(rs)
+    shifted = tuple(a + b for a, b in zip(weight(lam), r))
+    res = ref_dominant_conjugate(rs, shifted)
+    if res is None:
+        return {}
+    dom, length = res
+    hw = tuple(a - b for a, b in zip(dom, r))
+    return {length: ref_weyl_dimension(rs, hw)}
+
+
+def quadric_dim(rs):
+    return 2 * rs.rank - 1 if rs.family == "B" else 2 * rs.rank - 2
+
+
+@st.composite
+def root_system_weights(draw):
+    """A root system among B2-B8, D3-D8 and an integral or half-integral weight of it.
+
+    Small coordinates make singular and non-dominant weights common; the
+    ``dominant`` shape sorts them into the dominant chamber.
+    """
+    family = draw(st.sampled_from("BD"))
+    rs = RootSystem(family, draw(st.integers(2 if family == "B" else 3, 8)))
+    half = draw(st.integers(0, 1))
+    doubled = [2 * c + half for c in draw(st.lists(
+        st.integers(-5, 5), min_size=rs.rank, max_size=rs.rank))]
+    if draw(st.booleans()):
+        doubled = sorted(map(abs, doubled), reverse=True)
+        if family == "D" and draw(st.booleans()):
+            doubled[-1] = -doubled[-1]
+    return rs, tuple(Fraction(d, 2) for d in doubled)
+
+
+class TestIntegerKernelAgainstFractionReference:
+    def test_rho(self):
+        for m in range(2, 9):
+            for family in "BD":
+                if (family, m) != ("D", 2):
+                    rs = RootSystem(family, m)
+                    assert rho(rs) == ref_rho(rs)
+
+    @given(root_system_weights())
+    def test_dominance(self, case):
+        rs, w = case
+        assert is_dominant(rs, w) == ref_is_dominant(rs, w)
+
+    @given(root_system_weights())
+    def test_dominant_conjugate(self, case):
+        rs, w = case
+        shifted = tuple(a + b for a, b in zip(w, ref_rho(rs)))
+        for v in (w, shifted):
+            assert dominant_conjugate(rs, v) == ref_dominant_conjugate(rs, v)
+
+    @given(root_system_weights())
+    def test_weyl_dimension(self, case):
+        rs, w = case
+        if ref_is_dominant(rs, w):
+            assert weyl_dimension(rs, w) == ref_weyl_dimension(rs, w)
+        else:
+            with pytest.raises(NonDominantError, match="is not dominant for"):
+                weyl_dimension(rs, w)
+
+    @given(root_system_weights())
+    def test_bundle_cohomology_of_weight(self, case):
+        rs, w = case
+        n = quadric_dim(rs)
+        assert bundle_cohomology_of_weight(n, w) == ref_bundle_cohomology_of_weight(n, w)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(BWBError, match="rank mismatch"):
+            dominant_conjugate(B3, (1, 0))
+        with pytest.raises(BWBError, match="rank mismatch"):
+            weyl_dimension(B3, (1, 0, 0, 0))
+        with pytest.raises(BWBError, match="rank mismatch"):
+            is_dominant(B3, (1, 0))
+        # a longer weight used to be cut to the rank without a word
+        with pytest.raises(BWBError, match="rank mismatch"):
+            bundle_cohomology_of_weight(5, (1, 0, 0, 7))
+
+    def test_is_dominant_validates_the_weight(self):
+        with pytest.raises(BWBError, match="integral or half-integral"):
+            is_dominant(B3, (Fraction(1, 3), 0, 0))
+
+
+def line_bundle_sections(n, t):
+    """h^0(O(t)) on the n-quadric: forms of degree t modulo the quadric times degree t - 2."""
+    return comb(n + 1 + t, t) - (comb(n - 1 + t, t - 2) if t >= 2 else 0)
+
+
+@pytest.mark.parametrize("n, twists", [
+    (40, range(-46, 6)),
+    (400, (2, -1, -403)),
+])
+def test_line_bundles_on_large_quadrics(n, twists):
+    for t in twists:
+        if t >= 0:
+            expected = {0: line_bundle_sections(n, t)}
+        elif t > -n:
+            expected = {}
+        else:
+            expected = {n: line_bundle_sections(n, -n - t)}
+        assert bundle_cohomology(n, "O", t) == expected

@@ -167,6 +167,22 @@ def test_negative_bound_is_usage_error(argv, bound):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["motivic", "--rank", "1"], "argument --rank: must be an integer of at least 2, got 1"),
+    (["motivic", "--rank", "0"], "argument --rank: must be an integer of at least 2, got 0"),
+    (["motivic", "--rank", "-3"], "argument --rank: must be an integer of at least 2, got -3"),
+    (["bwb", "2", "O", "0"], "argument dim: must be an integer of at least 3, got 2"),
+    (["bwb", "-1", "O", "0"], "argument dim: must be an integer of at least 3, got -1"),
+])
+def test_out_of_range_argument_is_usage_error(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestMotivic:
     def test_all_ranks(self, capsys):
         code, report = run_json(capsys, "motivic")

@@ -1,4 +1,5 @@
 import doctest
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from roofpairs.motivicring import (
     B,
     B_TILDE,
     L,
+    SYMBOLS,
     InvalidRankError,
     MotivicPoly,
     Y,
@@ -90,3 +92,98 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == MotivicPoly()
+
+
+# ---------------------------------------------------------------------------
+# repeated-multiplication references for the closed forms
+# ---------------------------------------------------------------------------
+
+def ref_pow(p, e):
+    out = MotivicPoly.const(1)
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def ref_proj_class(k):
+    out = MotivicPoly.const(0)
+    for i in range(k + 1):
+        out = out + ref_pow(L, i)
+    return out
+
+
+def ref_substitute(p, assignments):
+    out = MotivicPoly()
+    for mono, c in p.coeffs.items():
+        term = MotivicPoly.const(c)
+        for sym, e in zip(SYMBOLS, mono):
+            if e:
+                term = term * ref_pow(assignments.get(sym, MotivicPoly.var(sym)), e)
+        out = out + term
+    return out
+
+
+def closed_form_residual(r):
+    """([Y] - [Y~]) L^(r-1) + (1 + L + ... + L^(r-2)) ([B] - [B~]), written out term by term."""
+    def mono(l_exp, sym):
+        e = [0] * len(SYMBOLS)
+        e[0] = l_exp
+        e[SYMBOLS.index(sym)] += 1
+        return tuple(e)
+
+    coeffs = {mono(r - 1, "Y"): 1, mono(r - 1, "Yt"): -1}
+    for i in range(r - 1):
+        coeffs[mono(i, "B")] = 1
+        coeffs[mono(i, "Bt")] = -1
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 30])
+def test_proj_class_against_repeated_multiplication(k):
+    assert proj_class(k) == ref_proj_class(k)
+
+
+def test_residual_closed_form_to_rank_200():
+    for r in range(2, 201):
+        assert l_equivalence_residual(r).coeffs == closed_form_residual(r)
+
+
+small_polys = st.builds(
+    MotivicPoly,
+    st.dictionaries(st.tuples(*(st.integers(0, 2) for _ in range(6))),
+                    st.integers(-4, 4), max_size=2),
+)
+
+
+@given(p=polys, e=st.integers(0, 5))
+def test_pow_against_repeated_multiplication(p, e):
+    assert p ** e == ref_pow(p, e)
+
+
+@given(p=polys, images=st.dictionaries(st.sampled_from(SYMBOLS), small_polys, max_size=3))
+def test_substitute_against_reference(p, images):
+    assert p.substitute(images) == ref_substitute(p, images)
+
+
+class TestNoTruncation:
+    @pytest.mark.parametrize("make", [
+        lambda: MotivicPoly({(1, 0, 0, 0, 0, 0): 1.5}),
+        lambda: MotivicPoly({(1, 0, 0, 0, 0, 0): Fraction(7, 2)}),
+        lambda: MotivicPoly.const(2.9),
+        lambda: MotivicPoly.const("3"),
+        lambda: MotivicPoly.const(float("nan")),
+        lambda: MotivicPoly.const(float("inf")),
+        lambda: MotivicPoly({(1.5, 0, 0, 0, 0, 0): 1}),
+        lambda: MotivicPoly({(Fraction(3, 2), 0, 0, 0, 0, 0): 1}),
+        lambda: MotivicPoly({(-1, 0, 0, 0, 0, 0): 1}),
+        lambda: MotivicPoly({(1, 0, 0): 1}),
+    ])
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_integral_values_normalised_to_int(self):
+        p = MotivicPoly({(Fraction(2, 1), 0, 0, 0, 0, 0): Fraction(6, 2), (0,) * 6: 2.0})
+        assert p == 3 * L ** 2 + 2
+        assert all(type(c) is int and all(type(e) is int for e in m) for m, c in p.coeffs.items())
+        assert str(p) == "2 + 3*L^2"
