@@ -56,7 +56,7 @@ def _side_report(side: roofcalc.RoofSide) -> dict:
     lat = roofcalc.middle_lattice(side)
     gram = [list(r) for r in lat.gram]
     snf = latticecore.smith_normal_form(gram)
-    locus = roofcalc.locus_pushforward_class(side)
+    locus = roofcalc._locus_class(lat)
     coords = roofcalc.coordinates_in_lattice(lat, locus)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {
@@ -90,20 +90,22 @@ def cmd_describe(cfg) -> dict:
 
 
 def cmd_lemma7(cfg) -> dict:
+    # the steps of roofcalc.residue_scan, each lattice and class built once
     stage = "middle lattice"
     try:
-        roofcalc.middle_lattice(cfg.side)
-        roofcalc.middle_lattice(cfg.tilde_side)
+        lat = roofcalc.middle_lattice(cfg.side)
+        lat_t = roofcalc.middle_lattice(cfg.tilde_side)
         stage = "locus class"
-        locus = roofcalc.locus_pushforward_class(cfg.side)
-        roofcalc.locus_pushforward_class(cfg.tilde_side)
+        locus = roofcalc._locus_class(lat)
+        locus_t = roofcalc._locus_class(lat_t)
         stage = "side switch"
-        roofcalc.switch_side(cfg, locus)
+        switched = roofcalc.switch_side(cfg, locus)
         stage = "residue scan"
-        scan = roofcalc.residue_scan(cfg)
+        j = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, switched))
+        jt = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, locus_t))
+        scan = roofcalc._scan_coordinates(cfg, j, jt)
     except (RoofError, GradedRingError, latticecore.LatticeError) as exc:
         raise type(exc)(f"stage '{stage}' failed: {exc}") from exc
-    lat_t = roofcalc.middle_lattice(cfg.tilde_side)
 
     def witness_entry(k: int, coords) -> dict:
         return {
@@ -366,6 +368,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "bwb":
             if args.case is None and (args.dim is None or args.bundle is None):
                 parser.error("bwb needs DIM BUNDLE [TWIST] or --case")
+            if args.case is not None and args.dim is not None:
+                parser.error("bwb takes DIM BUNDLE [TWIST] or --case, not both")
             emit(cmd_bwb(args.dim, args.bundle, args.twist, args.case), args.json)
         elif args.command == "mukai":
             cfg = resolve_config(args.name, args.config)

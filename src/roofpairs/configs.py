@@ -29,7 +29,7 @@ representative relative to the positivity-normalized one (default 1).
 from __future__ import annotations
 
 import json
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
 from .roofcalc import RoofConfig, RoofSide, build_side_from_chern
@@ -95,59 +95,95 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(BUILTIN_CONFIGS))
 
 
-def _class_from_pairs(ring: RingPresentation, degree: int, pairs: Sequence) -> GradedClass:
+def _integer(value, what: str) -> int:
+    """An integer field; bools, floats and strings are rejected, never converted."""
+    if type(value) is not int:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return list(value)
+
+
+def _label_pair(ring: RingPresentation, item, what: str) -> tuple[str, int]:
+    """A [basis label, integer] pair with a label of the ring's basis."""
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ConfigError(f"{what}: expected [label, integer] pair, got {item!r}")
+    label, value = item
+    if not any(b.label == label for b in ring.basis):
+        raise ConfigError(f"{what}: unknown basis label {label!r} on {ring.name}")
+    return label, _integer(value, f"{what}: value of {label!r}")
+
+
+def _class_from_pairs(ring: RingPresentation, degree: int, pairs, what: str) -> GradedClass:
     coeffs: dict[str, int] = {}
-    for item in pairs:
-        try:
-            label, value = item
-        except (TypeError, ValueError):
-            raise ConfigError(f"expected [label, integer] pair, got {item!r}") from None
-        coeffs[str(label)] = coeffs.get(str(label), 0) + int(value)
+    for item in _array(pairs, what):
+        label, value = _label_pair(ring, item, what)
+        coeffs[label] = coeffs.get(label, 0) + value
     try:
         return GradedClass(ring, degree, coeffs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _side_from_dict(data: Mapping, ring: RingPresentation, rank: int, name: str) -> RoofSide:
+def _side_from_dict(data, ring: RingPresentation, rank: int, name: str) -> RoofSide:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"side {name!r} must be an object, got {data!r}")
     middle = data.get("middle_basis")
-    middle = tuple((str(lbl), int(e)) for lbl, e in middle) if middle else None
+    middle = tuple(_label_pair(ring, m, f"side {name!r} middle_basis")
+                   for m in _array(middle, f"side {name!r} middle_basis")) if middle else None
     if "chern" in data and "groth" in data:
         raise ConfigError(f"side {name!r}: give either 'chern' or 'groth', not both")
     if "chern" in data:
-        comps = data["chern"]
+        comps = _array(data["chern"], f"side {name!r} chern")
         if len(comps) != rank:
             raise ConfigError(f"side {name!r}: expected {rank} Chern components")
         c = ChernVector(rank, tuple(
-            _class_from_pairs(ring, i, pairs) for i, pairs in enumerate(comps, start=1)))
-        c = chern_twist(c, int(data.get("twist", 0)))
+            _class_from_pairs(ring, i, pairs, f"side {name!r} chern[{i}]")
+            for i, pairs in enumerate(comps, start=1)))
+        c = chern_twist(c, _integer(data.get("twist", 0), f"side {name!r} twist"))
         return build_side_from_chern(ring, c, name=name, middle_basis=middle)
     if "groth" in data:
-        comps = data["groth"]
+        comps = _array(data["groth"], f"side {name!r} groth")
         if len(comps) != rank:
             raise ConfigError(f"side {name!r}: expected {rank} relation coefficients")
         coeffs = tuple(
-            _class_from_pairs(ring, i, pairs) for i, pairs in enumerate(comps, start=1))
+            _class_from_pairs(ring, i, pairs, f"side {name!r} groth[{i}]")
+            for i, pairs in enumerate(comps, start=1))
         return RoofSide(name, ring, rank, coeffs, middle)
     raise ConfigError(f"side {name!r}: needs 'chern' or 'groth' data")
 
 
 def config_from_dict(data: Mapping) -> RoofConfig:
-    """Build and validate a RoofConfig from parsed JSON data."""
+    """Build and validate a RoofConfig from parsed JSON data.
+
+    Integer fields must be JSON integers (a bool, float or string is a
+    ConfigError, not converted), and basis labels must exist on the base.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"a configuration must be an object, got {type(data).__name__}")
     try:
         name = str(data["name"])
-        rank = int(data["rank"])
-        base_dims = [int(d) for d in data["base_dim"]]
-        degree = int(data["polarization_degree"])
-        sides = data["sides"]
+        rank = _integer(data["rank"], "rank")
+        base_dims = [_integer(d, "base_dim entry") for d in _array(data["base_dim"], "base_dim")]
+        degree = _integer(data["polarization_degree"], "polarization_degree")
+        sides = _array(data["sides"], "sides")
     except KeyError as exc:
         raise ConfigError(f"missing configuration field {exc.args[0]!r}") from None
     if len(base_dims) != 2 or len(sides) != 2:
         raise ConfigError("a roof has exactly two sides")
-    rings = [make_quadric_ring(d) for d in base_dims]
+    if rank < 1:
+        raise ConfigError(f"rank must be positive, got {rank}")
+    try:
+        rings = [make_quadric_ring(d) for d in base_dims]
+    except ValueError as exc:
+        raise ConfigError(f"base_dim: {exc}") from None
     side = _side_from_dict(sides[0], rings[0], rank, f"{name}:side")
     tilde = _side_from_dict(sides[1], rings[1], rank, f"{name}:tilde")
-    signs = (int(sides[0].get("declared_locus_sign", 1)), int(sides[1].get("declared_locus_sign", 1)))
+    signs = tuple(_integer(s.get("declared_locus_sign", 1), "declared_locus_sign") for s in sides)
     if any(s not in (1, -1) for s in signs):
         raise ConfigError("declared_locus_sign must be +1 or -1")
     try:

@@ -66,6 +66,12 @@ def _exact(x) -> int | Fraction:
     raise GradedRingError(f"coefficients must be exact integers or Fractions, got {type(x).__name__}")
 
 
+# Contents of the presentations whose tables passed the associativity check,
+# one entry per distinct table for the life of the process.  Only a pass is
+# recorded, so a lost race means at most a repeated check.
+_ASSOCIATIVE_TABLES: set[tuple] = set()
+
+
 class RingPresentation:
     """A finite graded commutative ring with explicit integer multiplication table.
 
@@ -75,6 +81,8 @@ class RingPresentation:
     empty).  The table is validated at construction: gradedness,
     commutativity, associativity on all basis triples, uniqueness of the top
     class, and proportionality to the point class in complementary degrees.
+    The associativity check runs once per process for each distinct content
+    (see ``_validate_table``); the other checks run on every construction.
     Validation also fills the full product table over all label pairs, which
     class multiplication reads with one lookup per pair of terms.
     """
@@ -149,6 +157,12 @@ class RingPresentation:
             raise GradedRingError(f"multiplication table of {self.name!r} lacks {x!r} * {y!r}") from None
 
     def _validate_table(self) -> None:
+        """Check the table and fill ``_products``.
+
+        The associativity check runs once per process for each distinct
+        presentation content (dimension, point label, basis, table); a table
+        that fails is not remembered, so it fails on every construction.
+        """
         labels = [b.label for b in self.basis]
         products: dict[tuple[str, str], dict[str, int]] = {}
         self._products = products
@@ -164,6 +178,10 @@ class RingPresentation:
                         raise GradedRingError(f"{x}*{y} is not graded: contains {z}")
                 if d == self.dimension and any(z != self.point_label for z in prod):
                     raise GradedRingError(f"{x}*{y} in top degree is not a multiple of the point class")
+        content = (self.dimension, self.point_label, tuple((b.label, b.degree) for b in self.basis),
+                   frozenset((xy, frozenset(combo.items())) for xy, combo in self._table.items()))
+        if content in _ASSOCIATIVE_TABLES:
+            return
         # associativity on all basis triples, exactly
         for x in labels:
             for y in labels:
@@ -173,6 +191,7 @@ class RingPresentation:
                     right = self._combo_times_label(products[y, z], x)
                     if left != right:
                         raise GradedRingError(f"table not associative at ({x}, {y}, {z})")
+        _ASSOCIATIVE_TABLES.add(content)
 
     def _combo_times_label(self, combo: Mapping[str, int], z: str) -> dict[str, int]:
         out: dict[str, int] = {}

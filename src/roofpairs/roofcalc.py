@@ -458,9 +458,15 @@ def locus_pushforward_class(side: RoofSide) -> BundleClass:
 
     The pullback sublattice is spanned by the middle-basis monomials of
     xi-exponent at most r - 2.  The generator's sign is normalized so that
-    its pairing with xi^(r-1) * L is strictly positive.
+    its pairing with xi^(r-1) * L is strictly positive.  Builds the side's
+    middle lattice; a caller that already holds it uses ``_locus_class``.
     """
-    lat = middle_lattice(side)
+    return _locus_class(middle_lattice(side))
+
+
+def _locus_class(lat: MiddleLattice) -> BundleClass:
+    """The locus pushforward class of ``lat.side``, read off its middle lattice."""
+    side = lat.side
     sub = [
         [int(i == k) for k in range(lat.rank)]
         for i, (_, e) in enumerate(lat.monomials)
@@ -676,13 +682,19 @@ def residue_scan(config: RoofConfig) -> ResidueScan:
     j is the side locus class carried across the roof, j~ the tilde side's
     own locus class; d is the polarization degree.  The isomorphism of
     discriminant groups is obstructed iff no residue in the +-1 orbit occurs.
+    Builds every lattice and class it needs; a caller that already holds j
+    and j~ as tilde-lattice coordinates scans them with ``_scan_coordinates``.
     """
-    d = config.polarization_degree
     j_cls = switch_side(config, locus_pushforward_class(config.side))
     lat_t = middle_lattice(config.tilde_side)
     j = tuple(int(c) for c in coordinates_in_lattice(lat_t, j_cls))
     jt = locus_coordinates(config.tilde_side)
+    return _scan_coordinates(config, j, jt)
 
+
+def _scan_coordinates(config: RoofConfig, j: tuple[int, ...], jt: tuple[int, ...]) -> ResidueScan:
+    """The residue scan of ``config`` on given coordinates of j and j~ in the tilde lattice."""
+    d = config.polarization_degree
     residue_set, witnesses = _divisibility_scan(j, jt, d)
     orbit = sorted({k % d for k in residue_set} | {(-k) % d for k in residue_set})
     obstructed = not ({1 % d, (-1) % d} & set(orbit))

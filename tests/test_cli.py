@@ -242,3 +242,57 @@ def test_runs_without_numpy(argv, key, expected):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)[key] == expected
+
+
+@pytest.mark.parametrize("argv", [["bwb", "5", "O", "1", "--case", "2"], ["bwb", "--case", "1", "5"]])
+def test_bwb_both_forms_is_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "bwb takes DIM BUNDLE [TWIST] or --case, not both" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+G2_SIDE = {"chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]], "twist": 1,
+           "middle_basis": [["Pi", 0], ["L^2", 1], ["L", 2]]}
+
+
+def _g2(**fields):
+    data = {"name": "g2-probe", "rank": 3, "base_dim": [5, 5], "polarization_degree": 12,
+            "sides": [G2_SIDE, G2_SIDE]}
+    data.update(fields)
+    return data
+
+
+def _g2_side(**fields):
+    return _g2(sides=[dict(G2_SIDE, **fields), G2_SIDE])
+
+
+@pytest.mark.parametrize("data, message", [
+    (_g2(rank="3"), "rank must be an integer, got '3'"),
+    (_g2(polarization_degree=12.7), "polarization_degree must be an integer, got 12.7"),
+    (_g2(polarization_degree=True), "polarization_degree must be an integer, got True"),
+    (_g2(sides=[1, 2]), "side 'g2-probe:side' must be an object, got 1"),
+    ([_g2()], "a configuration must be an object, got list"),
+    # Q6 has Pi1 and Pi2 but no Pi; base_dim [200, 200] fails the same way, after a 20 s ring build
+    (_g2(base_dim=[6, 6]), "unknown basis label 'Pi' on Q6"),
+    (_g2(base_dim=[1, 1]), "base_dim: quadric dimension must be >= 2, got 1"),
+    (_g2(base_dim=[5.0, 5]), "base_dim entry must be an integer, got 5.0"),
+    (_g2(rank=0), "rank must be positive, got 0"),
+    (_g2_side(chern=[[["L", 2.5]], [["L^2", 2]], [["Pi", 2]]]), "value of 'L' must be an integer, got 2.5"),
+    (_g2_side(chern=[[["Q", 2]], [["L^2", 2]], [["Pi", 2]]]), "unknown basis label 'Q' on Q5"),
+    (_g2_side(twist="1"), "twist must be an integer, got '1'"),
+    (_g2_side(middle_basis=[["Pi", 0], ["L^2", 1.9], ["L", 2]]), "value of 'L^2' must be an integer, got 1.9"),
+    (_g2_side(middle_basis=[["Pi", 0], ["L^2", 1], ["L"]]), "expected [label, integer] pair, got ['L']"),
+    (_g2_side(declared_locus_sign=False), "declared_locus_sign must be an integer, got False"),
+    (_g2_side(chern=5), "chern must be a list, got 5"),
+])
+def test_malformed_config_is_usage_error(tmp_path, data, message):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

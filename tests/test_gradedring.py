@@ -283,3 +283,56 @@ class TestCoefficientRepresentation:
 
     def test_quadric_rings_are_not_shared(self):
         assert make_quadric_ring(5) is not make_quadric_ring(5)
+
+
+# A dimension-3 ring on 1; a, b; c; p.  With b*b = c the table is associative;
+# with b*b = 0 it fails at (a, b, b): (a*b)*b = c*b = p but (b*b)*a = 0.
+def _two_generator_ring(bb, name="T3", point="p"):
+    basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("a", 1), ("b", 1), ("c", 2), (point, 3))]
+    table = {("a", "a"): {"c": 1}, ("a", "b"): {"c": 1}, ("b", "b"): bb,
+             ("a", "c"): {point: 1}, ("b", "c"): {point: 1}}
+    return gradedring.RingPresentation(name, 3, basis, point, table)
+
+
+class TestValidationOncePerTable:
+    def test_failing_table_raises_on_every_construction(self):
+        for _ in range(3):
+            with pytest.raises(GradedRingError, match=r"not associative at \(a, b, b\)"):
+                _two_generator_ring({})
+
+    def test_same_dimension_different_table_is_checked_on_its_own(self):
+        good = _two_generator_ring({"c": 1})
+        assert str(good.basis_class("b") * good.basis_class("b")) == "c"
+        with pytest.raises(GradedRingError, match="not associative"):
+            _two_generator_ring({})
+        with pytest.raises(GradedRingError, match="not associative"):
+            _two_generator_ring({"c": 2})
+        _two_generator_ring({"c": 1}, name="another name, same content")
+
+    def test_seen_table_skips_the_associativity_check(self, monkeypatch):
+        calls = []
+        original = gradedring.RingPresentation._combo_times_label
+
+        def counted(self, combo, z):
+            calls.append(z)
+            return original(self, combo, z)
+
+        monkeypatch.setattr(gradedring.RingPresentation, "_combo_times_label", counted)
+        # a point label no other test uses: the associativity loop runs exactly once
+        _two_generator_ring({"c": 1}, name="first", point="pt-once")
+        first = len(calls)
+        ring = _two_generator_ring({"c": 1}, name="second", point="pt-once")
+        assert first > 0 and len(calls) == first
+        # a table failing the gradedness check fails on every construction too
+        for _ in range(2):
+            with pytest.raises(GradedRingError, match="is not graded"):
+                _two_generator_ring({"pt-once": 1}, point="pt-once")
+        assert integrate(ring.basis_class("b") * ring.basis_class("c")) == 1
+
+    def test_quadric_rings_are_distinct_and_complete(self):
+        a, b = make_quadric_ring(5), make_quadric_ring(5)
+        assert a is not b and a._products is not b._products
+        assert a._products == b._products
+        assert str(b.l_power(2) * b.l_power(1)) == "2*Pi"
+        with pytest.raises(IncompatibleRingError):
+            a.l_power(1) * b.l_power(1)

@@ -1,0 +1,252 @@
+"""describe and lemma7 build each lattice and class once; their reports must equal
+reports assembled from the public roofcalc functions, which rebuild them per call."""
+
+import copy
+import json
+import random
+from math import comb
+
+import pytest
+
+from roofpairs import latticecore, roofcalc
+from roofpairs.cli import cmd_describe, cmd_lemma7, main
+from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict
+from roofpairs.gradedring import make_quadric_ring
+
+
+# ---------------------------------------------------------------------------
+# synthetic roofs: identical sides on Q_n, rank n-2, c_i = a_i L^i
+# ---------------------------------------------------------------------------
+
+def _switch(b):
+    """Coefficients of f(xi - L, xi) for f = sum_i b_i L^i xi^(r-i)."""
+    out = [0] * len(b)
+    for i, bi in enumerate(b):
+        for k in range(i + 1):
+            out[k] += bi * comb(i, k) * (-1) ** k
+    return out
+
+
+def roof_relation(rng, r, amp):
+    """a_1..a_r with f(xi - L, xi) = (-1)^r f, f monic in xi and a_r > 0."""
+    while True:
+        g = [0] + [rng.randint(-amp, amp) for _ in range(r)]
+        s = sum(g)
+        if r % 2 == 0:
+            if s % 2 == 0:
+                continue
+            g[0] = (1 - s) // 2
+        elif s != -1:
+            continue
+        f = [x + (-1) ** r * y for x, y in zip(g, _switch(g))]
+        a = [(-1) ** i * c for i, c in enumerate(f)]
+        if a[r] > 0:
+            return a[1:]
+
+
+def synthetic_roof(n, a, name):
+    """Config data with c_i = a_i L^i and every monomial of middle codimension as middle basis."""
+    ring, r = make_quadric_ring(n), n - 2
+    side = {
+        "groth": [[[lbl, a[i - 1] * c] for lbl, c in ring.l_power(i).coeffs.items()]
+                  for i in range(1, r + 1)],
+        "middle_basis": [[b.label, r - b.degree] for b in ring.basis if 0 <= r - b.degree < r],
+        "declared_locus_sign": 1,
+    }
+    return {"name": name, "rank": r, "base_dim": [n, n], "polarization_degree": 2 * a[-1],
+            "sides": [side, json.loads(json.dumps(side))]}
+
+
+def _synthetic_configs():
+    """Three distinct roofs on each base Q4..Q10; a repeated draw widens the range."""
+    rng, seen, out = random.Random(17), set(), []
+    for n in range(4, 11):
+        for _ in range(3):
+            amp = 2
+            while (n, tuple(a := roof_relation(rng, n - 2, amp))) in seen:
+                amp += 1
+            seen.add((n, tuple(a)))
+            out.append(synthetic_roof(n, a, f"syn-q{n}-{len(seen)}"))
+    return out
+
+
+def _reordered_tilde(name, sign):
+    """A built-in with the tilde middle basis reversed and a tilde locus sign of ``sign``:
+    the two sides then have different coordinates and declared conventions."""
+    data = copy.deepcopy(BUILTIN_CONFIGS[name])
+    tilde = data["sides"][1]
+    tilde["middle_basis"].reverse()
+    tilde["declared_locus_sign"] = sign
+    data["name"] = f"{name}-reordered"
+    return config_from_dict(data)
+
+
+SYNTHETIC = _synthetic_configs()
+CONFIGS = ([builtin_config("g2dagger"), builtin_config("d4")]
+           + [_reordered_tilde("g2dagger", -1), _reordered_tilde("d4", 1)]
+           + [config_from_dict(d) for d in SYNTHETIC])
+
+
+# ---------------------------------------------------------------------------
+# reference reports from the public functions
+# ---------------------------------------------------------------------------
+
+def ref_side_report(side):
+    lat = roofcalc.middle_lattice(side)
+    gram = [list(r) for r in lat.gram]
+    locus = roofcalc.locus_pushforward_class(side)
+    h, idx = side.base.hyperplane, side.base.fano_index
+    return {
+        "base": side.base.name,
+        "rank": side.rank,
+        "relation": side.relation_string(),
+        "relation_coefficients": [str(c) for c in side.groth_coeffs],
+        "mukai_index_condition": bool(
+            h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
+        "middle_basis": [str(roofcalc.monomial(side, lbl, e)) for lbl, e in lat.monomials],
+        "gram": gram,
+        "gram_determinant": lat.determinant(),
+        "smith_factors": list(latticecore.smith_normal_form(gram).invariant_factors),
+        "discriminant_group": str(latticecore.discriminant_group(gram)),
+        "zero_locus_degree": roofcalc.cy_degree(side),
+        "locus_class": str(locus),
+        "locus_coordinates": list(roofcalc.locus_coordinates(side)),
+        "locus_self_pairing": roofcalc.pairing_on_M(side, locus, locus),
+    }
+
+
+def ref_describe(cfg):
+    return {
+        "command": "describe",
+        "name": cfg.name,
+        "rank": cfg.rank,
+        "base_dimension": cfg.n,
+        "polarization_degree": cfg.polarization_degree,
+        "sides": [ref_side_report(cfg.side), ref_side_report(cfg.tilde_side)],
+    }
+
+
+def ref_lemma7(cfg):
+    scan = roofcalc.residue_scan(cfg)
+    lat_t = roofcalc.middle_lattice(cfg.tilde_side)
+    assert scan.jt_coords == roofcalc.locus_coordinates(cfg.tilde_side)
+    switched = roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))
+    assert switched == roofcalc.class_from_coordinates(lat_t, scan.j_coords)
+
+    def entry(k, coords):
+        return {"k": k, "coordinates": list(coords),
+                "class": str(roofcalc.class_from_coordinates(lat_t, coords))}
+
+    declared = scan.declared_witness
+    return {
+        "command": "lemma7",
+        "name": cfg.name,
+        "polarization_degree": scan.degree,
+        "switched_locus": {"coordinates": list(scan.j_coords), "class": str(switched)},
+        "tilde_locus": {"coordinates": list(scan.jt_coords),
+                        "class": str(roofcalc.locus_pushforward_class(cfg.tilde_side))},
+        "residue_set": list(scan.residue_set),
+        "sign_orbit": list(scan.sign_orbit),
+        "iso_obstructed": scan.iso_obstructed,
+        "witnesses": [entry(k, w) for k, w in scan.witnesses],
+        "declared_form": {
+            "locus_signs": list(cfg.declared_locus_signs),
+            "residue_set": list(scan.declared_residue_set),
+            "witness": None if declared is None else entry(*declared),
+        },
+    }
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+def test_describe_equals_public_functions(cfg):
+    assert cmd_describe(cfg) == ref_describe(cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+def test_lemma7_equals_public_functions(cfg):
+    assert cmd_lemma7(cfg) == ref_lemma7(cfg)
+
+
+def test_synthetic_roofs_cover_every_base():
+    assert sorted({d["base_dim"][0] for d in SYNTHETIC}) == list(range(4, 11))
+    assert len({json.dumps(d["sides"][0]["groth"]) for d in SYNTHETIC}) == len(SYNTHETIC) == 21
+
+
+# ---------------------------------------------------------------------------
+# a config failing in each stage keeps its stage label and message
+# ---------------------------------------------------------------------------
+
+TOY_SIDE = {"groth": [[["L", 1]], [["Pi1", 1], ["Pi2", 1]]],
+            "middle_basis": [["Pi1", 0], ["Pi2", 0], ["L", 1]]}
+
+
+def _toy(side=None, tilde=None):
+    return config_from_dict({"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
+                             "sides": [dict(TOY_SIDE, **(side or {})), dict(TOY_SIDE, **(tilde or {}))]})
+
+
+STAGE_CASES = [
+    # a repeated monomial makes the side's Gram matrix singular
+    ("middle lattice", _toy(side={"middle_basis": [["Pi1", 0], ["Pi1", 0], ["L", 1]]}),
+     lambda cfg: roofcalc.middle_lattice(cfg.side)),
+    # an xi exponent beyond rank - 1 on the tilde side
+    ("middle lattice", _toy(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0], ["L", 2]]}),
+     lambda cfg: roofcalc.middle_lattice(cfg.tilde_side)),
+    # no top xi-monomial: the pullback complement is not rank one
+    ("locus class", _toy(side={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
+     lambda cfg: roofcalc.locus_pushforward_class(cfg.side)),
+    ("locus class", _toy(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
+     lambda cfg: roofcalc.locus_pushforward_class(cfg.tilde_side)),
+    # the tilde relation does not match the side's under L -> xi - L~
+    ("side switch", _toy(tilde={"groth": [[["L", 3]], [["Pi1", 1], ["Pi2", 1]]]}),
+     lambda cfg: roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))),
+    # the switched class has a Pi2 term the tilde middle basis lacks
+    ("residue scan", _toy(tilde={"middle_basis": [["Pi1", 0], ["L", 1]]}),
+     roofcalc.residue_scan),
+]
+
+
+@pytest.mark.parametrize("stage, cfg, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+def test_lemma7_failure_keeps_stage_label(stage, cfg, public):
+    with pytest.raises(roofcalc.RoofError) as expected:
+        public(cfg)
+    with pytest.raises(type(expected.value)) as got:
+        cmd_lemma7(cfg)
+    assert str(got.value) == f"stage '{stage}' failed: {expected.value}"
+
+
+@pytest.mark.parametrize("stage, cfg, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+def test_describe_failure_matches_public_functions(stage, cfg, public):
+    try:
+        expected = ref_describe(cfg)
+    except roofcalc.RoofError as exc:
+        with pytest.raises(type(exc)) as got:
+            cmd_describe(cfg)
+        assert str(got.value) == str(exc)
+    else:
+        assert cmd_describe(cfg) == expected
+
+
+def test_stage_label_reaches_stderr(tmp_path, capsys):
+    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
+            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["L", 1]])]}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main(["lemma7", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: RoofError: stage 'residue scan' failed: "
+                            "class is not supported on the declared middle basis\n")
+
+
+# ---------------------------------------------------------------------------
+# each query builds each side's middle lattice at most once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["describe", "lemma7"])
+@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[1], CONFIGS[-1]], ids=lambda c: c.name)
+def test_one_middle_lattice_per_side(command, cfg, count_calls):
+    counts = count_calls("roofcalc.middle_lattice", "roofcalc.switch_side")
+    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
+    assert counts["roofcalc.middle_lattice"] <= 2
+    assert counts["roofcalc.switch_side"] <= 1
