@@ -8,8 +8,10 @@ group, in the degree counting positive roots made negative) together with
 the Weyl dimension formula.  All of it runs on Python integers in doubled
 coordinates (2w, with rho doubled too), so a half-integral weight is an odd
 integer vector; the Weyl dimension is one exact division of two integer
-products.  ``Fraction`` appears only at the boundary: ``weight()`` validates
-its input and the public functions return weights as ``Fraction`` tuples.
+products.  The weight dictionary is written in doubled integers and a twist
+by O(t) adds 2t to the first doubled coordinate.  ``Fraction`` appears only
+in the public signatures: ``weight()`` validates its input and the public
+functions that take or return weights use ``Fraction`` tuples.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -159,8 +161,10 @@ def _conjugate(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[tuple[i
 
 
 def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
-    """Weyl dimension from the doubled dominant weight ``lambda + rho``."""
-    dim, rem = divmod(prod(_pairings(rs, shifted)), prod(_pairings(rs, _doubled_rho(rs))))
+    """Weyl dimension from the doubled dominant weight ``lambda + rho``; equal factors cancel."""
+    factors = [(a, b) for a, b in zip(_pairings(rs, shifted), _pairings(rs, _doubled_rho(rs)))
+               if a != b]
+    dim, rem = divmod(prod(a for a, _ in factors), prod(b for _, b in factors))
     assert rem == 0 and dim > 0
     return dim
 
@@ -202,11 +206,8 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
 # the weight dictionary
 # ---------------------------------------------------------------------------
 
-_H = Fraction(1, 2)
-
-
-def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
-    """Irreducible summands (as weights) of a named bundle on the n-quadric.
+def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Doubled irreducible summands of every named bundle on the n-quadric.
 
     The spinor-bundle normalization has the dual spinor bundle globally
     generated with space of sections the spin representation.  On the
@@ -215,71 +216,62 @@ def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
     trivial summand under the symplectic form of the small spin
     representation), which the dictionary records as a two-term sum.
     """
-    rs = quadric_root_system(n)
-    m = rs.rank
-    if name == "O":
-        return (weight([0] * m),)
-    if n % 2:
-        if name == "Sdual":
-            return (weight([_H] * m),)
-        if name == "S":
-            return (weight([-_H] + [_H] * (m - 1)),)
-        if n == 5:
-            if name == "Sym2Sdual":
-                return (weight([1, 1, 1]),)
-            if name == "Sym2S":
-                return (weight([-1, 1, 1]),)
-            if name == "Wedge2Sdual":
-                return (weight([1, 1, 0]), weight([1, 0, 0]))
-            if name == "Wedge2S":
-                return (weight([-1, 1, 0]), weight([-1, 0, 0]))
-    else:
-        if name == "Splusdual":
-            return (weight([_H] * m),)
-        if name == "Sminusdual":
-            return (weight([_H] * (m - 1) + [-_H]),)
-        if name == "Splus":
-            return (weight([-_H] + [_H] * (m - 1)),)
-        if name == "Sminus":
-            return (weight([-_H] + [_H] * (m - 2) + [-_H]),)
-    raise UnsupportedBundleError(f"no weight dictionary entry for {name!r} on Q{n}")
-
-
-DICTIONARY_NAMES = {
-    5: ("O", "S", "Sdual", "Sym2S", "Sym2Sdual", "Wedge2S", "Wedge2Sdual"),
-    "odd": ("O", "S", "Sdual"),
-    "even": ("O", "Splus", "Sminus", "Splusdual", "Sminusdual"),
-}
+    m = n // 2 + 1  # quadric_root_system(n).rank; the names are listed for every n
+    half = (1,) * (m - 1)
+    if n % 2 == 0:
+        return {"O": ((0,) * m,), "Splus": ((-1,) + half,), "Sminus": ((-1,) + half[1:] + (-1,),),
+                "Splusdual": (half + (1,),), "Sminusdual": (half + (-1,),)}
+    names = {"O": ((0,) * m,), "S": ((-1,) + half,), "Sdual": (half + (1,),)}
+    if n == 5:
+        names.update(Sym2S=((-2, 2, 2),), Sym2Sdual=((2, 2, 2),),
+                     Wedge2S=((-2, 2, 0), (-2, 0, 0)), Wedge2Sdual=((2, 2, 0), (2, 0, 0)))
+    return names
 
 
 def dictionary_names(n: int) -> tuple[str, ...]:
-    if n == 5:
-        return DICTIONARY_NAMES[5]
-    return DICTIONARY_NAMES["odd" if n % 2 else "even"]
+    return tuple(_dictionary(n))
 
 
-def bundle_cohomology_of_weight(n: int, lam: Weight) -> CohomologyTable:
-    """Table of the irreducible bundle with the given weight: empty or one entry."""
+def _summands(n: int, name: str) -> tuple[RootSystem, tuple[tuple[int, ...], ...]]:
     rs = quadric_root_system(n)
-    shifted = [a + b for a, b in zip(_doubled_of_rank(rs, lam), _doubled_rho(rs))]
-    res = _conjugate(rs, shifted)
+    summands = _dictionary(n).get(name)
+    if summands is None:
+        raise UnsupportedBundleError(f"no weight dictionary entry for {name!r} on Q{n}")
+    return rs, summands
+
+
+def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
+    """Irreducible summands (as weights) of a named bundle on the n-quadric."""
+    return tuple(_halved(w) for w in _summands(n, name)[1])
+
+
+def _irreducible_table(rs: RootSystem, doubled: Sequence[int]) -> CohomologyTable:
+    """Table of the irreducible bundle with a doubled weight: empty or one entry."""
+    res = _conjugate(rs, [a + b for a, b in zip(doubled, _doubled_rho(rs))])
     if res is None:
         return {}
     dom, length = res
     return {length: _dimension(rs, dom)}
 
 
+def bundle_cohomology_of_weight(n: int, lam: Weight) -> CohomologyTable:
+    """Table of the irreducible bundle with the given weight: empty or one entry."""
+    rs = quadric_root_system(n)
+    return _irreducible_table(rs, _doubled_of_rank(rs, lam))
+
+
 def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
     """Cohomology table of a dictionary bundle twisted by O(t) on the n-quadric.
 
     Empty table means acyclic; irreducible inputs give at most one entry.
+
+    >>> bundle_cohomology(5, "Sdual", 1)
+    {0: 48}
     """
-    table: CohomologyTable = {}
-    for w in bundle_weights(n, name):
-        lam = (w[0] + t,) + tuple(w[1:])
-        for length, dim in bundle_cohomology_of_weight(n, lam).items():
-            table[length] = table.get(length, 0) + dim
-    return {k: table[k] for k in sorted(table)}
+    rs, summands = _summands(n, name)
+    if t != int(t):
+        raise BWBError(f"twist must be an integer, got {t}")
+    return add_tables(*(_irreducible_table(rs, (w[0] + 2 * int(t),) + w[1:]) for w in summands))
 
 
 def euler_characteristic(table: Mapping[int, int]) -> int:
@@ -316,60 +308,32 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
     missing = [i for i, t in enumerate(seq.tables) if t is None]
     if len(missing) > 1:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
-    unknown = missing[0] if missing else None
 
-    entries: list[Optional[int]] = []
-    owner: list[int] = []
-    for k in range(seq.top_degree + 1):
-        for pos in range(3):
-            t = seq.tables[pos]
-            entries.append(None if t is None else t.get(k, 0))
-            owner.append(pos)
-
-    solved: dict[int, int] = {}
-    segment: list[int] = []
-
-    def flush(segment: list[int]) -> None:
-        if not segment:
-            return
-        unknowns = [i for i in segment if entries[i] is None]
-        total = sum((-1) ** i * entries[i] for i in segment if entries[i] is not None)
-        if not unknowns:
-            if total != 0:
+    entries = [None if t is None else t.get(k, 0)
+               for k in range(seq.top_degree + 1) for t in seq.tables]
+    table: CohomologyTable = {}
+    total, unknowns = 0, []
+    # each zero closes a run; the sentinel zero closes the last one
+    for i, v in enumerate(entries + [0]):
+        if v is None:
+            unknowns.append(i)
+        elif v != 0:
+            total += (-1) ** i * v
+        else:
+            if not unknowns and total != 0:
                 raise InconsistentSequenceError(
                     f"alternating sum {total} != 0 in a zero-flanked run of {seq.names}")
-            return
-        if len(unknowns) > 1:
-            raise Underdetermined(
-                f"{len(unknowns)} unknown dimensions in one zero-flanked run of {seq.names}")
-        i = unknowns[0]
-        value = -total if i % 2 == 0 else total
-        if value < 0:
-            raise InconsistentSequenceError(f"forced negative dimension in {seq.names}")
-        solved[i] = value
-
-    for i, v in enumerate(entries):
-        if v == 0:
-            flush(segment)
-            segment = []
-        else:
-            segment.append(i)
-    flush(segment)
-
-    if unknown is None:
-        return dict(seq.tables[1])
-    table: CohomologyTable = {}
-    for i, v in solved.items():
-        if owner[i] == unknown and v:
-            table[i // 3] = v
-    # unknown entries not reached by any run stay zero only if every run closed
-    for i, v in enumerate(entries):
-        if v is None and owner[i] == unknown and i not in solved:
-            # entry sat inside a flushed segment iff solved; a lone None between
-            # zeros lands in its own run and is solved to 0, so reaching here
-            # means flush() already raised; keep a guard for clarity.
-            raise Underdetermined(f"dimension H^{i // 3} of {seq.names[unknown]} not forced")
-    return table
+            if len(unknowns) > 1:
+                raise Underdetermined(
+                    f"{len(unknowns)} unknown dimensions in one zero-flanked run of {seq.names}")
+            if unknowns:
+                value = -total if unknowns[0] % 2 == 0 else total
+                if value < 0:
+                    raise InconsistentSequenceError(f"forced negative dimension in {seq.names}")
+                if value:
+                    table[unknowns[0] // 3] = value
+            total, unknowns = 0, []
+    return table if missing else dict(seq.tables[1])
 
 
 def add_tables(*tables: Mapping[int, int]) -> CohomologyTable:

@@ -21,6 +21,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -312,6 +313,7 @@ _rank = _int_at_least(2, "an integer of at least 2")
 _quadric_dim = _int_at_least(3, "an integer of at least 3")
 
 
+@functools.cache  # parsing leaves no state in the parser, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roofpairs",

@@ -469,29 +469,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
     )
 
 
-def make_projective_space_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
-    """Cohomology ring of P^dim; used by synthetic test configurations."""
-    if dim < 1:
-        raise InvalidDimensionError(f"projective space dimension must be >= 1, got {dim}")
-    name = name or f"P{dim}"
-
-    def lab(p: int) -> str:
-        return "1" if p == 0 else ("L" if p == 1 else f"L^{p}")
-
-    basis = [BasisElement(lab(p), p) for p in range(dim + 1)]
-    table = {
-        (lab(i), lab(j)): ({lab(i + j): 1} if i + j <= dim else {})
-        for i in range(1, dim + 1)
-        for j in range(i, dim + 1)
-    }
-    l_powers = [{lab(p): 1} for p in range(dim + 1)]
-    return RingPresentation(
-        name, dim, basis, lab(dim), table,
-        hyperplane_form={"L": 1}, l_powers=l_powers,
-        fano_index=dim + 1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------

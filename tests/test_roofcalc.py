@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roofpairs import roofcalc
+from roofpairs.configs import BUILTIN_CONFIGS, config_from_dict
 from roofpairs.gradedring import ChernVector, GradedClass, IntegralityError, integrate, make_quadric_ring
 from roofpairs.roofcalc import (
     DegenerateBasisError,
@@ -162,6 +164,16 @@ class TestLocusClass:
             cls = locus_pushforward_class(cfg.side)
             norm = reduce(cfg.side, {cfg.rank - 1: cfg.side.base.hyperplane})
             assert pairing_on_M(cfg.side, cls, norm) == 12
+
+    def test_sign_flip_on_reversed_basis(self):
+        # reversing the d4 middle basis makes the raw kernel vector (1, -6, 14, 14, -30)
+        # pair to -12, so the class must be flipped to the golden vector reversed
+        data = copy.deepcopy(BUILTIN_CONFIGS["d4"])
+        data["sides"][0]["middle_basis"].reverse()
+        side = config_from_dict(data).side
+        assert locus_coordinates(side) == (-1, 6, -14, -14, 30)
+        norm = reduce(side, {side.rank - 1: side.base.hyperplane})
+        assert pairing_on_M(side, locus_pushforward_class(side), norm) == 12
 
     def test_unexpected_rank(self, g2):
         short = RoofSide("short", g2.side.base, 3, g2.side.groth_coeffs,
