@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Mapping, Optional, Sequence
 
@@ -123,6 +124,7 @@ def _doubled_of_rank(rs: RootSystem, coords: Sequence) -> tuple[int, ...]:
     return doubled
 
 
+@lru_cache(maxsize=32)
 def _doubled_rho(rs: RootSystem) -> tuple[int, ...]:
     m = rs.rank
     if rs.family == "B":
@@ -149,6 +151,12 @@ def _pairings(rs: RootSystem, doubled: Sequence[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=32)
+def _rho_pairings(rs: RootSystem) -> tuple[int, ...]:
+    """``_pairings`` of doubled rho: the Weyl dimension's denominator factors."""
+    return tuple(_pairings(rs, _doubled_rho(rs)))
+
+
 def _conjugate(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
     """Doubled dominant conjugate and word length; None for a singular weight."""
     pairs = _pairings(rs, doubled)
@@ -162,7 +170,7 @@ def _conjugate(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[tuple[i
 
 def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
     """Weyl dimension from the doubled dominant weight ``lambda + rho``; equal factors cancel."""
-    factors = [(a, b) for a, b in zip(_pairings(rs, shifted), _pairings(rs, _doubled_rho(rs)))
+    factors = [(a, b) for a, b in zip(_pairings(rs, shifted), _rho_pairings(rs))
                if a != b]
     dim, rem = divmod(prod(a for a, _ in factors), prod(b for _, b in factors))
     assert rem == 0 and dim > 0

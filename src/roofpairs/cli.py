@@ -177,13 +177,13 @@ def cmd_mukai(cfg, bound: int) -> dict:
 
 
 def cmd_motivic(rank: Optional[int]) -> dict:
-    from .motivicring import B, B_TILDE, L, Y, Y_TILDE, l_equivalence_residual, proj_class
+    from .motivicring import l_equivalence_residual, residual_closed_form
 
     ranks = [rank] if rank is not None else list(range(2, 13))
     rows = []
     for r in ranks:
         residual = l_equivalence_residual(r)
-        expected = (Y - Y_TILDE) * L ** (r - 1) + proj_class(r - 2) * (B - B_TILDE)
+        expected = residual_closed_form(r)
         rows.append({
             "rank": r,
             "residual": str(residual),

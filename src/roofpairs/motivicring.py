@@ -5,9 +5,13 @@ The fragment is the free commutative ring on six formal symbols: the class
 the hyperplane section of a roof.  Everything is kept in canonical expanded
 form (integer-coefficient monomials with integer exponents; a non-integral
 value raises ``ValueError`` instead of being truncated) so equality is
-coefficient-wise.  Projective-space classes are written down in closed form,
-powers are taken by repeated squaring, and a substitution powers only the
-images of the symbols it assigns.
+coefficient-wise.  The checks run once, in the public constructor (and so in
+``var`` and ``const``); the ring operations build their results already in
+canonical form (nonzero ``int`` coefficients on tuples of non-negative
+``int`` exponents) and wrap them without checking again.  Projective-space
+classes are written down in closed form, powers are taken by repeated
+squaring, and a substitution groups the monomials by their exponents on the
+assigned symbols, so it makes one product per group.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -17,6 +21,7 @@ checked here as an exact polynomial identity for each concrete rank.
 
 from __future__ import annotations
 
+from math import prod
 from operator import add
 from typing import Mapping
 
@@ -60,6 +65,13 @@ class MotivicPoly:
                 clean[mono] = c
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, clean: dict[tuple[int, ...], int]) -> "MotivicPoly":
+        """Wrap a dict already in canonical form, without checking it again."""
+        p = cls.__new__(cls)
+        p.coeffs = clean
+        return p
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -88,13 +100,17 @@ class MotivicPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return MotivicPoly(out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return MotivicPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotivicPoly({m: -c for m, c in self.coeffs.items()})
+        return MotivicPoly._of({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -114,7 +130,7 @@ class MotivicPoly:
             for m2, c2 in other.coeffs.items():
                 m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
-        return MotivicPoly(out)
+        return MotivicPoly._of({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -147,19 +163,26 @@ class MotivicPoly:
     def substitute(self, assignments: Mapping[str, "MotivicPoly"]) -> "MotivicPoly":
         """Ring homomorphism sending each named symbol to the given polynomial.
 
-        Unassigned symbols keep their exponents; only the images of assigned
-        symbols are powered.
+        The images are simultaneous, so ``{"Y": Y_TILDE, "Yt": Y}`` swaps the
+        two symbols.  Monomials with the same exponents on the assigned
+        symbols form one group: the group, with those exponents zeroed, is
+        multiplied once by the product of the images' powers.
         """
-        assigned = {i: assignments[s] for i, s in enumerate(SYMBOLS) if s in assignments}
-        out: dict[tuple[int, ...], int] = {}
+        assigned = [(i, assignments[s]) for i, s in enumerate(SYMBOLS) if s in assignments]
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for mono, c in self.coeffs.items():
-            term = MotivicPoly({tuple(0 if i in assigned else e for i, e in enumerate(mono)): c})
-            for i, image in assigned.items():
-                if mono[i]:
-                    term = term * image ** mono[i]
+            rest = list(mono)
+            for i, _ in assigned:
+                rest[i] = 0
+            groups.setdefault(tuple(mono[i] for i, _ in assigned), {})[tuple(rest)] = c
+        out: dict[tuple[int, ...], int] = {}
+        for exponents, rest in groups.items():
+            term = MotivicPoly._of(rest)
+            if any(exponents):
+                term = term * prod(image ** e for (_, image), e in zip(assigned, exponents) if e)
             for m, v in term.coeffs.items():
                 out[m] = out.get(m, 0) + v
-        return MotivicPoly(out)
+        return MotivicPoly._of({m: v for m, v in out.items() if v})
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
@@ -209,7 +232,7 @@ def proj_class(k: int) -> MotivicPoly:
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
     rest = (0,) * (len(SYMBOLS) - 1)
-    return MotivicPoly({(i,) + rest: 1 for i in range(k + 1)})
+    return MotivicPoly._of({(i,) + rest: 1 for i in range(k + 1)})
 
 
 def fibration_class(r: int) -> MotivicPoly:
@@ -232,3 +255,22 @@ def l_equivalence_residual(r: int) -> MotivicPoly:
     """
     section = fibration_class(r)
     return section - section.substitute({"Y": Y_TILDE, "B": B_TILDE})
+
+
+def residual_closed_form(r: int) -> MotivicPoly:
+    """The value ``l_equivalence_residual(r)`` must take, written term by term.
+
+    ([Y] - [Y~]) * L^(r-1) + (1 + L + ... + L^(r-2)) * ([B] - [B~]) has 2r
+    monomials with coefficients +-1, so no ring arithmetic is needed.
+
+    >>> residual_closed_form(3) == l_equivalence_residual(3)
+    True
+    """
+    if r < 2:
+        raise InvalidRankError(f"rank must be at least 2, got {r}")
+    # exponents in SYMBOLS order: L, Y, Yt, B, Bt, M
+    coeffs = {(r - 1, 1, 0, 0, 0, 0): 1, (r - 1, 0, 1, 0, 0, 0): -1}
+    for i in range(r - 1):
+        coeffs[(i, 0, 0, 1, 0, 0)] = 1
+        coeffs[(i, 0, 0, 0, 1, 0)] = -1
+    return MotivicPoly._of(coeffs)

@@ -187,3 +187,78 @@ class TestNoTruncation:
         assert p == 3 * L ** 2 + 2
         assert all(type(c) is int and all(type(e) is int for e in m) for m, c in p.coeffs.items())
         assert str(p) == "2 + 3*L^2"
+
+
+# ---------------------------------------------------------------------------
+# results of the ring operations are canonical without re-validation
+# ---------------------------------------------------------------------------
+
+def assert_canonical(p):
+    for mono, c in p.coeffs.items():
+        assert type(mono) is tuple and len(mono) == len(SYMBOLS)
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert type(c) is int and c != 0
+    again = MotivicPoly(p.coeffs)
+    assert again == p and hash(again) == hash(p)
+
+
+@given(a=polys, b=polys, e=st.integers(0, 4),
+       images=st.dictionaries(st.sampled_from(SYMBOLS), small_polys, max_size=3))
+def test_operation_results_are_canonical(a, b, e, images):
+    results = [
+        a + (-a), a * 0, 0 * a, a - a, (a + b) - b, a + 0, 1 - a, 2 * a,
+        a + b, a - b, -a, a * b, a * (b - b), a ** e, (a - a) ** e,
+        a.substitute(images), (a - a).substitute(images),
+        (a * Y - a * Y_TILDE).substitute({"Y": Y_TILDE}),
+        (a + b).substitute(images) - b.substitute(images),
+    ]
+    for p in results:
+        assert_canonical(p)
+    assert results[4] == a
+    assert results[-1] == a.substitute(images)
+    for p in results[:4] + [results[-2]]:
+        assert p.is_zero
+
+
+SWAP = {"Y": Y_TILDE, "Yt": Y}
+
+
+@pytest.mark.parametrize("p", [
+    Y,
+    Y - Y_TILDE,
+    fibration_class(4) + Y ** 2 * Y_TILDE - 3 * L * Y_TILDE ** 3 + B * Y,
+    l_equivalence_residual(5) * (Y + 2 * Y_TILDE),
+])
+def test_substitute_swap(p):
+    swapped = p.substitute(SWAP)
+    assert swapped == ref_substitute(p, SWAP)
+    assert swapped.substitute(SWAP) == p
+
+
+@pytest.mark.parametrize("images", [
+    {"Y": Y - 2 * B + 1, "L": 1 + L + L ** 2},
+    {"B": L * B_TILDE - Y, "Bt": B + B_TILDE, "M": L - 1},
+    {"L": L ** 2 - Y * Y_TILDE, "Y": 3 * B - L + 2, "Yt": Y_TILDE ** 2 + Y},
+])
+def test_substitute_multi_term_images(images):
+    p = fibration_class(4) * (Y_TILDE - B) + MotivicPoly.var("M") ** 2 * L - 5 * B_TILDE * Y ** 2
+    assert p.substitute(images) == ref_substitute(p, images)
+
+
+@pytest.mark.parametrize("r", [2, 3, 7])
+def test_residual_substitution_against_reference(r):
+    images = {"Y": Y_TILDE, "B": B_TILDE}
+    assert fibration_class(r).substitute(images) == ref_substitute(fibration_class(r), images)
+
+
+def test_closed_form_residual_to_rank_300():
+    for r in range(2, 301):
+        expected = motivicring.residual_closed_form(r)
+        assert expected.coeffs == closed_form_residual(r)
+        assert l_equivalence_residual(r) == expected
+        assert str(l_equivalence_residual(r)) == str(expected)
+
+
+def test_closed_form_residual_rejects_rank_one():
+    with pytest.raises(InvalidRankError):
+        motivicring.residual_closed_form(1)
