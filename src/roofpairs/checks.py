@@ -104,10 +104,10 @@ def _tables(cs: CheckSet, g2, d4) -> None:
     cs.add("gram-5x5", lat4.gram, D4_GRAM)
     cs.add("gram-3x3-determinant", lat2.determinant(), -12)
     cs.add("gram-5x5-determinant-abs", abs(lat4.determinant()), 12)
-    snf2 = latticecore.smith_normal_form([list(r) for r in lat2.gram])
+    snf2 = latticecore.smith_normal_form(lat2.gram)
     cs.add("smith-factors-3x3", snf2.invariant_factors, (1, 1, 12))
-    cs.add("discriminant-group-3x3", str(latticecore.discriminant_group([list(r) for r in lat2.gram])), "Z/12")
-    cs.add("discriminant-group-5x5", str(latticecore.discriminant_group([list(r) for r in lat4.gram])), "Z/12")
+    cs.add("discriminant-group-3x3", str(latticecore.discriminant_group(lat2.gram)), "Z/12")
+    cs.add("discriminant-group-5x5", str(latticecore.discriminant_group(lat4.gram)), "Z/12")
 
 
 def _locus(cs: CheckSet, g2, d4) -> None:
@@ -177,7 +177,7 @@ def _residues(cs: CheckSet, g2, d4) -> None:
 
 def _mukai(cs: CheckSet, g2, bound: int) -> None:
     lat = roofcalc.middle_lattice(g2.side)
-    sol = latticecore.isotropic_pair_solve([list(r) for r in lat.gram], G2_LOCUS, bound)
+    sol = latticecore.isotropic_pair_solve(lat.gram, G2_LOCUS, bound)
     cs.add("theta-pair", (sol.a, sol.b), ((1, 0, 0), (-5, 1, 0)))
     cs.add("theta-orbit-count", len(sol.orbits), 1)
     cs.add("mukai-vector", latticecore.mukai_vector(g2, bound), MUKAI_VECTOR)

@@ -47,12 +47,6 @@ def jsonable(x: Any) -> Any:
     return str(x)
 
 
-def _monomial_name(side: roofcalc.RoofSide, label: str, e: int) -> str:
-    xi = "" if e == 0 else ("xi" if e == 1 else f"xi^{e}")
-    base = "" if label == side.base.unit_label else label
-    return "*".join(p for p in (base, xi) if p) or "1"
-
-
 def _side_report(side: roofcalc.RoofSide) -> dict:
     lat = roofcalc.middle_lattice(side)
     gram = [list(r) for r in lat.gram]
@@ -67,7 +61,7 @@ def _side_report(side: roofcalc.RoofSide) -> dict:
         "relation_coefficients": [str(c) for c in side.groth_coeffs],
         "mukai_index_condition": bool(
             h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
-        "middle_basis": [_monomial_name(side, lbl, e) for lbl, e in lat.monomials],
+        "middle_basis": [roofcalc.monomial_name(side, lbl, e) or "1" for lbl, e in lat.monomials],
         "gram": gram,
         "gram_determinant": lat.determinant(),
         "smith_factors": list(snf.invariant_factors),

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class GradedRingError(ValueError):
@@ -66,6 +66,23 @@ def _exact(x) -> int | Fraction:
     raise GradedRingError(f"coefficients must be exact integers or Fractions, got {type(x).__name__}")
 
 
+def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
+    """Render (coefficient, monomial) pairs as ``a + 2*b - c``, or "0" when there are none.
+
+    An empty monomial is the constant term; a +-1 coefficient is left off any other.
+    """
+    parts: list[str] = []
+    for c, mono in terms:
+        if not mono:
+            term = str(c)
+        elif c == 1 or c == -1:
+            term = mono if c == 1 else f"-{mono}"
+        else:
+            term = f"{c}*{mono}"
+        parts.append(term if not parts else f"- {term[1:]}" if term[0] == "-" else f"+ {term}")
+    return " ".join(parts) or "0"
+
+
 # Contents of the presentations whose tables passed the associativity check,
 # one entry per distinct table for the life of the process.  Only a pass is
 # recorded, so a lost race means at most a repeated check.
@@ -76,10 +93,10 @@ class RingPresentation:
     """A finite graded commutative ring with explicit integer multiplication table.
 
     ``table`` maps unordered pairs of non-unit basis labels to integer linear
-    combinations of basis labels (products with the unit are implicit, and
-    products whose total degree exceeds ``dimension`` must be absent or
-    empty).  The table is validated at construction: gradedness,
-    commutativity, associativity on all basis triples, uniqueness of the top
+    combinations of basis labels (products with the unit are implicit and
+    may not be listed, and products whose total degree exceeds ``dimension``
+    must be absent or empty).  The table is validated at construction:
+    gradedness, commutativity, associativity on all basis triples, uniqueness of the top
     class, and proportionality to the point class in complementary degrees.
     The associativity check runs once per process for each distinct content
     (see ``_validate_table``); the other checks run on every construction.
@@ -127,6 +144,12 @@ class RingPresentation:
             self.degree_labels[b.degree] += (b.label,)
         self._table: dict[tuple[str, str], dict[str, int]] = {}
         for (x, y), combo in table.items():
+            unknown = [z for z in (x, y, *combo) if z not in self._order]
+            if unknown:
+                raise GradedRingError(f"multiplication table of {name!r} names unknown label {unknown[0]!r}")
+            if self.unit_label in (x, y):
+                raise GradedRingError(
+                    f"multiplication table of {name!r} lists {x!r} * {y!r}; products with the unit are implicit")
             self._table[self._key(x, y)] = {k: int(v) for k, v in combo.items() if v}
 
         self._validate_table()
@@ -149,12 +172,12 @@ class RingPresentation:
             return {y: 1}
         if y == self.unit_label:
             return {x: 1}
+        prod = self._table.get(self._key(x, y))
+        if prod is not None:
+            return prod
         if self.degree_of(x) + self.degree_of(y) > self.dimension:
             return {}
-        try:
-            return self._table[self._key(x, y)]
-        except KeyError:
-            raise GradedRingError(f"multiplication table of {self.name!r} lacks {x!r} * {y!r}") from None
+        raise GradedRingError(f"multiplication table of {self.name!r} lacks {x!r} * {y!r}")
 
     def _validate_table(self) -> None:
         """Check the table and fill ``_products``.
@@ -325,24 +348,8 @@ class GradedClass:
         return sorted(self.coeffs.items(), key=lambda kv: self.ring._order[kv[0]])
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for label, c in self.sorted_items():
-            body = label if label != self.ring.unit_label else "1"
-            if c == 1 and body != "1":
-                term = body
-            elif c == -1 and body != "1":
-                term = f"-{body}"
-            elif body == "1":
-                term = str(c)
-            else:
-                term = f"{c}*{body}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        unit = self.ring.unit_label
+        return signed_sum((c, "" if label == unit else label) for label, c in self.sorted_items())
 
     def __repr__(self):
         return f"<{self} : deg {self.degree} on {self.ring.name}>"

@@ -6,16 +6,20 @@ isotropic pairs in rank 3 read off in closed form from the binary form on
 the polarization's orthogonal plane, and the change-of-basis pipeline that
 extracts the Fourier-Mukai vector of a roof configuration.
 
-Determinants, unimodular inverses and the exact linear solves (here and in
-``roofcalc``) all run on one fraction-free Bareiss elimination over the
-integers; rational systems have their denominators cleared per row first.
+Determinants, unimodular inverses and the one exact linear solve
+(``_solve_rational``, which ``roofcalc``'s side switch also uses) all run on
+one fraction-free Bareiss elimination over the integers; rational systems
+have their denominators cleared per row first.  Smith normal form runs its
+elimination on one bordered matrix that carries both transforms.
 
-Matrices are plain lists of lists of Python ints; everything is exact.
+Matrices are sequences (lists or tuples) of rows of Python ints; a function
+that eliminates in place copies its input first.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -46,10 +50,6 @@ class InconsistencyError(LatticeError):
 # ---------------------------------------------------------------------------
 # basic exact matrix helpers
 # ---------------------------------------------------------------------------
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     cols = list(zip(*b))
@@ -93,20 +93,6 @@ def _bareiss(a: Matrix, ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def _augmented(columns: Sequence[Sequence], target: Sequence) -> Matrix:
-    """Integer rows of [A | b] for A x = b with A given by columns.
-
-    Entries may be ints or Fractions; each row is scaled by the lcm of its
-    denominators, which leaves the solutions unchanged.
-    """
-    out = []
-    for i, t in enumerate(target):
-        row = [col[i] for col in columns] + [t]
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
 def det(m: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination over the integers."""
     n = len(m)
@@ -145,7 +131,7 @@ class SmithDecomposition:
         return tuple(self.D[i][i] for i in range(k))
 
     def verify(self, m: Sequence[Sequence[int]]) -> bool:
-        lhs = mat_mul(mat_mul([list(r) for r in self.U], [list(r) for r in m]), [list(r) for r in self.V])
+        lhs = mat_mul(mat_mul(self.U, m), self.V)
         if lhs != [list(r) for r in self.D]:
             return False
         if abs(det(self.U)) != 1 or abs(det(self.V)) != 1:
@@ -154,11 +140,11 @@ class SmithDecomposition:
         return all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
 
 
-def _pivot(a: Matrix, t: int) -> Optional[tuple[int, int]]:
-    """Smallest nonzero absolute value in the trailing block, (row, col) tie-break."""
+def _pivot(a: Matrix, t: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
+    """Smallest nonzero absolute value in a[t:rows][t:cols], (row, col) tie-break."""
     best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
+    for i in range(t, rows):
+        for j in range(t, cols):
             if a[i][j] != 0:
                 key = (abs(a[i][j]), i, j)
                 if best is None or key < best[0]:
@@ -169,54 +155,37 @@ def _pivot(a: Matrix, t: int) -> Optional[tuple[int, int]]:
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form over Z with both transforms.
 
-    Pivot choice is the smallest nonzero absolute value with (row, column)
-    index as tie-break, so the output is deterministic.
+    The elimination runs on the bordered matrix [[M, I], [I, 0]], so row
+    operations on M carry U (to its right) and column operations carry V
+    (below it).  Pivot choice is the smallest nonzero absolute value in M
+    with (row, column) index as tie-break, so the output is deterministic.
     """
-    a = [list(map(int, row)) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_op(dst: int, src: int, q: int) -> None:
-        for j in range(cols):
-            a[dst][j] -= q * a[src][j]
-        for j in range(rows):
-            u[dst][j] -= q * u[src][j]
-
-    def col_op(dst: int, src: int, q: int) -> None:
-        for i in range(rows):
-            a[i][dst] -= q * a[i][src]
-        for i in range(cols):
-            v[i][dst] -= q * v[i][src]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(map(int, row)) + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     t = 0
     while t < min(rows, cols):
-        loc = _pivot(a, t)
+        loc = _pivot(a, t, rows, cols)
         if loc is None:
             break
-        swap_rows(t, loc[0])
-        swap_cols(t, loc[1])
+        a[t], a[loc[0]] = a[loc[0]], a[t]
+        for r in a:
+            r[t], r[loc[1]] = r[loc[1]], r[t]
         # one reduction pass; any surviving remainder is strictly smaller than
         # the pivot, so re-pivoting makes the pivot magnitude descend
         incomplete = False
         for i in range(t + 1, rows):
             if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 incomplete = incomplete or a[i][t] != 0
         for j in range(t + 1, cols):
             if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
+                q = a[t][j] // a[t][t]
+                for r in a:
+                    r[j] -= q * r[t]
                 incomplete = incomplete or a[t][j] != 0
         if incomplete:
             continue
@@ -226,18 +195,17 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
              if any(a[i][j] % a[t][t] for j in range(t + 1, cols))),
             None,
         )
-        if offender is not None:
-            row_op(t, offender, -1)  # pulls the offending row in; next pass shrinks the pivot
+        if offender is not None:  # pull the offending row in; the next pass shrinks the pivot
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         if a[t][t] < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
+            a[t] = [-x for x in a[t]]
         t += 1
 
     snf = SmithDecomposition(
-        tuple(tuple(r) for r in u), tuple(tuple(r) for r in a), tuple(tuple(r) for r in v)
+        tuple(tuple(r[cols:]) for r in a[:rows]),
+        tuple(tuple(r[:cols]) for r in a[:rows]),
+        tuple(tuple(r[:cols]) for r in a[rows:]),
     )
     assert snf.verify(m), "internal error: Smith decomposition failed to verify"
     return snf
@@ -281,7 +249,7 @@ def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
     snf = smith_normal_form(gram)
-    u_inv = unimodular_inverse([list(r) for r in snf.U])
+    u_inv = unimodular_inverse(snf.U)
     factors, gens = [], []
     for i, d in enumerate(snf.invariant_factors):
         if d > 1:
@@ -408,18 +376,48 @@ def isotropic_pair_solve(
     return MukaiSolution(pair[0], pair[1], (pair,))
 
 
-def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:
-    """Solve sum_j x_j * columns[j] = target; the solution must be integral."""
+def _solve_rational(columns: Sequence[Sequence], target: Sequence):
+    """Particular solution (free variables zero) and kernel basis of A x = b.
+
+    A is given by ``columns`` and b is ``target``; entries may be ints or
+    Fractions.  The result is in Fractions, or None for an inconsistent
+    system.  Each row of [A | b] is scaled by the lcm of its
+    denominators, which leaves the solutions unchanged, and then eliminated.
+    """
     ncols = len(columns)
-    a = _augmented(columns, target)
+    a = []
+    for i, t in enumerate(target):
+        row = [col[i] for col in columns] + [t]
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
     pivots, d, _ = _bareiss(a, ncols)
     if any(row[ncols] for row in a[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, c in zip(a, pivots):
+        solution[c] = Fraction(row[ncols], d)
+    kernel = []
+    for c in range(ncols):
+        if c not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[c] = Fraction(1)
+            for row, pc in zip(a, pivots):
+                vec[pc] = Fraction(-row[c], d)
+            kernel.append(vec)
+    return solution, kernel
+
+
+def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:
+    """Solve sum_j x_j * columns[j] = target; the solution must be unique and integral."""
+    res = _solve_rational(columns, target)
+    if res is None:
         raise InconsistencyError("vector lies outside the span")
-    if len(pivots) != ncols:
+    solution, kernel = res
+    if kernel:
         raise InconsistencyError("basis vectors are linearly dependent")
-    if any(row[ncols] % d for row in a[:ncols]):
+    if any(x.denominator != 1 for x in solution):
         raise InconsistencyError("image is not in the integer span of the basis")
-    return tuple(row[ncols] // d for row in a[:ncols])
+    return tuple(x.numerator for x in solution)
 
 
 @dataclass(frozen=True)
@@ -453,8 +451,8 @@ def _mukai_pipeline(config, bound: int) -> _MukaiPipeline:
     lat_t = roofcalc.middle_lattice(config.tilde_side)
     ell = roofcalc.locus_coordinates(config.side)
     ell_t = roofcalc.locus_coordinates(config.tilde_side)
-    sol = isotropic_pair_solve([list(r) for r in lat.gram], ell, bound)
-    sol_t = isotropic_pair_solve([list(r) for r in lat_t.gram], ell_t, bound)
+    sol = isotropic_pair_solve(lat.gram, ell, bound)
+    sol_t = isotropic_pair_solve(lat_t.gram, ell_t, bound)
 
     theta_v = roofcalc.class_from_coordinates(lat, sol.a)
     image = roofcalc.switch_side(config, theta_v)

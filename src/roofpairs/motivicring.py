@@ -25,6 +25,8 @@ from math import prod
 from operator import add
 from typing import Mapping
 
+from .gradedring import signed_sum
+
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 
@@ -40,6 +42,13 @@ def _integer(x, what: str) -> int:
     if n is None or n != x:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return n
+
+
+def _symbol(name: str) -> int:
+    """Position of ``name`` in SYMBOLS; ValueError for an unknown symbol."""
+    if name not in _INDEX:
+        raise ValueError(f"unknown symbol {name!r}; choose from {SYMBOLS}")
+    return _INDEX[name]
 
 
 class MotivicPoly:
@@ -76,10 +85,8 @@ class MotivicPoly:
 
     @classmethod
     def var(cls, name: str) -> "MotivicPoly":
-        if name not in _INDEX:
-            raise ValueError(f"unknown symbol {name!r}; choose from {SYMBOLS}")
-        mono = tuple(int(i == _INDEX[name]) for i in range(len(SYMBOLS)))
-        return cls({mono: 1})
+        k = _symbol(name)
+        return cls({tuple(int(i == k) for i in range(len(SYMBOLS))): 1})
 
     @classmethod
     def const(cls, c: int) -> "MotivicPoly":
@@ -136,6 +143,7 @@ class MotivicPoly:
 
     def __pow__(self, e: int):
         """Square-and-multiply power."""
+        e = _integer(e, "exponent")
         if e < 0:
             raise ValueError("negative powers are not in the ring")
         out, base = MotivicPoly.const(1), self
@@ -168,7 +176,7 @@ class MotivicPoly:
         symbols form one group: the group, with those exponents zeroed, is
         multiplied once by the product of the images' powers.
         """
-        assigned = [(i, assignments[s]) for i, s in enumerate(SYMBOLS) if s in assignments]
+        assigned = sorted(((_symbol(s), image) for s, image in assignments.items()), key=lambda p: p[0])
         groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for mono, c in self.coeffs.items():
             rest = list(mono)
@@ -188,25 +196,10 @@ class MotivicPoly:
         return sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_items():
-            body = "*".join(
-                s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, mono) if e
-            )
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return signed_sum(
+            (c, "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, mono) if e))
+            for mono, c in self.sorted_items()
+        )
 
     def __repr__(self):
         return f"MotivicPoly({self})"

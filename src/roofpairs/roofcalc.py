@@ -28,7 +28,9 @@ from .gradedring import (
     IntegralityError,
     RingPresentation,
     integrate,
+    signed_sum,
 )
+from .latticecore import _solve_rational
 
 
 class RoofError(ValueError):
@@ -199,32 +201,21 @@ class BundleClass:
                 and all(a == b for a, b in zip(self.parts, other.parts)))
 
     def __str__(self):
-        terms = []
-        for i in range(self.side.rank - 1, -1, -1):
-            p = self.parts[i]
-            if p.is_zero:
-                continue
-            xi = "" if i == 0 else ("xi" if i == 1 else f"xi^{i}")
-            for label, c in p.sorted_items():
-                body = label if label != p.ring.unit_label else ""
-                stem = "*".join(x for x in (body, xi) if x) or "1"
-                if c == 1 and stem != "1":
-                    terms.append(stem)
-                elif c == -1 and stem != "1":
-                    terms.append(f"-{stem}")
-                elif stem == "1":
-                    terms.append(str(c))
-                else:
-                    terms.append(f"{c}*{stem}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_sum(
+            (c, monomial_name(self.side, label, i))
+            for i in range(self.side.rank - 1, -1, -1)
+            for label, c in self.parts[i].sorted_items()
+        )
 
     def __repr__(self):
         return f"<{self} : codim {self.degree} on {self.side.name}>"
+
+
+def monomial_name(side: RoofSide, label: str, e: int) -> str:
+    """``label*xi^e`` without the unit label or ``xi^0``; "" for 1."""
+    xi = "" if e == 0 else ("xi" if e == 1 else f"xi^{e}")
+    base = "" if label == side.base.unit_label else label
+    return "*".join(p for p in (base, xi) if p)
 
 
 def zero_class(side: RoofSide, degree: int) -> BundleClass:
@@ -332,7 +323,7 @@ class MiddleLattice:
         return len(self.monomials)
 
     def determinant(self) -> int:
-        return latticecore.det([list(r) for r in self.gram])
+        return latticecore.det(self.gram)
 
 
 def middle_lattice(side: RoofSide) -> MiddleLattice:
@@ -472,7 +463,7 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
         for i, (_, e) in enumerate(lat.monomials)
         if e <= side.rank - 2
     ]
-    kernel = latticecore.orthogonal_kernel([list(r) for r in lat.gram], sub)
+    kernel = latticecore.orthogonal_kernel(lat.gram, sub)
     if len(kernel) != 1:
         raise UnexpectedRankError(
             f"orthogonal complement of the pullback sublattice has rank {len(kernel)}, expected 1")
@@ -522,27 +513,6 @@ def _l_xi_monomials(side: RoofSide, d: int) -> list[tuple[tuple[int, int], Bundl
             continue
         out.append(((d - q, q), reduce(side, {q: base}, degree=d)))
     return out
-
-
-def _solve_rational(columns: list[list[Fraction]], target: list[Fraction]):
-    """Particular solution (free variables zero) and kernel basis of A x = b."""
-    ncols = len(columns)
-    a = latticecore._augmented(columns, target)
-    pivots, d, _ = latticecore._bareiss(a, ncols)
-    if any(row[ncols] for row in a[len(pivots):]):
-        return None
-    solution = [Fraction(0)] * ncols
-    for row, c in zip(a, pivots):
-        solution[c] = Fraction(row[ncols], d)
-    kernel = []
-    for c in range(ncols):
-        if c not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[c] = Fraction(1)
-            for row, pc in zip(a, pivots):
-                vec[pc] = Fraction(-row[c], d)
-            kernel.append(vec)
-    return solution, kernel
 
 
 def _lift_to_l_xi(side: RoofSide, a: BundleClass):

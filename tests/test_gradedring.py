@@ -336,3 +336,40 @@ class TestValidationOncePerTable:
         assert str(b.l_power(2) * b.l_power(1)) == "2*Pi"
         with pytest.raises(IncompatibleRingError):
             a.l_power(1) * b.l_power(1)
+
+
+class TestTableEntriesAreChecked:
+    """Every listed table entry is checked, including those the implicit rules would hide."""
+
+    @staticmethod
+    def _ring(extra):
+        basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("h", 1), ("p", 2))]
+        return gradedring.RingPresentation("T2", 2, basis, "p", {("h", "h"): {"p": 1}, **extra})
+
+    def test_entry_beyond_top_degree_rejected(self):
+        with pytest.raises(GradedRingError, match=r"h\*p exceeds top degree but is nonzero"):
+            self._ring({("h", "p"): {"p": 7}})
+
+    def test_empty_entry_beyond_top_degree_accepted(self):
+        ring = self._ring({("h", "p"): {}})
+        assert ring.basis_product("h", "p") == {}
+
+    @pytest.mark.parametrize("entry", [("1", "h"), ("h", "1")])
+    def test_entry_on_the_unit_rejected(self, entry):
+        with pytest.raises(GradedRingError, match="products with the unit are implicit"):
+            self._ring({entry: {"h": 1}})
+
+    @pytest.mark.parametrize("entry, combo, label", [
+        (("h", "q"), {"p": 1}, "q"),
+        (("q", "h"), {"p": 1}, "q"),
+        (("h", "h2"), {}, "h2"),
+        (("p", "h"), {"pt": 1}, "pt"),
+    ])
+    def test_unknown_label_rejected(self, entry, combo, label):
+        with pytest.raises(GradedRingError, match=f"names unknown label {label!r}"):
+            self._ring({entry: combo})
+
+    def test_quadric_rings_still_construct(self):
+        for n in range(2, 13):
+            ring = make_quadric_ring(n)
+            assert integrate(ring.l_power(n)) == 2

@@ -262,3 +262,28 @@ def test_closed_form_residual_to_rank_300():
 def test_closed_form_residual_rejects_rank_one():
     with pytest.raises(InvalidRankError):
         motivicring.residual_closed_form(1)
+
+
+# ---------------------------------------------------------------------------
+# unknown symbols and non-int exponents at the public boundary
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["y", "Lambda", ""])
+def test_substitute_rejects_unknown_symbol_like_var(name):
+    with pytest.raises(ValueError) as from_var:
+        MotivicPoly.var(name)
+    with pytest.raises(ValueError) as from_substitute:
+        Y.substitute({"Y": L, name: L})
+    assert str(from_substitute.value) == str(from_var.value)
+    assert f"unknown symbol {name!r}" in str(from_var.value)
+
+
+def test_integral_float_exponent_is_accepted():
+    assert Y ** 2.0 == Y ** 2
+    assert (1 + L) ** Fraction(6, 2) == (1 + L) ** 3
+
+
+@pytest.mark.parametrize("e", [1.5, Fraction(1, 2), float("nan"), "2"])
+def test_non_integral_exponent_raises_value_error(e):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        Y ** e
