@@ -6,63 +6,67 @@ sections, pushforward locus classes, side switching, residue scans),
 integer-lattice algorithms (Smith normal form, discriminant groups,
 isotropic pairs, the Fourier-Mukai vector), Borel-Weil-Bott cohomology of
 homogeneous bundles, and Grothendieck-ring fibration identities.
+
+The modules form layers; each imports only modules listed before it:
+
+- ``errors``: the exception roots the CLI reports, with no dependencies;
+- ``gradedring`` (quadric rings), ``bwbcoh`` (Borel-Weil-Bott tables) and
+  ``latticecore`` (the exact integer kernel): ``errors`` only, except that
+  ``latticecore``'s Mukai pipeline imports ``roofcalc`` when it runs;
+- ``motivicring`` (Grothendieck ring): ``gradedring``, for its signed-sum
+  renderer;
+- ``roofcalc`` (the roof engine), then ``configs`` (configurations);
+- ``checks`` (the golden checks), which uses all of them;
+- ``cli``, which imports ``errors`` and, inside each command, only the
+  modules that command runs.
+
+Importing the package imports none of them.  ``__all__`` is the declared
+public surface: each of its names is loaded from its home module on first
+access, so ``from roofpairs import smith_normal_form`` imports
+``latticecore`` and nothing that builds on it.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .gradedring import (  # noqa: F401
-    BasisElement,
-    ChernVector,
-    GradedClass,
-    RingPresentation,
-    chern_twist,
-    integrate,
-    make_quadric_ring,
-    multiply,
-    validate_mukai_pair,
-)
-from .roofcalc import (  # noqa: F401
-    BundleClass,
-    MiddleLattice,
-    ResidueScan,
-    RoofConfig,
-    RoofSide,
-    build_side_from_chern,
-    cayley_rank_decomposition,
-    cy_degree,
-    locus_pushforward_class,
-    middle_lattice,
-    pairing_on_M,
-    polarized_sign_check,
-    pushforward_to_base,
-    reduce,
-    residue_scan,
-    switch_side,
-)
-from .latticecore import (  # noqa: F401
-    DiscriminantGroup,
-    MukaiSolution,
-    SmithDecomposition,
-    discriminant_group,
-    isotropic_pair_solve,
-    mukai_vector,
-    orthogonal_kernel,
-    smith_normal_form,
-)
-from .bwbcoh import (  # noqa: F401
-    RootSystem,
-    bundle_cohomology,
-    dominant_conjugate,
-    euler_characteristic,
-    les_solve,
-    rho,
-    vanishing_case,
-    weyl_dimension,
-)
-from .motivicring import (  # noqa: F401
-    MotivicPoly,
-    fibration_class,
-    l_equivalence_residual,
-    proj_class,
-)
-from .configs import builtin_config, load_config  # noqa: F401
+# public name -> home module; loaded on first access (PEP 562)
+_HOMES = {
+    **dict.fromkeys((
+        "BWBError", "ConfigError", "GradedRingError", "LatticeError", "RoofError",
+        "UnsupportedBundleError",
+    ), "errors"),
+    **dict.fromkeys((
+        "BasisElement", "ChernVector", "GradedClass", "RingPresentation", "chern_twist",
+        "integrate", "make_quadric_ring", "multiply", "validate_mukai_pair",
+    ), "gradedring"),
+    **dict.fromkeys((
+        "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide",
+        "build_side_from_chern", "cayley_rank_decomposition", "cy_degree",
+        "locus_pushforward_class", "middle_lattice", "pairing_on_M", "polarized_sign_check",
+        "pushforward_to_base", "reduce", "residue_scan", "switch_side",
+    ), "roofcalc"),
+    **dict.fromkeys((
+        "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",
+        "isotropic_pair_solve", "mukai_vector", "orthogonal_kernel", "smith_normal_form",
+    ), "latticecore"),
+    **dict.fromkeys((
+        "RootSystem", "bundle_cohomology", "dominant_conjugate", "euler_characteristic",
+        "les_solve", "rho", "vanishing_case", "weyl_dimension",
+    ), "bwbcoh"),
+    **dict.fromkeys((
+        "MotivicPoly", "fibration_class", "l_equivalence_residual", "proj_class",
+    ), "motivicring"),
+    **dict.fromkeys(("builtin_config", "load_config"), "configs"),
+}
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups are plain attribute reads
+    return value

@@ -28,16 +28,10 @@ from functools import lru_cache
 from math import prod
 from typing import Mapping, Optional, Sequence
 
+from .errors import BWBError, UnsupportedBundleError
+
 Weight = tuple[Fraction, ...]
 CohomologyTable = dict[int, int]
-
-
-class BWBError(ValueError):
-    """Base class for cohomology-engine errors."""
-
-
-class UnsupportedBundleError(BWBError):
-    """Descriptor outside the weight dictionary."""
 
 
 class NonDominantError(BWBError):

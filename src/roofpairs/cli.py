@@ -16,6 +16,9 @@ runs); numbers are exact integers, rationals are rendered as "p/q".
 
 Exit codes: 0 success, 1 verification/pipeline failure, 2 usage or
 configuration error.
+
+Each command imports only the modules it runs, inside its handler; at
+import time this module loads nothing of the package but ``errors``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from . import __version__, bwbcoh, latticecore, roofcalc
-from .checks import run_all
-from .configs import ConfigError, builtin_names, resolve_config
-from .gradedring import GradedRingError
-from .roofcalc import RoofError
+from . import __version__
+from .errors import BWBError, ConfigError, GradedRingError, LatticeError, RoofError, UnsupportedBundleError
+
+if TYPE_CHECKING:
+    from .roofcalc import RoofConfig, RoofSide
+
+# configs.builtin_names(), written out so that building the parser loads no configuration code
+BUILTIN_NAMES = ("d4", "g2dagger")
 
 
 def jsonable(x: Any) -> Any:
@@ -47,10 +53,18 @@ def jsonable(x: Any) -> Any:
     return str(x)
 
 
-def _side_report(side: roofcalc.RoofSide) -> dict:
+def _config(name: str, path: Optional[str]) -> RoofConfig:
+    from .configs import resolve_config
+
+    return resolve_config(name, path)
+
+
+def _side_report(side: RoofSide) -> dict:
+    from . import latticecore, roofcalc
+
     lat = roofcalc.middle_lattice(side)
     gram = [list(r) for r in lat.gram]
-    snf = latticecore.smith_normal_form(gram)
+    snf = latticecore.smith_normal_form(gram)  # one decomposition for the factors and the group
     locus = roofcalc._locus_class(lat)
     coords = roofcalc.coordinates_in_lattice(lat, locus)
     h, idx = side.base.hyperplane, side.base.fano_index
@@ -65,7 +79,7 @@ def _side_report(side: roofcalc.RoofSide) -> dict:
         "gram": gram,
         "gram_determinant": lat.determinant(),
         "smith_factors": list(snf.invariant_factors),
-        "discriminant_group": str(latticecore.discriminant_group(gram)),
+        "discriminant_group": str(latticecore._discriminant_from_smith(snf)),
         "zero_locus_degree": roofcalc.cy_degree(side),
         "locus_class": str(locus),
         "locus_coordinates": [int(c) for c in coords],
@@ -85,6 +99,8 @@ def cmd_describe(cfg) -> dict:
 
 
 def cmd_lemma7(cfg) -> dict:
+    from . import roofcalc
+
     # the steps of roofcalc.residue_scan, each lattice and class built once
     stage = "middle lattice"
     try:
@@ -99,7 +115,7 @@ def cmd_lemma7(cfg) -> dict:
         j = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, switched))
         jt = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, locus_t))
         scan = roofcalc._scan_coordinates(cfg, j, jt)
-    except (RoofError, GradedRingError, latticecore.LatticeError) as exc:
+    except (RoofError, GradedRingError, LatticeError) as exc:
         raise type(exc)(f"stage '{stage}' failed: {exc}") from exc
 
     def witness_entry(k: int, coords) -> dict:
@@ -135,6 +151,8 @@ def cmd_lemma7(cfg) -> dict:
 
 
 def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) -> dict:
+    from . import bwbcoh
+
     if case is not None:
         table = bwbcoh.vanishing_case(case)
         return {
@@ -155,6 +173,8 @@ def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) ->
 
 
 def cmd_mukai(cfg, bound: int) -> dict:
+    from . import latticecore, roofcalc
+
     run = latticecore._mukai_pipeline(cfg, bound)
     lat, sol = run.lattice, run.solution
     return {
@@ -188,6 +208,8 @@ def cmd_motivic(rank: Optional[int]) -> dict:
 
 
 def cmd_verify_all(corrupt: bool, bound: int) -> dict:
+    from .checks import run_all
+
     checks = run_all(corrupt=corrupt, bound=bound)
     return {
         "command": "verify-all",
@@ -319,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_args(sp):
         sp.add_argument("name", nargs="?", default="",
-                        help=f"built-in configuration ({', '.join(builtin_names())})")
+                        help=f"built-in configuration ({', '.join(BUILTIN_NAMES)})")
         sp.add_argument("--config", metavar="PATH", help="load a configuration file instead")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
 
@@ -356,10 +378,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "describe":
-            cfg = resolve_config(args.name, args.config)
+            cfg = _config(args.name, args.config)
             emit(cmd_describe(cfg), args.json)
         elif args.command == "lemma7":
-            cfg = resolve_config(args.name, args.config)
+            cfg = _config(args.name, args.config)
             emit(cmd_lemma7(cfg), args.json)
         elif args.command == "bwb":
             if args.case is None and (args.dim is None or args.bundle is None):
@@ -368,7 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 parser.error("bwb takes DIM BUNDLE [TWIST] or --case, not both")
             emit(cmd_bwb(args.dim, args.bundle, args.twist, args.case), args.json)
         elif args.command == "mukai":
-            cfg = resolve_config(args.name, args.config)
+            cfg = _config(args.name, args.config)
             emit(cmd_mukai(cfg, args.bound), args.json)
         elif args.command == "motivic":
             report = cmd_motivic(args.rank)
@@ -380,10 +402,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             emit(report, args.json)
             if not report["passed"]:
                 return 1
-    except (ConfigError, bwbcoh.UnsupportedBundleError) as exc:
+    except (ConfigError, UnsupportedBundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RoofError, GradedRingError, latticecore.LatticeError, bwbcoh.BWBError, OSError) as exc:
+    except (RoofError, GradedRingError, LatticeError, BWBError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -31,12 +31,9 @@ from __future__ import annotations
 import json
 from typing import Mapping, Optional
 
+from .errors import ConfigError
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
 from .roofcalc import RoofConfig, RoofSide, build_side_from_chern
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration data."""
 
 
 BUILTIN_CONFIGS: dict[str, dict] = {

@@ -30,9 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-
-class GradedRingError(ValueError):
-    """Base class for graded-ring construction and arithmetic errors."""
+from .errors import GradedRingError
 
 
 class InvalidDimensionError(GradedRingError):
@@ -150,7 +148,12 @@ class RingPresentation:
             if self.unit_label in (x, y):
                 raise GradedRingError(
                     f"multiplication table of {name!r} lists {x!r} * {y!r}; products with the unit are implicit")
-            self._table[self._key(x, y)] = {k: int(v) for k, v in combo.items() if v}
+            product = {k: int(v) for k, v in combo.items() if v}
+            # a pair already present was listed in the other order
+            if self._table.setdefault(self._key(x, y), product) != product:
+                raise GradedRingError(
+                    f"multiplication table of {name!r} lists {y!r} * {x!r} and {x!r} * {y!r} "
+                    "with different products")
 
         self._validate_table()
 

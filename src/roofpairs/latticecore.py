@@ -24,15 +24,13 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .errors import LatticeError
+
 if TYPE_CHECKING:
     from . import roofcalc
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
-
-
-class LatticeError(ValueError):
-    """Base class for lattice-side errors."""
 
 
 class DegenerateLatticeError(LatticeError):
@@ -248,13 +246,17 @@ def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
         raise LatticeError("gram matrix must be symmetric")
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
-    snf = smith_normal_form(gram)
+    return _discriminant_from_smith(smith_normal_form(gram))
+
+
+def _discriminant_from_smith(snf: SmithDecomposition) -> DiscriminantGroup:
+    """The discriminant group read off the Smith decomposition of a nonsingular gram matrix."""
     u_inv = unimodular_inverse(snf.U)
     factors, gens = [], []
     for i, d in enumerate(snf.invariant_factors):
         if d > 1:
             factors.append(d)
-            gens.append(tuple(u_inv[r][i] for r in range(n)))
+            gens.append(tuple(row[i] for row in u_inv))
     return DiscriminantGroup(tuple(factors), tuple(gens))
 
 

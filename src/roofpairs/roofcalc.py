@@ -22,6 +22,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from . import latticecore
+from .errors import RoofError
 from .gradedring import (
     ChernVector,
     GradedClass,
@@ -31,10 +32,6 @@ from .gradedring import (
     signed_sum,
 )
 from .latticecore import _solve_rational
-
-
-class RoofError(ValueError):
-    """Base class for roof-side errors."""
 
 
 class InvalidRoofError(RoofError):

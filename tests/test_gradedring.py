@@ -369,6 +369,21 @@ class TestTableEntriesAreChecked:
         with pytest.raises(GradedRingError, match=f"names unknown label {label!r}"):
             self._ring({entry: combo})
 
+    @staticmethod
+    def _two_generator_table(extra):
+        basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("h", 1), ("k", 1), ("p", 2))]
+        table = {("h", "h"): {}, ("k", "k"): {}, ("h", "k"): {"p": 1}, **extra}
+        return gradedring.RingPresentation("T2hk", 2, basis, "p", table)
+
+    def test_conflicting_entries_for_one_pair_rejected(self):
+        with pytest.raises(GradedRingError,
+                           match=r"lists 'h' \* 'k' and 'k' \* 'h' with different products"):
+            self._two_generator_table({("k", "h"): {"p": 5}})
+
+    def test_identical_entries_for_one_pair_accepted(self):
+        ring = self._two_generator_table({("k", "h"): {"p": 1, "h": 0}})
+        assert ring.basis_product("k", "h") == ring.basis_product("h", "k") == {"p": 1}
+
     def test_quadric_rings_still_construct(self):
         for n in range(2, 13):
             ring = make_quadric_ring(n)

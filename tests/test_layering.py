@@ -1,0 +1,106 @@
+"""The package imports lazily: each CLI command loads only the modules it runs,
+while every public name stays importable from ``roofpairs``."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import roofpairs
+from roofpairs import cli, configs, errors
+
+# the public names of the package, with their home modules, as they were when
+# the package still imported every module eagerly
+EXPORTED = {
+    **dict.fromkeys((
+        "BasisElement", "ChernVector", "GradedClass", "RingPresentation", "chern_twist",
+        "integrate", "make_quadric_ring", "multiply", "validate_mukai_pair",
+    ), "gradedring"),
+    **dict.fromkeys((
+        "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide",
+        "build_side_from_chern", "cayley_rank_decomposition", "cy_degree",
+        "locus_pushforward_class", "middle_lattice", "pairing_on_M", "polarized_sign_check",
+        "pushforward_to_base", "reduce", "residue_scan", "switch_side",
+    ), "roofcalc"),
+    **dict.fromkeys((
+        "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",
+        "isotropic_pair_solve", "mukai_vector", "orthogonal_kernel", "smith_normal_form",
+    ), "latticecore"),
+    **dict.fromkeys((
+        "RootSystem", "bundle_cohomology", "dominant_conjugate", "euler_characteristic",
+        "les_solve", "rho", "vanishing_case", "weyl_dimension",
+    ), "bwbcoh"),
+    **dict.fromkeys(("MotivicPoly", "fibration_class", "l_equivalence_residual", "proj_class"),
+                    "motivicring"),
+    **dict.fromkeys(("builtin_config", "load_config"), "configs"),
+}
+
+ERROR_HOMES = {
+    "ConfigError": "configs",
+    "GradedRingError": "gradedring",
+    "RoofError": "roofcalc",
+    "LatticeError": "latticecore",
+    "BWBError": "bwbcoh",
+    "UnsupportedBundleError": "bwbcoh",
+}
+
+# Runs one command through cli.main and reports, as the last line of stderr,
+# which roofpairs modules the process loaded.
+PROBE = """\
+import json, sys
+from roofpairs.cli import main
+code = 1
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("roofpairs"))), file=sys.stderr)
+sys.exit(code)
+"""
+
+NOT_LOADED = {"roofpairs.roofcalc", "roofpairs.latticecore", "roofpairs.checks", "roofpairs.configs"}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["bwb", "5", "G", "1", "--json"], ["motivic", "--json"]],
+                         ids=" ".join)
+def test_command_loads_only_what_it_runs(argv):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "roofpairs.cli" in loaded
+    assert not loaded & NOT_LOADED
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_every_public_name_still_imports(name):
+    namespace = {}
+    exec(f"from roofpairs import {name}", namespace)
+    home = importlib.import_module(f"roofpairs.{EXPORTED[name]}")
+    assert namespace[name] is getattr(home, name)
+
+
+def test_star_import_gives_the_declared_surface():
+    namespace = {}
+    exec("from roofpairs import *", namespace)
+    assert set(EXPORTED) | set(ERROR_HOMES) <= set(roofpairs.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        roofpairs.no_such_name
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_HOMES))
+def test_error_roots_live_in_errors(name):
+    cls = getattr(errors, name)
+    home = importlib.import_module(f"roofpairs.{ERROR_HOMES[name]}")
+    assert getattr(home, name) is cls
+    assert getattr(roofpairs, name) is cls
+    assert cls.__module__ == "roofpairs.errors"
+
+
+def test_parser_names_the_builtin_configurations():
+    assert cli.BUILTIN_NAMES == configs.builtin_names()

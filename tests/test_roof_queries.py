@@ -250,3 +250,14 @@ def test_one_middle_lattice_per_side(command, cfg, count_calls):
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     assert counts["roofcalc.middle_lattice"] <= 2
     assert counts["roofcalc.switch_side"] <= 1
+
+
+def test_describe_decomposes_each_gram_matrix_once(g2, count_calls):
+    # the report's Smith factors and discriminant group share one decomposition per
+    # side; the locus class adds one more (its orthogonal kernel).  Decomposing for
+    # each report field separately made 6 Smith and 18 det calls here.
+    counts = count_calls("latticecore.smith_normal_form", "latticecore.det")
+    report = cmd_describe(g2)
+    assert [s["discriminant_group"] for s in report["sides"]] == ["Z/12", "Z/12"]
+    assert counts["latticecore.smith_normal_form"] <= 4
+    assert counts["latticecore.det"] <= 12
