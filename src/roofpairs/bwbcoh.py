@@ -81,10 +81,15 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
 
-def quadric_root_system(n: int) -> RootSystem:
-    """Root system of the symmetry group of the n-dimensional quadric."""
+def _check_dimension(n: int) -> None:
+    """The one rule for every entry point: the engine covers quadrics of dimension 3 and up."""
     if n < 3:
         raise BWBError("quadric dimension must be at least 3 for the cohomology engine")
+
+
+def quadric_root_system(n: int) -> RootSystem:
+    """Root system of the symmetry group of the n-dimensional quadric."""
+    _check_dimension(n)
     return RootSystem("B", (n + 1) // 2) if n % 2 else RootSystem("D", (n + 2) // 2)
 
 
@@ -218,7 +223,7 @@ def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
     trivial summand under the symplectic form of the small spin
     representation), which the dictionary records as a two-term sum.
     """
-    m = n // 2 + 1  # quadric_root_system(n).rank; the names are listed for every n
+    m = n // 2 + 1  # quadric_root_system(n).rank
     half = (1,) * (m - 1)
     if n % 2 == 0:
         return {"O": ((0,) * m,), "Splus": ((-1,) + half,), "Sminus": ((-1,) + half[1:] + (-1,),),
@@ -231,6 +236,7 @@ def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
 
 
 def dictionary_names(n: int) -> tuple[str, ...]:
+    _check_dimension(n)
     return tuple(_dictionary(n))
 
 

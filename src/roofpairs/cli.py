@@ -79,7 +79,7 @@ def _side_report(side: RoofSide) -> dict:
         "gram": gram,
         "gram_determinant": lat.determinant(),
         "smith_factors": list(snf.invariant_factors),
-        "discriminant_group": str(latticecore._discriminant_from_smith(snf)),
+        "discriminant_group": str(latticecore._discriminant_from_smith(gram, snf)),
         "zero_locus_degree": roofcalc.cy_degree(side),
         "locus_class": str(locus),
         "locus_coordinates": [int(c) for c in coords],

@@ -148,7 +148,15 @@ class RingPresentation:
             if self.unit_label in (x, y):
                 raise GradedRingError(
                     f"multiplication table of {name!r} lists {x!r} * {y!r}; products with the unit are implicit")
-            product = {k: int(v) for k, v in combo.items() if v}
+            product = {}
+            for k, v in combo.items():
+                c = _exact(v) if isinstance(v, (int, Fraction)) else None
+                if type(c) is not int:
+                    raise GradedRingError(
+                        f"multiplication table of {name!r} gives {x!r} * {y!r} the coefficient {v!r} "
+                        f"on {k!r}, not an integer")
+                if c:
+                    product[k] = c
             # a pair already present was listed in the other order
             if self._table.setdefault(self._key(x, y), product) != product:
                 raise GradedRingError(

@@ -9,8 +9,12 @@ extracts the Fourier-Mukai vector of a roof configuration.
 Determinants, unimodular inverses and the one exact linear solve
 (``_solve_rational``, which ``roofcalc``'s side switch also uses) all run on
 one fraction-free Bareiss elimination over the integers; rational systems
-have their denominators cleared per row first.  Smith normal form runs its
-elimination on one bordered matrix that carries both transforms.
+have their denominators cleared per row first.  ``det`` runs it forward
+only, updating just the rows below each pivot; the inverse and the solve
+run the full Gauss-Jordan pass.  Smith normal form runs its elimination on
+one bordered matrix that carries both transforms.  Discriminant-group
+generators are read off M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i),
+so no inverse of U is formed.
 
 Matrices are sequences (lists or tuples) of rows of Python ints; a function
 that eliminates in place copies its input first.  Everything is exact.
@@ -58,17 +62,22 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def _bareiss(a: Matrix, ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of the first ``ncols`` columns, in place.
+def _bareiss(a: Matrix, ncols: int, jordan: bool = True) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of the first ``ncols`` columns, in place.
 
     One-step Bareiss (1968): every update is divided exactly by the previous
     pivot, so every entry stays an integer (a minor of the input).  The pivot
     of a column is its first nonzero entry at or below the current row;
     columns without one are skipped.  Returns ``(pivots, d, sign)``: the pivot
-    columns, the last pivot ``d`` and the sign of the row permutation.  On
-    return the pivot rows come first and are ``d`` times the reduced row
-    echelon form; the other rows are zero in the first ``ncols`` columns.
-    For a square ``a`` with ``ncols`` pivots, ``sign * d`` is its determinant.
+    columns, the last pivot ``d`` and the sign of the row permutation.  For a
+    square ``a`` with ``ncols`` pivots, ``sign * d`` is its determinant.
+
+    With ``jordan`` (Gauss-Jordan) every other row is updated, so on return
+    the pivot rows come first and are ``d`` times the reduced row echelon
+    form; the other rows are zero in the first ``ncols`` columns.  Without
+    it only the rows below each pivot are updated: the rows at and below the
+    current one, hence the pivots, ``d`` and the sign, are the same, and the
+    rows above are left as they were when they became pivot rows.
     """
     pivots: list[int] = []
     sign, prev = 1, 1
@@ -82,8 +91,9 @@ def _bareiss(a: Matrix, ncols: int) -> tuple[list[int], int, int]:
             sign = -sign
         top = a[r]
         p = top[c]
-        for i, row in enumerate(a):
+        for i in range(0 if jordan else r + 1, len(a)):
             if i != r:
+                row = a[i]
                 f = row[c]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
@@ -92,9 +102,9 @@ def _bareiss(a: Matrix, ncols: int) -> tuple[list[int], int, int]:
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination over the integers."""
+    """Determinant by fraction-free (Bareiss) forward elimination over the integers."""
     n = len(m)
-    pivots, d, sign = _bareiss([list(row) for row in m], n)
+    pivots, d, sign = _bareiss([list(row) for row in m], n, jordan=False)
     return sign * d if len(pivots) == n else 0
 
 
@@ -139,15 +149,21 @@ class SmithDecomposition:
 
 
 def _pivot(a: Matrix, t: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
-    """Smallest nonzero absolute value in a[t:rows][t:cols], (row, col) tie-break."""
-    best = None
+    """Smallest nonzero absolute value in a[t:rows][t:cols], (row, col) tie-break.
+
+    The scan is row-major and keeps the first of equal values, so it may stop
+    at the first entry of absolute value 1.
+    """
+    best, loc = 0, None
     for i in range(t, rows):
+        row = a[i]
         for j in range(t, cols):
-            if a[i][j] != 0:
-                key = (abs(a[i][j]), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+            x = abs(row[j])
+            if x and (x < best or not best):
+                if x == 1:
+                    return i, j
+                best, loc = x, (i, j)
+    return loc
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
@@ -168,8 +184,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
         loc = _pivot(a, t, rows, cols)
         if loc is None:
             break
+        # rows a[:t] are finished: zero in every column of M from t on
         a[t], a[loc[0]] = a[loc[0]], a[t]
-        for r in a:
+        for r in a[t:]:
             r[t], r[loc[1]] = r[loc[1]], r[t]
         # one reduction pass; any surviving remainder is strictly smaller than
         # the pivot, so re-pivoting makes the pivot magnitude descend
@@ -179,10 +196,11 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
                 q = a[i][t] // a[t][t]
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 incomplete = incomplete or a[i][t] != 0
+        live = a[t:]  # the row pass above rebinds rows, so slice after it
         for j in range(t + 1, cols):
             if a[t][j] != 0:
                 q = a[t][j] // a[t][t]
-                for r in a:
+                for r in live:
                     r[j] -= q * r[t]
                 incomplete = incomplete or a[t][j] != 0
         if incomplete:
@@ -246,17 +264,25 @@ def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
         raise LatticeError("gram matrix must be symmetric")
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
-    return _discriminant_from_smith(smith_normal_form(gram))
+    return _discriminant_from_smith(gram, smith_normal_form(gram))
 
 
-def _discriminant_from_smith(snf: SmithDecomposition) -> DiscriminantGroup:
-    """The discriminant group read off the Smith decomposition of a nonsingular gram matrix."""
-    u_inv = unimodular_inverse(snf.U)
+def _discriminant_from_smith(
+    gram: Sequence[Sequence[int]], snf: SmithDecomposition
+) -> DiscriminantGroup:
+    """The discriminant group read off the Smith decomposition of a nonsingular gram matrix.
+
+    The generator of the factor d_i is column i of U^-1.  From U * M * V = D
+    that column is M * V[:, i] / d_i, so no inverse is formed.
+    """
     factors, gens = [], []
     for i, d in enumerate(snf.invariant_factors):
         if d > 1:
+            image = mat_vec(gram, [row[i] for row in snf.V])
+            if any(x % d for x in image):
+                raise InconsistencyError("internal error: M * V is not divisible by the Smith factors")
             factors.append(d)
-            gens.append(tuple(row[i] for row in u_inv))
+            gens.append(tuple(x // d for x in image))
     return DiscriminantGroup(tuple(factors), tuple(gens))
 
 

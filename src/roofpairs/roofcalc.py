@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 from typing import Mapping, Optional, Sequence
 
 from . import latticecore
@@ -631,20 +631,49 @@ class ResidueScan:
         )
 
 
+def _residue_class(j, jt, d: int) -> Optional[tuple[int, int]]:
+    """(k0, m) such that d divides j - k*j~ exactly when k = k0 (mod m), or None.
+
+    Each coordinate is the linear congruence k*j~_i = j_i (mod d).  It is
+    solvable iff g = gcd(j~_i, d) divides j_i, and then fixes k modulo d/g.
+    The congruences combine by the generalised Chinese remainder theorem, so
+    m divides d and 0 <= k0 < m.
+    """
+    k0, m = 0, 1
+    for b, a in zip(j, jt):
+        g = gcd(a, d)
+        if b % g:
+            return None
+        n = d // g
+        r = b // g * pow(a // g, -1, n) % n
+        h = gcd(m, n)
+        if (r - k0) % h:
+            return None
+        k0 += m * ((r - k0) // h * pow(m // h, -1, n // h) % (n // h))
+        m = m // h * n
+    return k0, m
+
+
 def _divisibility_scan(j, jt, d):
-    residues, witnesses = [], []
-    for k in range(d):
-        for rep in (k, k - d) if k or d == 1 else (0,):
-            diff = [j[i] - rep * jt[i] for i in range(len(j))]
-            if all(x % d == 0 for x in diff):
-                if k not in residues:
-                    residues.append(k)
-                witnesses.append((rep, tuple(x // d for x in diff)))
-    return tuple(residues), tuple(witnesses)
+    """The residues k in 0..d-1 with d | j - k*j~, ascending, and their witnesses.
+
+    Each residue k > 0 has the witnesses (k, (j - k*j~)/d) and
+    (k - d, (j - (k - d)*j~)/d), in that order; the residue 0 has only the
+    representative 0, except when d = 1, where it has 0 and -1.
+    """
+    cls = _residue_class(j, jt, d) if d > 0 else None
+    if cls is None:
+        return (), ()
+    residues = tuple(range(cls[0], d, cls[1]))
+    witnesses = tuple(
+        (rep, tuple((x - rep * y) // d for x, y in zip(j, jt)))
+        for k in residues for rep in ((k, k - d) if k or d == 1 else (0,))
+    )
+    return residues, witnesses
 
 
 def residue_scan(config: RoofConfig) -> ResidueScan:
-    """Scan k = 0..d-1 for integrality of (j - k*j~)/d in the tilde middle lattice.
+    """The k in 0..d-1 with (j - k*j~)/d integral in the tilde middle lattice.
 
     j is the side locus class carried across the roof, j~ the tilde side's
     own locus class; d is the polarization degree.  The isomorphism of

@@ -1,6 +1,7 @@
 """The doubled-integer dictionary and the one-pass sequence solver against reference
 implementations written directly in Fraction weights and in two passes."""
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -100,15 +101,15 @@ def test_dictionary_matches_fraction_reference(n):
             assert list(table) == sorted(table)
 
 
-def test_small_quadrics_keep_their_names():
-    # the names are listed for every n; the engine itself refuses n < 3
-    assert dictionary_names(2) == REF_NAMES["even"]
-    assert dictionary_names(1) == REF_NAMES["odd"]
-    with pytest.raises(UnsupportedBundleError):
-        named_bundle_table(2, "Bogus")
-    for call in (lambda: bundle_cohomology(2, "O"), lambda: bundle_weights(2, "Bogus")):
-        with pytest.raises(BWBError, match="quadric dimension must be at least 3"):
-            call()
+def test_small_quadrics_rejected_at_every_entry_point():
+    # one rule for n < 3: the names are not listed either
+    for n, name in itertools.product((1, 2), ("O", "Bogus")):
+        calls = (lambda: dictionary_names(n), lambda: bundle_weights(n, name),
+                 lambda: named_bundle_table(n, name), lambda: bundle_cohomology(n, name, 0))
+        for call in calls:
+            with pytest.raises(BWBError, match="quadric dimension must be at least 3") as exc:
+                call()
+            assert not isinstance(exc.value, UnsupportedBundleError)
 
 
 def test_non_integral_twist_rejected():

@@ -1,6 +1,8 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +94,17 @@ class TestLemma7:
         code, out = run(capsys, "lemma7", "--config", str(cfg))
         assert code == 0
         assert "  declared-representative witness: none\n" in out
+
+    def test_large_degree_solved_without_a_scan(self, capsys):
+        # d = 8 718 268; a search over k = 0..d-1 made this take over a minute
+        path = str(pathlib.Path(__file__).parent / "data" / "q4_large_degree.json")
+        start = time.perf_counter()
+        code, report = run_json(capsys, "lemma7", "--config", path)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["polarization_degree"] == 8718268
+        assert report["tilde_locus"]["coordinates"] == [-1, 4359134, 4359134]
+        assert report["residue_set"] == [] and report["iso_obstructed"] is True
 
     def test_pipeline_failure_names_stage(self, tmp_path, capsys, toy_path):
         # a middle basis missing the top xi-monomial leaves no rank-1 complement

@@ -369,6 +369,16 @@ class TestTableEntriesAreChecked:
         with pytest.raises(GradedRingError, match=f"names unknown label {label!r}"):
             self._ring({entry: combo})
 
+    @pytest.mark.parametrize("coefficient", [1.5, Fraction(3, 2), 2.0, "1"])
+    def test_non_integer_coefficient_rejected(self, coefficient):
+        with pytest.raises(GradedRingError,
+                           match=r"gives 'h' \* 'h' the coefficient .* on 'p', not an integer"):
+            self._ring({("h", "h"): {"p": coefficient}})
+
+    def test_integral_fraction_coefficient_accepted(self):
+        product = self._ring({("h", "h"): {"p": Fraction(4, 2)}}).basis_product("h", "h")
+        assert product == {"p": 2} and type(product["p"]) is int
+
     @staticmethod
     def _two_generator_table(extra):
         basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("h", 1), ("k", 1), ("p", 2))]

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from roofpairs import latticecore
 from roofpairs.latticecore import (
@@ -250,6 +251,64 @@ class TestExactKernel:
             b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
             want = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
             assert mat_mul(a, b) == want
+
+
+def _leibniz_det(m):
+    """Sum over permutations p of sign(p) * m[0][p0] * ... * m[n-1][p(n-1)]."""
+    n = len(m)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][p[i]] for i in range(n))
+    return total
+
+
+def _determinantal_divisor(m, k):
+    """The gcd of all k x k minors of m (0 when they all vanish), minors by cofactor expansion."""
+    rows, cols = range(len(m)), range(len(m[0]))
+    return math.gcd(*(_cofactor_det([[m[i][j] for j in cs] for i in rs])
+                      for rs in itertools.combinations(rows, k) for cs in itertools.combinations(cols, k)))
+
+
+@st.composite
+def _nonsingular_symmetric(draw):
+    n = draw(st.integers(1, 5))
+    upper = iter(draw(st.lists(st.integers(-12, 12), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(upper)
+    assume(_leibniz_det(m) != 0)
+    return m
+
+
+class TestDefinitionOracles:
+    """The kernel against definitions; no oracle here runs Bareiss elimination or the Smith loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(lambda c: st.lists(
+        st.lists(st.one_of(st.integers(-9, 9), st.sampled_from([0, 1, -1])), min_size=c, max_size=c),
+        min_size=r, max_size=r))))
+    def test_invariant_factors_from_determinantal_divisors(self, m):
+        # d1 * ... * dk = gcd of all k x k minors, rectangular matrices included
+        factors = smith_normal_form(m).invariant_factors
+        for k in range(1, len(factors) + 1):
+            assert math.prod(factors[:k]) == _determinantal_divisor(m, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_square(st.integers(-30, 30), 5))
+    def test_det_is_leibniz_expansion(self, m):
+        assert det(m) == _leibniz_det(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_nonsingular_symmetric())
+    def test_generators_are_columns_of_u_inverse(self, gram):
+        snf = smith_normal_form(gram)
+        u_inv = unimodular_inverse(snf.U)
+        want = tuple(tuple(row[i] for row in u_inv) for i, d in enumerate(snf.invariant_factors) if d > 1)
+        group = discriminant_group(gram)
+        assert group.generators == want
+        assert group.order == abs(_leibniz_det(gram))
 
 
 class TestDiscriminantGroup:

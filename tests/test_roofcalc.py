@@ -266,7 +266,46 @@ class TestSwitchSide:
             switch_side(cfg, locus_pushforward_class(side))
 
 
+def _loop_divisibility_scan(j, jt, d):
+    """The former bounded search over k = 0..d-1, kept as the reference."""
+    residues, witnesses = [], []
+    for k in range(d):
+        for rep in (k, k - d) if k or d == 1 else (0,):
+            diff = [j[i] - rep * jt[i] for i in range(len(j))]
+            if all(x % d == 0 for x in diff):
+                if k not in residues:
+                    residues.append(k)
+                witnesses.append((rep, tuple(x // d for x in diff)))
+    return tuple(residues), tuple(witnesses)
+
+
+@st.composite
+def _scan_inputs(draw):
+    d = draw(st.integers(-2, 60))
+    factor = draw(st.sampled_from([1, 2, 3, 4, 6, max(d, 1)]))  # non-primitive j~ too
+    jt = draw(st.lists(st.integers(-30, 30).map(lambda x: x * factor), max_size=5))
+    k = draw(st.integers(-100, 100))
+    # half the draws are near-solutions j = k*j~ + d*w, so that residue sets are often nonempty
+    near = [k * y + max(d, 1) * draw(st.integers(-5, 5)) for y in jt]
+    j = draw(st.one_of(st.just(near), st.lists(st.integers(-200, 200), min_size=len(jt), max_size=len(jt))))
+    return j, jt, d
+
+
 class TestResidueScan:
+    @settings(max_examples=400, deadline=None)
+    @given(_scan_inputs())
+    def test_closed_form_matches_the_loop(self, inputs):
+        j, jt, d = inputs
+        assert roofcalc._divisibility_scan(j, jt, d) == _loop_divisibility_scan(j, jt, d)
+
+    def test_closed_form_covers_every_shape(self):
+        # no residue; one residue with m = d; several with m < d; every k (j~ = 0 mod d); d = 1
+        assert roofcalc._divisibility_scan((1, 0), (2, 0), 4) == ((), ())
+        assert roofcalc._divisibility_scan((3,), (1,), 5) == ((3,), ((3, (0,)), (-2, (1,))))
+        assert roofcalc._divisibility_scan((2, 4), (2, 4), 6)[0] == (1, 4)
+        assert roofcalc._divisibility_scan((0,), (6,), 6)[0] == tuple(range(6))
+        assert roofcalc._divisibility_scan((5,), (2,), 1) == ((0,), ((0, (5,)), (-1, (7,))))
+
     def test_gram_3x3(self, g2):
         scan = residue_scan(g2)
         assert scan.residue_set == (7,)
