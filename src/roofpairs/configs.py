@@ -35,6 +35,9 @@ from .errors import ConfigError
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
 from .roofcalc import RoofConfig, RoofSide, build_side_from_chern
 
+# Largest accepted quadric base dimension.  The first build of a quadric ring
+# is cubic in its basis; two distinct bases at the cap build in about 0.2 s.
+MAX_BASE_DIM = 32
 
 BUILTIN_CONFIGS: dict[str, dict] = {
     "g2dagger": {
@@ -174,6 +177,8 @@ def config_from_dict(data: Mapping) -> RoofConfig:
         raise ConfigError("a roof has exactly two sides")
     if rank < 1:
         raise ConfigError(f"rank must be positive, got {rank}")
+    if max(base_dims) > MAX_BASE_DIM:
+        raise ConfigError(f"base_dim entry {max(base_dims)} exceeds the cap of {MAX_BASE_DIM}")
     try:
         rings = [make_quadric_ring(d) for d in base_dims]
     except ValueError as exc:

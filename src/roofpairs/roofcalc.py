@@ -11,6 +11,12 @@ the middle intersection lattice of a hyperplane section, the pushforward
 class of the polarized zero locus, the side-switching substitution
 L -> xi - L~ across the two bundle structures, and the residue scan that
 obstructs an isomorphism of the two polarized surfaces.
+
+The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
+side keeps a fold table (``RoofSide._fold``): base label x maps to the terms
+of x * (-1)^(i+1) c_i, so folding one power is integer dict updates.
+Products, folds and coordinate sums accumulate into such dicts, and a
+GradedClass or BundleClass is constructed only for a result.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from .errors import RoofError
 from .gradedring import (
     ChernVector,
     GradedClass,
+    IncompatibleRingError,
     IntegralityError,
     RingPresentation,
+    _exact,
     integrate,
     signed_sum,
 )
@@ -89,6 +97,25 @@ class RoofSide:
         """(-1)^(i+1) c_i: xi^r = sum_i of these times xi^(r-i)."""
         return tuple(c if i % 2 else -c for i, c in enumerate(self.groth_coeffs, start=1))
 
+    @cached_property
+    def _fold(self) -> dict[str, tuple[tuple[int, str, int | Fraction], ...]]:
+        """Base label x -> the nonzero terms (i, z, m) of x * (-1)^(i+1) c_i = sum m z.
+
+        ``reduce`` folds the coefficient c of x * xi^e into c * m on z * xi^(e-i).
+        """
+        products = self.base._products
+        fold = {}
+        for x in self.base._order:
+            terms = []
+            for i, s in enumerate(self._signed_coeffs, start=1):
+                piece: dict[str, int | Fraction] = {}
+                for y, c in s.coeffs.items():
+                    for z, m in products[x, y].items():
+                        piece[z] = piece.get(z, 0) + c * m
+                terms += [(i, z, m) for z, m in piece.items() if m]
+            fold[x] = tuple(terms)
+        return fold
+
     @property
     def dim_total(self) -> int:
         return self.base.dimension + self.rank - 1
@@ -134,7 +161,7 @@ class BundleClass:
         if len(parts) != side.rank:
             raise RoofError("normal form needs exactly rank xi-components")
         for i, p in enumerate(parts):
-            if not p.is_zero and p.degree != degree - i:
+            if p.coeffs and p.degree != degree - i:
                 raise RoofError(f"xi^{i} component has degree {p.degree}, expected {degree - i}")
         self.side = side
         self.degree = degree
@@ -177,17 +204,20 @@ class BundleClass:
         if type(other) is not BundleClass and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        terms: dict[int, GradedClass] = {}
+        base = self.side.base
+        products = base._products
+        terms: dict[int, dict[str, int | Fraction]] = {}
         for i, p in enumerate(self.parts):
-            if p.is_zero:
-                continue
             for j, q in enumerate(other.parts):
-                if q.is_zero:
-                    continue
-                prod = p * q
-                cur = terms.get(i + j)
-                terms[i + j] = prod if cur is None else cur + prod
-        return reduce(self.side, terms, degree=self.degree + other.degree)
+                if p.coeffs and q.coeffs:
+                    acc = terms.setdefault(i + j, {})
+                    for x, c in p.coeffs.items():
+                        for y, e in q.coeffs.items():
+                            ce = c * e
+                            for z, m in products[x, y].items():
+                                acc[z] = acc.get(z, 0) + ce * m
+        degree = self.degree + other.degree
+        return reduce(self.side, {e: GradedClass(base, degree - e, acc) for e, acc in terms.items()}, degree)
 
     __rmul__ = __mul__
 
@@ -215,10 +245,6 @@ def monomial_name(side: RoofSide, label: str, e: int) -> str:
     return "*".join(p for p in (base, xi) if p)
 
 
-def zero_class(side: RoofSide, degree: int) -> BundleClass:
-    return BundleClass(side, degree, [side.base.zero(degree - i) for i in range(side.rank)])
-
-
 def monomial(side: RoofSide, label: str, xi_exp: int) -> BundleClass:
     """The class (base basis element) * xi^e, reduced to normal form."""
     return reduce(side, {xi_exp: side.base.basis_class(label)})
@@ -240,41 +266,40 @@ def reduce(
     One descending pass over the xi powers from the highest down to r
     substitutes the degree-r relation for each in turn; a substitution only
     feeds lower powers, so every power is folded once, and equality in the
-    bundle ring is preserved at every step.
+    bundle ring is preserved at every step.  The pass runs on plain
+    {label: coefficient} dicts through the side's fold table (``RoofSide._fold``);
+    a GradedClass is built only for each of the r parts of the result.
     """
-    terms: dict[int, GradedClass] = {}
+    base = side.base
+    terms: dict[int, dict[str, int | Fraction]] = {}
     for e, cls in expression.items():
         if e < 0:
             raise RoofError("negative xi exponent")
-        if cls.is_zero:
-            continue
-        cur = terms.get(e)
-        terms[e] = cls if cur is None else cur + cls
+        if cls.coeffs:
+            if degree is None:
+                degree = e + cls.degree
+            if e + cls.degree != degree:
+                raise RoofError("expression is not homogeneous")
+            terms[e] = dict(cls.coeffs)
+    for cls in expression.values():
+        if cls.ring is not base:
+            raise IncompatibleRingError(f"expression has a class off the base {base.name!r} of {side.name!r}")
     if degree is None:
-        degree = next((e + cls.degree for e, cls in terms.items()), 0)
-    for e, cls in terms.items():
-        if e + cls.degree != degree:
-            raise RoofError("expression is not homogeneous")
+        degree = 0
 
     r = side.rank
-    signed = side._signed_coeffs
+    fold = side._fold
     for top in range(max(terms, default=0), r - 1, -1):
-        cls = terms.pop(top, None)
-        if cls is None or cls.is_zero:
+        coeffs = terms.pop(top, None)
+        if not coeffs:
             continue
-        for i, coeff in enumerate(signed, start=1):
-            piece = cls * coeff
-            tgt = top - i
-            cur = terms.get(tgt)
-            terms[tgt] = piece if cur is None else cur + piece
-
-    parts = []
-    for i in range(r):
-        cls = terms.get(i)
-        if cls is None or degree - i > side.base.dimension or degree - i < 0:
-            cls = side.base.zero(degree - i)
-        parts.append(cls)
-    return BundleClass(side, degree, parts)
+        targets = [None] + [terms.setdefault(top - i, {}) for i in range(1, r + 1)]
+        for x, c in coeffs.items():
+            if c:
+                for i, z, m in fold[x]:
+                    t = targets[i]
+                    t[z] = t.get(z, 0) + c * m
+    return BundleClass(side, degree, [GradedClass(base, degree - i, terms.get(i, {})) for i in range(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +371,15 @@ def middle_lattice(side: RoofSide) -> MiddleLattice:
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
-    out = zero_class(lat.side, lat.side.middle_codim)
+    """The class sum_k coords[k] * lat.classes[k], summed part by part on plain dicts."""
+    side, mc = lat.side, lat.side.middle_codim
+    acc: list[dict[str, int | Fraction]] = [{} for _ in range(side.rank)]
     for c, cls in zip(coords, lat.classes):
-        out = out + cls.scale(c)
-    return out
+        c = _exact(c)
+        for out, p in zip(acc, cls.parts):
+            for z, v in p.coeffs.items():
+                out[z] = out.get(z, 0) + c * v
+    return BundleClass(side, mc, [GradedClass(side.base, mc - i, out) for i, out in enumerate(acc)])
 
 
 def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[Fraction, ...]:

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from roofpairs.cli import main
+from roofpairs.configs import MAX_BASE_DIM, config_from_dict
+from roofpairs.errors import ConfigError
 
 
 def run(capsys, *argv):
@@ -287,7 +289,7 @@ def _g2_side(**fields):
     (_g2(polarization_degree=True), "polarization_degree must be an integer, got True"),
     (_g2(sides=[1, 2]), "side 'g2-probe:side' must be an object, got 1"),
     ([_g2()], "a configuration must be an object, got list"),
-    # Q6 has Pi1 and Pi2 but no Pi; base_dim [200, 200] fails the same way, after a 20 s ring build
+    # Q6 has Pi1 and Pi2 but no Pi
     (_g2(base_dim=[6, 6]), "unknown basis label 'Pi' on Q6"),
     (_g2(base_dim=[1, 1]), "base_dim: quadric dimension must be >= 2, got 1"),
     (_g2(base_dim=[5.0, 5]), "base_dim entry must be an integer, got 5.0"),
@@ -299,13 +301,27 @@ def _g2_side(**fields):
     (_g2_side(middle_basis=[["Pi", 0], ["L^2", 1], ["L"]]), "expected [label, integer] pair, got ['L']"),
     (_g2_side(declared_locus_sign=False), "declared_locus_sign must be an integer, got False"),
     (_g2_side(chern=5), "chern must be a list, got 5"),
+    # rejected before any ring is built; without the cap this took about 20 s
+    (_g2(base_dim=[200, 200]), f"base_dim entry 200 exceeds the cap of {MAX_BASE_DIM}"),
 ])
 def test_malformed_config_is_usage_error(tmp_path, data, message):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(data))
     proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_base_dim_cap_checked_before_any_ring(count_calls):
+    counts = count_calls("gradedring.make_quadric_ring")
+    with pytest.raises(ConfigError, match="exceeds the cap"):
+        config_from_dict(_g2(base_dim=[5, MAX_BASE_DIM + 1]))
+    assert counts == {"gradedring.make_quadric_ring": 0}
+    # the cap itself is accepted: the rings are built and the later label check fails
+    with pytest.raises(ConfigError, match=f"unknown basis label 'Pi' on Q{MAX_BASE_DIM}"):
+        config_from_dict(_g2(base_dim=[MAX_BASE_DIM, MAX_BASE_DIM]))
+    assert counts == {"gradedring.make_quadric_ring": 2}

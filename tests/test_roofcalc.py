@@ -1,4 +1,5 @@
 import copy
+import pathlib
 from fractions import Fraction
 from itertools import product
 
@@ -6,9 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roofpairs import roofcalc
-from roofpairs.configs import BUILTIN_CONFIGS, config_from_dict
-from roofpairs.gradedring import ChernVector, GradedClass, IntegralityError, integrate, make_quadric_ring
+from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
+from roofpairs.errors import GradedRingError, RoofError
+from roofpairs.gradedring import (
+    ChernVector,
+    GradedClass,
+    IncompatibleRingError,
+    IntegralityError,
+    integrate,
+    make_quadric_ring,
+)
 from roofpairs.roofcalc import (
+    BundleClass,
     DegenerateBasisError,
     DegreeMismatchError,
     InvalidRoofError,
@@ -33,6 +43,7 @@ from roofpairs.roofcalc import (
     switch_side,
     xi_power,
 )
+from test_roof_queries import SYNTHETIC
 
 G2_GRAM = ((0, 1, 5), (1, 10, 32), (5, 32, 82))
 D4_GRAM = (
@@ -441,3 +452,144 @@ def test_reduce_matches_repeated_substitution(case):
     folded = reduce(side, expression, degree=degree)
     assert folded.degree == degree
     assert [p.coeffs for p in folded.parts] == ref_reduce(side, expression)
+
+
+# ---------------------------------------------------------------------------
+# integer fold kernel: oracle against the object-level loops it replaced
+# ---------------------------------------------------------------------------
+
+KERNEL_SIDES = (
+    [builtin_config(name).side for name in ("g2dagger", "d4")]
+    + [load_config(str(pathlib.Path(__file__).parent / "data" / "toy_symmetric.json")).side]
+    + [config_from_dict(d).side for d in SYNTHETIC]
+)
+KERNEL_LATTICES = {}
+
+
+def object_reduce(side, expression, degree=None):
+    """reduce as it was on GradedClass objects: every fold step multiplies the
+    class of the top power by each signed relation coefficient."""
+    terms = {}
+    for e, cls in expression.items():
+        if e < 0:
+            raise RoofError("negative xi exponent")
+        if not cls.is_zero:
+            terms[e] = cls if e not in terms else terms[e] + cls
+    if degree is None:
+        degree = next((e + cls.degree for e, cls in terms.items()), 0)
+    if any(e + cls.degree != degree for e, cls in terms.items()):
+        raise RoofError("expression is not homogeneous")
+    r = side.rank
+    signed = [c if i % 2 else -c for i, c in enumerate(side.groth_coeffs, start=1)]
+    for top in range(max(terms, default=0), r - 1, -1):
+        cls = terms.pop(top, None)
+        if cls is None or cls.is_zero:
+            continue
+        for i, coeff in enumerate(signed, start=1):
+            piece = cls * coeff
+            terms[top - i] = piece if top - i not in terms else terms[top - i] + piece
+    parts = [terms[i] if i in terms and 0 <= degree - i <= side.base.dimension
+             else side.base.zero(degree - i) for i in range(r)]
+    return BundleClass(side, degree, parts)
+
+
+def object_mul(a, b):
+    """BundleClass.__mul__ as it was: one GradedClass product per pair of parts."""
+    a._check(b)
+    terms = {}
+    for i, p in enumerate(a.parts):
+        for j, q in enumerate(b.parts):
+            if not p.is_zero and not q.is_zero:
+                prod = p * q
+                terms[i + j] = prod if i + j not in terms else terms[i + j] + prod
+    return object_reduce(a.side, terms, degree=a.degree + b.degree)
+
+
+def object_class_from_coordinates(lat, coords):
+    """class_from_coordinates as it was: a running sum of scaled BundleClasses."""
+    side, mc = lat.side, lat.side.middle_codim
+    out = BundleClass(side, mc, [side.base.zero(mc - i) for i in range(side.rank)])
+    for c, cls in zip(coords, lat.classes):
+        out = out + cls.scale(c)
+    return out
+
+
+def exact_parts(a):
+    """Degrees and coefficients with their types: 2 and Fraction(2) differ here."""
+    return a.degree, [(p.degree, {k: (type(v), v) for k, v in p.coeffs.items()}) for p in a.parts]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A side of the kernel sides, a homogeneous expression with xi exponents up
+    to 3r, two normal forms to multiply, and coordinates on the middle lattice."""
+    side = draw(st.sampled_from(KERNEL_SIDES))
+    base, r = side.base, side.rank
+
+    def cls(degree):
+        return GradedClass(base, degree, {lbl: draw(exact) for lbl in base.degree_labels.get(degree, ())})
+
+    def normal_form():
+        d = draw(st.integers(min_value=0, max_value=side.dim_total))
+        return BundleClass(side, d, [cls(d - i) for i in range(r)])
+
+    degree = draw(st.integers(min_value=0, max_value=base.dimension + 3 * r))
+    exponents = [e for e in range(3 * r + 1) if 0 <= degree - e <= base.dimension]
+    chosen = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=len(exponents), unique=True))
+    if side not in KERNEL_LATTICES:
+        KERNEL_LATTICES[side] = middle_lattice(side)
+    lat = KERNEL_LATTICES[side]
+    coords = draw(st.lists(exact, min_size=lat.rank, max_size=lat.rank))
+    return side, degree, {e: cls(degree - e) for e in chosen}, normal_form(), normal_form(), lat, coords
+
+
+@settings(deadline=None)
+@given(case=kernel_cases())
+def test_fold_kernel_matches_object_loops(case):
+    side, degree, expression, a, b, lat, coords = case
+    assert exact_parts(reduce(side, expression, degree)) == exact_parts(object_reduce(side, expression, degree))
+    assert exact_parts(reduce(side, expression)) == exact_parts(object_reduce(side, expression))
+    assert exact_parts(a * b) == exact_parts(object_mul(a, b))
+    assert exact_parts(class_from_coordinates(lat, coords)) == \
+        exact_parts(object_class_from_coordinates(lat, coords))
+
+
+def test_kernel_sides_cover_every_base():
+    assert sorted({s.base.dimension for s in KERNEL_SIDES}) == list(range(4, 11))
+
+
+class TestFoldKernelErrors:
+    def test_foreign_ring_rejected_at_every_exponent(self, g2):
+        foreign = make_quadric_ring(5)
+        assert foreign is not g2.side.base
+        for e in (0, g2.rank - 1, g2.rank, 3 * g2.rank):
+            with pytest.raises(IncompatibleRingError):
+                reduce(g2.side, {e: foreign.basis_class("L")})
+        with pytest.raises(IncompatibleRingError):
+            reduce(g2.side, {0: g2.side.base.l_power(1), 1: foreign.zero(0)})
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, 2.0, "1", None])
+    def test_inexact_coordinate_rejected(self, g2, bad):
+        lat = middle_lattice(g2.side)
+        for build in (class_from_coordinates, object_class_from_coordinates):
+            with pytest.raises(GradedRingError):
+                build(lat, [1, bad, 0])
+
+    @pytest.mark.parametrize("expression", [
+        lambda q: {-1: q.unit()},
+        lambda q: {-1: q.zero(1)},
+        lambda q: {0: q.l_power(1), 1: q.l_power(1)},
+        lambda q: {4: q.unit(), 1: q.l_power(2)},
+    ], ids=["negative-exponent", "negative-exponent-zero-class", "non-homogeneous", "non-homogeneous-folded"])
+    def test_malformed_expression_raises_as_before(self, g2, expression):
+        expr = expression(g2.side.base)
+        for fold in (reduce, object_reduce):
+            with pytest.raises(RoofError):
+                fold(g2.side, expr)
+        with pytest.raises(RoofError):
+            reduce(g2.side, expr, degree=2)
+
+    def test_product_across_sides_rejected(self, g2, d4):
+        for mul in (BundleClass.__mul__, object_mul):
+            with pytest.raises(RoofError):
+                mul(xi_power(g2.side, 1), xi_power(d4.side, 1))
