@@ -12,9 +12,10 @@ one fraction-free Bareiss elimination over the integers; rational systems
 have their denominators cleared per row first.  ``det`` runs it forward
 only, updating just the rows below each pivot; the inverse and the solve
 run the full Gauss-Jordan pass.  Smith normal form runs its elimination on
-one bordered matrix that carries both transforms.  Discriminant-group
-generators are read off M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i),
-so no inverse of U is formed.
+one bordered matrix that carries both transforms; a row-Hermite pass first
+bounds M, and with it U and V.  Discriminant-group generators are read off
+M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i), so no inverse of U is
+formed.
 
 Matrices are sequences (lists or tuples) of rows of Python ints; a function
 that eliminates in place copies its input first.  Everything is exact.
@@ -166,18 +167,59 @@ def _pivot(a: Matrix, t: int, rows: int, cols: int) -> Optional[tuple[int, int]]
     return loc
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s * x + t * y = g, a gcd of x and y (its sign is not fixed)."""
+    s, t, s1, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y, s, s1, t, t1 = y, x - q * y, s1, s - q * s1, t1, t - q * t1
+    return x, s, t
+
+
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form over Z with both transforms.
 
     The elimination runs on the bordered matrix [[M, I], [I, 0]], so row
     operations on M carry U (to its right) and column operations carry V
-    (below it).  Pivot choice is the smallest nonzero absolute value in M
-    with (row, column) index as tie-break, so the output is deterministic.
+    (below it).  A pivoted row-Hermite pass first makes M upper triangular
+    with each entry above a pivot p reduced into [0, p); this bounds M, and
+    with it U and V.  The smallest-pivot Smith loop then finishes.  Pivot
+    choice in both is the smallest nonzero absolute value of the trailing
+    block with (row, column) index as tie-break, so the output is
+    deterministic.  U and V are valid transforms, not canonical ones.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(map(int, row)) + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
     a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+
+    for r in range(min(rows, cols)):
+        loc = _pivot(a, r, rows, cols)
+        if loc is None:
+            break
+        a[r], a[loc[0]] = a[loc[0]], a[r]
+        j = loc[1]
+        for row in a:  # rows above r and V's rows still have entries in these columns
+            row[r], row[j] = row[j], row[r]
+        for i in range(r + 1, rows):
+            x = a[i][r]
+            if x:
+                top, p = a[r], a[r][r]
+                if x % p == 0:
+                    q = x // p
+                    a[i] = [y - q * z for y, z in zip(a[i], top)]
+                else:  # a unimodular 2x2 row operation: [[s, t], [-x/g, p/g]]
+                    g, s, t = _xgcd(p, x)
+                    xg, pg = x // g, p // g
+                    a[r] = [s * z + t * y for z, y in zip(top, a[i])]
+                    a[i] = [pg * y - xg * z for z, y in zip(top, a[i])]
+        if a[r][r] < 0:
+            a[r] = [-x for x in a[r]]
+        top, p = a[r], a[r][r]
+        for i in range(r):
+            q = a[i][r] // p
+            if q:
+                a[i] = [y - q * z for y, z in zip(a[i], top)]
 
     t = 0
     while t < min(rows, cols):
@@ -236,7 +278,8 @@ class DiscriminantGroup:
     """Finite quotient (dual lattice)/(lattice) as a chain of cyclic factors.
 
     ``generators[i]`` is an integer vector in dual-basis coordinates whose
-    class generates the factor of order ``factors[i]``.
+    class generates the factor of order ``factors[i]``.  They are valid, not
+    canonical: another Smith elimination may give other generators.
     """
 
     factors: tuple[int, ...]
@@ -293,6 +336,8 @@ def orthogonal_kernel(
 
     Returned vectors are primitive (columns of a unimodular matrix), with the
     first nonzero coordinate normalized positive, listed deterministically.
+    At kernel rank >= 2 the basis is valid, not canonical: it is read off the
+    Smith transform V.
     """
     n = len(gram)
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from roofpairs.cli import main
+from roofpairs.cli import MAX_MOTIVIC_RANK, MAX_QUADRIC_DIM, build_parser, main
 from roofpairs.configs import MAX_BASE_DIM, config_from_dict
 from roofpairs.errors import ConfigError
 
@@ -188,14 +188,34 @@ def test_negative_bound_is_usage_error(argv, bound):
     (["motivic", "--rank", "-3"], "argument --rank: must be an integer of at least 2, got -3"),
     (["bwb", "2", "O", "0"], "argument dim: must be an integer of at least 3, got 2"),
     (["bwb", "-1", "O", "0"], "argument dim: must be an integer of at least 3, got -1"),
+    (["motivic", "--rank", str(MAX_MOTIVIC_RANK + 1)],
+     f"argument --rank: must be at most {MAX_MOTIVIC_RANK}, got {MAX_MOTIVIC_RANK + 1}"),
+    # took 39.5 s before the cap
+    (["motivic", "--rank", "1000000"], f"argument --rank: must be at most {MAX_MOTIVIC_RANK}, got 1000000"),
+    (["bwb", str(MAX_QUADRIC_DIM + 1), "O", "0"],
+     f"argument dim: must be at most {MAX_QUADRIC_DIM}, got {MAX_QUADRIC_DIM + 1}"),
+    # ran for more than 30 s before the cap
+    (["bwb", "20000", "O", "0"], f"argument dim: must be at most {MAX_QUADRIC_DIM}, got 20000"),
 ])
 def test_out_of_range_argument_is_usage_error(argv, message):
     proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        f"roofpairs {argv[0]}: error: {message}"]
     assert "Traceback" not in proc.stderr
+
+
+def test_caps_admit_documented_inputs(capsys):
+    parser = build_parser()
+    for rank in (2, 200, 20000, MAX_MOTIVIC_RANK):  # tier-1 and CI ranks
+        assert parser.parse_args(["motivic", "--rank", str(rank)]).rank == rank
+    for dim in (*range(5, 16), MAX_QUADRIC_DIM):  # the benchmark's Q5-Q15
+        assert parser.parse_args(["bwb", str(dim), "O", "0"]).dim == dim
+    code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "O", "0")
+    assert code == 0 and report["table"] == {"0": 1}
 
 
 class TestMotivic:
