@@ -39,10 +39,11 @@ if TYPE_CHECKING:
 # configs.builtin_names(), written out so that building the parser loads no configuration code
 BUILTIN_NAMES = ("d4", "g2dagger")
 
-# Largest accepted `bwb` quadric dimension and `motivic --rank`; above them is
-# a usage error.  At the caps the slowest commands (`bwb 500 Splusdual 0`,
-# `motivic --rank 50000`) take about 0.8 s and 1.6 s.
+# Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
+# error.  At the caps `bwb 500 Splusdual 0` takes 0.8 s, `motivic --rank 50000`
+# 1.6 s, and a `bwb` dimension has at most ~3450 of the 4300 digits int/str allows.
 MAX_QUADRIC_DIM = 500
+MAX_TWIST = 10**9
 MAX_MOTIVIC_RANK = 50000
 
 
@@ -335,6 +336,7 @@ def _int_at_least(low: int, what: str, cap: Optional[int] = None):
 _bound = _int_at_least(0, "a non-negative integer")
 _rank = _int_at_least(2, "an integer of at least 2", MAX_MOTIVIC_RANK)
 _quadric_dim = _int_at_least(3, "an integer of at least 3", MAX_QUADRIC_DIM)
+_twist = _int_at_least(-MAX_TWIST, f"an integer of at least {-MAX_TWIST}", MAX_TWIST)
 
 
 @functools.cache  # parsing leaves no state in the parser, so one per process serves every call
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bwb", help="cohomology of homogeneous bundles on quadrics")
     sp.add_argument("dim", nargs="?", type=_quadric_dim, help=f"quadric dimension (3 to {MAX_QUADRIC_DIM})")
     sp.add_argument("bundle", nargs="?", help="bundle descriptor, e.g. O, Sdual, Sym2Sdual, G, C")
-    sp.add_argument("twist", nargs="?", type=int, default=0)
+    sp.add_argument("twist", nargs="?", type=_twist, default=0, help=f"twist (-{MAX_TWIST} to {MAX_TWIST})")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), help="scripted vanishing pipeline")
     sp.add_argument("--json", action="store_true")
 

@@ -38,6 +38,9 @@ from .roofcalc import RoofConfig, RoofSide, build_side_from_chern
 # Largest accepted quadric base dimension.  The first build of a quadric ring
 # is cubic in its basis; two distinct bases at the cap build in about 0.2 s.
 MAX_BASE_DIM = 32
+# Most digits of a configuration-file integer; a longer one is a ConfigError
+# before conversion, which CPython refuses past 4300 digits with a ValueError.
+MAX_INT_DIGITS = 100
 
 BUILTIN_CONFIGS: dict[str, dict] = {
     "g2dagger": {
@@ -203,11 +206,18 @@ def builtin_config(name: str) -> RoofConfig:
     return config_from_dict(data)
 
 
+def _json_int(text: str) -> int:
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_INT_DIGITS:
+        raise ConfigError(f"an integer of {digits} digits exceeds the cap of {MAX_INT_DIGITS} digits")
+    return int(text)
+
+
 def load_config(path: str) -> RoofConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, parse_int=_json_int)
+        except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(data)
 

@@ -15,8 +15,8 @@ obstructs an isomorphism of the two polarized surfaces.
 The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
 side keeps a fold table (``RoofSide._fold``): base label x maps to the terms
 of x * (-1)^(i+1) c_i, so folding one power is integer dict updates.
-Products, folds and coordinate sums accumulate into such dicts, and a
-GradedClass or BundleClass is constructed only for a result.
+A BundleClass holds its parts as such dicts, which products, folds and
+coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class RoofSide:
                 raise InvalidRoofError(f"relation coefficient {i} must live on the base in degree {i}")
 
     @cached_property
-    def _signed_coeffs(self) -> tuple[GradedClass, ...]:
-        """(-1)^(i+1) c_i: xi^r = sum_i of these times xi^(r-i)."""
-        return tuple(c if i % 2 else -c for i, c in enumerate(self.groth_coeffs, start=1))
-
-    @cached_property
     def _fold(self) -> dict[str, tuple[tuple[int, str, int | Fraction], ...]]:
         """Base label x -> the nonzero terms (i, z, m) of x * (-1)^(i+1) c_i = sum m z.
 
@@ -107,11 +102,11 @@ class RoofSide:
         fold = {}
         for x in self.base._order:
             terms = []
-            for i, s in enumerate(self._signed_coeffs, start=1):
+            for i, s in enumerate(self.groth_coeffs, start=1):
                 piece: dict[str, int | Fraction] = {}
                 for y, c in s.coeffs.items():
                     for z, m in products[x, y].items():
-                        piece[z] = piece.get(z, 0) + c * m
+                        piece[z] = piece.get(z, 0) + (-1) ** (i + 1) * c * m
                 terms += [(i, z, m) for z, m in piece.items() if m]
             fold[x] = tuple(terms)
         return fold
@@ -153,27 +148,51 @@ def build_side_from_chern(
 
 
 class BundleClass:
-    """Normal form sum_(i < r) xi^i * (base class of degree d - i)."""
+    """Normal form sum_(i < r) xi^i * (base class of degree d - i).
 
-    __slots__ = ("side", "degree", "parts")
+    The parts are held as {label: coefficient} dicts (``_flat``) with no zeros
+    and integral values as ints; ``parts`` builds GradedClasses on each read.
+    """
+
+    __slots__ = ("side", "degree", "_flat")
 
     def __init__(self, side: RoofSide, degree: int, parts: Sequence[GradedClass]):
         if len(parts) != side.rank:
             raise RoofError("normal form needs exactly rank xi-components")
         for i, p in enumerate(parts):
-            if p.coeffs and p.degree != degree - i:
-                raise RoofError(f"xi^{i} component has degree {p.degree}, expected {degree - i}")
+            if p.coeffs and (p.ring is not side.base or p.degree != degree - i):
+                raise RoofError(f"xi^{i} component has degree {p.degree} on {p.ring.name!r}, "
+                                f"expected {degree - i} on the base {side.base.name!r}")
         self.side = side
         self.degree = degree
-        self.parts = tuple(parts)
+        self._flat = tuple(dict(p.coeffs) for p in parts)
+
+    @classmethod
+    def _of(cls, side: RoofSide, degree: int, flat) -> "BundleClass":
+        """Wrap r coefficient dicts of the right degrees unchecked; a dict with
+        a zero or a non-int is copied without zeros and with integral values as ints."""
+        parts = []
+        for p in flat:
+            for v in p.values():
+                if not v or type(v) is not int:
+                    p = {k: _exact(c) for k, c in p.items() if c}
+                    break
+            parts.append(p)
+        a = cls.__new__(cls)
+        a.side, a.degree, a._flat = side, degree, tuple(parts)
+        return a
+
+    @property
+    def parts(self) -> tuple[GradedClass, ...]:
+        return tuple(GradedClass(self.side.base, self.degree - i, p) for i, p in enumerate(self._flat))
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.parts)
+        return not any(self._flat)
 
     @property
     def is_integral(self) -> bool:
-        return all(p.is_integral for p in self.parts)
+        return all(c.denominator == 1 for p in self._flat for c in p.values())
 
     def assert_integral(self) -> "BundleClass":
         if not self.is_integral:
@@ -188,50 +207,48 @@ class BundleClass:
         self._check(other)
         if self.degree != other.degree:
             raise RoofError("cannot add bundle classes of different degrees")
-        return BundleClass(self.side, self.degree,
-                           [a + b for a, b in zip(self.parts, other.parts)])
+        return BundleClass._of(self.side, self.degree, [
+            {k: p.get(k, 0) + q.get(k, 0) for k in {**p, **q}} for p, q in zip(self._flat, other._flat)])
 
     def __sub__(self, other: "BundleClass") -> "BundleClass":
         return self + (-other)
 
     def __neg__(self) -> "BundleClass":
-        return BundleClass(self.side, self.degree, [-p for p in self.parts])
+        return BundleClass._of(self.side, self.degree, [{k: -v for k, v in p.items()} for p in self._flat])
 
     def scale(self, c) -> "BundleClass":
-        return BundleClass(self.side, self.degree, [p.scale(c) for p in self.parts])
+        c = _exact(c)
+        return BundleClass._of(self.side, self.degree, [{k: c * v for k, v in p.items()} for p in self._flat])
 
     def __mul__(self, other):
         if type(other) is not BundleClass and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        base = self.side.base
-        products = base._products
+        products = self.side.base._products
         terms: dict[int, dict[str, int | Fraction]] = {}
-        for i, p in enumerate(self.parts):
-            for j, q in enumerate(other.parts):
-                if p.coeffs and q.coeffs:
+        for i, p in enumerate(self._flat):
+            for j, q in enumerate(other._flat):
+                if p and q:
                     acc = terms.setdefault(i + j, {})
-                    for x, c in p.coeffs.items():
-                        for y, e in q.coeffs.items():
+                    for x, c in p.items():
+                        for y, e in q.items():
                             ce = c * e
                             for z, m in products[x, y].items():
                                 acc[z] = acc.get(z, 0) + ce * m
-        degree = self.degree + other.degree
-        return reduce(self.side, {e: GradedClass(base, degree - e, acc) for e, acc in terms.items()}, degree)
+        return reduce(self.side, terms, self.degree + other.degree)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BundleClass):
             return NotImplemented
-        return (self.side is other.side and self.degree == other.degree
-                and all(a == b for a, b in zip(self.parts, other.parts)))
+        return self.side is other.side and self.degree == other.degree and self._flat == other._flat
 
     def __str__(self):
         return signed_sum(
             (c, monomial_name(self.side, label, i))
-            for i in range(self.side.rank - 1, -1, -1)
-            for label, c in self.parts[i].sorted_items()
+            for i, part in reversed(tuple(enumerate(self.parts)))
+            for label, c in part.sorted_items()
         )
 
     def __repr__(self):
@@ -267,22 +284,24 @@ def reduce(
     substitutes the degree-r relation for each in turn; a substitution only
     feeds lower powers, so every power is folded once, and equality in the
     bundle ring is preserved at every step.  The pass runs on plain
-    {label: coefficient} dicts through the side's fold table (``RoofSide._fold``);
-    a GradedClass is built only for each of the r parts of the result.
+    {label: coefficient} dicts through the side's fold table (``RoofSide._fold``).
+    The ring's own operations pass such dicts, trusted and consumed, with ``degree``.
     """
     base = side.base
     terms: dict[int, dict[str, int | Fraction]] = {}
     for e, cls in expression.items():
         if e < 0:
             raise RoofError("negative xi exponent")
-        if cls.coeffs:
+        if type(cls) is dict:
+            terms[e] = cls
+        elif cls.coeffs:
             if degree is None:
                 degree = e + cls.degree
             if e + cls.degree != degree:
                 raise RoofError("expression is not homogeneous")
             terms[e] = dict(cls.coeffs)
     for cls in expression.values():
-        if cls.ring is not base:
+        if type(cls) is not dict and cls.ring is not base:
             raise IncompatibleRingError(f"expression has a class off the base {base.name!r} of {side.name!r}")
     if degree is None:
         degree = 0
@@ -299,7 +318,7 @@ def reduce(
                 for i, z, m in fold[x]:
                     t = targets[i]
                     t[z] = t.get(z, 0) + c * m
-    return BundleClass(side, degree, [GradedClass(base, degree - i, terms.get(i, {})) for i in range(r)])
+    return BundleClass._of(side, degree, [terms.get(i, {}) for i in range(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +329,7 @@ def pushforward_to_base(side: RoofSide, a: BundleClass) -> GradedClass:
     """The fiber integral: the xi^(r-1) coefficient of the normal form."""
     if a.side is not side:
         raise RoofError("class does not live on the requested side")
-    return a.parts[side.rank - 1]
-
-
-def integrate_over_total(a: BundleClass) -> Fraction:
-    """Integral over the total space (pushforward, then base integral)."""
-    return integrate(pushforward_to_base(a.side, a))
+    return GradedClass(side.base, a.degree - side.rank + 1, a._flat[-1])
 
 
 def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
@@ -325,7 +339,8 @@ def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
     if a.degree + b.degree + 1 != side.dim_total:
         raise DegreeMismatchError(
             f"codimensions {a.degree} + {b.degree} + 1 != dim X = {side.dim_total}")
-    val = integrate_over_total(a * b * xi_power(side, 1))
+    # a.b.xi has top degree, so its integral is the point coefficient of the xi^(r-1) part
+    val = (a * b * xi_power(side, 1))._flat[-1].get(side.base.point_label, 0)
     if val.denominator != 1:
         raise IntegralityError(f"non-integral intersection number {val}")
     return int(val)
@@ -376,10 +391,10 @@ def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
     acc: list[dict[str, int | Fraction]] = [{} for _ in range(side.rank)]
     for c, cls in zip(coords, lat.classes):
         c = _exact(c)
-        for out, p in zip(acc, cls.parts):
-            for z, v in p.coeffs.items():
+        for out, p in zip(acc, cls._flat):
+            for z, v in p.items():
                 out[z] = out.get(z, 0) + c * v
-    return BundleClass(side, mc, [GradedClass(side.base, mc - i, out) for i, out in enumerate(acc)])
+    return BundleClass._of(side, mc, acc)
 
 
 def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[Fraction, ...]:
@@ -390,9 +405,7 @@ def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[Fraction
     """
     if a.degree != lat.side.middle_codim:
         raise DegreeMismatchError("class is not of middle degree")
-    coords = []
-    for label, e in lat.monomials:
-        coords.append(a.parts[e].coefficient(label))
+    coords = [a._flat[e].get(label, 0) for label, e in lat.monomials]
     if class_from_coordinates(lat, coords) != a:
         raise RoofError("class is not supported on the declared middle basis")
     return tuple(coords)
@@ -527,10 +540,6 @@ def _degree_slots(side: RoofSide, d: int) -> list[tuple[int, str]]:
     ]
 
 
-def _flatten(side: RoofSide, a: BundleClass, slots) -> list[Fraction]:
-    return [a.parts[e].coefficient(label) for e, label in slots]
-
-
 def _l_xi_monomials(side: RoofSide, d: int) -> list[tuple[tuple[int, int], BundleClass]]:
     """Normal forms of the monomials L^(d-q) * xi^q spanning the (L, xi)-subring."""
     out = []
@@ -550,30 +559,28 @@ def _lift_to_l_xi(side: RoofSide, a: BundleClass):
     """
     monos = _l_xi_monomials(side, a.degree)
     slots = _degree_slots(side, a.degree)
-    columns = [_flatten(side, cls, slots) for _, cls in monos]
-    res = _solve_rational(columns, _flatten(side, a, slots))
+    columns = [[cls._flat[e].get(label, 0) for e, label in slots] for _, cls in monos]
+    res = _solve_rational(columns, [a._flat[e].get(label, 0) for e, label in slots])
     if res is None:
         raise SwitchError(f"{a} is not expressible as a polynomial in (L, xi)")
     solution, kernel = res
     keys = [key for key, _ in monos]
-    to_poly = lambda vec: {k: c for k, c in zip(keys, vec) if c}
+    to_poly = lambda vec: {k: _exact(c) for k, c in zip(keys, vec) if c}  # keeps _substitute on ints
     return to_poly(solution), [to_poly(v) for v in kernel]
 
 
 def _substitute(target: RoofSide, l_poly: Mapping[tuple[int, int], Fraction], degree: int) -> BundleClass:
     """Apply L -> xi - L~ to an (L, xi)-polynomial and reduce on the target side."""
-    expanded: dict[tuple[int, int], Fraction] = {}
+    expanded: dict[tuple[int, int], int | Fraction] = {}
     for (p, q), c in l_poly.items():
         for k in range(p + 1):
             key = (k, q + p - k)
-            expanded[key] = expanded.get(key, Fraction(0)) + c * comb(p, k) * (-1) ** k
-    terms: dict[int, GradedClass] = {}
+            expanded[key] = expanded.get(key, 0) + c * comb(p, k) * (-1) ** k
+    terms: dict[int, dict[str, int | Fraction]] = {}
     for (k, q), c in expanded.items():
-        piece = target.base.l_power(k).scale(c)
-        if piece.is_zero:
-            continue
-        cur = terms.get(q)
-        terms[q] = piece if cur is None else cur + piece
+        acc = terms.setdefault(q, {})
+        for z, v in target.base.l_power(k).coeffs.items():
+            acc[z] = acc.get(z, 0) + c * v
     return reduce(target, terms, degree=degree)
 
 

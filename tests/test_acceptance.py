@@ -178,26 +178,28 @@ def test_criterion_10_structural_properties():
         side = cfg.side
         monos = [roofcalc.monomial(side, b.label, e)
                  for e in range(side.rank) for b in side.base.basis]
-        import numpy as np
-
         slots = [(e, b.label) for e in range(side.rank) for b in side.base.basis]
         index = {m: i for i, m in enumerate(slots)}
 
         def coords(cls):
-            v = [0] * len(slots)
-            for e, part in enumerate(cls.parts):
-                for lbl, c in part.coeffs.items():
-                    v[index[(e, lbl)]] = int(c)
-            return v
+            return {index[(e, lbl)]: c for e, part in enumerate(cls.parts) for lbl, c in part.coeffs.items()}
 
+        def combine(v, table):
+            """sum over m of v[m] * table[m], on sparse exact-integer vectors"""
+            out = {}
+            for m, c in v.items():
+                for l, d in table[m].items():
+                    out[l] = out.get(l, 0) + c * d
+            return {l: c for l, c in out.items() if c}
+
+        # structure constants: e_i * e_j = sum over m of s[i][j][m] * e_m
         dim = len(monos)
-        s = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                s[i, j] = coords(monos[i] * monos[j])
-        assert np.array_equal(s, s.transpose(1, 0, 2))
-        assert np.array_equal(
-            np.einsum("ijm,mkl->ijkl", s, s), np.einsum("jkm,iml->ijkl", s, s))
+        s = [[coords(monos[i] * monos[j]) for j in range(dim)] for i in range(dim)]
+        columns = [[s[m][k] for m in range(dim)] for k in range(dim)]
+        assert all(s[i][j] == s[j][i] for i in range(dim) for j in range(dim))
+        # (e_i e_j) e_k == e_i (e_j e_k) for every triple
+        for i, j, k in product(range(dim), repeat=3):
+            assert combine(s[i][j], columns[k]) == combine(s[j][k], s[i])
 
     # Smith decomposition on 1000 random 5x5 matrices with entries in [-20, 20]
     rng = random.Random(20260810)

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from roofpairs.cli import MAX_MOTIVIC_RANK, MAX_QUADRIC_DIM, build_parser, main
-from roofpairs.configs import MAX_BASE_DIM, config_from_dict
+from roofpairs.cli import MAX_MOTIVIC_RANK, MAX_QUADRIC_DIM, MAX_TWIST, build_parser, main
+from roofpairs.configs import MAX_BASE_DIM, MAX_INT_DIGITS, config_from_dict, load_config
 from roofpairs.errors import ConfigError
 
 
@@ -196,6 +196,12 @@ def test_negative_bound_is_usage_error(argv, bound):
      f"argument dim: must be at most {MAX_QUADRIC_DIM}, got {MAX_QUADRIC_DIM + 1}"),
     # ran for more than 30 s before the cap
     (["bwb", "20000", "O", "0"], f"argument dim: must be at most {MAX_QUADRIC_DIM}, got 20000"),
+    (["bwb", "5", "O", str(MAX_TWIST + 1)], f"argument twist: must be at most {MAX_TWIST}, got {MAX_TWIST + 1}"),
+    (["bwb", "5", "O", str(-MAX_TWIST - 1)],
+     f"argument twist: must be an integer of at least {-MAX_TWIST}, got {-MAX_TWIST - 1}"),
+    # both printed a ValueError traceback before the cap: a dimension past 4300 digits
+    (["bwb", "5", "O", str(10**900)], f"argument twist: must be at most {MAX_TWIST}, got {10**900}"),
+    (["bwb", "500", "O", "1000000000000"], f"argument twist: must be at most {MAX_TWIST}, got 1000000000000"),
 ])
 def test_out_of_range_argument_is_usage_error(argv, message):
     proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv],
@@ -216,6 +222,10 @@ def test_caps_admit_documented_inputs(capsys):
         assert parser.parse_args(["bwb", str(dim), "O", "0"]).dim == dim
     code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "O", "0")
     assert code == 0 and report["table"] == {"0": 1}
+    # the largest dimensions at the caps still render (about 3450 digits)
+    for twist in (MAX_TWIST, -MAX_TWIST):
+        code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "Splusdual", str(twist))
+        assert code == 0 and len(report["table"]) == 1
 
 
 class TestMotivic:
@@ -334,6 +344,36 @@ def test_malformed_config_is_usage_error(tmp_path, data, message):
     assert message in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _g2_text(degree: str) -> bytes:
+    return json.dumps(_g2()).replace('"polarization_degree": 12', f'"polarization_degree": {degree}').encode()
+
+
+@pytest.mark.parametrize("text, message", [
+    # printed a ValueError traceback from json.load before the digit cap
+    (_g2_text("1" * 4400), f"an integer of 4400 digits exceeds the cap of {MAX_INT_DIGITS} digits"),
+    (_g2_text("-" + "1" * (MAX_INT_DIGITS + 1)),
+     f"an integer of {MAX_INT_DIGITS + 1} digits exceeds the cap of {MAX_INT_DIGITS} digits"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unparsable_config_file_is_usage_error(tmp_path, text, message):
+    path = tmp_path / "probe.json"
+    path.write_bytes(text)
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_digit_cap_admits_its_limit(tmp_path):
+    path = tmp_path / "probe.json"
+    path.write_bytes(_g2_text("-" + "1" * MAX_INT_DIGITS))
+    with pytest.raises(ConfigError, match="declared polarization degree -1111"):
+        load_config(str(path))
 
 
 def test_base_dim_cap_checked_before_any_ring(count_calls):

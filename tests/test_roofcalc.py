@@ -506,17 +506,17 @@ def object_mul(a, b):
 
 
 def object_class_from_coordinates(lat, coords):
-    """class_from_coordinates as it was: a running sum of scaled BundleClasses."""
+    """class_from_coordinates on GradedClass objects: a running sum of scaled parts."""
     side, mc = lat.side, lat.side.middle_codim
-    out = BundleClass(side, mc, [side.base.zero(mc - i) for i in range(side.rank)])
+    parts = [side.base.zero(mc - i) for i in range(side.rank)]
     for c, cls in zip(coords, lat.classes):
-        out = out + cls.scale(c)
-    return out
+        parts = [p + q.scale(c) for p, q in zip(parts, cls.parts)]
+    return BundleClass(side, mc, parts)
 
 
 def exact_parts(a):
-    """Degrees and coefficients with their types: 2 and Fraction(2) differ here."""
-    return a.degree, [(p.degree, {k: (type(v), v) for k, v in p.coeffs.items()}) for p in a.parts]
+    """The degree and the stored part dicts with coefficient types: 2 and Fraction(2) differ here."""
+    return a.degree, [{k: (type(v), v) for k, v in p.items()} for p in a._flat]
 
 
 @st.composite
@@ -593,3 +593,68 @@ class TestFoldKernelErrors:
         for mul in (BundleClass.__mul__, object_mul):
             with pytest.raises(RoofError):
                 mul(xi_power(g2.side, 1), xi_power(d4.side, 1))
+
+
+# ---------------------------------------------------------------------------
+# flat bundle classes: oracle against the same operations part by part
+# ---------------------------------------------------------------------------
+
+# test_fold_kernel_matches_object_loops covers reduce, products and
+# class_from_coordinates; its references also work part by part.
+
+@st.composite
+def flat_cases(draw):
+    """A normal form of a kernel case, a second one of the same degree, and a scalar."""
+    side, _, _, a, _, _, _ = draw(kernel_cases())
+    base = side.base
+    same = BundleClass(side, a.degree, [
+        GradedClass(base, a.degree - i, {lbl: draw(exact) for lbl in base.degree_labels.get(a.degree - i, ())})
+        for i in range(side.rank)])
+    return side, a, same, draw(exact)
+
+
+@settings(deadline=None)
+@given(case=flat_cases())
+def test_flat_classes_match_part_by_part(case):
+    side, a, same, c = case
+
+    def by_parts(parts):
+        return exact_parts(BundleClass(side, a.degree, parts))
+
+    assert exact_parts(a + same) == by_parts([p + q for p, q in zip(a.parts, same.parts)])
+    assert exact_parts(a - same) == by_parts([p - q for p, q in zip(a.parts, same.parts)])
+    assert exact_parts(-a) == by_parts([-p for p in a.parts])
+    assert exact_parts(a.scale(c)) == exact_parts(a * c) == by_parts([p.scale(c) for p in a.parts])
+    assert (a - a).is_zero and a == BundleClass(side, a.degree, a.parts)
+    assert [p.degree for p in a.parts] == [a.degree - i for i in range(side.rank)]
+
+
+class TestBundleClassChecks:
+    def test_valid_parts_accepted(self, g2):
+        base = g2.side.base
+        cls = BundleClass(g2.side, 2, [base.l_power(2), base.l_power(1).scale(3), base.zero(0)])
+        assert cls == reduce(g2.side, {0: base.l_power(2), 1: base.l_power(1).scale(3)})
+
+    def test_wrong_part_count_rejected(self, g2):
+        base = g2.side.base
+        with pytest.raises(RoofError, match="exactly rank"):
+            BundleClass(g2.side, 2, [base.l_power(2), base.l_power(1)])
+
+    def test_misgraded_part_rejected(self, g2):
+        base = g2.side.base
+        with pytest.raises(RoofError, match=r"xi\^1 component has degree 2 on 'Q5', expected 1"):
+            BundleClass(g2.side, 2, [base.l_power(2), base.l_power(2), base.unit()])
+
+    def test_part_off_the_base_rejected(self, g2):
+        foreign = make_quadric_ring(5)
+        with pytest.raises(RoofError, match="on the base 'Q5'"):
+            BundleClass(g2.side, 2, [foreign.l_power(2), foreign.zero(1), foreign.zero(0)])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, "1", None])
+    def test_inexact_scalar_rejected(self, g2, bad):
+        with pytest.raises(GradedRingError):
+            xi_power(g2.side, 1).scale(bad)
+
+    def test_zero_classes_of_different_degrees_differ(self, g2):
+        zero1, zero2 = xi_power(g2.side, 1).scale(0), xi_power(g2.side, 2).scale(0)
+        assert zero1.is_zero and zero2.is_zero and zero1 != zero2
