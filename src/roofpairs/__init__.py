@@ -2,17 +2,16 @@
 
 Quadric cohomology rings with exact rational coefficients, the
 projective-bundle roof engine (intersection lattices of hyperplane
-sections, pushforward locus classes, side switching, residue scans),
-integer-lattice algorithms (Smith normal form, discriminant groups,
-isotropic pairs, the Fourier-Mukai vector), Borel-Weil-Bott cohomology of
+sections, pushforward locus classes, side switching, residue scans, the
+Fourier-Mukai vector), integer-lattice algorithms (Smith normal form,
+discriminant groups, isotropic pairs), Borel-Weil-Bott cohomology of
 homogeneous bundles, and Grothendieck-ring fibration identities.
 
 The modules form layers; each imports only modules listed before it:
 
 - ``errors``: the exception roots the CLI reports, with no dependencies;
 - ``gradedring`` (quadric rings), ``bwbcoh`` (Borel-Weil-Bott tables) and
-  ``latticecore`` (the exact integer kernel): ``errors`` only, except that
-  ``latticecore``'s Mukai pipeline imports ``roofcalc`` when it runs;
+  ``latticecore`` (the exact integer kernel): ``errors`` only;
 - ``motivicring`` (Grothendieck ring): ``gradedring``, for its signed-sum
   renderer;
 - ``roofcalc`` (the roof engine), then ``configs`` (configurations);
@@ -38,17 +37,17 @@ _HOMES = {
     ), "errors"),
     **dict.fromkeys((
         "BasisElement", "ChernVector", "GradedClass", "RingPresentation", "chern_twist",
-        "integrate", "make_quadric_ring", "multiply", "validate_mukai_pair",
+        "integrate", "make_quadric_ring",
     ), "gradedring"),
     **dict.fromkeys((
         "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide",
-        "build_side_from_chern", "cayley_rank_decomposition", "cy_degree",
-        "locus_pushforward_class", "middle_lattice", "pairing_on_M", "polarized_sign_check",
-        "pushforward_to_base", "reduce", "residue_scan", "switch_side",
+        "build_side_from_chern", "cy_degree", "locus_pushforward_class", "middle_lattice",
+        "mukai_vector", "pairing_on_M", "polarized_sign_check", "pushforward_to_base", "reduce",
+        "residue_scan", "switch_side",
     ), "roofcalc"),
     **dict.fromkeys((
         "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",
-        "isotropic_pair_solve", "mukai_vector", "orthogonal_kernel", "smith_normal_form",
+        "isotropic_pair_solve", "orthogonal_kernel", "smith_normal_form",
     ), "latticecore"),
     **dict.fromkeys((
         "RootSystem", "bundle_cohomology", "dominant_conjugate", "euler_characteristic",

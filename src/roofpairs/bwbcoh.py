@@ -176,10 +176,6 @@ def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
     return dim
 
 
-def is_dominant(rs: RootSystem, w: Weight) -> bool:
-    return all(v >= 0 for v in _pairings(rs, _doubled_of_rank(rs, w)))
-
-
 def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]]:
     """Dominant Weyl conjugate of a rho-shifted weight, with the word length.
 
@@ -200,13 +196,6 @@ def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
     if any(v < 0 for v in _pairings(rs, lam)):
         raise NonDominantError(f"{dominant} is not dominant for {rs}")
     return _dimension(rs, [a + b for a, b in zip(lam, _doubled_rho(rs))])
-
-
-def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
-    """Highest weight of the dual representation."""
-    if rs.family == "D" and rs.rank % 2 == 1:
-        return tuple(lam[:-1]) + (-lam[-1],)
-    return tuple(lam)
 
 
 # ---------------------------------------------------------------------------

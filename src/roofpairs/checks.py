@@ -36,7 +36,6 @@ D4_GRAM = (
 )
 G2_LOCUS = (18, -5, 1)
 D4_LOCUS_DECLARED = (-30, 14, 14, -6, 1)
-D4_LOCUS_NORMALIZED = (30, -14, -14, 6, -1)
 G2_SWITCHED = (42, -23, 7)
 D4_SWITCHED_DECLARED = (42, -38, -50, 30, -7)
 G2_WITNESS = (7, (-7, 1, 0))
@@ -102,8 +101,9 @@ def _tables(cs: CheckSet, g2, d4) -> None:
     lat4 = roofcalc.middle_lattice(d4.side)
     cs.add("gram-3x3", lat2.gram, G2_GRAM)
     cs.add("gram-5x5", lat4.gram, D4_GRAM)
-    cs.add("gram-3x3-determinant", lat2.determinant(), -12)
-    cs.add("gram-5x5-determinant-abs", abs(lat4.determinant()), 12)
+    # recomputed from the Gram matrix, not read off the lattice: tests/test_call_counts.py pins the det calls
+    cs.add("gram-3x3-determinant", latticecore.det(lat2.gram), -12)
+    cs.add("gram-5x5-determinant-abs", abs(latticecore.det(lat4.gram)), 12)
     snf2 = latticecore.smith_normal_form(lat2.gram)
     cs.add("smith-factors-3x3", snf2.invariant_factors, (1, 1, 12))
     cs.add("discriminant-group-3x3", str(latticecore.discriminant_group(lat2.gram)), "Z/12")
@@ -180,8 +180,8 @@ def _mukai(cs: CheckSet, g2, bound: int) -> None:
     sol = latticecore.isotropic_pair_solve(lat.gram, G2_LOCUS, bound)
     cs.add("theta-pair", (sol.a, sol.b), ((1, 0, 0), (-5, 1, 0)))
     cs.add("theta-orbit-count", len(sol.orbits), 1)
-    cs.add("mukai-vector", latticecore.mukai_vector(g2, bound), MUKAI_VECTOR)
-    cs.add("mukai-vector-swapped", latticecore.mukai_vector(g2.swap(), bound), MUKAI_VECTOR)
+    cs.add("mukai-vector", roofcalc.mukai_vector(g2, bound), MUKAI_VECTOR)
+    cs.add("mukai-vector-swapped", roofcalc.mukai_vector(g2.swap(), bound), MUKAI_VECTOR)
     lat_t = roofcalc.middle_lattice(g2.tilde_side)
     image = roofcalc.switch_side(g2, roofcalc.class_from_coordinates(lat, sol.a))
     ic = [int(c) for c in roofcalc.coordinates_in_lattice(lat_t, image)]

@@ -84,7 +84,7 @@ def _side_report(side: RoofSide) -> dict:
             h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
         "middle_basis": [roofcalc.monomial_name(side, lbl, e) or "1" for lbl, e in lat.monomials],
         "gram": gram,
-        "gram_determinant": lat.determinant(),
+        "gram_determinant": lat.determinant,
         "smith_factors": list(snf.invariant_factors),
         "discriminant_group": str(latticecore._discriminant_from_smith(gram, snf)),
         "zero_locus_degree": roofcalc.cy_degree(side),
@@ -180,9 +180,9 @@ def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) ->
 
 
 def cmd_mukai(cfg, bound: int) -> dict:
-    from . import latticecore, roofcalc
+    from . import roofcalc
 
-    run = latticecore._mukai_pipeline(cfg, bound)
+    run = roofcalc._mukai_pipeline(cfg, bound)
     lat, sol = run.lattice, run.solution
     return {
         "command": "mukai",

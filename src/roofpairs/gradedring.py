@@ -491,11 +491,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
 # operations
 # ---------------------------------------------------------------------------
 
-def multiply(a: GradedClass, b: GradedClass) -> GradedClass:
-    """Bilinear extension of the multiplication table; degrees add, overflow is zero."""
-    return a * b
-
-
 def integrate(a: GradedClass) -> int | Fraction:
     """Coefficient of the point class in top degree, 0 in any other degree."""
     if a.degree != a.ring.dimension:
@@ -528,10 +523,3 @@ def chern_twist(c: ChernVector, t: int, hyperplane: Optional[GradedClass] = None
             acc = acc + comps[i] * h_pow[k - i] * (comb(r - i, k - i) * t ** (k - i))
         out.append(acc)
     return ChernVector(r, tuple(out))
-
-
-def validate_mukai_pair(c: ChernVector, base: RingPresentation) -> bool:
-    """True iff c_1 equals the Fano index of the base times its hyperplane class."""
-    if base.fano_index is None or base.hyperplane is None:
-        raise GradedRingError(f"{base.name!r} carries no Fano index data")
-    return c.components[0] == base.hyperplane * base.fano_index

@@ -1,21 +1,20 @@
 """Integer-lattice algorithms over arbitrary-precision integers.
 
 Smith normal form with unimodular transforms, discriminant groups of
-nondegenerate symmetric forms, saturated orthogonal kernels, hyperbolic-type
-isotropic pairs in rank 3 read off in closed form from the binary form on
-the polarization's orthogonal plane, and the change-of-basis pipeline that
-extracts the Fourier-Mukai vector of a roof configuration.
+nondegenerate symmetric forms, saturated orthogonal kernels, and
+hyperbolic-type isotropic pairs in rank 3 read off in closed form from the
+binary form on the polarization's orthogonal plane.
 
-Determinants, unimodular inverses and the one exact linear solve
-(``_solve_rational``, which ``roofcalc``'s side switch also uses) all run on
-one fraction-free Bareiss elimination over the integers; rational systems
-have their denominators cleared per row first.  ``det`` runs it forward
-only, updating just the rows below each pivot; the inverse and the solve
-run the full Gauss-Jordan pass.  Smith normal form runs its elimination on
-one bordered matrix that carries both transforms; a row-Hermite pass first
-bounds M, and with it U and V.  Discriminant-group generators are read off
-M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i), so no inverse of U is
-formed.
+Determinants and the one exact linear solve (``_solve_rational`` and its
+integral form ``_solve_integral``, which ``roofcalc``'s side switch and Mukai
+pipeline use) run on one fraction-free Bareiss elimination over the
+integers; rational systems have their denominators cleared per row first.
+``det`` runs it forward only, updating just the rows below each pivot; the
+solve runs the full Gauss-Jordan pass.  Smith normal form runs its
+elimination on one bordered matrix that carries both transforms; a
+row-Hermite pass first bounds M, and with it U and V.  Discriminant-group
+generators are read off M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i),
+so no inverse of U is formed.
 
 Matrices are sequences (lists or tuples) of rows of Python ints; a function
 that eliminates in place copies its input first.  Everything is exact.
@@ -27,12 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import LatticeError
-
-if TYPE_CHECKING:
-    from . import roofcalc
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -107,19 +103,6 @@ def det(m: Sequence[Sequence[int]]) -> int:
     n = len(m)
     pivots, d, sign = _bareiss([list(row) for row in m], n, jordan=False)
     return sign * d if len(pivots) == n else 0
-
-
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    pivots, d, _ = _bareiss(a, n)
-    if len(pivots) != n:
-        raise LatticeError("matrix is singular, not unimodular")
-    if abs(d) != 1:
-        raise LatticeError("matrix is not unimodular")
-    # a is now [d*I | d*m^-1], and 1/d = d
-    return [[d * x for x in row[n:]] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +341,7 @@ def orthogonal_kernel(
 
 
 # ---------------------------------------------------------------------------
-# isotropic pairs and the Mukai-vector pipeline
+# isotropic pairs and exact solves
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -491,49 +474,3 @@ def _solve_integral(columns: Sequence[Sequence], target: Sequence) -> Vector:
     if any(x.denominator != 1 for x in solution):
         raise InconsistencyError("image is not in the integer span of the basis")
     return tuple(x.numerator for x in solution)
-
-
-@dataclass(frozen=True)
-class _MukaiPipeline:
-    """Everything the Mukai-vector pipeline derives for the first side."""
-
-    lattice: roofcalc.MiddleLattice
-    ell: Vector
-    solution: MukaiSolution
-    image: roofcalc.BundleClass  # theta(v) carried to the other side
-    image_coords: tuple
-    vector: tuple[int, int, int]
-
-
-def mukai_vector(config, bound: int = 50) -> tuple[int, int, int]:
-    """Fourier-Mukai vector of the K3 pair of a rank-3-lattice roof configuration.
-
-    The isotropic pair is solved on both sides, the first side's degree-0
-    generator image is carried across the roof with the hyperplane-class
-    substitution, expanded in the other side's basis (v, polarization, w),
-    and normalized by the residual exchange/sign symmetry so that the first
-    two components are positive.
-    """
-    return _mukai_pipeline(config, bound).vector
-
-
-def _mukai_pipeline(config, bound: int) -> _MukaiPipeline:
-    from . import roofcalc  # local import; roofcalc builds on this module
-
-    lat = roofcalc.middle_lattice(config.side)
-    lat_t = roofcalc.middle_lattice(config.tilde_side)
-    ell = roofcalc.locus_coordinates(config.side)
-    ell_t = roofcalc.locus_coordinates(config.tilde_side)
-    sol = isotropic_pair_solve(lat.gram, ell, bound)
-    sol_t = isotropic_pair_solve(lat_t.gram, ell_t, bound)
-
-    theta_v = roofcalc.class_from_coordinates(lat, sol.a)
-    image = roofcalc.switch_side(config, theta_v)
-    image_coords = roofcalc.coordinates_in_lattice(lat_t, image)
-
-    x, y, z = _solve_integral([sol_t.a, ell_t, sol_t.b], image_coords)
-    candidates = {(x, y, z), (z, y, x), (-x, -y, -z), (-z, -y, -x)}
-    chosen = [c for c in candidates if c[0] > 0 and c[1] > 0]
-    if len(chosen) != 1:
-        raise InconsistencyError(f"sign/exchange normalization is not unique: {sorted(candidates)}")
-    return _MukaiPipeline(lat, ell, sol, image, image_coords, chosen[0])

@@ -9,8 +9,10 @@ degree-r relation
 folding higher powers down.  On top of that normal form this module builds
 the middle intersection lattice of a hyperplane section, the pushforward
 class of the polarized zero locus, the side-switching substitution
-L -> xi - L~ across the two bundle structures, and the residue scan that
-obstructs an isomorphism of the two polarized surfaces.
+L -> xi - L~ across the two bundle structures, the residue scan that
+obstructs an isomorphism of the two polarized surfaces, and the
+Fourier-Mukai pipeline: both sides' isotropic pairs, the switched generator
+and its integer coordinates in the other side's isotropic basis.
 
 The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
 side keeps a fold table (``RoofSide._fold``): base label x maps to the terms
@@ -39,7 +41,7 @@ from .gradedring import (
     integrate,
     signed_sum,
 )
-from .latticecore import _solve_rational
+from .latticecore import _solve_integral, _solve_rational
 
 
 class InvalidRoofError(RoofError):
@@ -271,10 +273,6 @@ def xi_power(side: RoofSide, e: int) -> BundleClass:
     return reduce(side, {e: side.base.unit()})
 
 
-def pullback(side: RoofSide, a: GradedClass) -> BundleClass:
-    return reduce(side, {0: a})
-
-
 def reduce(
     side: RoofSide, expression: Mapping[int, GradedClass], degree: Optional[int] = None
 ) -> BundleClass:
@@ -348,19 +346,17 @@ def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
 
 @dataclass(frozen=True)
 class MiddleLattice:
-    """Declared middle basis with its exact integer intersection matrix."""
+    """Declared middle basis with its exact integer intersection matrix and its determinant."""
 
     side: RoofSide
     monomials: tuple[tuple[str, int], ...]
     classes: tuple[BundleClass, ...]
     gram: tuple[tuple[int, ...], ...]
+    determinant: int
 
     @property
     def rank(self) -> int:
         return len(self.monomials)
-
-    def determinant(self) -> int:
-        return latticecore.det(self.gram)
 
 
 def middle_lattice(side: RoofSide) -> MiddleLattice:
@@ -379,10 +375,10 @@ def middle_lattice(side: RoofSide) -> MiddleLattice:
     gram = tuple(
         tuple(pairing_on_M(side, a, b) for b in classes) for a in classes
     )
-    lat = MiddleLattice(side, tuple(tuple(m) for m in side.middle_basis), tuple(classes), gram)
-    if lat.determinant() == 0:
+    d = latticecore.det(gram)
+    if d == 0:
         raise DegenerateBasisError("declared middle basis is degenerate under the pairing")
-    return lat
+    return MiddleLattice(side, tuple(tuple(m) for m in side.middle_basis), tuple(classes), gram, d)
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
@@ -604,35 +600,6 @@ def switch_side(config: RoofConfig, a: BundleClass) -> BundleClass:
 
 
 # ---------------------------------------------------------------------------
-# rank bookkeeping of the hyperplane-section decomposition
-# ---------------------------------------------------------------------------
-
-def quadric_betti(n: int, j: int) -> int:
-    """Rank of H^j (topological degree) of the n-dimensional smooth quadric."""
-    if j % 2 or j < 0 or j > 2 * n:
-        return 0
-    return 1 + (1 if n % 2 == 0 and j == n else 0)
-
-
-_K3_BETTI = {0: 1, 2: 22, 4: 1}
-
-
-def cayley_rank_decomposition(config: RoofConfig, k: int) -> list[int]:
-    """Ranks of the direct sum decomposing H^k of the hyperplane section.
-
-    The first r - 1 entries are ranks of H^(k - 2i) of the base; the last is
-    the rank of H^(k - 2r + 2) of the polarized surface (22 in its middle
-    degree).
-    """
-    n, r = config.n, config.rank
-    if not 0 <= k <= 2 * (n + r - 2):
-        raise DegreeMismatchError(f"degree {k} outside [0, {2 * (n + r - 2)}]")
-    ranks = [quadric_betti(n, k - 2 * i) for i in range(r - 1)]
-    ranks.append(_K3_BETTI.get(k - 2 * r + 2, 0))
-    return ranks
-
-
-# ---------------------------------------------------------------------------
 # residue scan (discriminant-group comparison)
 # ---------------------------------------------------------------------------
 
@@ -748,3 +715,51 @@ def _scan_coordinates(config: RoofConfig, j: tuple[int, ...], jt: tuple[int, ...
         declared_residue_set=declared_residues,
         declared_witnesses=declared_witnesses,
     )
+
+
+# ---------------------------------------------------------------------------
+# the Fourier-Mukai vector
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _MukaiPipeline:
+    """Everything the Mukai-vector pipeline derives for the first side."""
+
+    lattice: MiddleLattice
+    ell: tuple[int, ...]
+    solution: latticecore.MukaiSolution
+    image: BundleClass  # theta(v) carried to the other side
+    image_coords: tuple
+    vector: tuple[int, int, int]
+
+
+def mukai_vector(config: RoofConfig, bound: int = 50) -> tuple[int, int, int]:
+    """Fourier-Mukai vector of the K3 pair of a rank-3-lattice roof configuration.
+
+    The isotropic pair is solved on both sides, the first side's degree-0
+    generator image is carried across the roof with the hyperplane-class
+    substitution, expanded in the other side's basis (v, polarization, w),
+    and normalized by the residual exchange/sign symmetry so that the first
+    two components are positive.
+    """
+    return _mukai_pipeline(config, bound).vector
+
+
+def _mukai_pipeline(config: RoofConfig, bound: int) -> _MukaiPipeline:
+    lat = middle_lattice(config.side)
+    lat_t = middle_lattice(config.tilde_side)
+    ell = locus_coordinates(config.side)
+    ell_t = locus_coordinates(config.tilde_side)
+    sol = latticecore.isotropic_pair_solve(lat.gram, ell, bound)
+    sol_t = latticecore.isotropic_pair_solve(lat_t.gram, ell_t, bound)
+
+    theta_v = class_from_coordinates(lat, sol.a)
+    image = switch_side(config, theta_v)
+    image_coords = coordinates_in_lattice(lat_t, image)
+
+    x, y, z = _solve_integral([sol_t.a, ell_t, sol_t.b], image_coords)
+    candidates = {(x, y, z), (z, y, x), (-x, -y, -z), (-z, -y, -x)}
+    chosen = [c for c in candidates if c[0] > 0 and c[1] > 0]
+    if len(chosen) != 1:
+        raise latticecore.InconsistencyError(f"sign/exchange normalization is not unique: {sorted(candidates)}")
+    return _MukaiPipeline(lat, ell, sol, image, image_coords, chosen[0])

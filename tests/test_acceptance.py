@@ -57,7 +57,7 @@ def test_criterion_02_intersection_tables():
     lat4 = roofcalc.middle_lattice(D4.side)
     assert lat2.gram == G2_GRAM
     assert lat4.gram == D4_GRAM
-    assert lat2.determinant() == -12
+    assert lat2.determinant == -12
     snf = latticecore.smith_normal_form([list(r) for r in lat2.gram])
     assert snf.invariant_factors == (1, 1, 12)
     assert str(latticecore.discriminant_group([list(r) for r in lat2.gram])) == "Z/12"
@@ -134,8 +134,8 @@ def test_criterion_07_mukai_pipeline():
     assert sol.a == (1, 0, 0)       # theta(v) = Pi
     assert sol.b == (-5, 1, 0)      # theta(w) = -5 Pi + L^2 xi
     assert len(sol.orbits) == 1
-    assert latticecore.mukai_vector(G2, bound=50) == (2, 1, -3)
-    assert latticecore.mukai_vector(G2.swap(), bound=50) == (2, 1, -3)
+    assert roofcalc.mukai_vector(G2, bound=50) == (2, 1, -3)
+    assert roofcalc.mukai_vector(G2.swap(), bound=50) == (2, 1, -3)
     report(7, "theta pair recovered with a unique orbit in the 50-box; Mukai vector (2, 1, -3)")
 
 

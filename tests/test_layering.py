@@ -1,8 +1,10 @@
 """The package imports lazily: each CLI command loads only the modules it runs,
 while every public name stays importable from ``roofpairs``."""
 
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -11,22 +13,21 @@ import pytest
 import roofpairs
 from roofpairs import cli, configs, errors
 
-# the public names of the package, with their home modules, as they were when
-# the package still imported every module eagerly
+# the public names of the package, with their home modules
 EXPORTED = {
     **dict.fromkeys((
         "BasisElement", "ChernVector", "GradedClass", "RingPresentation", "chern_twist",
-        "integrate", "make_quadric_ring", "multiply", "validate_mukai_pair",
+        "integrate", "make_quadric_ring",
     ), "gradedring"),
     **dict.fromkeys((
         "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide",
-        "build_side_from_chern", "cayley_rank_decomposition", "cy_degree",
-        "locus_pushforward_class", "middle_lattice", "pairing_on_M", "polarized_sign_check",
-        "pushforward_to_base", "reduce", "residue_scan", "switch_side",
+        "build_side_from_chern", "cy_degree", "locus_pushforward_class", "middle_lattice",
+        "mukai_vector", "pairing_on_M", "polarized_sign_check", "pushforward_to_base", "reduce",
+        "residue_scan", "switch_side",
     ), "roofcalc"),
     **dict.fromkeys((
         "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",
-        "isotropic_pair_solve", "mukai_vector", "orthogonal_kernel", "smith_normal_form",
+        "isotropic_pair_solve", "orthogonal_kernel", "smith_normal_form",
     ), "latticecore"),
     **dict.fromkeys((
         "RootSystem", "bundle_cohomology", "dominant_conjugate", "euler_characteristic",
@@ -104,3 +105,28 @@ def test_error_roots_live_in_errors(name):
 
 def test_parser_names_the_builtin_configurations():
     assert cli.BUILTIN_NAMES == configs.builtin_names()
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """The roofpairs modules a source file imports anywhere: at module level,
+    inside functions and under ``TYPE_CHECKING`` alike."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("roofpairs")):
+            module = node.module if node.level else node.module.removeprefix("roofpairs").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("roofpairs.")}
+    return found
+
+
+def test_latticecore_is_a_leaf():
+    path = pathlib.Path(roofpairs.__file__).with_name("latticecore.py")
+    assert _package_imports(path) == {"errors"}
+
+
+def test_mukai_vector_lives_in_roofcalc():
+    roofcalc = importlib.import_module("roofpairs.roofcalc")
+    latticecore = importlib.import_module("roofpairs.latticecore")
+    assert roofpairs.mukai_vector is roofcalc.mukai_vector
+    assert not hasattr(latticecore, "mukai_vector")

@@ -105,7 +105,7 @@ def ref_side_report(side):
             h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
         "middle_basis": [str(roofcalc.monomial(side, lbl, e)) for lbl, e in lat.monomials],
         "gram": gram,
-        "gram_determinant": lat.determinant(),
+        "gram_determinant": lat.determinant,
         "smith_factors": list(latticecore.smith_normal_form(gram).invariant_factors),
         "discriminant_group": str(latticecore.discriminant_group(gram)),
         "zero_locus_degree": roofcalc.cy_degree(side),
