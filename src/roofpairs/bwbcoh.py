@@ -22,11 +22,10 @@ to guess otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BWBError, UnsupportedBundleError
 
@@ -50,16 +49,28 @@ class InconsistentSequenceError(BWBError):
 # root systems B_m / D_m in epsilon coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RootSystem:
-    family: str  # "B" or "D"
-    rank: int
+    """The root system B_m or D_m (``family`` "B" or "D", ``rank`` m); read-only, a cache key below."""
 
-    def __post_init__(self):
-        if self.family not in ("B", "D"):
-            raise BWBError(f"family must be 'B' or 'D', got {self.family!r}")
-        if self.rank < 2:
+    def __init__(self, family: str, rank: int):
+        if family not in ("B", "D"):
+            raise BWBError(f"family must be 'B' or 'D', got {family!r}")
+        if rank < 2:
             raise BWBError("rank must be at least 2")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootSystem.{name} is read-only")
+
+    # written out, not through a key tuple: every cached lookup below calls both
+    def __eq__(self, other):
+        if type(other) is not RootSystem:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def positive_roots(self) -> list[tuple[int, ...]]:
         m = self.rank
@@ -279,8 +290,7 @@ def euler_characteristic(table: Mapping[int, int]) -> int:
 # long exact sequence solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A short exact sequence of bundles with tables known for a subset of terms.
 
     ``tables`` holds one cohomology table per term, ``None`` marking the

@@ -9,16 +9,14 @@ The same claims are asserted independently by the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import bwbcoh, latticecore, motivicring, roofcalc
 from .configs import builtin_config
 from .gradedring import ChernVector, chern_twist, make_quadric_ring
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     computed: Any
@@ -223,8 +221,9 @@ def _motivic(cs: CheckSet) -> None:
 
 
 def _structural(cs: CheckSet, g2, d4) -> None:
-    # quadric rings revalidate associativity/commutativity at construction;
-    # do it once more explicitly, then check the two bundle rings.
+    # a ring checks associativity once per process for each table content, so
+    # these constructions may skip it; check both laws here on every run, then
+    # check the two bundle rings.
     for ring in (make_quadric_ring(5), make_quadric_ring(6)):
         labels = [b.label for b in ring.basis]
         assoc = all(

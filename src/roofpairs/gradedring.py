@@ -25,10 +25,9 @@ and for dimension ``2m``::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import GradedRingError
 
@@ -45,8 +44,7 @@ class IntegralityError(GradedRingError):
     """A class asserted to be integral has a non-integer coefficient."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One named basis class; ``degree`` is codimension (half the topological degree)."""
 
     label: str
@@ -366,19 +364,29 @@ class GradedClass:
         return f"<{self} : deg {self.degree} on {self.ring.name}>"
 
 
-@dataclass(frozen=True)
 class ChernVector:
-    """Total Chern data of a rank-r bundle: component i is a degree-i class."""
+    """Total Chern data of a rank-r bundle: component i is a degree-i class. Read-only."""
 
-    rank: int
-    components: tuple[GradedClass, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.rank:
+    def __init__(self, rank: int, components: tuple[GradedClass, ...]):
+        if len(components) != rank:
             raise GradedRingError("Chern vector length must equal the rank")
-        for i, c in enumerate(self.components, start=1):
+        for i, c in enumerate(components, start=1):
             if c.degree != i:
                 raise GradedRingError(f"component {i} has degree {c.degree}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ChernVector.{name} is read-only")
+
+    def _key(self) -> tuple:
+        return self.rank, self.components
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ChernVector else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ring(self) -> RingPresentation:

@@ -22,11 +22,10 @@ that eliminates in place copies its input first.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LatticeError
 
@@ -109,8 +108,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * M * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
     U: tuple[tuple[int, ...], ...]
@@ -256,8 +254,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
 # discriminant groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """Finite quotient (dual lattice)/(lattice) as a chain of cyclic factors.
 
     ``generators[i]`` is an integer vector in dual-basis coordinates whose
@@ -344,8 +341,7 @@ def orthogonal_kernel(
 # isotropic pairs and exact solves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MukaiSolution:
+class MukaiSolution(NamedTuple):
     """The canonical isotropic pair and its solution orbits (at most one exists)."""
 
     a: Vector

@@ -23,11 +23,10 @@ coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import latticecore
 from .errors import RoofError
@@ -68,7 +67,6 @@ class SwitchError(RoofError):
 # sides and bundle classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RoofSide:
     """One projective-bundle structure: base ring, rank, relation coefficients.
 
@@ -76,23 +74,35 @@ class RoofSide:
     relation; for sides built from Chern data these are the Chern classes of
     the twisted bundle.  ``middle_basis`` lists the monomials (base label,
     xi exponent) spanning the middle algebraic cohomology of a hyperplane
-    section.
+    section.  Read-only, equal and hashed by these five fields.
     """
 
-    name: str
-    base: RingPresentation
-    rank: int
-    groth_coeffs: tuple[GradedClass, ...]
-    middle_basis: Optional[tuple[tuple[str, int], ...]] = None
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
+                 middle_basis: Optional[tuple[tuple[str, int], ...]] = None):
+        if rank < 1:
             raise InvalidRoofError("rank must be positive")
-        if len(self.groth_coeffs) != self.rank:
+        if len(groth_coeffs) != rank:
             raise InvalidRoofError("need exactly rank relation coefficients")
-        for i, c in enumerate(self.groth_coeffs, start=1):
-            if c.ring is not self.base or c.degree != i:
+        for i, c in enumerate(groth_coeffs, start=1):
+            if c.ring is not base or c.degree != i:
                 raise InvalidRoofError(f"relation coefficient {i} must live on the base in degree {i}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "groth_coeffs", groth_coeffs)
+        object.__setattr__(self, "middle_basis", middle_basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RoofSide.{name} is read-only")
+
+    def _key(self) -> tuple:
+        return self.name, self.base, self.rank, self.groth_coeffs, self.middle_basis
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is RoofSide else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _fold(self) -> dict[str, tuple[tuple[int, str, int | Fraction], ...]]:
@@ -344,8 +354,7 @@ def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class MiddleLattice:
+class MiddleLattice(NamedTuple):
     """Declared middle basis with its exact integer intersection matrix and its determinant."""
 
     side: RoofSide
@@ -411,31 +420,43 @@ def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[Fraction
 # roof configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RoofConfig:
     """Two projective-bundle structures glued along xi = L + L~ (k = 1).
 
     ``declared_locus_signs`` records, per side, the sign of the declared
     pushforward-locus representative relative to the positivity-normalized
     one; it only affects which representatives the residue report echoes.
+    Read-only, equal and hashed by its five fields.
     """
 
-    name: str
-    side: RoofSide
-    tilde_side: RoofSide
-    polarization_degree: int
-    declared_locus_signs: tuple[int, int] = (1, 1)
-
-    def __post_init__(self):
-        if self.side.rank != self.tilde_side.rank:
+    def __init__(self, name: str, side: RoofSide, tilde_side: RoofSide, polarization_degree: int,
+                 declared_locus_signs: tuple[int, int] = (1, 1)):
+        if side.rank != tilde_side.rank:
             raise InvalidRoofError("the two sides must have equal rank")
-        if self.side.dim_total != self.tilde_side.dim_total:
+        if side.dim_total != tilde_side.dim_total:
             raise InvalidRoofError("the two sides must have equal total-space dimension")
-        for s in (self.side, self.tilde_side):
+        for s in (side, tilde_side):
             d = cy_degree(s)
-            if d != self.polarization_degree:
+            if d != polarization_degree:
                 raise InvalidRoofError(
-                    f"declared polarization degree {self.polarization_degree} != computed {d} on {s.name!r}")
+                    f"declared polarization degree {polarization_degree} != computed {d} on {s.name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "tilde_side", tilde_side)
+        object.__setattr__(self, "polarization_degree", polarization_degree)
+        object.__setattr__(self, "declared_locus_signs", declared_locus_signs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RoofConfig.{name} is read-only")
+
+    def _key(self) -> tuple:
+        return self.name, self.side, self.tilde_side, self.polarization_degree, self.declared_locus_signs
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is RoofConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -603,8 +624,7 @@ def switch_side(config: RoofConfig, a: BundleClass) -> BundleClass:
 # residue scan (discriminant-group comparison)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidueScan:
+class ResidueScan(NamedTuple):
     """Outcome of the divisibility scan comparing the two locus classes.
 
     ``residue_set`` collects k mod d with (j - k*j~)/d integral, computed
@@ -721,8 +741,7 @@ def _scan_coordinates(config: RoofConfig, j: tuple[int, ...], jt: tuple[int, ...
 # the Fourier-Mukai vector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _MukaiPipeline:
+class _MukaiPipeline(NamedTuple):
     """Everything the Mukai-vector pipeline derives for the first side."""
 
     lattice: MiddleLattice
@@ -748,6 +767,8 @@ def mukai_vector(config: RoofConfig, bound: int = 50) -> tuple[int, int, int]:
 def _mukai_pipeline(config: RoofConfig, bound: int) -> _MukaiPipeline:
     lat = middle_lattice(config.side)
     lat_t = middle_lattice(config.tilde_side)
+    if lat.rank != 3 or lat_t.rank != 3:  # the solve's own check, before the locus classes are built
+        raise latticecore.LatticeError("isotropic_pair_solve expects a rank-3 gram matrix")
     ell = locus_coordinates(config.side)
     ell_t = locus_coordinates(config.tilde_side)
     sol = latticecore.isotropic_pair_solve(lat.gram, ell, bound)

@@ -170,6 +170,15 @@ class TestMukai:
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
         assert counts["latticecore.isotropic_pair_solve"] == 2
 
+    def test_rank_checked_before_the_locus_classes(self, capsys, count_calls):
+        # d4's lattices have rank 5: two middle lattices show it, no locus class is needed
+        counts = count_calls("roofcalc.middle_lattice", "latticecore.isotropic_pair_solve")
+        assert main(["mukai", "d4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LatticeError: isotropic_pair_solve expects a rank-3 gram matrix\n"
+        assert counts == {"roofcalc.middle_lattice": 2, "latticecore.isotropic_pair_solve": 0}
+
 
 @pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])
 @pytest.mark.parametrize("bound", ["-3", "-1"])

@@ -48,7 +48,7 @@ ERROR_HOMES = {
 }
 
 # Runs one command through cli.main and reports, as the last line of stderr,
-# which roofpairs modules the process loaded.
+# which roofpairs modules the process loaded, and "dataclasses" if it loaded that.
 PROBE = """\
 import json, sys
 from roofpairs.cli import main
@@ -58,21 +58,45 @@ try:
 except SystemExit as exc:
     code = exc.code
 finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("roofpairs"))), file=sys.stderr)
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("roofpairs") or m == "dataclasses")),
+          file=sys.stderr)
 sys.exit(code)
 """
 
 NOT_LOADED = {"roofpairs.roofcalc", "roofpairs.latticecore", "roofpairs.checks", "roofpairs.configs"}
 
 
+def _probe(argv: list[str], preamble: str = "") -> set[str]:
+    """The modules PROBE reports for one command, run after ``preamble`` in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", preamble + PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
 @pytest.mark.parametrize("argv", [["--version"], ["bwb", "5", "G", "1", "--json"], ["motivic", "--json"]],
                          ids=" ".join)
 def test_command_loads_only_what_it_runs(argv):
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    loaded = _probe(argv)
     assert "roofpairs.cli" in loaded
     assert not loaded & NOT_LOADED
+
+
+# dataclasses (with inspect, ast and dis behind it) is the largest import a
+# command could pay for.  pytest has loaded it already, so each case runs in a
+# fresh process; importing checks stands for verify-all without its run time.
+@pytest.mark.parametrize("preamble, argv", [
+    *(pytest.param("", argv, id=" ".join(argv)) for argv in (
+        ["--version"], ["describe", "g2dagger"], ["lemma7", "d4"], ["mukai", "g2dagger"], ["bwb", "5", "G", "1"],
+        ["motivic"])),
+    pytest.param("import roofpairs.checks\n", ["--version"], id="import roofpairs.checks"),
+])
+def test_start_up_does_not_import_dataclasses(preamble, argv):
+    assert "dataclasses" not in _probe(argv, preamble)
+
+
+def test_no_module_imports_dataclasses():
+    for path in pathlib.Path(roofpairs.__file__).parent.glob("*.py"):
+        assert "dataclasses" not in _absolute_imports(path), path.name
 
 
 @pytest.mark.parametrize("name", sorted(EXPORTED))
@@ -117,6 +141,17 @@ def _package_imports(path: pathlib.Path) -> set[str]:
             found |= {module.split(".")[0]} if module else {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("roofpairs.")}
+    return found
+
+
+def _absolute_imports(path: pathlib.Path) -> set[str]:
+    """The top-level modules a source file imports by absolute name anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
     return found
 
 

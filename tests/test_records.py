@@ -1,0 +1,57 @@
+"""The record classes are read-only and equal by value, whether NamedTuples or
+plain classes that validate their fields."""
+
+import pytest
+
+from roofpairs import bwbcoh, checks, gradedring, latticecore, roofcalc
+
+Q5 = gradedring.make_quadric_ring(5)
+G2_GRAM = ((0, 1, 5), (1, 10, 32), (5, 32, 82))
+G2_LOCUS = (18, -5, 1)
+
+# class -> (a field, a function of the g2dagger config building an instance);
+# each call builds a new instance from equal fields
+RECORDS = {
+    gradedring.BasisElement: ("label", lambda g2: gradedring.BasisElement("L", 1)),
+    gradedring.ChernVector: ("rank", lambda g2: gradedring.ChernVector(
+        3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2))),
+    latticecore.SmithDecomposition: ("U", lambda g2: latticecore.smith_normal_form(G2_GRAM)),
+    latticecore.DiscriminantGroup: ("factors", lambda g2: latticecore.discriminant_group(G2_GRAM)),
+    latticecore.MukaiSolution: ("a", lambda g2: latticecore.isotropic_pair_solve(G2_GRAM, G2_LOCUS, 50)),
+    roofcalc.RoofSide: ("groth_coeffs", lambda g2: roofcalc.RoofSide(
+        g2.side.name, g2.side.base, g2.side.rank, g2.side.groth_coeffs, g2.side.middle_basis)),
+    roofcalc.MiddleLattice: ("gram", lambda g2: roofcalc.middle_lattice(g2.side)),
+    roofcalc.RoofConfig: ("polarization_degree", lambda g2: roofcalc.RoofConfig(
+        g2.name, g2.side, g2.tilde_side, g2.polarization_degree, g2.declared_locus_signs)),
+    roofcalc.ResidueScan: ("residue_set", lambda g2: roofcalc.residue_scan(g2)),
+    roofcalc._MukaiPipeline: ("vector", lambda g2: roofcalc._mukai_pipeline(g2, 50)),
+    bwbcoh.RootSystem: ("rank", lambda g2: bwbcoh.quadric_root_system(5)),
+    bwbcoh.SequenceSpec: ("tables", lambda g2: bwbcoh.SequenceSpec(("O", "Sdual", "G"), ({0: 7}, {0: 48}, None), 5)),
+    checks.Check: ("passed", lambda g2: checks.Check("gram-3x3", True, G2_GRAM, G2_GRAM)),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_read_only_and_equal_by_value(cls, g2):
+    field, build = RECORDS[cls]
+    first, second = build(g2), build(g2)
+    assert type(first) is cls and first is not second
+    assert first == second
+    with pytest.raises(AttributeError):
+        setattr(first, field, getattr(second, field))
+    assert first == second
+
+
+def test_side_equality_ignores_the_cached_fold(g2):
+    field, build = RECORDS[roofcalc.RoofSide]
+    first, second = build(g2), build(g2)
+    roofcalc.reduce(first, {first.rank: first.base.unit()})  # fills first._fold only
+    assert "_fold" in vars(first) and "_fold" not in vars(second)
+    assert first == second and hash(first) == hash(second)
+
+
+def test_root_system_is_a_cache_key():
+    bwbcoh.rho(bwbcoh.quadric_root_system(5))
+    hits = bwbcoh._doubled_rho.cache_info().hits
+    bwbcoh.rho(bwbcoh.quadric_root_system(5))
+    assert bwbcoh._doubled_rho.cache_info().hits == hits + 1
