@@ -34,7 +34,7 @@ from . import __version__
 from .errors import BWBError, ConfigError, GradedRingError, LatticeError, RoofError, UnsupportedBundleError
 
 if TYPE_CHECKING:
-    from .roofcalc import RoofConfig, RoofSide
+    from .roofcalc import MiddleLattice, RoofConfig, RoofQuery, RoofSide
 
 # configs.builtin_names(), written out so that building the parser loads no configuration code
 BUILTIN_NAMES = ("d4", "g2dagger")
@@ -66,14 +66,19 @@ def _config(name: str, path: Optional[str]) -> RoofConfig:
     return resolve_config(name, path)
 
 
-def _side_report(side: RoofSide) -> dict:
+def _vector(lat: MiddleLattice, coords, **extra) -> dict:
+    from .roofcalc import class_from_coordinates
+
+    return {**extra, "coordinates": list(coords), "class": str(class_from_coordinates(lat, coords))}
+
+
+def _side_report(q: RoofQuery, side: RoofSide) -> dict:
     from . import latticecore, roofcalc
 
-    lat = roofcalc.middle_lattice(side)
+    lat = q.lattice(side)
     gram = [list(r) for r in lat.gram]
     snf = latticecore.smith_normal_form(gram)  # one decomposition for the factors and the group
-    locus = roofcalc._locus_class(lat)
-    coords = roofcalc.coordinates_in_lattice(lat, locus)
+    locus = q.locus(side)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {
         "base": side.base.name,
@@ -89,70 +94,49 @@ def _side_report(side: RoofSide) -> dict:
         "discriminant_group": str(latticecore._discriminant_from_smith(gram, snf)),
         "zero_locus_degree": roofcalc.cy_degree(side),
         "locus_class": str(locus),
-        "locus_coordinates": [int(c) for c in coords],
+        "locus_coordinates": list(q.locus_coordinates(side)),
         "locus_self_pairing": roofcalc.pairing_on_M(side, locus, locus),
     }
 
 
 def cmd_describe(cfg) -> dict:
+    from . import roofcalc
+
+    q = roofcalc.RoofQuery(cfg)
     return {
         "command": "describe",
         "name": cfg.name,
         "rank": cfg.rank,
         "base_dimension": cfg.n,
         "polarization_degree": cfg.polarization_degree,
-        "sides": [_side_report(cfg.side), _side_report(cfg.tilde_side)],
+        "sides": [_side_report(q, cfg.side), _side_report(q, cfg.tilde_side)],
     }
 
 
 def cmd_lemma7(cfg) -> dict:
     from . import roofcalc
 
-    # the steps of roofcalc.residue_scan, each lattice and class built once
-    stage = "middle lattice"
+    q = roofcalc.RoofQuery(cfg)
     try:
-        lat = roofcalc.middle_lattice(cfg.side)
-        lat_t = roofcalc.middle_lattice(cfg.tilde_side)
-        stage = "locus class"
-        locus = roofcalc._locus_class(lat)
-        locus_t = roofcalc._locus_class(lat_t)
-        stage = "side switch"
-        switched = roofcalc.switch_side(cfg, locus)
-        stage = "residue scan"
-        j = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, switched))
-        jt = tuple(int(c) for c in roofcalc.coordinates_in_lattice(lat_t, locus_t))
-        scan = roofcalc._scan_coordinates(cfg, j, jt)
+        scan = q.residue_scan()
     except (RoofError, GradedRingError, LatticeError) as exc:
-        raise type(exc)(f"stage '{stage}' failed: {exc}") from exc
-
-    def witness_entry(k: int, coords) -> dict:
-        return {
-            "k": k,
-            "coordinates": list(coords),
-            "class": str(roofcalc.class_from_coordinates(lat_t, coords)),
-        }
-
+        raise type(exc)(f"stage '{q.stage}' failed: {exc}") from exc
+    lat_t = q.lattice(cfg.tilde_side)
     declared = scan.declared_witness
     return {
         "command": "lemma7",
         "name": cfg.name,
         "polarization_degree": scan.degree,
-        "switched_locus": {
-            "coordinates": list(scan.j_coords),
-            "class": str(roofcalc.class_from_coordinates(lat_t, scan.j_coords)),
-        },
-        "tilde_locus": {
-            "coordinates": list(scan.jt_coords),
-            "class": str(roofcalc.class_from_coordinates(lat_t, scan.jt_coords)),
-        },
+        "switched_locus": _vector(lat_t, scan.j_coords),
+        "tilde_locus": _vector(lat_t, scan.jt_coords),
         "residue_set": list(scan.residue_set),
         "sign_orbit": list(scan.sign_orbit),
         "iso_obstructed": scan.iso_obstructed,
-        "witnesses": [witness_entry(k, w) for k, w in scan.witnesses],
+        "witnesses": [_vector(lat_t, w, k=k) for k, w in scan.witnesses],
         "declared_form": {
             "locus_signs": list(cfg.declared_locus_signs),
             "residue_set": list(scan.declared_residue_set),
-            "witness": None if declared is None else witness_entry(*declared),
+            "witness": None if declared is None else _vector(lat_t, declared[1], k=declared[0]),
         },
     }
 
@@ -182,18 +166,18 @@ def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) ->
 def cmd_mukai(cfg, bound: int) -> dict:
     from . import roofcalc
 
-    run = roofcalc._mukai_pipeline(cfg, bound)
-    lat, sol = run.lattice, run.solution
+    q = roofcalc.RoofQuery(cfg)
+    sol, image_coords, vector = q.mukai(bound)
     return {
         "command": "mukai",
         "name": cfg.name,
         "bound": bound,
-        "polarization": {"coordinates": list(run.ell)},
-        "theta_v": {"coordinates": list(sol.a), "class": str(roofcalc.class_from_coordinates(lat, sol.a))},
-        "theta_w": {"coordinates": list(sol.b), "class": str(roofcalc.class_from_coordinates(lat, sol.b))},
+        "polarization": {"coordinates": list(q.locus_coordinates(cfg.side))},
+        "theta_v": _vector(q.lattice(cfg.side), sol.a),
+        "theta_w": _vector(q.lattice(cfg.side), sol.b),
         "solution_orbits": len(sol.orbits),
-        "switched_generator": {"coordinates": [int(c) for c in run.image_coords], "class": str(run.image)},
-        "mukai_vector": list(run.vector),
+        "switched_generator": _vector(q.lattice(cfg.tilde_side), image_coords),
+        "mukai_vector": list(vector),
     }
 
 
@@ -306,12 +290,11 @@ def render_text(report: dict, out) -> None:
         out.write(json.dumps(report, indent=2) + "\n")
 
 
-def emit(report: dict, as_json: bool, out=None) -> None:
-    out = out or sys.stdout
+def emit(report: dict, as_json: bool) -> None:
     if as_json:
-        out.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        render_text(report, out)
+        render_text(report, sys.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ class ChernVector:
 # quadric rings
 # ---------------------------------------------------------------------------
 
-def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
+def make_quadric_ring(dim: int) -> RingPresentation:
     """Cohomology ring of the smooth quadric of dimension ``dim`` (codimension grading).
 
     >>> q5 = make_quadric_ring(5)
@@ -412,7 +412,6 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
     """
     if dim < 2:
         raise InvalidDimensionError(f"quadric dimension must be >= 2, got {dim}")
-    name = name or f"Q{dim}"
 
     def lpow_label(p: int) -> str:
         return "L" if p == 1 else f"L^{p}"
@@ -484,7 +483,7 @@ def make_quadric_ring(dim: int, name: Optional[str] = None) -> RingPresentation:
 
     l_powers = [l_power_combo(p) for p in range(0, dim + 1)]
     return RingPresentation(
-        name,
+        f"Q{dim}",
         dim,
         basis,
         point,
@@ -506,7 +505,7 @@ def integrate(a: GradedClass) -> int | Fraction:
     return a.coefficient(a.ring.point_label)
 
 
-def chern_twist(c: ChernVector, t: int, hyperplane: Optional[GradedClass] = None) -> ChernVector:
+def chern_twist(c: ChernVector, t: int) -> ChernVector:
     """Chern data of E(t) = E tensor O(t): c_k' = sum_i C(r-i, k-i) t^(k-i) h^(k-i) c_i.
 
     >>> q5 = make_quadric_ring(5)
@@ -514,10 +513,8 @@ def chern_twist(c: ChernVector, t: int, hyperplane: Optional[GradedClass] = None
     >>> str(chern_twist(c, 1))
     '(5*L, 9*L^2, 12*Pi)'
     """
-    ring = c.ring
+    ring, hyperplane = c.ring, c.ring.hyperplane
     if hyperplane is None:
-        hyperplane = ring.hyperplane
-    if hyperplane is None or hyperplane.degree != 1:
         raise GradedRingError("chern_twist needs a degree-1 hyperplane class")
     r = c.rank
     h_pow = [ring.unit()]

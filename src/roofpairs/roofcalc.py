@@ -493,21 +493,13 @@ def cy_degree(side: RoofSide) -> int:
 # locus pushforward class
 # ---------------------------------------------------------------------------
 
-def _normalization_monomial(side: RoofSide) -> BundleClass:
-    """xi^(r-1) * L, the nef monomial used to fix the sign of the locus class."""
-    h = side.base.hyperplane
-    if h is None:
-        raise RoofError(f"base ring {side.base.name!r} has no hyperplane class")
-    return reduce(side, {side.rank - 1: h})
-
-
 def locus_pushforward_class(side: RoofSide) -> BundleClass:
     """Primitive generator of the orthogonal complement of the pullback sublattice.
 
     The pullback sublattice is spanned by the middle-basis monomials of
     xi-exponent at most r - 2.  The generator's sign is normalized so that
     its pairing with xi^(r-1) * L is strictly positive.  Builds the side's
-    middle lattice; a caller that already holds it uses ``_locus_class``.
+    middle lattice on each call; ``RoofQuery.locus`` builds it once.
     """
     return _locus_class(middle_lattice(side))
 
@@ -525,7 +517,10 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
         raise UnexpectedRankError(
             f"orthogonal complement of the pullback sublattice has rank {len(kernel)}, expected 1")
     cls = class_from_coordinates(lat, kernel[0]).assert_integral()
-    p = pairing_on_M(side, cls, _normalization_monomial(side))
+    h = side.base.hyperplane
+    if h is None:
+        raise RoofError(f"base ring {side.base.name!r} has no hyperplane class")
+    p = pairing_on_M(side, cls, reduce(side, {side.rank - 1: h}))  # xi^(r-1) * L, nef, fixes the sign
     if p == 0:
         raise UnexpectedRankError("locus class pairs to zero with the normalization monomial")
     if p < 0:
@@ -539,7 +534,9 @@ def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
 
 
 def polarized_sign_check(config: RoofConfig, which: str = "side") -> int:
-    """Self-pairing of the locus class; equals (-1)^(r-1) times the locus degree."""
+    """Self-pairing of the locus class of the ``which`` side ("side" or "tilde"): (-1)^(r-1) times the locus degree."""
+    if which not in ("side", "tilde"):
+        raise RoofError(f"which must be 'side' or 'tilde', got {which!r}")
     side = config.side if which == "side" else config.tilde_side
     cls = locus_pushforward_class(side)
     return pairing_on_M(side, cls, cls)
@@ -702,8 +699,8 @@ def residue_scan(config: RoofConfig) -> ResidueScan:
     j is the side locus class carried across the roof, j~ the tilde side's
     own locus class; d is the polarization degree.  The isomorphism of
     discriminant groups is obstructed iff no residue in the +-1 orbit occurs.
-    Builds every lattice and class it needs; a caller that already holds j
-    and j~ as tilde-lattice coordinates scans them with ``_scan_coordinates``.
+    Builds every lattice and class it needs on each call; ``RoofQuery.residue_scan``
+    builds each once.
     """
     j_cls = switch_side(config, locus_pushforward_class(config.side))
     lat_t = middle_lattice(config.tilde_side)
@@ -741,17 +738,6 @@ def _scan_coordinates(config: RoofConfig, j: tuple[int, ...], jt: tuple[int, ...
 # the Fourier-Mukai vector
 # ---------------------------------------------------------------------------
 
-class _MukaiPipeline(NamedTuple):
-    """Everything the Mukai-vector pipeline derives for the first side."""
-
-    lattice: MiddleLattice
-    ell: tuple[int, ...]
-    solution: latticecore.MukaiSolution
-    image: BundleClass  # theta(v) carried to the other side
-    image_coords: tuple
-    vector: tuple[int, int, int]
-
-
 def mukai_vector(config: RoofConfig, bound: int = 50) -> tuple[int, int, int]:
     """Fourier-Mukai vector of the K3 pair of a rank-3-lattice roof configuration.
 
@@ -759,28 +745,62 @@ def mukai_vector(config: RoofConfig, bound: int = 50) -> tuple[int, int, int]:
     generator image is carried across the roof with the hyperplane-class
     substitution, expanded in the other side's basis (v, polarization, w),
     and normalized by the residual exchange/sign symmetry so that the first
-    two components are positive.
+    two components are positive.  ``RoofQuery.mukai`` builds each lattice once.
     """
-    return _mukai_pipeline(config, bound).vector
+    return _mukai(config, middle_lattice, locus_coordinates, bound)[-1]
 
 
-def _mukai_pipeline(config: RoofConfig, bound: int) -> _MukaiPipeline:
-    lat = middle_lattice(config.side)
-    lat_t = middle_lattice(config.tilde_side)
-    if lat.rank != 3 or lat_t.rank != 3:  # the solve's own check, before the locus classes are built
+def _mukai(config: RoofConfig, lattice, coordinates, bound: int):
+    """The side's isotropic pair, the coordinates of theta(v) carried to the tilde side and the vector,
+    from each side's ``lattice(side)`` and ``coordinates(side)``; the rank is checked before any lattice."""
+    sides = (config.side, config.tilde_side)
+    if all(s.middle_basis is not None for s in sides) and any(len(s.middle_basis) != 3 for s in sides):
         raise latticecore.LatticeError("isotropic_pair_solve expects a rank-3 gram matrix")
-    ell = locus_coordinates(config.side)
-    ell_t = locus_coordinates(config.tilde_side)
+    lat, lat_t = map(lattice, sides)
+    ell, ell_t = map(coordinates, sides)
     sol = latticecore.isotropic_pair_solve(lat.gram, ell, bound)
     sol_t = latticecore.isotropic_pair_solve(lat_t.gram, ell_t, bound)
-
-    theta_v = class_from_coordinates(lat, sol.a)
-    image = switch_side(config, theta_v)
-    image_coords = coordinates_in_lattice(lat_t, image)
-
+    image_coords = coordinates_in_lattice(lat_t, switch_side(config, class_from_coordinates(lat, sol.a)))
     x, y, z = _solve_integral([sol_t.a, ell_t, sol_t.b], image_coords)
     candidates = {(x, y, z), (z, y, x), (-x, -y, -z), (-z, -y, -x)}
     chosen = [c for c in candidates if c[0] > 0 and c[1] > 0]
     if len(chosen) != 1:
         raise latticecore.InconsistencyError(f"sign/exchange normalization is not unique: {sorted(candidates)}")
-    return _MukaiPipeline(lat, ell, sol, image, image_coords, chosen[0])
+    return sol, image_coords, chosen[0]
+
+
+class RoofQuery:
+    """One configuration's pipeline, each piece built once, on first request; ``stage``
+    names the piece being built, so after an error the one that raised."""
+
+    def __init__(self, config: RoofConfig):
+        self.config, self.stage, self._built = config, None, {}
+
+    def _once(self, stage: str, key, build):
+        if (stage, key) not in self._built:
+            outer, self.stage = self.stage, stage
+            self._built[stage, key] = build()
+            self.stage = outer
+        return self._built[stage, key]
+
+    def lattice(self, side: RoofSide) -> MiddleLattice:
+        return self._once("middle lattice", id(side), lambda: middle_lattice(side))
+
+    def locus(self, side: RoofSide) -> BundleClass:
+        return self._once("locus class", id(side), lambda: _locus_class(self.lattice(side)))
+
+    def locus_coordinates(self, side: RoofSide) -> tuple[int, ...]:
+        return coordinates_in_lattice(self.lattice(side), self.locus(side))
+
+    def residue_scan(self) -> ResidueScan:
+        """``residue_scan``, in the stage order lemma7 reports: both lattices, then both locus classes."""
+        cfg, sides = self.config, (self.config.side, self.config.tilde_side)
+        _, lat_t = map(self.lattice, sides)
+        locus, locus_t = map(self.locus, sides)
+        switched = self._once("side switch", None, lambda: switch_side(cfg, locus))
+        return self._once("residue scan", None, lambda: _scan_coordinates(
+            cfg, coordinates_in_lattice(lat_t, switched), coordinates_in_lattice(lat_t, locus_t)))
+
+    def mukai(self, bound: int):
+        return self._once("mukai vector", bound,
+                          lambda: _mukai(self.config, self.lattice, self.locus_coordinates, bound))

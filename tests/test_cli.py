@@ -7,7 +7,7 @@ import time
 import pytest
 
 from roofpairs.cli import MAX_MOTIVIC_RANK, MAX_QUADRIC_DIM, MAX_TWIST, build_parser, main
-from roofpairs.configs import MAX_BASE_DIM, MAX_INT_DIGITS, config_from_dict, load_config
+from roofpairs.configs import BUILTIN_CONFIGS, MAX_BASE_DIM, MAX_INT_DIGITS, config_from_dict, load_config
 from roofpairs.errors import ConfigError
 
 
@@ -108,6 +108,17 @@ class TestLemma7:
         assert report["tilde_locus"]["coordinates"] == [-1, 4359134, 4359134]
         assert report["residue_set"] == [] and report["iso_obstructed"] is True
 
+    def test_both_lattices_are_built_before_the_locus_classes(self, tmp_path, capsys):
+        # the side's basis leaves no locus class, the tilde side's is degenerate: the lattice stage fails first
+        data = json.loads(json.dumps(BUILTIN_CONFIGS["g2dagger"]))
+        data["sides"][0]["middle_basis"] = [["Pi", 0], ["L^2", 1]]
+        data["sides"][1]["middle_basis"] = [["Pi", 0], ["Pi", 0], ["L", 2]]
+        path = tmp_path / "roof.json"
+        path.write_text(json.dumps(data))
+        assert main(["lemma7", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: DegenerateBasisError: stage 'middle lattice' failed: "
+                                           "declared middle basis is degenerate under the pairing\n")
+
     def test_pipeline_failure_names_stage(self, tmp_path, capsys, toy_path):
         # a middle basis missing the top xi-monomial leaves no rank-1 complement
         with open(toy_path) as fh:
@@ -170,14 +181,31 @@ class TestMukai:
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
         assert counts["latticecore.isotropic_pair_solve"] == 2
 
+    def test_one_middle_lattice_per_side(self, capsys, count_calls):
+        counts = count_calls("roofcalc.middle_lattice")
+        code, report = run_json(capsys, "mukai", "g2dagger")
+        assert code == 0 and report["mukai_vector"] == [2, 1, -3]
+        assert counts == {"roofcalc.middle_lattice": 2}
+
     def test_rank_checked_before_the_locus_classes(self, capsys, count_calls):
-        # d4's lattices have rank 5: two middle lattices show it, no locus class is needed
+        # d4 declares five middle monomials per side: the basis length shows it, no lattice is built
         counts = count_calls("roofcalc.middle_lattice", "latticecore.isotropic_pair_solve")
         assert main(["mukai", "d4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: LatticeError: isotropic_pair_solve expects a rank-3 gram matrix\n"
-        assert counts == {"roofcalc.middle_lattice": 2, "latticecore.isotropic_pair_solve": 0}
+        assert counts == {"roofcalc.middle_lattice": 0, "latticecore.isotropic_pair_solve": 0}
+
+    @pytest.mark.parametrize("config", ["g2dagger", "d4"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_missing_middle_basis_is_named(self, tmp_path, capsys, config, which):
+        data = json.loads(json.dumps(BUILTIN_CONFIGS[config]))
+        del data["sides"][which]["middle_basis"]
+        path = tmp_path / "roof.json"
+        path.write_text(json.dumps(data))
+        assert main(["mukai", "--config", str(path)]) == 1
+        side = ("side", "tilde")[which]
+        assert capsys.readouterr().err == f"error: RoofError: side '{config}:{side}' declares no middle basis\n"
 
 
 @pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])

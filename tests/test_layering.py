@@ -165,3 +165,15 @@ def test_mukai_vector_lives_in_roofcalc():
     latticecore = importlib.import_module("roofpairs.latticecore")
     assert roofpairs.mukai_vector is roofcalc.mukai_vector
     assert not hasattr(latticecore, "mukai_vector")
+
+
+def test_cli_uses_no_private_roofcalc_name():
+    # describe, lemma7 and mukai render from roofcalc.RoofQuery, not from the steps behind it
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "roofcalc" and node.attr.startswith("_")}
+    private |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("roofcalc")
+                for alias in node.names if alias.name.startswith("_")}
+    assert private == set()

@@ -24,7 +24,6 @@ RECORDS = {
     roofcalc.RoofConfig: ("polarization_degree", lambda g2: roofcalc.RoofConfig(
         g2.name, g2.side, g2.tilde_side, g2.polarization_degree, g2.declared_locus_signs)),
     roofcalc.ResidueScan: ("residue_set", lambda g2: roofcalc.residue_scan(g2)),
-    roofcalc._MukaiPipeline: ("vector", lambda g2: roofcalc._mukai_pipeline(g2, 50)),
     bwbcoh.RootSystem: ("rank", lambda g2: bwbcoh.quadric_root_system(5)),
     bwbcoh.SequenceSpec: ("tables", lambda g2: bwbcoh.SequenceSpec(("O", "Sdual", "G"), ({0: 7}, {0: 48}, None), 5)),
     checks.Check: ("passed", lambda g2: checks.Check("gram-3x3", True, G2_GRAM, G2_GRAM)),

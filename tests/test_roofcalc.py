@@ -201,6 +201,11 @@ class TestSignLawAndDegrees:
         assert polarized_sign_check(g2, "tilde") == 12
         assert polarized_sign_check(d4, "tilde") == -12
 
+    @pytest.mark.parametrize("which", ["sdie", "Tilde", "", None])
+    def test_unknown_side_is_rejected(self, g2, which):
+        with pytest.raises(RoofError, match="which must be 'side' or 'tilde'"):
+            polarized_sign_check(g2, which)
+
     def test_sign_matches_rank_parity(self, g2, d4, toy):
         for cfg in (g2, d4, toy):
             expected = (-1) ** (cfg.rank - 1) * cfg.polarization_degree
@@ -350,6 +355,29 @@ class TestResidueScan:
         assert scan.degree == 2
         assert scan.residue_set == (1,)
         assert not scan.iso_obstructed
+
+
+class TestRoofQuery:
+    def test_matches_the_public_functions(self, g2, d4, toy):
+        for cfg in (g2, d4, toy):
+            q = roofcalc.RoofQuery(cfg)
+            assert q.residue_scan() == residue_scan(cfg)
+            for side in (cfg.side, cfg.tilde_side):
+                assert q.lattice(side) == middle_lattice(side)
+                assert q.locus(side) == locus_pushforward_class(side)
+                assert q.locus_coordinates(side) == locus_coordinates(side)
+        assert roofcalc.RoofQuery(g2).mukai(50)[-1] == roofcalc.mukai_vector(g2, 50)
+
+    def test_each_piece_built_once(self, g2, count_calls):
+        counts = count_calls("roofcalc.middle_lattice", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+        q = roofcalc.RoofQuery(g2)
+        for _ in range(2):
+            q.residue_scan()
+            q.mukai(50)
+        # switch_side: the side's locus class, and theta(v) for the Mukai vector
+        assert counts == {"roofcalc.middle_lattice": 2, "roofcalc.switch_side": 2,
+                          "latticecore.isotropic_pair_solve": 2}
+        assert q.stage is None  # nothing is being built
 
 
 class TestConfigInvariants:
