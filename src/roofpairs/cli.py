@@ -17,8 +17,11 @@ runs); numbers are exact integers, rationals are rendered as "p/q".
 Exit codes: 0 success, 1 verification/pipeline failure, 2 usage or
 configuration error.
 
-Each command imports only the modules it runs, inside its handler; at
-import time this module loads nothing of the package but ``errors``.
+Each subcommand is declared once, in ``build_parser``: its arguments, the
+function that builds its report and the one that renders the report as
+text.  Each command imports only the modules it runs, inside its report
+builder; at import time this module loads nothing of the package but
+``errors``.
 """
 
 from __future__ import annotations
@@ -60,10 +63,10 @@ def jsonable(x: Any) -> Any:
     return str(x)
 
 
-def _config(name: str, path: Optional[str]) -> RoofConfig:
+def _config(args: argparse.Namespace) -> RoofConfig:
     from .configs import resolve_config
 
-    return resolve_config(name, path)
+    return resolve_config(args.name, args.config)
 
 
 def _vector(lat: MiddleLattice, coords, **extra) -> dict:
@@ -77,7 +80,7 @@ def _side_report(q: RoofQuery, side: RoofSide) -> dict:
 
     lat = q.lattice(side)
     gram = [list(r) for r in lat.gram]
-    snf = latticecore.smith_normal_form(gram)  # one decomposition for the factors and the group
+    group = latticecore.discriminant_group(gram)
     locus = q.locus(side)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {
@@ -90,8 +93,9 @@ def _side_report(q: RoofQuery, side: RoofSide) -> dict:
         "middle_basis": [roofcalc.monomial_name(side, lbl, e) or "1" for lbl, e in lat.monomials],
         "gram": gram,
         "gram_determinant": lat.determinant,
-        "smith_factors": list(snf.invariant_factors),
-        "discriminant_group": str(latticecore._discriminant_from_smith(gram, snf)),
+        # the Gram matrix is nonsingular: every Smith factor is 1 or a factor of the group
+        "smith_factors": [1] * (len(gram) - len(group.factors)) + list(group.factors),
+        "discriminant_group": str(group),
         "zero_locus_degree": roofcalc.cy_degree(side),
         "locus_class": str(locus),
         "locus_coordinates": list(q.locus_coordinates(side)),
@@ -145,19 +149,13 @@ def cmd_bwb(dim: int, bundle: Optional[str], twist: int, case: Optional[int]) ->
     from . import bwbcoh
 
     if case is not None:
-        table = bwbcoh.vanishing_case(case)
-        return {
-            "command": "bwb",
-            "case": case,
-            "table": {str(k): v for k, v in sorted(table.items())},
-            "euler_characteristic": bwbcoh.euler_characteristic(table),
-        }
-    table = bwbcoh.named_bundle_table(dim, bundle, twist)
+        table, inputs = bwbcoh.vanishing_case(case), {"case": case}
+    else:
+        table = bwbcoh.named_bundle_table(dim, bundle, twist)
+        inputs = {"quadric_dim": dim, "bundle": bundle, "twist": twist}
     return {
         "command": "bwb",
-        "quadric_dim": dim,
-        "bundle": bundle,
-        "twist": twist,
+        **inputs,
         "table": {str(k): v for k, v in sorted(table.items())},
         "euler_characteristic": bwbcoh.euler_characteristic(table),
     }
@@ -221,7 +219,7 @@ def cmd_verify_all(corrupt: bool, bound: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# text rendering, one function per command
 # ---------------------------------------------------------------------------
 
 def _print_matrix(rows, header, out) -> None:
@@ -231,70 +229,63 @@ def _print_matrix(rows, header, out) -> None:
         out.write("    " + "  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def render_text(report: dict, out) -> None:
-    cmd = report["command"]
-    if cmd == "describe":
-        out.write(f"configuration {report['name']}: rank {report['rank']} over Q{report['base_dimension']}, "
-                  f"polarization degree {report['polarization_degree']}\n")
-        for tag, side in zip(("side", "tilde side"), report["sides"]):
-            out.write(f"\n[{tag}] base {side['base']}\n")
-            out.write(f"  relation: {side['relation']}\n")
-            out.write(f"  mukai index condition: {side['mukai_index_condition']}\n")
-            out.write(f"  middle basis: {', '.join(side['middle_basis'])}\n")
-            out.write("  intersection matrix:\n")
-            _print_matrix(side["gram"], side["middle_basis"], out)
-            out.write(f"  determinant {side['gram_determinant']}, smith factors {side['smith_factors']}, "
-                      f"discriminant group {side['discriminant_group']}\n")
-            out.write(f"  zero-locus degree {side['zero_locus_degree']}\n")
-            out.write(f"  locus class: {side['locus_class']}  (self-pairing {side['locus_self_pairing']})\n")
-    elif cmd == "lemma7":
-        out.write(f"configuration {report['name']}: polarization degree {report['polarization_degree']}\n")
-        out.write(f"  switched locus: {report['switched_locus']['class']}\n")
-        out.write(f"  tilde locus:    {report['tilde_locus']['class']}\n")
-        fmt = lambda ks: "{" + ", ".join(map(str, ks)) + "}"
-        out.write(f"  residue set {fmt(report['residue_set'])} mod {report['polarization_degree']}, "
-                  f"sign orbit {fmt(report['sign_orbit'])}\n")
-        for w in report["witnesses"]:
-            out.write(f"  witness k={w['k']}: {w['class']}\n")
-        pf = report["declared_form"]
-        if pf["witness"] is None:
-            out.write("  declared-representative witness: none\n")
-        else:
-            out.write(f"  declared-representative witness (k={pf['witness']['k']}): {pf['witness']['class']}\n")
-        out.write(f"  isomorphism obstructed: {report['iso_obstructed']}\n")
-    elif cmd == "bwb":
-        what = f"case {report['case']}" if "case" in report else \
-            f"Q{report['quadric_dim']} {report['bundle']} twist {report['twist']}"
-        table = report["table"] or {}
-        body = ", ".join(f"h^{k} = {v}" for k, v in table.items()) or "acyclic"
-        out.write(f"{what}: {body}  (chi = {report['euler_characteristic']})\n")
-    elif cmd == "mukai":
-        out.write(f"configuration {report['name']} (search bound {report['bound']}):\n")
-        out.write(f"  theta(v) = {report['theta_v']['class']}\n")
-        out.write(f"  theta(w) = {report['theta_w']['class']}\n")
-        out.write(f"  solution orbits: {report['solution_orbits']}\n")
-        out.write(f"  switched generator: {report['switched_generator']['class']}\n")
-        out.write(f"  mukai vector: {tuple(report['mukai_vector'])}\n")
-    elif cmd == "motivic":
-        for row in report["identities"]:
-            mark = "ok" if row["match"] else "MISMATCH"
-            out.write(f"rank {row['rank']:2d}: {mark}  residual = {row['residual']}\n")
-    elif cmd == "verify-all":
-        for c in report["checks"]:
-            if c["passed"]:
-                out.write(f"PASS {c['name']}\n")
-            else:
-                out.write(f"FAIL {c['name']}: computed {c['computed']!r}, expected {c['expected']!r}\n")
-        out.write(f"{report['total'] - report['failures']}/{report['total']} checks passed\n")
-    else:  # pragma: no cover
-        out.write(json.dumps(report, indent=2) + "\n")
+def _describe_text(report: dict, out) -> None:
+    out.write(f"configuration {report['name']}: rank {report['rank']} over Q{report['base_dimension']}, "
+              f"polarization degree {report['polarization_degree']}\n")
+    for tag, side in zip(("side", "tilde side"), report["sides"]):
+        out.write(f"\n[{tag}] base {side['base']}\n")
+        out.write(f"  relation: {side['relation']}\n")
+        out.write(f"  mukai index condition: {side['mukai_index_condition']}\n")
+        out.write(f"  middle basis: {', '.join(side['middle_basis'])}\n")
+        out.write("  intersection matrix:\n")
+        _print_matrix(side["gram"], side["middle_basis"], out)
+        out.write(f"  determinant {side['gram_determinant']}, smith factors {side['smith_factors']}, "
+                  f"discriminant group {side['discriminant_group']}\n")
+        out.write(f"  zero-locus degree {side['zero_locus_degree']}\n")
+        out.write(f"  locus class: {side['locus_class']}  (self-pairing {side['locus_self_pairing']})\n")
 
 
-def emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        render_text(report, sys.stdout)
+def _lemma7_text(report: dict, out) -> None:
+    out.write(f"configuration {report['name']}: polarization degree {report['polarization_degree']}\n")
+    out.write(f"  switched locus: {report['switched_locus']['class']}\n")
+    out.write(f"  tilde locus:    {report['tilde_locus']['class']}\n")
+    fmt = lambda ks: "{" + ", ".join(map(str, ks)) + "}"
+    out.write(f"  residue set {fmt(report['residue_set'])} mod {report['polarization_degree']}, "
+              f"sign orbit {fmt(report['sign_orbit'])}\n")
+    for w in report["witnesses"]:
+        out.write(f"  witness k={w['k']}: {w['class']}\n")
+    w = report["declared_form"]["witness"]
+    out.write("  declared-representative witness: none\n" if w is None else
+              f"  declared-representative witness (k={w['k']}): {w['class']}\n")
+    out.write(f"  isomorphism obstructed: {report['iso_obstructed']}\n")
+
+
+def _bwb_text(report: dict, out) -> None:
+    what = f"case {report['case']}" if "case" in report else \
+        f"Q{report['quadric_dim']} {report['bundle']} twist {report['twist']}"
+    body = ", ".join(f"h^{k} = {v}" for k, v in report["table"].items()) or "acyclic"
+    out.write(f"{what}: {body}  (chi = {report['euler_characteristic']})\n")
+
+
+def _mukai_text(report: dict, out) -> None:
+    out.write(f"configuration {report['name']} (search bound {report['bound']}):\n")
+    out.write(f"  theta(v) = {report['theta_v']['class']}\n")
+    out.write(f"  theta(w) = {report['theta_w']['class']}\n")
+    out.write(f"  solution orbits: {report['solution_orbits']}\n")
+    out.write(f"  switched generator: {report['switched_generator']['class']}\n")
+    out.write(f"  mukai vector: {tuple(report['mukai_vector'])}\n")
+
+
+def _motivic_text(report: dict, out) -> None:
+    for row in report["identities"]:
+        out.write(f"rank {row['rank']:2d}: {'ok' if row['match'] else 'MISMATCH'}  residual = {row['residual']}\n")
+
+
+def _verify_all_text(report: dict, out) -> None:
+    for c in report["checks"]:
+        out.write(f"PASS {c['name']}\n" if c["passed"] else
+                  f"FAIL {c['name']}: computed {c['computed']!r}, expected {c['expected']!r}\n")
+    out.write(f"{report['total'] - report['failures']}/{report['total']} checks passed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +313,19 @@ _quadric_dim = _int_at_least(3, "an integer of at least 3", MAX_QUADRIC_DIM)
 _twist = _int_at_least(-MAX_TWIST, f"an integer of at least {-MAX_TWIST}", MAX_TWIST)
 
 
+def _bwb(args: argparse.Namespace) -> dict:
+    if args.case is None and (args.dim is None or args.bundle is None):
+        build_parser().error("bwb needs DIM BUNDLE [TWIST] or --case")
+    if args.case is not None and args.dim is not None:
+        build_parser().error("bwb takes DIM BUNDLE [TWIST] or --case, not both")
+    return cmd_bwb(args.dim, args.bundle, args.twist, args.case)
+
+
 @functools.cache  # parsing leaves no state in the parser, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every subcommand: its arguments and, through
+    ``set_defaults``, ``report`` (parsed args -> report dict) and ``render``
+    (report, stream -> its text form)."""
     p = argparse.ArgumentParser(
         prog="roofpairs",
         description="exact invariants of Calabi-Yau pairs from roofs of projective bundles",
@@ -332,34 +334,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     bound_help = "report the isotropic pair only if all its coordinates lie in [-BOUND, BOUND]"
 
+    def command(name: str, help: str, report, render) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(report=report, render=render)
+        return sp
+
     def add_config_args(sp):
         sp.add_argument("name", nargs="?", default="",
                         help=f"built-in configuration ({', '.join(BUILTIN_NAMES)})")
         sp.add_argument("--config", metavar="PATH", help="load a configuration file instead")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
 
-    sp = sub.add_parser("describe", help="relations, tables and lattice invariants")
-    add_config_args(sp)
+    add_config_args(command("describe", "relations, tables and lattice invariants",
+                            lambda a: cmd_describe(_config(a)), _describe_text))
+    add_config_args(command("lemma7", "locus classes, side switch and residue scan",
+                            lambda a: cmd_lemma7(_config(a)), _lemma7_text))
 
-    sp = sub.add_parser("lemma7", help="locus classes, side switch and residue scan")
-    add_config_args(sp)
-
-    sp = sub.add_parser("bwb", help="cohomology of homogeneous bundles on quadrics")
+    sp = command("bwb", "cohomology of homogeneous bundles on quadrics", _bwb, _bwb_text)
     sp.add_argument("dim", nargs="?", type=_quadric_dim, help=f"quadric dimension (3 to {MAX_QUADRIC_DIM})")
     sp.add_argument("bundle", nargs="?", help="bundle descriptor, e.g. O, Sdual, Sym2Sdual, G, C")
     sp.add_argument("twist", nargs="?", type=_twist, default=0, help=f"twist (-{MAX_TWIST} to {MAX_TWIST})")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), help="scripted vanishing pipeline")
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("mukai", help="isotropic pair and Fourier-Mukai vector")
+    sp = command("mukai", "isotropic pair and Fourier-Mukai vector",
+                 lambda a: cmd_mukai(_config(a), a.bound), _mukai_text)
     add_config_args(sp)
     sp.add_argument("--bound", type=_bound, default=50, help=bound_help)
 
-    sp = sub.add_parser("motivic", help="Grothendieck-ring fibration identities")
+    sp = command("motivic", "Grothendieck-ring fibration identities",
+                 lambda a: cmd_motivic(a.rank), _motivic_text)
     sp.add_argument("--rank", type=_rank, help=f"single rank (2 to {MAX_MOTIVIC_RANK}) instead of 2..12")
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("verify-all", help="run every golden check")
+    sp = command("verify-all", "run every golden check",
+                 lambda a: cmd_verify_all(a.corrupt, a.bound), _verify_all_text)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--bound", type=_bound, default=50, help=bound_help)
     sp.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
@@ -367,41 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "describe":
-            cfg = _config(args.name, args.config)
-            emit(cmd_describe(cfg), args.json)
-        elif args.command == "lemma7":
-            cfg = _config(args.name, args.config)
-            emit(cmd_lemma7(cfg), args.json)
-        elif args.command == "bwb":
-            if args.case is None and (args.dim is None or args.bundle is None):
-                parser.error("bwb needs DIM BUNDLE [TWIST] or --case")
-            if args.case is not None and args.dim is not None:
-                parser.error("bwb takes DIM BUNDLE [TWIST] or --case, not both")
-            emit(cmd_bwb(args.dim, args.bundle, args.twist, args.case), args.json)
-        elif args.command == "mukai":
-            cfg = _config(args.name, args.config)
-            emit(cmd_mukai(cfg, args.bound), args.json)
-        elif args.command == "motivic":
-            report = cmd_motivic(args.rank)
-            emit(report, args.json)
-            if not report["all_match"]:
-                return 1
-        elif args.command == "verify-all":
-            report = cmd_verify_all(args.corrupt, args.bound)
-            emit(report, args.json)
-            if not report["passed"]:
-                return 1
+        report = args.report(args)
+        if args.json:
+            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        else:
+            args.render(report, sys.stdout)
     except (ConfigError, UnsupportedBundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RoofError, GradedRingError, LatticeError, BWBError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
+    # motivic and verify-all exit 1 unless every identity or check held
+    return 0 if report.get("all_match", True) and report.get("passed", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

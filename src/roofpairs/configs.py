@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 
 from .errors import ConfigError
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
-from .roofcalc import RoofConfig, RoofSide, build_side_from_chern
+from .roofcalc import InvalidRoofError, RoofConfig, RoofSide, build_side_from_chern
 
 # Largest accepted quadric base dimension.  The first build of a quadric ring
 # is cubic in its basis; two distinct bases at the cap build in about 0.2 s.
@@ -140,24 +140,21 @@ def _side_from_dict(data, ring: RingPresentation, rank: int, name: str) -> RoofS
                    for m in _array(middle, f"side {name!r} middle_basis")) if middle else None
     if "chern" in data and "groth" in data:
         raise ConfigError(f"side {name!r}: give either 'chern' or 'groth', not both")
-    if "chern" in data:
-        comps = _array(data["chern"], f"side {name!r} chern")
-        if len(comps) != rank:
-            raise ConfigError(f"side {name!r}: expected {rank} Chern components")
-        c = ChernVector(rank, tuple(
-            _class_from_pairs(ring, i, pairs, f"side {name!r} chern[{i}]")
-            for i, pairs in enumerate(comps, start=1)))
-        c = chern_twist(c, _integer(data.get("twist", 0), f"side {name!r} twist"))
+    form, what = ("chern", "Chern components") if "chern" in data else ("groth", "relation coefficients")
+    if form not in data:
+        raise ConfigError(f"side {name!r}: needs 'chern' or 'groth' data")
+    comps = _array(data[form], f"side {name!r} {form}")
+    if len(comps) != rank:
+        raise ConfigError(f"side {name!r}: expected {rank} {what}")
+    classes = tuple(_class_from_pairs(ring, i, pairs, f"side {name!r} {form}[{i}]")
+                    for i, pairs in enumerate(comps, start=1))
+    if form == "groth":
+        return RoofSide(name, ring, rank, classes, middle)
+    c = chern_twist(ChernVector(rank, classes), _integer(data.get("twist", 0), f"side {name!r} twist"))
+    try:
         return build_side_from_chern(ring, c, name=name, middle_basis=middle)
-    if "groth" in data:
-        comps = _array(data["groth"], f"side {name!r} groth")
-        if len(comps) != rank:
-            raise ConfigError(f"side {name!r}: expected {rank} relation coefficients")
-        coeffs = tuple(
-            _class_from_pairs(ring, i, pairs, f"side {name!r} groth[{i}]")
-            for i, pairs in enumerate(comps, start=1))
-        return RoofSide(name, ring, rank, coeffs, middle)
-    raise ConfigError(f"side {name!r}: needs 'chern' or 'groth' data")
+    except InvalidRoofError as exc:  # a bundle rank above the base dimension
+        raise ConfigError(f"side {name!r}: {exc}") from None
 
 
 def config_from_dict(data: Mapping) -> RoofConfig:
@@ -214,11 +211,13 @@ def _json_int(text: str) -> int:
 
 
 def load_config(path: str) -> RoofConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)
-        except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(data)
 
 

@@ -287,17 +287,9 @@ def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
         raise LatticeError("gram matrix must be symmetric")
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
-    return _discriminant_from_smith(gram, smith_normal_form(gram))
-
-
-def _discriminant_from_smith(
-    gram: Sequence[Sequence[int]], snf: SmithDecomposition
-) -> DiscriminantGroup:
-    """The discriminant group read off the Smith decomposition of a nonsingular gram matrix.
-
-    The generator of the factor d_i is column i of U^-1.  From U * M * V = D
-    that column is M * V[:, i] / d_i, so no inverse is formed.
-    """
+    # The generator of the factor d_i is column i of U^-1.  From U * M * V = D
+    # that column is M * V[:, i] / d_i, so no inverse is formed.
+    snf = smith_normal_form(gram)
     factors, gens = [], []
     for i, d in enumerate(snf.invariant_factors):
         if d > 1:

@@ -393,6 +393,8 @@ def _g2_text(degree: str) -> bytes:
     (_g2_text("-" + "1" * (MAX_INT_DIGITS + 1)),
      f"an integer of {MAX_INT_DIGITS + 1} digits exceeds the cap of {MAX_INT_DIGITS} digits"),
     (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    # printed a RecursionError traceback from json.load
+    pytest.param(b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded", id="deeply-nested"),
 ])
 def test_unparsable_config_file_is_usage_error(tmp_path, text, message):
     path = tmp_path / "probe.json"
@@ -402,6 +404,40 @@ def test_unparsable_config_file_is_usage_error(tmp_path, text, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: {path}: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _write(tmp_path, data) -> pathlib.Path:
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+Q3_RANK4_SIDE = [[["L", 1]], [["Pi", 1]], [["Pi*L", 1]], []]  # rank 4 on a threefold
+
+
+def _q3_rank4(form: str) -> dict:
+    return {"name": "q3-rank4", "rank": 4, "base_dim": [3, 3], "polarization_degree": 1,
+            "sides": [{form: Q3_RANK4_SIDE}, {form: Q3_RANK4_SIDE}]}
+
+
+@pytest.mark.parametrize("write, message", [
+    # these three printed "error: FileNotFoundError", "error: IsADirectoryError" and
+    # "error: InvalidRoofError" and exited 1
+    (lambda tmp: tmp / "missing.json", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: _write(tmp, _q3_rank4("chern")),
+     "side 'q3-rank4:side': bundle rank exceeds what the base dimension supports"),
+    (lambda tmp: _write(tmp, _q3_rank4("groth")), "rank exceeds base dimension"),
+], ids=["missing", "directory", "chern-rank-above-dim", "groth-rank-above-dim"])
+def test_unreadable_or_impossible_config_is_usage_error(tmp_path, write, message):
+    path = write(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -167,13 +167,22 @@ def test_mukai_vector_lives_in_roofcalc():
     assert not hasattr(latticecore, "mukai_vector")
 
 
-def test_cli_uses_no_private_roofcalc_name():
-    # describe, lemma7 and mukai render from roofcalc.RoofQuery, not from the steps behind it
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_cli_uses_no_private_package_name():
+    # the commands use each module's public surface: describe, lemma7 and mukai render from
+    # roofcalc.RoofQuery, and describe takes its group from latticecore.discriminant_group
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
-    private = {node.attr for node in ast.walk(tree)
+    modules = {p.stem for p in pathlib.Path(cli.__file__).parent.glob("*.py")}
+    package_imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       and (node.level or (node.module or "").startswith("roofpairs"))]
+    # local names bound to package modules, as in `from . import latticecore, roofcalc`
+    bound = {alias.asname or alias.name for node in package_imports
+             if (node.module or "roofpairs") == "roofpairs" for alias in node.names if alias.name in modules}
+    private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-               and node.value.id == "roofcalc" and node.attr.startswith("_")}
-    private |= {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("roofcalc")
-                for alias in node.names if alias.name.startswith("_")}
+               and node.value.id in bound and _private(node.attr)}
+    private |= {alias.name for node in package_imports for alias in node.names if _private(alias.name)}
     assert private == set()
