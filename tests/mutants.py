@@ -1,0 +1,221 @@
+"""The mutant catalogue: named faults in the exact kernels that the tests must detect.
+
+Each mutant replaces one source fragment, which must occur exactly once in
+its file under ``src/roofpairs/``, and names the test files that must fail
+on the result.  ``python tests/mutants.py`` (no options) copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory per mutant,
+applies the patch there and runs pytest on the named files with a fixed
+hypothesis seed; a run past the timeout counts as killed.  A control run on
+an unpatched copy first checks that the killer files pass and that the
+child imports ``roofpairs`` from the copy.  The script exits 1 and names
+every survivor; it writes nothing outside its temporary directories.
+
+To add a mutant, append a ``Mutant`` to ``MUTANTS``.  A frozen reference
+implementation in ``tests/`` may be retired only when mutants of the code it
+guards are in this catalogue and their named killers, which do not include
+the reference, kill them.  ``tests/test_mutant_catalogue.py`` checks the
+catalogue's shape in tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+# the child imports roofpairs before pytest does, and refuses to run from anywhere but the copy
+_CHILD = """\
+import sys, pytest, roofpairs
+src = sys.argv.pop(1)
+if not roofpairs.__file__.startswith(src):
+    print(f"roofpairs imported from {roofpairs.__file__}, not from {src}")
+    sys.exit(99)
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/roofpairs/
+    fragment: str  # occurs exactly once in that file
+    replacement: str
+    killers: tuple[str, ...]  # test files under tests/; the mutant is killed when their run fails
+
+
+def _m(name, module, fragment, replacement, *killers) -> Mutant:
+    return Mutant(name, module + ".py", fragment, replacement, killers)
+
+
+LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
+                               "test_bwbcoh.py", "test_motivicring.py")
+GOLDEN = "test_cli_golden.py"
+
+MUTANTS = (
+    # latticecore: Smith normal form
+    _m("smith-no-divisibility-fix", "latticecore", "if offender is not None:", "if False:", LAT),
+    _m("smith-no-final-sign", "latticecore", "        if a[t][t] < 0:\n            a[t] = [-x for x in a[t]]\n",
+       "", LAT),
+    _m("smith-no-hermite-reduction", "latticecore", "        for i in range(r):\n", "        for i in range(0):\n",
+       LAT),
+    _m("smith-xgcd-cofactor-sign", "latticecore", "t1, t - q * t1", "t1, t + q * t1", LAT),
+    # latticecore: Bareiss elimination and the exact solves
+    _m("bareiss-no-swap-sign", "latticecore", "            sign = -sign", "            sign = sign", LAT),
+    _m("bareiss-no-exact-division", "latticecore", "[(p * x - f * y) // prev for", "[(p * x - f * y) for", LAT),
+    _m("det-forward-skips-a-row", "latticecore", "0 if jordan else r + 1", "0 if jordan else r + 2", LAT),
+    _m("solve-rational-kernel-sign", "latticecore", "Fraction(-row[c], d)", "Fraction(row[c], d)", LAT),
+    _m("solve-rational-no-consistency-test", "latticecore",
+       "    if any(row[ncols] for row in a[len(pivots):]):", "    if False:", LAT),
+    _m("solve-integral-ignores-the-kernel", "latticecore", "    if kernel:", "    if False:", LAT),
+    _m("solve-integral-accepts-fractions", "latticecore", "    if any(x.denominator != 1 for x in solution):",
+       "    if False:", LAT),
+    # latticecore: discriminant groups, kernels, isotropic pairs
+    _m("discriminant-generator-unscaled", "latticecore", "tuple(x // d for x in image)", "tuple(image)", LAT),
+    _m("kernel-sign-not-normalised", "latticecore", "        if lead < 0:\n            col = [-x for x in col]\n",
+       "", LAT),
+    _m("isotropic-bound-strict", "latticecore", "max(abs(x) for x in u + v) <= bound",
+       "max(abs(x) for x in u + v) < bound", LAT),
+    # gradedring
+    _m("signed-sum-shows-minus-one", "gradedring", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
+    _m("signed-sum-always-plus", "gradedring", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
+    _m("graded-mul-drops-multiplicity", "gradedring", "out[z] = out.get(z, 0) + ce * m",
+       "out[z] = out.get(z, 0) + ce", GRADED),
+    _m("graded-add-left-keys-only", "gradedring", "out[k] = out.get(k, 0) + v",
+       "out[k] = out[k] + v if k in out else 0", GRADED),
+    _m("exact-keeps-integral-fractions", "gradedring", "return x.numerator if x.denominator == 1 else x",
+       "return x", GRADED),
+    _m("graded-eq-ignores-degree", "gradedring", "self.ring is other.ring and self.degree == other.degree and",
+       "self.ring is other.ring and", GRADED),
+    # roofcalc
+    _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
+       "in enumerate(self.parts)", ROOF, GOLDEN),
+    _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
+    _m("fold-unsigned-relation", "roofcalc", "+ (-1) ** (i + 1) * c * m", "+ c * m", ROOF),
+    _m("reduce-stops-above-rank", "roofcalc", "range(max(terms, default=0), r - 1, -1)",
+       "range(max(terms, default=0), r, -1)", ROOF),
+    _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
+       ROOF),
+    _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),
+    _m("residue-crt-no-compatibility-test", "roofcalc", "        if (r - k0) % h:\n            return None\n", "",
+       ROOF),
+    _m("locus-sign-not-normalised", "roofcalc", "    if p < 0:\n        cls = -cls\n", "", ROOF),
+    # bwbcoh: the Weyl-group kernel
+    _m("conjugate-d-parity-flipped", "bwbcoh", "sum(c < 0 for c in doubled) % 2:",
+       "sum(c < 0 for c in doubled) % 2 == 0:", BWB),
+    _m("rho-b-off-by-one", "bwbcoh", "2 * (m - i) - 1 for i", "2 * (m - i) + 1 for i", BWB),
+    _m("pairings-short-roots-on-d", "bwbcoh", '    if rs.family == "B":\n        out += doubled',
+       '    if rs.family == "D":\n        out += doubled', BWB),
+    _m("length-counts-positive-pairings", "bwbcoh", "sum(v < 0 for v in pairs)", "sum(v > 0 for v in pairs)",
+       BWB),
+    _m("weyl-dimension-no-dominance-test", "bwbcoh", "    if any(v < 0 for v in _pairings(rs, lam)):",
+       "    if False:", BWB),
+    _m("weight-rank-unchecked", "bwbcoh", "if len(doubled) != rs.rank:", "if len(doubled) < rs.rank:", BWB),
+    # bwbcoh: the weight dictionary and its entry points
+    _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * int(t),)", "(w[0] + int(t),)", BWB),
+    _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
+    _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
+    _m("non-integral-twist-accepted", "bwbcoh", "    if t != int(t):", "    if False:", BWB),
+    # bwbcoh: the long exact sequence solver
+    _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
+       "value = total if unknowns[0] % 2 == 0 else -total", BWB),
+    _m("les-known-run-unchecked", "bwbcoh", "if not unknowns and total != 0:", "if False:", BWB),
+    _m("les-two-unknowns-in-a-run", "bwbcoh", "            if len(unknowns) > 1:",
+       "            if len(unknowns) > 2:", BWB),
+    _m("les-negative-dimension-accepted", "bwbcoh", "                if value < 0:", "                if False:",
+       BWB),
+    # motivicring
+    _m("motivic-term-order-lexicographic", "motivicring", "key=lambda mc: (sum(mc[0]), mc[0])",
+       "key=lambda mc: mc[0]", MOT),
+    _m("motivic-str-shows-exponent-one", "motivicring", 's if e == 1 else f"{s}^{e}"', 'f"{s}^{e}"', MOT),
+    _m("motivic-mul-keeps-zeros", "motivicring", "_of({m: c for m, c in out.items() if c})", "_of(out)", MOT),
+    _m("motivic-pow-wrong-bit", "motivicring", "if e & 1:", "if e & 2:", MOT),
+    _m("proj-class-one-term-short", "motivicring", "for i in range(k + 1)}", "for i in range(k)}", MOT),
+    _m("substitute-keeps-assigned-exponents", "motivicring", "rest[i] = 0", "rest[i] = rest[i]", MOT),
+)
+
+# Not run: the known equivalent mutants and the one known survivor, each with its reason.
+# Their fragments are checked like those above.
+EXCLUDED = (
+    (_m("hermite-pivot-sign-fix-dropped", "latticecore",
+        "        if a[r][r] < 0:\n            a[r] = [-x for x in a[r]]\n", "", LAT),
+     "equivalent: the entries above a negative pivot p are reduced into (p, 0] instead of [0, -p),"
+     " which bounds M as well, and the Smith loop makes every pivot positive"),
+    (_m("pivot-no-early-return", "latticecore",
+        "                if x == 1:\n                    return i, j\n", "", LAT),
+     "equivalent: the row-major scan keeps the first of equal values, so stopping at |x| = 1 only saves time"),
+    (_m("isotropic-rays-accept-non-square", "latticecore", "    if s == 0 or s * s != disc:", "    if s == 0:", LAT),
+     "survivor: with a non-square discriminant the rays are irrational, and no input in 400k random"
+     " trials made their integer stand-ins pair to +-1"),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(dest: Path, mutant: Mutant) -> None:
+    path = dest / "src" / "roofpairs" / mutant.module
+    text = path.read_text()
+    if text.count(mutant.fragment) != 1:
+        raise SystemExit(f"{mutant.name}: the fragment occurs {text.count(mutant.fragment)} times in {mutant.module}")
+    path.write_text(text.replace(mutant.fragment, mutant.replacement))
+
+
+def run_pytest(mutant: Mutant | None, killers) -> tuple[int | None, str, float]:
+    """Exit code (None after a timeout), output and seconds of pytest on ``killers`` in a fresh
+    copy of the tree, patched with ``mutant`` unless it is None."""
+    with tempfile.TemporaryDirectory(prefix="roofpairs-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if mutant is not None:
+            _apply(dest, mutant)
+        src = str(dest / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-c", _CHILD, src + os.sep, "-q", "-x", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *(f"tests/{k}" for k in killers)]
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(argv, cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, "", time.perf_counter() - start
+        return proc.returncode, proc.stdout + proc.stderr, time.perf_counter() - start
+
+
+def main() -> int:
+    killers = sorted({k for m in MUTANTS for k in m.killers})
+    code, output, seconds = run_pytest(None, killers)
+    if code != 0:
+        print(output)
+        print(f"control run failed (exit {code}): the unpatched tree must pass {', '.join(killers)}")
+        return 2
+    print(f"control run passed in {seconds:.1f} s")
+    survivors = []
+    for mutant in MUTANTS:
+        code, output, seconds = run_pytest(mutant, mutant.killers)
+        if code == 99:
+            print(output)
+            return 2
+        # pytest exits 1 on a failed test and 2 on a collection error; a timeout is a kill too
+        killed = code in (1, 2, None)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name} ({seconds:.1f} s)", flush=True)
+        if not killed:
+            survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    if survivors:
+        print("survivors:", ", ".join(survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,14 +25,8 @@ from roofpairs.motivicring import (
     proj_class,
 )
 
-G2_GRAM = ((0, 1, 5), (1, 10, 32), (5, 32, 82))
-D4_GRAM = (
-    (0, 0, 0, 1, 6),
-    (0, 0, 1, 6, 22),
-    (0, 1, 0, 6, 22),
-    (1, 6, 6, 44, 126),
-    (6, 22, 22, 126, 308),
-)
+from golden_grams import D4_GRAM, G2_GRAM
+
 G2 = builtin_config("g2dagger")
 D4 = builtin_config("d4")
 

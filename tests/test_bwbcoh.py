@@ -1,8 +1,8 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 
 from roofpairs.bwbcoh import (
     BWBError,
@@ -93,6 +93,19 @@ class TestDominantConjugate:
         dom, length = dominant_conjugate(D4, (7, 5, 2, 1))
         assert (dom, length) == ((7, 5, 2, 1), 0)
 
+    def test_rank_mismatch(self):
+        with pytest.raises(BWBError, match="rank mismatch"):
+            dominant_conjugate(B3, (1, 0))
+        with pytest.raises(BWBError, match="rank mismatch"):
+            weyl_dimension(B3, (1, 0, 0, 0))
+        # a longer weight used to be cut to the rank without a word
+        with pytest.raises(BWBError, match="rank mismatch"):
+            bundle_cohomology_of_weight(5, (1, 0, 0, 7))
+
+    def test_dominant_conjugate_validates_the_weight(self):
+        with pytest.raises(BWBError, match="integral or half-integral"):
+            dominant_conjugate(B3, (Fraction(1, 3), 0, 0))
+
 
 class TestWeylDimension:
     def test_vector_rep(self):
@@ -167,6 +180,30 @@ class TestBundleCohomology:
                     if irreducible:
                         assert len(table) <= 1
 
+    def test_spinor_duals_are_twists(self):
+        # the dual of a spinor bundle is its twist by O(1) (Ottaviani): one more on the first coordinate
+        for n in range(3, 16):
+            for name in {"S", "Splus", "Sminus"} & set(dictionary_names(n)):
+                (w,), (dual,) = bundle_weights(n, name), bundle_weights(n, name + "dual")
+                assert (w[0] + 1,) + w[1:] == dual
+
+    def test_small_quadrics_rejected_at_every_entry_point(self):
+        # one rule for n < 3: the names are not listed either
+        for n, name in itertools.product((1, 2), ("O", "Bogus")):
+            calls = (lambda: dictionary_names(n), lambda: bundle_weights(n, name),
+                     lambda: named_bundle_table(n, name), lambda: bundle_cohomology(n, name, 0))
+            for call in calls:
+                with pytest.raises(BWBError, match="quadric dimension must be at least 3") as exc:
+                    call()
+                assert not isinstance(exc.value, UnsupportedBundleError)
+
+    def test_non_integral_twist_rejected(self):
+        # a half twist would make the first coordinate's half-integrality differ from the rest
+        for t in (H, Fraction(-7, 2), 0.5):
+            with pytest.raises(BWBError, match="twist must be an integer"):
+                bundle_cohomology(5, "Sdual", t)
+        assert bundle_cohomology(5, "O", Fraction(2)) == {0: 27}
+
 
 class TestLesSolve:
     def test_dualized_cayley_sequence(self):
@@ -195,6 +232,22 @@ class TestLesSolve:
         seq = SequenceSpec(("A", "B", "C"), ({0: 3}, {0: 1}, None), 5)
         with pytest.raises(InconsistentSequenceError):
             les_solve(seq)
+
+    def test_one_spec_per_outcome(self):
+        # top degree 2: the degrees a table leaves out are zeros that close the runs
+        def solve(*tables):
+            return les_solve(SequenceSpec(("A", "B", "C"), tables, 2))
+
+        assert solve({0: 1}, {0: 3}, None) == {0: 2}
+        with pytest.raises(InconsistentSequenceError,
+                           match=r"^alternating sum 1 != 0 in a zero-flanked run of \('A', 'B', 'C'\)$"):
+            solve({0: 1}, {}, {})
+        with pytest.raises(InconsistentSequenceError, match=r"^forced negative dimension in \('A', 'B', 'C'\)$"):
+            solve({0: 3}, {0: 1}, None)
+        with pytest.raises(Underdetermined, match="^2 unknown dimensions in one zero-flanked run of"):
+            solve(None, {0: 1, 1: 1}, {1: 2})
+        with pytest.raises(Underdetermined, match=r"^2 unknown terms in \('A', 'B', 'C'\)$"):
+            solve(None, {0: 1}, None)
 
     def test_chi_additivity_for_solved_tables(self):
         for t in range(-5, 4):
@@ -255,139 +308,6 @@ class TestEuler:
         assert euler_characteristic({2: 1}) == 1
         assert euler_characteristic({}) == 0
         assert euler_characteristic({0: 3, 1: 5}) == -2
-
-
-# ---------------------------------------------------------------------------
-# the all-Fraction engine, kept as the reference for the doubled-int kernel
-# ---------------------------------------------------------------------------
-
-def ref_rho(rs):
-    m = rs.rank
-    if rs.family == "B":
-        return tuple(Fraction(2 * (m - i) - 1, 2) for i in range(m))
-    return tuple(Fraction(m - 1 - i) for i in range(m))
-
-
-def ref_ip(w, root):
-    return sum(c * r for c, r in zip(w, root))
-
-
-def ref_is_dominant(rs, w):
-    return all(ref_ip(w, a) >= 0 for a in rs.positive_roots())
-
-
-def ref_dominant_conjugate(rs, w):
-    w = weight(w)
-    length = 0
-    for a in rs.positive_roots():
-        v = ref_ip(w, a)
-        if v == 0:
-            return None
-        if v < 0:
-            length += 1
-    ab = sorted((abs(c) for c in w), reverse=True)
-    if rs.family == "D" and sum(1 for c in w if c < 0) % 2:
-        ab[-1] = -ab[-1]
-    return tuple(ab), length
-
-
-def ref_weyl_dimension(rs, dominant):
-    lam = weight(dominant)
-    if not ref_is_dominant(rs, lam):
-        raise NonDominantError(f"{dominant} is not dominant for {rs}")
-    r = ref_rho(rs)
-    shifted = tuple(a + b for a, b in zip(lam, r))
-    dim = Fraction(1)
-    for a in rs.positive_roots():
-        dim *= ref_ip(shifted, a) / ref_ip(r, a)
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
-
-
-def ref_bundle_cohomology_of_weight(n, lam):
-    rs = quadric_root_system(n)
-    r = ref_rho(rs)
-    shifted = tuple(a + b for a, b in zip(weight(lam), r))
-    res = ref_dominant_conjugate(rs, shifted)
-    if res is None:
-        return {}
-    dom, length = res
-    hw = tuple(a - b for a, b in zip(dom, r))
-    return {length: ref_weyl_dimension(rs, hw)}
-
-
-def quadric_dim(rs):
-    return 2 * rs.rank - 1 if rs.family == "B" else 2 * rs.rank - 2
-
-
-@st.composite
-def root_system_weights(draw):
-    """A root system among B2-B8, D3-D8 and an integral or half-integral weight of it.
-
-    Small coordinates make singular and non-dominant weights common; the
-    ``dominant`` shape sorts them into the dominant chamber.
-    """
-    family = draw(st.sampled_from("BD"))
-    rs = RootSystem(family, draw(st.integers(2 if family == "B" else 3, 8)))
-    half = draw(st.integers(0, 1))
-    doubled = [2 * c + half for c in draw(st.lists(
-        st.integers(-5, 5), min_size=rs.rank, max_size=rs.rank))]
-    if draw(st.booleans()):
-        doubled = sorted(map(abs, doubled), reverse=True)
-        if family == "D" and draw(st.booleans()):
-            doubled[-1] = -doubled[-1]
-    return rs, tuple(Fraction(d, 2) for d in doubled)
-
-
-class TestIntegerKernelAgainstFractionReference:
-    def test_rho(self):
-        for m in range(2, 9):
-            for family in "BD":
-                if (family, m) != ("D", 2):
-                    rs = RootSystem(family, m)
-                    assert rho(rs) == ref_rho(rs)
-
-    @given(root_system_weights())
-    def test_dominance(self, case):
-        # w is dominant iff its rho-shift is already regular dominant, of length 0
-        rs, w = case
-        shifted = tuple(a + b for a, b in zip(w, ref_rho(rs)))
-        assert (dominant_conjugate(rs, shifted) == (shifted, 0)) == ref_is_dominant(rs, w)
-
-    @given(root_system_weights())
-    def test_dominant_conjugate(self, case):
-        rs, w = case
-        shifted = tuple(a + b for a, b in zip(w, ref_rho(rs)))
-        for v in (w, shifted):
-            assert dominant_conjugate(rs, v) == ref_dominant_conjugate(rs, v)
-
-    @given(root_system_weights())
-    def test_weyl_dimension(self, case):
-        rs, w = case
-        if ref_is_dominant(rs, w):
-            assert weyl_dimension(rs, w) == ref_weyl_dimension(rs, w)
-        else:
-            with pytest.raises(NonDominantError, match="is not dominant for"):
-                weyl_dimension(rs, w)
-
-    @given(root_system_weights())
-    def test_bundle_cohomology_of_weight(self, case):
-        rs, w = case
-        n = quadric_dim(rs)
-        assert bundle_cohomology_of_weight(n, w) == ref_bundle_cohomology_of_weight(n, w)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(BWBError, match="rank mismatch"):
-            dominant_conjugate(B3, (1, 0))
-        with pytest.raises(BWBError, match="rank mismatch"):
-            weyl_dimension(B3, (1, 0, 0, 0))
-        # a longer weight used to be cut to the rank without a word
-        with pytest.raises(BWBError, match="rank mismatch"):
-            bundle_cohomology_of_weight(5, (1, 0, 0, 7))
-
-    def test_dominant_conjugate_validates_the_weight(self):
-        with pytest.raises(BWBError, match="integral or half-integral"):
-            dominant_conjugate(B3, (Fraction(1, 3), 0, 0))
 
 
 def line_bundle_sections(n, t):

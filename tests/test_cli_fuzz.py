@@ -1,20 +1,25 @@
 """No input makes the CLI print a traceback.
 
-Each example is a built-in configuration with one to three leaves replaced
-from a small pool of hostile values (wrong types, empty containers, unknown
-labels, integers under the 100-digit cap), written to a file and run through
-``describe``, ``lemma7`` and ``mukai``.  Every run must end in a documented
-exit code, write nothing but a report of its own command to stdout, and
-raise nothing out of ``cli.main``.
+The first test takes a built-in configuration with one to three leaves
+replaced from a small pool of hostile values (wrong types, empty containers,
+unknown labels, integers under the 100-digit cap), writes it to a file and
+runs it through ``describe``, ``lemma7`` and ``mukai``.  The second draws
+whole command lines for all six subcommands.  Every run must end in a
+documented exit code, write nothing but a report of its own command to
+stdout, and raise nothing out of ``cli.main`` but argparse's ``SystemExit``.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import pathlib
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from roofpairs import checks
 from roofpairs.cli import main
 from roofpairs.configs import BUILTIN_CONFIGS, MAX_INT_DIGITS
 
@@ -71,3 +76,64 @@ def test_hostile_config_never_prints_a_traceback(tmp_path_factory, data):
             assert json.loads(out)["command"] == command
         else:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+# the shipped configurations below the caps, the data directory and a missing file
+CONFIG_PATHS = [str(p) for p in (DATA / "toy_symmetric.json", DATA / "q4_large_degree.json", DATA, DATA / "nope.json")]
+# just past the caps and bounds of DIM, TWIST and --rank, and integers argparse's int() reads oddly
+EDGE = ("501", "2", "1000000001", "-1000000001", "50001", "1", "0", "-1", "+5", "07", " 5", "1_0", "1e3")
+JUNK = ("", "-", "--", "--bogus", "nan", "g2dagger", "--json=1", "--bound", "--config", "--case")
+NUMBER = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(EDGE))
+BUNDLES = ("O", "S", "Sdual", "Splus", "Sminusdual", "Wedge2S", "Sym2Sdual", "G", "Gdual", "C", "Cdual", "Bogus")
+
+
+def _maybe(tokens):
+    return st.one_of(st.just([]), tokens)
+
+
+NAME = st.sampled_from([[], ["g2dagger"], ["d4"], ["toy-sym"]])
+CONFIG = st.sampled_from([[]] + [["--config", p] for p in CONFIG_PATHS])
+# each draws a tuple of token lists
+ARGS = {
+    "describe": st.tuples(NAME, CONFIG),
+    "lemma7": st.tuples(NAME, CONFIG),
+    "mukai": st.tuples(NAME, CONFIG, _maybe(NUMBER.map(lambda b: ["--bound", b]))),
+    "bwb": st.one_of(
+        st.tuples(NUMBER.map(lambda d: [d]), st.sampled_from(BUNDLES).map(lambda b: [b]),
+                  _maybe(NUMBER.map(lambda t: [t]))),
+        st.tuples(st.integers(0, 4).map(lambda c: ["--case", str(c)]), _maybe(st.just(["5", "O"]))),
+    ),
+    "motivic": st.tuples(_maybe(NUMBER.map(lambda r: ["--rank", r]))),
+    # the default bound only: every other value would recompute the whole check set
+    "verify-all": st.tuples(_maybe(st.just(["--corrupt"])),
+                            st.sampled_from([[], ["--bound", "50"], ["--bound", "-1"], ["--bound", "x"]])),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(ARGS)))
+    tokens = [t for group in draw(ARGS[command]) for t in group] + draw(_maybe(st.just(["--json"])))
+    if draw(st.integers(0, 3)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(JUNK)))
+    return [command, *tokens]
+
+
+# verify-all's checks depend only on (corrupt, bound): each set is computed once, not once per example
+_run_all = functools.cache(checks.run_all)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_any_command_line_exits_with_a_documented_code(argv):
+    with mock.patch.object(checks, "run_all", _run_all):
+        code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if out:  # a report: motivic and verify-all print theirs and exit 1 when a check fails
+        assert code == 0 or (code == 1 and argv[0] in ("motivic", "verify-all")), (argv, code)
+        if "--json" in argv:
+            assert json.loads(out)["command"] == argv[0]
+    else:
+        assert code != 0 and err.startswith(("error: ", "usage: ")), (argv, err)

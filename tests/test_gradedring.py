@@ -26,6 +26,13 @@ def test_doctests():
     assert failures == 0
 
 
+def test_signed_sum():
+    # the one renderer behind every class's str: +-1 left off a monomial, a sign as the separator
+    terms = [(1, "L"), (2, "Pi"), (-1, "L^2"), (Fraction(-1, 2), "xi"), (-3, ""), (1, "")]
+    assert gradedring.signed_sum(terms) == "L + 2*Pi - L^2 - 1/2*xi - 3 + 1"
+    assert gradedring.signed_sum([(-1, "L")]) == "-L" and gradedring.signed_sum([]) == "0"
+
+
 class TestQuadricRings:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
@@ -86,6 +93,7 @@ class TestMultiply:
         pi = Q5.basis_class("Pi")
         prod = pi * pi
         assert prod.is_zero and prod.degree == 6
+        assert prod != Q5.zero(5)  # no coefficients either, but another degree
 
     def test_ring_mismatch(self):
         other = make_quadric_ring(5)

@@ -21,14 +21,7 @@ from roofpairs.latticecore import (
 )
 from roofpairs.roofcalc import _solve_rational, mukai_vector
 
-G2_GRAM = [[0, 1, 5], [1, 10, 32], [5, 32, 82]]
-D4_GRAM = [
-    [0, 0, 0, 1, 6],
-    [0, 0, 1, 6, 22],
-    [0, 1, 0, 6, 22],
-    [1, 6, 6, 44, 126],
-    [6, 22, 22, 126, 308],
-]
+from golden_grams import D4_GRAM, G2_GRAM
 
 
 class TestSmithNormalForm:
@@ -88,87 +81,21 @@ def _transform_bits(matrices):
     return bits
 
 
-# Reference eliminations over Fraction: the implementations the Bareiss kernel
-# replaced, kept as oracles for it.  The library forms no inverse, so
-# ``_ref_unimodular_inverse`` is the U^-1 oracle of the Smith tests.
-
-def _ref_unimodular_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular, not unimodular")
-        a[i], a[piv] = a[piv], a[i]
-        inv = Fraction(1) / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i] != 0:
-                f = a[r][i]
-                a[r] = [a[r][k] - f * a[i][k] for k in range(2 * n)]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise LatticeError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
-def _ref_rref(columns, target):
-    """Reduced row echelon form of [A | b] over Fraction and its pivot columns."""
-    n, ncols = len(target), len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(n)]
-    row, pivots = 0, []
-    for c in range(ncols):
-        piv = next((r for r in range(row, n) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][c]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [a[r][k] - f * a[row][k] for k in range(ncols + 1)]
-        pivots.append(c)
-        row += 1
-    return a, pivots
-
-
-def _ref_solve_integral(columns, target):
-    a, pivots = _ref_rref(columns, target)
-    ncols = len(columns)
-    if any(a[r][ncols] != 0 for r in range(len(pivots), len(target))):
-        raise InconsistencyError("vector lies outside the span")
-    if len(pivots) != ncols:
-        raise InconsistencyError("basis vectors are linearly dependent")
-    sol = [a[i][ncols] for i in range(ncols)]
-    if any(x.denominator != 1 for x in sol):
-        raise InconsistencyError("image is not in the integer span of the basis")
-    return tuple(int(x) for x in sol)
-
-
-def _ref_solve_rational(columns, target):
-    a, pivots = _ref_rref(columns, target)
-    ncols = len(columns)
-    if any(a[i][ncols] != 0 for i in range(len(pivots), len(target))):
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = a[i][ncols]
-    kernel = []
-    for c in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][c]
-        kernel.append(vec)
-    return solution, kernel
-
-
 def _cofactor_det(m):
     if not m:
         return 1
     return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)) if m[0][j])
+
+
+def _rank(rows):
+    """The size of the largest nonzero minor of a rational matrix, minors by cofactor expansion."""
+    for k in range(min(len(rows), len(rows[0]) if rows else 0), 0, -1):
+        if any(_cofactor_det([[rows[i][j] for j in cs] for i in rs])
+               for rs in itertools.combinations(range(len(rows)), k)
+               for cs in itertools.combinations(range(len(rows[0])), k)):
+            return k
+    return 0
 
 
 def _outcome(fn, *args):
@@ -225,30 +152,34 @@ class TestExactKernel:
             prod *= d
         assert abs(det(m)) == prod
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
-        lambda c: st.lists(st.lists(st.integers(-20, 20), min_size=c, max_size=c), min_size=r, max_size=r))))
-    def test_inverse_of_smith_transforms(self, m):
-        snf = smith_normal_form(m)
-        for t in (snf.U, snf.V):
-            t = [list(row) for row in t]
-            inv = _ref_unimodular_inverse(t)
-            eye = [[int(i == j) for j in range(len(t))] for i in range(len(t))]
-            assert mat_mul(inv, t) == eye and mat_mul(t, inv) == eye
-
     @settings(max_examples=200, deadline=None)
     @given(_rational_system())
-    def test_solve_integral_matches_reference(self, system):
-        assert _outcome(latticecore._solve_integral, *system) == _outcome(_ref_solve_integral, *system)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_rational_system())
-    def test_solve_rational_matches_reference(self, system):
-        got = _solve_rational(*system)
-        assert got == _ref_solve_rational(*system)
-        if got is not None:
+    def test_solves_by_definition(self, system):
+        # a column is free when it lies in the span of the columns before it; the particular
+        # solution is zero on the free columns and each kernel vector is 1 on its own
+        columns, target = system
+        ncols = len(columns)
+        rank = lambda cols: _rank(list(zip(*cols)))
+        free = [c for c in range(ncols) if rank(columns[:c + 1]) == rank(columns[:c])]
+        image = lambda x: [sum(x[j] * columns[j][i] for j in range(ncols)) for i in range(len(target))]
+        got = _solve_rational(columns, target)
+        if rank(columns + [target]) > rank(columns):
+            assert got is None
+            want = InconsistencyError, "vector lies outside the span"
+        else:
             solution, kernel = got
+            assert image(solution) == list(target) and all(solution[c] == 0 for c in free)
+            assert len(kernel) == len(free)
+            for c, vec in zip(free, kernel):
+                assert image(vec) == [0] * len(target) and [vec[f] for f in free] == [int(f == c) for f in free]
             assert all(type(x) is Fraction for vec in [solution, *kernel] for x in vec)
+            if free:
+                want = InconsistencyError, "basis vectors are linearly dependent"
+            elif any(x.denominator != 1 for x in solution):
+                want = InconsistencyError, "image is not in the integer span of the basis"
+            else:
+                want = tuple(solution)
+        assert _outcome(latticecore._solve_integral, columns, target) == want
 
     def test_mat_mul_matches_index_loop(self):
         rng = random.Random(3)
@@ -267,6 +198,14 @@ def _leibniz_det(m):
         inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(m[i][p[i]] for i in range(n))
     return total
+
+
+def _inverse(m):
+    """The inverse of a unimodular matrix as its adjugate times det M = +-1, from Leibniz determinants."""
+    n, d = len(m), _leibniz_det(m)
+    assert abs(d) == 1
+    minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+    return [[(-1) ** (i + j) * d * _leibniz_det(minor(j, i)) for j in range(n)] for i in range(n)]
 
 
 def _determinantal_divisor(m, k):
@@ -314,7 +253,7 @@ class TestDefinitionOracles:
     @given(_nonsingular_symmetric())
     def test_generators_are_columns_of_u_inverse(self, gram):
         snf = smith_normal_form(gram)
-        u_inv = _ref_unimodular_inverse(snf.U)
+        u_inv = _inverse(snf.U)
         want = tuple(tuple(row[i] for row in u_inv) for i, d in enumerate(snf.invariant_factors) if d > 1)
         group = discriminant_group(gram)
         assert group.generators == want
@@ -405,6 +344,10 @@ class TestOrthogonalKernel:
         for s in range(4):
             assert sum(D4_GRAM[s][j] * v[j] for j in range(5)) == 0
 
+    def test_first_nonzero_coordinate_is_positive(self):
+        # the Smith transform's own kernel column is (-1, 1) here
+        assert orthogonal_kernel([[0, 3], [3, 0]], [[1, 1]]) == [(1, -1)]
+
     def test_double_complement_recovers_span(self):
         # the complement of the kernel contains the original span with finite index
         from roofpairs.roofcalc import _solve_rational
@@ -464,7 +407,7 @@ def _hyperbolic_plus_line(draw):
     order = draw(st.permutations(range(3)))
     basis = [[row[k] for k in order] for row in basis]
     gram = mat_mul(mat_mul([list(c) for c in zip(*basis)], g0), basis)
-    ell = [row[2] for row in _ref_unimodular_inverse(basis)]
+    ell = [row[2] for row in _inverse(basis)]
     return gram, ell
 
 

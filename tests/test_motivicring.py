@@ -25,6 +25,11 @@ def test_doctests():
     assert failures == 0
 
 
+def test_str_orders_terms_by_total_degree():
+    # then by exponent tuple; in the residuals both orders agree, so they cannot tell
+    assert str(L + Y**2) == "L + Y^2"
+
+
 class TestProjClass:
     def test_point(self):
         assert proj_class(0) == MotivicPoly.const(1)

@@ -5,8 +5,9 @@ import pytest
 
 from roofpairs import bwbcoh, checks, gradedring, latticecore, roofcalc
 
+from golden_grams import G2_GRAM
+
 Q5 = gradedring.make_quadric_ring(5)
-G2_GRAM = ((0, 1, 5), (1, 10, 32), (5, 32, 82))
 G2_LOCUS = (18, -5, 1)
 
 # class -> (a field, a function of the g2dagger config building an instance);

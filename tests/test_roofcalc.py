@@ -41,16 +41,8 @@ from roofpairs.roofcalc import (
     switch_side,
     xi_power,
 )
+from golden_grams import D4_GRAM, G2_GRAM
 from test_roof_queries import SYNTHETIC
-
-G2_GRAM = ((0, 1, 5), (1, 10, 32), (5, 32, 82))
-D4_GRAM = (
-    (0, 0, 0, 1, 6),
-    (0, 0, 1, 6, 22),
-    (0, 1, 0, 6, 22),
-    (1, 6, 6, 44, 126),
-    (6, 22, 22, 126, 308),
-)
 
 
 class TestSideConstruction:
