@@ -98,6 +98,17 @@ def _rank(rows):
     return 0
 
 
+def _free_columns(columns, target):
+    """The free columns of A x = b, and whether the system is consistent, from ranks of minors."""
+    rank = lambda cols: _rank(list(zip(*cols)))
+    free = [c for c in range(len(columns)) if rank(columns[:c + 1]) == rank(columns[:c])]
+    return free, rank(columns + [target]) == rank(columns)
+
+
+def _image(columns, x):
+    return [sum(x[j] * columns[j][i] for j in range(len(columns))) for i in range(len(columns[0]))]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -152,30 +163,49 @@ class TestExactKernel:
             prod *= d
         assert abs(det(m)) == prod
 
+    # The reference for both solves is the definition, with ranks from minors.  A column is
+    # free when it lies in the span of the columns before it; the system is consistent when
+    # rank [A | b] = rank A.
+
     @settings(max_examples=200, deadline=None)
     @given(_rational_system())
-    def test_solves_by_definition(self, system):
-        # a column is free when it lies in the span of the columns before it; the particular
-        # solution is zero on the free columns and each kernel vector is 1 on its own
+    def test_solve_rational_matches_reference(self, system):
+        # the particular solution is zero on the free columns and each kernel vector is 1 on
+        # its own free column and 0 on the others
         columns, target = system
-        ncols = len(columns)
-        rank = lambda cols: _rank(list(zip(*cols)))
-        free = [c for c in range(ncols) if rank(columns[:c + 1]) == rank(columns[:c])]
-        image = lambda x: [sum(x[j] * columns[j][i] for j in range(ncols)) for i in range(len(target))]
+        free, consistent = _free_columns(columns, target)
         got = _solve_rational(columns, target)
-        if rank(columns + [target]) > rank(columns):
+        if not consistent:
             assert got is None
+            return
+        solution, kernel = got
+        assert _image(columns, solution) == list(target) and all(solution[c] == 0 for c in free)
+        assert len(kernel) == len(free)
+        for c, vec in zip(free, kernel):
+            assert _image(columns, vec) == [0] * len(target)
+            assert [vec[f] for f in free] == [int(f == c) for f in free]
+        assert all(type(x) is Fraction for vec in [solution, *kernel] for x in vec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rational_system())
+    def test_solve_integral_matches_reference(self, system):
+        # with independent columns the solution is unique: Cramer's rule on a square block of
+        # rows with a nonzero minor
+        columns, target = system
+        free, consistent = _free_columns(columns, target)
+        if not consistent:
             want = InconsistencyError, "vector lies outside the span"
+        elif free:
+            want = InconsistencyError, "basis vectors are linearly dependent"
         else:
-            solution, kernel = got
-            assert image(solution) == list(target) and all(solution[c] == 0 for c in free)
-            assert len(kernel) == len(free)
-            for c, vec in zip(free, kernel):
-                assert image(vec) == [0] * len(target) and [vec[f] for f in free] == [int(f == c) for f in free]
-            assert all(type(x) is Fraction for vec in [solution, *kernel] for x in vec)
-            if free:
-                want = InconsistencyError, "basis vectors are linearly dependent"
-            elif any(x.denominator != 1 for x in solution):
+            rows = list(zip(*columns))
+            block = next(rs for rs in itertools.combinations(range(len(rows)), len(columns))
+                         if _cofactor_det([rows[i] for i in rs]))
+            d = _cofactor_det([rows[i] for i in block])
+            solution = [Fraction(_cofactor_det([[target[i] if j == k else rows[i][j] for j in range(len(columns))]
+                                                for i in block])) / d
+                        for k in range(len(columns))]
+            if any(x.denominator != 1 for x in solution):
                 want = InconsistencyError, "image is not in the integer span of the basis"
             else:
                 want = tuple(solution)
