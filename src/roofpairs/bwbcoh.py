@@ -183,7 +183,8 @@ def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
     factors = [(a, b) for a, b in zip(_pairings(rs, shifted), _rho_pairings(rs))
                if a != b]
     dim, rem = divmod(prod(a for a, _ in factors), prod(b for _, b in factors))
-    assert rem == 0 and dim > 0
+    if rem or dim <= 0:
+        raise BWBError(f"internal error: the Weyl dimension of {tuple(shifted)} is not a positive integer")
     return dim
 
 

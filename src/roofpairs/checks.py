@@ -277,7 +277,7 @@ def _bundle_ring_laws(side) -> bool:
     dim = len(monos)
 
     def coords(cls) -> dict[int, int]:
-        assert cls.is_integral  # so every stored coefficient is a nonzero int
+        cls.assert_integral()  # so every stored coefficient is a nonzero int
         return {index[(lbl, e)]: c for e, part in enumerate(cls.parts) for lbl, c in part.coeffs.items()}
 
     # sparse structure constants: e_i * e_j = sum over m of s[i, j][m] * e_m

@@ -1,13 +1,15 @@
 """Exact arithmetic in finite graded commutative quotient rings.
 
 A ring is presented by a finite graded basis together with an integer
-multiplication table; all class coefficients are exact rationals, stored as
-Python ints when integral and as Fractions otherwise, so the integral
-classes that make up almost all roof arithmetic never build a Fraction.  The two
-families shipped here are the cohomology rings of smooth quadric
-hypersurfaces (odd and even dimensional), graded by codimension, but the
-presentation machinery is generic: any finite graded basis with a
-commutative, associative integer table will do.
+multiplication table, which the presentation completes to one two-sided
+table over all basis pairs and validates; all class coefficients are exact
+rationals, stored as Python ints when integral and as Fractions otherwise,
+so the integral classes that make up almost all roof arithmetic never build
+a Fraction.  The powers of a named hyperplane class are derived with the
+ring's own product.  The family shipped here is the cohomology rings of
+smooth quadric hypersurfaces, graded by codimension and built from one rule
+for both parities, but the presentation machinery is generic: any finite
+graded basis with a commutative, associative integer table will do.
 
 Conventions for the quadric ring of dimension ``2m+1``::
 
@@ -88,16 +90,16 @@ _ASSOCIATIVE_TABLES: set[tuple] = set()
 class RingPresentation:
     """A finite graded commutative ring with explicit integer multiplication table.
 
-    ``table`` maps unordered pairs of non-unit basis labels to integer linear
-    combinations of basis labels (products with the unit are implicit and
-    may not be listed, and products whose total degree exceeds ``dimension``
-    must be absent or empty).  The table is validated at construction:
-    gradedness, commutativity, associativity on all basis triples, uniqueness of the top
-    class, and proportionality to the point class in complementary degrees.
-    The associativity check runs once per process for each distinct content
-    (see ``_validate_table``); the other checks run on every construction.
-    Validation also fills the full product table over all label pairs, which
-    class multiplication reads with one lookup per pair of terms.
+    ``table`` maps pairs of non-unit basis labels, in either order, to integer
+    linear combinations of basis labels.  It fills one two-sided table over
+    all label pairs, ``_products``, together with the implied products: with
+    the unit (which may not be listed) and beyond the top degree (empty, if
+    listed).  That table is validated at construction: completeness,
+    gradedness, associativity on all basis triples (once per process for each
+    distinct content, see ``_validate_table``), uniqueness of the top class,
+    and proportionality to the point class in complementary degrees.  The
+    powers of the degree-1 ``hyperplane_form`` are derived with the ring's
+    own product.
     """
 
     def __init__(
@@ -108,7 +110,6 @@ class RingPresentation:
         point_label: str,
         table: Mapping[tuple[str, str], Mapping[str, int]],
         hyperplane_form: Optional[Mapping[str, int | Fraction]] = None,
-        l_powers: Optional[Sequence[Mapping[str, int | Fraction]]] = None,
         fano_index: Optional[int] = None,
     ):
         self.name = name
@@ -117,11 +118,9 @@ class RingPresentation:
         self.point_label = point_label
         self.fano_index = fano_index
 
-        labels = [b.label for b in self.basis]
-        if len(set(labels)) != len(labels):
-            raise GradedRingError(f"duplicate basis labels in {name!r}")
-        self._by_label = {b.label: b for b in self.basis}
         self._degrees = {b.label: b.degree for b in self.basis}
+        if len(self._degrees) != len(self.basis):
+            raise GradedRingError(f"duplicate basis labels in {name!r}")
         for b in self.basis:
             if not 0 <= b.degree <= dimension:
                 raise GradedRingError(f"basis degree {b.degree} outside [0, {dimension}]")
@@ -138,7 +137,8 @@ class RingPresentation:
         for b in self.basis:
             self.degree_labels.setdefault(b.degree, ())
             self.degree_labels[b.degree] += (b.label,)
-        self._table: dict[tuple[str, str], dict[str, int]] = {}
+        self._products: dict[tuple[str, str], dict[str, int]] = {}
+        listed = []
         for (x, y), combo in table.items():
             unknown = [z for z in (x, y, *combo) if z not in self._order]
             if unknown:
@@ -156,62 +156,53 @@ class RingPresentation:
                 if c:
                     product[k] = c
             # a pair already present was listed in the other order
-            if self._table.setdefault(self._key(x, y), product) != product:
+            if self._products.setdefault((x, y), product) != product \
+                    or self._products.setdefault((y, x), product) != product:
                 raise GradedRingError(
                     f"multiplication table of {name!r} lists {y!r} * {x!r} and {x!r} * {y!r} "
                     "with different products")
+            listed.append(((x, y), frozenset(product.items())))
 
-        self._validate_table()
+        self._validate_table(frozenset(listed))
 
-        self.hyperplane = (
-            GradedClass(self, 1, dict(hyperplane_form)) if hyperplane_form is not None else None
-        )
-        # L^p expressed on the basis, p = 0 .. dimension (beyond is zero).
-        self._l_powers = tuple(dict(p) for p in l_powers) if l_powers is not None else None
-
-    def _key(self, x: str, y: str) -> tuple[str, str]:
-        return (x, y) if self._order[x] <= self._order[y] else (y, x)
-
-    def degree_of(self, label: str) -> int:
-        return self._degrees[label]
+        self.hyperplane = self._l_powers = None
+        if hyperplane_form is not None:
+            self.hyperplane = GradedClass(self, 1, dict(hyperplane_form))
+            powers = [self.unit()]
+            for _ in range(dimension):  # L^p, p = 0 .. dimension (beyond is zero)
+                powers.append(powers[-1] * self.hyperplane)
+            self._l_powers = tuple(power.coeffs for power in powers)
 
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Product of two basis elements as an integer combination of basis labels."""
-        if x == self.unit_label:
-            return {y: 1}
-        if y == self.unit_label:
-            return {x: 1}
-        prod = self._table.get(self._key(x, y))
-        if prod is not None:
-            return prod
-        if self.degree_of(x) + self.degree_of(y) > self.dimension:
-            return {}
-        raise GradedRingError(f"multiplication table of {self.name!r} lacks {x!r} * {y!r}")
+        return self._products[x, y]
 
-    def _validate_table(self) -> None:
-        """Check the table and fill ``_products``.
+    def _validate_table(self, listed: frozenset) -> None:
+        """Complete ``_products`` with the implied entries and check it.
 
         The associativity check runs once per process for each distinct
-        presentation content (dimension, point label, basis, table); a table
-        that fails is not remembered, so it fails on every construction.
+        content (dimension, point label, basis, listed entries); a table that
+        fails is not remembered, so it fails on every construction.
         """
         labels = [b.label for b in self.basis]
-        products: dict[tuple[str, str], dict[str, int]] = {}
-        self._products = products
-        # gradedness and completeness
+        products, degrees, unit = self._products, self._degrees, self.unit_label
+        # completeness and gradedness
         for x in labels:
             for y in labels:
-                d = self.degree_of(x) + self.degree_of(y)
-                prod = products[x, y] = self.basis_product(x, y)
+                d = degrees[x] + degrees[y]
+                prod = products.get((x, y))
+                if prod is None:
+                    if d <= self.dimension and unit not in (x, y):
+                        raise GradedRingError(f"multiplication table of {self.name!r} lacks {x!r} * {y!r}")
+                    prod = products[x, y] = {y: 1} if x == unit else {x: 1} if y == unit else {}
                 if d > self.dimension and prod:
                     raise GradedRingError(f"{x}*{y} exceeds top degree but is nonzero")
                 for z in prod:
-                    if self.degree_of(z) != d:
+                    if degrees[z] != d:
                         raise GradedRingError(f"{x}*{y} is not graded: contains {z}")
                 if d == self.dimension and any(z != self.point_label for z in prod):
                     raise GradedRingError(f"{x}*{y} in top degree is not a multiple of the point class")
-        content = (self.dimension, self.point_label, tuple((b.label, b.degree) for b in self.basis),
-                   frozenset((xy, frozenset(combo.items())) for xy, combo in self._table.items()))
+        content = (self.dimension, self.point_label, tuple((b.label, b.degree) for b in self.basis), listed)
         if content in _ASSOCIATIVE_TABLES:
             return
         # associativity on all basis triples, exactly
@@ -241,8 +232,7 @@ class RingPresentation:
         return GradedClass(self, 0, {self.unit_label: 1})
 
     def basis_class(self, label: str) -> "GradedClass":
-        b = self._by_label[label]
-        return GradedClass(self, b.degree, {label: 1})
+        return GradedClass(self, self._degrees[label], {label: 1})
 
     def l_power(self, p: int) -> "GradedClass":
         """The class of L^p on the basis (zero beyond the top degree)."""
@@ -403,6 +393,12 @@ class ChernVector:
 def make_quadric_ring(dim: int) -> RingPresentation:
     """Cohomology ring of the smooth quadric of dimension ``dim`` (codimension grading).
 
+    Every basis class is g*L^j, where g is the unit or a middle class of
+    degree ``low`` (Pi, or Pi1 and Pi2), and ``times_l(g, k)`` writes g*L^k
+    on the basis: L^low = 2*Pi or Pi1 + Pi2, Pi2*L = Pi1*L, zero past the
+    top degree.  A product g*L^i * h*L^j is ``times_l(g*h, i + j)``, except
+    Pi_a * Pi_b in even dimension, which follows the parity rule.
+
     >>> q5 = make_quadric_ring(5)
     >>> str(q5.l_power(3))
     '2*Pi'
@@ -412,86 +408,48 @@ def make_quadric_ring(dim: int) -> RingPresentation:
     """
     if dim < 2:
         raise InvalidDimensionError(f"quadric dimension must be >= 2, got {dim}")
+    m, odd = divmod(dim, 2)
+    low = m + odd
+    middle = ("Pi",) if odd else ("Pi1", "Pi2")
+    l_low = {"Pi": 2} if odd else {"Pi1": 1, "Pi2": 1}
+    degree = {"1": 0, **dict.fromkeys(middle, low)}
 
-    def lpow_label(p: int) -> str:
-        return "L" if p == 1 else f"L^{p}"
-
-    def pilab(stem: str, j: int) -> str:
+    def label(g: str, j: int) -> str:
         if j == 0:
-            return stem
-        return f"{stem}*L" if j == 1 else f"{stem}*L^{j}"
+            return g
+        power = "L" if j == 1 else f"L^{j}"
+        return power if g == "1" else f"{g}*{power}"
 
+    def times_l(g: str, k: int) -> dict[str, int]:
+        if g == "1" and k >= low:  # L^k = L^low * L^(k - low)
+            out: dict[str, int] = {}
+            for h, c in l_low.items():
+                for z, e in times_l(h, k - low).items():
+                    out[z] = out.get(z, 0) + c * e
+            return out
+        if degree[g] + k > dim:
+            return {}
+        if g == "Pi2" and k:
+            g = "Pi1"
+        return {label(g, k): 1}
+
+    # the non-unit basis as (generator, power of L)
+    classes = [("1", j) for j in range(1, low)] + [(g, 0) for g in middle]
+    classes += [(middle[0], j) for j in range(1, dim - low + 1)]
+    labels = [label(g, j) for g, j in classes]
+    point = labels[-1]
     table: dict[tuple[str, str], dict[str, int]] = {}
-    if dim % 2 == 1:
-        m = (dim - 1) // 2
-        basis = [BasisElement("1", 0)]
-        basis += [BasisElement(lpow_label(p), p) for p in range(1, m + 1)]
-        basis += [BasisElement(pilab("Pi", j), m + 1 + j) for j in range(0, m + 1)]
-        point = pilab("Pi", m)
-
-        def l_power_combo(p: int) -> dict[str, int]:
-            if p == 0:
-                return {"1": 1}
-            if p <= m:
-                return {lpow_label(p): 1}
-            return {pilab("Pi", p - m - 1): 2}
-
-        # L^i * L^j
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                table[(lpow_label(i), lpow_label(j))] = l_power_combo(i + j)
-        # L^i * Pi L^j
-        for i in range(1, m + 1):
-            for j in range(0, m + 1):
-                if i + j <= m:
-                    table[(lpow_label(i), pilab("Pi", j))] = {pilab("Pi", i + j): 1}
-        # Pi L^i * Pi L^j is always beyond the top degree
-        hyperplane = {"L": 1}
-    else:
-        m = dim // 2
-        basis = [BasisElement("1", 0)]
-        basis += [BasisElement(lpow_label(p), p) for p in range(1, m)]
-        basis += [BasisElement("Pi1", m), BasisElement("Pi2", m)]
-        basis += [BasisElement(pilab("Pi1", j), m + j) for j in range(1, m + 1)]
-        point = pilab("Pi1", m)
-        # the standard parity rule for the two middle classes
-        pi_square = 1 if m % 2 == 0 else 0
-        pi_cross = 1 - pi_square
-
-        def l_power_combo(p: int) -> dict[str, int]:
-            if p == 0:
-                return {"1": 1}
-            if p <= m - 1:
-                return {lpow_label(p): 1}
-            if p == m:
-                return {"Pi1": 1, "Pi2": 1}
-            return {pilab("Pi1", p - m): 2}
-
-        for i in range(1, m):
-            for j in range(i, m):
-                table[(lpow_label(i), lpow_label(j))] = l_power_combo(i + j)
-        for i in range(1, m):
-            for pi in ("Pi1", "Pi2"):
-                table[(lpow_label(i), pi)] = {pilab("Pi1", i): 1}
-            for j in range(1, m + 1):
-                if i + j <= m:
-                    table[(lpow_label(i), pilab("Pi1", j))] = {pilab("Pi1", i + j): 1}
-        table[("Pi1", "Pi1")] = {point: pi_square} if pi_square else {}
-        table[("Pi2", "Pi2")] = {point: pi_square} if pi_square else {}
-        table[("Pi1", "Pi2")] = {point: pi_cross} if pi_cross else {}
-        hyperplane = {"L": 1} if m >= 2 else {"Pi1": 1, "Pi2": 1}
-
-    l_powers = [l_power_combo(p) for p in range(0, dim + 1)]
-    return RingPresentation(
-        f"Q{dim}",
-        dim,
-        basis,
-        point,
-        table,
-        hyperplane_form=hyperplane,
-        l_powers=l_powers,
-        fano_index=dim,
-    )
+    for a, (g, i) in enumerate(classes):
+        for b in range(a, len(classes)):
+            h, j = classes[b]
+            if degree[g] + degree[h] + i + j > dim:
+                continue
+            if g == "1":
+                table[labels[a], labels[b]] = times_l(h, i + j)
+            else:  # Pi_i^2 = point and Pi1*Pi2 = 0 when m is even; the other way round when m is odd
+                table[g, h] = {point: 1} if (g == h) == (m % 2 == 0) else {}
+    basis = [BasisElement("1", 0)] + [BasisElement(x, degree[g] + j) for x, (g, j) in zip(labels, classes)]
+    return RingPresentation(f"Q{dim}", dim, basis, point, table, hyperplane_form=times_l("1", 1), fano_index=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +471,8 @@ def chern_twist(c: ChernVector, t: int) -> ChernVector:
     >>> str(chern_twist(c, 1))
     '(5*L, 9*L^2, 12*Pi)'
     """
-    ring, hyperplane = c.ring, c.ring.hyperplane
-    if hyperplane is None:
-        raise GradedRingError("chern_twist needs a degree-1 hyperplane class")
-    r = c.rank
-    h_pow = [ring.unit()]
-    for _ in range(r):
-        h_pow.append(h_pow[-1] * hyperplane)
+    ring, r = c.ring, c.rank
+    h_pow = [ring.l_power(p) for p in range(r + 1)]
     comps = [ring.unit()] + list(c.components)  # comps[i] = c_i, c_0 = 1
     out = []
     for k in range(1, r + 1):

@@ -17,14 +17,17 @@ generators are read off M * V * D^-1 (column i of U^-1 is M * V[:, i] / d_i),
 so no inverse of U is formed.
 
 Matrices are sequences (lists or tuples) of rows of Python ints; a function
-that eliminates in place copies its input first.  Everything is exact.
+that eliminates in place copies its input first.  ``det`` and
+``smith_normal_form`` check their input in that copy: a ragged matrix, a
+non-square one given to ``det`` and an entry that is not an integer are each
+a ``LatticeError``, never truncated.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import LatticeError
@@ -97,10 +100,26 @@ def _bareiss(a: Matrix, ncols: int, jordan: bool = True) -> tuple[list[int], int
     return pivots, prev, sign
 
 
+def _int_rows(m: Sequence[Sequence[int]], width: int) -> Matrix:
+    """A copy of ``m`` as lists of ints; a ragged row or a non-integer entry is a ``LatticeError``."""
+    try:  # operator.index copies ints (and bools) exactly and refuses floats, Fractions and strings
+        a = [list(map(index, row)) for row in m]
+    except TypeError as exc:
+        raise LatticeError(f"matrix entries must be ints: {exc}") from None
+    if any(len(row) != width for row in a):
+        raise LatticeError(f"matrix rows must have {width} entries each, got {[len(row) for row in a]}")
+    return a
+
+
+def _transposed(m: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """The transpose of a matrix with ``width`` columns (the width fixes its shape when it has no rows)."""
+    return tuple(tuple(row[j] for row in m) for j in range(width))
+
+
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) forward elimination over the integers."""
+    """Determinant of a square int matrix by fraction-free (Bareiss) forward elimination."""
     n = len(m)
-    pivots, d, sign = _bareiss([list(row) for row in m], n, jordan=False)
+    pivots, d, sign = _bareiss(_int_rows(m, n), n, jordan=False)
     return sign * d if len(pivots) == n else 0
 
 
@@ -121,13 +140,16 @@ class SmithDecomposition(NamedTuple):
         return tuple(self.D[i][i] for i in range(k))
 
     def verify(self, m: Sequence[Sequence[int]]) -> bool:
-        lhs = mat_mul(mat_mul(self.U, m), self.V)
-        if lhs != [list(r) for r in self.D]:
+        """The whole definition: U * M * V = D, D diagonal, factors >= 0 with
+        each dividing the next (so zeros come last), and |det U| = |det V| = 1."""
+        if mat_mul(mat_mul(self.U, m), self.V) != [list(r) for r in self.D]:
             return False
-        if abs(det(self.U)) != 1 or abs(det(self.V)) != 1:
+        if any(x for i, row in enumerate(self.D) for j, x in enumerate(row) if i != j):
             return False
-        facs = [d for d in self.invariant_factors if d]
-        return all(facs[i + 1] % facs[i] == 0 for i in range(len(facs) - 1))
+        facs = self.invariant_factors
+        if any(d < 0 for d in facs) or any(b % a if a else b for a, b in zip(facs, facs[1:])):
+            return False
+        return abs(det(self.U)) == 1 and abs(det(self.V)) == 1
 
 
 def _pivot(a: Matrix, t: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
@@ -168,10 +190,28 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     choice in both is the smallest nonzero absolute value of the trailing
     block with (row, column) index as tie-break, so the output is
     deterministic.  U and V are valid transforms, not canonical ones.
+
+    A tall M is decomposed through its transpose (U' M^T V' = D' gives
+    V'^T M U'^T = D'^T), which keeps the transforms far smaller; every
+    result passes ``SmithDecomposition.verify`` before it is returned.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [list(map(int, row)) + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    a = _int_rows(m, cols)
+    if rows > cols:
+        u, d, v = _smith([list(col) for col in zip(*a)], cols, rows)
+        snf = SmithDecomposition(_transposed(v, rows), _transposed(d, rows), _transposed(u, cols))
+    else:
+        snf = SmithDecomposition(*_smith(a, rows, cols))
+    if not snf.verify(m):
+        raise InconsistencyError("internal error: Smith decomposition failed to verify")
+    return snf
+
+
+def _smith(a: Matrix, rows: int, cols: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(U, D, V) of the ``rows`` x ``cols`` matrix ``a``, which it extends and eliminates in place."""
+    for i, row in enumerate(a):
+        row += [int(i == j) for j in range(rows)]
     a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     for r in range(min(rows, cols)):
@@ -241,13 +281,11 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
             a[t] = [-x for x in a[t]]
         t += 1
 
-    snf = SmithDecomposition(
+    return (
         tuple(tuple(r[cols:]) for r in a[:rows]),
         tuple(tuple(r[:cols]) for r in a[:rows]),
         tuple(tuple(r[:cols]) for r in a[rows:]),
     )
-    assert snf.verify(m), "internal error: Smith decomposition failed to verify"
-    return snf
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,14 @@ MUTANTS = (
        "", LAT),
     _m("isotropic-bound-strict", "latticecore", "max(abs(x) for x in u + v) <= bound",
        "max(abs(x) for x in u + v) < bound", LAT),
+    # latticecore: the input contract, the tall path and the Smith oracle
+    _m("int-rows-truncates-entries", "latticecore", "list(map(index, row))", "list(map(int, row))", LAT),
+    _m("smith-tall-transforms-unswapped", "latticecore",
+       "SmithDecomposition(_transposed(v, rows), _transposed(d, rows), _transposed(u, cols))",
+       "SmithDecomposition(_transposed(u, cols), _transposed(d, rows), _transposed(v, rows))", LAT),
+    _m("smith-verify-skips-diagonal-test", "latticecore",
+       "        if any(x for i, row in enumerate(self.D) for j, x in enumerate(row) if i != j):\n"
+       "            return False\n", "", LAT),
     # gradedring
     _m("signed-sum-shows-minus-one", "gradedring", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
     _m("signed-sum-always-plus", "gradedring", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
@@ -93,6 +101,10 @@ MUTANTS = (
        "return x", GRADED),
     _m("graded-eq-ignores-degree", "gradedring", "self.ring is other.ring and self.degree == other.degree and",
        "self.ring is other.ring and", GRADED),
+    # gradedring: quadric rings from one rule
+    _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
+    _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),
+    _m("quadric-pi2-not-folded", "gradedring", '        if g == "Pi2" and k:\n            g = "Pi1"\n', "", GRADED),
     # roofcalc
     _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
        "in enumerate(self.parts)", ROOF, GOLDEN),

@@ -383,6 +383,11 @@ class TestTableEntriesAreChecked:
         assert ring.basis_product("k", "h") == ring.basis_product("h", "k") == {"p": 1}
 
     def test_quadric_rings_still_construct(self):
-        for n in range(2, 13):
+        # every dimension up to base_dim's cap of 32
+        for n in range(2, 33):
             ring = make_quadric_ring(n)
             assert integrate(ring.l_power(n)) == 2
+            if n % 2 == 0:
+                pi1, pi2 = ring.basis_class("Pi1"), ring.basis_class("Pi2")
+                square, cross = (1, 0) if n % 4 == 0 else (0, 1)
+                assert (integrate(pi1 * pi1), integrate(pi2 * pi2), integrate(pi1 * pi2)) == (square, square, cross)

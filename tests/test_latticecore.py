@@ -12,6 +12,7 @@ from roofpairs.latticecore import (
     InconsistencyError,
     LatticeError,
     SearchExhaustedError,
+    SmithDecomposition,
     det,
     discriminant_group,
     isotropic_pair_solve,
@@ -50,8 +51,50 @@ class TestSmithNormalForm:
         assert max(abs(x) for row in snf.D for x in row) < 10**9
 
     def test_rank_deficient_and_rectangular(self):
-        for m in ([[2, 4, 4]], [[1], [2], [3]], [[0, 0], [0, 0]], [[1, 2], [2, 4]]):
-            assert smith_normal_form(m).verify(m)
+        for m in ([[2, 4, 4]], [[1], [2], [3]], [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[], []], [[0], [6], [4]]):
+            snf = smith_normal_form(m)
+            assert snf.verify(m)
+            assert (len(snf.U), len(snf.D), len(snf.V)) == (len(m), len(m), len(m[0]))
+
+    def test_tall_matrix_goes_through_its_transpose(self):
+        # 16 x 12 of rank 12, a product of factors with entries in +-100: eliminated directly,
+        # its transforms reached 7959 bits; through the transpose they stay near 150
+        rng = random.Random(20260810)
+        a = [[rng.randint(-100, 100) for _ in range(12)] for _ in range(16)]
+        m = mat_mul(a, [[rng.randint(-100, 100) for _ in range(12)] for _ in range(12)])
+        snf = smith_normal_form(m)
+        assert snf.verify(m) and sum(1 for d in snf.invariant_factors if d) == 12
+        assert _transform_bits([m]) < 512
+
+    @pytest.mark.parametrize("d, ok", [
+        (((1, 0), (0, 2)), True),
+        (((1, 0), (0, 0)), True),
+        (((1, 1), (0, 1)), False),  # not diagonal
+        (((-1, 0), (0, 2)), False),  # a negative factor
+        (((0, 0), (0, 1)), False),  # a zero factor ahead of a nonzero one
+        (((2, 0), (0, 3)), False),  # 2 does not divide 3
+    ])
+    def test_verify_checks_the_whole_definition(self, d, ok):
+        # with U = V = I and M = D the product always matches: only the form of D decides
+        identity = ((1, 0), (0, 1))
+        assert SmithDecomposition(identity, d, identity).verify(d) is ok
+
+    @pytest.mark.parametrize("fn, m", [
+        (det, [[1, 2]]),  # not square
+        (det, [[1, 2], [3]]),  # ragged
+        (det, [[1.5, 2], [3, 5]]),
+        (det, [[2.0, 0], [0, 1]]),
+        (det, [[Fraction(2), 0], [0, 1]]),
+        (smith_normal_form, [[1, 2], [3]]),
+        (smith_normal_form, [[1], [2, 3]]),
+        (smith_normal_form, [[1.5, 2], [3, 5]]),
+        (smith_normal_form, [[1, 2], [3, "4"]]),
+        (smith_normal_form, [[1], [2], [Fraction(1, 2)]]),
+    ])
+    def test_malformed_matrix_rejected(self, fn, m):
+        # never truncated: a float or Fraction entry is as much an error as a ragged row
+        with pytest.raises(LatticeError, match=r"matrix (rows must have \d+ entries|entries must be ints)"):
+            fn(m)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-20, 20), min_size=4, max_size=4), min_size=4, max_size=4))

@@ -155,6 +155,13 @@ def _absolute_imports(path: pathlib.Path) -> set[str]:
     return found
 
 
+def test_no_assert_statements():
+    # python -O strips asserts, so every internal check in the package raises explicitly
+    for path in pathlib.Path(roofpairs.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
 def test_latticecore_is_a_leaf():
     path = pathlib.Path(roofpairs.__file__).with_name("latticecore.py")
     assert _package_imports(path) == {"errors"}
