@@ -6,7 +6,7 @@ degree-r relation
 
     xi^r = c_1 xi^(r-1) - c_2 xi^(r-2) + ... + (-1)^(r+1) c_r
 
-folding higher powers down.  On top of that normal form this module builds
+rewriting higher powers.  On top of that normal form this module builds
 the middle intersection lattice of a hyperplane section, the pushforward
 class of the polarized zero locus, the side-switching substitution
 L -> xi - L~ across the two bundle structures, the residue scan that
@@ -15,9 +15,9 @@ Fourier-Mukai pipeline: both sides' isotropic pairs, the switched generator
 and its integer coordinates in the other side's isotropic basis.
 
 The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
-side keeps a fold table (``RoofSide._fold``): base label x maps to the terms
-of x * (-1)^(i+1) c_i, so folding one power is integer dict updates.
-A BundleClass holds its parts as such dicts, which products, folds and
+side builds the normal form NF(x, e) of base label x times xi^e once, on first
+use (``RoofSide._nf``), and ``reduce`` adds c * NF(x, e) for each c * x * xi^e.
+A BundleClass holds its parts as such dicts, which products, reductions and
 coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 """
 
@@ -74,7 +74,8 @@ class RoofSide:
     relation; for sides built from Chern data these are the Chern classes of
     the twisted bundle.  ``middle_basis`` lists the monomials (base label,
     xi exponent) spanning the middle algebraic cohomology of a hyperplane
-    section.  Read-only, equal and hashed by these five fields.
+    section.  Read-only, equal and hashed by these five fields; its caches
+    ``_fold`` and ``_table`` take no part.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -91,6 +92,7 @@ class RoofSide:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "groth_coeffs", groth_coeffs)
         object.__setattr__(self, "middle_basis", middle_basis)
+        object.__setattr__(self, "_table", {})  # (x, e) -> NF(x, e), filled by _nf
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RoofSide.{name} is read-only")
@@ -106,10 +108,8 @@ class RoofSide:
 
     @cached_property
     def _fold(self) -> dict[str, tuple[tuple[int, str, int | Fraction], ...]]:
-        """Base label x -> the nonzero terms (i, z, m) of x * (-1)^(i+1) c_i = sum m z.
-
-        ``reduce`` folds the coefficient c of x * xi^e into c * m on z * xi^(e-i).
-        """
+        """Base label x -> the nonzero terms (i, z, m) of x * (-1)^(i+1) c_i = sum m z,
+        so that x * xi^e = sum m z * xi^(e-i) for e >= r."""
         products = self.base._products
         fold = {}
         for x in self.base._order:
@@ -122,6 +122,24 @@ class RoofSide:
                 terms += [(i, z, m) for z, m in piece.items() if m]
             fold[x] = tuple(terms)
         return fold
+
+    def _nf(self, x: str, e: int) -> tuple[tuple[int, str, int | Fraction], ...]:
+        """NF(x, e) for e >= r: the nonzero terms (j, z, m), j < r, of x * xi^e = sum m z * xi^j;
+        zero past the top degree, else built once from x's fold terms and NF(z, e - i), at most n deep."""
+        if self.base._degrees[x] + e > self.dim_total:
+            return ()
+        key = (x, e)
+        nf = self._table.get(key)
+        if nf is None:
+            r, acc = self.rank, {}
+            for i, z, m in self._fold[x]:
+                if e - i < r:
+                    acc[e - i, z] = acc.get((e - i, z), 0) + m
+                else:
+                    for j, w, k in self._nf(z, e - i):
+                        acc[j, w] = acc.get((j, w), 0) + m * k
+            nf = self._table[key] = tuple((j, z, m) for (j, z), m in acc.items() if m)
+        return nf
 
     @property
     def dim_total(self) -> int:
@@ -238,15 +256,16 @@ class BundleClass:
         self._check(other)
         products = self.side.base._products
         terms: dict[int, dict[str, int | Fraction]] = {}
-        for i, p in enumerate(self._flat):
-            for j, q in enumerate(other._flat):
-                if p and q:
-                    acc = terms.setdefault(i + j, {})
-                    for x, c in p.items():
-                        for y, e in q.items():
-                            ce = c * e
-                            for z, m in products[x, y].items():
-                                acc[z] = acc.get(z, 0) + ce * m
+        ps = [(i, p) for i, p in enumerate(self._flat) if p]
+        qs = [(j, q) for j, q in enumerate(other._flat) if q]
+        for i, p in ps:
+            for j, q in qs:
+                acc = terms.setdefault(i + j, {})
+                for x, c in p.items():
+                    for y, e in q.items():
+                        ce = c * e
+                        for z, m in products[x, y].items():
+                            acc[z] = acc.get(z, 0) + ce * m
         return reduce(self.side, terms, self.degree + other.degree)
 
     __rmul__ = __mul__
@@ -288,12 +307,10 @@ def reduce(
 ) -> BundleClass:
     """Fold a formal polynomial in xi with base-class coefficients to normal form.
 
-    One descending pass over the xi powers from the highest down to r
-    substitutes the degree-r relation for each in turn; a substitution only
-    feeds lower powers, so every power is folded once, and equality in the
-    bundle ring is preserved at every step.  The pass runs on plain
-    {label: coefficient} dicts through the side's fold table (``RoofSide._fold``).
-    The ring's own operations pass such dicts, trusted and consumed, with ``degree``.
+    Terms below xi^r are already reduced; a term c * x * xi^e with e >= r adds
+    c times NF(x, e), the normal form of x * xi^e, which the side computes once
+    (``RoofSide._nf``).  The ring's own operations pass plain {label: coefficient}
+    dicts, trusted and consumed, with ``degree``.
     """
     base = side.base
     terms: dict[int, dict[str, int | Fraction]] = {}
@@ -314,19 +331,15 @@ def reduce(
     if degree is None:
         degree = 0
 
-    r = side.rank
-    fold = side._fold
-    for top in range(max(terms, default=0), r - 1, -1):
-        coeffs = terms.pop(top, None)
-        if not coeffs:
-            continue
-        targets = [None] + [terms.setdefault(top - i, {}) for i in range(1, r + 1)]
+    r, table = side.rank, side._table
+    parts = [terms.pop(j, None) or {} for j in range(r)]
+    for e, coeffs in terms.items():
         for x, c in coeffs.items():
             if c:
-                for i, z, m in fold[x]:
-                    t = targets[i]
-                    t[z] = t.get(z, 0) + c * m
-    return BundleClass._of(side, degree, [terms.get(i, {}) for i in range(r)])
+                for j, z, m in table.get((x, e)) or side._nf(x, e):
+                    p = parts[j]
+                    p[z] = p.get(z, 0) + c * m
+    return BundleClass._of(side, degree, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,11 @@ MUTANTS = (
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
     _m("fold-unsigned-relation", "roofcalc", "+ (-1) ** (i + 1) * c * m", "+ c * m", ROOF),
-    _m("reduce-stops-above-rank", "roofcalc", "range(max(terms, default=0), r - 1, -1)",
-       "range(max(terms, default=0), r, -1)", ROOF),
+    _m("nf-takes-xi-to-the-r-as-reduced", "roofcalc", "if e - i < r:", "if e - i <= r:", ROOF),
+    _m("nf-key-drops-the-exponent", "roofcalc", "key = (x, e)", "key = x", ROOF),
+    _m("nf-memo-shared-by-all-sides", "roofcalc", '"_table", {})', '"_table", globals().setdefault("_NF_MEMO", {}))',
+       ROOF, "test_records.py"),
+    _m("nf-zero-cutoff-off-by-one", "roofcalc", "+ e > self.dim_total:", "+ e > self.dim_total + 1:", ROOF),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),

@@ -193,7 +193,8 @@ class TestMukai:
         assert main(["mukai", "d4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: LatticeError: isotropic_pair_solve expects a rank-3 gram matrix\n"
+        assert captured.err == ("error: LatticeError: stage 'mukai vector' failed: "
+                                "isotropic_pair_solve expects a rank-3 gram matrix\n")
         assert counts == {"roofcalc.middle_lattice": 0, "latticecore.isotropic_pair_solve": 0}
 
     @pytest.mark.parametrize("config", ["g2dagger", "d4"])
@@ -205,7 +206,8 @@ class TestMukai:
         path.write_text(json.dumps(data))
         assert main(["mukai", "--config", str(path)]) == 1
         side = ("side", "tilde")[which]
-        assert capsys.readouterr().err == f"error: RoofError: side '{config}:{side}' declares no middle basis\n"
+        assert capsys.readouterr().err == (f"error: RoofError: stage 'middle lattice' failed: "
+                                           f"side '{config}:{side}' declares no middle basis\n")
 
 
 @pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])

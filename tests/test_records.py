@@ -45,9 +45,23 @@ def test_record_is_read_only_and_equal_by_value(cls, g2):
 def test_side_equality_ignores_the_cached_fold(g2):
     field, build = RECORDS[roofcalc.RoofSide]
     first, second = build(g2), build(g2)
-    roofcalc.reduce(first, {first.rank: first.base.unit()})  # fills first._fold only
+    roofcalc.reduce(first, {first.rank + 1: first.base.unit()})  # fills first._fold and first._table only
     assert "_fold" in vars(first) and "_fold" not in vars(second)
+    assert first._table and not second._table
     assert first == second and hash(first) == hash(second)
+
+
+def test_sides_on_one_base_keep_their_own_normal_forms(g2):
+    base, r = g2.side.base, g2.side.rank
+    sides = [roofcalc.RoofSide(f"scaled-{k}", base, r, tuple(base.l_power(i).scale(k) for i in range(1, r + 1)))
+             for k in (1, 2)]
+    for b in base.basis:
+        x = base.basis_class(b.label)
+        for side in sides:
+            # x * xi^r = sum_i (-1)^(i+1) x * c_i * xi^(r-i), read off the relation in one step
+            expected = [(x * side.groth_coeffs[r - j - 1]).scale((-1) ** (r - j + 1)).coeffs for j in range(r)]
+            assert [p.coeffs for p in roofcalc.reduce(side, {r: x}).parts] == expected, (side.name, b.label)
+    assert sides[0]._table and sides[0]._table != sides[1]._table
 
 
 def test_root_system_is_a_cache_key():

@@ -3,13 +3,14 @@ reports assembled from the public roofcalc functions, which rebuild them per cal
 
 import copy
 import json
+import pathlib
 import random
 from math import comb
 
 import pytest
 
 from roofpairs import latticecore, roofcalc
-from roofpairs.cli import cmd_describe, cmd_lemma7, main
+from roofpairs.cli import _staged, cmd_describe, cmd_lemma7, main
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict
 from roofpairs.gradedring import make_quadric_ring
 
@@ -172,6 +173,13 @@ def test_synthetic_roofs_cover_every_base():
     assert len({json.dumps(d["sides"][0]["groth"]) for d in SYNTHETIC}) == len(SYNTHETIC) == 21
 
 
+def test_q16_snapshot_roof_is_built_from_its_seed():
+    # the describe/lemma7 snapshots of data/q16_roof.json cover reductions through r = 14 powers
+    path = pathlib.Path(__file__).parent / "data" / "q16_roof.json"
+    a = roof_relation(random.Random(17), 14, 2)
+    assert json.loads(path.read_text()) == synthetic_roof(16, a, "q16-seed-17")
+
+
 # ---------------------------------------------------------------------------
 # a config failing in each stage keeps its stage label and message
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ def test_describe_failure_matches_public_functions(stage, cfg, public):
     except roofcalc.RoofError as exc:
         with pytest.raises(type(exc)) as got:
             cmd_describe(cfg)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"stage '{stage}' failed: {exc}"
     else:
         assert cmd_describe(cfg) == expected
 
@@ -237,6 +245,30 @@ def test_stage_label_reaches_stderr(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: RoofError: stage 'residue scan' failed: "
                             "class is not supported on the declared middle basis\n")
+
+
+def test_describe_stage_label_reaches_stderr(tmp_path, capsys):
+    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
+            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["Pi2", 0]])]}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main(["describe", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: "
+                            "orthogonal complement of the pullback sublattice has rank 0, expected 1\n")
+
+
+def test_error_outside_a_stage_keeps_its_message(g2):
+    q = roofcalc.RoofQuery(g2)
+
+    def build():
+        q.lattice(g2.side)  # a stage that finished leaves no label behind
+        raise roofcalc.SwitchError("raised after the stage")
+
+    with pytest.raises(roofcalc.SwitchError) as got:
+        _staged(q, build)
+    assert str(got.value) == "raised after the stage"
 
 
 # ---------------------------------------------------------------------------

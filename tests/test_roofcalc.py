@@ -444,6 +444,49 @@ def test_reduce_matches_repeated_substitution(case):
 
 
 # ---------------------------------------------------------------------------
+# the per-side table of normal forms NF(x, e) of x * xi^e
+# ---------------------------------------------------------------------------
+
+# each builds a fresh side, whose table starts empty
+TABLE_SIDES = {
+    "g2dagger": lambda: builtin_config("g2dagger").side,
+    "d4": lambda: builtin_config("d4").side,
+    "q10": lambda: config_from_dict(next(d for d in SYNTHETIC if d["base_dim"][0] == 10)).side,
+}
+
+
+def assert_table_within_bound(side):
+    """Entries only for r <= e and deg x + e <= dim_total: at most #labels * n of them."""
+    degrees = side.base._degrees
+    assert all(side.rank <= e and degrees[x] + e <= side.dim_total for x, e in side._table)
+    assert len(side._table) <= len(degrees) * side.base.dimension
+
+
+@pytest.mark.parametrize("name", TABLE_SIDES)
+def test_table_matches_repeated_substitution_at_every_power(name):
+    side = TABLE_SIDES[name]()
+    base = side.base
+    for e in range(side.dim_total + 3):
+        assert [p.coeffs for p in xi_power(side, e).parts] == ref_reduce(side, {e: base.unit()})
+        for b in base.basis:
+            cls = base.basis_class(b.label)
+            assert [p.coeffs for p in reduce(side, {e: cls}).parts] == ref_reduce(side, {e: cls}), (b.label, e)
+    assert side._table
+    assert_table_within_bound(side)
+
+
+def test_huge_xi_power_is_zero_at_once():
+    side = TABLE_SIDES["q10"]()
+    middle_lattice(side)
+    filled = dict(side._table)
+    assert_table_within_bound(side)
+    for e in (side.dim_total + 1, 10**6):
+        a = xi_power(side, e)
+        assert a.is_zero and a.degree == e
+    assert side._table == filled
+
+
+# ---------------------------------------------------------------------------
 # integer fold kernel: oracle against the object-level loops it replaced
 # ---------------------------------------------------------------------------
 
