@@ -221,9 +221,9 @@ def _motivic(cs: CheckSet) -> None:
 
 
 def _structural(cs: CheckSet, g2, d4) -> None:
-    # a ring checks associativity once per process for each table content, so
-    # these constructions may skip it; check both laws here on every run, then
-    # check the two bundle rings.
+    # each construction checks associativity on the sorted triples that can
+    # fail; this check re-derives both laws over all ordered basis triples, as
+    # an independent full-cube oracle, then checks the two bundle rings.
     for ring in (make_quadric_ring(5), make_quadric_ring(6)):
         labels = [b.label for b in ring.basis]
         assoc = all(

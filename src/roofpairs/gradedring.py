@@ -2,14 +2,15 @@
 
 A ring is presented by a finite graded basis together with an integer
 multiplication table, which the presentation completes to one two-sided
-table over all basis pairs and validates; all class coefficients are exact
-rationals, stored as Python ints when integral and as Fractions otherwise,
-so the integral classes that make up almost all roof arithmetic never build
-a Fraction.  The powers of a named hyperplane class are derived with the
-ring's own product.  The family shipped here is the cohomology rings of
-smooth quadric hypersurfaces, graded by codimension and built from one rule
-for both parities, but the presentation machinery is generic: any finite
-graded basis with a commutative, associative integer table will do.
+table over all basis pairs and validates exactly, associativity included, on
+every construction; all class coefficients are exact rationals, stored as
+Python ints when integral and as Fractions otherwise, so the integral classes
+that make up almost all roof arithmetic never build a Fraction.  The powers
+of a named hyperplane class are derived with the ring's own product.  The
+family shipped here is the cohomology rings of smooth quadric hypersurfaces,
+graded by codimension and built from one rule for both parities, but the
+presentation machinery is generic: any finite graded basis with a
+commutative, associative integer table will do.
 
 Conventions for the quadric ring of dimension ``2m+1``::
 
@@ -28,6 +29,7 @@ and for dimension ``2m``::
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -81,12 +83,6 @@ def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-# Contents of the presentations whose tables passed the associativity check,
-# one entry per distinct table for the life of the process.  Only a pass is
-# recorded, so a lost race means at most a repeated check.
-_ASSOCIATIVE_TABLES: set[tuple] = set()
-
-
 class RingPresentation:
     """A finite graded commutative ring with explicit integer multiplication table.
 
@@ -94,12 +90,11 @@ class RingPresentation:
     linear combinations of basis labels.  It fills one two-sided table over
     all label pairs, ``_products``, together with the implied products: with
     the unit (which may not be listed) and beyond the top degree (empty, if
-    listed).  That table is validated at construction: completeness,
-    gradedness, associativity on all basis triples (once per process for each
-    distinct content, see ``_validate_table``), uniqueness of the top class,
-    and proportionality to the point class in complementary degrees.  The
-    powers of the degree-1 ``hyperplane_form`` are derived with the ring's
-    own product.
+    listed).  That table is validated at every construction: completeness,
+    gradedness, exact associativity (on the sorted triples that can fail, see
+    ``_validate_table``), uniqueness of the top class, and proportionality to
+    the point class in complementary degrees.  The powers of the degree-1
+    ``hyperplane_form`` are derived with the ring's own product.
     """
 
     def __init__(
@@ -138,7 +133,6 @@ class RingPresentation:
             self.degree_labels.setdefault(b.degree, ())
             self.degree_labels[b.degree] += (b.label,)
         self._products: dict[tuple[str, str], dict[str, int]] = {}
-        listed = []
         for (x, y), combo in table.items():
             unknown = [z for z in (x, y, *combo) if z not in self._order]
             if unknown:
@@ -161,9 +155,8 @@ class RingPresentation:
                 raise GradedRingError(
                     f"multiplication table of {name!r} lists {y!r} * {x!r} and {x!r} * {y!r} "
                     "with different products")
-            listed.append(((x, y), frozenset(product.items())))
 
-        self._validate_table(frozenset(listed))
+        self._validate_table()
 
         self.hyperplane = self._l_powers = None
         if hyperplane_form is not None:
@@ -177,12 +170,14 @@ class RingPresentation:
         """Product of two basis elements as an integer combination of basis labels."""
         return self._products[x, y]
 
-    def _validate_table(self, listed: frozenset) -> None:
-        """Complete ``_products`` with the implied entries and check it.
+    def _validate_table(self) -> None:
+        """Complete ``_products`` with the implied entries and check it, on every construction.
 
-        The associativity check runs once per process for each distinct
-        content (dimension, point label, basis, listed entries); a table that
-        fails is not remembered, so it fails on every construction.
+        The completed table is commutative, so associativity on all ordered
+        triples amounts to (xy)z = (yz)x = (xz)y on each sorted triple.  A triple with
+        the unit holds trivially, and one past the top degree is zero on every
+        side once gradedness holds, so only non-unit triples of total degree
+        at most ``dimension`` are compared.
         """
         labels = [b.label for b in self.basis]
         products, degrees, unit = self._products, self._degrees, self.unit_label
@@ -202,19 +197,14 @@ class RingPresentation:
                         raise GradedRingError(f"{x}*{y} is not graded: contains {z}")
                 if d == self.dimension and any(z != self.point_label for z in prod):
                     raise GradedRingError(f"{x}*{y} in top degree is not a multiple of the point class")
-        content = (self.dimension, self.point_label, tuple((b.label, b.degree) for b in self.basis), listed)
-        if content in _ASSOCIATIVE_TABLES:
-            return
-        # associativity on all basis triples, exactly
-        for x in labels:
-            for y in labels:
-                xy = products[x, y]
-                for z in labels:
-                    left = self._combo_times_label(xy, z)
-                    right = self._combo_times_label(products[y, z], x)
-                    if left != right:
-                        raise GradedRingError(f"table not associative at ({x}, {y}, {z})")
-        _ASSOCIATIVE_TABLES.add(content)
+        # associativity, exactly
+        for x, y, z in combinations_with_replacement([b.label for b in self.basis if b.degree], 3):
+            if degrees[x] + degrees[y] + degrees[z] > self.dimension:
+                continue
+            xyz = self._combo_times_label(products[x, y], z)
+            if xyz != self._combo_times_label(products[y, z], x) \
+                    or xyz != self._combo_times_label(products[x, z], y):
+                raise GradedRingError(f"table not associative at ({x}, {y}, {z})")
 
     def _combo_times_label(self, combo: Mapping[str, int], z: str) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -24,7 +24,6 @@ coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -74,8 +73,8 @@ class RoofSide:
     relation; for sides built from Chern data these are the Chern classes of
     the twisted bundle.  ``middle_basis`` lists the monomials (base label,
     xi exponent) spanning the middle algebraic cohomology of a hyperplane
-    section.  Read-only, equal and hashed by these five fields; its caches
-    ``_fold`` and ``_table`` take no part.
+    section.  Read-only, equal and hashed by these five fields; its
+    normal-form table ``_table`` takes no part.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -106,38 +105,29 @@ class RoofSide:
     def __hash__(self):
         return hash(self._key())
 
-    @cached_property
-    def _fold(self) -> dict[str, tuple[tuple[int, str, int | Fraction], ...]]:
-        """Base label x -> the nonzero terms (i, z, m) of x * (-1)^(i+1) c_i = sum m z,
-        so that x * xi^e = sum m z * xi^(e-i) for e >= r."""
-        products = self.base._products
-        fold = {}
-        for x in self.base._order:
-            terms = []
-            for i, s in enumerate(self.groth_coeffs, start=1):
-                piece: dict[str, int | Fraction] = {}
-                for y, c in s.coeffs.items():
-                    for z, m in products[x, y].items():
-                        piece[z] = piece.get(z, 0) + (-1) ** (i + 1) * c * m
-                terms += [(i, z, m) for z, m in piece.items() if m]
-            fold[x] = tuple(terms)
-        return fold
-
     def _nf(self, x: str, e: int) -> tuple[tuple[int, str, int | Fraction], ...]:
-        """NF(x, e) for e >= r: the nonzero terms (j, z, m), j < r, of x * xi^e = sum m z * xi^j;
-        zero past the top degree, else built once from x's fold terms and NF(z, e - i), at most n deep."""
+        """NF(x, e) for e >= r: the nonzero terms (j, z, m), j < r, of x * xi^e = sum m z * xi^j; zero
+        past the top degree.  NF(x, r) is x times the relation; NF(x, e) for e > r is xi * NF(x, e - 1),
+        its xi^r part folded through NF(z, r).  Each entry is built once, at most n deep."""
         if self.base._degrees[x] + e > self.dim_total:
             return ()
         key = (x, e)
         nf = self._table.get(key)
         if nf is None:
             r, acc = self.rank, {}
-            for i, z, m in self._fold[x]:
-                if e - i < r:
-                    acc[e - i, z] = acc.get((e - i, z), 0) + m
-                else:
-                    for j, w, k in self._nf(z, e - i):
-                        acc[j, w] = acc.get((j, w), 0) + m * k
+            if e == r:  # x * xi^r = sum_i x * (-1)^(i+1) c_i * xi^(r-i)
+                products = self.base._products
+                for i, s in enumerate(self.groth_coeffs, start=1):
+                    for y, c in s.coeffs.items():
+                        for z, m in products[x, y].items():
+                            acc[r - i, z] = acc.get((r - i, z), 0) + (-1) ** (i + 1) * c * m
+            else:
+                for j, z, m in self._nf(x, e - 1):
+                    if j + 1 < r:
+                        acc[j + 1, z] = acc.get((j + 1, z), 0) + m
+                    else:
+                        for i, w, k in self._nf(z, r):
+                            acc[i, w] = acc.get((i, w), 0) + m * k
             nf = self._table[key] = tuple((j, z, m) for (j, z), m in acc.items() if m)
         return nf
 

@@ -101,6 +101,15 @@ MUTANTS = (
        "return x", GRADED),
     _m("graded-eq-ignores-degree", "gradedring", "self.ring is other.ring and self.degree == other.degree and",
        "self.ring is other.ring and", GRADED),
+    # gradedring: the exact associativity check on sorted triples
+    _m("assoc-drops-third-arrangement", "gradedring",
+       " \\\n                    or xyz != self._combo_times_label(products[x, z], y)", "", GRADED),
+    _m("assoc-skips-top-degree-triples", "gradedring", "degrees[x] + degrees[y] + degrees[z] > self.dimension",
+       "degrees[x] + degrees[y] + degrees[z] >= self.dimension", GRADED),
+    _m("assoc-skips-repeated-labels", "gradedring", "            if degrees[x] + degrees[y] + degrees[z]",
+       "            if len({x, y, z}) < 3 or degrees[x] + degrees[y] + degrees[z]", GRADED),
+    _m("assoc-check-skipped", "gradedring", 'raise GradedRingError(f"table not associative at ({x}, {y}, {z})")',
+       "pass", GRADED),
     # gradedring: quadric rings from one rule
     _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),
@@ -110,7 +119,7 @@ MUTANTS = (
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
     _m("fold-unsigned-relation", "roofcalc", "+ (-1) ** (i + 1) * c * m", "+ c * m", ROOF),
-    _m("nf-takes-xi-to-the-r-as-reduced", "roofcalc", "if e - i < r:", "if e - i <= r:", ROOF),
+    _m("nf-takes-xi-to-the-r-as-reduced", "roofcalc", "if j + 1 < r:", "if j + 1 <= r:", ROOF),
     _m("nf-key-drops-the-exponent", "roofcalc", "key = (x, e)", "key = x", ROOF),
     _m("nf-memo-shared-by-all-sides", "roofcalc", '"_table", {})', '"_table", globals().setdefault("_NF_MEMO", {}))',
        ROOF, "test_records.py"),

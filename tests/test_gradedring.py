@@ -1,9 +1,9 @@
 import doctest
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import roofpairs.gradedring as gradedring
 from roofpairs.gradedring import (
@@ -283,6 +283,8 @@ def _two_generator_ring(bb, name="T3", point="p"):
 
 
 class TestValidationOncePerTable:
+    """Each construction validates its own table: one that fails, fails every time."""
+
     def test_failing_table_raises_on_every_construction(self):
         for _ in range(3):
             with pytest.raises(GradedRingError, match=r"not associative at \(a, b, b\)"):
@@ -297,7 +299,83 @@ class TestValidationOncePerTable:
             _two_generator_ring({"c": 2})
         _two_generator_ring({"c": 1}, name="another name, same content")
 
-    def test_seen_table_skips_the_associativity_check(self, monkeypatch):
+    def test_quadric_rings_are_distinct_and_complete(self):
+        a, b = make_quadric_ring(5), make_quadric_ring(5)
+        assert a is not b and a._products is not b._products
+        assert a._products == b._products
+        assert str(b.l_power(2) * b.l_power(1)) == "2*Pi"
+        with pytest.raises(IncompatibleRingError):
+            a.l_power(1) * b.l_power(1)
+
+
+def _full_cube_fails(dim, basis, table) -> bool:
+    """Reference: (x*y)*z != x*(y*z) for some ordered basis triple, products read from ``table``."""
+    degree = {b.label: b.degree for b in basis}
+
+    def prod(x, y):
+        if x == "1" or y == "1":
+            return {y if x == "1" else x: 1}
+        if degree[x] + degree[y] > dim:
+            return {}
+        combo = table[x, y] if (x, y) in table else table[y, x]
+        return {k: v for k, v in combo.items() if v}
+
+    def expand(pairs):
+        out = {}
+        for c, (u, v) in pairs:
+            for k, m in prod(u, v).items():
+                out[k] = out.get(k, 0) + c * m
+        return {k: v for k, v in out.items() if v}
+
+    labels = list(degree)
+    return any(expand((c, (w, z)) for w, c in prod(x, y).items())
+               != expand((c, (x, w)) for w, c in prod(y, z).items())
+               for x, y, z in product(labels, repeat=3))
+
+
+@st.composite
+def graded_tables(draw):
+    """A complete, graded, commutative table with the point class alone on top; often not associative."""
+    dim = draw(st.integers(3, 5))
+    basis = [gradedring.BasisElement("1", 0)]
+    for d in range(1, dim):
+        basis += [gradedring.BasisElement(f"x{d}{i}", d) for i in range(draw(st.integers(1, 2)))]
+    basis.append(gradedring.BasisElement("p", dim))
+    coefficient = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+    table = {}
+    for a, b in combinations_with_replacement(basis[1:], 2):
+        if a.degree + b.degree <= dim:
+            table[a.label, b.label] = {z.label: draw(coefficient) for z in basis if z.degree == a.degree + b.degree}
+    return dim, basis, table
+
+
+class TestExactAssociativity:
+    """The check compares (xy)z, (yz)x and (xz)y on sorted non-unit triples of degree at most the top."""
+
+    def test_failure_only_in_the_third_arrangement_is_rejected(self):
+        # a*c = b*b = -2q and b*q = -2p: (ab)c = (bc)a = 0, but (ac)b = -2q*b = 4p
+        basis = [gradedring.BasisElement(lbl, d)
+                 for lbl, d in (("1", 0), ("a", 1), ("b", 1), ("c", 1), ("q", 2), ("p", 3))]
+        table = {pair: {} for pair in combinations_with_replacement("abc", 2)}
+        table.update({(x, "q"): {} for x in "abc"})
+        table.update({("a", "c"): {"q": -2}, ("b", "b"): {"q": -2}, ("b", "q"): {"p": -2}})
+        assert _full_cube_fails(3, basis, table)
+        with pytest.raises(GradedRingError, match=r"not associative at \(a, b, c\)"):
+            gradedring.RingPresentation("T3c", 3, basis, "p", table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graded_tables())
+    def test_rejected_exactly_when_the_full_cube_fails(self, case):
+        dim, basis, table = case
+        try:
+            gradedring.RingPresentation("random", dim, basis, "p", table)
+            rejected = False
+        except GradedRingError as err:
+            assert "not associative" in str(err)
+            rejected = True
+        assert rejected == _full_cube_fails(dim, basis, table)
+
+    def test_q32_check_cost_is_bounded_by_the_sorted_triples(self, monkeypatch):
         calls = []
         original = gradedring.RingPresentation._combo_times_label
 
@@ -306,24 +384,14 @@ class TestValidationOncePerTable:
             return original(self, combo, z)
 
         monkeypatch.setattr(gradedring.RingPresentation, "_combo_times_label", counted)
-        # a point label no other test uses: the associativity loop runs exactly once
-        _two_generator_ring({"c": 1}, name="first", point="pt-once")
+        ring = make_quadric_ring(32)
+        degrees = [b.degree for b in ring.basis if b.degree]
+        n = sum(1 for t in combinations_with_replacement(degrees, 3) if sum(t) <= 32)
+        assert len(ring.basis) == 34 and n == 1014  # against 34^3 = 39304 ordered basis triples
         first = len(calls)
-        ring = _two_generator_ring({"c": 1}, name="second", point="pt-once")
-        assert first > 0 and len(calls) == first
-        # a table failing the gradedness check fails on every construction too
-        for _ in range(2):
-            with pytest.raises(GradedRingError, match="is not graded"):
-                _two_generator_ring({"pt-once": 1}, point="pt-once")
-        assert integrate(ring.basis_class("b") * ring.basis_class("c")) == 1
-
-    def test_quadric_rings_are_distinct_and_complete(self):
-        a, b = make_quadric_ring(5), make_quadric_ring(5)
-        assert a is not b and a._products is not b._products
-        assert a._products == b._products
-        assert str(b.l_power(2) * b.l_power(1)) == "2*Pi"
-        with pytest.raises(IncompatibleRingError):
-            a.l_power(1) * b.l_power(1)
+        assert 0 < first <= 3 * n
+        make_quadric_ring(32)  # no memo: a second build checks again, at the same cost
+        assert len(calls) == 2 * first
 
 
 class TestTableEntriesAreChecked:

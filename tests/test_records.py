@@ -42,12 +42,12 @@ def test_record_is_read_only_and_equal_by_value(cls, g2):
     assert first == second
 
 
-def test_side_equality_ignores_the_cached_fold(g2):
+def test_side_equality_ignores_the_normal_form_table(g2):
     field, build = RECORDS[roofcalc.RoofSide]
     first, second = build(g2), build(g2)
-    roofcalc.reduce(first, {first.rank + 1: first.base.unit()})  # fills first._fold and first._table only
-    assert "_fold" in vars(first) and "_fold" not in vars(second)
-    assert first._table and not second._table
+    roofcalc.reduce(first, {first.rank + 1: first.base.unit()})  # fills first._table only
+    unit, r = first.base.unit_label, first.rank
+    assert (unit, r) in first._table and (unit, r + 1) in first._table and not second._table
     assert first == second and hash(first) == hash(second)
 
 
