@@ -49,28 +49,17 @@ class InconsistentSequenceError(BWBError):
 # root systems B_m / D_m in epsilon coordinates
 # ---------------------------------------------------------------------------
 
-class RootSystem:
-    """The root system B_m or D_m (``family`` "B" or "D", ``rank`` m); read-only, a cache key below."""
+class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
+    """The root system B_m or D_m (``family`` "B" or "D", ``rank`` m); validated on construction, a cache key below."""
 
-    def __init__(self, family: str, rank: int):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
         if family not in ("B", "D"):
             raise BWBError(f"family must be 'B' or 'D', got {family!r}")
         if rank < 2:
             raise BWBError("rank must be at least 2")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RootSystem.{name} is read-only")
-
-    # written out, not through a key tuple: every cached lookup below calls both
-    def __eq__(self, other):
-        if type(other) is not RootSystem:
-            return NotImplemented
-        return self.family == other.family and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
+        return super().__new__(cls, family, rank)
 
     def positive_roots(self) -> list[tuple[int, ...]]:
         m = self.rank

@@ -206,11 +206,20 @@ class RingPresentation:
                     or xyz != self._combo_times_label(products[x, z], y):
                 raise GradedRingError(f"table not associative at ({x}, {y}, {z})")
 
+    def add_product(self, out: dict[str, int | Fraction], p: Mapping[str, int | Fraction],
+                    q: Mapping[str, int | Fraction]) -> None:
+        """Add p * q into ``out``, for combinations p and q of basis labels: every class product runs
+        through this one routine, which the associativity check at construction validates."""
+        products = self._products
+        for x, c in p.items():
+            for y, e in q.items():
+                ce = c * e
+                for z, m in products[x, y].items():
+                    out[z] = out.get(z, 0) + ce * m
+
     def _combo_times_label(self, combo: Mapping[str, int], z: str) -> dict[str, int]:
         out: dict[str, int] = {}
-        for w, c in combo.items():
-            for v, d in self._products[w, z].items():
-                out[v] = out.get(v, 0) + c * d
+        self.add_product(out, combo, {z: 1})
         return {k: v for k, v in out.items() if v}
 
     # -- constructors for classes ------------------------------------------
@@ -315,12 +324,7 @@ class GradedClass:
         d = self.degree + other.degree
         out: dict[str, int | Fraction] = {}
         if d <= self.ring.dimension:
-            products = self.ring._products
-            for x, c in self.coeffs.items():
-                for y, e in other.coeffs.items():
-                    ce = c * e
-                    for z, m in products[x, y].items():
-                        out[z] = out.get(z, 0) + ce * m
+            self.ring.add_product(out, self.coeffs, other.coeffs)
         return GradedClass(self.ring, d, out)
 
     __rmul__ = __mul__
@@ -344,29 +348,18 @@ class GradedClass:
         return f"<{self} : deg {self.degree} on {self.ring.name}>"
 
 
-class ChernVector:
-    """Total Chern data of a rank-r bundle: component i is a degree-i class. Read-only."""
+class ChernVector(NamedTuple("ChernVector", [("rank", int), ("components", tuple[GradedClass, ...])])):
+    """Total Chern data of a rank-r bundle: component i is a degree-i class. Validated on construction."""
 
-    def __init__(self, rank: int, components: tuple[GradedClass, ...]):
+    __slots__ = ()
+
+    def __new__(cls, rank: int, components: tuple[GradedClass, ...]):
         if len(components) != rank:
             raise GradedRingError("Chern vector length must equal the rank")
         for i, c in enumerate(components, start=1):
             if c.degree != i:
                 raise GradedRingError(f"component {i} has degree {c.degree}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ChernVector.{name} is read-only")
-
-    def _key(self) -> tuple:
-        return self.rank, self.components
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is ChernVector else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        return super().__new__(cls, rank, components)
 
     @property
     def ring(self) -> RingPresentation:

@@ -56,7 +56,7 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
-GOLDEN = "test_cli_golden.py"
+GOLDEN, RECORDS = "test_cli_golden.py", "test_records.py"
 
 MUTANTS = (
     # latticecore: Smith normal form
@@ -110,6 +110,9 @@ MUTANTS = (
        "            if len({x, y, z}) < 3 or degrees[x] + degrees[y] + degrees[z]", GRADED),
     _m("assoc-check-skipped", "gradedring", 'raise GradedRingError(f"table not associative at ({x}, {y}, {z})")',
        "pass", GRADED),
+    # gradedring: the checks of ChernVector
+    _m("chern-vector-length-unchecked", "gradedring", "if len(components) != rank:", "if False:", RECORDS),
+    _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", RECORDS),
     # gradedring: quadric rings from one rule
     _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),
@@ -118,7 +121,7 @@ MUTANTS = (
     _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
-    _m("fold-unsigned-relation", "roofcalc", "+ (-1) ** (i + 1) * c * m", "+ c * m", ROOF),
+    _m("fold-unsigned-relation", "roofcalc", "{x: (-1) ** (i + 1)}", "{x: 1}", ROOF),
     _m("nf-takes-xi-to-the-r-as-reduced", "roofcalc", "if j + 1 < r:", "if j + 1 <= r:", ROOF),
     _m("nf-key-drops-the-exponent", "roofcalc", "key = (x, e)", "key = x", ROOF),
     _m("nf-memo-shared-by-all-sides", "roofcalc", '"_table", {})', '"_table", globals().setdefault("_NF_MEMO", {}))',
@@ -130,6 +133,14 @@ MUTANTS = (
     _m("residue-crt-no-compatibility-test", "roofcalc", "        if (r - k0) % h:\n            return None\n", "",
        ROOF),
     _m("locus-sign-not-normalised", "roofcalc", "    if p < 0:\n        cls = -cls\n", "", ROOF),
+    # roofcalc: the checks of RoofConfig
+    _m("roof-config-rank-unchecked", "roofcalc", "if side.rank != tilde_side.rank:", "if False:", RECORDS),
+    _m("roof-config-dimension-unchecked", "roofcalc", "if side.dim_total != tilde_side.dim_total:", "if False:",
+       RECORDS),
+    _m("roof-config-degree-unchecked", "roofcalc", "if d != polarization_degree:", "if False:", RECORDS),
+    # bwbcoh: the checks of RootSystem
+    _m("root-system-family-unchecked", "bwbcoh", 'if family not in ("B", "D"):', "if False:", RECORDS),
+    _m("root-system-rank-unchecked", "bwbcoh", "if rank < 2:", "if False:", RECORDS),
     # bwbcoh: the Weyl-group kernel
     _m("conjugate-d-parity-flipped", "bwbcoh", "sum(c < 0 for c in doubled) % 2:",
        "sum(c < 0 for c in doubled) % 2 == 0:", BWB),

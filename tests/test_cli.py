@@ -1,8 +1,10 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -265,6 +267,27 @@ def test_caps_admit_documented_inputs(capsys):
     for twist in (MAX_TWIST, -MAX_TWIST):
         code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "Splusdual", str(twist))
         assert code == 0 and len(report["table"]) == 1
+
+
+def test_reports_render_past_the_int_str_digit_limit(capsys):
+    # h^0(Q100, O(10^9)) has 743 digits: under a 640-digit limit it printed a ValueError traceback
+    n, t = 100, MAX_TWIST
+    expected = comb(n + 1 + t, n + 1) - comb(n - 1 + t, n + 1)
+    assert len(str(expected)) == 743
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", "bwb", str(n), "O", str(t), "--json"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["table"] == {"0": expected}
+    if hasattr(sys, "set_int_max_str_digits"):  # main restores the caller's limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["bwb", str(n), "O", str(t)]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert f"h^0 = {expected} " in capsys.readouterr().out
 
 
 class TestMotivic:

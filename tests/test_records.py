@@ -1,5 +1,10 @@
-"""The record classes are read-only and equal by value, whether NamedTuples or
-plain classes that validate their fields."""
+"""The twelve record classes are read-only and equal by value.
+
+Eleven are NamedTuples; ``ChernVector``, ``RoofConfig`` and ``RootSystem``
+among them validate their fields in ``__new__``, with the exception types
+and messages tested below.  ``RoofSide`` is the one plain class: it owns a
+normal-form table that takes no part in equality.
+"""
 
 import pytest
 
@@ -36,10 +41,40 @@ def test_record_is_read_only_and_equal_by_value(cls, g2):
     field, build = RECORDS[cls]
     first, second = build(g2), build(g2)
     assert type(first) is cls and first is not second
+    assert isinstance(first, tuple) == (cls is not roofcalc.RoofSide)
     assert first == second
     with pytest.raises(AttributeError):
         setattr(first, field, getattr(second, field))
     assert first == second
+
+
+def _side(base, rank):
+    return roofcalc.RoofSide("other", base, rank, tuple(base.l_power(i) for i in range(1, rank + 1)))
+
+
+# each validating constructor, called with fields that break one of its checks
+INVALID = {
+    "chern-length": (lambda g2: gradedring.ChernVector(2, (Q5.l_power(1), Q5.l_power(2), Q5.l_power(3))),
+                     gradedring.GradedRingError, "Chern vector length must equal the rank"),
+    "chern-degree": (lambda g2: gradedring.ChernVector(2, (Q5.l_power(1), Q5.l_power(1))),
+                     gradedring.GradedRingError, "component 2 has degree 1"),
+    "roof-rank": (lambda g2: roofcalc.RoofConfig("bad", g2.side, _side(g2.side.base, 2), 12),
+                  roofcalc.InvalidRoofError, "the two sides must have equal rank"),
+    "roof-dimension": (lambda g2: roofcalc.RoofConfig("bad", g2.side, _side(gradedring.make_quadric_ring(6), 3), 12),
+                       roofcalc.InvalidRoofError, "the two sides must have equal total-space dimension"),
+    "roof-degree": (lambda g2: roofcalc.RoofConfig("bad", g2.side, g2.tilde_side, 13),
+                    roofcalc.InvalidRoofError, "declared polarization degree 13 != computed 12 on 'g2dagger:side'"),
+    "root-family": (lambda g2: bwbcoh.RootSystem("A", 3), bwbcoh.BWBError, "family must be 'B' or 'D', got 'A'"),
+    "root-rank": (lambda g2: bwbcoh.RootSystem("B", 1), bwbcoh.BWBError, "rank must be at least 2"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID)
+def test_validating_records_reject_bad_fields(case, g2):
+    build, error, message = INVALID[case]
+    with pytest.raises(error) as info:
+        build(g2)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_side_equality_ignores_the_normal_form_table(g2):
