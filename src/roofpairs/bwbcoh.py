@@ -11,7 +11,9 @@ integer vector; the Weyl dimension is one exact division of two integer
 products.  The weight dictionary is written in doubled integers and a twist
 by O(t) adds 2t to the first doubled coordinate.  ``Fraction`` appears only
 in the public signatures: ``weight()`` validates its input and the public
-functions that take or return weights use ``Fraction`` tuples.
+functions that take or return weights use ``Fraction`` tuples.  ``fractions``
+is imported inside that boundary (``_doubled`` and ``_halved``), so the
+tables and sequence pipelines, which the ``bwb`` command runs, never load it.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -22,14 +24,16 @@ to guess otherwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BWBError, UnsupportedBundleError
 
-Weight = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Weight = tuple[Fraction, ...]
 CohomologyTable = dict[int, int]
 
 
@@ -95,6 +99,8 @@ def quadric_root_system(n: int) -> RootSystem:
 
 def _doubled(coords: Sequence) -> tuple[int, ...]:
     """``2*w`` as ints for a weight ``w``, validated as ``weight()`` does."""
+    from fractions import Fraction
+
     doubled = [2 * c if type(c) is int else 2 * Fraction(c) for c in coords]
     if any(type(d) is not int and d.denominator != 1 for d in doubled):
         raise BWBError(f"coordinates must be integral or half-integral: {coords}")
@@ -105,6 +111,8 @@ def _doubled(coords: Sequence) -> tuple[int, ...]:
 
 
 def _halved(doubled: Sequence[int]) -> Weight:
+    from fractions import Fraction
+
     return tuple(Fraction(d, 2) for d in doubled)
 
 

@@ -30,7 +30,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
@@ -52,6 +51,8 @@ MAX_MOTIVIC_RANK = 50000
 
 def jsonable(x: Any) -> Any:
     """Exact JSON form: Fractions become 'p/q' strings, containers recurse."""
+    from fractions import Fraction  # only verify-all reports Fractions
+
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:

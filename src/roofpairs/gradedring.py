@@ -31,8 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from operator import index
+from typing import Mapping, NamedTuple, Optional, Sequence
 
+from ._text import signed_sum
 from .errors import GradedRingError
 
 
@@ -64,23 +66,6 @@ def _exact(x) -> int | Fraction:
     if isinstance(x, int):
         return int(x)
     raise GradedRingError(f"coefficients must be exact integers or Fractions, got {type(x).__name__}")
-
-
-def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
-    """Render (coefficient, monomial) pairs as ``a + 2*b - c``, or "0" when there are none.
-
-    An empty monomial is the constant term; a +-1 coefficient is left off any other.
-    """
-    parts: list[str] = []
-    for c, mono in terms:
-        if not mono:
-            term = str(c)
-        elif c == 1 or c == -1:
-            term = mono if c == 1 else f"-{mono}"
-        else:
-            term = f"{c}*{mono}"
-        parts.append(term if not parts else f"- {term[1:]}" if term[0] == "-" else f"+ {term}")
-    return " ".join(parts) or "0"
 
 
 class RingPresentation:
@@ -231,7 +216,11 @@ class RingPresentation:
         return GradedClass(self, 0, {self.unit_label: 1})
 
     def basis_class(self, label: str) -> "GradedClass":
-        return GradedClass(self, self._degrees[label], {label: 1})
+        try:
+            degree = self._degrees[label]
+        except (KeyError, TypeError):
+            raise GradedRingError(f"unknown basis label {label!r} on {self.name}") from None
+        return GradedClass(self, degree, {label: 1})
 
     def l_power(self, p: int) -> "GradedClass":
         """The class of L^p on the basis (zero beyond the top degree)."""
@@ -389,6 +378,10 @@ def make_quadric_ring(dim: int) -> RingPresentation:
     >>> str(q6.basis_class("Pi1") * q6.basis_class("Pi2"))
     'Pi1*L^3'
     """
+    try:
+        dim = index(dim)
+    except TypeError:
+        raise InvalidDimensionError(f"quadric dimension must be an integer, got {dim!r}") from None
     if dim < 2:
         raise InvalidDimensionError(f"quadric dimension must be >= 2, got {dim}")
     m, odd = divmod(dim, 2)

@@ -20,7 +20,11 @@ Matrices are sequences (lists or tuples) of rows of Python ints; a function
 that eliminates in place copies its input first.  ``det`` and
 ``smith_normal_form`` check their input in that copy: a ragged matrix, a
 non-square one given to ``det`` and an entry that is not an integer are each
-a ``LatticeError``, never truncated.  Everything is exact.
+a ``LatticeError``, never truncated.  ``mat_mul`` and ``mat_vec`` refuse
+operands whose shapes do not match, reading row lengths only;
+``discriminant_group`` and ``orthogonal_kernel`` refuse a non-square Gram
+matrix, and ``isotropic_pair_solve`` a polarization, bound or Gram entry
+that is not an integer.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -52,13 +56,27 @@ class InconsistencyError(LatticeError):
 # basic exact matrix helpers
 # ---------------------------------------------------------------------------
 
+def _shape(m: Sequence[Sequence[int]]) -> str:
+    """``rows x columns``, every distinct row length listed for a ragged matrix."""
+    return f"{len(m)}x{'/'.join(map(str, sorted({len(row) for row in m}))) or 0}"
+
+
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """``a * b``; a row of ``a`` that is not as long as ``b`` is tall, or a ragged ``b``, is a ``LatticeError``.
+
+    The check reads row lengths only, since ``SmithDecomposition.verify`` multiplies twice per decomposition.
+    """
     cols = list(zip(*b))
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):
+        raise LatticeError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    """``a * v``; a row of ``a`` that is not as long as ``v`` is a ``LatticeError``."""
+    if any(len(row) != len(v) for row in a):
+        raise LatticeError(f"cannot multiply a {_shape(a)} matrix by a vector of length {len(v)}")
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def _bareiss(a: Matrix, ncols: int, jordan: bool = True) -> tuple[list[int], int, int]:
@@ -141,7 +159,8 @@ class SmithDecomposition(NamedTuple):
 
     def verify(self, m: Sequence[Sequence[int]]) -> bool:
         """The whole definition: U * M * V = D, D diagonal, factors >= 0 with
-        each dividing the next (so zeros come last), and |det U| = |det V| = 1."""
+        each dividing the next (so zeros come last), and |det U| = |det V| = 1.  An ``m`` whose shape
+        does not fit U and V is a ``LatticeError``."""
         if mat_mul(mat_mul(self.U, m), self.V) != [list(r) for r in self.D]:
             return False
         if any(x for i, row in enumerate(self.D) for j, x in enumerate(row) if i != j):
@@ -316,13 +335,19 @@ class DiscriminantGroup(NamedTuple):
         return " x ".join(f"Z/{d}" for d in self.factors)
 
 
-def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
-    """Cyclic decomposition of coker(gram : L -> Hom(L, Z)) for symmetric nonsingular gram."""
+def _symmetric_size(gram: Sequence[Sequence[int]]) -> int:
+    """The size n of an n x n symmetric gram matrix; a non-square or asymmetric one is a ``LatticeError``."""
     n = len(gram)
     if any(len(row) != n for row in gram):
-        raise LatticeError("gram matrix must be square")
+        raise LatticeError(f"gram matrix must be square, got {_shape(gram)}")
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
         raise LatticeError("gram matrix must be symmetric")
+    return n
+
+
+def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
+    """Cyclic decomposition of coker(gram : L -> Hom(L, Z)) for symmetric nonsingular gram."""
+    _symmetric_size(gram)
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
     # The generator of the factor d_i is column i of U^-1.  From U * M * V = D
@@ -349,9 +374,7 @@ def orthogonal_kernel(
     At kernel rank >= 2 the basis is valid, not canonical: it is read off the
     Smith transform V.
     """
-    n = len(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
-        raise LatticeError("gram matrix must be symmetric")
+    n = _symmetric_size(gram)
     if not sublattice:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = [mat_vec(gram, s) for s in sublattice]
@@ -433,14 +456,26 @@ def isotropic_pair_solve(
     isotropic rays and exist iff those generators u, v satisfy |u.v| = 1.
     The solutions then form exactly one orbit of the symmetry group {swap a
     and b, global sign}.  It is reported iff every coordinate of the pair lies
-    in [-bound, bound], which is what a search of that coordinate box finds;
-    a negative bound is a ``LatticeError``.
+    in [-bound, bound], which is what a search of that coordinate box finds.
+    A bound, an entry of ``ell`` or of ``gram`` that is not an integer, an
+    ``ell`` of the wrong length and a negative bound are each a ``LatticeError``.
     The canonical representative is the lexicographically smallest pair after
     normalizing the first nonzero coordinate of ``a`` positive.
     """
     n = len(gram)
     if n != 3 or any(len(row) != 3 for row in gram):
         raise LatticeError("isotropic_pair_solve expects a rank-3 gram matrix")
+    gram = _int_rows(gram, 3)
+    if len(ell) != 3:
+        raise LatticeError(f"the polarization vector ell must have 3 entries, got {len(ell)}")
+    try:
+        ell = tuple(map(index, ell))
+    except TypeError:
+        raise LatticeError(f"the polarization vector ell must have integer entries, got {list(ell)}") from None
+    try:
+        bound = index(bound)
+    except TypeError:
+        raise LatticeError(f"the coordinate bound must be an integer, got {bound!r}") from None
     if bound < 0:
         raise LatticeError(f"the coordinate bound must be non-negative, got {bound}")
     if _form(gram, ell, ell) == 0:

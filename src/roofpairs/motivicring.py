@@ -25,7 +25,7 @@ from math import prod
 from operator import add
 from typing import Mapping
 
-from .gradedring import signed_sum
+from ._text import signed_sum
 
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}

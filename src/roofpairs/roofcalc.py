@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
+from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import latticecore
@@ -293,12 +294,19 @@ def reduce(
 
     Terms below xi^r are already reduced; a term c * x * xi^e with e >= r adds
     c times NF(x, e), the normal form of x * xi^e, which the side computes once
-    (``RoofSide._nf``).  The ring's own operations pass plain {label: coefficient}
-    dicts, trusted and consumed, with ``degree``.
+    (``RoofSide._nf``).  The exponent of a ``GradedClass`` term must be an
+    integer (``operator.index``: 4.0 is refused, not rounded).  The ring's own
+    operations pass plain {label: coefficient} dicts, trusted and consumed, with
+    ``degree``.
     """
     base = side.base
     terms: dict[int, dict[str, int | Fraction]] = {}
     for e, cls in expression.items():
+        if type(cls) is not dict:
+            try:
+                e = index(e)
+            except TypeError:
+                raise RoofError(f"xi exponents must be integers, got {e!r}") from None
         if e < 0:
             raise RoofError("negative xi exponent")
         if type(cls) is dict:

@@ -90,9 +90,22 @@ MUTANTS = (
     _m("smith-verify-skips-diagonal-test", "latticecore",
        "        if any(x for i, row in enumerate(self.D) for j, x in enumerate(row) if i != j):\n"
        "            return False\n", "", LAT),
+    # the library boundary: integer scalars and matching shapes at the public entries
+    _m("mat-mul-shapes-unchecked", "latticecore",
+       "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
+    _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
+    _m("gram-squareness-unchecked", "latticecore", "if any(len(row) != n for row in gram):", "if False:",
+       LAT),
+    _m("isotropic-bound-not-an-index", "latticecore", "bound = index(bound)", "bound = bound", LAT),
+    _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", LAT),
+    _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", LAT),
+    _m("quadric-dimension-not-an-index", "gradedring", "dim = index(dim)", "dim = dim", GRADED),
+    _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
+    _m("reduce-exponent-not-an-index", "roofcalc", "e = index(e)", "e = e", ROOF),
+    # _text: the signed-sum renderer
+    _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
+    _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
     # gradedring
-    _m("signed-sum-shows-minus-one", "gradedring", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
-    _m("signed-sum-always-plus", "gradedring", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
     _m("graded-mul-drops-multiplicity", "gradedring", "out[z] = out.get(z, 0) + ce * m",
        "out[z] = out.get(z, 0) + ce", GRADED),
     _m("graded-add-left-keys-only", "gradedring", "out[k] = out.get(k, 0) + v",

@@ -1,4 +1,5 @@
 import doctest
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -37,6 +38,18 @@ class TestQuadricRings:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             make_quadric_ring(1)
+
+    @pytest.mark.parametrize("dim", [2.0, 5.0, "5", None], ids=repr)
+    def test_dimension_must_be_an_integer(self, dim):
+        # 2.0 and 5.0 raised TypeError from range()
+        with pytest.raises(InvalidDimensionError, match=f"must be an integer, got {re.escape(repr(dim))}"):
+            make_quadric_ring(dim)
+
+    @pytest.mark.parametrize("label", ["nope", "pi", ["Pi"]], ids=repr)
+    def test_unknown_basis_label(self, label):
+        # a KeyError (or a TypeError for an unhashable label) before
+        with pytest.raises(GradedRingError, match=f"unknown basis label {re.escape(repr(label))} on Q5"):
+            Q5.basis_class(label)
 
     def test_q5_half_point_relation(self):
         # L^3 = 2*Pi and Pi*L^2 is the point class

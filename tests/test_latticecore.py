@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from roofpairs.latticecore import (
     discriminant_group,
     isotropic_pair_solve,
     mat_mul,
+    mat_vec,
     orthogonal_kernel,
     smith_normal_form,
 )
@@ -262,6 +264,28 @@ class TestExactKernel:
             want = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
             assert mat_mul(a, b) == want
 
+    @pytest.mark.parametrize("a, b, shapes", [
+        ([[1, 2]], [[1], [2], [3]], "1x2 matrix by a 3x1"),  # was [[5]]: the third row of b was dropped
+        ([[1, 2]], [[1, 2], [3]], "1x2 matrix by a 2x1/2"),
+        ([[1, 2], [3]], [[1], [2]], "2x1/2 matrix by a 2x1"),
+    ])
+    def test_mat_mul_rejects_mismatched_shapes(self, a, b, shapes):
+        with pytest.raises(LatticeError, match=f"cannot multiply a {shapes} matrix"):
+            mat_mul(a, b)
+
+    def test_mat_vec_rejects_a_vector_of_another_length(self):
+        assert mat_vec([[1, 2, 3], [4, 5, 6]], [1, 1, 1]) == [6, 15]
+        for v in ([1, 1], [1, 1, 1, 1]):  # [1, 1] gave [3]
+            with pytest.raises(LatticeError, match=f"a 1x3 matrix by a vector of length {len(v)}"):
+                mat_vec([[1, 2, 3]], v)
+
+    def test_verify_rejects_a_matrix_of_another_shape(self):
+        # the truncating product used to verify diag(2, 4) against both of these
+        snf = smith_normal_form([[2, 0], [0, 4]])
+        for m, shape in (([[2, 0, 1], [0, 4, 1]], "2x3"), ([[2, 0], [0, 4], [1, 1]], "3x2")):
+            with pytest.raises(LatticeError, match=f"cannot multiply .*a {shape} matrix"):
+                snf.verify(m)
+
 
 def _leibniz_det(m):
     """Sum over permutations p of sign(p) * m[0][p0] * ... * m[n-1][p(n-1)]."""
@@ -369,6 +393,11 @@ class TestDiscriminantGroup:
         with pytest.raises(DegenerateLatticeError):
             discriminant_group([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("gram, shape", [([[2, 1]], "1x2"), ([[2, 1], [1]], "2x1/2")])
+    def test_non_square_rejected(self, gram, shape):
+        with pytest.raises(LatticeError, match=f"gram matrix must be square, got {shape}"):
+            discriminant_group(gram)
+
     def test_generator_order(self):
         # the generator reaches the lattice image exactly at multiple 12
         g = discriminant_group(G2_GRAM)
@@ -416,6 +445,16 @@ class TestOrthogonalKernel:
         assert math.gcd(*v) == 1
         for s in range(4):
             assert sum(D4_GRAM[s][j] * v[j] for j in range(5)) == 0
+
+    @pytest.mark.parametrize("gram, sublattice, message", [
+        ([[2, 1]], [[1]], "gram matrix must be square, got 1x2"),  # returned []
+        ([[2, 1], [1]], [], "gram matrix must be square, got 2x1/2"),
+        ([[2, 1], [1, 2]], [[1, 2, 3]], "a 2x2 matrix by a vector of length 3"),  # raised IndexError
+        ([[2, 1], [1, 2]], [[1, 0], [1]], "a 2x2 matrix by a vector of length 1"),
+    ])
+    def test_shapes_are_checked(self, gram, sublattice, message):
+        with pytest.raises(LatticeError, match=message):
+            orthogonal_kernel(gram, sublattice)
 
     def test_first_nonzero_coordinate_is_positive(self):
         # the Smith transform's own kernel column is (-1, 1) here
@@ -520,6 +559,32 @@ class TestIsotropicPairs:
             isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=bound)
         assert not isinstance(info.value, SearchExhaustedError)
 
+    @pytest.mark.parametrize("ell, message", [
+        ((18, -5), "ell must have 3 entries, got 2"),
+        ((18, -5, 1, 0), "ell must have 3 entries, got 4"),
+        ((18, -5, 1.0), r"ell must have integer entries, got \[18, -5, 1\.0\]"),
+        ((18, "-5", 1), "ell must have integer entries"),
+    ])
+    def test_malformed_polarization_rejected(self, ell, message):
+        with pytest.raises(LatticeError, match=message) as info:
+            isotropic_pair_solve(G2_GRAM, ell, bound=5)
+        assert not isinstance(info.value, SearchExhaustedError)
+
+    @pytest.mark.parametrize("bound", [2.5, 5.0, "5", None], ids=repr)
+    def test_bound_must_be_an_integer(self, bound):
+        with pytest.raises(LatticeError, match=f"bound must be an integer, got {re.escape(repr(bound))}"):
+            isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=bound)
+
+    def test_gram_entries_must_be_integers(self):
+        gram = [list(row) for row in G2_GRAM]
+        gram[2][2] = float(gram[2][2])
+        with pytest.raises(LatticeError, match="matrix entries must be ints"):
+            isotropic_pair_solve(gram, (18, -5, 1), bound=5)
+
+    def test_integer_like_arguments_give_the_same_pair(self):
+        want = isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=5)
+        assert isotropic_pair_solve([list(r) for r in G2_GRAM], [18, -5, True], bound=5) == want
+
     def test_gram_3x3_solution(self):
         sol = isotropic_pair_solve(G2_GRAM, (18, -5, 1), bound=50)
         assert sol.a == (1, 0, 0)
@@ -581,3 +646,9 @@ class TestMukaiVector:
 
     def test_smaller_bound_still_finds_it(self, g2):
         assert mukai_vector(g2, bound=6) == (2, 1, -3)
+
+    def test_non_integer_bound_rejected(self, g2):
+        # a 2.5 bound was searched as a [-2.5, 2.5] box
+        with pytest.raises(LatticeError, match=r"bound must be an integer, got 2\.5") as info:
+            mukai_vector(g2, 2.5)
+        assert not isinstance(info.value, SearchExhaustedError)

@@ -48,7 +48,8 @@ ERROR_HOMES = {
 }
 
 # Runs one command through cli.main and reports, as the last line of stderr,
-# which roofpairs modules the process loaded, and "dataclasses" if it loaded that.
+# which roofpairs modules the process loaded, and "dataclasses" and "fractions"
+# if it loaded them.
 PROBE = """\
 import json, sys
 from roofpairs.cli import main
@@ -58,12 +59,25 @@ try:
 except SystemExit as exc:
     code = exc.code
 finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("roofpairs") or m == "dataclasses")),
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m.startswith("roofpairs") or m in ("dataclasses", "fractions"))),
           file=sys.stderr)
 sys.exit(code)
 """
 
-NOT_LOADED = {"roofpairs.roofcalc", "roofpairs.latticecore", "roofpairs.checks", "roofpairs.configs"}
+# The package modules that each command loads besides the package, cli and
+# errors, and "fractions" (which loads decimal) where the command builds a
+# Fraction; a bare interpreter loads neither.
+LOADS = {
+    "--version": set(),
+    "bwb 5 G 1 --json": {"bwbcoh"},
+    "bwb --case 2 --json": {"bwbcoh"},
+    "motivic --json": {"motivicring", "_text"},
+    **dict.fromkeys(("describe g2dagger", "lemma7 d4", "mukai g2dagger"),
+                    {"configs", "roofcalc", "gradedring", "latticecore", "_text", "fractions"}),
+    "verify-all": {"checks", "configs", "roofcalc", "gradedring", "latticecore", "bwbcoh", "motivicring", "_text",
+                   "fractions"},
+}
 
 
 def _probe(argv: list[str], preamble: str = "") -> set[str]:
@@ -73,12 +87,11 @@ def _probe(argv: list[str], preamble: str = "") -> set[str]:
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["bwb", "5", "G", "1", "--json"], ["motivic", "--json"]],
-                         ids=" ".join)
-def test_command_loads_only_what_it_runs(argv):
-    loaded = _probe(argv)
-    assert "roofpairs.cli" in loaded
-    assert not loaded & NOT_LOADED
+@pytest.mark.parametrize("command", LOADS)
+def test_command_loads_only_what_it_runs(command):
+    want = {"roofpairs", "roofpairs.cli", "roofpairs.errors"}
+    want |= {m if m == "fractions" else f"roofpairs.{m}" for m in LOADS[command]}
+    assert _probe(command.split()) == want
 
 
 # dataclasses (with inspect, ast and dis behind it) is the largest import a
@@ -92,6 +105,13 @@ def test_command_loads_only_what_it_runs(argv):
 ])
 def test_start_up_does_not_import_dataclasses(preamble, argv):
     assert "dataclasses" not in _probe(argv, preamble)
+
+
+def test_motivicring_loads_only_the_leaf():
+    # motivicring prints through signed_sum, which lives in the dependency-free _text, not in gradedring
+    code = "import json, sys, roofpairs.motivicring; print(json.dumps([m for m in sys.modules if 'roofpairs' in m]))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert set(json.loads(out)) == {"roofpairs", "roofpairs._text", "roofpairs.motivicring"}
 
 
 def test_no_module_imports_dataclasses():
@@ -165,6 +185,14 @@ def test_no_assert_statements():
 def test_latticecore_is_a_leaf():
     path = pathlib.Path(roofpairs.__file__).with_name("latticecore.py")
     assert _package_imports(path) == {"errors"}
+
+
+def test_signed_sum_lives_in_a_leaf():
+    text = importlib.import_module("roofpairs._text")
+    package = pathlib.Path(roofpairs.__file__).parent
+    assert _package_imports(package / "_text.py") == set()
+    assert _package_imports(package / "motivicring.py") == {"_text"}
+    assert importlib.import_module("roofpairs.gradedring").signed_sum is text.signed_sum
 
 
 def test_mukai_vector_lives_in_roofcalc():

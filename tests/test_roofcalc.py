@@ -1,5 +1,6 @@
 import copy
 import pathlib
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -99,6 +100,17 @@ class TestReduceAndPushforward:
 
     def test_xi_cubed_pushforward(self, g2):
         assert pushforward_to_base(g2.side, xi_power(g2.side, 3)) == g2.side.base.l_power(1) * 5
+
+    @pytest.mark.parametrize("e", [1.5, 4.0, "2", None], ids=repr)
+    def test_exponent_of_a_class_must_be_an_integer(self, g2, e):
+        # 1.5 recursed without end through the normal-form table, and 4.0 was answered as 4
+        with pytest.raises(RoofError, match=f"xi exponents must be integers, got {re.escape(repr(e))}"):
+            reduce(g2.side, {e: g2.side.base.unit()})
+
+    def test_xi_power_exponent_must_be_an_integer(self, g2):
+        with pytest.raises(RoofError, match=r"got 1\.5"):
+            xi_power(g2.side, 1.5)
+        assert xi_power(g2.side, True) == xi_power(g2.side, 1)
 
     def test_inhomogeneous_rejected(self, g2):
         q5 = g2.side.base
