@@ -14,6 +14,8 @@ in the public signatures: ``weight()`` validates its input and the public
 functions that take or return weights use ``Fraction`` tuples.  ``fractions``
 is imported inside that boundary (``_doubled`` and ``_halved``), so the
 tables and sequence pipelines, which the ``bwb`` command runs, never load it.
+Every integer argument (a dimension, rank, twist or top degree) follows the twist
+rule, ``_integral``: an integral value becomes an int, anything else is a ``BWBError``.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -49,6 +51,18 @@ class InconsistentSequenceError(BWBError):
     """Known tables cannot sit in an exact sequence."""
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int if it is an integral number (5.0 becomes 5); a BWBError otherwise."""
+    if type(value) is int:
+        return value
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BWBError(f"{what} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # root systems B_m / D_m in epsilon coordinates
 # ---------------------------------------------------------------------------
@@ -61,6 +75,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
     def __new__(cls, family: str, rank: int):
         if family not in ("B", "D"):
             raise BWBError(f"family must be 'B' or 'D', got {family!r}")
+        rank = _integral(rank, "rank")
         if rank < 2:
             raise BWBError("rank must be at least 2")
         return super().__new__(cls, family, rank)
@@ -85,15 +100,17 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
         return f"{self.family}{self.rank}"
 
 
-def _check_dimension(n: int) -> None:
-    """The one rule for every entry point: the engine covers quadrics of dimension 3 and up."""
+def _check_dimension(n: int) -> int:
+    """``n`` as an int, one rule for every entry point: the engine covers quadrics of dimension 3 and up."""
+    n = _integral(n, "quadric dimension")
     if n < 3:
         raise BWBError("quadric dimension must be at least 3 for the cohomology engine")
+    return n
 
 
 def quadric_root_system(n: int) -> RootSystem:
     """Root system of the symmetry group of the n-dimensional quadric."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     return RootSystem("B", (n + 1) // 2) if n % 2 else RootSystem("D", (n + 2) // 2)
 
 
@@ -234,16 +251,15 @@ def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
 
 
 def dictionary_names(n: int) -> tuple[str, ...]:
-    _check_dimension(n)
-    return tuple(_dictionary(n))
+    return tuple(_dictionary(_check_dimension(n)))
 
 
 def _summands(n: int, name: str) -> tuple[RootSystem, tuple[tuple[int, ...], ...]]:
-    rs = quadric_root_system(n)
+    n = _check_dimension(n)
     summands = _dictionary(n).get(name)
     if summands is None:
         raise UnsupportedBundleError(f"no weight dictionary entry for {name!r} on Q{n}")
-    return rs, summands
+    return quadric_root_system(n), summands
 
 
 def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
@@ -275,9 +291,8 @@ def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
     {0: 48}
     """
     rs, summands = _summands(n, name)
-    if t != int(t):
-        raise BWBError(f"twist must be an integer, got {t}")
-    return add_tables(*(_irreducible_table(rs, (w[0] + 2 * int(t),) + w[1:]) for w in summands))
+    t = _integral(t, "twist")
+    return add_tables(*(_irreducible_table(rs, (w[0] + 2 * t,) + w[1:]) for w in summands))
 
 
 def euler_characteristic(table: Mapping[int, int]) -> int:
@@ -315,7 +330,7 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
     entries = [None if t is None else t.get(k, 0)
-               for k in range(seq.top_degree + 1) for t in seq.tables]
+               for k in range(_integral(seq.top_degree, "top degree") + 1) for t in seq.tables]
     table: CohomologyTable = {}
     total, unknowns = 0, []
     # each zero closes a run; the sentinel zero closes the last one

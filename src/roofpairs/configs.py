@@ -1,39 +1,27 @@
 """Roof configurations: the two built-in ones and the JSON file format.
 
-A configuration file is a JSON document::
-
-    {
-      "name": "g2dagger",
-      "rank": 3,
-      "base_dim": [5, 5],
-      "polarization_degree": 12,
-      "sides": [
-        {
-          "chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]],
-          "twist": 1,
-          "middle_basis": [["Pi", 0], ["L^2", 1], ["L", 2]],
-          "declared_locus_sign": 1
-        },
-        ...
-      ]
-    }
-
-Each side gives either ``chern`` (components of the untwisted bundle, as
-lists of [basis label, integer] pairs, plus an integer ``twist``) or
-``groth`` (the relation coefficients of the already-twisted bundle,
-degree 1..rank).  ``middle_basis`` lists [base label, xi exponent]
-monomials; ``declared_locus_sign`` is the sign of the side's declared locus
-representative relative to the positivity-normalized one (default 1).
+A configuration file is a JSON document with the keys of a ``BUILTIN_CONFIGS``
+entry: ``name``, ``rank``, ``base_dim`` (two quadric dimensions),
+``polarization_degree`` and two ``sides``.  Each side gives either ``chern``
+(components of the untwisted bundle, as lists of [basis label, integer]
+pairs, plus an integer ``twist``) or ``groth`` (the relation coefficients of
+the already-twisted bundle, degree 1..rank).  ``middle_basis`` lists [base
+label, xi exponent] monomials; ``declared_locus_sign`` is the sign of the
+side's declared locus representative relative to the positivity-normalized
+one (default 1).  Both forms build one ``RoofSide``, a ``chern`` side with the
+components of ``chern_twist``, so a bundle rank above the base dimension gets
+one message from ``RoofConfig`` (through ``cy_degree``) in either form.
 """
 
 from __future__ import annotations
 
 import json
+from os import PathLike
 from typing import Mapping, Optional
 
 from .errors import ConfigError
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
-from .roofcalc import InvalidRoofError, RoofConfig, RoofSide, build_side_from_chern
+from .roofcalc import RoofConfig, RoofSide
 
 # Largest accepted quadric base dimension.  Every build of a quadric ring
 # checks associativity on its sorted basis triples of total degree at most the
@@ -44,55 +32,25 @@ MAX_BASE_DIM = 32
 # before conversion, which CPython refuses past 4300 digits with a ValueError.
 MAX_INT_DIGITS = 100
 
+
+def _both(side: dict) -> list[dict]:
+    """The two sides of a symmetric roof; the tilde side is a copy, so a change to one side
+    of a copied configuration leaves the other as it was."""
+    return [side, json.loads(json.dumps(side))]
+
+
 BUILTIN_CONFIGS: dict[str, dict] = {
-    "g2dagger": {
-        "name": "g2dagger",
-        "rank": 3,
-        "base_dim": [5, 5],
-        "polarization_degree": 12,
-        "sides": [
-            {
-                "chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]],
-                "twist": 1,
-                "middle_basis": [["Pi", 0], ["L^2", 1], ["L", 2]],
-                "declared_locus_sign": 1,
-            },
-            {
-                "chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]],
-                "twist": 1,
-                "middle_basis": [["Pi", 0], ["L^2", 1], ["L", 2]],
-                "declared_locus_sign": 1,
-            },
-        ],
-    },
-    "d4": {
-        "name": "d4",
-        "rank": 4,
-        "base_dim": [6, 6],
-        "polarization_degree": 12,
-        "sides": [
-            {
-                "groth": [
-                    [["L", 6]],
-                    [["L^2", 14]],
-                    [["Pi1", 14], ["Pi2", 16]],
-                    [["Pi1*L", 12]],
-                ],
-                "middle_basis": [["Pi1*L", 0], ["Pi1", 1], ["Pi2", 1], ["L^2", 2], ["L", 3]],
-                "declared_locus_sign": -1,
-            },
-            {
-                "groth": [
-                    [["L", 6]],
-                    [["L^2", 14]],
-                    [["Pi1", 14], ["Pi2", 16]],
-                    [["Pi1*L", 12]],
-                ],
-                "middle_basis": [["Pi1*L", 0], ["Pi1", 1], ["Pi2", 1], ["L^2", 2], ["L", 3]],
-                "declared_locus_sign": -1,
-            },
-        ],
-    },
+    "g2dagger": {"name": "g2dagger", "rank": 3, "base_dim": [5, 5], "polarization_degree": 12, "sides": _both({
+        "chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]],
+        "twist": 1,
+        "middle_basis": [["Pi", 0], ["L^2", 1], ["L", 2]],
+        "declared_locus_sign": 1,
+    })},
+    "d4": {"name": "d4", "rank": 4, "base_dim": [6, 6], "polarization_degree": 12, "sides": _both({
+        "groth": [[["L", 6]], [["L^2", 14]], [["Pi1", 14], ["Pi2", 16]], [["Pi1*L", 12]]],
+        "middle_basis": [["Pi1*L", 0], ["Pi1", 1], ["Pi2", 1], ["L^2", 2], ["L", 3]],
+        "declared_locus_sign": -1,
+    })},
 }
 
 
@@ -148,15 +106,12 @@ def _side_from_dict(data, ring: RingPresentation, rank: int, name: str) -> RoofS
     comps = _array(data[form], f"side {name!r} {form}")
     if len(comps) != rank:
         raise ConfigError(f"side {name!r}: expected {rank} {what}")
-    classes = tuple(_class_from_pairs(ring, i, pairs, f"side {name!r} {form}[{i}]")
-                    for i, pairs in enumerate(comps, start=1))
-    if form == "groth":
-        return RoofSide(name, ring, rank, classes, middle)
-    c = chern_twist(ChernVector(rank, classes), _integer(data.get("twist", 0), f"side {name!r} twist"))
-    try:
-        return build_side_from_chern(ring, c, name=name, middle_basis=middle)
-    except InvalidRoofError as exc:  # a bundle rank above the base dimension
-        raise ConfigError(f"side {name!r}: {exc}") from None
+    coeffs = tuple(_class_from_pairs(ring, i, pairs, f"side {name!r} {form}[{i}]")
+                   for i, pairs in enumerate(comps, start=1))
+    if form == "chern":
+        twist = _integer(data.get("twist", 0), f"side {name!r} twist")
+        coeffs = chern_twist(ChernVector(rank, coeffs), twist).components
+    return RoofSide(name, ring, rank, coeffs, middle)
 
 
 def config_from_dict(data: Mapping) -> RoofConfig:
@@ -212,7 +167,11 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
-def load_config(path: str) -> RoofConfig:
+def load_config(path: str | PathLike) -> RoofConfig:
+    """The configuration in a JSON file; a ``path`` that is not a ``str`` or ``os.PathLike``
+    (an int would be opened as a file descriptor, and closed) is a ConfigError."""
+    if not isinstance(path, (str, PathLike)):
+        raise ConfigError(f"a configuration path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_json_int)

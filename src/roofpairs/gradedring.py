@@ -57,6 +57,14 @@ class BasisElement(NamedTuple):
     degree: int
 
 
+def _index(value, what: str, error: type = GradedRingError) -> int:
+    """An integer scalar through ``operator.index``: 4.0 and "4" are an ``error``, never converted."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def _exact(x) -> int | Fraction:
     """An exact rational coefficient: an int when integral, a Fraction otherwise."""
     if type(x) is int:
@@ -93,7 +101,7 @@ class RingPresentation:
         fano_index: Optional[int] = None,
     ):
         self.name = name
-        self.dimension = dimension
+        self.dimension = dimension = _index(dimension, "ring dimension")
         self.basis = tuple(basis)
         self.point_label = point_label
         self.fano_index = fano_index
@@ -226,6 +234,7 @@ class RingPresentation:
         """The class of L^p on the basis (zero beyond the top degree)."""
         if self._l_powers is None:
             raise GradedRingError(f"{self.name!r} carries no hyperplane-power data")
+        p = _index(p, "hyperplane power")
         if p < 0:
             raise GradedRingError("negative power of the hyperplane class")
         if p > self.dimension:
@@ -378,10 +387,7 @@ def make_quadric_ring(dim: int) -> RingPresentation:
     >>> str(q6.basis_class("Pi1") * q6.basis_class("Pi2"))
     'Pi1*L^3'
     """
-    try:
-        dim = index(dim)
-    except TypeError:
-        raise InvalidDimensionError(f"quadric dimension must be an integer, got {dim!r}") from None
+    dim = _index(dim, "quadric dimension", InvalidDimensionError)
     if dim < 2:
         raise InvalidDimensionError(f"quadric dimension must be >= 2, got {dim}")
     m, odd = divmod(dim, 2)
@@ -447,7 +453,7 @@ def chern_twist(c: ChernVector, t: int) -> ChernVector:
     >>> str(chern_twist(c, 1))
     '(5*L, 9*L^2, 12*Pi)'
     """
-    ring, r = c.ring, c.rank
+    ring, r, t = c.ring, c.rank, _index(t, "twist")
     h_pow = [ring.l_power(p) for p in range(r + 1)]
     comps = [ring.unit()] + list(c.components)  # comps[i] = c_i, c_0 = 1
     out = []

@@ -222,6 +222,7 @@ def proj_class(k: int) -> MotivicPoly:
     >>> str(proj_class(2))
     '1 + L + L^2'
     """
+    k = _integer(k, "projective space dimension")
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
     rest = (0,) * (len(SYMBOLS) - 1)
@@ -234,6 +235,7 @@ def fibration_class(r: int) -> MotivicPoly:
     The fibers jump from P^(r-2) to P^(r-1) exactly over the surface:
     [M] = [P^(r-1)][Y] + [P^(r-2)]([B] - [Y]).
     """
+    r = _integer(r, "rank")
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     return proj_class(r - 1) * Y + proj_class(r - 2) * (B - Y)
@@ -259,6 +261,7 @@ def residual_closed_form(r: int) -> MotivicPoly:
     >>> residual_closed_form(3) == l_equivalence_residual(3)
     True
     """
+    r = _integer(r, "rank")
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     # exponents in SYMBOLS order: L, Y, Yt, B, Bt, M

@@ -31,12 +31,12 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from . import latticecore
 from .errors import RoofError
 from .gradedring import (
-    ChernVector,
     GradedClass,
     IncompatibleRingError,
     IntegralityError,
     RingPresentation,
     _exact,
+    _index,
     integrate,
     signed_sum,
 )
@@ -71,17 +71,20 @@ class RoofSide:
     """One projective-bundle structure: base ring, rank, relation coefficients.
 
     ``groth_coeffs[i-1]`` is the degree-i coefficient c_i of the defining
-    relation; for sides built from Chern data these are the Chern classes of
-    the twisted bundle.  ``middle_basis`` lists the monomials (base label,
-    xi exponent) spanning the middle algebraic cohomology of a hyperplane
-    section.  Read-only, equal and hashed by these five fields; its
-    normal-form table ``_table`` takes no part.  A plain class, unlike the
-    other records: it owns that table, and ``reduce`` reads its fields on
-    every call, where a NamedTuple ran about 2 % slower.
+    relation; for a bundle given by Chern data these are the Chern classes of
+    the twisted bundle (``chern_twist(c, t).components``).  ``middle_basis``
+    lists the monomials (base label, xi exponent) spanning the middle
+    algebraic cohomology of a hyperplane section, stored as tuple pairs;
+    ``rank`` is taken through ``operator.index``.  Read-only, equal and
+    hashed by these five fields; its normal-form table ``_table`` takes no
+    part.  A plain class, unlike the other records: it owns that table, and
+    ``reduce`` reads its fields on every call, where a NamedTuple ran about
+    2 % slower.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
                  middle_basis: Optional[tuple[tuple[str, int], ...]] = None):
+        rank = _index(rank, "rank", InvalidRoofError)
         if rank < 1:
             raise InvalidRoofError("rank must be positive")
         if len(groth_coeffs) != rank:
@@ -92,8 +95,8 @@ class RoofSide:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "groth_coeffs", groth_coeffs)
-        object.__setattr__(self, "middle_basis", middle_basis)
+        object.__setattr__(self, "groth_coeffs", tuple(groth_coeffs))
+        object.__setattr__(self, "middle_basis", tuple(map(tuple, middle_basis)) if middle_basis else None)
         object.__setattr__(self, "_table", {})  # (x, e) -> NF(x, e), filled by _nf
 
     def __setattr__(self, name, value):
@@ -152,21 +155,6 @@ class RoofSide:
         return " ".join(terms) + " = 0"
 
 
-def build_side_from_chern(
-    base: RingPresentation,
-    c: ChernVector,
-    name: str = "side",
-    middle_basis: Optional[Sequence[tuple[str, int]]] = None,
-) -> RoofSide:
-    """Side of a roof from the Chern data of the (already twisted) bundle."""
-    if c.ring is not base:
-        raise InvalidRoofError("Chern data must live on the declared base")
-    if c.rank > base.dimension:
-        raise InvalidRoofError("bundle rank exceeds what the base dimension supports")
-    return RoofSide(name, base, c.rank, tuple(c.components),
-                    tuple(tuple(m) for m in middle_basis) if middle_basis else None)
-
-
 class BundleClass:
     """Normal form sum_(i < r) xi^i * (base class of degree d - i).
 
@@ -177,6 +165,7 @@ class BundleClass:
     __slots__ = ("side", "degree", "_flat")
 
     def __init__(self, side: RoofSide, degree: int, parts: Sequence[GradedClass]):
+        degree = _index(degree, "degree", RoofError)
         if len(parts) != side.rank:
             raise RoofError("normal form needs exactly rank xi-components")
         for i, p in enumerate(parts):
@@ -432,13 +421,15 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
     ``declared_locus_signs`` records, per side, the sign of the declared
     pushforward-locus representative relative to the positivity-normalized
     one; it only affects which representatives the residue report echoes.
-    Validated on construction: equal ranks and dimensions, and the declared degree.
+    Validated on construction: an integer degree, equal ranks and dimensions, and on
+    each side (through ``cy_degree``) a rank within the base dimension and the declared degree.
     """
 
     __slots__ = ()
 
     def __new__(cls, name: str, side: RoofSide, tilde_side: RoofSide, polarization_degree: int,
                 declared_locus_signs: tuple[int, int] = (1, 1)):
+        polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)
         if side.rank != tilde_side.rank:
             raise InvalidRoofError("the two sides must have equal rank")
         if side.dim_total != tilde_side.dim_total:
@@ -471,10 +462,13 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
 
 
 def cy_degree(side: RoofSide) -> int:
-    """Degree of the polarized zero locus: integral of c_r * L^(n-r) over the base."""
+    """Degree of the polarized zero locus: integral of c_r * L^(n-r) over the base.
+
+    A bundle rank above the base dimension is an ``InvalidRoofError`` naming the side.
+    """
     n, r = side.base.dimension, side.rank
     if n - r < 0:
-        raise InvalidRoofError("rank exceeds base dimension")
+        raise InvalidRoofError(f"side {side.name!r}: bundle rank exceeds what the base dimension supports")
     val = integrate(side.groth_coeffs[r - 1] * side.base.l_power(n - r))
     if val.denominator != 1:
         raise IntegralityError(f"non-integral zero-locus degree {val}")
@@ -538,14 +532,6 @@ def polarized_sign_check(config: RoofConfig, which: str = "side") -> int:
 # side switching
 # ---------------------------------------------------------------------------
 
-def _degree_slots(side: RoofSide, d: int) -> list[tuple[int, str]]:
-    return [
-        (e, label)
-        for e in range(side.rank)
-        for label in side.base.degree_labels.get(d - e, ())
-    ]
-
-
 def _l_xi_monomials(side: RoofSide, d: int) -> list[tuple[tuple[int, int], BundleClass]]:
     """Normal forms of the monomials L^(d-q) * xi^q spanning the (L, xi)-subring."""
     out = []
@@ -564,7 +550,7 @@ def _lift_to_l_xi(side: RoofSide, a: BundleClass):
     modulo the relation.
     """
     monos = _l_xi_monomials(side, a.degree)
-    slots = _degree_slots(side, a.degree)
+    slots = [(e, label) for e in range(side.rank) for label in side.base.degree_labels.get(a.degree - e, ())]
     columns = [[cls._flat[e].get(label, 0) for e, label in slots] for _, cls in monos]
     res = _solve_rational(columns, [a._flat[e].get(label, 0) for e, label in slots])
     if res is None:

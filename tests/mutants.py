@@ -56,7 +56,7 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
-GOLDEN, RECORDS = "test_cli_golden.py", "test_records.py"
+GOLDEN, RECORDS, SCALARS, CLI = "test_cli_golden.py", "test_records.py", "test_public_scalars.py", "test_cli.py"
 
 MUTANTS = (
     # latticecore: Smith normal form
@@ -99,9 +99,33 @@ MUTANTS = (
     _m("isotropic-bound-not-an-index", "latticecore", "bound = index(bound)", "bound = bound", LAT),
     _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", LAT),
     _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", LAT),
-    _m("quadric-dimension-not-an-index", "gradedring", "dim = index(dim)", "dim = dim", GRADED),
+    _m("quadric-dimension-not-an-index", "gradedring", 'dim = _index(dim, "quadric dimension", InvalidDimensionError)',
+       "dim = dim", GRADED),
+    _m("ring-dimension-not-an-index", "gradedring", 'self.dimension = dimension = _index(dimension, "ring dimension")',
+       "self.dimension = dimension", SCALARS),
+    _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power")', "pass", SCALARS),
+    _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist")',
+       "ring, r = c.ring, c.rank", SCALARS),
     _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
     _m("reduce-exponent-not-an-index", "roofcalc", "e = index(e)", "e = e", ROOF),
+    _m("side-rank-not-an-index", "roofcalc", 'rank = _index(rank, "rank", InvalidRoofError)', "pass", SCALARS),
+    _m("roof-config-degree-not-an-index", "roofcalc",
+       'polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)', "pass", SCALARS),
+    _m("bundle-class-degree-not-an-index", "roofcalc", 'degree = _index(degree, "degree", RoofError)', "pass",
+       SCALARS),
+    _m("side-middle-basis-not-normalised", "roofcalc", "tuple(map(tuple, middle_basis)) if middle_basis else None",
+       "middle_basis", ROOF),
+    _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
+    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank")', "pass", SCALARS),
+    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension")', "pass", SCALARS),
+    _m("les-top-degree-not-integral", "bwbcoh", 'range(_integral(seq.top_degree, "top degree") + 1)',
+       "range(seq.top_degree + 1)", SCALARS),
+    _m("proj-class-dimension-not-integral", "motivicring", 'k = _integer(k, "projective space dimension")', "pass",
+       SCALARS),
+    _m("fibration-rank-not-integral", "motivicring", '([B] - [Y]).\n    """\n    r = _integer(r, "rank")\n',
+       '([B] - [Y]).\n    """\n', SCALARS),
+    _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _integer(r, "rank")\n',
+       '    True\n    """\n', SCALARS),
     # _text: the signed-sum renderer
     _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
     _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
@@ -166,10 +190,10 @@ MUTANTS = (
        "    if False:", BWB),
     _m("weight-rank-unchecked", "bwbcoh", "if len(doubled) != rs.rank:", "if len(doubled) < rs.rank:", BWB),
     # bwbcoh: the weight dictionary and its entry points
-    _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * int(t),)", "(w[0] + int(t),)", BWB),
+    _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
     _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
     _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
-    _m("non-integral-twist-accepted", "bwbcoh", "    if t != int(t):", "    if False:", BWB),
+    _m("non-integral-twist-accepted", "bwbcoh", 't = _integral(t, "twist")', "pass", BWB),
     # bwbcoh: the long exact sequence solver
     _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
        "value = total if unknowns[0] % 2 == 0 else -total", BWB),

@@ -40,7 +40,7 @@ def test_criterion_01_relation_derivation():
     c = ChernVector(3, (q5.l_power(1) * 2, q5.l_power(2) * 2, q5.basis_class("Pi") * 2))
     twisted = chern_twist(c, 1)
     assert twisted.components == (q5.l_power(1) * 5, q5.l_power(2) * 9, q5.basis_class("Pi") * 12)
-    side = roofcalc.build_side_from_chern(q5, twisted)
+    side = roofcalc.RoofSide("side", q5, twisted.rank, twisted.components)
     assert side.groth_coeffs == twisted.components
     assert side.relation_string() == "xi^3 - 5*L*xi^2 + 9*L^2*xi - 12*Pi = 0"
     report(1, "twist (2,2,2) -> (5,9,12) and the degree-3 relation, coefficient for coefficient")

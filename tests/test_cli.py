@@ -454,7 +454,8 @@ def _q3_rank4(form: str) -> dict:
     (lambda tmp: tmp, "Is a directory"),
     (lambda tmp: _write(tmp, _q3_rank4("chern")),
      "side 'q3-rank4:side': bundle rank exceeds what the base dimension supports"),
-    (lambda tmp: _write(tmp, _q3_rank4("groth")), "rank exceeds base dimension"),
+    (lambda tmp: _write(tmp, _q3_rank4("groth")),
+     "side 'q3-rank4:side': bundle rank exceeds what the base dimension supports"),
 ], ids=["missing", "directory", "chern-rank-above-dim", "groth-rank-above-dim"])
 def test_unreadable_or_impossible_config_is_usage_error(tmp_path, write, message):
     path = write(tmp_path)
@@ -472,6 +473,30 @@ def test_digit_cap_admits_its_limit(tmp_path):
     path.write_bytes(_g2_text("-" + "1" * MAX_INT_DIGITS))
     with pytest.raises(ConfigError, match="declared polarization degree -1111"):
         load_config(str(path))
+
+
+# An int path was opened as a file descriptor and closed on exit: load_config(1)
+# closed stdout, and load_config(0) read stdin and then closed it.
+DESCRIPTOR_PROBE = """\
+import os, sys
+from roofpairs.configs import load_config
+from roofpairs.errors import ConfigError
+for path in (1, 0, True):
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+os.fstat(0), os.fstat(1)
+print("both open")
+"""
+
+
+def test_load_config_refuses_a_descriptor_and_leaves_it_open():
+    proc = subprocess.run([sys.executable, "-c", DESCRIPTOR_PROBE], input="{}", capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "both open\n"), proc.stderr
+    assert proc.stderr.splitlines() == [f"a configuration path must be a str or os.PathLike, got {t}"
+                                        for t in ("int", "int", "bool")]
 
 
 def test_base_dim_cap_checked_before_any_ring(count_calls):

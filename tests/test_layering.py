@@ -20,10 +20,9 @@ EXPORTED = {
         "integrate", "make_quadric_ring",
     ), "gradedring"),
     **dict.fromkeys((
-        "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide",
-        "build_side_from_chern", "cy_degree", "locus_pushforward_class", "middle_lattice",
-        "mukai_vector", "pairing_on_M", "polarized_sign_check", "pushforward_to_base", "reduce",
-        "residue_scan", "switch_side",
+        "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide", "cy_degree",
+        "locus_pushforward_class", "middle_lattice", "mukai_vector", "pairing_on_M",
+        "polarized_sign_check", "pushforward_to_base", "reduce", "residue_scan", "switch_side",
     ), "roofcalc"),
     **dict.fromkeys((
         "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",

@@ -26,7 +26,6 @@ from roofpairs.roofcalc import (
     RoofConfig,
     RoofSide,
     UnexpectedRankError,
-    build_side_from_chern,
     class_from_coordinates,
     coordinates_in_lattice,
     cy_degree,
@@ -61,14 +60,21 @@ class TestSideConstruction:
 
     def test_rank_one_projectivization(self):
         q5 = make_quadric_ring(5)
-        side = build_side_from_chern(q5, ChernVector(1, (q5.l_power(1),)))
+        side = RoofSide("side", q5, 1, (q5.l_power(1),))
         assert reduce(side, {1: q5.unit()}) == reduce(side, {0: q5.l_power(1)})
 
     def test_rank_exceeding_base_rejected(self):
         q5 = make_quadric_ring(5)
-        comps = tuple(q5.l_power(i) for i in range(1, 7))
-        with pytest.raises(InvalidRoofError):
-            build_side_from_chern(q5, ChernVector(6, comps))
+        side = RoofSide("wide", q5, 6, tuple(q5.l_power(i) for i in range(1, 7)))
+        with pytest.raises(InvalidRoofError, match="side 'wide': bundle rank exceeds what the base dimension"):
+            cy_degree(side)
+
+    def test_middle_basis_pairs_become_tuples(self, g2):
+        side = g2.side
+        listed = RoofSide(side.name, side.base, side.rank, list(side.groth_coeffs),
+                          [list(m) for m in side.middle_basis])
+        assert listed.middle_basis == (("Pi", 0), ("L^2", 1), ("L", 2))
+        assert listed == side and hash(listed) == hash(side)
 
 
 class TestReduceAndPushforward:
@@ -221,7 +227,7 @@ class TestSignLawAndDegrees:
 
     def test_cy_degree_hypersurface(self):
         q5 = make_quadric_ring(5)
-        side = build_side_from_chern(q5, ChernVector(1, (q5.l_power(1) * 2,)))
+        side = RoofSide("side", q5, 1, (q5.l_power(1) * 2,))
         assert cy_degree(side) == 4
 
 
@@ -277,8 +283,7 @@ class TestSwitchSide:
     def test_inconsistent_sides_detected(self, g2):
         q5a, q5b = make_quadric_ring(5), make_quadric_ring(5)
         chern = ChernVector(3, (q5a.l_power(1) * 5, q5a.l_power(2) * 9, q5a.basis_class("Pi") * 12))
-        side = build_side_from_chern(
-            q5a, chern, name="a", middle_basis=(("Pi", 0), ("L^2", 1), ("L", 2)))
+        side = RoofSide("a", q5a, 3, chern.components, (("Pi", 0), ("L^2", 1), ("L", 2)))
         other = RoofSide("b", q5b, 3,
                          (q5b.l_power(1) * 4, q5b.l_power(2) * 9, q5b.basis_class("Pi") * 12),
                          (("Pi", 0), ("L^2", 1), ("L", 2)))
