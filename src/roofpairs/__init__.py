@@ -9,11 +9,11 @@ homogeneous bundles, and Grothendieck-ring fibration identities.
 
 The modules form layers; each imports only modules listed before it:
 
-- ``errors``, the exception roots the CLI reports, and ``_text``, the
-  signed-sum renderer: no dependencies;
+- ``errors``, the exception roots the CLI reports and the two integer-scalar
+  rules, and ``_text``, the signed-sum renderer: no dependencies;
 - ``gradedring`` (quadric rings), ``bwbcoh`` (Borel-Weil-Bott tables) and
   ``latticecore`` (the exact integer kernel): ``errors`` (and ``_text``);
-- ``motivicring`` (Grothendieck ring): ``_text`` only;
+- ``motivicring`` (Grothendieck ring): ``_text`` and ``errors``;
 - ``roofcalc`` (the roof engine), then ``configs`` (configurations);
 - ``checks`` (the golden checks), which uses all of them;
 - ``cli``, which imports ``errors`` and, inside each command, only the

@@ -14,8 +14,8 @@ in the public signatures: ``weight()`` validates its input and the public
 functions that take or return weights use ``Fraction`` tuples.  ``fractions``
 is imported inside that boundary (``_doubled`` and ``_halved``), so the
 tables and sequence pipelines, which the ``bwb`` command runs, never load it.
-Every integer argument (a dimension, rank, twist or top degree) follows the twist
-rule, ``_integral``: an integral value becomes an int, anything else is a ``BWBError``.
+Every integer argument (a dimension, rank, twist or top degree) follows the shared
+``errors._integral`` rule: an integral value becomes an int, anything else is a ``BWBError``.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BWBError, UnsupportedBundleError
+from .errors import BWBError, UnsupportedBundleError, _integral
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,18 +51,6 @@ class InconsistentSequenceError(BWBError):
     """Known tables cannot sit in an exact sequence."""
 
 
-def _integral(value, what: str) -> int:
-    """``value`` as an int if it is an integral number (5.0 becomes 5); a BWBError otherwise."""
-    if type(value) is int:
-        return value
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise BWBError(f"{what} must be an integer, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # root systems B_m / D_m in epsilon coordinates
 # ---------------------------------------------------------------------------
@@ -75,7 +63,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
     def __new__(cls, family: str, rank: int):
         if family not in ("B", "D"):
             raise BWBError(f"family must be 'B' or 'D', got {family!r}")
-        rank = _integral(rank, "rank")
+        rank = _integral(rank, "rank", BWBError)
         if rank < 2:
             raise BWBError("rank must be at least 2")
         return super().__new__(cls, family, rank)
@@ -102,7 +90,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
 
 def _check_dimension(n: int) -> int:
     """``n`` as an int, one rule for every entry point: the engine covers quadrics of dimension 3 and up."""
-    n = _integral(n, "quadric dimension")
+    n = _integral(n, "quadric dimension", BWBError)
     if n < 3:
         raise BWBError("quadric dimension must be at least 3 for the cohomology engine")
     return n
@@ -291,7 +279,7 @@ def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
     {0: 48}
     """
     rs, summands = _summands(n, name)
-    t = _integral(t, "twist")
+    t = _integral(t, "twist", BWBError)
     return add_tables(*(_irreducible_table(rs, (w[0] + 2 * t,) + w[1:]) for w in summands))
 
 
@@ -330,7 +318,7 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
     entries = [None if t is None else t.get(k, 0)
-               for k in range(_integral(seq.top_degree, "top degree") + 1) for t in seq.tables]
+               for k in range(_integral(seq.top_degree, "top degree", BWBError) + 1) for t in seq.tables]
     table: CohomologyTable = {}
     total, unknowns = 0, []
     # each zero closes a run; the sentinel zero closes the last one
@@ -383,6 +371,7 @@ def _seq(names, tables, top=_DIM_Q5) -> SequenceSpec:
 
 def ottaviani_table(t: int) -> CohomologyTable:
     """Cohomology of the twisted Ottaviani bundle via 0 -> O(t) -> Sdual(t) -> G(t) -> 0."""
+    t = _integral(t, "twist", BWBError)
     return les_solve(_seq(
         (f"O({t})", f"Sdual({t})", f"G({t})"),
         (bundle_cohomology(5, "O", t), bundle_cohomology(5, "Sdual", t), None),
@@ -395,6 +384,7 @@ def ottaviani_dual_table(t: int) -> CohomologyTable:
     Where exactness of that sequence leaves the table unforced, the dualized
     Cayley sequence 0 -> O(t-1) -> Gdual(t) -> C(t) -> 0 is tried instead.
     """
+    t = _integral(t, "twist", BWBError)
     try:
         return les_solve(_seq(
             (f"Gdual({t})", f"S({t})", f"O({t})"),
@@ -409,6 +399,7 @@ def ottaviani_dual_table(t: int) -> CohomologyTable:
 
 def cayley_table(t: int) -> CohomologyTable:
     """Cohomology of the twisted Cayley bundle, cited where exactness cannot force it."""
+    t = _integral(t, "twist", BWBError)
     if t in CAYLEY_KNOWN:
         return dict(CAYLEY_KNOWN[t])
     return les_solve(_seq(
@@ -419,6 +410,7 @@ def cayley_table(t: int) -> CohomologyTable:
 
 def named_bundle_table(n: int, name: str, t: int = 0) -> CohomologyTable:
     """Table for a dictionary bundle or one of the sequence-resolved bundles."""
+    t = _integral(t, "twist", BWBError)
     if name in dictionary_names(n):
         return bundle_cohomology(n, name, t)
     if n == _DIM_Q5:

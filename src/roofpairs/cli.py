@@ -104,16 +104,6 @@ def _side_report(q: RoofQuery, side: RoofSide) -> dict:
     }
 
 
-def _staged(q: RoofQuery, build):
-    """``build()``; an error raised while ``q`` builds a stage names that stage, others keep their message."""
-    try:
-        return build()
-    except (RoofError, GradedRingError, LatticeError) as exc:
-        if q.stage is None:
-            raise
-        raise type(exc)(f"stage '{q.stage}' failed: {exc}") from exc
-
-
 def cmd_describe(cfg) -> dict:
     from . import roofcalc
 
@@ -124,7 +114,7 @@ def cmd_describe(cfg) -> dict:
         "rank": cfg.rank,
         "base_dimension": cfg.n,
         "polarization_degree": cfg.polarization_degree,
-        "sides": _staged(q, lambda: [_side_report(q, cfg.side), _side_report(q, cfg.tilde_side)]),
+        "sides": [_side_report(q, cfg.side), _side_report(q, cfg.tilde_side)],
     }
 
 
@@ -132,7 +122,7 @@ def cmd_lemma7(cfg) -> dict:
     from . import roofcalc
 
     q = roofcalc.RoofQuery(cfg)
-    scan = _staged(q, q.residue_scan)
+    scan = q.residue_scan()
     lat_t = q.lattice(cfg.tilde_side)
     declared = scan.declared_witness
     return {
@@ -173,7 +163,7 @@ def cmd_mukai(cfg, bound: int) -> dict:
     from . import roofcalc
 
     q = roofcalc.RoofQuery(cfg)
-    sol, image_coords, vector = _staged(q, lambda: q.mukai(bound))
+    sol, image_coords, vector = q.mukai(bound)
     return {
         "command": "mukai",
         "name": cfg.name,

@@ -143,8 +143,6 @@ def config_from_dict(data: Mapping) -> RoofConfig:
     side = _side_from_dict(sides[0], rings[0], rank, f"{name}:side")
     tilde = _side_from_dict(sides[1], rings[1], rank, f"{name}:tilde")
     signs = tuple(_integer(s.get("declared_locus_sign", 1), "declared_locus_sign") for s in sides)
-    if any(s not in (1, -1) for s in signs):
-        raise ConfigError("declared_locus_sign must be +1 or -1")
     try:
         return RoofConfig(name, side, tilde, degree, signs)
     except ValueError as exc:

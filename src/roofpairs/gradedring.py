@@ -31,11 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._text import signed_sum
-from .errors import GradedRingError
+from .errors import GradedRingError, _index
 
 
 class InvalidDimensionError(GradedRingError):
@@ -55,14 +54,6 @@ class BasisElement(NamedTuple):
 
     label: str
     degree: int
-
-
-def _index(value, what: str, error: type = GradedRingError) -> int:
-    """An integer scalar through ``operator.index``: 4.0 and "4" are an ``error``, never converted."""
-    try:
-        return index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _exact(x) -> int | Fraction:
@@ -85,9 +76,10 @@ class RingPresentation:
     the unit (which may not be listed) and beyond the top degree (empty, if
     listed).  That table is validated at every construction: completeness,
     gradedness, exact associativity (on the sorted triples that can fail, see
-    ``_validate_table``), uniqueness of the top class, and proportionality to
-    the point class in complementary degrees.  The powers of the degree-1
-    ``hyperplane_form`` are derived with the ring's own product.
+    ``_validate_table``) and uniqueness of the top class, which with
+    gradedness makes every top-degree product a multiple of the point class.
+    The powers of the degree-1 ``hyperplane_form`` are derived with the ring's
+    own product.
     """
 
     def __init__(
@@ -101,7 +93,7 @@ class RingPresentation:
         fano_index: Optional[int] = None,
     ):
         self.name = name
-        self.dimension = dimension = _index(dimension, "ring dimension")
+        self.dimension = dimension = _index(dimension, "ring dimension", GradedRingError)
         self.basis = tuple(basis)
         self.point_label = point_label
         self.fano_index = fano_index
@@ -188,8 +180,6 @@ class RingPresentation:
                 for z in prod:
                     if degrees[z] != d:
                         raise GradedRingError(f"{x}*{y} is not graded: contains {z}")
-                if d == self.dimension and any(z != self.point_label for z in prod):
-                    raise GradedRingError(f"{x}*{y} in top degree is not a multiple of the point class")
         # associativity, exactly
         for x, y, z in combinations_with_replacement([b.label for b in self.basis if b.degree], 3):
             if degrees[x] + degrees[y] + degrees[z] > self.dimension:
@@ -234,7 +224,7 @@ class RingPresentation:
         """The class of L^p on the basis (zero beyond the top degree)."""
         if self._l_powers is None:
             raise GradedRingError(f"{self.name!r} carries no hyperplane-power data")
-        p = _index(p, "hyperplane power")
+        p = _index(p, "hyperplane power", GradedRingError)
         if p < 0:
             raise GradedRingError("negative power of the hyperplane class")
         if p > self.dimension:
@@ -376,9 +366,10 @@ def make_quadric_ring(dim: int) -> RingPresentation:
 
     Every basis class is g*L^j, where g is the unit or a middle class of
     degree ``low`` (Pi, or Pi1 and Pi2), and ``times_l(g, k)`` writes g*L^k
-    on the basis: L^low = 2*Pi or Pi1 + Pi2, Pi2*L = Pi1*L, zero past the
-    top degree.  A product g*L^i * h*L^j is ``times_l(g*h, i + j)``, except
-    Pi_a * Pi_b in even dimension, which follows the parity rule.
+    on the basis: L^low = 2*Pi or Pi1 + Pi2, Pi2*L = Pi1*L.  A product
+    g*L^i * h*L^j is ``times_l(g*h, i + j)``, except Pi_a * Pi_b in even
+    dimension, which follows the parity rule; the table lists only products
+    up to the top degree, so ``times_l`` never leaves it.
 
     >>> q5 = make_quadric_ring(5)
     >>> str(q5.l_power(3))
@@ -409,8 +400,6 @@ def make_quadric_ring(dim: int) -> RingPresentation:
                 for z, e in times_l(h, k - low).items():
                     out[z] = out.get(z, 0) + c * e
             return out
-        if degree[g] + k > dim:
-            return {}
         if g == "Pi2" and k:
             g = "Pi1"
         return {label(g, k): 1}
@@ -453,7 +442,7 @@ def chern_twist(c: ChernVector, t: int) -> ChernVector:
     >>> str(chern_twist(c, 1))
     '(5*L, 9*L^2, 12*Pi)'
     """
-    ring, r, t = c.ring, c.rank, _index(t, "twist")
+    ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)
     h_pow = [ring.l_power(p) for p in range(r + 1)]
     comps = [ring.unit()] + list(c.components)  # comps[i] = c_i, c_0 = 1
     out = []

@@ -24,7 +24,8 @@ a ``LatticeError``, never truncated.  ``mat_mul`` and ``mat_vec`` refuse
 operands whose shapes do not match, reading row lengths only;
 ``discriminant_group`` and ``orthogonal_kernel`` refuse a non-square Gram
 matrix, and ``isotropic_pair_solve`` a polarization, bound or Gram entry
-that is not an integer.  Everything is exact.
+that is not an integer (the bound through the shared ``errors._index``
+rule) and checks its own answer before returning it.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import gcd, isqrt, lcm
 from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import LatticeError
+from .errors import LatticeError, _index
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -459,6 +460,8 @@ def isotropic_pair_solve(
     in [-bound, bound], which is what a search of that coordinate box finds.
     A bound, an entry of ``ell`` or of ``gram`` that is not an integer, an
     ``ell`` of the wrong length and a negative bound are each a ``LatticeError``.
+    The pair is checked against the five equations before it is returned: a
+    pair that fails them is an ``InconsistencyError``, never an answer.
     The canonical representative is the lexicographically smallest pair after
     normalizing the first nonzero coordinate of ``a`` positive.
     """
@@ -472,10 +475,7 @@ def isotropic_pair_solve(
         ell = tuple(map(index, ell))
     except TypeError:
         raise LatticeError(f"the polarization vector ell must have integer entries, got {list(ell)}") from None
-    try:
-        bound = index(bound)
-    except TypeError:
-        raise LatticeError(f"the coordinate bound must be an integer, got {bound!r}") from None
+    bound = _index(bound, "the coordinate bound", LatticeError)
     if bound < 0:
         raise LatticeError(f"the coordinate bound must be non-negative, got {bound}")
     if _form(gram, ell, ell) == 0:
@@ -490,7 +490,11 @@ def isotropic_pair_solve(
             pair = _canonical_pair(u, tuple(uv * x for x in v))
     if pair is None:
         raise SearchExhaustedError(f"no isotropic pair inside the [-{bound}, {bound}] box")
-    return MukaiSolution(pair[0], pair[1], (pair,))
+    a, b = pair
+    if (_form(gram, a, a), _form(gram, b, b), _form(gram, a, ell), _form(gram, b, ell), _form(gram, a, b)) \
+            != (0, 0, 0, 0, 1):
+        raise InconsistencyError(f"the computed pair {pair} is not isotropic, orthogonal to ell and unimodular")
+    return MukaiSolution(a, b, (pair,))
 
 
 def _solve_rational(columns: Sequence[Sequence], target: Sequence):

@@ -3,15 +3,16 @@
 The fragment is the free commutative ring on six formal symbols: the class
 ``L`` of the affine line and the classes of the two surfaces, two bases and
 the hyperplane section of a roof.  Everything is kept in canonical expanded
-form (integer-coefficient monomials with integer exponents; a non-integral
-value raises ``ValueError`` instead of being truncated) so equality is
-coefficient-wise.  The checks run once, in the public constructor (and so in
-``var`` and ``const``); the ring operations build their results already in
-canonical form (nonzero ``int`` coefficients on tuples of non-negative
-``int`` exponents) and wrap them without checking again.  Projective-space
-classes are written down in closed form, powers are taken by repeated
-squaring, and a substitution groups the monomials by their exponents on the
-assigned symbols, so it makes one product per group.
+form (integer-coefficient monomials with integer exponents) so equality is
+coefficient-wise.  Every integer input follows the shared ``errors._integral``
+rule: an integral value becomes an int, and any other value raises
+``ValueError`` instead of being truncated.  The checks run once, in the
+public constructor (and so in ``var`` and ``const``); the ring operations
+build their results already in canonical form (nonzero ``int`` coefficients
+on tuples of non-negative ``int`` exponents) and wrap them without checking
+again.  Projective-space classes are written down in closed form, powers are
+taken by repeated squaring, and a substitution groups the monomials by their
+exponents on the assigned symbols, so it makes one product per group.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -26,22 +27,10 @@ from operator import add
 from typing import Mapping
 
 from ._text import signed_sum
+from .errors import _integral
 
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
-
-
-def _integer(x, what: str) -> int:
-    """``x`` as an int; ValueError unless it is an integral number."""
-    if type(x) is int:
-        return x
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return n
 
 
 def _symbol(name: str) -> int:
@@ -66,10 +55,10 @@ class MotivicPoly:
             if len(mono) != len(SYMBOLS):
                 raise ValueError(f"bad monomial {mono}")
             if type(mono) is not tuple or set(map(type, mono)) != {int}:
-                mono = tuple(_integer(e, "exponent") for e in mono)
+                mono = tuple(_integral(e, "exponent", ValueError) for e in mono)
             if min(mono) < 0:
                 raise ValueError(f"bad monomial {mono}")
-            c = _integer(c, "coefficient")
+            c = _integral(c, "coefficient", ValueError)
             if c:
                 clean[mono] = c
         self.coeffs = clean
@@ -143,7 +132,7 @@ class MotivicPoly:
 
     def __pow__(self, e: int):
         """Square-and-multiply power."""
-        e = _integer(e, "exponent")
+        e = _integral(e, "exponent", ValueError)
         if e < 0:
             raise ValueError("negative powers are not in the ring")
         out, base = MotivicPoly.const(1), self
@@ -222,7 +211,7 @@ def proj_class(k: int) -> MotivicPoly:
     >>> str(proj_class(2))
     '1 + L + L^2'
     """
-    k = _integer(k, "projective space dimension")
+    k = _integral(k, "projective space dimension", ValueError)
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
     rest = (0,) * (len(SYMBOLS) - 1)
@@ -235,7 +224,7 @@ def fibration_class(r: int) -> MotivicPoly:
     The fibers jump from P^(r-2) to P^(r-1) exactly over the surface:
     [M] = [P^(r-1)][Y] + [P^(r-2)]([B] - [Y]).
     """
-    r = _integer(r, "rank")
+    r = _integral(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     return proj_class(r - 1) * Y + proj_class(r - 2) * (B - Y)
@@ -261,7 +250,7 @@ def residual_closed_form(r: int) -> MotivicPoly:
     >>> residual_closed_form(3) == l_equivalence_residual(3)
     True
     """
-    r = _integer(r, "rank")
+    r = _integral(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     # exponents in SYMBOLS order: L, Y, Yt, B, Bt, M

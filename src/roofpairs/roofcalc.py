@@ -29,14 +29,13 @@ from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import latticecore
-from .errors import RoofError
+from .errors import GradedRingError, LatticeError, RoofError, _index
 from .gradedring import (
     GradedClass,
     IncompatibleRingError,
     IntegralityError,
     RingPresentation,
     _exact,
-    _index,
     integrate,
     signed_sum,
 )
@@ -421,8 +420,9 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
     ``declared_locus_signs`` records, per side, the sign of the declared
     pushforward-locus representative relative to the positivity-normalized
     one; it only affects which representatives the residue report echoes.
-    Validated on construction: an integer degree, equal ranks and dimensions, and on
-    each side (through ``cy_degree``) a rank within the base dimension and the declared degree.
+    Validated on construction: an integer degree, exactly two signs, each an integer 1 or -1,
+    equal ranks and dimensions, and on each side (through ``cy_degree``) a rank within the base
+    dimension and the declared degree.
     """
 
     __slots__ = ()
@@ -430,6 +430,13 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
     def __new__(cls, name: str, side: RoofSide, tilde_side: RoofSide, polarization_degree: int,
                 declared_locus_signs: tuple[int, int] = (1, 1)):
         polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)
+        try:
+            first, second = declared_locus_signs
+        except (TypeError, ValueError):
+            raise InvalidRoofError(f"declared_locus_signs must be a pair, got {declared_locus_signs!r}") from None
+        signs = tuple(_index(s, "declared_locus_signs entry", InvalidRoofError) for s in (first, second))
+        if any(s not in (1, -1) for s in signs):
+            raise InvalidRoofError(f"declared_locus_signs entries must be 1 or -1, got {declared_locus_signs!r}")
         if side.rank != tilde_side.rank:
             raise InvalidRoofError("the two sides must have equal rank")
         if side.dim_total != tilde_side.dim_total:
@@ -439,7 +446,7 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
             if d != polarization_degree:
                 raise InvalidRoofError(
                     f"declared polarization degree {polarization_degree} != computed {d} on {s.name!r}")
-        return super().__new__(cls, name, side, tilde_side, polarization_degree, declared_locus_signs)
+        return super().__new__(cls, name, side, tilde_side, polarization_degree, signs)
 
     @property
     def rank(self) -> int:
@@ -749,7 +756,9 @@ def _mukai(config: RoofConfig, lattice, coordinates, bound: int):
 
 class RoofQuery:
     """One configuration's pipeline, each piece built once, on first request; ``stage``
-    names the piece being built, so after an error the one that raised."""
+    names the piece being built.  A ``RoofError``, ``GradedRingError`` or ``LatticeError``
+    raised while building is raised again once, by the outermost build, as the same type
+    with the text ``stage '<innermost piece>' failed: <message>``."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
@@ -757,8 +766,15 @@ class RoofQuery:
     def _once(self, stage: str, key, build):
         if (stage, key) not in self._built:
             outer, self.stage = self.stage, stage
-            self._built[stage, key] = build()
-            self.stage = outer
+            try:
+                self._built[stage, key] = build()
+            except (RoofError, GradedRingError, LatticeError) as exc:
+                if outer is not None:
+                    raise  # self.stage still names this piece, or the one inside it that raised
+                raise type(exc)(f"stage '{self.stage}' failed: {exc}") from exc
+            finally:  # a piece that failed inside another leaves its name for the outermost build
+                if outer is None or (stage, key) in self._built:
+                    self.stage = outer
         return self._built[stage, key]
 
     def lattice(self, side: RoofSide) -> MiddleLattice:

@@ -82,11 +82,17 @@ MUTANTS = (
        "", LAT),
     _m("isotropic-bound-strict", "latticecore", "max(abs(x) for x in u + v) <= bound",
        "max(abs(x) for x in u + v) < bound", LAT),
+    _m("isotropic-answer-unchecked", "latticecore",
+       "    if (_form(gram, a, a), _form(gram, b, b), _form(gram, a, ell), _form(gram, b, ell), _form(gram, a, b)) \\\n"
+       "            != (0, 0, 0, 0, 1):\n", "    if False:\n", LAT),
     # latticecore: the input contract, the tall path and the Smith oracle
     _m("int-rows-truncates-entries", "latticecore", "list(map(index, row))", "list(map(int, row))", LAT),
     _m("smith-tall-transforms-unswapped", "latticecore",
        "SmithDecomposition(_transposed(v, rows), _transposed(d, rows), _transposed(u, cols))",
        "SmithDecomposition(_transposed(u, cols), _transposed(d, rows), _transposed(v, rows))", LAT),
+    _m("smith-verify-skips-product-test", "latticecore",
+       "        if mat_mul(mat_mul(self.U, m), self.V) != [list(r) for r in self.D]:\n            return False\n", "",
+       LAT),
     _m("smith-verify-skips-diagonal-test", "latticecore",
        "        if any(x for i, row in enumerate(self.D) for j, x in enumerate(row) if i != j):\n"
        "            return False\n", "", LAT),
@@ -96,15 +102,17 @@ MUTANTS = (
     _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
     _m("gram-squareness-unchecked", "latticecore", "if any(len(row) != n for row in gram):", "if False:",
        LAT),
-    _m("isotropic-bound-not-an-index", "latticecore", "bound = index(bound)", "bound = bound", LAT),
+    _m("isotropic-bound-not-an-index", "latticecore", 'bound = _index(bound, "the coordinate bound", LatticeError)',
+       "bound = bound", LAT),
     _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", LAT),
     _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", LAT),
     _m("quadric-dimension-not-an-index", "gradedring", 'dim = _index(dim, "quadric dimension", InvalidDimensionError)',
        "dim = dim", GRADED),
-    _m("ring-dimension-not-an-index", "gradedring", 'self.dimension = dimension = _index(dimension, "ring dimension")',
+    _m("ring-dimension-not-an-index", "gradedring",
+       'self.dimension = dimension = _index(dimension, "ring dimension", GradedRingError)',
        "self.dimension = dimension", SCALARS),
-    _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power")', "pass", SCALARS),
-    _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist")',
+    _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power", GradedRingError)', "pass", SCALARS),
+    _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)',
        "ring, r = c.ring, c.rank", SCALARS),
     _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
     _m("reduce-exponent-not-an-index", "roofcalc", "e = index(e)", "e = e", ROOF),
@@ -116,16 +124,28 @@ MUTANTS = (
     _m("side-middle-basis-not-normalised", "roofcalc", "tuple(map(tuple, middle_basis)) if middle_basis else None",
        "middle_basis", ROOF),
     _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
-    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank")', "pass", SCALARS),
-    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension")', "pass", SCALARS),
-    _m("les-top-degree-not-integral", "bwbcoh", 'range(_integral(seq.top_degree, "top degree") + 1)',
+    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", SCALARS),
+    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", SCALARS),
+    _m("les-top-degree-not-integral", "bwbcoh", 'range(_integral(seq.top_degree, "top degree", BWBError) + 1)',
        "range(seq.top_degree + 1)", SCALARS),
-    _m("proj-class-dimension-not-integral", "motivicring", 'k = _integer(k, "projective space dimension")', "pass",
-       SCALARS),
-    _m("fibration-rank-not-integral", "motivicring", '([B] - [Y]).\n    """\n    r = _integer(r, "rank")\n',
-       '([B] - [Y]).\n    """\n', SCALARS),
-    _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _integer(r, "rank")\n',
+    _m("sequence-twist-not-integral", "bwbcoh",
+       '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n'
+       '    t = _integral(t, "twist", BWBError)\n',
+       '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n', BWB),
+    _m("proj-class-dimension-not-integral", "motivicring",
+       'k = _integral(k, "projective space dimension", ValueError)', "pass", SCALARS),
+    _m("fibration-rank-not-integral", "motivicring",
+       '([B] - [Y]).\n    """\n    r = _integral(r, "rank", ValueError)\n', '([B] - [Y]).\n    """\n', SCALARS),
+    _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _integral(r, "rank", ValueError)\n',
        '    True\n    """\n', SCALARS),
+    # errors: the two shared integer-scalar rules
+    _m("index-rule-admits-anything", "errors", "        return index(value)\n", "        return value\n", SCALARS),
+    _m("integral-rule-truncates", "errors", "if n is None or n != value:", "if n is None:", SCALARS, BWB),
+    # roofcalc: the declared locus signs of RoofConfig, and the stage that RoofQuery names
+    _m("roof-config-signs-unchecked", "roofcalc", "if any(s not in (1, -1) for s in signs):", "if False:", ROOF,
+       CLI),
+    _m("stage-named-at-every-level", "roofcalc", "                if outer is not None:\n",
+       "                if False:\n", "test_roof_queries.py", CLI),
     # _text: the signed-sum renderer
     _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
     _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
@@ -193,7 +213,8 @@ MUTANTS = (
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
     _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
     _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
-    _m("non-integral-twist-accepted", "bwbcoh", 't = _integral(t, "twist")', "pass", BWB),
+    _m("non-integral-twist-accepted", "bwbcoh", '    t = _integral(t, "twist", BWBError)\n    return add_tables(',
+       "    return add_tables(", BWB),
     # bwbcoh: the long exact sequence solver
     _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
        "value = total if unknowns[0] % 2 == 0 else -total", BWB),
@@ -212,7 +233,7 @@ MUTANTS = (
     _m("substitute-keeps-assigned-exponents", "motivicring", "rest[i] = 0", "rest[i] = rest[i]", MOT),
 )
 
-# Not run: the known equivalent mutants and the one known survivor, each with its reason.
+# Not run: the known equivalent mutants, each with its reason.
 # Their fragments are checked like those above.
 EXCLUDED = (
     (_m("hermite-pivot-sign-fix-dropped", "latticecore",
@@ -223,8 +244,9 @@ EXCLUDED = (
         "                if x == 1:\n                    return i, j\n", "", LAT),
      "equivalent: the row-major scan keeps the first of equal values, so stopping at |x| = 1 only saves time"),
     (_m("isotropic-rays-accept-non-square", "latticecore", "    if s == 0 or s * s != disc:", "    if s == 0:", LAT),
-     "survivor: with a non-square discriminant the rays are irrational, and no input in 400k random"
-     " trials made their integer stand-ins pair to +-1"),
+     "equivalent: a wrong pair can no longer be returned; with a non-square discriminant the rays are"
+     " irrational, so their integer stand-ins are not isotropic, and isotropic_pair_solve checks its answer"
+     " (a^2 = b^2 = a.ell = b.ell = 0, a.b = 1) before returning it"),
 )
 
 

@@ -328,3 +328,30 @@ def test_line_bundles_on_large_quadrics(n, twists):
         else:
             expected = {n: line_bundle_sections(n, -n - t)}
         assert bundle_cohomology(n, "O", t) == expected
+
+
+SEQUENCE_TABLES = [
+    pytest.param(lambda t: named_bundle_table(5, "Cdual", t), id="named_bundle_table"),
+    pytest.param(ottaviani_table, id="ottaviani_table"),
+    pytest.param(ottaviani_dual_table, id="ottaviani_dual_table"),
+    pytest.param(cayley_table, id="cayley_table"),
+]
+
+
+@pytest.mark.parametrize("table", SEQUENCE_TABLES)
+def test_sequence_table_twist_is_checked(table):
+    # each raised a builtin TypeError ("2" + 1 or "2" - 1) before
+    with pytest.raises(BWBError, match="^twist must be an integer, got '2'$"):
+        table("2")
+
+
+@pytest.mark.parametrize("table", SEQUENCE_TABLES)
+def test_sequence_table_converts_an_integral_twist(table, monkeypatch):
+    import roofpairs.bwbcoh as bwbcoh
+
+    names = []
+    solve = bwbcoh.les_solve
+    monkeypatch.setattr(bwbcoh, "les_solve", lambda seq: names.append(seq.names) or solve(seq))
+    assert table(-2.0) == table(-2)
+    half = len(names) // 2
+    assert names[:half] == names[half:] and not any(".0)" in name for seq in names for name in seq)

@@ -508,3 +508,13 @@ def test_base_dim_cap_checked_before_any_ring(count_calls):
     with pytest.raises(ConfigError, match=f"unknown basis label 'Pi' on Q{MAX_BASE_DIM}"):
         config_from_dict(_g2(base_dim=[MAX_BASE_DIM, MAX_BASE_DIM]))
     assert counts == {"gradedring.make_quadric_ring": 2}
+
+
+def test_declared_locus_sign_outside_plus_minus_one_is_usage_error(tmp_path):
+    # RoofConfig owns the sign check; configs wraps its error, so a file gets exit 2
+    path = _write(tmp_path, _g2_side(declared_locus_sign=2))
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", "lemma7", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: declared_locus_signs entries must be 1 or -1, got (2, 1)\n"

@@ -652,3 +652,18 @@ class TestMukaiVector:
         with pytest.raises(LatticeError, match=r"bound must be an integer, got 2\.5") as info:
             mukai_vector(g2, 2.5)
         assert not isinstance(info.value, SearchExhaustedError)
+
+
+def test_verify_refuses_a_product_that_misses_d():
+    # diag(1, 3) is a Smith form and U, V stay unimodular: only U * M * V != D gives it away
+    m = [[1, 2], [3, 4]]
+    snf = smith_normal_form(m)
+    assert snf.verify(m)
+    assert snf._replace(D=((1, 0), (0, 3))).verify(m) is False
+
+
+def test_isotropic_pair_solve_checks_its_answer(monkeypatch):
+    # rays that pair to 1 but are not isotropic: the solver refuses them instead of returning them
+    monkeypatch.setattr(latticecore, "_isotropic_rays", lambda gram, w: ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(InconsistencyError, match="is not isotropic, orthogonal to ell and unimodular"):
+        isotropic_pair_solve([[2, 1, 0], [1, 2, 0], [0, 0, 2]], (0, 0, 1), bound=10)

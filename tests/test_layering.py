@@ -107,10 +107,11 @@ def test_start_up_does_not_import_dataclasses(preamble, argv):
 
 
 def test_motivicring_loads_only_the_leaf():
-    # motivicring prints through signed_sum, which lives in the dependency-free _text, not in gradedring
+    # motivicring prints through signed_sum, which lives in the dependency-free _text, not in gradedring,
+    # and takes its integer rule from the dependency-free errors
     code = "import json, sys, roofpairs.motivicring; print(json.dumps([m for m in sys.modules if 'roofpairs' in m]))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    assert set(json.loads(out)) == {"roofpairs", "roofpairs._text", "roofpairs.motivicring"}
+    assert set(json.loads(out)) == {"roofpairs", "roofpairs._text", "roofpairs.errors", "roofpairs.motivicring"}
 
 
 def test_no_module_imports_dataclasses():
@@ -190,7 +191,7 @@ def test_signed_sum_lives_in_a_leaf():
     text = importlib.import_module("roofpairs._text")
     package = pathlib.Path(roofpairs.__file__).parent
     assert _package_imports(package / "_text.py") == set()
-    assert _package_imports(package / "motivicring.py") == {"_text"}
+    assert _package_imports(package / "motivicring.py") == {"_text", "errors"}
     assert importlib.import_module("roofpairs.gradedring").signed_sum is text.signed_sum
 
 

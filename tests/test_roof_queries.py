@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from roofpairs import latticecore, roofcalc
-from roofpairs.cli import _staged, cmd_describe, cmd_lemma7, main
+from roofpairs.cli import cmd_describe, cmd_lemma7, main
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict
 from roofpairs.gradedring import make_quadric_ring
 
@@ -267,8 +267,26 @@ def test_error_outside_a_stage_keeps_its_message(g2):
         raise roofcalc.SwitchError("raised after the stage")
 
     with pytest.raises(roofcalc.SwitchError) as got:
-        _staged(q, build)
+        build()
     assert str(got.value) == "raised after the stage"
+    # inside a stage, the error names that stage, not the one that finished before it
+    with pytest.raises(roofcalc.SwitchError) as got:
+        q._once("side switch", None, build)
+    assert str(got.value) == "stage 'side switch' failed: raised after the stage"
+    assert q.stage is None
+
+
+def test_nested_failure_is_named_once_by_its_innermost_stage():
+    # mukai builds both lattices inside its own stage; the failing lattice names itself, once
+    cfg = STAGE_CASES[1][1]
+    q = roofcalc.RoofQuery(cfg)
+    with pytest.raises(roofcalc.RoofError) as expected:
+        roofcalc.middle_lattice(cfg.tilde_side)
+    for _ in range(2):  # a failed query keeps no label: the second attempt reads the same
+        with pytest.raises(type(expected.value)) as got:
+            q.mukai(50)
+        assert str(got.value) == f"stage 'middle lattice' failed: {expected.value}"
+        assert q.stage is None
 
 
 # ---------------------------------------------------------------------------

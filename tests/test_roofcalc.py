@@ -707,3 +707,23 @@ class TestBundleClassChecks:
     def test_zero_classes_of_different_degrees_differ(self, g2):
         zero1, zero2 = xi_power(g2.side, 1).scale(0), xi_power(g2.side, 2).scale(0)
         assert zero1.is_zero and zero2.is_zero and zero1 != zero2
+
+
+@pytest.mark.parametrize("signs, message", [
+    # accepted before: residue_scan reported declared residues (10,) with witness (-2, (22, -8, 2))
+    ((2, 5), "declared_locus_signs entries must be 1 or -1, got (2, 5)"),
+    ((1, "x"), "declared_locus_signs entry must be an integer, got 'x'"),  # a builtin TypeError before
+    ((1,), "declared_locus_signs must be a pair, got (1,)"),  # an unpacking ValueError before
+    ((1.0, 1), "declared_locus_signs entry must be an integer, got 1.0"),
+])
+def test_declared_locus_signs_are_two_signs(g2, signs, message):
+    with pytest.raises(InvalidRoofError) as info:
+        RoofConfig(g2.name, g2.side, g2.tilde_side, 12, signs)
+    assert str(info.value) == message
+
+
+def test_declared_locus_signs_become_ints(g2):
+    # True passes operator.index as 1; the record stores the int, so reports print 1, not true
+    cfg = RoofConfig(g2.name, g2.side, g2.tilde_side, 12, (True, -1))
+    assert cfg.declared_locus_signs == (1, -1) and {type(s) for s in cfg.declared_locus_signs} == {int}
+    assert residue_scan(cfg) == residue_scan(RoofConfig(g2.name, g2.side, g2.tilde_side, 12, (1, -1)))
