@@ -317,7 +317,7 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
     if len(missing) > 1:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
-    entries = [None if t is None else t.get(k, 0)
+    entries = [None if t is None else _integral(t.get(k, 0), "cohomology table entry", BWBError)
                for k in range(_integral(seq.top_degree, "top degree", BWBError) + 1) for t in seq.tables]
     table: CohomologyTable = {}
     total, unknowns = 0, []

@@ -13,7 +13,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import bwbcoh, latticecore, motivicring, roofcalc
 from .configs import builtin_config
-from .gradedring import ChernVector, chern_twist, make_quadric_ring
+from .gradedring import BasisElement, ChernVector, GradedRingError, RingPresentation, chern_twist, make_quadric_ring
 
 
 class Check(NamedTuple):
@@ -139,7 +139,7 @@ def _sign_law(cs: CheckSet, g2, d4) -> None:
 def _switch(cs: CheckSet, g2, d4) -> None:
     lat2t = roofcalc.middle_lattice(g2.tilde_side)
     j2 = roofcalc.switch_side(g2, roofcalc.locus_pushforward_class(g2.side))
-    cs.add("switch-locus-3x3", tuple(map(int, roofcalc.coordinates_in_lattice(lat2t, j2))), G2_SWITCHED)
+    cs.add("switch-locus-3x3", roofcalc.coordinates_in_lattice(lat2t, j2), G2_SWITCHED)
 
     xi = roofcalc.xi_power(g2.side, 1)
     cs.add("switch-fixes-xi", str(roofcalc.switch_side(g2, xi)), "xi")
@@ -148,7 +148,7 @@ def _switch(cs: CheckSet, g2, d4) -> None:
     lat4 = roofcalc.middle_lattice(d4.side)
     declared_rep = roofcalc.class_from_coordinates(lat4, D4_LOCUS_DECLARED)
     j4 = roofcalc.switch_side(d4, declared_rep)
-    cs.add("switch-locus-5x5-declared-rep", tuple(map(int, roofcalc.coordinates_in_lattice(lat4t, j4))), D4_SWITCHED_DECLARED)
+    cs.add("switch-locus-5x5-declared-rep", roofcalc.coordinates_in_lattice(lat4t, j4), D4_SWITCHED_DECLARED)
 
     # double switch is the identity on every middle-basis monomial of both sides
     for cfg in (g2, d4):
@@ -182,9 +182,9 @@ def _mukai(cs: CheckSet, g2, bound: int) -> None:
     cs.add("mukai-vector-swapped", roofcalc.mukai_vector(g2.swap(), bound), MUKAI_VECTOR)
     lat_t = roofcalc.middle_lattice(g2.tilde_side)
     image = roofcalc.switch_side(g2, roofcalc.class_from_coordinates(lat, sol.a))
-    ic = [int(c) for c in roofcalc.coordinates_in_lattice(lat_t, image)]
+    ic = roofcalc.coordinates_in_lattice(lat_t, image)
     self_pairing = sum(ic[i] * lat_t.gram[i][j] * ic[j] for i in range(3) for j in range(3))
-    cs.add("switched-generator", tuple(ic), (5, -3, 1))
+    cs.add("switched-generator", ic, (5, -3, 1))
     cs.add("switched-generator-isotropic", self_pairing, 0)
 
 
@@ -221,9 +221,10 @@ def _motivic(cs: CheckSet) -> None:
 
 
 def _structural(cs: CheckSet, g2, d4) -> None:
-    # each construction checks associativity on the sorted triples that can
-    # fail; this check re-derives both laws over all ordered basis triples, as
-    # an independent full-cube oracle, then checks the two bundle rings.
+    # each RingPresentation checks associativity on the sorted triples that can
+    # fail; this cube over all ordered basis triples of two quadric rings is its
+    # independent oracle.  The bundle rings are read as RingPresentations, so
+    # the same validator checks them; their full cube is in tests/test_acceptance.py.
     for ring in (make_quadric_ring(5), make_quadric_ring(6)):
         labels = [b.label for b in ring.basis]
         assoc = all(
@@ -270,35 +271,25 @@ def _structural(cs: CheckSet, g2, d4) -> None:
 
 
 def _bundle_ring_laws(side) -> bool:
-    """Exact associativity/commutativity of the bundle ring on all basis triples."""
+    """Exact ring laws of the bundle ring of ``side``: a product with the unit monomial is the other
+    factor, and every other product of two basis monomials, in both orders, goes into the table of one
+    ``RingPresentation``, whose construction checks that both orders agree, integer coefficients,
+    gradedness, completeness and exact associativity; a ``GradedRingError`` there is False.  The
+    independent full-cube oracle is tests/test_acceptance.py::test_criterion_10_structural_properties."""
     monos = [(b.label, e) for e in range(side.rank) for b in side.base.basis]
-    classes = [roofcalc.monomial(side, lbl, e) for lbl, e in monos]
-    index = {m: i for i, m in enumerate(monos)}
-    dim = len(monos)
-
-    def coords(cls) -> dict[int, int]:
-        cls.assert_integral()  # so every stored coefficient is a nonzero int
-        return {index[(lbl, e)]: c for e, part in enumerate(cls.parts) for lbl, c in part.coeffs.items()}
-
-    # sparse structure constants: e_i * e_j = sum over m of s[i, j][m] * e_m
-    s = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            s[i, j] = s[j, i] = coords(classes[i] * classes[j])  # commutativity built in; verified below
-    if any(coords(classes[i] * classes[j]) != s[i, j] for i in range(dim) for j in range(i)):
+    names = {m: roofcalc.monomial_name(side, *m) or "1" for m in monos}
+    classes = [roofcalc.monomial(side, *m) for m in monos]
+    table = {}
+    for x, a in zip(names.values(), classes):
+        for y, b in zip(names.values(), classes):
+            ab = a * b  # each ordered pair once
+            if "1" not in (x, y):
+                table[x, y] = {names[z, e]: c for e, p in enumerate(ab.parts) for z, c in p.coeffs.items()}
+            elif ab != (b if x == "1" else a):
+                return False
+    basis = [BasisElement(x, cls.degree) for x, cls in zip(names.values(), classes)]
+    try:
+        RingPresentation(side.name, side.dim_total, basis, names[side.base.point_label, side.rank - 1], table)
+    except GradedRingError:
         return False
-
-    def times(v: dict[int, int], k: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m, c in v.items():
-            for n, d in s[m, k].items():
-                out[n] = out.get(n, 0) + c * d
-        return {n: c for n, c in out.items() if c}
-
-    # (e_i e_j) e_k for every triple, each unordered {i, j} multiplied out once
-    prod = {}
-    for (i, j), v in s.items():
-        if i <= j:
-            for k in range(dim):
-                prod[i, j, k] = prod[j, i, k] = times(v, k)
-    return all(prod[i, j, k] == prod[j, k, i] for i, j, k in prod)
+    return True

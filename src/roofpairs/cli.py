@@ -50,11 +50,7 @@ MAX_MOTIVIC_RANK = 50000
 
 
 def jsonable(x: Any) -> Any:
-    """Exact JSON form: Fractions become 'p/q' strings, containers recurse."""
-    from fractions import Fraction  # only verify-all reports Fractions
-
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """Exact JSON form: containers recurse, and a value not None, bool, int or str (a Fraction: 'p/q') is its str."""
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
         return x
     if isinstance(x, dict):

@@ -255,8 +255,10 @@ class GradedClass:
                 c = _exact(c)
             if not c:
                 continue
-            if degrees[label] != degree:
-                raise GradedRingError(f"coefficient key {label!r} has degree {degrees[label]}, not {degree}")
+            d = degrees.get(label)
+            if d != degree:
+                raise GradedRingError(f"unknown basis label {label!r} on {ring.name}" if d is None
+                                      else f"coefficient key {label!r} has degree {d}, not {degree}")
             clean[label] = c
         self.coeffs = clean
 
@@ -342,6 +344,8 @@ class ChernVector(NamedTuple("ChernVector", [("rank", int), ("components", tuple
     __slots__ = ()
 
     def __new__(cls, rank: int, components: tuple[GradedClass, ...]):
+        if not components:
+            raise GradedRingError("a Chern vector needs at least one component")
         if len(components) != rank:
             raise GradedRingError("Chern vector length must equal the rank")
         for i, c in enumerate(components, start=1):

@@ -31,7 +31,7 @@ rule) and checks its own answer before returning it.  Everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -325,10 +325,7 @@ class DiscriminantGroup(NamedTuple):
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return prod(self.factors)
 
     def __str__(self):
         if not self.factors:

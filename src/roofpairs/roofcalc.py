@@ -74,7 +74,7 @@ class RoofSide:
     the twisted bundle (``chern_twist(c, t).components``).  ``middle_basis``
     lists the monomials (base label, xi exponent) spanning the middle
     algebraic cohomology of a hyperplane section, stored as tuple pairs;
-    ``rank`` is taken through ``operator.index``.  Read-only, equal and
+    ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
     hashed by these five fields; its normal-form table ``_table`` takes no
     part.  A plain class, unlike the other records: it owns that table, and
     ``reduce`` reads its fields on every call, where a NamedTuple ran about
@@ -95,7 +95,12 @@ class RoofSide:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "groth_coeffs", tuple(groth_coeffs))
-        object.__setattr__(self, "middle_basis", tuple(map(tuple, middle_basis)) if middle_basis else None)
+        if middle_basis:
+            middle_basis = tuple(middle_basis)
+            if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):
+                raise InvalidRoofError(f"middle_basis entries must be (label, exponent) pairs, got {middle_basis!r}")
+            middle_basis = tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)
+        object.__setattr__(self, "middle_basis", middle_basis or None)
         object.__setattr__(self, "_table", {})  # (x, e) -> NF(x, e), filled by _nf
 
     def __setattr__(self, name, value):
@@ -395,7 +400,7 @@ def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
     return BundleClass._of(side, mc, acc)
 
 
-def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[Fraction, ...]:
+def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[int | Fraction, ...]:
     """Coordinates of a middle-degree class in the declared monomial basis.
 
     Requires the basis to exhaust the monomials supporting the class; the
@@ -523,7 +528,7 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
 
 def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
     lat = middle_lattice(side)
-    return tuple(int(c) for c in coordinates_in_lattice(lat, locus_pushforward_class(side)))
+    return coordinates_in_lattice(lat, locus_pushforward_class(side))
 
 
 def polarized_sign_check(config: RoofConfig, which: str = "side") -> int:
@@ -689,7 +694,7 @@ def residue_scan(config: RoofConfig) -> ResidueScan:
     """
     j_cls = switch_side(config, locus_pushforward_class(config.side))
     lat_t = middle_lattice(config.tilde_side)
-    j = tuple(int(c) for c in coordinates_in_lattice(lat_t, j_cls))
+    j = coordinates_in_lattice(lat_t, j_cls)
     jt = locus_coordinates(config.tilde_side)
     return _scan_coordinates(config, j, jt)
 

@@ -57,6 +57,7 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
 GOLDEN, RECORDS, SCALARS, CLI = "test_cli_golden.py", "test_records.py", "test_public_scalars.py", "test_cli.py"
+INPUTS, CHECKS = "test_input_checks.py", "test_checks.py"
 
 MUTANTS = (
     # latticecore: Smith normal form
@@ -121,8 +122,9 @@ MUTANTS = (
        'polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)', "pass", SCALARS),
     _m("bundle-class-degree-not-an-index", "roofcalc", 'degree = _index(degree, "degree", RoofError)', "pass",
        SCALARS),
-    _m("side-middle-basis-not-normalised", "roofcalc", "tuple(map(tuple, middle_basis)) if middle_basis else None",
-       "middle_basis", ROOF),
+    _m("side-middle-basis-not-normalised", "roofcalc",
+       'tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)',
+       'tuple([x, _index(e, "middle_basis exponent", InvalidRoofError)] for x, e in middle_basis)', ROOF),
     _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
     _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", SCALARS),
     _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", SCALARS),
@@ -146,6 +148,11 @@ MUTANTS = (
        CLI),
     _m("stage-named-at-every-level", "roofcalc", "                if outer is not None:\n",
        "                if False:\n", "test_roof_queries.py", CLI),
+    # checks: the bundle-ring law check of verify-all
+    _m("law-check-unit-law-dropped", "checks",
+       '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
+    _m("law-check-presentation-error-passes", "checks", "    except GradedRingError:\n        return False\n",
+       "    except GradedRingError:\n        return True\n", CHECKS),
     # _text: the signed-sum renderer
     _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
     _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
@@ -170,6 +177,15 @@ MUTANTS = (
     # gradedring: the checks of ChernVector
     _m("chern-vector-length-unchecked", "gradedring", "if len(components) != rank:", "if False:", RECORDS),
     _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", RECORDS),
+    # the record checks of structured input: labels, Chern vectors, middle bases and sequence tables
+    _m("graded-class-unknown-label-leaks", "gradedring", "d = degrees.get(label)", "d = degrees[label]", INPUTS),
+    _m("chern-vector-empty-accepted", "gradedring", "        if not components:\n", "        if False:\n", INPUTS),
+    _m("side-middle-basis-pairs-unchecked", "roofcalc",
+       "if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):", "if False:", INPUTS),
+    _m("side-middle-exponent-not-an-index", "roofcalc", '_index(e, "middle_basis exponent", InvalidRoofError)', "e",
+       INPUTS),
+    _m("les-table-entries-not-integral", "bwbcoh", '_integral(t.get(k, 0), "cohomology table entry", BWBError)',
+       "t.get(k, 0)", INPUTS),
     # gradedring: quadric rings from one rule
     _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),

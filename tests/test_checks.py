@@ -1,0 +1,62 @@
+"""The bundle-ring law check of ``verify-all``: true on working rings, false on broken products."""
+
+import pathlib
+
+import pytest
+
+from roofpairs import checks
+from roofpairs.configs import builtin_config, load_config
+from roofpairs.roofcalc import BundleClass, RoofSide
+
+DATA = pathlib.Path(__file__).parent / "data"
+CONFIGS = ("g2dagger", "d4", "toy_symmetric.json", "q4_large_degree.json")
+
+
+def _config(name):
+    return load_config(str(DATA / name)) if name.endswith(".json") else builtin_config(name)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_bundle_ring_laws_hold_on_both_sides(name):
+    cfg = _config(name)
+    assert checks._bundle_ring_laws(cfg.side) is True
+    assert checks._bundle_ring_laws(cfg.tilde_side) is True
+
+
+@pytest.fixture
+def dropped_fold(monkeypatch):
+    """Each normal form NF(x, e) with e > r loses its last term, in the side's memo too."""
+    nf = RoofSide._nf
+
+    def dropping(self, x, e):
+        terms = nf(self, x, e)
+        if e > self.rank and len(terms) > 1:
+            terms = self._table[x, e] = terms[:-1]
+        return terms
+
+    monkeypatch.setattr(RoofSide, "_nf", dropping)
+
+
+@pytest.mark.parametrize("name", ("g2dagger", "d4"))
+def test_a_dropped_fold_breaks_the_laws(name, dropped_fold):
+    cfg = builtin_config(name)
+    assert checks._bundle_ring_laws(cfg.side) is False
+
+
+def test_verify_all_reports_a_dropped_fold_as_failed_law_checks(dropped_fold):
+    results = {c.name: c for c in checks.run_all()}
+    for name in ("bundle-ring-laws-g2dagger", "bundle-ring-laws-d4"):
+        assert (results[name].passed, results[name].computed, results[name].expected) == (False, False, True)
+
+
+@pytest.mark.parametrize("name", ("g2dagger", "d4"))
+def test_a_doubled_unit_product_breaks_the_laws(name, monkeypatch):
+    # (e_i e_j) e_k = (e_j e_k) e_i holds on every triple with this fault: both sides double alike
+    mul = BundleClass.__mul__
+
+    def doubling(self, other):
+        out = mul(self, other)
+        return out.scale(2) if type(other) is BundleClass and 0 in (self.degree, other.degree) else out
+
+    monkeypatch.setattr(BundleClass, "__mul__", doubling)
+    assert checks._bundle_ring_laws(builtin_config(name).side) is False

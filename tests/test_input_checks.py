@@ -7,9 +7,10 @@ fail later with another error.
 
 import pytest
 
+from roofpairs.bwbcoh import SequenceSpec, les_solve
 from roofpairs.configs import builtin_config
-from roofpairs.errors import GradedRingError, LatticeError, RoofError
-from roofpairs.gradedring import BasisElement, RingPresentation
+from roofpairs.errors import BWBError, GradedRingError, LatticeError, RoofError
+from roofpairs.gradedring import BasisElement, ChernVector, GradedClass, RingPresentation
 from roofpairs.latticecore import discriminant_group, isotropic_pair_solve
 from roofpairs.motivicring import MotivicPoly
 from roofpairs.roofcalc import (
@@ -47,12 +48,19 @@ CASES = [
     ("l_power without hyperplane", lambda: _ring(1, [ONE, P1]).l_power(1), GradedRingError,
      "carries no hyperplane-power data"),
     ("negative l_power", lambda: Q5.l_power(-1), GradedRingError, "negative power of the hyperplane class"),
+    ("coefficient on an unknown label", lambda: GradedClass(Q5, 1, {"X": 1}), GradedRingError,
+     "unknown basis label 'X' on Q5"),
+    ("empty Chern vector", lambda: ChernVector(0, ()), GradedRingError, "a Chern vector needs at least one component"),
     # roofcalc: RoofSide, bundle classes, pairings, lattices, RoofConfig
     ("side of rank 0", lambda: RoofSide("s", Q5, 0, ()), InvalidRoofError, "rank must be positive"),
     ("wrong coefficient count", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs[:2]), InvalidRoofError,
      "need exactly rank relation coefficients"),
     ("coefficient of the wrong degree", lambda: RoofSide("s", Q5, 1, (Q5.l_power(2),)), InvalidRoofError,
      "relation coefficient 1 must live on the base in degree 1"),
+    ("middle monomial without an exponent", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs, [("Pi",)]),
+     InvalidRoofError, "middle_basis entries must be (label, exponent) pairs, got (('Pi',),)"),
+    ("middle exponent as a string", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs, [("Pi", "0")]),
+     InvalidRoofError, "middle_basis exponent must be an integer, got '0'"),
     ("odd middle section", lambda: RoofSide("s", Q5, 2, SIDE.groth_coeffs[:2]).middle_codim, InvalidRoofError,
      "hyperplane section has odd-dimensional middle cohomology"),
     ("bundle classes of two degrees", lambda: xi_power(SIDE, 1) + xi_power(SIDE, 2), RoofError,
@@ -73,6 +81,9 @@ CASES = [
      "gram matrix must be symmetric"),
     ("isotropic pair on a 2x2 gram", lambda: isotropic_pair_solve([[0, 1], [1, 0]], (1, 0, 0)), LatticeError,
      "isotropic_pair_solve expects a rank-3 gram matrix"),
+    # bwbcoh
+    ("non-integer table entry", lambda: les_solve(SequenceSpec(("A", "B", "C"), ({0: "x"}, None, {}), 5)), BWBError,
+     "cohomology table entry must be an integer, got 'x'"),
     # motivicring
     ("negative motivic power", lambda: MotivicPoly.var("L") ** -1, ValueError,
      "negative powers are not in the ring"),
