@@ -42,7 +42,7 @@ _HOMES = {
     **dict.fromkeys((
         "BundleClass", "MiddleLattice", "ResidueScan", "RoofConfig", "RoofSide", "cy_degree",
         "locus_pushforward_class", "middle_lattice", "mukai_vector", "pairing_on_M",
-        "polarized_sign_check", "pushforward_to_base", "reduce", "residue_scan", "switch_side",
+        "polarized_sign_check", "reduce", "residue_scan", "switch_side",
     ), "roofcalc"),
     **dict.fromkeys((
         "DiscriminantGroup", "MukaiSolution", "SmithDecomposition", "discriminant_group",
@@ -50,7 +50,7 @@ _HOMES = {
     ), "latticecore"),
     **dict.fromkeys((
         "RootSystem", "bundle_cohomology", "dominant_conjugate", "euler_characteristic",
-        "les_solve", "rho", "vanishing_case", "weyl_dimension",
+        "les_solve", "rho", "vanishing_case",
     ), "bwbcoh"),
     **dict.fromkeys((
         "MotivicPoly", "fibration_class", "l_equivalence_residual", "proj_class",

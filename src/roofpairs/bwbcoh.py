@@ -39,10 +39,6 @@ if TYPE_CHECKING:
 CohomologyTable = dict[int, int]
 
 
-class NonDominantError(BWBError):
-    """Weyl dimension formula applied to a non-dominant weight."""
-
-
 class Underdetermined(BWBError):
     """Exactness alone does not force the requested table."""
 
@@ -204,14 +200,6 @@ def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]
     return _halved(dom), length
 
 
-def weyl_dimension(rs: RootSystem, dominant: Weight) -> int:
-    """Dimension of the irreducible representation with the given highest weight."""
-    lam = _doubled_of_rank(rs, dominant)
-    if any(v < 0 for v in _pairings(rs, lam)):
-        raise NonDominantError(f"{dominant} is not dominant for {rs}")
-    return _dimension(rs, [a + b for a, b in zip(lam, _doubled_rho(rs))])
-
-
 # ---------------------------------------------------------------------------
 # the weight dictionary
 # ---------------------------------------------------------------------------
@@ -311,14 +299,20 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
     zero.  A run with one unknown entry determines it; two or more raise
     Underdetermined; a negative forced dimension or a nonzero alternating
     sum of knowns raises InconsistentSequenceError.  With all three tables
-    known the sequence is checked and the middle table returned unchanged.
+    known the sequence is checked and the middle table returned, its entries
+    as ints.  A table degree outside 0..top_degree raises BWBError.
     """
     missing = [i for i, t in enumerate(seq.tables) if t is None]
     if len(missing) > 1:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
+    top = _integral(seq.top_degree, "top degree", BWBError)
+    for name, t in zip(seq.names, seq.tables):
+        for k in t or ():
+            if k not in range(top + 1):
+                raise BWBError(f"cohomology degree {k!r} of {name} is outside 0..{top}")
     entries = [None if t is None else _integral(t.get(k, 0), "cohomology table entry", BWBError)
-               for k in range(_integral(seq.top_degree, "top degree", BWBError) + 1) for t in seq.tables]
+               for k in range(top + 1) for t in seq.tables]
     table: CohomologyTable = {}
     total, unknowns = 0, []
     # each zero closes a run; the sentinel zero closes the last one
@@ -341,7 +335,7 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
                 if value:
                     table[unknowns[0] // 3] = value
             total, unknowns = 0, []
-    return table if missing else dict(seq.tables[1])
+    return table if missing else {k: v for k, v in enumerate(entries[1::3]) if v}
 
 
 def add_tables(*tables: Mapping[int, int]) -> CohomologyTable:

@@ -129,11 +129,11 @@ def _locus(cs: CheckSet, g2, d4) -> None:
 
 
 def _sign_law(cs: CheckSet, g2, d4) -> None:
-    cs.add("self-pairing-rank3", roofcalc.polarized_sign_check(g2), 12)
-    cs.add("self-pairing-rank4", roofcalc.polarized_sign_check(d4), -12)
+    cs.add("self-pairing-rank3", roofcalc.polarized_sign_check(g2.side), 12)
+    cs.add("self-pairing-rank4", roofcalc.polarized_sign_check(d4.side), -12)
     for name, cfg in (("rank3", g2), ("rank4", d4)):
         expected = (-1) ** (cfg.rank - 1) * cfg.polarization_degree
-        cs.add(f"sign-law-{name}", roofcalc.polarized_sign_check(cfg), expected)
+        cs.add(f"sign-law-{name}", roofcalc.polarized_sign_check(cfg.side), expected)
 
 
 def _switch(cs: CheckSet, g2, d4) -> None:
@@ -198,7 +198,8 @@ def _cohomology(cs: CheckSet) -> None:
     cs.add("sections-O2", bwbcoh.bundle_cohomology(5, "O", 2), {0: 27})
     cs.add("sections-Sdual1", bwbcoh.bundle_cohomology(5, "Sdual", 1), {0: 48})
     cs.add("sections-G1", bwbcoh.ottaviani_table(1), {0: 41})
-    cs.add("sections-G1-difference", 48 - 7, 41)
+    cs.add("sections-G1-difference", bwbcoh.bundle_cohomology(5, "Sdual", 1).get(0, 0)
+           - bwbcoh.bundle_cohomology(5, "O", 1).get(0, 0), 41)
     cs.add("ideal-sheaf-sections", bwbcoh.ideal_section_table(), {0: 1})
 
 

@@ -433,6 +433,8 @@ def make_quadric_ring(dim: int) -> RingPresentation:
 
 def integrate(a: GradedClass) -> int | Fraction:
     """Coefficient of the point class in top degree, 0 in any other degree."""
+    if type(a) is not GradedClass:
+        raise GradedRingError(f"integrate takes a GradedClass, got {type(a).__name__}")
     if a.degree != a.ring.dimension:
         return 0
     return a.coefficient(a.ring.point_label)

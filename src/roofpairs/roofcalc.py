@@ -163,7 +163,8 @@ class BundleClass:
     """Normal form sum_(i < r) xi^i * (base class of degree d - i).
 
     The parts are held as {label: coefficient} dicts (``_flat``) with no zeros
-    and integral values as ints; ``parts`` builds GradedClasses on each read.
+    and integral values as ints; ``parts`` builds GradedClasses on each read, and
+    ``parts[-1]``, the xi^(r-1) part, is the pushforward to the base.
     """
 
     __slots__ = ("side", "degree", "_flat")
@@ -328,18 +329,13 @@ def reduce(
 
 
 # ---------------------------------------------------------------------------
-# pushforward and the middle lattice
+# the hyperplane-section pairing and the middle lattice
 # ---------------------------------------------------------------------------
-
-def pushforward_to_base(side: RoofSide, a: BundleClass) -> GradedClass:
-    """The fiber integral: the xi^(r-1) coefficient of the normal form."""
-    if a.side is not side:
-        raise RoofError("class does not live on the requested side")
-    return GradedClass(side.base, a.degree - side.rank + 1, a._flat[-1])
-
 
 def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
     """Intersection number of two classes on the hyperplane section, int_X a.b.xi."""
+    if type(a) is not BundleClass or type(b) is not BundleClass:
+        raise RoofError(f"pairing_on_M takes two BundleClasses, got {type(a).__name__} and {type(b).__name__}")
     if a.side is not side or b.side is not side:
         raise RoofError("classes do not live on the requested side")
     if a.degree + b.degree + 1 != side.dim_total:
@@ -368,6 +364,8 @@ class MiddleLattice(NamedTuple):
 
 def middle_lattice(side: RoofSide) -> MiddleLattice:
     """Gram matrix of the declared middle basis under the hyperplane-section pairing."""
+    if type(side) is not RoofSide:
+        raise RoofError(f"expected a RoofSide, got {type(side).__name__}")
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
     mc = side.middle_codim
@@ -531,11 +529,8 @@ def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
     return coordinates_in_lattice(lat, locus_pushforward_class(side))
 
 
-def polarized_sign_check(config: RoofConfig, which: str = "side") -> int:
-    """Self-pairing of the locus class of the ``which`` side ("side" or "tilde"): (-1)^(r-1) times the locus degree."""
-    if which not in ("side", "tilde"):
-        raise RoofError(f"which must be 'side' or 'tilde', got {which!r}")
-    side = config.side if which == "side" else config.tilde_side
+def polarized_sign_check(side: RoofSide) -> int:
+    """Self-pairing of the locus class of ``side``: (-1)^(r-1) times the locus degree."""
     cls = locus_pushforward_class(side)
     return pairing_on_M(side, cls, cls)
 
@@ -596,6 +591,8 @@ def switch_side(config: RoofConfig, a: BundleClass) -> BundleClass:
     relation-compatibility of the two sides is verified first).  The result
     is reduced with the other side's relation and asserted integral.
     """
+    if type(a) is not BundleClass:
+        raise RoofError(f"switch_side takes a BundleClass, got {type(a).__name__}")
     source = a.side
     target = config.other(source)
     l_poly, kernel = _lift_to_l_xi(source, a)

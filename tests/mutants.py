@@ -128,8 +128,8 @@ MUTANTS = (
     _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
     _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", SCALARS),
     _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", SCALARS),
-    _m("les-top-degree-not-integral", "bwbcoh", 'range(_integral(seq.top_degree, "top degree", BWBError) + 1)',
-       "range(seq.top_degree + 1)", SCALARS),
+    _m("les-top-degree-not-integral", "bwbcoh", 'top = _integral(seq.top_degree, "top degree", BWBError)',
+       "top = seq.top_degree", SCALARS),
     _m("sequence-twist-not-integral", "bwbcoh",
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n'
        '    t = _integral(t, "twist", BWBError)\n',
@@ -153,6 +153,10 @@ MUTANTS = (
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
     _m("law-check-presentation-error-passes", "checks", "    except GradedRingError:\n        return False\n",
        "    except GradedRingError:\n        return True\n", CHECKS),
+    # checks: the section count of the Ottaviani bundle, computed from both tables
+    _m("g1-difference-literal", "checks",
+       'bwbcoh.bundle_cohomology(5, "Sdual", 1).get(0, 0)\n           - bwbcoh.bundle_cohomology(5, "O", 1).get(0, 0)',
+       "48 - 7", CHECKS),
     # _text: the signed-sum renderer
     _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
     _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
@@ -186,6 +190,12 @@ MUTANTS = (
        INPUTS),
     _m("les-table-entries-not-integral", "bwbcoh", '_integral(t.get(k, 0), "cohomology table entry", BWBError)',
        "t.get(k, 0)", INPUTS),
+    # the class and side arguments of the public functions
+    _m("pairing-operand-types-unchecked", "roofcalc",
+       "    if type(a) is not BundleClass or type(b) is not BundleClass:", "    if False:", INPUTS),
+    _m("switch-operand-type-unchecked", "roofcalc", "    if type(a) is not BundleClass:\n", "    if False:\n", INPUTS),
+    _m("integrate-operand-type-unchecked", "gradedring", "    if type(a) is not GradedClass:", "    if False:", INPUTS),
+    _m("middle-lattice-side-type-unchecked", "roofcalc", "    if type(side) is not RoofSide:", "    if False:", ROOF),
     # gradedring: quadric rings from one rule
     _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),
@@ -222,8 +232,6 @@ MUTANTS = (
        '    if rs.family == "D":\n        out += doubled', BWB),
     _m("length-counts-positive-pairings", "bwbcoh", "sum(v < 0 for v in pairs)", "sum(v > 0 for v in pairs)",
        BWB),
-    _m("weyl-dimension-no-dominance-test", "bwbcoh", "    if any(v < 0 for v in _pairings(rs, lam)):",
-       "    if False:", BWB),
     _m("weight-rank-unchecked", "bwbcoh", "if len(doubled) != rs.rank:", "if len(doubled) < rs.rank:", BWB),
     # bwbcoh: the weight dictionary and its entry points
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
@@ -239,6 +247,10 @@ MUTANTS = (
        "            if len(unknowns) > 2:", BWB),
     _m("les-negative-dimension-accepted", "bwbcoh", "                if value < 0:", "                if False:",
        BWB),
+    _m("les-degree-outside-accepted", "bwbcoh", "            if k not in range(top + 1):", "            if False:",
+       BWB),
+    _m("les-known-middle-returned-as-given", "bwbcoh", "{k: v for k, v in enumerate(entries[1::3]) if v}",
+       "dict(seq.tables[1])", BWB),
     # motivicring
     _m("motivic-term-order-lexicographic", "motivicring", "key=lambda mc: (sum(mc[0]), mc[0])",
        "key=lambda mc: mc[0]", MOT),

@@ -78,10 +78,10 @@ def test_criterion_03_pushforward_classes():
 
 
 def test_criterion_04_polarized_sign_law():
-    assert roofcalc.polarized_sign_check(G2) == 12
-    assert roofcalc.polarized_sign_check(D4) == -12
+    assert roofcalc.polarized_sign_check(G2.side) == 12
+    assert roofcalc.polarized_sign_check(D4.side) == -12
     for cfg in (G2, D4):
-        assert roofcalc.polarized_sign_check(cfg) == (-1) ** (cfg.rank - 1) * 12
+        assert roofcalc.polarized_sign_check(cfg.side) == (-1) ** (cfg.rank - 1) * 12
     report(4, "self-pairings +12 (rank 3) and -12 (rank 4) match the parity law")
 
 

@@ -7,7 +7,6 @@ import pytest
 from roofpairs.bwbcoh import (
     BWBError,
     InconsistentSequenceError,
-    NonDominantError,
     RootSystem,
     SequenceSpec,
     Underdetermined,
@@ -28,7 +27,6 @@ from roofpairs.bwbcoh import (
     rho,
     vanishing_case,
     weight,
-    weyl_dimension,
 )
 
 H = Fraction(1, 2)
@@ -96,8 +94,6 @@ class TestDominantConjugate:
     def test_rank_mismatch(self):
         with pytest.raises(BWBError, match="rank mismatch"):
             dominant_conjugate(B3, (1, 0))
-        with pytest.raises(BWBError, match="rank mismatch"):
-            weyl_dimension(B3, (1, 0, 0, 0))
         # a longer weight used to be cut to the rank without a word
         with pytest.raises(BWBError, match="rank mismatch"):
             bundle_cohomology_of_weight(5, (1, 0, 0, 7))
@@ -108,31 +104,33 @@ class TestDominantConjugate:
 
 
 class TestWeylDimension:
+    """The Weyl dimension of a dominant weight is h^0 of its bundle: B3 acts on Q5, D4 on Q6, D3 on Q4."""
+
     def test_vector_rep(self):
-        assert weyl_dimension(B3, (1, 0, 0)) == 7
+        assert bundle_cohomology_of_weight(5, (1, 0, 0)) == {0: 7}
 
     def test_spin_rep(self):
-        assert weyl_dimension(B3, (H, H, H)) == 8
+        assert bundle_cohomology_of_weight(5, (H, H, H)) == {0: 8}
 
     def test_twisted_spinor_sections(self):
-        assert weyl_dimension(B3, (Fraction(3, 2), H, H)) == 48
+        assert bundle_cohomology_of_weight(5, (Fraction(3, 2), H, H)) == {0: 48}
 
     def test_adjoint(self):
-        assert weyl_dimension(B3, (1, 1, 0)) == 21
+        assert bundle_cohomology_of_weight(5, (1, 1, 0)) == {0: 21}
 
     def test_half_spins_of_d4(self):
-        assert weyl_dimension(D4, (H, H, H, H)) == 8
-        assert weyl_dimension(D4, (H, H, H, -H)) == 8
+        assert bundle_cohomology_of_weight(6, (H, H, H, H)) == {0: 8}
+        assert bundle_cohomology_of_weight(6, (H, H, H, -H)) == {0: 8}
 
     def test_non_dominant_rejected(self):
-        with pytest.raises(NonDominantError):
-            weyl_dimension(B3, (0, 1, 0))
+        # (0, 1, 0) + rho is singular: the weight has no sections and no cohomology at all
+        assert bundle_cohomology_of_weight(5, (0, 1, 0)) == {}
 
     def test_dual_dimensions_match(self):
         # on D3 (odd rank) the dual representation flips the sign of the last coordinate
-        d3 = RootSystem("D", 3)
-        for lam in ((H, H, H), (H, H, -H), (1, 1, -1), (2, 1, 0)):
-            assert weyl_dimension(d3, lam) == weyl_dimension(d3, lam[:-1] + (-lam[-1],))
+        for lam, dim in (((H, H, H), 4), ((H, H, -H), 4), ((1, 1, -1), 10), ((2, 1, 0), 64)):
+            assert bundle_cohomology_of_weight(4, lam) == {0: dim}
+            assert bundle_cohomology_of_weight(4, lam[:-1] + (-lam[-1],)) == {0: dim}
 
 
 class TestBundleCohomology:
@@ -217,6 +215,17 @@ class TestLesSolve:
     def test_all_known_consistent(self):
         seq = SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 8}, {0: 7}), 5)
         assert les_solve(seq) == {0: 8}
+
+    def test_all_known_returns_the_checked_middle_table(self):
+        # the middle table used to come back as given, 8.0 and all
+        result = les_solve(SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 8.0, 1: 0}, {0: 7}), 5))
+        assert result == {0: 8} and type(result[0]) is int and 1 not in result
+
+    @pytest.mark.parametrize("degree", [9, 6, -1, "x"], ids=repr)
+    def test_degree_outside_the_variety_rejected(self, degree):
+        # such an entry used to be skipped without a word
+        with pytest.raises(BWBError, match=rf"^cohomology degree {degree!r} of C is outside 0\.\.5$"):
+            les_solve(SequenceSpec(("A", "B", "C"), ({0: 1}, None, {degree: 7}), 5))
 
     def test_inconsistent(self):
         seq = SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 1}, {0: 1}), 5)

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from roofpairs import checks
+from roofpairs import bwbcoh, checks
 from roofpairs.configs import builtin_config, load_config
 from roofpairs.roofcalc import BundleClass, RoofSide
 
@@ -60,3 +60,14 @@ def test_a_doubled_unit_product_breaks_the_laws(name, monkeypatch):
 
     monkeypatch.setattr(BundleClass, "__mul__", doubling)
     assert checks._bundle_ring_laws(builtin_config(name).side) is False
+
+
+def test_a_wrong_sdual_table_fails_the_g1_difference(monkeypatch):
+    # the difference h0(Sdual(1)) - h0(O(1)) is computed, not written as 48 - 7
+    table = bwbcoh.bundle_cohomology
+    monkeypatch.setattr(bwbcoh, "bundle_cohomology",
+                        lambda n, name, t=0: {0: 49} if (name, t) == ("Sdual", 1) else table(n, name, t))
+    cs = checks.CheckSet()
+    checks._cohomology(cs)
+    results = {c.name: c for c in cs.checks}
+    assert results["sections-G1-difference"][1:] == (False, 42, 41)

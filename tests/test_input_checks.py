@@ -10,7 +10,7 @@ import pytest
 from roofpairs.bwbcoh import SequenceSpec, les_solve
 from roofpairs.configs import builtin_config
 from roofpairs.errors import BWBError, GradedRingError, LatticeError, RoofError
-from roofpairs.gradedring import BasisElement, ChernVector, GradedClass, RingPresentation
+from roofpairs.gradedring import BasisElement, ChernVector, GradedClass, RingPresentation, integrate
 from roofpairs.latticecore import discriminant_group, isotropic_pair_solve
 from roofpairs.motivicring import MotivicPoly
 from roofpairs.roofcalc import (
@@ -20,7 +20,7 @@ from roofpairs.roofcalc import (
     coordinates_in_lattice,
     middle_lattice,
     pairing_on_M,
-    pushforward_to_base,
+    switch_side,
     xi_power,
 )
 
@@ -51,6 +51,7 @@ CASES = [
     ("coefficient on an unknown label", lambda: GradedClass(Q5, 1, {"X": 1}), GradedRingError,
      "unknown basis label 'X' on Q5"),
     ("empty Chern vector", lambda: ChernVector(0, ()), GradedRingError, "a Chern vector needs at least one component"),
+    ("integral of a non-class", lambda: integrate(5), GradedRingError, "integrate takes a GradedClass, got int"),
     # roofcalc: RoofSide, bundle classes, pairings, lattices, RoofConfig
     ("side of rank 0", lambda: RoofSide("s", Q5, 0, ()), InvalidRoofError, "rank must be positive"),
     ("wrong coefficient count", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs[:2]), InvalidRoofError,
@@ -65,8 +66,8 @@ CASES = [
      "hyperplane section has odd-dimensional middle cohomology"),
     ("bundle classes of two degrees", lambda: xi_power(SIDE, 1) + xi_power(SIDE, 2), RoofError,
      "cannot add bundle classes of different degrees"),
-    ("pushforward on the other side", lambda: pushforward_to_base(TILDE, xi_power(SIDE, 1)), RoofError,
-     "class does not live on the requested side"),
+    ("pairing of non-classes", lambda: pairing_on_M(SIDE, 1, 2), RoofError,
+     "pairing_on_M takes two BundleClasses, got int and int"),
     ("pairing on the other side", lambda: pairing_on_M(TILDE, xi_power(SIDE, 3), xi_power(SIDE, 3)), RoofError,
      "classes do not live on the requested side"),
     ("middle monomial of the wrong codimension",
@@ -74,6 +75,8 @@ CASES = [
      "middle monomial 1*xi^0 has codimension 0, expected 3"),
     ("coordinates off the middle degree", lambda: coordinates_in_lattice(middle_lattice(SIDE), xi_power(SIDE, 1)),
      DegreeMismatchError, "class is not of middle degree"),
+    ("switch of a base class", lambda: switch_side(G2, Q5.unit()), RoofError,
+     "switch_side takes a BundleClass, got GradedClass"),
     ("foreign side", lambda: G2.other(RoofSide("s", Q5, 3, SIDE.groth_coeffs)), RoofError,
      "side does not belong to this configuration"),
     # latticecore

@@ -51,7 +51,6 @@ SLOTS = {
     "mukai_vector": {"bound": lambda v: roofpairs.mukai_vector(G2, v)},
     "pairing_on_M": NO_SCALAR,
     "polarized_sign_check": NO_SCALAR,
-    "pushforward_to_base": NO_SCALAR,
     "reduce": {"exponent": lambda v: roofpairs.reduce(SIDE, {v: Q5.unit()}),
                "degree": lambda v: roofpairs.reduce(SIDE, {1: Q5.unit()}, v)},
     "residue_scan": NO_SCALAR,
@@ -73,7 +72,6 @@ SLOTS = {
     "les_solve": {"top degree": lambda v: roofpairs.les_solve(SequenceSpec(("a", "b", "c"), ({0: 1}, None, {}), v))},
     "rho": NO_SCALAR,
     "vanishing_case": {"case": lambda v: roofpairs.vanishing_case(v)},
-    "weyl_dimension": NO_SCALAR,
     # motivicring
     "MotivicPoly": {"exponent": lambda v: roofpairs.MotivicPoly({(v, 0, 0, 0, 0, 0): 1}),
                     "power": lambda v: roofpairs.MotivicPoly.var("L") ** v},

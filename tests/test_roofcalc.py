@@ -35,7 +35,6 @@ from roofpairs.roofcalc import (
     monomial,
     pairing_on_M,
     polarized_sign_check,
-    pushforward_to_base,
     reduce,
     residue_scan,
     switch_side,
@@ -95,17 +94,17 @@ class TestReduceAndPushforward:
 
     def test_deep_reduction_integral(self, g2):
         cls = reduce(g2.side, {5: g2.side.base.l_power(2)})
-        assert integrate(pushforward_to_base(g2.side, cls)) == 82
+        assert integrate(cls.parts[-1]) == 82
 
     def test_fiber_normalization(self, g2):
-        assert pushforward_to_base(g2.side, xi_power(g2.side, 2)) == g2.side.base.unit()
+        assert xi_power(g2.side, 2).parts[-1] == g2.side.base.unit()
 
     def test_pullbacks_push_to_zero(self, g2):
         beta = reduce(g2.side, {0: g2.side.base.l_power(1)})
-        assert pushforward_to_base(g2.side, beta).is_zero
+        assert beta.parts[-1].is_zero
 
     def test_xi_cubed_pushforward(self, g2):
-        assert pushforward_to_base(g2.side, xi_power(g2.side, 3)) == g2.side.base.l_power(1) * 5
+        assert xi_power(g2.side, 3).parts[-1] == g2.side.base.l_power(1) * 5
 
     @pytest.mark.parametrize("e", [1.5, 4.0, "2", None], ids=repr)
     def test_exponent_of_a_class_must_be_an_integer(self, g2, e):
@@ -206,20 +205,25 @@ class TestLocusClass:
 
 class TestSignLawAndDegrees:
     def test_self_pairings(self, g2, d4):
-        assert polarized_sign_check(g2) == 12
-        assert polarized_sign_check(d4) == -12
-        assert polarized_sign_check(g2, "tilde") == 12
-        assert polarized_sign_check(d4, "tilde") == -12
+        assert polarized_sign_check(g2.side) == 12
+        assert polarized_sign_check(d4.side) == -12
+        assert polarized_sign_check(g2.tilde_side) == 12
+        assert polarized_sign_check(d4.tilde_side) == -12
 
     @pytest.mark.parametrize("which", ["sdie", "Tilde", "", None])
-    def test_unknown_side_is_rejected(self, g2, which):
-        with pytest.raises(RoofError, match="which must be 'side' or 'tilde'"):
-            polarized_sign_check(g2, which)
+    def test_unknown_side_is_rejected(self, which):
+        # the function once picked a side of a config by name; a name or None is not a side
+        with pytest.raises(RoofError, match=f"expected a RoofSide, got {type(which).__name__}$"):
+            polarized_sign_check(which)
+
+    def test_a_config_is_not_a_side(self, g2):
+        with pytest.raises(RoofError, match="expected a RoofSide, got RoofConfig$"):
+            polarized_sign_check(g2)
 
     def test_sign_matches_rank_parity(self, g2, d4, toy):
         for cfg in (g2, d4, toy):
             expected = (-1) ** (cfg.rank - 1) * cfg.polarization_degree
-            assert polarized_sign_check(cfg) == expected
+            assert polarized_sign_check(cfg.side) == expected
 
     def test_cy_degree(self, g2, d4):
         assert cy_degree(g2.side) == 12
