@@ -9,7 +9,7 @@ homogeneous bundles, and Grothendieck-ring fibration identities.
 
 The modules form layers; each imports only modules listed before it:
 
-- ``errors``, the exception roots the CLI reports and the two integer-scalar
+- ``errors``, the exception roots the CLI reports and the three argument
   rules, and ``_text``, the signed-sum renderer: no dependencies;
 - ``gradedring`` (quadric rings), ``bwbcoh`` (Borel-Weil-Bott tables) and
   ``latticecore`` (the exact integer kernel): ``errors`` (and ``_text``);

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BWBError, UnsupportedBundleError, _integral
+from .errors import BWBError, UnsupportedBundleError, _integral, _typed
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -102,7 +102,8 @@ def _doubled(coords: Sequence) -> tuple[int, ...]:
     """``2*w`` as ints for a weight ``w``, validated as ``weight()`` does."""
     from fractions import Fraction
 
-    doubled = [2 * c if type(c) is int else 2 * Fraction(c) for c in coords]
+    doubled = [2 * c if type(c) is int else 2 * Fraction(_typed(c, (Fraction, float), "weight coordinate", BWBError))
+               for c in _typed(coords, (tuple, list), "weight", BWBError)]
     if any(type(d) is not int and d.denominator != 1 for d in doubled):
         raise BWBError(f"coordinates must be integral or half-integral: {coords}")
     doubled = tuple(int(d) for d in doubled)
@@ -142,7 +143,7 @@ def _doubled_rho(rs: RootSystem) -> tuple[int, ...]:
 
 def rho(rs: RootSystem) -> Weight:
     """Half-sum of the positive roots."""
-    return _halved(_doubled_rho(rs))
+    return _halved(_doubled_rho(_typed(rs, RootSystem, "root system", BWBError)))
 
 
 def _pairings(rs: RootSystem, doubled: Sequence[int]) -> list[int]:
@@ -193,7 +194,7 @@ def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]
     length is the number of positive roots made negative, i.e. the
     cohomological degree in the dominance algorithm.
     """
-    res = _conjugate(rs, _doubled_of_rank(rs, w))
+    res = _conjugate(_typed(rs, RootSystem, "root system", BWBError), _doubled_of_rank(rs, w))
     if res is None:
         return None
     dom, length = res
@@ -232,7 +233,7 @@ def dictionary_names(n: int) -> tuple[str, ...]:
 
 def _summands(n: int, name: str) -> tuple[RootSystem, tuple[tuple[int, ...], ...]]:
     n = _check_dimension(n)
-    summands = _dictionary(n).get(name)
+    summands = _dictionary(n).get(_typed(name, str, "bundle name", UnsupportedBundleError))
     if summands is None:
         raise UnsupportedBundleError(f"no weight dictionary entry for {name!r} on Q{n}")
     return quadric_root_system(n), summands
@@ -272,7 +273,15 @@ def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
 
 
 def euler_characteristic(table: Mapping[int, int]) -> int:
-    return sum((-1) ** k * d for k, d in table.items())
+    """The alternating sum of a cohomology table; a degree that is negative or not an integer, or an entry
+    that is not an integer, is a ``BWBError``."""
+    chi = 0
+    for k, d in _typed(table, Mapping, "cohomology table", BWBError).items():
+        k = _integral(k, "cohomology degree", BWBError)
+        if k < 0:
+            raise BWBError(f"cohomology degree {k} is negative")
+        chi += (-1) ** k * _integral(d, "cohomology table entry", BWBError)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +309,24 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
     Underdetermined; a negative forced dimension or a nonzero alternating
     sum of knowns raises InconsistentSequenceError.  With all three tables
     known the sequence is checked and the middle table returned, its entries
-    as ints.  A table degree outside 0..top_degree raises BWBError.
+    as ints.  A table degree outside 0..top_degree raises BWBError, and so
+    does a ``seq`` that is not a ``SequenceSpec`` of three names and three
+    tables, each a mapping or None.
     """
+    if type(seq) is not SequenceSpec:
+        _typed(seq, SequenceSpec, "sequence", BWBError)
+    names = _typed(seq.names, (tuple, list), "sequence names", BWBError)
+    tables = _typed(seq.tables, (tuple, list), "sequence tables", BWBError)
+    if len(names) != 3 or len(tables) != 3:
+        raise BWBError(f"a short exact sequence has 3 terms, got {len(names)} names and {len(tables)} tables")
     missing = [i for i, t in enumerate(seq.tables) if t is None]
     if len(missing) > 1:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
     top = _integral(seq.top_degree, "top degree", BWBError)
-    for name, t in zip(seq.names, seq.tables):
+    for name, t in zip(names, tables):
+        if t is not None and type(t) is not dict:
+            _typed(t, Mapping, f"cohomology table of {name}", BWBError)
         for k in t or ():
             if k not in range(top + 1):
                 raise BWBError(f"cohomology degree {k!r} of {name} is outside 0..{top}")
@@ -440,6 +459,7 @@ def vanishing_case(case: int) -> CohomologyTable:
     runs the exact chain of short exact sequences used to establish the
     corresponding vanishing, with the conservative solver at every step.
     """
+    case = _integral(case, "case", BWBError)
     if case == 1:
         # dualize the Cayley sequence and twist: 0 -> O -> Gdual(1) -> C(1) -> 0
         return les_solve(_seq(

@@ -15,7 +15,8 @@ Subcommands::
 runs); numbers are exact integers, rationals are rendered as "p/q".
 
 Exit codes: 0 success, 1 verification/pipeline failure, 2 usage or
-configuration error.
+configuration error.  A reader that closes the pipe early (``| head -1``)
+ends the command with exit 1 and nothing on stderr.
 
 Each subcommand is declared once, in ``build_parser``: its arguments, the
 function that builds its report and the one that renders the report as
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -383,6 +385,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(json.dumps(report, indent=2) + "\n")
         else:
             args.render(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; as in the Python docs' note on SIGPIPE, stdout now points at devnull so that
+        # the flush at interpreter exit finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, UnsupportedBundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,7 @@ def config_from_dict(data: Mapping) -> RoofConfig:
 def builtin_config(name: str) -> RoofConfig:
     try:
         data = BUILTIN_CONFIGS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is no built-in either
         raise ConfigError(
             f"unknown configuration {name!r}; built-ins: {', '.join(builtin_names())}") from None
     return config_from_dict(data)

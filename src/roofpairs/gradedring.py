@@ -34,7 +34,7 @@ from math import comb
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._text import signed_sum
-from .errors import GradedRingError, _index
+from .errors import GradedRingError, _index, _typed
 
 
 class InvalidDimensionError(GradedRingError):
@@ -49,11 +49,14 @@ class IntegralityError(GradedRingError):
     """A class asserted to be integral has a non-integer coefficient."""
 
 
-class BasisElement(NamedTuple):
-    """One named basis class; ``degree`` is codimension (half the topological degree)."""
+class BasisElement(NamedTuple("BasisElement", [("label", str), ("degree", int)])):
+    """One named basis class; ``degree`` is codimension (half the topological degree). Validated on construction."""
 
-    label: str
-    degree: int
+    __slots__ = ()
+
+    def __new__(cls, label: str, degree: int):
+        return super().__new__(cls, _typed(label, str, "basis label", GradedRingError),
+                               _index(degree, "basis degree", GradedRingError))
 
 
 def _exact(x) -> int | Fraction:
@@ -92,11 +95,12 @@ class RingPresentation:
         hyperplane_form: Optional[Mapping[str, int | Fraction]] = None,
         fano_index: Optional[int] = None,
     ):
-        self.name = name
+        self.name = _typed(name, str, "ring name", GradedRingError)
         self.dimension = dimension = _index(dimension, "ring dimension", GradedRingError)
-        self.basis = tuple(basis)
+        self.basis = tuple(_typed(b, BasisElement, "basis entry", GradedRingError)
+                           for b in _typed(basis, (tuple, list), "basis", GradedRingError))
         self.point_label = point_label
-        self.fano_index = fano_index
+        self.fano_index = None if fano_index is None else _index(fano_index, "fano index", GradedRingError)
 
         self._degrees = {b.label: b.degree for b in self.basis}
         if len(self._degrees) != len(self.basis):
@@ -118,7 +122,12 @@ class RingPresentation:
             self.degree_labels.setdefault(b.degree, ())
             self.degree_labels[b.degree] += (b.label,)
         self._products: dict[tuple[str, str], dict[str, int]] = {}
-        for (x, y), combo in table.items():
+        for pair, combo in _typed(table, Mapping, "multiplication table", GradedRingError).items():
+            if type(pair) is not tuple or len(pair) != 2:
+                raise GradedRingError(f"multiplication table of {name!r} has the key {pair!r}, not a pair of labels")
+            x, y = pair
+            if type(combo) is not dict:
+                _typed(combo, Mapping, f"multiplication table entry {x!r} * {y!r}", GradedRingError)
             unknown = [z for z in (x, y, *combo) if z not in self._order]
             if unknown:
                 raise GradedRingError(f"multiplication table of {name!r} names unknown label {unknown[0]!r}")
@@ -145,7 +154,8 @@ class RingPresentation:
 
         self.hyperplane = self._l_powers = None
         if hyperplane_form is not None:
-            self.hyperplane = GradedClass(self, 1, dict(hyperplane_form))
+            _typed(hyperplane_form, Mapping, "hyperplane form", GradedRingError)
+            self.hyperplane = GradedClass(self, 1, hyperplane_form)
             powers = [self.unit()]
             for _ in range(dimension):  # L^p, p = 0 .. dimension (beyond is zero)
                 powers.append(powers[-1] * self.hyperplane)
@@ -246,6 +256,12 @@ class GradedClass:
     __slots__ = ("ring", "degree", "coeffs")
 
     def __init__(self, ring: RingPresentation, degree: int, coeffs: Mapping[str, int | Fraction]):
+        if type(ring) is not RingPresentation:
+            _typed(ring, RingPresentation, "ring", GradedRingError)
+        if type(degree) is not int:
+            degree = _index(degree, "degree", GradedRingError)
+        if type(coeffs) is not dict:
+            _typed(coeffs, Mapping, "coefficients", GradedRingError)
         self.ring = ring
         self.degree = degree
         degrees = ring._degrees
@@ -344,14 +360,18 @@ class ChernVector(NamedTuple("ChernVector", [("rank", int), ("components", tuple
     __slots__ = ()
 
     def __new__(cls, rank: int, components: tuple[GradedClass, ...]):
+        rank = _index(rank, "rank", GradedRingError)
+        _typed(components, (tuple, list), "Chern vector components", GradedRingError)
         if not components:
             raise GradedRingError("a Chern vector needs at least one component")
         if len(components) != rank:
             raise GradedRingError("Chern vector length must equal the rank")
         for i, c in enumerate(components, start=1):
+            if _typed(c, GradedClass, f"Chern vector component {i}", GradedRingError).ring is not components[0].ring:
+                raise GradedRingError(f"Chern vector component {i} is on {c.ring.name}, not {components[0].ring.name}")
             if c.degree != i:
                 raise GradedRingError(f"component {i} has degree {c.degree}")
-        return super().__new__(cls, rank, components)
+        return super().__new__(cls, rank, tuple(components))
 
     @property
     def ring(self) -> RingPresentation:
@@ -433,8 +453,7 @@ def make_quadric_ring(dim: int) -> RingPresentation:
 
 def integrate(a: GradedClass) -> int | Fraction:
     """Coefficient of the point class in top degree, 0 in any other degree."""
-    if type(a) is not GradedClass:
-        raise GradedRingError(f"integrate takes a GradedClass, got {type(a).__name__}")
+    _typed(a, GradedClass, "integrate", GradedRingError)
     if a.degree != a.ring.dimension:
         return 0
     return a.coefficient(a.ring.point_label)
@@ -448,6 +467,7 @@ def chern_twist(c: ChernVector, t: int) -> ChernVector:
     >>> str(chern_twist(c, 1))
     '(5*L, 9*L^2, 12*Pi)'
     """
+    _typed(c, ChernVector, "Chern vector", GradedRingError)
     ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)
     h_pow = [ring.l_power(p) for p in range(r + 1)]
     comps = [ring.unit()] + list(c.components)  # comps[i] = c_i, c_0 = 1

@@ -23,9 +23,11 @@ non-square one given to ``det`` and an entry that is not an integer are each
 a ``LatticeError``, never truncated.  ``mat_mul`` and ``mat_vec`` refuse
 operands whose shapes do not match, reading row lengths only;
 ``discriminant_group`` and ``orthogonal_kernel`` refuse a non-square Gram
-matrix, and ``isotropic_pair_solve`` a polarization, bound or Gram entry
-that is not an integer (the bound through the shared ``errors._index``
-rule) and checks its own answer before returning it.  Everything is exact.
+matrix (``orthogonal_kernel`` reads it and the sublattice as ints), and
+``isotropic_pair_solve`` a polarization, bound or Gram entry that is not an
+integer (the bound through the shared ``errors._index`` rule, the
+polarization a list or tuple through ``errors._typed``) and checks its own
+answer before returning it.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import LatticeError, _index
+from .errors import LatticeError, _index, _typed
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -119,14 +121,15 @@ def _bareiss(a: Matrix, ncols: int, jordan: bool = True) -> tuple[list[int], int
     return pivots, prev, sign
 
 
-def _int_rows(m: Sequence[Sequence[int]], width: int) -> Matrix:
-    """A copy of ``m`` as lists of ints; a ragged row or a non-integer entry is a ``LatticeError``."""
+def _int_rows(m: Sequence[Sequence[int]], width: Optional[int], what: str = "matrix") -> Matrix:
+    """A copy of ``m`` as lists of ints; a row that is not a sequence or a non-integer entry is a
+    ``LatticeError``, and so is a row that is not ``width`` long, unless ``width`` is None."""
     try:  # operator.index copies ints (and bools) exactly and refuses floats, Fractions and strings
         a = [list(map(index, row)) for row in m]
     except TypeError as exc:
-        raise LatticeError(f"matrix entries must be ints: {exc}") from None
-    if any(len(row) != width for row in a):
-        raise LatticeError(f"matrix rows must have {width} entries each, got {[len(row) for row in a]}")
+        raise LatticeError(f"{what} entries must be ints: {exc}") from None
+    if width is not None and any(len(row) != width for row in a):
+        raise LatticeError(f"{what} rows must have {width} entries each, got {[len(row) for row in a]}")
     return a
 
 
@@ -215,8 +218,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     V'^T M U'^T = D'^T), which keeps the transforms far smaller; every
     result passes ``SmithDecomposition.verify`` before it is returned.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    rows = len(_typed(m, (list, tuple), "matrix", LatticeError))
+    cols = len(_typed(m[0], (list, tuple), "matrix row", LatticeError)) if rows else 0
     a = _int_rows(m, cols)
     if rows > cols:
         u, d, v = _smith([list(col) for col in zip(*a)], cols, rows)
@@ -334,9 +337,10 @@ class DiscriminantGroup(NamedTuple):
 
 
 def _symmetric_size(gram: Sequence[Sequence[int]]) -> int:
-    """The size n of an n x n symmetric gram matrix; a non-square or asymmetric one is a ``LatticeError``."""
-    n = len(gram)
-    if any(len(row) != n for row in gram):
+    """The size n of an n x n symmetric gram matrix; a matrix that is not a list or tuple of them, or a
+    non-square or asymmetric one, is a ``LatticeError``."""
+    n = len(_typed(gram, (list, tuple), "gram matrix", LatticeError))
+    if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):
         raise LatticeError(f"gram matrix must be square, got {_shape(gram)}")
     if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
         raise LatticeError("gram matrix must be symmetric")
@@ -345,7 +349,7 @@ def _symmetric_size(gram: Sequence[Sequence[int]]) -> int:
 
 def discriminant_group(gram: Sequence[Sequence[int]]) -> DiscriminantGroup:
     """Cyclic decomposition of coker(gram : L -> Hom(L, Z)) for symmetric nonsingular gram."""
-    _symmetric_size(gram)
+    _symmetric_size(gram)  # det and the Smith form refuse a non-integer entry
     if det(gram) == 0:
         raise DegenerateLatticeError("gram matrix is singular")
     # The generator of the factor d_i is column i of U^-1.  From U * M * V = D
@@ -373,6 +377,8 @@ def orthogonal_kernel(
     Smith transform V.
     """
     n = _symmetric_size(gram)
+    # mat_vec multiplies without checking, so both are read as ints first
+    gram, sublattice = _int_rows(gram, n, "gram matrix"), _int_rows(sublattice, None, "sublattice")
     if not sublattice:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = [mat_vec(gram, s) for s in sublattice]
@@ -462,10 +468,10 @@ def isotropic_pair_solve(
     The canonical representative is the lexicographically smallest pair after
     normalizing the first nonzero coordinate of ``a`` positive.
     """
-    n = len(gram)
-    if n != 3 or any(len(row) != 3 for row in gram):
+    gram = _int_rows(gram, None, "gram matrix")
+    if len(gram) != 3 or any(len(row) != 3 for row in gram):
         raise LatticeError("isotropic_pair_solve expects a rank-3 gram matrix")
-    gram = _int_rows(gram, 3)
+    _typed(ell, (list, tuple), "the polarization vector ell", LatticeError)
     if len(ell) != 3:
         raise LatticeError(f"the polarization vector ell must have 3 entries, got {len(ell)}")
     try:

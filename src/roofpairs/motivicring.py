@@ -24,18 +24,20 @@ from __future__ import annotations
 
 from math import prod
 from operator import add
+from types import MappingProxyType
 from typing import Mapping
 
 from ._text import signed_sum
-from .errors import _integral
+from .errors import _integral, _typed
 
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
+_NO_TERMS: Mapping[tuple[int, ...], int] = MappingProxyType({})
 
 
 def _symbol(name: str) -> int:
     """Position of ``name`` in SYMBOLS; ValueError for an unknown symbol."""
-    if name not in _INDEX:
+    if _typed(name, str, "symbol", ValueError) not in _INDEX:
         raise ValueError(f"unknown symbol {name!r}; choose from {SYMBOLS}")
     return _INDEX[name]
 
@@ -43,16 +45,18 @@ def _symbol(name: str) -> int:
 class MotivicPoly:
     """Multivariate integer polynomial in the fixed symbol set, canonical form.
 
-    Coefficients and exponents must be integral numbers; anything else raises
-    ValueError rather than being truncated.
+    ``coeffs`` maps exponent tuples, one exponent per symbol, to coefficients.
+    Coefficients and exponents must be integral numbers; anything else, and a
+    ``coeffs`` that is not a mapping, raises ValueError rather than being
+    truncated.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, ...], int] = ()):
+    def __init__(self, coeffs: Mapping[tuple[int, ...], int] = _NO_TERMS):
         clean: dict[tuple[int, ...], int] = {}
-        for mono, c in dict(coeffs).items():
-            if len(mono) != len(SYMBOLS):
+        for mono, c in _typed(coeffs, Mapping, "coefficients", ValueError).items():
+            if not isinstance(mono, tuple) or len(mono) != len(SYMBOLS):
                 raise ValueError(f"bad monomial {mono}")
             if type(mono) is not tuple or set(map(type, mono)) != {int}:
                 mono = tuple(_integral(e, "exponent", ValueError) for e in mono)

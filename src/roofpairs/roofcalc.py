@@ -29,7 +29,7 @@ from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import latticecore
-from .errors import GradedRingError, LatticeError, RoofError, _index
+from .errors import GradedRingError, LatticeError, RoofError, _index, _typed
 from .gradedring import (
     GradedClass,
     IncompatibleRingError,
@@ -83,20 +83,21 @@ class RoofSide:
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
                  middle_basis: Optional[tuple[tuple[str, int], ...]] = None):
+        _typed(name, str, "side name", InvalidRoofError)
         rank = _index(rank, "rank", InvalidRoofError)
         if rank < 1:
             raise InvalidRoofError("rank must be positive")
-        if len(groth_coeffs) != rank:
+        if len(_typed(groth_coeffs, (tuple, list), "relation coefficients", InvalidRoofError)) != rank:
             raise InvalidRoofError("need exactly rank relation coefficients")
         for i, c in enumerate(groth_coeffs, start=1):
-            if c.ring is not base or c.degree != i:
+            if _typed(c, GradedClass, f"relation coefficient {i}", InvalidRoofError).ring is not base or c.degree != i:
                 raise InvalidRoofError(f"relation coefficient {i} must live on the base in degree {i}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "groth_coeffs", tuple(groth_coeffs))
         if middle_basis:
-            middle_basis = tuple(middle_basis)
+            middle_basis = tuple(_typed(middle_basis, (tuple, list), "middle_basis", InvalidRoofError))
             if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):
                 raise InvalidRoofError(f"middle_basis entries must be (label, exponent) pairs, got {middle_basis!r}")
             middle_basis = tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)
@@ -170,10 +171,12 @@ class BundleClass:
     __slots__ = ("side", "degree", "_flat")
 
     def __init__(self, side: RoofSide, degree: int, parts: Sequence[GradedClass]):
+        _typed(side, RoofSide, "side", RoofError)
         degree = _index(degree, "degree", RoofError)
-        if len(parts) != side.rank:
+        if len(_typed(parts, (tuple, list), "xi components", RoofError)) != side.rank:
             raise RoofError("normal form needs exactly rank xi-components")
         for i, p in enumerate(parts):
+            _typed(p, GradedClass, f"xi^{i} component", RoofError)
             if p.coeffs and (p.ring is not side.base or p.degree != degree - i):
                 raise RoofError(f"xi^{i} component has degree {p.degree} on {p.ring.name!r}, "
                                 f"expected {degree - i} on the base {side.base.name!r}")
@@ -289,18 +292,28 @@ def reduce(
     Terms below xi^r are already reduced; a term c * x * xi^e with e >= r adds
     c times NF(x, e), the normal form of x * xi^e, which the side computes once
     (``RoofSide._nf``).  The exponent of a ``GradedClass`` term must be an
-    integer (``operator.index``: 4.0 is refused, not rounded).  The ring's own
-    operations pass plain {label: coefficient} dicts, trusted and consumed, with
-    ``degree``.
+    integer (``operator.index``: 4.0 and True are refused, not rounded), and
+    so must an explicit ``degree``.  The ring's own operations pass plain
+    {label: coefficient} dicts, trusted and consumed, with ``degree``.
     """
+    if type(side) is not RoofSide:
+        _typed(side, RoofSide, "side", RoofError)
+    if degree is not None and type(degree) is not int:
+        degree = _index(degree, "expression degree", RoofError)
+    try:
+        items = expression.items()
+    except AttributeError:  # not a mapping, so the rule raises
+        items = _typed(expression, Mapping, "expression", RoofError).items()
     base = side.base
     terms: dict[int, dict[str, int | Fraction]] = {}
-    for e, cls in expression.items():
+    for e, cls in items:
         if type(cls) is not dict:
-            try:
+            if type(cls) is not GradedClass:
+                _typed(cls, GradedClass, "expression term", RoofError)
+            if type(e) is not int:
+                if type(e) is bool or not hasattr(type(e), "__index__"):
+                    raise RoofError(f"xi exponents must be integers, got {e!r}")
                 e = index(e)
-            except TypeError:
-                raise RoofError(f"xi exponents must be integers, got {e!r}") from None
         if e < 0:
             raise RoofError("negative xi exponent")
         if type(cls) is dict:
@@ -309,7 +322,7 @@ def reduce(
             if degree is None:
                 degree = e + cls.degree
             if e + cls.degree != degree:
-                raise RoofError("expression is not homogeneous")
+                raise RoofError(f"expression is not homogeneous of degree {degree!r}")
             terms[e] = dict(cls.coeffs)
     for cls in expression.values():
         if type(cls) is not dict and cls.ring is not base:
@@ -335,7 +348,8 @@ def reduce(
 def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
     """Intersection number of two classes on the hyperplane section, int_X a.b.xi."""
     if type(a) is not BundleClass or type(b) is not BundleClass:
-        raise RoofError(f"pairing_on_M takes two BundleClasses, got {type(a).__name__} and {type(b).__name__}")
+        _typed(a, BundleClass, "first class", RoofError)
+        _typed(b, BundleClass, "second class", RoofError)
     if a.side is not side or b.side is not side:
         raise RoofError("classes do not live on the requested side")
     if a.degree + b.degree + 1 != side.dim_total:
@@ -364,8 +378,7 @@ class MiddleLattice(NamedTuple):
 
 def middle_lattice(side: RoofSide) -> MiddleLattice:
     """Gram matrix of the declared middle basis under the hyperplane-section pairing."""
-    if type(side) is not RoofSide:
-        raise RoofError(f"expected a RoofSide, got {type(side).__name__}")
+    _typed(side, RoofSide, "side", RoofError)
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
     mc = side.middle_codim
@@ -432,6 +445,9 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
 
     def __new__(cls, name: str, side: RoofSide, tilde_side: RoofSide, polarization_degree: int,
                 declared_locus_signs: tuple[int, int] = (1, 1)):
+        _typed(name, str, "configuration name", InvalidRoofError)
+        _typed(side, RoofSide, "side", InvalidRoofError)
+        _typed(tilde_side, RoofSide, "tilde side", InvalidRoofError)
         polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)
         try:
             first, second = declared_locus_signs
@@ -476,7 +492,7 @@ def cy_degree(side: RoofSide) -> int:
 
     A bundle rank above the base dimension is an ``InvalidRoofError`` naming the side.
     """
-    n, r = side.base.dimension, side.rank
+    n, r = _typed(side, RoofSide, "side", RoofError).base.dimension, side.rank
     if n - r < 0:
         raise InvalidRoofError(f"side {side.name!r}: bundle rank exceeds what the base dimension supports")
     val = integrate(side.groth_coeffs[r - 1] * side.base.l_power(n - r))
@@ -591,9 +607,8 @@ def switch_side(config: RoofConfig, a: BundleClass) -> BundleClass:
     relation-compatibility of the two sides is verified first).  The result
     is reduced with the other side's relation and asserted integral.
     """
-    if type(a) is not BundleClass:
-        raise RoofError(f"switch_side takes a BundleClass, got {type(a).__name__}")
-    source = a.side
+    _typed(config, RoofConfig, "config", RoofError)
+    source = _typed(a, BundleClass, "switched class", RoofError).side
     target = config.other(source)
     l_poly, kernel = _lift_to_l_xi(source, a)
     for null_poly in kernel:
@@ -689,7 +704,7 @@ def residue_scan(config: RoofConfig) -> ResidueScan:
     Builds every lattice and class it needs on each call; ``RoofQuery.residue_scan``
     builds each once.
     """
-    j_cls = switch_side(config, locus_pushforward_class(config.side))
+    j_cls = switch_side(config, locus_pushforward_class(_typed(config, RoofConfig, "config", RoofError).side))
     lat_t = middle_lattice(config.tilde_side)
     j = coordinates_in_lattice(lat_t, j_cls)
     jt = locus_coordinates(config.tilde_side)
@@ -734,7 +749,7 @@ def mukai_vector(config: RoofConfig, bound: int = 50) -> tuple[int, int, int]:
     and normalized by the residual exchange/sign symmetry so that the first
     two components are positive.  ``RoofQuery.mukai`` builds each lattice once.
     """
-    return _mukai(config, middle_lattice, locus_coordinates, bound)[-1]
+    return _mukai(_typed(config, RoofConfig, "config", RoofError), middle_lattice, locus_coordinates, bound)[-1]
 
 
 def _mukai(config: RoofConfig, lattice, coordinates, bound: int):

@@ -56,7 +56,7 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
-GOLDEN, RECORDS, SCALARS, CLI = "test_cli_golden.py", "test_records.py", "test_public_scalars.py", "test_cli.py"
+GOLDEN, RECORDS, CONTRACT, CLI = "test_cli_golden.py", "test_records.py", "test_contract.py", "test_cli.py"
 INPUTS, CHECKS = "test_input_checks.py", "test_checks.py"
 
 MUTANTS = (
@@ -101,7 +101,8 @@ MUTANTS = (
     _m("mat-mul-shapes-unchecked", "latticecore",
        "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
     _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
-    _m("gram-squareness-unchecked", "latticecore", "if any(len(row) != n for row in gram):", "if False:",
+    _m("gram-squareness-unchecked", "latticecore",
+       'if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):', "if False:",
        LAT),
     _m("isotropic-bound-not-an-index", "latticecore", 'bound = _index(bound, "the coordinate bound", LatticeError)',
        "bound = bound", LAT),
@@ -111,38 +112,47 @@ MUTANTS = (
        "dim = dim", GRADED),
     _m("ring-dimension-not-an-index", "gradedring",
        'self.dimension = dimension = _index(dimension, "ring dimension", GradedRingError)',
-       "self.dimension = dimension", SCALARS),
-    _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power", GradedRingError)', "pass", SCALARS),
+       "self.dimension = dimension", CONTRACT),
+    _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power", GradedRingError)', "pass", CONTRACT),
     _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)',
-       "ring, r = c.ring, c.rank", SCALARS),
+       "ring, r = c.ring, c.rank", CONTRACT),
     _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
-    _m("reduce-exponent-not-an-index", "roofcalc", "e = index(e)", "e = e", ROOF),
-    _m("side-rank-not-an-index", "roofcalc", 'rank = _index(rank, "rank", InvalidRoofError)', "pass", SCALARS),
+    _m("reduce-exponent-not-an-index", "roofcalc", 'if type(e) is bool or not hasattr(type(e), "__index__"):',
+       "if type(e) is bool:", ROOF),
+    _m("reduce-exponent-admits-bools", "roofcalc", "if type(e) is bool or not hasattr(", "if not hasattr(", ROOF,
+       CONTRACT),
+    _m("reduce-degree-unchecked", "roofcalc",
+       '    if degree is not None and type(degree) is not int:\n        degree = _index(degree, "expression degree", '
+       'RoofError)\n', "", CONTRACT),
+    _m("side-rank-not-an-index", "roofcalc", 'rank = _index(rank, "rank", InvalidRoofError)', "pass", CONTRACT),
     _m("roof-config-degree-not-an-index", "roofcalc",
-       'polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)', "pass", SCALARS),
+       'polarization_degree = _index(polarization_degree, "polarization degree", InvalidRoofError)', "pass", CONTRACT),
     _m("bundle-class-degree-not-an-index", "roofcalc", 'degree = _index(degree, "degree", RoofError)', "pass",
-       SCALARS),
+       CONTRACT),
     _m("side-middle-basis-not-normalised", "roofcalc",
        'tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)',
        'tuple([x, _index(e, "middle_basis exponent", InvalidRoofError)] for x, e in middle_basis)', ROOF),
     _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
-    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", SCALARS),
-    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", SCALARS),
+    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", CONTRACT),
+    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", CONTRACT),
     _m("les-top-degree-not-integral", "bwbcoh", 'top = _integral(seq.top_degree, "top degree", BWBError)',
-       "top = seq.top_degree", SCALARS),
+       "top = seq.top_degree", CONTRACT),
     _m("sequence-twist-not-integral", "bwbcoh",
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n'
        '    t = _integral(t, "twist", BWBError)\n',
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n', BWB),
     _m("proj-class-dimension-not-integral", "motivicring",
-       'k = _integral(k, "projective space dimension", ValueError)', "pass", SCALARS),
+       'k = _integral(k, "projective space dimension", ValueError)', "pass", CONTRACT),
     _m("fibration-rank-not-integral", "motivicring",
-       '([B] - [Y]).\n    """\n    r = _integral(r, "rank", ValueError)\n', '([B] - [Y]).\n    """\n', SCALARS),
+       '([B] - [Y]).\n    """\n    r = _integral(r, "rank", ValueError)\n', '([B] - [Y]).\n    """\n', CONTRACT),
     _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _integral(r, "rank", ValueError)\n',
-       '    True\n    """\n', SCALARS),
-    # errors: the two shared integer-scalar rules
-    _m("index-rule-admits-anything", "errors", "        return index(value)\n", "        return value\n", SCALARS),
-    _m("integral-rule-truncates", "errors", "if n is None or n != value:", "if n is None:", SCALARS, BWB),
+       '    True\n    """\n', CONTRACT),
+    # errors: the three shared argument rules
+    _m("index-rule-admits-anything", "errors", "        return index(value)\n", "        return value\n", CONTRACT),
+    _m("index-rule-admits-bools", "errors", "        if type(value) is not bool:\n", "        if True:\n", CONTRACT,
+       ROOF),
+    _m("integral-rule-truncates", "errors", "if n is None or n != value:", "if n is None:", CONTRACT, BWB),
+    _m("typed-rule-admits-anything", "errors", "    if not isinstance(value, cls):", "    if False:", CONTRACT, ROOF),
     # roofcalc: the declared locus signs of RoofConfig, and the stage that RoofQuery names
     _m("roof-config-signs-unchecked", "roofcalc", "if any(s not in (1, -1) for s in signs):", "if False:", ROOF,
        CLI),
@@ -182,20 +192,28 @@ MUTANTS = (
     _m("chern-vector-length-unchecked", "gradedring", "if len(components) != rank:", "if False:", RECORDS),
     _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", RECORDS),
     # the record checks of structured input: labels, Chern vectors, middle bases and sequence tables
-    _m("graded-class-unknown-label-leaks", "gradedring", "d = degrees.get(label)", "d = degrees[label]", INPUTS),
+    _m("graded-class-unknown-label-leaks", "gradedring", "d = degrees.get(label)", "d = degrees[label]", CONTRACT),
     _m("chern-vector-empty-accepted", "gradedring", "        if not components:\n", "        if False:\n", INPUTS),
     _m("side-middle-basis-pairs-unchecked", "roofcalc",
-       "if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):", "if False:", INPUTS),
+       "if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):", "if False:", CONTRACT),
     _m("side-middle-exponent-not-an-index", "roofcalc", '_index(e, "middle_basis exponent", InvalidRoofError)', "e",
-       INPUTS),
+       CONTRACT),
     _m("les-table-entries-not-integral", "bwbcoh", '_integral(t.get(k, 0), "cohomology table entry", BWBError)',
-       "t.get(k, 0)", INPUTS),
-    # the class and side arguments of the public functions
+       "t.get(k, 0)", CONTRACT),
+    # the class and side arguments of the public functions, through errors._typed
     _m("pairing-operand-types-unchecked", "roofcalc",
-       "    if type(a) is not BundleClass or type(b) is not BundleClass:", "    if False:", INPUTS),
-    _m("switch-operand-type-unchecked", "roofcalc", "    if type(a) is not BundleClass:\n", "    if False:\n", INPUTS),
-    _m("integrate-operand-type-unchecked", "gradedring", "    if type(a) is not GradedClass:", "    if False:", INPUTS),
-    _m("middle-lattice-side-type-unchecked", "roofcalc", "    if type(side) is not RoofSide:", "    if False:", ROOF),
+       "    if type(a) is not BundleClass or type(b) is not BundleClass:", "    if False:", CONTRACT),
+    _m("switch-operand-type-unchecked", "roofcalc", 'source = _typed(a, BundleClass, "switched class", RoofError).side',
+       "source = a.side", CONTRACT),
+    _m("integrate-operand-type-unchecked", "gradedring", '    _typed(a, GradedClass, "integrate", GradedRingError)\n',
+       "", CONTRACT),
+    _m("middle-lattice-side-type-unchecked", "roofcalc",
+       'hyperplane-section pairing."""\n    _typed(side, RoofSide, "side", RoofError)\n',
+       'hyperplane-section pairing."""\n', ROOF, CONTRACT),
+    _m("reduce-side-unchecked", "roofcalc",
+       '    if type(side) is not RoofSide:\n        _typed(side, RoofSide, "side", RoofError)\n', "", CONTRACT),
+    _m("les-sequence-length-unchecked", "bwbcoh", "    if len(names) != 3 or len(tables) != 3:", "    if False:",
+       CONTRACT),
     # gradedring: quadric rings from one rule
     _m("quadric-parity-flipped", "gradedring", "(g == h) == (m % 2 == 0)", "(g == h) == (m % 2 == 1)", GRADED),
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),

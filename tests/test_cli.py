@@ -351,6 +351,18 @@ def test_runs_without_numpy(argv, key, expected):
     assert json.loads(proc.stdout)[key] == expected
 
 
+def test_closed_pipe_exits_1_quietly():
+    # the read end is closed before the child starts, so every write fails; a `| head -1` reader races the writer
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "d4"], stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize("argv", [["bwb", "5", "O", "1", "--case", "2"], ["bwb", "--case", "1", "5"]])
 def test_bwb_both_forms_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv], capture_output=True, text=True)

@@ -1,8 +1,10 @@
-"""Input checks of the library that no other test reaches, one row each.
+"""The exact wording of the library's input checks, one row each.
 
-Every row is a public call that must raise its layer's error with a message
-naming what was wrong; a check that stopped firing lets the call return or
-fail later with another error.
+``test_contract.py`` probes every argument slot by kind and asserts that the
+error names the slot; these rows pin what each check says.  Every row is a
+public call that must raise its layer's error with a message naming what was
+wrong; a check that stopped firing lets the call return or fail later with
+another error.
 """
 
 import pytest
@@ -51,7 +53,7 @@ CASES = [
     ("coefficient on an unknown label", lambda: GradedClass(Q5, 1, {"X": 1}), GradedRingError,
      "unknown basis label 'X' on Q5"),
     ("empty Chern vector", lambda: ChernVector(0, ()), GradedRingError, "a Chern vector needs at least one component"),
-    ("integral of a non-class", lambda: integrate(5), GradedRingError, "integrate takes a GradedClass, got int"),
+    ("integral of a non-class", lambda: integrate(5), GradedRingError, "integrate: expected a GradedClass, got int"),
     # roofcalc: RoofSide, bundle classes, pairings, lattices, RoofConfig
     ("side of rank 0", lambda: RoofSide("s", Q5, 0, ()), InvalidRoofError, "rank must be positive"),
     ("wrong coefficient count", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs[:2]), InvalidRoofError,
@@ -67,7 +69,7 @@ CASES = [
     ("bundle classes of two degrees", lambda: xi_power(SIDE, 1) + xi_power(SIDE, 2), RoofError,
      "cannot add bundle classes of different degrees"),
     ("pairing of non-classes", lambda: pairing_on_M(SIDE, 1, 2), RoofError,
-     "pairing_on_M takes two BundleClasses, got int and int"),
+     "first class: expected a BundleClass, got int"),
     ("pairing on the other side", lambda: pairing_on_M(TILDE, xi_power(SIDE, 3), xi_power(SIDE, 3)), RoofError,
      "classes do not live on the requested side"),
     ("middle monomial of the wrong codimension",
@@ -76,7 +78,7 @@ CASES = [
     ("coordinates off the middle degree", lambda: coordinates_in_lattice(middle_lattice(SIDE), xi_power(SIDE, 1)),
      DegreeMismatchError, "class is not of middle degree"),
     ("switch of a base class", lambda: switch_side(G2, Q5.unit()), RoofError,
-     "switch_side takes a BundleClass, got GradedClass"),
+     "switched class: expected a BundleClass, got GradedClass"),
     ("foreign side", lambda: G2.other(RoofSide("s", Q5, 3, SIDE.groth_coeffs)), RoofError,
      "side does not belong to this configuration"),
     # latticecore

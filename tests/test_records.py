@@ -2,8 +2,10 @@
 
 Eleven are NamedTuples; ``ChernVector``, ``RoofConfig`` and ``RootSystem``
 among them validate their fields in ``__new__``, with the exception types
-and messages tested below.  ``RoofSide`` is the one plain class: it owns a
-normal-form table that takes no part in equality.
+and messages tested below.  ``BasisElement`` checks its two fields too, and
+``test_contract.py`` probes each field of the records the library takes as
+input.  ``RoofSide`` is the one plain class: it owns a normal-form table
+that takes no part in equality.
 """
 
 import pytest

@@ -115,7 +115,8 @@ class TestReduceAndPushforward:
     def test_xi_power_exponent_must_be_an_integer(self, g2):
         with pytest.raises(RoofError, match=r"got 1\.5"):
             xi_power(g2.side, 1.5)
-        assert xi_power(g2.side, True) == xi_power(g2.side, 1)
+        with pytest.raises(RoofError, match="got True"):
+            xi_power(g2.side, True)
 
     def test_inhomogeneous_rejected(self, g2):
         q5 = g2.side.base
@@ -719,15 +720,9 @@ class TestBundleClassChecks:
     ((1, "x"), "declared_locus_signs entry must be an integer, got 'x'"),  # a builtin TypeError before
     ((1,), "declared_locus_signs must be a pair, got (1,)"),  # an unpacking ValueError before
     ((1.0, 1), "declared_locus_signs entry must be an integer, got 1.0"),
+    ((True, -1), "declared_locus_signs entry must be an integer, got True"),  # ran as 1 before; configs refuse it too
 ])
 def test_declared_locus_signs_are_two_signs(g2, signs, message):
     with pytest.raises(InvalidRoofError) as info:
         RoofConfig(g2.name, g2.side, g2.tilde_side, 12, signs)
     assert str(info.value) == message
-
-
-def test_declared_locus_signs_become_ints(g2):
-    # True passes operator.index as 1; the record stores the int, so reports print 1, not true
-    cfg = RoofConfig(g2.name, g2.side, g2.tilde_side, 12, (True, -1))
-    assert cfg.declared_locus_signs == (1, -1) and {type(s) for s in cfg.declared_locus_signs} == {int}
-    assert residue_scan(cfg) == residue_scan(RoofConfig(g2.name, g2.side, g2.tilde_side, 12, (1, -1)))
