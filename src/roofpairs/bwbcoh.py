@@ -27,7 +27,7 @@ to guess otherwise.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BWBError, UnsupportedBundleError, _integral, _typed
@@ -55,6 +55,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
     """The root system B_m or D_m (``family`` "B" or "D", ``rank`` m); validated on construction, a cache key below."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # the default skips __new__; _replace calls it
 
     def __new__(cls, family: str, rank: int):
         if family not in ("B", "D"):
@@ -102,8 +103,12 @@ def _doubled(coords: Sequence) -> tuple[int, ...]:
     """``2*w`` as ints for a weight ``w``, validated as ``weight()`` does."""
     from fractions import Fraction
 
+    coords = _typed(coords, (tuple, list), "weight", BWBError)
+    for c in coords:  # Fraction refuses a NaN or an infinity with a builtin error
+        if isinstance(c, float) and not isfinite(c):
+            raise BWBError(f"weight coordinate must be finite, got {c!r}")
     doubled = [2 * c if type(c) is int else 2 * Fraction(_typed(c, (Fraction, float), "weight coordinate", BWBError))
-               for c in _typed(coords, (tuple, list), "weight", BWBError)]
+               for c in coords]
     if any(type(d) is not int and d.denominator != 1 for d in doubled):
         raise BWBError(f"coordinates must be integral or half-integral: {coords}")
     doubled = tuple(int(d) for d in doubled)

@@ -19,7 +19,7 @@ import json
 from os import PathLike
 from typing import Mapping, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, _index
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
 from .roofcalc import RoofConfig, RoofSide
 
@@ -58,13 +58,6 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(BUILTIN_CONFIGS))
 
 
-def _integer(value, what: str) -> int:
-    """An integer field; bools, floats and strings are rejected, never converted."""
-    if type(value) is not int:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _array(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{what} must be a list, got {value!r}")
@@ -78,7 +71,7 @@ def _label_pair(ring: RingPresentation, item, what: str) -> tuple[str, int]:
     label, value = item
     if not any(b.label == label for b in ring.basis):
         raise ConfigError(f"{what}: unknown basis label {label!r} on {ring.name}")
-    return label, _integer(value, f"{what}: value of {label!r}")
+    return label, _index(value, f"{what}: value of {label!r}", ConfigError)
 
 
 def _class_from_pairs(ring: RingPresentation, degree: int, pairs, what: str) -> GradedClass:
@@ -109,7 +102,7 @@ def _side_from_dict(data, ring: RingPresentation, rank: int, name: str) -> RoofS
     coeffs = tuple(_class_from_pairs(ring, i, pairs, f"side {name!r} {form}[{i}]")
                    for i, pairs in enumerate(comps, start=1))
     if form == "chern":
-        twist = _integer(data.get("twist", 0), f"side {name!r} twist")
+        twist = _index(data.get("twist", 0), f"side {name!r} twist", ConfigError)
         coeffs = chern_twist(ChernVector(rank, coeffs), twist).components
     return RoofSide(name, ring, rank, coeffs, middle)
 
@@ -124,9 +117,9 @@ def config_from_dict(data: Mapping) -> RoofConfig:
         raise ConfigError(f"a configuration must be an object, got {type(data).__name__}")
     try:
         name = str(data["name"])
-        rank = _integer(data["rank"], "rank")
-        base_dims = [_integer(d, "base_dim entry") for d in _array(data["base_dim"], "base_dim")]
-        degree = _integer(data["polarization_degree"], "polarization_degree")
+        rank = _index(data["rank"], "rank", ConfigError)
+        base_dims = [_index(d, "base_dim entry", ConfigError) for d in _array(data["base_dim"], "base_dim")]
+        degree = _index(data["polarization_degree"], "polarization_degree", ConfigError)
         sides = _array(data["sides"], "sides")
     except KeyError as exc:
         raise ConfigError(f"missing configuration field {exc.args[0]!r}") from None
@@ -142,7 +135,7 @@ def config_from_dict(data: Mapping) -> RoofConfig:
         raise ConfigError(f"base_dim: {exc}") from None
     side = _side_from_dict(sides[0], rings[0], rank, f"{name}:side")
     tilde = _side_from_dict(sides[1], rings[1], rank, f"{name}:tilde")
-    signs = tuple(_integer(s.get("declared_locus_sign", 1), "declared_locus_sign") for s in sides)
+    signs = tuple(_index(s.get("declared_locus_sign", 1), "declared_locus_sign", ConfigError) for s in sides)
     try:
         return RoofConfig(name, side, tilde, degree, signs)
     except ValueError as exc:

@@ -8,8 +8,9 @@ without importing the modules that raise them.
 Every layer checks its arguments through three rules, each raising the error
 class its caller passes:
 
-- ``_index`` (``gradedring``, ``roofcalc``, ``latticecore``) admits only what
-  ``operator.index`` admits, so 4.0 and "4" are refused, not converted;
+- ``_index`` (``gradedring``, ``roofcalc``, ``latticecore``, ``configs``)
+  admits only what ``operator.index`` admits, so 4.0 and "4" are refused, not
+  converted;
 - ``_integral`` (``bwbcoh``, ``motivicring``) turns an integral number into an
   int (5.0 becomes 5) and refuses anything else;
 - ``_typed`` admits an instance of the given class (or classes), such as a

@@ -53,6 +53,7 @@ class BasisElement(NamedTuple("BasisElement", [("label", str), ("degree", int)])
     """One named basis class; ``degree`` is codimension (half the topological degree). Validated on construction."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # the default skips __new__; _replace calls it
 
     def __new__(cls, label: str, degree: int):
         return super().__new__(cls, _typed(label, str, "basis label", GradedRingError),
@@ -358,6 +359,7 @@ class ChernVector(NamedTuple("ChernVector", [("rank", int), ("components", tuple
     """Total Chern data of a rank-r bundle: component i is a degree-i class. Validated on construction."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # the default skips __new__; _replace calls it
 
     def __new__(cls, rank: int, components: tuple[GradedClass, ...]):
         rank = _index(rank, "rank", GradedRingError)

@@ -377,8 +377,8 @@ def orthogonal_kernel(
     Smith transform V.
     """
     n = _symmetric_size(gram)
-    # mat_vec multiplies without checking, so both are read as ints first
-    gram, sublattice = _int_rows(gram, n, "gram matrix"), _int_rows(sublattice, None, "sublattice")
+    # both are read as ints of width n first, so mat_vec neither converts nor refuses a row
+    gram, sublattice = _int_rows(gram, n, "gram matrix"), _int_rows(sublattice, n, "sublattice")
     if not sublattice:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = [mat_vec(gram, s) for s in sublattice]

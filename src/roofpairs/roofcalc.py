@@ -442,6 +442,7 @@ class RoofConfig(NamedTuple("RoofConfig", [("name", str), ("side", RoofSide), ("
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # the default skips __new__; _replace calls it
 
     def __new__(cls, name: str, side: RoofSide, tilde_side: RoofSide, polarization_degree: int,
                 declared_locus_signs: tuple[int, int] = (1, 1)):

@@ -101,6 +101,9 @@ MUTANTS = (
     _m("mat-mul-shapes-unchecked", "latticecore",
        "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
     _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
+    _m("kernel-sublattice-width-unchecked", "latticecore", '_int_rows(sublattice, n, "sublattice")',
+       '_int_rows(sublattice, None, "sublattice")', LAT),
+    _m("weight-non-finite-leaks", "bwbcoh", "if isinstance(c, float) and not isfinite(c):", "if False:", CONTRACT),
     _m("gram-squareness-unchecked", "latticecore",
        'if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):', "if False:",
        LAT),
@@ -239,6 +242,8 @@ MUTANTS = (
     _m("roof-config-dimension-unchecked", "roofcalc", "if side.dim_total != tilde_side.dim_total:", "if False:",
        RECORDS),
     _m("roof-config-degree-unchecked", "roofcalc", "if d != polarization_degree:", "if False:", RECORDS),
+    _m("record-make-skips-validation", "roofcalc", "    _make = classmethod(lambda cls, iterable: cls(*iterable))", "",
+       RECORDS),
     # bwbcoh: the checks of RootSystem
     _m("root-system-family-unchecked", "bwbcoh", 'if family not in ("B", "D"):', "if False:", RECORDS),
     _m("root-system-rank-unchecked", "bwbcoh", "if rank < 2:", "if False:", RECORDS),

@@ -24,6 +24,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def usage_error(*argv) -> str:
+    """The stderr of ``python -m roofpairs *argv`` in a fresh process, which exits 2 with no stdout and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
 class TestDescribe:
     def test_gram_and_invariants(self, capsys):
         code, report = run_json(capsys, "describe", "g2dagger")
@@ -215,12 +223,7 @@ class TestMukai:
 @pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])
 @pytest.mark.parametrize("bound", ["-3", "-1"])
 def test_negative_bound_is_usage_error(argv, bound):
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv, "--bound", bound],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"argument --bound: must be a non-negative integer, got {bound}" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert f"argument --bound: must be a non-negative integer, got {bound}" in usage_error(*argv, "--bound", bound)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -245,14 +248,9 @@ def test_negative_bound_is_usage_error(argv, bound):
     (["bwb", "500", "O", "1000000000000"], f"argument twist: must be at most {MAX_TWIST}, got 1000000000000"),
 ])
 def test_out_of_range_argument_is_usage_error(argv, message):
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert message in proc.stderr
-    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
-        f"roofpairs {argv[0]}: error: {message}"]
-    assert "Traceback" not in proc.stderr
+    stderr = usage_error(*argv)
+    assert message in stderr
+    assert [line for line in stderr.splitlines() if "error:" in line] == [f"roofpairs {argv[0]}: error: {message}"]
 
 
 def test_caps_admit_documented_inputs(capsys):
@@ -365,11 +363,7 @@ def test_closed_pipe_exits_1_quietly():
 
 @pytest.mark.parametrize("argv", [["bwb", "5", "O", "1", "--case", "2"], ["bwb", "--case", "1", "5"]])
 def test_bwb_both_forms_is_usage_error(argv):
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", *argv], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "bwb takes DIM BUNDLE [TWIST] or --case, not both" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "bwb takes DIM BUNDLE [TWIST] or --case, not both" in usage_error(*argv)
 
 
 G2_SIDE = {"chern": [[["L", 2]], [["L^2", 2]], [["Pi", 2]]], "twist": 1,
@@ -385,6 +379,12 @@ def _g2(**fields):
 
 def _g2_side(**fields):
     return _g2(sides=[dict(G2_SIDE, **fields), G2_SIDE])
+
+
+def _write(tmp_path, data) -> pathlib.Path:
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.mark.parametrize("data, message", [
@@ -409,15 +409,9 @@ def _g2_side(**fields):
     (_g2(base_dim=[200, 200]), f"base_dim entry 200 exceeds the cap of {MAX_BASE_DIM}"),
 ])
 def test_malformed_config_is_usage_error(tmp_path, data, message):
-    path = tmp_path / "probe.json"
-    path.write_text(json.dumps(data))
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert message in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    stderr = usage_error("describe", "--config", str(_write(tmp_path, data)))
+    assert message in stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 def _g2_text(degree: str) -> bytes:
@@ -436,19 +430,9 @@ def _g2_text(degree: str) -> bytes:
 def test_unparsable_config_file_is_usage_error(tmp_path, text, message):
     path = tmp_path / "probe.json"
     path.write_bytes(text)
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: {path}: ") and proc.stderr.count("\n") == 1
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def _write(tmp_path, data) -> pathlib.Path:
-    path = tmp_path / "probe.json"
-    path.write_text(json.dumps(data))
-    return path
+    stderr = usage_error("describe", "--config", str(path))
+    assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+    assert message in stderr
 
 
 Q3_RANK4_SIDE = [[["L", 1]], [["Pi", 1]], [["Pi*L", 1]], []]  # rank 4 on a threefold
@@ -470,14 +454,9 @@ def _q3_rank4(form: str) -> dict:
      "side 'q3-rank4:side': bundle rank exceeds what the base dimension supports"),
 ], ids=["missing", "directory", "chern-rank-above-dim", "groth-rank-above-dim"])
 def test_unreadable_or_impossible_config_is_usage_error(tmp_path, write, message):
-    path = write(tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", "describe", "--config", str(path)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    stderr = usage_error("describe", "--config", str(write(tmp_path)))
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert message in stderr
 
 
 def test_digit_cap_admits_its_limit(tmp_path):
@@ -524,9 +503,5 @@ def test_base_dim_cap_checked_before_any_ring(count_calls):
 
 def test_declared_locus_sign_outside_plus_minus_one_is_usage_error(tmp_path):
     # RoofConfig owns the sign check; configs wraps its error, so a file gets exit 2
-    path = _write(tmp_path, _g2_side(declared_locus_sign=2))
-    proc = subprocess.run([sys.executable, "-m", "roofpairs", "lemma7", "--config", str(path)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: declared_locus_signs entries must be 1 or -1, got (2, 1)\n"
+    stderr = usage_error("lemma7", "--config", str(_write(tmp_path, _g2_side(declared_locus_sign=2))))
+    assert stderr == "error: declared_locus_signs entries must be 1 or -1, got (2, 1)\n"

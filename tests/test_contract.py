@@ -10,7 +10,8 @@ another side or ring; and mappings with junk keys or values.  One test, run
 once per probe, puts each junk value into its slot, and ``check`` accepts two
 outcomes: a result equal to the valid call's result, compared field by field
 with types, or the error of the name's layer with a message that names the
-slot.  A builtin exception never passes.
+slot.  A builtin exception never passes.  Where no other test pins a check's
+wording, the slot's pattern spells out the whole message.
 
 Integral slots (``bwbcoh`` and ``motivicring`` convert integral numbers) must
 turn their valid value written as a float into the same result, ints and all;
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import inf, nan
 from typing import Callable, NamedTuple
 
 import pytest
@@ -78,7 +80,7 @@ JUNK: dict[str, Callable[[object], list]] = {
     "basis": lambda v: [(), _with(v, 0, ("1", 0)), _with(v, 0, None)],
     "pairs": lambda v: [_with(v, 0, j) for j in (1.5, None, ("Pi",), ("Pi", "0"), ("Pi", 0, 0))],
     "vector": lambda v: [*_lengths(v), *(_with(v, 0, j) for j in NON_INTEGERS)],
-    "weight": lambda v: [*_lengths(v), *(_with(v, 0, j) for j in ("2", None, Fraction(1, 3)))],
+    "weight": lambda v: [*_lengths(v), *(_with(v, 0, j) for j in ("2", None, Fraction(1, 3), nan, inf))],
     "names": _lengths,
     "tables": lambda v: [*_lengths(v), _with(v, 0, 1.5), _with(v, 0, "2")],
     "matrix": lambda v: [_rows(v, v[0][:-1]), *(_rows(v, _with(v[0], 0, j)) for j in NON_INTEGERS)],
@@ -126,7 +128,7 @@ def _config(name="g2", side=SIDE, tilde=TILDE, degree=12, signs=(1, -1)):
 # public name -> {slot: Slot}; the exceptions and the records that are only returned take no input
 TABLE: dict[str, dict[str, Slot]] = {
     **dict.fromkeys(("BWBError", "ConfigError", "GradedRingError", "LatticeError", "RoofError",
-                     "UnsupportedBundleError", "MiddleLattice", "DiscriminantGroup", "MukaiSolution",
+                     "UnsupportedBundleError", "MiddleLattice", "ResidueScan", "DiscriminantGroup", "MukaiSolution",
                      "SmithDecomposition"), {}),
     # gradedring
     "BasisElement": {"label": S("name", "L", lambda v: BasisElement(v, 1), "label"),
@@ -138,7 +140,8 @@ TABLE: dict[str, dict[str, Slot]] = {
     "GradedClass": {
         "ring": S("ring", Q5, lambda v: roofpairs.GradedClass(v, 1, {"L": 1}), "ring"),
         "degree": S("index", 1, lambda v: roofpairs.GradedClass(Q5, v, {"L": 1}), "degree"),
-        "coeffs": S("mapping", {"L": 1}, lambda v: roofpairs.GradedClass(Q5, 1, v), "coefficient|basis label"),
+        "coeffs": S("mapping", {"L": 1}, lambda v: roofpairs.GradedClass(Q5, 1, v),
+                    "coefficients|unknown basis label .+ on Q5"),
     },
     "RingPresentation": {
         "name": S("name", "toy", lambda v: _ring(name=v), "name"),
@@ -155,7 +158,8 @@ TABLE: dict[str, dict[str, Slot]] = {
     },
     "chern_twist": {"c": S("chern vector", CHERN, lambda v: roofpairs.chern_twist(v, 1), "Chern vector"),
                     "twist": S("index", 1, lambda v: roofpairs.chern_twist(CHERN, v), "twist")},
-    "integrate": {"a": S("graded class", Q5.l_power(5), lambda v: roofpairs.integrate(v), "integrate")},
+    "integrate": {"a": S("graded class", Q5.l_power(5), lambda v: roofpairs.integrate(v),
+                         r"integrate: expected a GradedClass, got \w+")},
     "make_quadric_ring": {"dimension": S("index", 5, lambda v: roofpairs.make_quadric_ring(v), "quadric dimension")},
     # roofcalc
     "BundleClass": {"side": S("side", SIDE, lambda v: roofpairs.BundleClass(v, 2, PARTS), "side"),
@@ -173,19 +177,22 @@ TABLE: dict[str, dict[str, Slot]] = {
         "base": S("ring", Q5, lambda v: _side(base=v), "base"),
         "rank": S("index", 3, lambda v: _side(rank=v), "rank"),
         "groth_coeffs": S("classes", SIDE.groth_coeffs, lambda v: _side(coeffs=v), "relation coefficient"),
-        "middle_basis": S("optional pairs", SIDE.middle_basis, lambda v: _side(middle=v), "middle_basis"),
+        "middle_basis": S("optional pairs", SIDE.middle_basis, lambda v: _side(middle=v),
+                          r"middle_basis(: expected a| entries must be \(label, exponent\) pairs, got"
+                          r"| exponent must be an integer, got)"),
     },
-    # a scan reports the polarization degree of a checked config
-    "ResidueScan": {"degree": S("index", 12, lambda v: roofpairs.residue_scan(_config(degree=v)),
-                                "polarization degree")},
     "cy_degree": {"side": S("side", SIDE, lambda v: roofpairs.cy_degree(v), "side")},
     "locus_pushforward_class": {"side": S("side", SIDE, lambda v: roofpairs.locus_pushforward_class(v), "side")},
     "middle_lattice": {"side": S("side", SIDE, lambda v: roofpairs.middle_lattice(v), "side")},
     "mukai_vector": {"config": S("config", G2, lambda v: roofpairs.mukai_vector(v, 50), "config"),
                      "bound": S("index", 50, lambda v: roofpairs.mukai_vector(G2, v), "bound")},
-    "pairing_on_M": {"side": S("side", SIDE, lambda v: roofpairs.pairing_on_M(v, XI3, XI3), "side"),
-                     "a": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, v, XI3), "first class|side"),
-                     "b": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, XI3, v), "second class|side")},
+    "pairing_on_M": {
+        "side": S("side", SIDE, lambda v: roofpairs.pairing_on_M(v, XI3, XI3), "side"),
+        "a": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, v, XI3),
+               r"first class: expected a BundleClass, got \w+|classes do not live on the requested side"),
+        "b": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, XI3, v),
+               r"second class: expected a BundleClass, got \w+|classes do not live on the requested side"),
+    },
     "polarized_sign_check": {"side": S("side", SIDE, lambda v: roofpairs.polarized_sign_check(v), "side")},
     "reduce": {
         "side": S("side", SIDE, lambda v: reduce(v, {1: Q5.unit()}), "side"),
@@ -195,8 +202,11 @@ TABLE: dict[str, dict[str, Slot]] = {
         "degree of no terms": S("optional index", 1, lambda v: reduce(SIDE, {}, v), "degree"),
     },
     "residue_scan": {"config": S("config", G2, lambda v: roofpairs.residue_scan(v), "config")},
-    "switch_side": {"config": S("config", G2, lambda v: roofpairs.switch_side(v, XI3), "config"),
-                    "a": S("roof class", XI3, lambda v: roofpairs.switch_side(G2, v), "class|side")},
+    "switch_side": {
+        "config": S("config", G2, lambda v: roofpairs.switch_side(v, XI3), "config"),
+        "a": S("roof class", XI3, lambda v: roofpairs.switch_side(G2, v),
+               r"switched class: expected a BundleClass, got \w+|side does not belong to this configuration"),
+    },
     # latticecore
     "discriminant_group": {"gram": S("gram", G2_GRAM, lambda v: roofpairs.discriminant_group(v), "matrix")},
     "isotropic_pair_solve": {
@@ -206,8 +216,7 @@ TABLE: dict[str, dict[str, Slot]] = {
     },
     "orthogonal_kernel": {
         "gram": S("gram", G2_GRAM, lambda v: roofpairs.orthogonal_kernel(v, [[1, 0, 0]]), "gram matrix"),
-        "sublattice": S("matrix", [[1, 0, 0]], lambda v: roofpairs.orthogonal_kernel(G2_GRAM, v),
-                        "sublattice|matrix by a vector"),
+        "sublattice": S("matrix", [[1, 0, 0]], lambda v: roofpairs.orthogonal_kernel(G2_GRAM, v), "sublattice"),
     },
     "smith_normal_form": {"m": S("matrix", [[2, 4, 4], [-6, 6, 12]], lambda v: roofpairs.smith_normal_form(v),
                                  "matrix")},
@@ -231,7 +240,8 @@ TABLE: dict[str, dict[str, Slot]] = {
         "tables": S("tables", SEQUENCE.tables, lambda v: roofpairs.les_solve(SEQUENCE._replace(tables=v)),
                     "table|unknown terms"),
         "known table": S("table", {0: 1}, lambda v: roofpairs.les_solve(SEQUENCE._replace(tables=(v, None, {}))),
-                         "cohomology|unknown terms"),
+                         "cohomology (table of a: expected|degree .+ of a is outside"
+                         "|table entry must be an integer, got)|unknown terms"),
         "top degree": S("integral", 4, lambda v: roofpairs.les_solve(SEQUENCE._replace(top_degree=v)),
                         "top degree"),
     },

@@ -1,18 +1,17 @@
 """The exact wording of the library's input checks, one row each.
 
-``test_contract.py`` probes every argument slot by kind and asserts that the
-error names the slot; these rows pin what each check says.  Every row is a
-public call that must raise its layer's error with a message naming what was
-wrong; a check that stopped firing lets the call return or fail later with
-another error.
+``test_contract.py`` probes every argument slot by kind, and its patterns pin
+the wording of the checks those probes reach; these rows pin the rest.  Every
+row is a public call that must raise its layer's error with a message naming
+what was wrong; a check that stopped firing lets the call return or fail later
+with another error.
 """
 
 import pytest
 
-from roofpairs.bwbcoh import SequenceSpec, les_solve
 from roofpairs.configs import builtin_config
-from roofpairs.errors import BWBError, GradedRingError, LatticeError, RoofError
-from roofpairs.gradedring import BasisElement, ChernVector, GradedClass, RingPresentation, integrate
+from roofpairs.errors import GradedRingError, LatticeError, RoofError
+from roofpairs.gradedring import BasisElement, ChernVector, RingPresentation
 from roofpairs.latticecore import discriminant_group, isotropic_pair_solve
 from roofpairs.motivicring import MotivicPoly
 from roofpairs.roofcalc import (
@@ -21,13 +20,11 @@ from roofpairs.roofcalc import (
     RoofSide,
     coordinates_in_lattice,
     middle_lattice,
-    pairing_on_M,
-    switch_side,
     xi_power,
 )
 
 G2 = builtin_config("g2dagger")
-SIDE, TILDE, Q5 = G2.side, G2.tilde_side, G2.side.base
+SIDE, Q5 = G2.side, G2.side.base
 ONE, P1, P2 = BasisElement("1", 0), BasisElement("p", 1), BasisElement("p", 2)
 
 
@@ -50,35 +47,22 @@ CASES = [
     ("l_power without hyperplane", lambda: _ring(1, [ONE, P1]).l_power(1), GradedRingError,
      "carries no hyperplane-power data"),
     ("negative l_power", lambda: Q5.l_power(-1), GradedRingError, "negative power of the hyperplane class"),
-    ("coefficient on an unknown label", lambda: GradedClass(Q5, 1, {"X": 1}), GradedRingError,
-     "unknown basis label 'X' on Q5"),
     ("empty Chern vector", lambda: ChernVector(0, ()), GradedRingError, "a Chern vector needs at least one component"),
-    ("integral of a non-class", lambda: integrate(5), GradedRingError, "integrate: expected a GradedClass, got int"),
-    # roofcalc: RoofSide, bundle classes, pairings, lattices, RoofConfig
+    # roofcalc: RoofSide, bundle classes, lattices, RoofConfig
     ("side of rank 0", lambda: RoofSide("s", Q5, 0, ()), InvalidRoofError, "rank must be positive"),
     ("wrong coefficient count", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs[:2]), InvalidRoofError,
      "need exactly rank relation coefficients"),
     ("coefficient of the wrong degree", lambda: RoofSide("s", Q5, 1, (Q5.l_power(2),)), InvalidRoofError,
      "relation coefficient 1 must live on the base in degree 1"),
-    ("middle monomial without an exponent", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs, [("Pi",)]),
-     InvalidRoofError, "middle_basis entries must be (label, exponent) pairs, got (('Pi',),)"),
-    ("middle exponent as a string", lambda: RoofSide("s", Q5, 3, SIDE.groth_coeffs, [("Pi", "0")]),
-     InvalidRoofError, "middle_basis exponent must be an integer, got '0'"),
     ("odd middle section", lambda: RoofSide("s", Q5, 2, SIDE.groth_coeffs[:2]).middle_codim, InvalidRoofError,
      "hyperplane section has odd-dimensional middle cohomology"),
     ("bundle classes of two degrees", lambda: xi_power(SIDE, 1) + xi_power(SIDE, 2), RoofError,
      "cannot add bundle classes of different degrees"),
-    ("pairing of non-classes", lambda: pairing_on_M(SIDE, 1, 2), RoofError,
-     "first class: expected a BundleClass, got int"),
-    ("pairing on the other side", lambda: pairing_on_M(TILDE, xi_power(SIDE, 3), xi_power(SIDE, 3)), RoofError,
-     "classes do not live on the requested side"),
     ("middle monomial of the wrong codimension",
      lambda: middle_lattice(RoofSide("s", Q5, 3, SIDE.groth_coeffs, (("1", 0),))), RoofError,
      "middle monomial 1*xi^0 has codimension 0, expected 3"),
     ("coordinates off the middle degree", lambda: coordinates_in_lattice(middle_lattice(SIDE), xi_power(SIDE, 1)),
      DegreeMismatchError, "class is not of middle degree"),
-    ("switch of a base class", lambda: switch_side(G2, Q5.unit()), RoofError,
-     "switched class: expected a BundleClass, got GradedClass"),
     ("foreign side", lambda: G2.other(RoofSide("s", Q5, 3, SIDE.groth_coeffs)), RoofError,
      "side does not belong to this configuration"),
     # latticecore
@@ -86,9 +70,6 @@ CASES = [
      "gram matrix must be symmetric"),
     ("isotropic pair on a 2x2 gram", lambda: isotropic_pair_solve([[0, 1], [1, 0]], (1, 0, 0)), LatticeError,
      "isotropic_pair_solve expects a rank-3 gram matrix"),
-    # bwbcoh
-    ("non-integer table entry", lambda: les_solve(SequenceSpec(("A", "B", "C"), ({0: "x"}, None, {}), 5)), BWBError,
-     "cohomology table entry must be an integer, got 'x'"),
     # motivicring
     ("negative motivic power", lambda: MotivicPoly.var("L") ** -1, ValueError,
      "negative powers are not in the ring"),
