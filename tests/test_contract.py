@@ -128,7 +128,7 @@ def _config(name="g2", side=SIDE, tilde=TILDE, degree=12, signs=(1, -1)):
 # public name -> {slot: Slot}; the exceptions and the records that are only returned take no input
 TABLE: dict[str, dict[str, Slot]] = {
     **dict.fromkeys(("BWBError", "ConfigError", "GradedRingError", "LatticeError", "RoofError",
-                     "UnsupportedBundleError", "MiddleLattice", "ResidueScan", "DiscriminantGroup", "MukaiSolution",
+                     "UnsupportedBundleError", "MiddleLattice", "DiscriminantGroup", "MukaiSolution",
                      "SmithDecomposition"), {}),
     # gradedring
     "BasisElement": {"label": S("name", "L", lambda v: BasisElement(v, 1), "label"),
@@ -181,6 +181,8 @@ TABLE: dict[str, dict[str, Slot]] = {
                           r"middle_basis(: expected a| entries must be \(label, exponent\) pairs, got"
                           r"| exponent must be an integer, got)"),
     },
+    "ResidueScan": {"degree": S("index", 12, lambda v: roofpairs.residue_scan(_config(degree=v)),
+                                "polarization degree")},  # a scan reports the degree of a checked config
     "cy_degree": {"side": S("side", SIDE, lambda v: roofpairs.cy_degree(v), "side")},
     "locus_pushforward_class": {"side": S("side", SIDE, lambda v: roofpairs.locus_pushforward_class(v), "side")},
     "middle_lattice": {"side": S("side", SIDE, lambda v: roofpairs.middle_lattice(v), "side")},

@@ -76,6 +76,13 @@ INVALID = {
     "root-make": (lambda g2: bwbcoh.RootSystem._make(("B", 1)), bwbcoh.BWBError, "rank must be at least 2"),
     "basis-replace": (lambda g2: gradedring.BasisElement("L", 1)._replace(degree="1"), gradedring.GradedRingError,
                       "basis degree must be an integer, got '1'"),
+    "chern-make": (lambda g2: gradedring.ChernVector._make((2, (Q5.l_power(1),))), gradedring.GradedRingError,
+                   "Chern vector length must equal the rank"),
+    "roof-make": (lambda g2: roofcalc.RoofConfig._make((*g2[:3], 13, g2[4])), roofcalc.InvalidRoofError,
+                  "declared polarization degree 13 != computed 12 on 'g2dagger:side'"),
+    "root-replace": (lambda g2: bwbcoh.RootSystem("B", 3)._replace(rank=1), bwbcoh.BWBError, "rank must be at least 2"),
+    "basis-make": (lambda g2: gradedring.BasisElement._make(("L", "1")), gradedring.GradedRingError,
+                   "basis degree must be an integer, got '1'"),
 }
 
 
