@@ -27,7 +27,7 @@ to guess otherwise.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isfinite, prod
+from math import prod
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BWBError, UnsupportedBundleError, _integral, _typed
@@ -104,11 +104,13 @@ def _doubled(coords: Sequence) -> tuple[int, ...]:
     from fractions import Fraction
 
     coords = _typed(coords, (tuple, list), "weight", BWBError)
-    for c in coords:  # Fraction refuses a NaN or an infinity with a builtin error
-        if isinstance(c, float) and not isfinite(c):
-            raise BWBError(f"weight coordinate must be finite, got {c!r}")
-    doubled = [2 * c if type(c) is int else 2 * Fraction(_typed(c, (Fraction, float), "weight coordinate", BWBError))
-               for c in coords]
+    try:  # Fraction refuses a NaN or an infinity with a builtin error
+        doubled = [2 * c if type(c) is int
+                   else 2 * Fraction(_typed(c, (Fraction, float), "weight coordinate", BWBError)) for c in coords]
+    except BWBError:
+        raise
+    except (ValueError, OverflowError):
+        raise BWBError(f"weight coordinates must be finite: {coords}") from None
     if any(type(d) is not int and d.denominator != 1 for d in doubled):
         raise BWBError(f"coordinates must be integral or half-integral: {coords}")
     doubled = tuple(int(d) for d in doubled)

@@ -101,9 +101,8 @@ MUTANTS = (
     _m("mat-mul-shapes-unchecked", "latticecore",
        "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
     _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
-    _m("kernel-sublattice-width-unchecked", "latticecore", '_int_rows(sublattice, n, "sublattice")',
-       '_int_rows(sublattice, None, "sublattice")', LAT),
-    _m("weight-non-finite-leaks", "bwbcoh", "if isinstance(c, float) and not isfinite(c):", "if False:", CONTRACT),
+    _m("kernel-sublattice-width-unchecked", "latticecore", 'n, "sublattice")', 'None, "sublattice")', LAT),
+    _m("weight-non-finite-leaks", "bwbcoh", "except (ValueError, OverflowError):", "except ():", CONTRACT),
     _m("gram-squareness-unchecked", "latticecore",
        'if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):', "if False:",
        LAT),

@@ -128,7 +128,7 @@ def _config(name="g2", side=SIDE, tilde=TILDE, degree=12, signs=(1, -1)):
 # public name -> {slot: Slot}; the exceptions and the records that are only returned take no input
 TABLE: dict[str, dict[str, Slot]] = {
     **dict.fromkeys(("BWBError", "ConfigError", "GradedRingError", "LatticeError", "RoofError",
-                     "UnsupportedBundleError", "MiddleLattice", "DiscriminantGroup", "MukaiSolution",
+                     "UnsupportedBundleError", "MiddleLattice", "ResidueScan", "DiscriminantGroup", "MukaiSolution",
                      "SmithDecomposition"), {}),
     # gradedring
     "BasisElement": {"label": S("name", "L", lambda v: BasisElement(v, 1), "label"),
@@ -181,20 +181,16 @@ TABLE: dict[str, dict[str, Slot]] = {
                           r"middle_basis(: expected a| entries must be \(label, exponent\) pairs, got"
                           r"| exponent must be an integer, got)"),
     },
-    "ResidueScan": {"degree": S("index", 12, lambda v: roofpairs.residue_scan(_config(degree=v)),
-                                "polarization degree")},  # a scan reports the degree of a checked config
     "cy_degree": {"side": S("side", SIDE, lambda v: roofpairs.cy_degree(v), "side")},
     "locus_pushforward_class": {"side": S("side", SIDE, lambda v: roofpairs.locus_pushforward_class(v), "side")},
     "middle_lattice": {"side": S("side", SIDE, lambda v: roofpairs.middle_lattice(v), "side")},
     "mukai_vector": {"config": S("config", G2, lambda v: roofpairs.mukai_vector(v, 50), "config"),
                      "bound": S("index", 50, lambda v: roofpairs.mukai_vector(G2, v), "bound")},
-    "pairing_on_M": {
-        "side": S("side", SIDE, lambda v: roofpairs.pairing_on_M(v, XI3, XI3), "side"),
-        "a": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, v, XI3),
-               r"first class: expected a BundleClass, got \w+|classes do not live on the requested side"),
-        "b": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, XI3, v),
-               r"second class: expected a BundleClass, got \w+|classes do not live on the requested side"),
-    },
+    "pairing_on_M": {"a": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, v, XI3),
+                            r"first class: expected a BundleClass, got \w+|classes do not live on the requested side"),
+                     "b": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, XI3, v),
+                            r"second class: expected a BundleClass, got \w+|classes do not live on the requested side"),
+                     "side": S("side", SIDE, lambda v: roofpairs.pairing_on_M(v, XI3, XI3), "side")},
     "polarized_sign_check": {"side": S("side", SIDE, lambda v: roofpairs.polarized_sign_check(v), "side")},
     "reduce": {
         "side": S("side", SIDE, lambda v: reduce(v, {1: Q5.unit()}), "side"),

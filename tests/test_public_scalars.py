@@ -3,13 +3,13 @@
 Each integer slot of the table (a dimension, rank, twist, exponent, bound,
 degree, case or path) takes 1.5, "2" and None, and ``check`` asserts the
 valid call's result or the layer's error naming the slot.  The index rule
-refuses an integral float, and the table's ``converts`` rule has each
-integral slot of ``bwbcoh`` and ``motivicring`` convert one.
+refuses an integral float; the integral rule of ``bwbcoh`` and
+``motivicring`` converts it and refuses the rest.
 """
 
 import pytest
 
-from test_contract import SLOTS, check
+from test_contract import LAYER, SLOTS, _home, check
 from test_contract import test_the_table_covers_the_public_surface as test_every_public_name_is_in_the_table  # noqa
 
 INTEGER_SLOTS = [(name, slot) for name, slots in SLOTS.items() for slot, s in slots.items()
@@ -29,3 +29,9 @@ def test_index_rule_refuses_integral_floats(name, slot):
     with pytest.raises(ValueError, match="must be an integer, got 4.0"):
         SLOTS[name][slot].call(4.0)
 
+
+@pytest.mark.parametrize("name, slot", [(name, slot) for name, slot in INTEGER_SLOTS
+                                        if SLOTS[name][slot].kind == "integral"])
+def test_integral_rule_refuses_fractions(name, slot):
+    with pytest.raises(LAYER[_home(name)], match="must be an integer, got 2.5"):
+        SLOTS[name][slot].call(2.5)
