@@ -2,18 +2,18 @@
 
 The quadric of dimension n is homogeneous under the spin group whose root
 system is B_((n+1)/2) for odd n and D_((n+2)/2) for even n.  An irreducible
-bundle is labeled by its weight in epsilon-coordinates; its cohomology is
-computed by the standard rho-shifted dominance test (at most one nonzero
-group, in the degree counting positive roots made negative) together with
-the Weyl dimension formula.  All of it runs on Python integers in doubled
-coordinates (2w, with rho doubled too), so a half-integral weight is an odd
-integer vector; the Weyl dimension is one exact division of two integer
-products.  The weight dictionary is written in doubled integers and a twist
-by O(t) adds 2t to the first doubled coordinate.  ``Fraction`` appears only
-in the public signatures: ``weight()`` validates its input and the public
-functions that take or return weights use ``Fraction`` tuples.  ``fractions``
-is imported inside that boundary (``_doubled`` and ``_halved``), so the
-tables and sequence pipelines, which the ``bwb`` command runs, never load it.
+bundle is labeled by its weight in epsilon-coordinates; its cohomology (at
+most one nonzero group) is read off one list of pairings of lambda + rho with
+the positive roots: a zero means none, the degree counts the negative ones
+and the Weyl dimension is the product of their absolute values over rho's.
+All of it runs on Python integers in doubled coordinates (2w, with rho
+doubled too), so a half-integral weight is an odd integer vector and the
+dimension is one exact division.  The root system and the doubled weight
+dictionary of each quadric are built once; a twist by O(t) adds 2t to the
+first doubled coordinate.  ``Fraction`` appears only in the public
+signatures that take or return weights (``weight()`` validates its input);
+``fractions`` is imported inside that boundary (``_doubled`` and
+``_halved``), so the tables and pipelines that ``bwb`` runs never load it.
 Every integer argument (a dimension, rank, twist or top degree) follows the shared
 ``errors._integral`` rule: an integral value becomes an int, anything else is a ``BWBError``.
 
@@ -27,7 +27,6 @@ to guess otherwise.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BWBError, UnsupportedBundleError, _integral, _typed
@@ -173,25 +172,10 @@ def _rho_pairings(rs: RootSystem) -> tuple[int, ...]:
     return tuple(_pairings(rs, _doubled_rho(rs)))
 
 
-def _conjugate(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
-    """Doubled dominant conjugate and word length; None for a singular weight."""
+def _regular_pairings(rs: RootSystem, doubled: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """``_pairings`` of a doubled weight and the number of negative ones; None for a singular weight."""
     pairs = _pairings(rs, doubled)
-    if 0 in pairs:
-        return None
-    ab = sorted(map(abs, doubled), reverse=True)
-    if rs.family == "D" and sum(c < 0 for c in doubled) % 2:
-        ab[-1] = -ab[-1]
-    return tuple(ab), sum(v < 0 for v in pairs)
-
-
-def _dimension(rs: RootSystem, shifted: Sequence[int]) -> int:
-    """Weyl dimension from the doubled dominant weight ``lambda + rho``; equal factors cancel."""
-    factors = [(a, b) for a, b in zip(_pairings(rs, shifted), _rho_pairings(rs))
-               if a != b]
-    dim, rem = divmod(prod(a for a, _ in factors), prod(b for _, b in factors))
-    if rem or dim <= 0:
-        raise BWBError(f"internal error: the Weyl dimension of {tuple(shifted)} is not a positive integer")
-    return dim
+    return None if 0 in pairs else (pairs, sum(v < 0 for v in pairs))
 
 
 def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]]:
@@ -201,19 +185,23 @@ def dominant_conjugate(rs: RootSystem, w: Weight) -> Optional[tuple[Weight, int]
     length is the number of positive roots made negative, i.e. the
     cohomological degree in the dominance algorithm.
     """
-    res = _conjugate(_typed(rs, RootSystem, "root system", BWBError), _doubled_of_rank(rs, w))
+    doubled = _doubled_of_rank(_typed(rs, RootSystem, "root system", BWBError), w)
+    res = _regular_pairings(rs, doubled)
     if res is None:
         return None
-    dom, length = res
-    return _halved(dom), length
+    ab = sorted(map(abs, doubled), reverse=True)
+    if rs.family == "D" and sum(c < 0 for c in doubled) % 2:
+        ab[-1] = -ab[-1]
+    return _halved(ab), res[1]
 
 
 # ---------------------------------------------------------------------------
 # the weight dictionary
 # ---------------------------------------------------------------------------
 
-def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Doubled irreducible summands of every named bundle on the n-quadric.
+@lru_cache(maxsize=32)
+def _quadric(n: int) -> tuple[RootSystem, dict[str, tuple[tuple[int, ...], ...]]]:
+    """Root system and doubled irreducible summands of every named bundle on the n-quadric, built once per n.
 
     The spinor-bundle normalization has the dual spinor bundle globally
     generated with space of sections the spin representation.  On the
@@ -225,25 +213,27 @@ def _dictionary(n: int) -> dict[str, tuple[tuple[int, ...], ...]]:
     m = n // 2 + 1  # quadric_root_system(n).rank
     half = (1,) * (m - 1)
     if n % 2 == 0:
-        return {"O": ((0,) * m,), "Splus": ((-1,) + half,), "Sminus": ((-1,) + half[1:] + (-1,),),
-                "Splusdual": (half + (1,),), "Sminusdual": (half + (-1,),)}
+        return quadric_root_system(n), {
+            "O": ((0,) * m,), "Splus": ((-1,) + half,), "Sminus": ((-1,) + half[1:] + (-1,),),
+            "Splusdual": (half + (1,),), "Sminusdual": (half + (-1,),)}
     names = {"O": ((0,) * m,), "S": ((-1,) + half,), "Sdual": (half + (1,),)}
     if n == 5:
         names.update(Sym2S=((-2, 2, 2),), Sym2Sdual=((2, 2, 2),),
                      Wedge2S=((-2, 2, 0), (-2, 0, 0)), Wedge2Sdual=((2, 2, 0), (2, 0, 0)))
-    return names
+    return quadric_root_system(n), names
 
 
 def dictionary_names(n: int) -> tuple[str, ...]:
-    return tuple(_dictionary(_check_dimension(n)))
+    return tuple(_quadric(_check_dimension(n))[1])
 
 
 def _summands(n: int, name: str) -> tuple[RootSystem, tuple[tuple[int, ...], ...]]:
     n = _check_dimension(n)
-    summands = _dictionary(n).get(_typed(name, str, "bundle name", UnsupportedBundleError))
+    rs, names = _quadric(n)
+    summands = names.get(_typed(name, str, "bundle name", UnsupportedBundleError))
     if summands is None:
         raise UnsupportedBundleError(f"no weight dictionary entry for {name!r} on Q{n}")
-    return quadric_root_system(n), summands
+    return rs, summands
 
 
 def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
@@ -252,12 +242,21 @@ def bundle_weights(n: int, name: str) -> tuple[Weight, ...]:
 
 
 def _irreducible_table(rs: RootSystem, doubled: Sequence[int]) -> CohomologyTable:
-    """Table of the irreducible bundle with a doubled weight: empty or one entry."""
-    res = _conjugate(rs, [a + b for a, b in zip(doubled, _doubled_rho(rs))])
+    """Table of the irreducible bundle with a doubled weight: empty or one entry.  The Weyl group permutes the roots
+    up to sign, so the absolute pairings of lambda + rho are its dominant conjugate's; equal factors cancel."""
+    res = _regular_pairings(rs, [a + b for a, b in zip(doubled, _doubled_rho(rs))])
     if res is None:
         return {}
-    dom, length = res
-    return {length: _dimension(rs, dom)}
+    pairs, length = res
+    num = den = 1
+    for a, b in zip(map(abs, pairs), _rho_pairings(rs)):
+        if a != b:
+            num *= a
+            den *= b
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise BWBError(f"internal error: the Weyl dimension of {tuple(doubled)} (doubled) is not a positive integer")
+    return {length: dim}
 
 
 def bundle_cohomology_of_weight(n: int, lam: Weight) -> CohomologyTable:

@@ -44,8 +44,8 @@ if TYPE_CHECKING:
 BUILTIN_NAMES = ("d4", "g2dagger")
 
 # Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
-# error.  At the caps `bwb 500 Splusdual 0` takes 0.8 s and `motivic --rank 50000`
-# 1.6 s.
+# error.  At the caps, as fresh processes on a 2-vCPU host, `bwb 500 Splusdual 0`
+# takes about 0.33 s and `motivic --rank 50000` about 0.75 s.
 MAX_QUADRIC_DIM = 500
 MAX_TWIST = 10**9
 MAX_MOTIVIC_RANK = 50000

@@ -254,6 +254,8 @@ MUTANTS = (
        '    if rs.family == "D":\n        out += doubled', BWB),
     _m("length-counts-positive-pairings", "bwbcoh", "sum(v < 0 for v in pairs)", "sum(v > 0 for v in pairs)",
        BWB),
+    _m("dimension-numerator-signed", "bwbcoh", "zip(map(abs, pairs), _rho_pairings(rs))",
+       "zip(pairs, _rho_pairings(rs))", BWB),
     _m("weight-rank-unchecked", "bwbcoh", "if len(doubled) != rs.rank:", "if len(doubled) < rs.rank:", BWB),
     # bwbcoh: the weight dictionary and its entry points
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),

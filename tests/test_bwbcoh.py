@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from roofpairs.bwbcoh import (
     BWBError,
@@ -131,6 +132,41 @@ class TestWeylDimension:
         for lam, dim in (((H, H, H), 4), ((H, H, -H), 4), ((1, 1, -1), 10), ((2, 1, 0), 64)):
             assert bundle_cohomology_of_weight(4, lam) == {0: dim}
             assert bundle_cohomology_of_weight(4, lam[:-1] + (-lam[-1],)) == {0: dim}
+
+
+def weyl_reference(rs, lam):
+    """Table of the weight ``lam`` from explicit roots and ``dominant_conjugate`` alone: the degree is
+    the word length of lam + rho, and the dimension prod <dom, a> / <rho, a> over the positive roots a."""
+    shift = rho(rs)
+    conj = dominant_conjugate(rs, tuple(x + r for x, r in zip(lam, shift)))
+    if conj is None:
+        return {}
+    dom, length = conj
+    dim = Fraction(1)
+    for root in rs.positive_roots():
+        dim *= sum(d * a for d, a in zip(dom, root)) / sum(r * a for r, a in zip(shift, root))
+    assert dim.denominator == 1 and dim > 0
+    return {length: int(dim)}
+
+
+@st.composite
+def root_systems_and_weights(draw):
+    """B2-B8 or D3-D8 and a weight with integral or half-integral coordinates in -30..30, singular ones
+    included, with the quadric the group acts on: B_m on Q_(2m-1), D_m on Q_(2m-2)."""
+    family = draw(st.sampled_from("BD"))
+    rs = RootSystem(family, draw(st.integers(2 if family == "B" else 3, 8)))
+    half = draw(st.booleans())
+    coords = draw(st.lists(st.integers(-30, 29 if half else 30), min_size=rs.rank, max_size=rs.rank))
+    n = 2 * rs.rank - (1 if family == "B" else 2)
+    return n, rs, tuple(c + H if half else Fraction(c) for c in coords)
+
+
+@given(root_systems_and_weights())
+@example((5, B3, (Fraction(0), Fraction(1), Fraction(0))))  # singular: (0, 1, 0) + rho = (5/2, 5/2, 1/2)
+@example((6, D4, (H, H, H, -H)))
+def test_tables_match_an_explicit_root_weyl_formula(case):
+    n, rs, lam = case
+    assert bundle_cohomology_of_weight(n, lam) == weyl_reference(rs, lam)
 
 
 class TestBundleCohomology:

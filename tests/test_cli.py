@@ -4,7 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -262,10 +262,30 @@ def test_caps_admit_documented_inputs(capsys):
         assert parser.parse_args(["bwb", str(dim), "O", "0"]).dim == dim
     code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "O", "0")
     assert code == 0 and report["table"] == {"0": 1}
-    # the largest dimensions at the caps still render (about 3450 digits)
-    for twist in (MAX_TWIST, -MAX_TWIST):
+    # the largest dimensions at the caps (about 3450 digits) render, exactly: Splusdual(t) on Q500 is the
+    # D251 weight with doubled lambda + rho (2t + 501, 499, ..., 1), in degree 0 or, with every pairing
+    # negative, in degree 500; Sdual on Q499 is the spin representation of B250
+    # (at small rank the closed form gives h^0 of Splusdual on Q6 and Q4 and of Splusdual(1) on Q4: 8, 4 and 20)
+    assert [half_spin_twist_dimension(m, 2 * t + 2 * m - 1) for m, t in ((4, 0), (3, 0), (3, 1))] == [8, 4, 20]
+    m = MAX_QUADRIC_DIM // 2 + 1
+    for twist, degree in ((MAX_TWIST, "0"), (-MAX_TWIST, str(MAX_QUADRIC_DIM))):
         code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM), "Splusdual", str(twist))
-        assert code == 0 and len(report["table"]) == 1
+        assert code == 0 and report["table"] == {degree: half_spin_twist_dimension(m, 2 * twist + 2 * m - 1)}
+    code, report = run_json(capsys, "bwb", str(MAX_QUADRIC_DIM - 1), "Sdual", "0")
+    assert code == 0 and report["table"] == {"0": 2 ** (m - 1)}
+
+
+def half_spin_twist_dimension(m: int, first: int) -> int:
+    """Weyl dimension of the D_m weight with doubled lambda + rho (first, 2m - 3, ..., 3, 1), in closed form.
+
+    The roots e_i +- e_j pair to (l_i^2 - l_j^2) / (rho_i^2 - rho_j^2).  Those with i > 1 make up the
+    half-spin representation of D_(m-1), of dimension 2^(m-2), so only the m - 1 factors with i = 1 remain.
+    """
+    rho = range(2 * m - 2, -1, -2)  # doubled
+    num = prod(first * first - x * x for x in range(2 * m - 3, 0, -2))
+    dim, rem = divmod(num << (m - 2), prod(rho[0] ** 2 - r * r for r in rho[1:]))
+    assert rem == 0
+    return dim
 
 
 def test_reports_render_past_the_int_str_digit_limit(capsys):
