@@ -275,7 +275,8 @@ def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
     """
     rs, summands = _summands(n, name)
     t = _integral(t, "twist", BWBError)
-    return add_tables(*(_irreducible_table(rs, (w[0] + 2 * t,) + w[1:]) for w in summands))
+    tables = [_irreducible_table(rs, (w[0] + 2 * t,) + w[1:]) for w in summands]
+    return tables[0] if len(tables) == 1 else add_tables(*tables)  # one table is fresh: {} or {length: dim > 0}
 
 
 def euler_characteristic(table: Mapping[int, int]) -> int:

@@ -75,11 +75,11 @@ def _vector(lat: MiddleLattice, coords, **extra) -> dict:
 
 
 def _side_report(q: RoofQuery, side: RoofSide) -> dict:
-    from . import latticecore, roofcalc
+    from . import roofcalc
 
     lat = q.lattice(side)
     gram = [list(r) for r in lat.gram]
-    group = latticecore.discriminant_group(gram)
+    group = q.group(side)
     locus = q.locus(side)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {

@@ -11,6 +11,10 @@ side's declared locus representative relative to the positivity-normalized
 one (default 1).  Both forms build one ``RoofSide``, a ``chern`` side with the
 components of ``chern_twist``, so a bundle rank above the base dimension gets
 one message from ``RoofConfig`` (through ``cy_degree``) in either form.
+``config_from_dict`` builds one quadric ring per distinct base dimension, so
+the two sides of a roof over one quadric share their base; sides that then
+agree in every field but the name are twins, whose lattice pieces
+``RoofQuery`` builds once.
 """
 
 from __future__ import annotations
@@ -129,12 +133,12 @@ def config_from_dict(data: Mapping) -> RoofConfig:
         raise ConfigError(f"rank must be positive, got {rank}")
     if max(base_dims) > MAX_BASE_DIM:
         raise ConfigError(f"base_dim entry {max(base_dims)} exceeds the cap of {MAX_BASE_DIM}")
-    try:
-        rings = [make_quadric_ring(d) for d in base_dims]
+    try:  # one ring per base dimension: two sides on one quadric share it
+        rings = {d: make_quadric_ring(d) for d in dict.fromkeys(base_dims)}
     except ValueError as exc:
         raise ConfigError(f"base_dim: {exc}") from None
-    side = _side_from_dict(sides[0], rings[0], rank, f"{name}:side")
-    tilde = _side_from_dict(sides[1], rings[1], rank, f"{name}:tilde")
+    side = _side_from_dict(sides[0], rings[base_dims[0]], rank, f"{name}:side")
+    tilde = _side_from_dict(sides[1], rings[base_dims[1]], rank, f"{name}:tilde")
     signs = tuple(_index(s.get("declared_locus_sign", 1), "declared_locus_sign", ConfigError) for s in sides)
     try:
         return RoofConfig(name, side, tilde, degree, signs)

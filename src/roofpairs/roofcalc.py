@@ -776,7 +776,13 @@ class RoofQuery:
     """One configuration's pipeline, each piece built once, on first request; ``stage``
     names the piece being built.  A ``RoofError``, ``GradedRingError`` or ``LatticeError``
     raised while building is raised again once, by the outermost build, as the same type
-    with the text ``stage '<innermost piece>' failed: <message>``."""
+    with the text ``stage '<innermost piece>' failed: <message>``.
+
+    The two sides are twins when they differ only in name: one base ring, rank, relation
+    and middle basis, as on every built-in.  A twin's middle lattice, locus class and
+    discriminant group are then those of the other side, re-homed onto it once the other
+    side has built them; otherwise a side builds its own, so an error always comes from
+    the side that was asked for."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
@@ -795,11 +801,26 @@ class RoofQuery:
                     self.stage = outer
         return self._built[stage, key]
 
+    def _shared(self, stage: str, side: RoofSide, build, rehome):
+        """``_once`` for a piece of ``side``, taken from its twin through ``rehome`` when the twin has it."""
+        if (stage, id(side)) not in self._built:
+            cfg = self.config
+            twin = cfg.tilde_side if side is cfg.side else cfg.side if side is cfg.tilde_side else None
+            if twin is not None and (stage, id(twin)) in self._built and twin._key()[1:] == side._key()[1:]:
+                self._built[stage, id(side)] = rehome(self._built[stage, id(twin)])
+        return self._once(stage, id(side), build)
+
     def lattice(self, side: RoofSide) -> MiddleLattice:
-        return self._once("middle lattice", id(side), lambda: middle_lattice(side))
+        return self._shared("middle lattice", side, lambda: middle_lattice(side), lambda lat: lat._replace(
+            side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)))
 
     def locus(self, side: RoofSide) -> BundleClass:
-        return self._once("locus class", id(side), lambda: _locus_class(self.lattice(side)))
+        return self._shared("locus class", side, lambda: _locus_class(self.lattice(side)),
+                            lambda c: BundleClass._of(side, c.degree, c._flat))
+
+    def group(self, side: RoofSide) -> latticecore.DiscriminantGroup:
+        return self._shared("discriminant group", side,
+                            lambda: latticecore.discriminant_group(self.lattice(side).gram), lambda g: g)
 
     def locus_coordinates(self, side: RoofSide) -> tuple[int, ...]:
         return coordinates_in_lattice(self.lattice(side), self.locus(side))

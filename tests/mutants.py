@@ -160,6 +160,18 @@ MUTANTS = (
        CLI),
     _m("stage-named-at-every-level", "roofcalc", "                if outer is not None:\n",
        "                if False:\n", "test_roof_queries.py", CLI),
+    # roofcalc: the pieces RoofQuery shares between twin sides
+    _m("twin-key-drops-relation", "roofcalc", "twin._key()[1:] == side._key()[1:]",
+       "twin._key()[1:3] + twin._key()[4:] == side._key()[1:3] + side._key()[4:]", "test_roof_queries.py"),
+    _m("twin-key-drops-middle-basis", "roofcalc", "twin._key()[1:] == side._key()[1:]",
+       "twin._key()[1:4] == side._key()[1:4]", "test_roof_queries.py", GOLDEN),
+    _m("re-homed-lattice-keeps-twin-side", "roofcalc", "side=side, classes=tuple(", "classes=tuple(", ROOF,
+       "test_roof_queries.py"),
+    _m("re-homed-lattice-keeps-twin-classes", "roofcalc",
+       ", classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)", "", ROOF),
+    _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
+    _m("re-homed-locus-keeps-twin-side", "roofcalc", "lambda c: BundleClass._of(side, c.degree, c._flat))",
+       "lambda c: c)", ROOF, "test_roof_queries.py"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
@@ -261,8 +273,8 @@ MUTANTS = (
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
     _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
     _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
-    _m("non-integral-twist-accepted", "bwbcoh", '    t = _integral(t, "twist", BWBError)\n    return add_tables(',
-       "    return add_tables(", BWB),
+    _m("non-integral-twist-accepted", "bwbcoh", '    t = _integral(t, "twist", BWBError)\n    tables = [',
+       "    tables = [", BWB),
     # bwbcoh: the long exact sequence solver
     _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
        "value = total if unknowns[0] % 2 == 0 else -total", BWB),

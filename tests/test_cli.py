@@ -192,11 +192,15 @@ class TestMukai:
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
         assert counts["latticecore.isotropic_pair_solve"] == 2
 
-    def test_one_middle_lattice_per_side(self, capsys, count_calls):
+    @pytest.mark.parametrize("argv, lattices", [
+        (["g2dagger"], 1),  # the two sides carry the same data: the tilde side re-homes the side's lattice
+        (["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")], 2),
+    ], ids=["built-in", "tilde-reversed"])
+    def test_one_middle_lattice_per_side(self, capsys, count_calls, argv, lattices):
         counts = count_calls("roofcalc.middle_lattice")
-        code, report = run_json(capsys, "mukai", "g2dagger")
+        code, report = run_json(capsys, "mukai", *argv)
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
-        assert counts == {"roofcalc.middle_lattice": 2}
+        assert counts == {"roofcalc.middle_lattice": lattices}
 
     def test_rank_checked_before_the_locus_classes(self, capsys, count_calls):
         # d4 declares five middle monomials per side: the basis length shows it, no lattice is built
@@ -516,10 +520,10 @@ def test_base_dim_cap_checked_before_any_ring(count_calls):
     with pytest.raises(ConfigError, match="exceeds the cap"):
         config_from_dict(_g2(base_dim=[5, MAX_BASE_DIM + 1]))
     assert counts == {"gradedring.make_quadric_ring": 0}
-    # the cap itself is accepted: the rings are built and the later label check fails
+    # the cap itself is accepted: the sides' one shared ring is built and the later label check fails
     with pytest.raises(ConfigError, match=f"unknown basis label 'Pi' on Q{MAX_BASE_DIM}"):
         config_from_dict(_g2(base_dim=[MAX_BASE_DIM, MAX_BASE_DIM]))
-    assert counts == {"gradedring.make_quadric_ring": 2}
+    assert counts == {"gradedring.make_quadric_ring": 1}
 
 
 def test_declared_locus_sign_outside_plus_minus_one_is_usage_error(tmp_path):

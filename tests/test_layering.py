@@ -208,7 +208,7 @@ def _private(name: str) -> bool:
 
 def test_cli_uses_no_private_package_name():
     # the commands use each module's public surface: describe, lemma7 and mukai render from
-    # roofcalc.RoofQuery, and describe takes its group from latticecore.discriminant_group
+    # roofcalc.RoofQuery, and describe takes its group from RoofQuery.group
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     modules = {p.stem for p in pathlib.Path(cli.__file__).parent.glob("*.py")}
     package_imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

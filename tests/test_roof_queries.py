@@ -58,6 +58,19 @@ def synthetic_roof(n, a, name):
             "sides": [side, json.loads(json.dumps(side))]}
 
 
+def switched_relation_roof(n, a, name):
+    """``synthetic_roof`` with the tilde relation f(xi - L~, xi) of the side's f, made monic:
+    the two sides share base, rank and middle basis and differ only in the relation.
+    Needs sum_i (-1)^i a_i = (-1)^r (with a_0 = 1), so that both sides have degree 2 a_r."""
+    r = n - 2
+    b = [(-1) ** i * c for i, c in enumerate([1, *a])]
+    at = [(-1) ** (i + r) * c for i, c in enumerate(_switch(b))]
+    assert at[0] == 1 and at[r] == a[-1] and at[1:] != list(a)
+    data = synthetic_roof(n, a, name)
+    data["sides"][1] = synthetic_roof(n, at[1:], name)["sides"][0]
+    return data
+
+
 def _synthetic_configs():
     """Three distinct roofs on each base Q4..Q10; a repeated draw widens the range."""
     rng, seen, out = random.Random(17), set(), []
@@ -83,8 +96,10 @@ def _reordered_tilde(name, sign):
 
 
 SYNTHETIC = _synthetic_configs()
+# a seeded search found this pair: f = xi^3 - 3L xi^2 + 2L^2 xi - L^3 and f(xi - L~, xi) on Q5
+SWITCHED_RELATION = config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation"))
 CONFIGS = ([builtin_config("g2dagger"), builtin_config("d4")]
-           + [_reordered_tilde("g2dagger", -1), _reordered_tilde("d4", 1)]
+           + [_reordered_tilde("g2dagger", -1), _reordered_tilde("d4", 1), SWITCHED_RELATION]
            + [config_from_dict(d) for d in SYNTHETIC])
 
 
@@ -166,6 +181,16 @@ def test_describe_equals_public_functions(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
 def test_lemma7_equals_public_functions(cfg):
     assert cmd_lemma7(cfg) == ref_lemma7(cfg)
+
+
+def test_sides_that_differ_only_in_the_relation_keep_their_own_lattices():
+    cfg = SWITCHED_RELATION
+    side, tilde = cfg.side, cfg.tilde_side
+    assert side.base is tilde.base and side.middle_basis == tilde.middle_basis
+    assert side.groth_coeffs != tilde.groth_coeffs
+    grams = [s["gram"] for s in cmd_describe(cfg)["sides"]]
+    assert grams == [[list(r) for r in roofcalc.middle_lattice(s).gram] for s in (side, tilde)]
+    assert grams[0] != grams[1]
 
 
 def test_synthetic_roofs_cover_every_base():
@@ -300,6 +325,17 @@ def test_one_middle_lattice_per_side(command, cfg, count_calls):
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     assert counts["roofcalc.middle_lattice"] <= 2
     assert counts["roofcalc.switch_side"] <= 1
+
+
+@pytest.mark.parametrize("command", ["describe", "lemma7"])
+@pytest.mark.parametrize("cfg, distinct", [(CONFIGS[0], 1), (CONFIGS[1], 1), (CONFIGS[2], 2), (CONFIGS[3], 2),
+                                           (SWITCHED_RELATION, 2), (CONFIGS[-1], 1)], ids=lambda c: getattr(c, "name", c))
+def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
+    # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group
+    counts = count_calls("roofcalc.middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group")
+    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
+    assert counts == {"roofcalc.middle_lattice": distinct, "roofcalc._locus_class": distinct,
+                      "latticecore.discriminant_group": distinct if command == "describe" else 0}
 
 
 def test_describe_decomposes_each_gram_matrix_once(g2, count_calls):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roofpairs import roofcalc
+from roofpairs import latticecore, roofcalc
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
 from roofpairs.errors import GradedRingError, RoofError
 from roofpairs.gradedring import (
@@ -41,7 +41,7 @@ from roofpairs.roofcalc import (
     xi_power,
 )
 from golden_grams import D4_GRAM, G2_GRAM
-from test_roof_queries import SYNTHETIC
+from test_roof_queries import SYNTHETIC, _reordered_tilde
 
 
 class TestSideConstruction:
@@ -382,16 +382,48 @@ class TestRoofQuery:
                 assert q.locus_coordinates(side) == locus_coordinates(side)
         assert roofcalc.RoofQuery(g2).mukai(50)[-1] == roofcalc.mukai_vector(g2, 50)
 
-    def test_each_piece_built_once(self, g2, count_calls):
+    @pytest.mark.parametrize("reordered, lattices", [(False, 1), (True, 2)], ids=["built-in", "tilde-reversed"])
+    def test_each_piece_built_once(self, g2, count_calls, reordered, lattices):
+        # the built-in's sides carry the same data, so the tilde side re-homes the side's lattice
+        cfg = _reordered_tilde("g2dagger", -1) if reordered else g2
         counts = count_calls("roofcalc.middle_lattice", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
-        q = roofcalc.RoofQuery(g2)
+        q = roofcalc.RoofQuery(cfg)
         for _ in range(2):
             q.residue_scan()
             q.mukai(50)
         # switch_side: the side's locus class, and theta(v) for the Mukai vector
-        assert counts == {"roofcalc.middle_lattice": 2, "roofcalc.switch_side": 2,
+        assert counts == {"roofcalc.middle_lattice": lattices, "roofcalc.switch_side": 2,
                           "latticecore.isotropic_pair_solve": 2}
         assert q.stage is None  # nothing is being built
+
+    @pytest.mark.parametrize("tilde_first", [False, True])
+    def test_re_homed_pieces_live_on_their_side(self, g2, tilde_first):
+        q = roofcalc.RoofQuery(g2)
+        sides = (g2.tilde_side, g2.side) if tilde_first else (g2.side, g2.tilde_side)
+        for side in sides:
+            lat, locus = q.lattice(side), q.locus(side)
+            assert lat.side is side and all(c.side is side for c in lat.classes) and locus.side is side
+            assert lat == middle_lattice(side) and locus == locus_pushforward_class(side)
+            assert q.group(side) == latticecore.discriminant_group([list(r) for r in lat.gram])
+        assert q.lattice(g2.side).gram is q.lattice(g2.tilde_side).gram
+        assert q.group(g2.side) is q.group(g2.tilde_side)
+
+
+class TestSharedRing:
+    @pytest.mark.parametrize("name", ["g2dagger", "d4", "toy"])
+    def test_one_ring_per_base_dimension(self, name, toy_path, count_calls):
+        counts = count_calls("gradedring.make_quadric_ring")
+        cfg = load_config(toy_path) if name == "toy" else builtin_config(name)
+        assert cfg.side.base is cfg.tilde_side.base
+        assert counts == {"gradedring.make_quadric_ring": 1}
+
+    def test_a_class_stays_on_its_side(self, g2):
+        side, tilde = g2.side, g2.tilde_side
+        a = middle_lattice(side).classes[0]
+        with pytest.raises(RoofError, match="^classes do not live on the requested side$"):
+            pairing_on_M(tilde, a, a)
+        with pytest.raises(RoofError, match="^class is not supported on the declared middle basis$"):
+            coordinates_in_lattice(middle_lattice(tilde), a)
 
 
 class TestConfigInvariants:
