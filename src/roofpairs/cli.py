@@ -45,7 +45,8 @@ BUILTIN_NAMES = ("d4", "g2dagger")
 
 # Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
 # error.  At the caps, as fresh processes on a 2-vCPU host, `bwb 500 Splusdual 0`
-# takes about 0.33 s and `motivic --rank 50000` about 0.75 s.
+# takes about 0.33 s and `motivic --rank 50000` 0.8 to 1.0 s: in process, about
+# 0.4 s for the residual and 0.4 to 0.6 s to render it and the closed form as text.
 MAX_QUADRIC_DIM = 500
 MAX_TWIST = 10**9
 MAX_MOTIVIC_RANK = 50000

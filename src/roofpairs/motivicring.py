@@ -11,8 +11,10 @@ public constructor (and so in ``var`` and ``const``); the ring operations
 build their results already in canonical form (nonzero ``int`` coefficients
 on tuples of non-negative ``int`` exponents) and wrap them without checking
 again.  Projective-space classes are written down in closed form, powers are
-taken by repeated squaring, and a substitution groups the monomials by their
-exponents on the assigned symbols, so it makes one product per group.
+taken by repeated squaring, and each operation is one pass over the terms: a
+product by a single term c*x^a shifts every term of the other factor, a
+difference builds no negated copy, and a substitution by single-term images
+sends each monomial to exactly one monomial.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -23,7 +25,7 @@ checked here as an exact polynomial identity for each concrete rank.
 from __future__ import annotations
 
 from math import prod
-from operator import add
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -33,6 +35,7 @@ from .errors import _integral, _typed
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 _NO_TERMS: Mapping[tuple[int, ...], int] = MappingProxyType({})
+_UNIT = (0,) * len(SYMBOLS)  # the monomial 1
 
 
 def _symbol(name: str) -> int:
@@ -94,18 +97,22 @@ class MotivicPoly:
             return MotivicPoly.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """``self + sign * other`` in one pass over ``other``'s terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            c += out.get(m, 0)
+            c = out.get(m, 0) + sign * c
             if c:
                 out[m] = c
             else:
                 del out[m]
         return MotivicPoly._of(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -113,24 +120,31 @@ class MotivicPoly:
         return MotivicPoly._of({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """One pass over each term pair; a factor of one term c*x^a shifts the other's terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        small, big = sorted((self.coeffs, other.coeffs), key=len)
+        if not small:
+            return MotivicPoly._of({})
+        (m1, c1), *rest = small.items()
+        # distinct terms shifted by one monomial stay distinct, and c1 * c2 != 0
+        out = {tuple(map(add, m1, m2)): c1 * c2 for m2, c2 in big.items()}
+        for m1, c1 in rest:
+            for m2, c2 in big.items():
                 m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return MotivicPoly._of({m: c for m, c in out.items() if c})
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return MotivicPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -139,7 +153,7 @@ class MotivicPoly:
         e = _integral(e, "exponent", ValueError)
         if e < 0:
             raise ValueError("negative powers are not in the ring")
-        out, base = MotivicPoly.const(1), self
+        out, base = MotivicPoly._of({_UNIT: 1}), self
         while e:
             if e & 1:
                 out = out * base
@@ -165,25 +179,36 @@ class MotivicPoly:
         """Ring homomorphism sending each named symbol to the given polynomial.
 
         The images are simultaneous, so ``{"Y": Y_TILDE, "Yt": Y}`` swaps the
-        two symbols.  Monomials with the same exponents on the assigned
-        symbols form one group: the group, with those exponents zeroed, is
-        multiplied once by the product of the images' powers.
+        two symbols: every exponent is read from the original monomial.  The
+        product of the images' powers is built once per tuple of exponents on
+        the assigned symbols, as shifts that also clear those exponents; each
+        monomial then takes one shift per term of that product, so under
+        single-term images it goes to exactly one monomial.
         """
-        assigned = sorted(((_symbol(s), image) for s, image in assignments.items()), key=lambda p: p[0])
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for mono, c in self.coeffs.items():
-            rest = list(mono)
-            for i, _ in assigned:
-                rest[i] = 0
-            groups.setdefault(tuple(mono[i] for i, _ in assigned), {})[tuple(rest)] = c
+        assigned = sorted((_symbol(s), image) for s, image in assignments.items())
+        if not assigned:
+            return MotivicPoly._of(dict(self.coeffs))
+        positions = [i for i, _ in assigned]
+        exponents_of = itemgetter(*positions)
+        shifts: dict = {}  # assigned exponents -> ((shift, coefficient), ...) of the images' product
         out: dict[tuple[int, ...], int] = {}
-        for exponents, rest in groups.items():
-            term = MotivicPoly._of(rest)
-            if any(exponents):
-                term = term * prod(image ** e for (_, image), e in zip(assigned, exponents) if e)
-            for m, v in term.coeffs.items():
-                out[m] = out.get(m, 0) + v
-        return MotivicPoly._of({m: v for m, v in out.items() if v})
+        for mono, c in self.coeffs.items():
+            key = exponents_of(mono)
+            terms = shifts.get(key)
+            if terms is None:
+                cleared = [0] * len(SYMBOLS)
+                for i in positions:
+                    cleared[i] = mono[i]
+                image = prod((img ** mono[i] for i, img in assigned if mono[i]), start=_ONE)
+                terms = shifts[key] = tuple((tuple(map(sub, m, cleared)), k) for m, k in image.coeffs.items())
+            for shift, k in terms:
+                m = tuple(map(add, mono, shift))
+                v = out.get(m, 0) + c * k
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return MotivicPoly._of(out)
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
@@ -198,6 +223,7 @@ class MotivicPoly:
         return f"MotivicPoly({self})"
 
 
+_ONE = MotivicPoly.const(1)
 L = MotivicPoly.var("L")
 Y = MotivicPoly.var("Y")
 Y_TILDE = MotivicPoly.var("Yt")

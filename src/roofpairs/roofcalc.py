@@ -76,9 +76,10 @@ class RoofSide:
     algebraic cohomology of a hyperplane section, stored as tuple pairs;
     ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
     hashed by these five fields; its normal-form table ``_table`` takes no
-    part.  A plain class, unlike the other records: it owns that table, and
-    ``reduce`` reads its fields on every call, where a NamedTuple ran about
-    2 % slower.
+    part, and the two sides of a loaded config share one table when they have
+    one base object, rank and relation (``_share_table``).  A plain class,
+    unlike the other records: it owns that table, and ``reduce`` reads its
+    fields on every call, where a NamedTuple ran about 2 % slower.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -109,6 +110,12 @@ class RoofSide:
 
     def _key(self) -> tuple:
         return self.name, self.base, self.rank, self.groth_coeffs, self.middle_basis
+
+    def _share_table(self, other: "RoofSide") -> None:
+        """Use ``other``'s normal-form table when both sides have one base object, rank and relation:
+        its entries depend on nothing else."""
+        if other.base is self.base and other.rank == self.rank and other.groth_coeffs == self.groth_coeffs:
+            object.__setattr__(self, "_table", other._table)
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is RoofSide else NotImplemented

@@ -172,6 +172,10 @@ MUTANTS = (
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
     _m("re-homed-locus-keeps-twin-side", "roofcalc", "lambda c: BundleClass._of(side, c.degree, c._flat))",
        "lambda c: c)", ROOF, "test_roof_queries.py"),
+    _m("normal-form-table-not-shared", "roofcalc", 'object.__setattr__(self, "_table", other._table)', "pass",
+       "test_roof_queries.py"),
+    _m("normal-form-table-shared-across-relations", "roofcalc", " and other.groth_coeffs == self.groth_coeffs:", ":",
+       "test_roof_queries.py"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
@@ -291,10 +295,31 @@ MUTANTS = (
     _m("motivic-term-order-lexicographic", "motivicring", "key=lambda mc: (sum(mc[0]), mc[0])",
        "key=lambda mc: mc[0]", MOT),
     _m("motivic-str-shows-exponent-one", "motivicring", 's if e == 1 else f"{s}^{e}"', 'f"{s}^{e}"', MOT),
-    _m("motivic-mul-keeps-zeros", "motivicring", "_of({m: c for m, c in out.items() if c})", "_of(out)", MOT),
+    _m("motivic-mul-keeps-zeros", "motivicring",
+       "                c = out.get(m, 0) + c1 * c2\n                if c:\n                    out[m] = c\n"
+       "                else:\n                    del out[m]\n",
+       "                out[m] = out.get(m, 0) + c1 * c2\n", MOT),
+    _m("motivic-one-term-product-drops-c2", "motivicring", "c1 * c2 for m2, c2 in big.items()}",
+       "c1 for m2, c2 in big.items()}", MOT),
+    _m("motivic-mul-zero-factor-unhandled", "motivicring",
+       "        if not small:\n            return MotivicPoly._of({})\n", "", MOT),
+    _m("motivic-sub-adds", "motivicring", "return self._plus(other, -1)", "return self._plus(other, 1)", MOT),
     _m("motivic-pow-wrong-bit", "motivicring", "if e & 1:", "if e & 2:", MOT),
     _m("proj-class-one-term-short", "motivicring", "for i in range(k + 1)}", "for i in range(k)}", MOT),
-    _m("substitute-keeps-assigned-exponents", "motivicring", "rest[i] = 0", "rest[i] = rest[i]", MOT),
+    _m("substitute-keeps-assigned-exponents", "motivicring", "cleared[i] = mono[i]", "cleared[i] = 0", MOT),
+    _m("substitute-images-applied-in-turn", "motivicring",
+       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n",
+       "        if len(assignments) > 1:  # a later image then reads the exponents an earlier one wrote\n"
+       "            (s, image), *others = assignments.items()\n"
+       "            return self.substitute({s: image}).substitute(dict(others))\n"
+       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n", MOT),
+    _m("substitute-skips-image-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
+       MOT),
+    _m("substitute-keeps-cancelled-zeros", "motivicring",
+       "                if v:\n                    out[m] = v\n                else:\n                    del out[m]\n",
+       "                out[m] = v\n", MOT),
+    _m("substitute-shift-keyed-by-first-image", "motivicring", "exponents_of = itemgetter(*positions)",
+       "exponents_of = itemgetter(positions[0])", MOT),
 )
 
 # Not run: the known equivalent mutants, each with its reason.

@@ -103,10 +103,20 @@ def test_ring_laws(a, b, c):
 # repeated-multiplication references for the closed forms
 # ---------------------------------------------------------------------------
 
+def ref_mul(a, b):
+    """The plain double loop over term pairs, zeros dropped at the end."""
+    out = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return MotivicPoly({m: c for m, c in out.items() if c})
+
+
 def ref_pow(p, e):
     out = MotivicPoly.const(1)
     for _ in range(e):
-        out = out * p
+        out = ref_mul(out, p)
     return out
 
 
@@ -123,7 +133,7 @@ def ref_substitute(p, assignments):
         term = MotivicPoly.const(c)
         for sym, e in zip(SYMBOLS, mono):
             if e:
-                term = term * ref_pow(assignments.get(sym, MotivicPoly.var(sym)), e)
+                term = ref_mul(term, ref_pow(assignments.get(sym, MotivicPoly.var(sym)), e))
         out = out + term
     return out
 
@@ -168,6 +178,65 @@ def test_pow_against_repeated_multiplication(p, e):
 @given(p=polys, images=st.dictionaries(st.sampled_from(SYMBOLS), small_polys, max_size=3))
 def test_substitute_against_reference(p, images):
     assert p.substitute(images) == ref_substitute(p, images)
+
+
+# ---------------------------------------------------------------------------
+# a product by one term is a shift; a substitution by single terms is a relabelling
+# ---------------------------------------------------------------------------
+
+coefficients = st.one_of(st.integers(-8, 8), st.integers(-10**40, 10**40))
+wide_polys = st.builds(MotivicPoly, st.dictionaries(monomials, coefficients, max_size=6))
+one_term = st.builds(lambda m, c: MotivicPoly({m: c}), monomials, coefficients.filter(bool))
+VARIABLES = [MotivicPoly.var(s) for s in SYMBOLS]
+
+
+@given(a=wide_polys, b=st.one_of(one_term, st.sampled_from(VARIABLES), st.just(MotivicPoly()), polys, wide_polys))
+def test_product_against_double_loop(a, b):
+    expected = ref_mul(a, b)
+    for got in (a * b, b * a):
+        assert got == expected
+        assert_canonical(got)
+
+
+single_term_images = st.dictionaries(
+    st.sampled_from(SYMBOLS),
+    st.one_of(one_term, st.sampled_from(VARIABLES), st.builds(MotivicPoly.const, st.integers(-3, 3))),
+    max_size=4)
+
+
+@given(p=wide_polys, images=single_term_images)
+def test_substitute_by_single_terms_against_reference(p, images):
+    got = p.substitute(images)
+    assert got == ref_substitute(p, images)
+    assert_canonical(got)
+
+
+@given(p=polys, order=st.permutations(SYMBOLS), signs=st.lists(st.sampled_from([1, -1, 2, -3]), min_size=6,
+                                                                max_size=6))
+def test_substitute_by_a_scaled_permutation_against_reference(p, order, signs):
+    images = {s: k * MotivicPoly.var(t) for s, t, k in zip(SYMBOLS, order, signs)}
+    assert p.substitute(images) == ref_substitute(p, images)
+
+
+@given(a=polys, b=polys)
+def test_rename_onto_a_symbol_already_present(a, b):
+    # Y -> Yt lands Y-terms on Yt-terms: a*Y - a*Yt cancels to nothing, b*Yt is left alone
+    p = a * Y - a * Y_TILDE + b * Y_TILDE
+    got = p.substitute({"Y": Y_TILDE})
+    assert got == ref_substitute(p, {"Y": Y_TILDE}) == b.substitute({"Y": Y_TILDE}) * Y_TILDE
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("p, images, expected", [
+    (Y ** 4 * L, {"Y": 3 * Y_TILDE}, 81 * Y_TILDE ** 4 * L),
+    (Y ** 3 * B ** 2, {"Y": -2 * L, "B": -B_TILDE}, -8 * L ** 3 * B_TILDE ** 2),
+    (Y ** 2 + Y_TILDE ** 2, {"Y": Y_TILDE, "Yt": -Y}, Y_TILDE ** 2 + Y ** 2),
+    (Y * Y_TILDE - L * B, {"Y": L, "Yt": B}, MotivicPoly()),
+    (Y ** 5 + 4 * B, {"Y": MotivicPoly.const(2)}, 32 + 4 * B),
+    (Y ** 5 + 4 * B, {"Y": MotivicPoly()}, 4 * B),
+])
+def test_substitute_by_single_terms(p, images, expected):
+    assert p.substitute(images) == expected
 
 
 class TestNoTruncation:

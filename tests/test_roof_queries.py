@@ -315,27 +315,38 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
 
 
 # ---------------------------------------------------------------------------
-# each query builds each side's middle lattice at most once
+# each query builds each piece once per distinct side
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("command", ["describe", "lemma7"])
-@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[1], CONFIGS[-1]], ids=lambda c: c.name)
-def test_one_middle_lattice_per_side(command, cfg, count_calls):
-    counts = count_calls("roofcalc.middle_lattice", "roofcalc.switch_side")
-    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    assert counts["roofcalc.middle_lattice"] <= 2
-    assert counts["roofcalc.switch_side"] <= 1
-
 
 @pytest.mark.parametrize("command", ["describe", "lemma7"])
 @pytest.mark.parametrize("cfg, distinct", [(CONFIGS[0], 1), (CONFIGS[1], 1), (CONFIGS[2], 2), (CONFIGS[3], 2),
                                            (SWITCHED_RELATION, 2), (CONFIGS[-1], 1)], ids=lambda c: getattr(c, "name", c))
 def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
-    # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group
-    counts = count_calls("roofcalc.middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group")
+    # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group,
+    # and only lemma7 switches the locus class to the other side
+    counts = count_calls("roofcalc.middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group",
+                         "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     assert counts == {"roofcalc.middle_lattice": distinct, "roofcalc._locus_class": distinct,
-                      "latticecore.discriminant_group": distinct if command == "describe" else 0}
+                      "latticecore.discriminant_group": distinct if command == "describe" else 0,
+                      "roofcalc.switch_side": 0 if command == "describe" else 1}
+
+
+@pytest.mark.parametrize("name", ["g2dagger", "d4"])
+def test_sides_with_one_relation_share_their_normal_form_table(name):
+    cfg = builtin_config(name)
+    assert cfg.side._table is cfg.tilde_side._table
+    cmd_describe(cfg)
+    assert cfg.side._table and cfg.tilde_side._table is cfg.side._table
+
+
+def test_sides_with_different_relations_keep_their_own_normal_form_tables():
+    cfg = config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation"))
+    assert cfg.side.base is cfg.tilde_side.base
+    assert cfg.side._table is not cfg.tilde_side._table
+    cmd_describe(cfg)
+    side, tilde = cfg.side._table, cfg.tilde_side._table
+    assert side.keys() & tilde.keys() and any(side[k] != tilde[k] for k in side.keys() & tilde.keys())
 
 
 def test_describe_decomposes_each_gram_matrix_once(g2, count_calls):
