@@ -14,8 +14,9 @@ first doubled coordinate.  ``Fraction`` appears only in the public
 signatures that take or return weights (``weight()`` validates its input);
 ``fractions`` is imported inside that boundary (``_doubled`` and
 ``_halved``), so the tables and pipelines that ``bwb`` runs never load it.
-Every integer argument (a dimension, rank, twist or top degree) follows the shared
-``errors._integral`` rule: an integral value becomes an int, anything else is a ``BWBError``.
+Every integer argument (a dimension, rank, twist, case or top degree, and the
+degrees and entries of a table) follows the shared ``errors._index`` rule: an
+int is taken as it is, and anything else, 4.0 and True included, is a ``BWBError``.
 
 Bundles that are not irreducible (or not homogeneous under the full spin
 group, like the Ottaviani and Cayley bundles on the five-dimensional
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BWBError, UnsupportedBundleError, _integral, _typed
+from .errors import BWBError, UnsupportedBundleError, _index, _typed
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -59,7 +60,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
     def __new__(cls, family: str, rank: int):
         if family not in ("B", "D"):
             raise BWBError(f"family must be 'B' or 'D', got {family!r}")
-        rank = _integral(rank, "rank", BWBError)
+        rank = _index(rank, "rank", BWBError)
         if rank < 2:
             raise BWBError("rank must be at least 2")
         return super().__new__(cls, family, rank)
@@ -86,7 +87,7 @@ class RootSystem(NamedTuple("RootSystem", [("family", str), ("rank", int)])):
 
 def _check_dimension(n: int) -> int:
     """``n`` as an int, one rule for every entry point: the engine covers quadrics of dimension 3 and up."""
-    n = _integral(n, "quadric dimension", BWBError)
+    n = _index(n, "quadric dimension", BWBError)
     if n < 3:
         raise BWBError("quadric dimension must be at least 3 for the cohomology engine")
     return n
@@ -99,17 +100,11 @@ def quadric_root_system(n: int) -> RootSystem:
 
 
 def _doubled(coords: Sequence) -> tuple[int, ...]:
-    """``2*w`` as ints for a weight ``w``, validated as ``weight()`` does."""
+    """``2*w`` as ints for a weight ``w`` of int and Fraction coordinates, validated as ``weight()`` does."""
     from fractions import Fraction
 
     coords = _typed(coords, (tuple, list), "weight", BWBError)
-    try:  # Fraction refuses a NaN or an infinity with a builtin error
-        doubled = [2 * c if type(c) is int
-                   else 2 * Fraction(_typed(c, (Fraction, float), "weight coordinate", BWBError)) for c in coords]
-    except BWBError:
-        raise
-    except (ValueError, OverflowError):
-        raise BWBError(f"weight coordinates must be finite: {coords}") from None
+    doubled = [2 * (c if type(c) is int else _typed(c, Fraction, "weight coordinate", BWBError)) for c in coords]
     if any(type(d) is not int and d.denominator != 1 for d in doubled):
         raise BWBError(f"coordinates must be integral or half-integral: {coords}")
     doubled = tuple(int(d) for d in doubled)
@@ -274,7 +269,7 @@ def bundle_cohomology(n: int, name: str, t: int = 0) -> CohomologyTable:
     {0: 48}
     """
     rs, summands = _summands(n, name)
-    t = _integral(t, "twist", BWBError)
+    t = _index(t, "twist", BWBError)
     tables = [_irreducible_table(rs, (w[0] + 2 * t,) + w[1:]) for w in summands]
     return tables[0] if len(tables) == 1 else add_tables(*tables)  # one table is fresh: {} or {length: dim > 0}
 
@@ -284,10 +279,10 @@ def euler_characteristic(table: Mapping[int, int]) -> int:
     that is not an integer, is a ``BWBError``."""
     chi = 0
     for k, d in _typed(table, Mapping, "cohomology table", BWBError).items():
-        k = _integral(k, "cohomology degree", BWBError)
+        k = _index(k, "cohomology degree", BWBError)
         if k < 0:
             raise BWBError(f"cohomology degree {k} is negative")
-        chi += (-1) ** k * _integral(d, "cohomology table entry", BWBError)
+        chi += (-1) ** k * _index(d, "cohomology table entry", BWBError)
     return chi
 
 
@@ -330,14 +325,14 @@ def les_solve(seq: SequenceSpec) -> CohomologyTable:
     if len(missing) > 1:
         raise Underdetermined(f"{len(missing)} unknown terms in {seq.names}")
 
-    top = _integral(seq.top_degree, "top degree", BWBError)
+    top = _index(seq.top_degree, "top degree", BWBError)
     for name, t in zip(names, tables):
         if t is not None and type(t) is not dict:
             _typed(t, Mapping, f"cohomology table of {name}", BWBError)
         for k in t or ():
             if k not in range(top + 1):
                 raise BWBError(f"cohomology degree {k!r} of {name} is outside 0..{top}")
-    entries = [None if t is None else _integral(t.get(k, 0), "cohomology table entry", BWBError)
+    entries = [None if t is None else _index(t.get(k, 0), "cohomology table entry", BWBError)
                for k in range(top + 1) for t in seq.tables]
     table: CohomologyTable = {}
     total, unknowns = 0, []
@@ -391,7 +386,7 @@ def _seq(names, tables, top=_DIM_Q5) -> SequenceSpec:
 
 def ottaviani_table(t: int) -> CohomologyTable:
     """Cohomology of the twisted Ottaviani bundle via 0 -> O(t) -> Sdual(t) -> G(t) -> 0."""
-    t = _integral(t, "twist", BWBError)
+    t = _index(t, "twist", BWBError)
     return les_solve(_seq(
         (f"O({t})", f"Sdual({t})", f"G({t})"),
         (bundle_cohomology(5, "O", t), bundle_cohomology(5, "Sdual", t), None),
@@ -404,7 +399,7 @@ def ottaviani_dual_table(t: int) -> CohomologyTable:
     Where exactness of that sequence leaves the table unforced, the dualized
     Cayley sequence 0 -> O(t-1) -> Gdual(t) -> C(t) -> 0 is tried instead.
     """
-    t = _integral(t, "twist", BWBError)
+    t = _index(t, "twist", BWBError)
     try:
         return les_solve(_seq(
             (f"Gdual({t})", f"S({t})", f"O({t})"),
@@ -419,7 +414,7 @@ def ottaviani_dual_table(t: int) -> CohomologyTable:
 
 def cayley_table(t: int) -> CohomologyTable:
     """Cohomology of the twisted Cayley bundle, cited where exactness cannot force it."""
-    t = _integral(t, "twist", BWBError)
+    t = _index(t, "twist", BWBError)
     if t in CAYLEY_KNOWN:
         return dict(CAYLEY_KNOWN[t])
     return les_solve(_seq(
@@ -430,7 +425,7 @@ def cayley_table(t: int) -> CohomologyTable:
 
 def named_bundle_table(n: int, name: str, t: int = 0) -> CohomologyTable:
     """Table for a dictionary bundle or one of the sequence-resolved bundles."""
-    t = _integral(t, "twist", BWBError)
+    t = _index(t, "twist", BWBError)
     if name in dictionary_names(n):
         return bundle_cohomology(n, name, t)
     if n == _DIM_Q5:
@@ -466,7 +461,7 @@ def vanishing_case(case: int) -> CohomologyTable:
     runs the exact chain of short exact sequences used to establish the
     corresponding vanishing, with the conservative solver at every step.
     """
-    case = _integral(case, "case", BWBError)
+    case = _index(case, "case", BWBError)
     if case == 1:
         # dualize the Cayley sequence and twist: 0 -> O -> Gdual(1) -> C(1) -> 0
         return les_solve(_seq(

@@ -45,8 +45,9 @@ BUILTIN_NAMES = ("d4", "g2dagger")
 
 # Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
 # error.  At the caps, as fresh processes on a 2-vCPU host, `bwb 500 Splusdual 0`
-# takes about 0.33 s and `motivic --rank 50000` 0.8 to 1.0 s: in process, about
-# 0.4 s for the residual and 0.4 to 0.6 s to render it and the closed form as text.
+# takes about 0.33 s and `motivic --rank 50000` 0.5 to 0.7 s: in process, about
+# 0.25 s for the residual and 0.17 s to render it as text, once, since a closed
+# form equal to it prints the same text.
 MAX_QUADRIC_DIM = 500
 MAX_TWIST = 10**9
 MAX_MOTIVIC_RANK = 50000
@@ -184,12 +185,9 @@ def cmd_motivic(rank: Optional[int]) -> dict:
     for r in ranks:
         residual = l_equivalence_residual(r)
         expected = residual_closed_form(r)
-        rows.append({
-            "rank": r,
-            "residual": str(residual),
-            "expected": str(expected),
-            "match": residual == expected,
-        })
+        text, match = str(residual), residual == expected
+        # equal polynomials render to the same text, so a match renders once
+        rows.append({"rank": r, "residual": text, "expected": text if match else str(expected), "match": match})
     return {"command": "motivic", "identities": rows, "all_match": all(r["match"] for r in rows)}
 
 

@@ -1,7 +1,7 @@
 """Roof configurations: the two built-in ones and the JSON file format.
 
 A configuration file is a JSON document with the keys of a ``BUILTIN_CONFIGS``
-entry: ``name``, ``rank``, ``base_dim`` (two quadric dimensions),
+entry: ``name`` (a string), ``rank``, ``base_dim`` (two quadric dimensions),
 ``polarization_degree`` and two ``sides``.  Each side gives either ``chern``
 (components of the untwisted bundle, as lists of [basis label, integer]
 pairs, plus an integer ``twist``) or ``groth`` (the relation coefficients of
@@ -24,7 +24,7 @@ import json
 from os import PathLike
 from typing import Mapping, Optional
 
-from .errors import ConfigError, _index
+from .errors import ConfigError, _index, _typed
 from .gradedring import ChernVector, GradedClass, RingPresentation, chern_twist, make_quadric_ring
 from .roofcalc import RoofConfig, RoofSide
 
@@ -115,13 +115,14 @@ def _side_from_dict(data, ring: RingPresentation, rank: int, name: str) -> RoofS
 def config_from_dict(data: Mapping) -> RoofConfig:
     """Build and validate a RoofConfig from parsed JSON data.
 
-    Integer fields must be JSON integers (a bool, float or string is a
-    ConfigError, not converted), and basis labels must exist on the base.
+    The name must be a JSON string and integer fields JSON integers (a bool,
+    float or string is a ConfigError, not converted), and basis labels must
+    exist on the base.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"a configuration must be an object, got {type(data).__name__}")
     try:
-        name = str(data["name"])
+        name = _typed(data["name"], str, "name", ConfigError)
         rank = _index(data["rank"], "rank", ConfigError)
         base_dims = [_index(d, "base_dim entry", ConfigError) for d in _array(data["base_dim"], "base_dim")]
         degree = _index(data["polarization_degree"], "polarization_degree", ConfigError)

@@ -306,6 +306,8 @@ class GradedClass:
             )
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
+        if type(other) is not GradedClass:
+            return NotImplemented
         self._check_ring(other)
         if self.degree != other.degree:
             raise GradedRingError("cannot add classes of different degrees")
@@ -315,7 +317,7 @@ class GradedClass:
         return GradedClass(self.ring, self.degree, out)
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
+        return self + (-other) if type(other) is GradedClass else NotImplemented
 
     def __neg__(self) -> "GradedClass":
         return GradedClass(self.ring, self.degree, {k: -v for k, v in self.coeffs.items()})
@@ -325,8 +327,8 @@ class GradedClass:
         return GradedClass(self.ring, self.degree, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if type(other) is not GradedClass and isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if type(other) is not GradedClass:
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check_ring(other)
         d = self.degree + other.degree
         out: dict[str, int | Fraction] = {}

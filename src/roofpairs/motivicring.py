@@ -4,9 +4,10 @@ The fragment is the free commutative ring on six formal symbols: the class
 ``L`` of the affine line and the classes of the two surfaces, two bases and
 the hyperplane section of a roof.  Everything is kept in canonical expanded
 form (integer-coefficient monomials with integer exponents) so equality is
-coefficient-wise.  Every integer input follows the shared ``errors._integral``
-rule: an integral value becomes an int, and any other value raises
-``ValueError`` instead of being truncated.  The checks run once, in the
+coefficient-wise.  Every integer input (an exponent, coefficient, power, rank
+or projective dimension) follows the shared ``errors._index`` rule: an int is
+taken as it is, and any other value, 4.0 and True included, raises
+``ValueError`` instead of being converted.  The checks run once, in the
 public constructor (and so in ``var`` and ``const``); the ring operations
 build their results already in canonical form (nonzero ``int`` coefficients
 on tuples of non-negative ``int`` exponents) and wrap them without checking
@@ -30,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._text import signed_sum
-from .errors import _integral, _typed
+from .errors import _index, _typed
 
 SYMBOLS = ("L", "Y", "Yt", "B", "Bt", "M")
 _INDEX = {s: i for i, s in enumerate(SYMBOLS)}
@@ -49,9 +50,9 @@ class MotivicPoly:
     """Multivariate integer polynomial in the fixed symbol set, canonical form.
 
     ``coeffs`` maps exponent tuples, one exponent per symbol, to coefficients.
-    Coefficients and exponents must be integral numbers; anything else, and a
+    Coefficients and exponents must be integers; anything else, and a
     ``coeffs`` that is not a mapping, raises ValueError rather than being
-    truncated.
+    converted.
     """
 
     __slots__ = ("coeffs",)
@@ -62,10 +63,10 @@ class MotivicPoly:
             if not isinstance(mono, tuple) or len(mono) != len(SYMBOLS):
                 raise ValueError(f"bad monomial {mono}")
             if type(mono) is not tuple or set(map(type, mono)) != {int}:
-                mono = tuple(_integral(e, "exponent", ValueError) for e in mono)
+                mono = tuple(_index(e, "exponent", ValueError) for e in mono)
             if min(mono) < 0:
                 raise ValueError(f"bad monomial {mono}")
-            c = _integral(c, "coefficient", ValueError)
+            c = _index(c, "coefficient", ValueError)
             if c:
                 clean[mono] = c
         self.coeffs = clean
@@ -123,7 +124,7 @@ class MotivicPoly:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         """One pass over each term pair; a factor of one term c*x^a shifts the other's terms."""
@@ -150,7 +151,7 @@ class MotivicPoly:
 
     def __pow__(self, e: int):
         """Square-and-multiply power."""
-        e = _integral(e, "exponent", ValueError)
+        e = _index(e, "exponent", ValueError)
         if e < 0:
             raise ValueError("negative powers are not in the ring")
         out, base = MotivicPoly._of({_UNIT: 1}), self
@@ -241,7 +242,7 @@ def proj_class(k: int) -> MotivicPoly:
     >>> str(proj_class(2))
     '1 + L + L^2'
     """
-    k = _integral(k, "projective space dimension", ValueError)
+    k = _index(k, "projective space dimension", ValueError)
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
     rest = (0,) * (len(SYMBOLS) - 1)
@@ -254,7 +255,7 @@ def fibration_class(r: int) -> MotivicPoly:
     The fibers jump from P^(r-2) to P^(r-1) exactly over the surface:
     [M] = [P^(r-1)][Y] + [P^(r-2)]([B] - [Y]).
     """
-    r = _integral(r, "rank", ValueError)
+    r = _index(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     return proj_class(r - 1) * Y + proj_class(r - 2) * (B - Y)
@@ -280,7 +281,7 @@ def residual_closed_form(r: int) -> MotivicPoly:
     >>> residual_closed_form(3) == l_equivalence_residual(3)
     True
     """
-    r = _integral(r, "rank", ValueError)
+    r = _index(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
     # exponents in SYMBOLS order: L, Y, Yt, B, Bt, M

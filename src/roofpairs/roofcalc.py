@@ -228,6 +228,8 @@ class BundleClass:
             raise RoofError("bundle classes live on different roof sides")
 
     def __add__(self, other: "BundleClass") -> "BundleClass":
+        if type(other) is not BundleClass:
+            return NotImplemented
         self._check(other)
         if self.degree != other.degree:
             raise RoofError("cannot add bundle classes of different degrees")
@@ -235,7 +237,7 @@ class BundleClass:
             {k: p.get(k, 0) + q.get(k, 0) for k in {**p, **q}} for p, q in zip(self._flat, other._flat)])
 
     def __sub__(self, other: "BundleClass") -> "BundleClass":
-        return self + (-other)
+        return self + (-other) if type(other) is BundleClass else NotImplemented
 
     def __neg__(self) -> "BundleClass":
         return BundleClass._of(self.side, self.degree, [{k: -v for k, v in p.items()} for p in self._flat])
@@ -245,8 +247,8 @@ class BundleClass:
         return BundleClass._of(self.side, self.degree, [{k: c * v for k, v in p.items()} for p in self._flat])
 
     def __mul__(self, other):
-        if type(other) is not BundleClass and isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if type(other) is not BundleClass:
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check(other)
         add_product = self.side.base.add_product
         terms: dict[int, dict[str, int | Fraction]] = {}

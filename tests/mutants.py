@@ -102,7 +102,8 @@ MUTANTS = (
        "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
     _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
     _m("kernel-sublattice-width-unchecked", "latticecore", 'n, "sublattice")', 'None, "sublattice")', LAT),
-    _m("weight-non-finite-leaks", "bwbcoh", "except (ValueError, OverflowError):", "except ():", CONTRACT),
+    _m("weight-coordinate-admits-floats", "bwbcoh", '_typed(c, Fraction, "weight coordinate", BWBError)',
+       '_typed(c, (Fraction, float), "weight coordinate", BWBError)', CONTRACT),
     _m("gram-squareness-unchecked", "latticecore",
        'if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):', "if False:",
        LAT),
@@ -135,25 +136,24 @@ MUTANTS = (
        'tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)',
        'tuple([x, _index(e, "middle_basis exponent", InvalidRoofError)] for x, e in middle_basis)', ROOF),
     _m("load-config-path-type-unchecked", "configs", "if not isinstance(path, (str, PathLike)):", "if False:", CLI),
-    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _integral(rank, "rank", BWBError)', "pass", CONTRACT),
-    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _integral(n, "quadric dimension", BWBError)', "pass", CONTRACT),
-    _m("les-top-degree-not-integral", "bwbcoh", 'top = _integral(seq.top_degree, "top degree", BWBError)',
+    _m("root-system-rank-not-integral", "bwbcoh", 'rank = _index(rank, "rank", BWBError)', "pass", CONTRACT),
+    _m("quadric-dimension-not-integral", "bwbcoh", 'n = _index(n, "quadric dimension", BWBError)', "pass", CONTRACT),
+    _m("les-top-degree-not-integral", "bwbcoh", 'top = _index(seq.top_degree, "top degree", BWBError)',
        "top = seq.top_degree", CONTRACT),
     _m("sequence-twist-not-integral", "bwbcoh",
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n'
-       '    t = _integral(t, "twist", BWBError)\n',
+       '    t = _index(t, "twist", BWBError)\n',
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n', BWB),
     _m("proj-class-dimension-not-integral", "motivicring",
-       'k = _integral(k, "projective space dimension", ValueError)', "pass", CONTRACT),
+       'k = _index(k, "projective space dimension", ValueError)', "pass", CONTRACT),
     _m("fibration-rank-not-integral", "motivicring",
-       '([B] - [Y]).\n    """\n    r = _integral(r, "rank", ValueError)\n', '([B] - [Y]).\n    """\n', CONTRACT),
-    _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _integral(r, "rank", ValueError)\n',
+       '([B] - [Y]).\n    """\n    r = _index(r, "rank", ValueError)\n', '([B] - [Y]).\n    """\n', CONTRACT),
+    _m("closed-form-rank-not-integral", "motivicring", '    True\n    """\n    r = _index(r, "rank", ValueError)\n',
        '    True\n    """\n', CONTRACT),
-    # errors: the three shared argument rules
+    # errors: the two shared argument rules
     _m("index-rule-admits-anything", "errors", "        return index(value)\n", "        return value\n", CONTRACT),
     _m("index-rule-admits-bools", "errors", "        if type(value) is not bool:\n", "        if True:\n", CONTRACT,
        ROOF),
-    _m("integral-rule-truncates", "errors", "if n is None or n != value:", "if n is None:", CONTRACT, BWB),
     _m("typed-rule-admits-anything", "errors", "    if not isinstance(value, cls):", "    if False:", CONTRACT, ROOF),
     # roofcalc: the declared locus signs of RoofConfig, and the stage that RoofQuery names
     _m("roof-config-signs-unchecked", "roofcalc", "if any(s not in (1, -1) for s in signs):", "if False:", ROOF,
@@ -216,7 +216,7 @@ MUTANTS = (
        "if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):", "if False:", CONTRACT),
     _m("side-middle-exponent-not-an-index", "roofcalc", '_index(e, "middle_basis exponent", InvalidRoofError)', "e",
        CONTRACT),
-    _m("les-table-entries-not-integral", "bwbcoh", '_integral(t.get(k, 0), "cohomology table entry", BWBError)',
+    _m("les-table-entries-not-integral", "bwbcoh", '_index(t.get(k, 0), "cohomology table entry", BWBError)',
        "t.get(k, 0)", CONTRACT),
     # the class and side arguments of the public functions, through errors._typed
     _m("pairing-operand-types-unchecked", "roofcalc",
@@ -246,6 +246,8 @@ MUTANTS = (
     _m("nf-memo-shared-by-all-sides", "roofcalc", '"_table", {})', '"_table", globals().setdefault("_NF_MEMO", {}))',
        ROOF, "test_records.py"),
     _m("nf-zero-cutoff-off-by-one", "roofcalc", "+ e > self.dim_total:", "+ e > self.dim_total + 1:", ROOF),
+    _m("middle-gram-entry-corrupted", "roofcalc", "tuple(pairing_on_M(side, a, b) for b in classes)",
+       "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_lattice_splitting.py"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),
@@ -277,8 +279,12 @@ MUTANTS = (
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
     _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
     _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
-    _m("non-integral-twist-accepted", "bwbcoh", '    t = _integral(t, "twist", BWBError)\n    tables = [',
+    _m("non-integral-twist-accepted", "bwbcoh", '    t = _index(t, "twist", BWBError)\n    tables = [',
        "    tables = [", BWB),
+    _m("cayley-twist-converts-integral-floats", "bwbcoh",
+       'cannot force it."""\n    t = _index(t, "twist", BWBError)\n',
+       'cannot force it."""\n    t = _index(int(t) if type(t) is float and t.is_integer() else t, "twist", BWBError)\n',
+       BWB),
     # bwbcoh: the long exact sequence solver
     _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
        "value = total if unknowns[0] % 2 == 0 else -total", BWB),

@@ -236,7 +236,9 @@ class TestBundleCohomology:
         for t in (H, Fraction(-7, 2), 0.5):
             with pytest.raises(BWBError, match="twist must be an integer"):
                 bundle_cohomology(5, "Sdual", t)
-        assert bundle_cohomology(5, "O", Fraction(2)) == {0: 27}
+        # an integral Fraction used to be taken as the int 2
+        with pytest.raises(BWBError, match=r"^twist must be an integer, got Fraction\(2, 1\)$"):
+            bundle_cohomology(5, "O", Fraction(2))
 
 
 class TestLesSolve:
@@ -253,9 +255,11 @@ class TestLesSolve:
         assert les_solve(seq) == {0: 8}
 
     def test_all_known_returns_the_checked_middle_table(self):
-        # the middle table used to come back as given, 8.0 and all
-        result = les_solve(SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 8.0, 1: 0}, {0: 7}), 5))
-        assert result == {0: 8} and type(result[0]) is int and 1 not in result
+        # the middle table used to come back as given, zeros and all; an entry of 8.0 used to become 8
+        result = les_solve(SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 8, 1: 0}, {0: 7}), 5))
+        assert result == {0: 8} and 1 not in result
+        with pytest.raises(BWBError, match=r"^cohomology table entry must be an integer, got 8\.0$"):
+            les_solve(SequenceSpec(("A", "B", "C"), ({0: 1}, {0: 8.0, 1: 0}, {0: 7}), 5))
 
     @pytest.mark.parametrize("degree", [9, 6, -1, "x"], ids=repr)
     def test_degree_outside_the_variety_rejected(self, degree):
@@ -391,12 +395,7 @@ def test_sequence_table_twist_is_checked(table):
 
 
 @pytest.mark.parametrize("table", SEQUENCE_TABLES)
-def test_sequence_table_converts_an_integral_twist(table, monkeypatch):
-    import roofpairs.bwbcoh as bwbcoh
-
-    names = []
-    solve = bwbcoh.les_solve
-    monkeypatch.setattr(bwbcoh, "les_solve", lambda seq: names.append(seq.names) or solve(seq))
-    assert table(-2.0) == table(-2)
-    half = len(names) // 2
-    assert names[:half] == names[half:] and not any(".0)" in name for seq in names for name in seq)
+def test_sequence_table_refuses_an_integral_float_twist(table):
+    # -2.0 used to be taken as the twist -2
+    with pytest.raises(BWBError, match=r"^twist must be an integer, got -2\.0$"):
+        table(-2.0)

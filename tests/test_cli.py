@@ -324,6 +324,17 @@ class TestMotivic:
         code, report = run_json(capsys, "motivic", "--rank", "4")
         assert code == 0 and report["identities"][0]["match"] is True
 
+    def test_mismatching_closed_form_prints_its_own_text(self, capsys, monkeypatch):
+        # a match renders the residual once and prints it twice; a mismatch must still render both
+        import roofpairs.motivicring as motivicring
+
+        wrong = motivicring.residual_closed_form(4) + motivicring.L
+        monkeypatch.setattr(motivicring, "residual_closed_form", lambda r: wrong)
+        code, report = run_json(capsys, "motivic", "--rank", "4")
+        (row,) = report["identities"]
+        assert code == 1 and report["all_match"] is False and row["match"] is False
+        assert row["expected"] == str(wrong) != row["residual"] == str(motivicring.l_equivalence_residual(4))
+
 
 class TestVerifyAll:
     def test_passes(self, capsys):
@@ -432,6 +443,11 @@ def _write(tmp_path, data) -> pathlib.Path:
     (_g2_side(chern=5), "chern must be a list, got 5"),
     # rejected before any ring is built; without the cap this took about 20 s
     (_g2(base_dim=[200, 200]), f"base_dim entry 200 exceeds the cap of {MAX_BASE_DIM}"),
+    # the name was converted with str(): these loaded as configurations None, 5, ['a'] and True
+    (_g2(name=None), "name: expected a str, got NoneType"),
+    (_g2(name=5), "name: expected a str, got int"),
+    (_g2(name=["a"]), "name: expected a str, got list"),
+    (_g2(name=True), "name: expected a str, got bool"),
 ])
 def test_malformed_config_is_usage_error(tmp_path, data, message):
     stderr = usage_error("describe", "--config", str(_write(tmp_path, data)))

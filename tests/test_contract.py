@@ -13,11 +13,11 @@ with types, or the error of the name's layer with a message that names the
 slot.  A builtin exception never passes.  Where no other test pins a check's
 wording, the slot's pattern spells out the whole message.
 
-Integral slots (``bwbcoh`` and ``motivicring`` convert integral numbers) must
-turn their valid value written as a float into the same result, ints and all;
-index slots refuse any float, and both refuse True.  Entries of matrices,
-vectors and tables are read through ``operator.index`` or the integral rule,
-so their junk is 1.5, "2" and None.
+Every integer slot of every layer is an index slot: it reads its value
+through ``errors._index``, so ``check`` accepts only the layer's error there,
+for 1.5, 4.0, "2", None, True and the valid value written as a float alike.
+Entries of matrices, vectors and tables are read through ``operator.index``
+or the same rule, so their junk is 1.5, "2" and None.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def _rows(m, row) -> list:
 
 # kind -> the junk of that kind beyond the five scalars, derived from a valid value
 JUNK: dict[str, Callable[[object], list]] = {
-    # an integral slot's valid value as a float must convert; 4.0 is already among the five scalars
-    "index": lambda v: [float(v)], "integral": lambda v: [float(v)] if v != 4 else [],
+    # an index slot's valid value as a float is refused too; 4.0 is already among the five scalars
+    "index": lambda v: [float(v)] if v != 4 else [],
     "name": lambda v: [[]], "key": lambda v: [[]],
     "side": lambda v: [G2], "config": lambda v: [SIDE], "ring": lambda v: [SIDE, Q5.unit()],
     "root system": lambda v: [str(v), tuple(v)], "sequence": lambda v: [tuple(v)],
@@ -196,7 +196,8 @@ TABLE: dict[str, dict[str, Slot]] = {
         "side": S("side", SIDE, lambda v: reduce(v, {1: Q5.unit()}), "side"),
         "expression": S("expression", {1: Q5.unit()}, lambda v: reduce(SIDE, v), "expression|xi exponent"),
         "exponent": S("index", 1, lambda v: reduce(SIDE, {v: Q5.unit()}), "xi exponent"),
-        "degree": S("index", 1, lambda v: reduce(SIDE, {1: Q5.unit()}, v), "degree"),  # None: read off the terms
+        # None: the degree is read off the terms
+        "degree": S("optional index", 1, lambda v: reduce(SIDE, {1: Q5.unit()}, v), "degree"),
         "degree of no terms": S("optional index", 1, lambda v: reduce(SIDE, {}, v), "degree"),
     },
     "residue_scan": {"config": S("config", G2, lambda v: roofpairs.residue_scan(v), "config")},
@@ -220,11 +221,11 @@ TABLE: dict[str, dict[str, Slot]] = {
                                  "matrix")},
     # bwbcoh
     "RootSystem": {"family": S("key", "B", lambda v: roofpairs.RootSystem(v, 4), "family"),
-                   "rank": S("integral", 4, lambda v: roofpairs.RootSystem("B", v), "rank")},
+                   "rank": S("index", 4, lambda v: roofpairs.RootSystem("B", v), "rank")},
     "bundle_cohomology": {
-        "dimension": S("integral", 4, lambda v: roofpairs.bundle_cohomology(v, "O", 1), "quadric dimension"),
+        "dimension": S("index", 4, lambda v: roofpairs.bundle_cohomology(v, "O", 1), "quadric dimension"),
         "name": S("key", "Sdual", lambda v: roofpairs.bundle_cohomology(5, v, 1), "bundle name|weight dictionary"),
-        "twist": S("integral", 4, lambda v: roofpairs.bundle_cohomology(5, "Sdual", v), "twist"),
+        "twist": S("index", 4, lambda v: roofpairs.bundle_cohomology(5, "Sdual", v), "twist"),
     },
     "dominant_conjugate": {
         "rs": S("root system", B3, lambda v: roofpairs.dominant_conjugate(v, RHO_B3), "root system"),
@@ -240,22 +241,22 @@ TABLE: dict[str, dict[str, Slot]] = {
         "known table": S("table", {0: 1}, lambda v: roofpairs.les_solve(SEQUENCE._replace(tables=(v, None, {}))),
                          "cohomology (table of a: expected|degree .+ of a is outside"
                          "|table entry must be an integer, got)|unknown terms"),
-        "top degree": S("integral", 4, lambda v: roofpairs.les_solve(SEQUENCE._replace(top_degree=v)),
+        "top degree": S("index", 4, lambda v: roofpairs.les_solve(SEQUENCE._replace(top_degree=v)),
                         "top degree"),
     },
     "rho": {"rs": S("root system", B3, lambda v: roofpairs.rho(v), "root system")},
-    "vanishing_case": {"case": S("integral", 1, lambda v: roofpairs.vanishing_case(v), "case")},
+    "vanishing_case": {"case": S("index", 1, lambda v: roofpairs.vanishing_case(v), "case")},
     # motivicring
     "MotivicPoly": {
         "coeffs": S("monomials", {MONO: 1}, lambda v: roofpairs.MotivicPoly(v), "monomial|coefficient|exponent"),
-        "exponent": S("integral", 4, lambda v: roofpairs.MotivicPoly({(v, 0, 0, 0, 0, 0): 1}), "exponent"),
-        "power": S("integral", 4, lambda v: roofpairs.MotivicPoly.var("L") ** v, "exponent"),
+        "exponent": S("index", 4, lambda v: roofpairs.MotivicPoly({(v, 0, 0, 0, 0, 0): 1}), "exponent"),
+        "power": S("index", 4, lambda v: roofpairs.MotivicPoly.var("L") ** v, "exponent"),
         "var name": S("key", "L", lambda v: roofpairs.MotivicPoly.var(v), "symbol"),
-        "const": S("integral", 4, lambda v: roofpairs.MotivicPoly.const(v), "coefficient"),
+        "const": S("index", 4, lambda v: roofpairs.MotivicPoly.const(v), "coefficient"),
     },
-    "fibration_class": {"rank": S("integral", 4, lambda v: roofpairs.fibration_class(v), "rank")},
-    "l_equivalence_residual": {"rank": S("integral", 4, lambda v: roofpairs.l_equivalence_residual(v), "rank")},
-    "proj_class": {"dimension": S("integral", 4, lambda v: roofpairs.proj_class(v), "projective space dimension")},
+    "fibration_class": {"rank": S("index", 4, lambda v: roofpairs.fibration_class(v), "rank")},
+    "l_equivalence_residual": {"rank": S("index", 4, lambda v: roofpairs.l_equivalence_residual(v), "rank")},
+    "proj_class": {"dimension": S("index", 4, lambda v: roofpairs.proj_class(v), "projective space dimension")},
     # configs
     "builtin_config": {"name": S("key", "g2dagger", lambda v: roofpairs.builtin_config(v), "configuration")},
     "load_config": {"path": S("path", "tests/data/toy_symmetric.json", lambda v: roofpairs.load_config(v),
@@ -264,10 +265,10 @@ TABLE: dict[str, dict[str, Slot]] = {
 
 # entry points outside __all__ that the command line and the checks call, as "<home module>.<name>"
 HELPERS: dict[str, dict[str, Slot]] = {
-    "bwbcoh.quadric_root_system": {"dimension": S("integral", 4, lambda v: quadric_root_system(v),
+    "bwbcoh.quadric_root_system": {"dimension": S("index", 4, lambda v: quadric_root_system(v),
                                                   "quadric dimension")},
-    "bwbcoh.named_bundle_table": {"twist": S("integral", 4, lambda v: named_bundle_table(5, "G", v), "twist")},
-    "motivicring.residual_closed_form": {"rank": S("integral", 4, lambda v: residual_closed_form(v), "rank")},
+    "bwbcoh.named_bundle_table": {"twist": S("index", 4, lambda v: named_bundle_table(5, "G", v), "twist")},
+    "motivicring.residual_closed_form": {"rank": S("index", 4, lambda v: residual_closed_form(v), "rank")},
 }
 SLOTS = {**TABLE, **HELPERS}
 
@@ -304,24 +305,18 @@ def _valid(name: str, slot: str):
     return _value(s.call(s.valid))
 
 
-def converts(s: Slot, value) -> bool:
-    """Whether ``value`` is an integral slot's valid value written as a float, which must give the result."""
-    return s.kind.removeprefix("optional ") == "integral" and type(value) is float and value == s.valid
-
-
 def check(name: str, slot: str, value) -> None:
-    """``value`` in the slot gives the valid call's result or the layer's error naming the slot."""
+    """``value`` in the slot gives the valid call's result or the layer's error naming the slot; in an
+    integer slot, only the error."""
     s = SLOTS[name][slot]
     layer = LAYER[_home(name)]
-    if converts(s, value):
-        assert _value(s.call(value)) == _valid(name, slot), f"{name} {slot} did not convert {value!r}"
-        return
     try:
         got = s.call(value)
     except layer as exc:
         assert type(exc).__module__.startswith("roofpairs.") or layer is ValueError, repr(exc)
         assert re.search(s.names, str(exc)), f"{name} {slot}: {exc}"
     else:
+        assert s.kind.removeprefix("optional ") != "index", f"{name} {slot} took {value!r}"
         assert _value(got) == _valid(name, slot), f"{name} {slot} returned {got!r}"
 
 
@@ -344,3 +339,29 @@ def _probe_id(probe) -> str:
 @pytest.mark.parametrize("probe", PROBES, ids=map(_probe_id, PROBES))
 def test_junk_gives_the_valid_result_or_the_layer_error(probe):
     check(*probe)
+
+
+# the arithmetic classes follow Python's operator protocol: an operand that is neither a class of the same
+# kind nor, for *, an int or Fraction gives NotImplemented, and so Python's own TypeError
+CLASSES = {"GradedClass": Q5.l_power(1), "BundleClass": XI3, "MotivicPoly": roofpairs.MotivicPoly.var("L")}
+OPERATORS = {"add": lambda a, x: a + x, "radd": lambda a, x: x + a, "sub": lambda a, x: a - x,
+             "rsub": lambda a, x: x - a, "mul": lambda a, x: a * x, "rmul": lambda a, x: x * a}
+OPERANDS = [(cls, op, x) for cls in CLASSES for op in OPERATORS for x in (1.5, None)] + [
+    # the graded classes have no integer constants, and no ring has Fraction constants
+    (cls, op, x) for cls in CLASSES for op in OPERATORS if "mul" not in op
+    for x in ((1, Fraction(1, 2)) if cls != "MotivicPoly" else (Fraction(1, 2),))]
+
+
+@pytest.mark.parametrize("cls, op, x", OPERANDS, ids=[f"{c}-{o}-{x!r}" for c, o, x in OPERANDS])
+def test_class_operators_refuse_other_operands_with_a_type_error(cls, op, x):
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for [-+*]: "):
+        OPERATORS[op](CLASSES[cls], x)
+
+
+@pytest.mark.parametrize("a, b, error", [
+    (Q5.l_power(1), Q6.l_power(1), errors.GradedRingError), (XI3, TILDE_XI3, errors.RoofError),
+], ids=["GradedClass", "BundleClass"])
+def test_class_operators_keep_the_layer_error_across_rings_and_sides(a, b, error):
+    for op in OPERATORS.values():
+        with pytest.raises(error, match="different"):
+            op(a, b)
