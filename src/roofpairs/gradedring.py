@@ -328,7 +328,8 @@ class GradedClass:
 
     def __mul__(self, other):
         if type(other) is not GradedClass:
-            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+            return self.scale(other) if type(other) is not bool and isinstance(other, (int, Fraction)) \
+                else NotImplemented
         self._check_ring(other)
         d = self.degree + other.degree
         out: dict[str, int | Fraction] = {}

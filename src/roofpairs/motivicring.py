@@ -94,7 +94,7 @@ class MotivicPoly:
     def _coerce(self, other) -> "MotivicPoly":
         if isinstance(other, MotivicPoly):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and type(other) is not bool:
             return MotivicPoly.const(other)
         return NotImplemented
 

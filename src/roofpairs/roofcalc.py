@@ -19,6 +19,12 @@ side builds the normal form NF(x, e) of base label x times xi^e once, on first
 use (``RoofSide._nf``), and ``reduce`` adds c * NF(x, e) for each c * x * xi^e.
 A BundleClass holds its parts as such dicts, which products, reductions and
 coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
+
+``middle_lattice`` computes each Gram entry by its definition, ``pairing_on_M``
+of two monomial classes.  ``RoofQuery``, the engine of describe, lemma7 and
+mukai, reads the same entries off the normal-form table (``_table_gram``):
+int x*xi^e . y*xi^f . xi is the point coefficient of the xi^(r-1) part of
+x*y*xi^(e+f+1), a sum of table entries NF(z, e+f+1) over the base product x*y.
 """
 
 from __future__ import annotations
@@ -248,7 +254,8 @@ class BundleClass:
 
     def __mul__(self, other):
         if type(other) is not BundleClass:
-            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+            return self.scale(other) if type(other) is not bool and isinstance(other, (int, Fraction)) \
+                else NotImplemented
         self._check(other)
         add_product = self.side.base.add_product
         terms: dict[int, dict[str, int | Fraction]] = {}
@@ -386,7 +393,13 @@ class MiddleLattice(NamedTuple):
 
 
 def middle_lattice(side: RoofSide) -> MiddleLattice:
-    """Gram matrix of the declared middle basis under the hyperplane-section pairing."""
+    """Gram matrix of the declared middle basis under the hyperplane-section pairing,
+    each entry by definition: ``pairing_on_M`` of two monomial classes."""
+    return _middle_lattice(side, _paired_gram)
+
+
+def _middle_lattice(side: RoofSide, gram_of) -> MiddleLattice:
+    """The middle lattice with its Gram matrix from ``gram_of(side, classes)``, after the basis checks."""
     _typed(side, RoofSide, "side", RoofError)
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
@@ -399,13 +412,41 @@ def middle_lattice(side: RoofSide) -> MiddleLattice:
         if cls.degree != mc:
             raise RoofError(f"middle monomial {label}*xi^{e} has codimension {cls.degree}, expected {mc}")
         classes.append(cls)
-    gram = tuple(
-        tuple(pairing_on_M(side, a, b) for b in classes) for a in classes
-    )
+    gram = gram_of(side, classes)
     d = latticecore.det(gram)
     if d == 0:
         raise DegenerateBasisError("declared middle basis is degenerate under the pairing")
     return MiddleLattice(side, tuple(tuple(m) for m in side.middle_basis), tuple(classes), gram, d)
+
+
+def _paired_gram(side: RoofSide, classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(pairing_on_M(side, a, b) for b in classes) for a in classes)
+
+
+def _table_gram(side: RoofSide, _classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix of the middle monomials read off the normal-form table.
+
+    By the projective-bundle formula (Fulton, Intersection Theory 3.1), the entry of x*xi^e and
+    y*xi^f is int_X x*y*xi^s with s = e + f + 1: for x*y = sum c_z z, the sum of c_z times the
+    point coefficient of the xi^(r-1) part of NF(z, s).  Below xi^r, x*y*xi^s is its own normal
+    form, with a xi^(r-1) part only when s = r - 1.  The monomials come from ``side.middle_basis``,
+    not from the classes.  Equal to ``_paired_gram``, its integrality error included: the first
+    non-integral entry in row order lies in the upper triangle, which is computed and mirrored."""
+    r, point, product = side.rank, side.base.point_label, side.base.basis_product
+    monomials = side.middle_basis
+    gram = [[0] * len(monomials) for _ in monomials]
+    for i, (x, e) in enumerate(monomials):
+        for k in range(i, len(monomials)):
+            y, f = monomials[k]
+            s, xy = e + f + 1, product(x, y)
+            if s < r:
+                val = xy.get(point, 0) if s == r - 1 else 0
+            else:
+                val = sum(c * m for z, c in xy.items() for j, w, m in side._nf(z, s) if j == r - 1 and w == point)
+            if val.denominator != 1:
+                raise IntegralityError(f"non-integral intersection number {val}")
+            gram[i][k] = gram[k][i] = int(val)
+    return tuple(map(tuple, gram))
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
@@ -820,8 +861,9 @@ class RoofQuery:
         return self._once(stage, id(side), build)
 
     def lattice(self, side: RoofSide) -> MiddleLattice:
-        return self._shared("middle lattice", side, lambda: middle_lattice(side), lambda lat: lat._replace(
-            side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)))
+        rehome = lambda lat: lat._replace(
+            side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes))
+        return self._shared("middle lattice", side, lambda: _middle_lattice(side, _table_gram), rehome)
 
     def locus(self, side: RoofSide) -> BundleClass:
         return self._shared("locus class", side, lambda: _locus_class(self.lattice(side)),

@@ -155,6 +155,13 @@ MUTANTS = (
     _m("index-rule-admits-bools", "errors", "        if type(value) is not bool:\n", "        if True:\n", CONTRACT,
        ROOF),
     _m("typed-rule-admits-anything", "errors", "    if not isinstance(value, cls):", "    if False:", CONTRACT, ROOF),
+    # the scalar operands of the class operators: an int or Fraction, never a bool
+    _m("graded-mul-admits-bools", "gradedring", "type(other) is not bool and isinstance(other, (int, Fraction))",
+       "isinstance(other, (int, Fraction))", CONTRACT),
+    _m("bundle-mul-admits-bools", "roofcalc", "type(other) is not bool and isinstance(other, (int, Fraction))",
+       "isinstance(other, (int, Fraction))", CONTRACT),
+    _m("motivic-operand-admits-bools", "motivicring", "isinstance(other, int) and type(other) is not bool:",
+       "isinstance(other, int):", CONTRACT),
     # roofcalc: the declared locus signs of RoofConfig, and the stage that RoofQuery names
     _m("roof-config-signs-unchecked", "roofcalc", "if any(s not in (1, -1) for s in signs):", "if False:", ROOF,
        CLI),
@@ -226,8 +233,8 @@ MUTANTS = (
     _m("integrate-operand-type-unchecked", "gradedring", '    _typed(a, GradedClass, "integrate", GradedRingError)\n',
        "", CONTRACT),
     _m("middle-lattice-side-type-unchecked", "roofcalc",
-       'hyperplane-section pairing."""\n    _typed(side, RoofSide, "side", RoofError)\n',
-       'hyperplane-section pairing."""\n', ROOF, CONTRACT),
+       'after the basis checks."""\n    _typed(side, RoofSide, "side", RoofError)\n',
+       'after the basis checks."""\n', ROOF, CONTRACT),
     _m("reduce-side-unchecked", "roofcalc",
        '    if type(side) is not RoofSide:\n        _typed(side, RoofSide, "side", RoofError)\n', "", CONTRACT),
     _m("les-sequence-length-unchecked", "bwbcoh", "    if len(names) != 3 or len(tables) != 3:", "    if False:",
@@ -247,7 +254,17 @@ MUTANTS = (
        ROOF, "test_records.py"),
     _m("nf-zero-cutoff-off-by-one", "roofcalc", "+ e > self.dim_total:", "+ e > self.dim_total + 1:", ROOF),
     _m("middle-gram-entry-corrupted", "roofcalc", "tuple(pairing_on_M(side, a, b) for b in classes)",
-       "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_lattice_splitting.py"),
+       "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_engine_gram.py"),
+    # roofcalc: the query engine's Gram matrix, read off the normal-form table
+    _m("table-gram-reads-xi-r-minus-2", "roofcalc", "if j == r - 1 and w == point)", "if j == r - 2 and w == point)",
+       "test_engine_gram.py"),
+    _m("table-gram-lower-triangle-zero", "roofcalc", "gram[i][k] = gram[k][i] = int(val)", "gram[i][k] = int(val)",
+       "test_engine_gram.py"),
+    _m("table-gram-drops-the-short-branch", "roofcalc", "val = xy.get(point, 0) if s == r - 1 else 0", "val = 0",
+       "test_engine_gram.py"),
+    _m("table-gram-integrality-unchecked", "roofcalc",
+       '            if val.denominator != 1:\n                raise IntegralityError(', '            if False:\n'
+       '                raise IntegralityError(', "test_engine_gram.py"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),

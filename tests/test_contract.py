@@ -342,11 +342,12 @@ def test_junk_gives_the_valid_result_or_the_layer_error(probe):
 
 
 # the arithmetic classes follow Python's operator protocol: an operand that is neither a class of the same
-# kind nor, for *, an int or Fraction gives NotImplemented, and so Python's own TypeError
+# kind nor, for *, an int or Fraction gives NotImplemented, and so Python's own TypeError; a bool is refused
+# here as by every integer argument
 CLASSES = {"GradedClass": Q5.l_power(1), "BundleClass": XI3, "MotivicPoly": roofpairs.MotivicPoly.var("L")}
 OPERATORS = {"add": lambda a, x: a + x, "radd": lambda a, x: x + a, "sub": lambda a, x: a - x,
              "rsub": lambda a, x: x - a, "mul": lambda a, x: a * x, "rmul": lambda a, x: x * a}
-OPERANDS = [(cls, op, x) for cls in CLASSES for op in OPERATORS for x in (1.5, None)] + [
+OPERANDS = [(cls, op, x) for cls in CLASSES for op in OPERATORS for x in (1.5, None, True, False)] + [
     # the graded classes have no integer constants, and no ring has Fraction constants
     (cls, op, x) for cls in CLASSES for op in OPERATORS if "mul" not in op
     for x in ((1, Fraction(1, 2)) if cls != "MotivicPoly" else (Fraction(1, 2),))]

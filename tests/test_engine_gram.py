@@ -1,0 +1,77 @@
+"""The query engine's Gram matrices, read off the normal-form table, against ``middle_lattice``.
+
+``RoofQuery.lattice`` reads each entry int x*xi^e . y*xi^f . xi off the side's
+normal-form table, as the point coefficient of the xi^(r-1) part of
+x*y*xi^(e+f+1); ``middle_lattice`` computes it by definition, as
+``pairing_on_M`` of the two monomial classes.  The two must give the same
+lattice: Gram matrix, determinant and classes.  Each side is queried on a
+freshly loaded config, before the public path runs, so the table read fills
+the table itself instead of finding it filled by ``reduce``.
+"""
+
+import json
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from roofpairs.configs import config_from_dict, load_config
+from roofpairs.gradedring import GradedClass, IntegralityError, make_quadric_ring
+from roofpairs.roofcalc import RoofConfig, RoofQuery, RoofSide, middle_lattice
+
+from test_roof_queries import CONFIGS, roof_relation, synthetic_roof
+
+DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
+
+
+def check_both_sides(fresh) -> None:
+    """``fresh()`` builds a new config each time: one per side, queried first, then the public path on it."""
+    for pick in (lambda c: c.side, lambda c: c.tilde_side):
+        config = fresh()
+        side = pick(config)
+        engine = RoofQuery(config).lattice(side)
+        public = middle_lattice(side)
+        assert engine.gram == public.gram, side.name
+        assert engine.determinant == public.determinant, side.name
+        assert engine.classes == public.classes, side.name
+        assert engine == public
+
+
+@pytest.mark.parametrize("path", DATA, ids=lambda p: p.stem)
+def test_committed_config(path):
+    check_both_sides(lambda: load_config(path))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+def test_query_config(config):
+    # a RoofConfig is rebuilt from its sides' data, so each check starts from empty normal-form tables
+    def fresh():
+        sides = [RoofSide(s.name, s.base, s.rank, s.groth_coeffs, s.middle_basis)
+                 for s in (config.side, config.tilde_side)]
+        return RoofConfig(config.name, *sides, config.polarization_degree, config.declared_locus_signs)
+
+    check_both_sides(fresh)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1), amp=st.integers(1, 4))
+def test_synthetic_roof(n, seed, amp):
+    data = json.dumps(synthetic_roof(n, roof_relation(random.Random(seed), n - 2, amp), "hyp"))
+    check_both_sides(lambda: config_from_dict(json.loads(data)))
+
+
+def test_fraction_relation_gives_the_same_integrality_error():
+    # c_1 = L/2 on Q4: the entry of Pi1 and L*xi is int Pi1 * L * c_1 = 1/2, the first in row order
+    ring = make_quadric_ring(4)
+    coeffs = (GradedClass(ring, 1, {"L": Fraction(1, 2)}), GradedClass(ring, 2, {"Pi1": 1, "Pi2": 1}))
+    basis = (("Pi1", 0), ("Pi2", 0), ("L", 1))
+    side = RoofSide("half", ring, 2, coeffs, basis)
+    config = RoofConfig("half", side, RoofSide("half~", ring, 2, coeffs, basis), 2)
+    with pytest.raises(IntegralityError) as got:
+        RoofQuery(config).lattice(side)
+    with pytest.raises(IntegralityError) as expected:
+        middle_lattice(side)
+    assert str(expected.value) == "non-integral intersection number 1/2"
+    assert str(got.value) == f"stage 'middle lattice' failed: {expected.value}"

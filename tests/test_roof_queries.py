@@ -324,12 +324,24 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
 def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
     # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group,
     # and only lemma7 switches the locus class to the other side
-    counts = count_calls("roofcalc.middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group",
+    counts = count_calls("roofcalc._middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group",
                          "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    assert counts == {"roofcalc.middle_lattice": distinct, "roofcalc._locus_class": distinct,
+    assert counts == {"roofcalc._middle_lattice": distinct, "roofcalc._locus_class": distinct,
                       "latticecore.discriminant_group": distinct if command == "describe" else 0,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
+
+
+@pytest.mark.parametrize("command, pairings", [("describe", 3), ("lemma7", 1)])
+def test_engine_gram_is_read_without_pairings(command, pairings, count_calls):
+    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the normal-form table; the pairings left are
+    # the locus sign, once for both twins, and in describe each side's locus self-pairing.  Pairing each entry,
+    # as middle_lattice does, made 84 and 82.
+    cfg = CONFIGS[-1]
+    assert cfg.name == "syn-q10-21" and len(cfg.side.middle_basis) == 9
+    counts = count_calls("roofcalc.pairing_on_M")
+    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
+    assert counts == {"roofcalc.pairing_on_M": pairings}
 
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
