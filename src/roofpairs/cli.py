@@ -32,6 +32,7 @@ import functools
 import json
 import os
 import sys
+from operator import mul
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
@@ -77,12 +78,12 @@ def _vector(lat: MiddleLattice, coords, **extra) -> dict:
 
 
 def _side_report(q: RoofQuery, side: RoofSide) -> dict:
-    from . import roofcalc
+    from . import latticecore, roofcalc
 
     lat = q.lattice(side)
     gram = [list(r) for r in lat.gram]
     group = q.group(side)
-    locus = q.locus(side)
+    locus, coords = q.locus(side), q.locus_coordinates(side)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {
         "base": side.base.name,
@@ -99,8 +100,8 @@ def _side_report(q: RoofQuery, side: RoofSide) -> dict:
         "discriminant_group": str(group),
         "zero_locus_degree": roofcalc.cy_degree(side),
         "locus_class": str(locus),
-        "locus_coordinates": list(q.locus_coordinates(side)),
-        "locus_self_pairing": roofcalc.pairing_on_M(side, locus, locus),
+        "locus_coordinates": list(coords),
+        "locus_self_pairing": sum(map(mul, coords, latticecore.mat_vec(gram, coords))),
     }
 
 

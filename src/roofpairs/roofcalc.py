@@ -25,12 +25,16 @@ of two monomial classes.  ``RoofQuery``, the engine of describe, lemma7 and
 mukai, reads the same entries off the normal-form table (``_table_gram``):
 int x*xi^e . y*xi^f . xi is the point coefficient of the xi^(r-1) part of
 x*y*xi^(e+f+1), a sum of table entries NF(z, e+f+1) over the base product x*y.
+Where the pullback sublattice S is unimodular, it reads the determinant, the
+locus class and the discriminant group off the splitting L = S + Zj
+(``_splitting``) instead of eliminating on the whole Gram matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from itertools import combinations
+from math import comb, gcd, prod
 from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -395,11 +399,12 @@ class MiddleLattice(NamedTuple):
 def middle_lattice(side: RoofSide) -> MiddleLattice:
     """Gram matrix of the declared middle basis under the hyperplane-section pairing,
     each entry by definition: ``pairing_on_M`` of two monomial classes."""
-    return _middle_lattice(side, _paired_gram)
+    return _middle_lattice(side, _paired_gram, latticecore.det)
 
 
-def _middle_lattice(side: RoofSide, gram_of) -> MiddleLattice:
-    """The middle lattice with its Gram matrix from ``gram_of(side, classes)``, after the basis checks."""
+def _middle_lattice(side: RoofSide, gram_of, det_of) -> MiddleLattice:
+    """The middle lattice with its Gram matrix from ``gram_of(side, classes)`` and its determinant from
+    ``det_of(gram)``, after the basis checks."""
     _typed(side, RoofSide, "side", RoofError)
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
@@ -413,7 +418,7 @@ def _middle_lattice(side: RoofSide, gram_of) -> MiddleLattice:
             raise RoofError(f"middle monomial {label}*xi^{e} has codimension {cls.degree}, expected {mc}")
         classes.append(cls)
     gram = gram_of(side, classes)
-    d = latticecore.det(gram)
+    d = det_of(gram)
     if d == 0:
         raise DegenerateBasisError("declared middle basis is degenerate under the pairing")
     return MiddleLattice(side, tuple(tuple(m) for m in side.middle_basis), tuple(classes), gram, d)
@@ -423,30 +428,78 @@ def _paired_gram(side: RoofSide, classes: Sequence[BundleClass]) -> tuple[tuple[
     return tuple(tuple(pairing_on_M(side, a, b) for b in classes) for a in classes)
 
 
-def _table_gram(side: RoofSide, _classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix of the middle monomials read off the normal-form table.
+def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
+    """int_X x*y*xi^s for base labels x and y, read off the normal-form table.
 
-    By the projective-bundle formula (Fulton, Intersection Theory 3.1), the entry of x*xi^e and
-    y*xi^f is int_X x*y*xi^s with s = e + f + 1: for x*y = sum c_z z, the sum of c_z times the
-    point coefficient of the xi^(r-1) part of NF(z, s).  Below xi^r, x*y*xi^s is its own normal
-    form, with a xi^(r-1) part only when s = r - 1.  The monomials come from ``side.middle_basis``,
-    not from the classes.  Equal to ``_paired_gram``, its integrality error included: the first
-    non-integral entry in row order lies in the upper triangle, which is computed and mirrored."""
-    r, point, product = side.rank, side.base.point_label, side.base.basis_product
+    By the projective-bundle formula (Fulton, Intersection Theory 3.1), for x*y = sum c_z z it is
+    the sum of c_z times the point coefficient of the xi^(r-1) part of NF(z, s).  Below xi^r,
+    x*y*xi^s is its own normal form, with a xi^(r-1) part only when s = r - 1."""
+    r, point, xy = side.rank, side.base.point_label, side.base.basis_product(x, y)
+    if s < r:
+        return xy.get(point, 0) if s == r - 1 else 0
+    return sum(c * m for z, c in xy.items() for j, w, m in side._nf(z, s) if j == r - 1 and w == point)
+
+
+def _table_gram(side: RoofSide, _classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix of the middle monomials read off the normal-form table: the entry of x*xi^e
+    and y*xi^f is int_X x*y*xi^(e+f+1) (``_table_integral``).  The monomials come from
+    ``side.middle_basis``, not from the classes.  Equal to ``_paired_gram``, its integrality error
+    included: the first non-integral entry in row order lies in the upper triangle, which is
+    computed and mirrored."""
     monomials = side.middle_basis
     gram = [[0] * len(monomials) for _ in monomials]
     for i, (x, e) in enumerate(monomials):
         for k in range(i, len(monomials)):
             y, f = monomials[k]
-            s, xy = e + f + 1, product(x, y)
-            if s < r:
-                val = xy.get(point, 0) if s == r - 1 else 0
-            else:
-                val = sum(c * m for z, c in xy.items() for j, w, m in side._nf(z, s) if j == r - 1 and w == point)
+            val = _table_integral(side, x, y, e + f + 1)
             if val.denominator != 1:
                 raise IntegralityError(f"non-integral intersection number {val}")
             gram[i][k] = gram[k][i] = int(val)
     return tuple(map(tuple, gram))
+
+
+class _Splitting(NamedTuple):
+    """L = S + Zj for a unimodular pullback sublattice S.  ``j`` holds the coordinates of the
+    generator of S's orthogonal complement that has coordinate 1 on the monomial ``top`` of xi
+    exponent r - 1; the determinant of L is ``det_s * jj``, with jj = j.j."""
+
+    top: int
+    j: tuple[int, ...]
+    jj: int
+    det_s: int
+
+
+def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[_Splitting]:
+    """The splitting L = S + Zj of the middle lattice, or None when this closed form does not apply.
+
+    Order the middle monomials x*xi^e by e and let S be spanned by those with e <= r - 2.  The
+    pairing of the e-block with the f-block vanishes for e + f < r - 2, so S's Gram matrix is block
+    anti-triangular and det S is the product of the determinants of the anti-diagonal blocks B_e
+    (the e-block against the (r-2-e)-block), signed by the reversal of the blocks.  The form applies
+    when exactly one monomial has e = r - 1, every B_e is square, the blocks above the anti-diagonal
+    vanish and det S = +-1.  Then S is unimodular, so it splits off (Milnor-Husemoller, Symmetric
+    Bilinear Forms): L = S + Zj and det L = det S * j.j.  j = e_top - c with G_SS c = G_S,top,
+    solved block by block through the unimodular B_e, last block first."""
+    k = side.rank - 2
+    blocks = [[i for i, (_, e) in enumerate(side.middle_basis) if e == f] for f in range(k + 2)]
+    top = blocks.pop()
+    if len(top) != 1 or any(len(blocks[e]) != len(blocks[k - e]) for e in range(k + 1)):
+        return None
+    if any(gram[i][j] for e in range(k) for f in range(k - e) for i in blocks[e] for j in blocks[f]):
+        return None
+    sizes = [len(b) for b in blocks]
+    det_s = (-1) ** sum(a * b for a, b in combinations(sizes, 2)) * prod(
+        latticecore.det([[gram[i][j] for j in blocks[k - e]] for i in blocks[e]]) for e in range(k + 1))
+    if det_s not in (1, -1):
+        return None
+    b, c = top[0], [0] * len(gram)
+    for e in range(k + 1):  # row block e reads B_e c_(k-e) = g_e - sum_(f > k-e) G_(e,f) c_f
+        rows, cols = blocks[e], blocks[k - e]
+        rhs = [gram[i][b] - sum(gram[i][j] * c[j] for block in blocks[k - e + 1:] for j in block) for i in rows]
+        for i, x in zip(cols, _solve_integral([[gram[row][col] for row in rows] for col in cols], rhs)):
+            c[i] = x
+    j = tuple(int(i == b) - x for i, x in enumerate(c))
+    return _Splitting(b, j, gram[b][b] - sum(g * x for g, x in zip(gram[b], c)), det_s)
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
@@ -589,6 +642,28 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
     if p < 0:
         cls = -cls
     return cls
+
+
+def _split_locus(lat: MiddleLattice, split: _Splitting) -> BundleClass:
+    """The locus class from the splitting L = S + Zj: +-j, signed as in ``_locus_class``, with the
+    pairing against xi^(r-1) * L read off the normal-form table (``_table_integral``), and the
+    errors of ``_locus_class`` and its ``pairing_on_M``."""
+    side = lat.side
+    h = side.base.hyperplane
+    if h is None:
+        raise RoofError(f"base ring {side.base.name!r} has no hyperplane class")
+    r, mc = side.rank, side.middle_codim
+    degree = reduce(side, {r - 1: h}).degree  # of xi^(r-1) * L, as pairing_on_M checks it
+    if mc + degree + 1 != side.dim_total:
+        raise DegreeMismatchError(f"codimensions {mc} + {degree} + 1 != dim X = {side.dim_total}")
+    p = sum(k * c * _table_integral(side, x, label, e + r)
+            for k, (x, e) in zip(split.j, lat.monomials) if k for label, c in h.coeffs.items())
+    if p.denominator != 1:
+        raise IntegralityError(f"non-integral intersection number {p}")
+    if p == 0:
+        raise UnexpectedRankError("locus class pairs to zero with the normalization monomial")
+    sign = 1 if p > 0 else -1
+    return class_from_coordinates(lat, [sign * k for k in split.j])
 
 
 def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
@@ -828,6 +903,14 @@ class RoofQuery:
     raised while building is raised again once, by the outermost build, as the same type
     with the text ``stage '<innermost piece>' failed: <message>``.
 
+    A side's Gram matrix is read off its normal-form table (``_table_gram``).  Where the
+    pullback sublattice S is unimodular (``_splitting``), the middle lattice splits as
+    L = S + Zj, and its determinant, locus class and discriminant group are read off that
+    splitting: det S * j.j; +-j, signed by its pairing with xi^(r-1) * L read off the table;
+    and Z/|j.j|, generated by the dual vector of the monomial of xi exponent r - 1 (valid,
+    not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they come from
+    ``det``, ``_locus_class`` and ``discriminant_group`` on the Gram matrix.
+
     The two sides are twins when they differ only in name: one base ring, rank, relation
     and middle basis, as on every built-in.  A twin's middle lattice, locus class and
     discriminant group are then those of the other side, re-homed onto it once the other
@@ -860,18 +943,46 @@ class RoofQuery:
                 self._built[stage, id(side)] = rehome(self._built[stage, id(twin)])
         return self._once(stage, id(side), build)
 
+    def _split_lattice(self, side: RoofSide) -> tuple[MiddleLattice, Optional[_Splitting]]:
+        """The middle lattice with its splitting, or None where it has none."""
+        def build():
+            split = None
+
+            def det_of(gram):
+                nonlocal split
+                split = _splitting(side, gram)
+                return latticecore.det(gram) if split is None else split.det_s * split.jj
+
+            lat = _middle_lattice(side, _table_gram, det_of)
+            return lat, split
+
+        def rehome(pair):
+            lat, split = pair
+            return lat._replace(
+                side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)), split
+
+        return self._shared("middle lattice", side, build, rehome)
+
     def lattice(self, side: RoofSide) -> MiddleLattice:
-        rehome = lambda lat: lat._replace(
-            side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes))
-        return self._shared("middle lattice", side, lambda: _middle_lattice(side, _table_gram), rehome)
+        return self._split_lattice(side)[0]
 
     def locus(self, side: RoofSide) -> BundleClass:
-        return self._shared("locus class", side, lambda: _locus_class(self.lattice(side)),
-                            lambda c: BundleClass._of(side, c.degree, c._flat))
+        def build():
+            lat, split = self._split_lattice(side)
+            return _locus_class(lat) if split is None else _split_locus(lat, split)
+
+        return self._shared("locus class", side, build, lambda c: BundleClass._of(side, c.degree, c._flat))
 
     def group(self, side: RoofSide) -> latticecore.DiscriminantGroup:
-        return self._shared("discriminant group", side,
-                            lambda: latticecore.discriminant_group(self.lattice(side).gram), lambda g: g)
+        def build():  # the dual vector of the top monomial maps S to 0 and j to 1, so it generates Z/|j.j|
+            lat, split = self._split_lattice(side)
+            if split is None:
+                return latticecore.discriminant_group(lat.gram)
+            d = abs(split.jj)
+            dual = tuple(int(i == split.top) for i in range(lat.rank))
+            return latticecore.DiscriminantGroup((d,), (dual,)) if d > 1 else latticecore.DiscriminantGroup((), ())
+
+        return self._shared("discriminant group", side, build, lambda g: g)
 
     def locus_coordinates(self, side: RoofSide) -> tuple[int, ...]:
         return coordinates_in_lattice(self.lattice(side), self.locus(side))

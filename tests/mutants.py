@@ -260,11 +260,19 @@ MUTANTS = (
        "test_engine_gram.py"),
     _m("table-gram-lower-triangle-zero", "roofcalc", "gram[i][k] = gram[k][i] = int(val)", "gram[i][k] = int(val)",
        "test_engine_gram.py"),
-    _m("table-gram-drops-the-short-branch", "roofcalc", "val = xy.get(point, 0) if s == r - 1 else 0", "val = 0",
+    _m("table-gram-drops-the-short-branch", "roofcalc", "return xy.get(point, 0) if s == r - 1 else 0", "return 0",
        "test_engine_gram.py"),
     _m("table-gram-integrality-unchecked", "roofcalc",
        '            if val.denominator != 1:\n                raise IntegralityError(', '            if False:\n'
        '                raise IntegralityError(', "test_engine_gram.py"),
+    # roofcalc: the query engine's determinant, locus class and group, read off the splitting L = S + Zj
+    _m("splitting-admits-any-nonzero-det-s", "roofcalc", "if det_s not in (1, -1):", "if det_s == 0:",
+       "test_engine_splitting.py"),
+    _m("splitting-block-reversal-sign-flipped", "roofcalc", "det_s = (-1) ** sum(", "det_s = -(-1) ** sum(",
+       "test_engine_splitting.py"),
+    _m("splitting-group-order-signed", "roofcalc", "d = abs(split.jj)", "d = split.jj", "test_engine_splitting.py"),
+    _m("splitting-locus-sign-inverted", "roofcalc", "sign = 1 if p > 0 else -1", "sign = -1 if p > 0 else 1",
+       "test_engine_splitting.py"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),

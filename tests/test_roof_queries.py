@@ -12,7 +12,7 @@ import pytest
 from roofpairs import latticecore, roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, main
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict
-from roofpairs.gradedring import make_quadric_ring
+from roofpairs.gradedring import BasisElement, RingPresentation, make_quadric_ring
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +95,27 @@ def _reordered_tilde(name, sign):
     return config_from_dict(data)
 
 
+def non_unimodular_roof() -> roofcalc.RoofConfig:
+    """A rank-2 roof over a fourfold with one class in each degree, H^2 = A, H*A = 2 H3, A^2 = 2 pt and
+    H*H3 = pt.  S is spanned by A, with A.A = 2, so det S = 2: the Gram matrix [[2, 2], [2, 0]] has the
+    discriminant group Z/2 x Z/2, not the Z/|j.j| = Z/2 of the closed form.  The relation
+    f = xi^2 - H*xi + H^2 satisfies f(xi - H, xi) = f, so lemma7 can switch sides."""
+    labels = (("1", 0), ("H", 1), ("A", 2), ("H3", 3), ("pt", 4))
+    ring = RingPresentation("X4", 4, tuple(BasisElement(*b) for b in labels), "pt",
+                            {("H", "H"): {"A": 1}, ("H", "A"): {"H3": 2}, ("A", "A"): {"pt": 2},
+                             ("H", "H3"): {"pt": 1}}, hyperplane_form={"H": 1})
+    coeffs, basis = (ring.l_power(1), ring.l_power(2)), (("A", 0), ("H", 1))
+    return roofcalc.RoofConfig("non-unimodular", roofcalc.RoofSide("side", ring, 2, coeffs, basis),
+                               roofcalc.RoofSide("side~", ring, 2, coeffs, basis), 2)
+
+
 SYNTHETIC = _synthetic_configs()
 # a seeded search found this pair: f = xi^3 - 3L xi^2 + 2L^2 xi - L^3 and f(xi - L~, xi) on Q5
 SWITCHED_RELATION = config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation"))
 CONFIGS = ([builtin_config("g2dagger"), builtin_config("d4")]
            + [_reordered_tilde("g2dagger", -1), _reordered_tilde("d4", 1), SWITCHED_RELATION]
            + [config_from_dict(d) for d in SYNTHETIC])
+NON_UNIMODULAR = non_unimodular_roof()
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +335,33 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
 
 @pytest.mark.parametrize("command", ["describe", "lemma7"])
 @pytest.mark.parametrize("cfg, distinct", [(CONFIGS[0], 1), (CONFIGS[1], 1), (CONFIGS[2], 2), (CONFIGS[3], 2),
-                                           (SWITCHED_RELATION, 2), (CONFIGS[-1], 1)], ids=lambda c: getattr(c, "name", c))
+                                           (SWITCHED_RELATION, 2), (CONFIGS[-1], 1), (NON_UNIMODULAR, 1)],
+                         ids=lambda c: getattr(c, "name", c))
 def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
     # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group,
-    # and only lemma7 switches the locus class to the other side
+    # and only lemma7 switches the locus class to the other side.  Where the pullback sublattice is
+    # unimodular, the locus class and the group are read off the splitting L = S + Zj, with no
+    # orthogonal kernel or Smith form; NON_UNIMODULAR falls back to both.
     counts = count_calls("roofcalc._middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group",
-                         "roofcalc.switch_side")
+                         "latticecore.orthogonal_kernel", "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    assert counts == {"roofcalc._middle_lattice": distinct, "roofcalc._locus_class": distinct,
-                      "latticecore.discriminant_group": distinct if command == "describe" else 0,
+    fallback = int(cfg is NON_UNIMODULAR)
+    assert counts == {"roofcalc._middle_lattice": distinct, "roofcalc._locus_class": fallback,
+                      "latticecore.discriminant_group": fallback if command == "describe" else 0,
+                      "latticecore.orthogonal_kernel": fallback,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
 
 
-@pytest.mark.parametrize("command, pairings", [("describe", 3), ("lemma7", 1)])
-def test_engine_gram_is_read_without_pairings(command, pairings, count_calls):
-    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the normal-form table; the pairings left are
-    # the locus sign, once for both twins, and in describe each side's locus self-pairing.  Pairing each entry,
-    # as middle_lattice does, made 84 and 82.
+@pytest.mark.parametrize("command", ["describe", "lemma7"])
+def test_engine_gram_is_read_without_pairings(command, count_calls):
+    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the normal-form table, and so is the
+    # pairing that signs the locus class; describe's locus self-pairing is k^T G k on the locus coordinates.
+    # Pairing each entry, as middle_lattice does, made 84 and 82; the locus sign and self-pairings made 3 and 1.
     cfg = CONFIGS[-1]
     assert cfg.name == "syn-q10-21" and len(cfg.side.middle_basis) == 9
     counts = count_calls("roofcalc.pairing_on_M")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    assert counts == {"roofcalc.pairing_on_M": pairings}
+    assert counts == {"roofcalc.pairing_on_M": 0}
 
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
@@ -361,12 +381,14 @@ def test_sides_with_different_relations_keep_their_own_normal_form_tables():
     assert side.keys() & tilde.keys() and any(side[k] != tilde[k] for k in side.keys() & tilde.keys())
 
 
-def test_describe_decomposes_each_gram_matrix_once(g2, count_calls):
-    # the report's Smith factors and discriminant group share one decomposition per
-    # side; the locus class adds one more (its orthogonal kernel).  Decomposing for
-    # each report field separately made 6 Smith and 18 det calls here.
+@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 2, 7)],
+                         ids=lambda c: getattr(c, "name", c))
+def test_describe_decomposes_each_gram_matrix_once(cfg, smith, det, count_calls):
+    # g2dagger's twin sides read their group and locus class off the splitting, with one det per 1 x 1
+    # anti-diagonal block of S; its reordered tilde side builds its own.  NON_UNIMODULAR falls back: the
+    # block det, the Gram det, and one Smith form each for the group and the locus class, whose checks make
+    # the other four dets.  Decomposing for each report field separately made 6 Smith and 18 det calls on
+    # g2dagger, and before the splitting, 2 Smith and 6 det calls.
     counts = count_calls("latticecore.smith_normal_form", "latticecore.det")
-    report = cmd_describe(g2)
-    assert [s["discriminant_group"] for s in report["sides"]] == ["Z/12", "Z/12"]
-    assert counts["latticecore.smith_normal_form"] <= 4
-    assert counts["latticecore.det"] <= 12
+    cmd_describe(cfg)
+    assert counts == {"latticecore.smith_normal_form": smith, "latticecore.det": det}

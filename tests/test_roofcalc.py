@@ -3,6 +3,7 @@ import pathlib
 import re
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,7 +405,12 @@ class TestRoofQuery:
             lat, locus = q.lattice(side), q.locus(side)
             assert lat.side is side and all(c.side is side for c in lat.classes) and locus.side is side
             assert lat == middle_lattice(side) and locus == locus_pushforward_class(side)
-            assert q.group(side) == latticecore.discriminant_group([list(r) for r in lat.gram])
+            group = q.group(side)
+            assert group.factors == latticecore.discriminant_group([list(r) for r in lat.gram]).factors
+            # generators are valid, not canonical: each has exactly the order of its factor in Z^n / G Z^n
+            for d, g in zip(group.factors, group.generators):
+                solution, _ = latticecore._solve_rational(lat.gram, g)  # G is symmetric: its rows are its columns
+                assert lcm(*(x.denominator for x in solution)) == d
         assert q.lattice(g2.side).gram is q.lattice(g2.tilde_side).gram
         assert q.group(g2.side) is q.group(g2.tilde_side)
 
