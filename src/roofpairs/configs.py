@@ -13,9 +13,8 @@ components of ``chern_twist``, so a bundle rank above the base dimension gets
 one message from ``RoofConfig`` (through ``cy_degree``) in either form.
 ``config_from_dict`` builds one quadric ring per distinct base dimension, so
 the two sides of a roof over one quadric share their base.  Sides that then
-have one relation share their normal-form table, and sides that agree in
-every field but the name are twins, whose lattice pieces ``RoofQuery``
-builds once.
+agree in every field but the name are twins; they share pieces only through
+``RoofQuery``, which builds their lattice pieces once.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ def config_from_dict(data: Mapping) -> RoofConfig:
         raise ConfigError(f"base_dim: {exc}") from None
     side = _side_from_dict(sides[0], rings[base_dims[0]], rank, f"{name}:side")
     tilde = _side_from_dict(sides[1], rings[base_dims[1]], rank, f"{name}:tilde")
-    tilde._share_table(side)
     signs = tuple(_index(s.get("declared_locus_sign", 1), "declared_locus_sign", ConfigError) for s in sides)
     try:
         return RoofConfig(name, side, tilde, degree, signs)

@@ -27,7 +27,11 @@ int x*xi^e . y*xi^f . xi is the point coefficient of the xi^(r-1) part of
 x*y*xi^(e+f+1), a sum of table entries NF(z, e+f+1) over the base product x*y.
 Where the pullback sublattice S is unimodular, it reads the determinant, the
 locus class and the discriminant group off the splitting L = S + Zj
-(``_splitting``) instead of eliminating on the whole Gram matrix.
+(``_splitting``) instead of eliminating on the whole Gram matrix.  Both build
+the lattice from ``_middle_classes`` (the basis checks and the monomial
+classes) and ``_nondegenerate``.  Each side keeps its own normal-form table;
+twin sides share pieces only through ``RoofQuery``, which re-homes one side's
+lattice, locus class and group onto the other.
 """
 
 from __future__ import annotations
@@ -86,10 +90,10 @@ class RoofSide:
     algebraic cohomology of a hyperplane section, stored as tuple pairs;
     ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
     hashed by these five fields; its normal-form table ``_table`` takes no
-    part, and the two sides of a loaded config share one table when they have
-    one base object, rank and relation (``_share_table``).  A plain class,
-    unlike the other records: it owns that table, and ``reduce`` reads its
-    fields on every call, where a NamedTuple ran about 2 % slower.
+    part and is its own, never shared with another side (twin sides share
+    pieces only through ``RoofQuery``).  A plain class, unlike the other
+    records: it owns that table, and ``reduce`` reads its fields on every
+    call, where a NamedTuple ran about 2 % slower.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -120,12 +124,6 @@ class RoofSide:
 
     def _key(self) -> tuple:
         return self.name, self.base, self.rank, self.groth_coeffs, self.middle_basis
-
-    def _share_table(self, other: "RoofSide") -> None:
-        """Use ``other``'s normal-form table when both sides have one base object, rank and relation:
-        its entries depend on nothing else."""
-        if other.base is self.base and other.rank == self.rank and other.groth_coeffs == self.groth_coeffs:
-            object.__setattr__(self, "_table", other._table)
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is RoofSide else NotImplemented
@@ -399,12 +397,13 @@ class MiddleLattice(NamedTuple):
 def middle_lattice(side: RoofSide) -> MiddleLattice:
     """Gram matrix of the declared middle basis under the hyperplane-section pairing,
     each entry by definition: ``pairing_on_M`` of two monomial classes."""
-    return _middle_lattice(side, _paired_gram, latticecore.det)
+    classes = _middle_classes(side)
+    gram = tuple(tuple(pairing_on_M(side, a, b) for b in classes) for a in classes)
+    return _nondegenerate(side, classes, gram, latticecore.det(gram))
 
 
-def _middle_lattice(side: RoofSide, gram_of, det_of) -> MiddleLattice:
-    """The middle lattice with its Gram matrix from ``gram_of(side, classes)`` and its determinant from
-    ``det_of(gram)``, after the basis checks."""
+def _middle_classes(side: RoofSide) -> tuple[BundleClass, ...]:
+    """The classes of the declared middle monomials, after the basis checks."""
     _typed(side, RoofSide, "side", RoofError)
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
@@ -417,15 +416,15 @@ def _middle_lattice(side: RoofSide, gram_of, det_of) -> MiddleLattice:
         if cls.degree != mc:
             raise RoofError(f"middle monomial {label}*xi^{e} has codimension {cls.degree}, expected {mc}")
         classes.append(cls)
-    gram = gram_of(side, classes)
-    d = det_of(gram)
-    if d == 0:
+    return tuple(classes)
+
+
+def _nondegenerate(side: RoofSide, classes: tuple[BundleClass, ...], gram: tuple[tuple[int, ...], ...],
+                   determinant: int) -> MiddleLattice:
+    """The middle lattice of ``side``, unless its determinant is 0."""
+    if determinant == 0:
         raise DegenerateBasisError("declared middle basis is degenerate under the pairing")
-    return MiddleLattice(side, tuple(tuple(m) for m in side.middle_basis), tuple(classes), gram, d)
-
-
-def _paired_gram(side: RoofSide, classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(pairing_on_M(side, a, b) for b in classes) for a in classes)
+    return MiddleLattice(side, side.middle_basis, classes, gram, determinant)
 
 
 def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
@@ -440,12 +439,11 @@ def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
     return sum(c * m for z, c in xy.items() for j, w, m in side._nf(z, s) if j == r - 1 and w == point)
 
 
-def _table_gram(side: RoofSide, _classes: Sequence[BundleClass]) -> tuple[tuple[int, ...], ...]:
+def _table_gram(side: RoofSide) -> tuple[tuple[int, ...], ...]:
     """The Gram matrix of the middle monomials read off the normal-form table: the entry of x*xi^e
-    and y*xi^f is int_X x*y*xi^(e+f+1) (``_table_integral``).  The monomials come from
-    ``side.middle_basis``, not from the classes.  Equal to ``_paired_gram``, its integrality error
-    included: the first non-integral entry in row order lies in the upper triangle, which is
-    computed and mirrored."""
+    and y*xi^f is int_X x*y*xi^(e+f+1) (``_table_integral``).  Equal to ``middle_lattice``'s, its
+    integrality error included: the first non-integral entry in row order lies in the upper
+    triangle, which is computed and mirrored."""
     monomials = side.middle_basis
     gram = [[0] * len(monomials) for _ in monomials]
     for i, (x, e) in enumerate(monomials):
@@ -653,9 +651,8 @@ def _split_locus(lat: MiddleLattice, split: _Splitting) -> BundleClass:
     if h is None:
         raise RoofError(f"base ring {side.base.name!r} has no hyperplane class")
     r, mc = side.rank, side.middle_codim
-    degree = reduce(side, {r - 1: h}).degree  # of xi^(r-1) * L, as pairing_on_M checks it
-    if mc + degree + 1 != side.dim_total:
-        raise DegreeMismatchError(f"codimensions {mc} + {degree} + 1 != dim X = {side.dim_total}")
+    if mc + r + 1 != side.dim_total:  # xi^(r-1) * L has codimension r, as pairing_on_M checks it
+        raise DegreeMismatchError(f"codimensions {mc} + {r} + 1 != dim X = {side.dim_total}")
     p = sum(k * c * _table_integral(side, x, label, e + r)
             for k, (x, e) in zip(split.j, lat.monomials) if k for label, c in h.coeffs.items())
     if p.denominator != 1:
@@ -915,7 +912,8 @@ class RoofQuery:
     and middle basis, as on every built-in.  A twin's middle lattice, locus class and
     discriminant group are then those of the other side, re-homed onto it once the other
     side has built them; otherwise a side builds its own, so an error always comes from
-    the side that was asked for."""
+    the side that was asked for.  This is the one place where twins share anything: each
+    side has its own normal-form table, which a twin whose pieces are all re-homed never fills."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
@@ -946,15 +944,10 @@ class RoofQuery:
     def _split_lattice(self, side: RoofSide) -> tuple[MiddleLattice, Optional[_Splitting]]:
         """The middle lattice with its splitting, or None where it has none."""
         def build():
-            split = None
-
-            def det_of(gram):
-                nonlocal split
-                split = _splitting(side, gram)
-                return latticecore.det(gram) if split is None else split.det_s * split.jj
-
-            lat = _middle_lattice(side, _table_gram, det_of)
-            return lat, split
+            classes, gram = _middle_classes(side), _table_gram(side)
+            split = _splitting(side, gram)
+            d = latticecore.det(gram) if split is None else split.det_s * split.jj
+            return _nondegenerate(side, classes, gram, d), split
 
         def rehome(pair):
             lat, split = pair

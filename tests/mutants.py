@@ -179,10 +179,8 @@ MUTANTS = (
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
     _m("re-homed-locus-keeps-twin-side", "roofcalc", "lambda c: BundleClass._of(side, c.degree, c._flat))",
        "lambda c: c)", ROOF, "test_roof_queries.py"),
-    _m("normal-form-table-not-shared", "roofcalc", 'object.__setattr__(self, "_table", other._table)', "pass",
-       "test_roof_queries.py"),
-    _m("normal-form-table-shared-across-relations", "roofcalc", " and other.groth_coeffs == self.groth_coeffs:", ":",
-       "test_roof_queries.py"),
+    _m("twin-pieces-not-re-homed", "roofcalc", "self._built[stage, id(side)] = rehome(self._built[stage, id(twin)])",
+       "pass", "test_roof_queries.py"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),

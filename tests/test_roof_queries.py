@@ -11,7 +11,7 @@ import pytest
 
 from roofpairs import latticecore, roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, main
-from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict
+from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
 from roofpairs.gradedring import BasisElement, RingPresentation, make_quadric_ring
 
 
@@ -342,11 +342,11 @@ def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_c
     # and only lemma7 switches the locus class to the other side.  Where the pullback sublattice is
     # unimodular, the locus class and the group are read off the splitting L = S + Zj, with no
     # orthogonal kernel or Smith form; NON_UNIMODULAR falls back to both.
-    counts = count_calls("roofcalc._middle_lattice", "roofcalc._locus_class", "latticecore.discriminant_group",
+    counts = count_calls("roofcalc._middle_classes", "roofcalc._locus_class", "latticecore.discriminant_group",
                          "latticecore.orthogonal_kernel", "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     fallback = int(cfg is NON_UNIMODULAR)
-    assert counts == {"roofcalc._middle_lattice": distinct, "roofcalc._locus_class": fallback,
+    assert counts == {"roofcalc._middle_classes": distinct, "roofcalc._locus_class": fallback,
                       "latticecore.discriminant_group": fallback if command == "describe" else 0,
                       "latticecore.orthogonal_kernel": fallback,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
@@ -365,20 +365,28 @@ def test_engine_gram_is_read_without_pairings(command, count_calls):
 
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
-def test_sides_with_one_relation_share_their_normal_form_table(name):
+def test_twins_share_pieces_only_through_the_query(name):
+    # the query re-homes every piece of the tilde side from its twin, so the tilde side reduces nothing
+    # and its own normal-form table stays empty
     cfg = builtin_config(name)
-    assert cfg.side._table is cfg.tilde_side._table
-    cmd_describe(cfg)
-    assert cfg.side._table and cfg.tilde_side._table is cfg.side._table
-
-
-def test_sides_with_different_relations_keep_their_own_normal_form_tables():
-    cfg = config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation"))
-    assert cfg.side.base is cfg.tilde_side.base
     assert cfg.side._table is not cfg.tilde_side._table
     cmd_describe(cfg)
+    assert cfg.side._table and cfg.tilde_side._table == {}
+
+
+@pytest.mark.parametrize("cfg, same_relation", [
+    (load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json"), True),
+    (config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation")), False),
+], ids=["tilde-reversed", "switched-relation"])
+def test_sides_that_are_not_twins_fill_their_own_normal_form_tables(cfg, same_relation):
+    # one base and rank, and either another middle basis or another relation: each side builds its own
+    # pieces into its own table, whose entries agree exactly when the relations do
+    assert cfg.side.base is cfg.tilde_side.base
+    cmd_describe(cfg)
     side, tilde = cfg.side._table, cfg.tilde_side._table
-    assert side.keys() & tilde.keys() and any(side[k] != tilde[k] for k in side.keys() & tilde.keys())
+    common = side.keys() & tilde.keys()
+    assert side is not tilde and common
+    assert all(side[k] == tilde[k] for k in common) == same_relation
 
 
 @pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 2, 7)],

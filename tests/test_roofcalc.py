@@ -387,13 +387,13 @@ class TestRoofQuery:
     def test_each_piece_built_once(self, g2, count_calls, reordered, lattices):
         # the built-in's sides carry the same data, so the tilde side re-homes the side's lattice
         cfg = _reordered_tilde("g2dagger", -1) if reordered else g2
-        counts = count_calls("roofcalc._middle_lattice", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+        counts = count_calls("roofcalc._middle_classes", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
         q = roofcalc.RoofQuery(cfg)
         for _ in range(2):
             q.residue_scan()
             q.mukai(50)
         # switch_side: the side's locus class, and theta(v) for the Mukai vector
-        assert counts == {"roofcalc._middle_lattice": lattices, "roofcalc.switch_side": 2,
+        assert counts == {"roofcalc._middle_classes": lattices, "roofcalc.switch_side": 2,
                           "latticecore.isotropic_pair_solve": 2}
         assert q.stage is None  # nothing is being built
 
