@@ -22,16 +22,17 @@ coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 
 ``middle_lattice`` computes each Gram entry by its definition, ``pairing_on_M``
 of two monomial classes.  ``RoofQuery``, the engine of describe, lemma7 and
-mukai, reads the same entries off the normal-form table (``_table_gram``):
-int x*xi^e . y*xi^f . xi is the point coefficient of the xi^(r-1) part of
-x*y*xi^(e+f+1), a sum of table entries NF(z, e+f+1) over the base product x*y.
+mukai, reads the same entries off the side's Segre classes (``_table_gram``):
+by the projective-bundle formula, int x*xi^e . y*xi^f . xi = int_B x*y*s_k with
+k = e + f + 2 - r, a sum over the base product x*y of the pairings
+sigma(z) = int_B z*s_k that each side builds once (``RoofSide._segre``).
 Where the pullback sublattice S is unimodular, it reads the determinant, the
 locus class and the discriminant group off the splitting L = S + Zj
 (``_splitting``) instead of eliminating on the whole Gram matrix.  Both build
 the lattice from ``_middle_classes`` (the basis checks and the monomial
-classes) and ``_nondegenerate``.  Each side keeps its own normal-form table;
-twin sides share pieces only through ``RoofQuery``, which re-homes one side's
-lattice, locus class and group onto the other.
+classes) and ``_nondegenerate``.  Each side keeps its own normal-form table and
+Segre data; twin sides share pieces only through ``RoofQuery``, which
+re-homes one side's lattice, locus class and group onto the other.
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class RoofSide:
     lists the monomials (base label, xi exponent) spanning the middle
     algebraic cohomology of a hyperplane section, stored as tuple pairs;
     ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
-    hashed by these five fields; its normal-form table ``_table`` takes no
-    part and is its own, never shared with another side (twin sides share
-    pieces only through ``RoofQuery``).  A plain class, unlike the other
-    records: it owns that table, and ``reduce`` reads its fields on every
-    call, where a NamedTuple ran about 2 % slower.
+    hashed by these five fields; its normal-form table ``_table`` and Segre data
+    ``_sigma`` take no part and are its own, never shared with another side
+    (twin sides share pieces only through ``RoofQuery``).  A plain class, unlike
+    the other records: it owns that data, and ``reduce`` reads its fields on
+    every call, where a NamedTuple ran about 2 % slower.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -118,6 +119,7 @@ class RoofSide:
             middle_basis = tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)
         object.__setattr__(self, "middle_basis", middle_basis or None)
         object.__setattr__(self, "_table", {})  # (x, e) -> NF(x, e), filled by _nf
+        object.__setattr__(self, "_sigma", {})  # z -> int_B z * s_(n - deg z), filled by _segre
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RoofSide.{name} is read-only")
@@ -153,6 +155,21 @@ class RoofSide:
                             parts[i][w] = parts[i].get(w, 0) + m * k
             nf = self._table[key] = tuple((j, z, m) for j, p in enumerate(parts) for z, m in p.items() if m)
         return nf
+
+    def _segre(self) -> dict[str, int | Fraction]:
+        """sigma(z) = int_B z * s_k for each base label z, k = n - deg z, built once, on first use, from
+        the Segre classes s_0 = 1, s_k = sum_(i=1..min(k, r)) (-1)^(i+1) c_i * s_(k-i) (``_nf``'s signs)."""
+        if not self._sigma:
+            base, s = self.base, [{self.base.unit_label: 1}]
+            signed = [{z: (-1) ** (i + 1) * m for z, m in c.coeffs.items()} for i, c in enumerate(self.groth_coeffs, 1)]
+            for k in range(1, base.dimension + 1):
+                s.append({})
+                for i, c in enumerate(signed[:k], start=1):
+                    base.add_product(s[k], s[k - i], c)
+            for z, d in base._degrees.items():
+                self._sigma[z] = sum(m * base.basis_product(z, w).get(base.point_label, 0)
+                                     for w, m in s[base.dimension - d].items())
+        return self._sigma
 
     @property
     def dim_total(self) -> int:
@@ -336,7 +353,7 @@ def reduce(
             raise RoofError("negative xi exponent")
         if type(cls) is dict:
             terms[e] = cls
-        elif cls.coeffs:
+        else:  # a zero term has a degree too
             if degree is None:
                 degree = e + cls.degree
             if e + cls.degree != degree:
@@ -428,19 +445,20 @@ def _nondegenerate(side: RoofSide, classes: tuple[BundleClass, ...], gram: tuple
 
 
 def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
-    """int_X x*y*xi^s for base labels x and y, read off the normal-form table.
+    """int_X x*y*xi^s for base labels x and y, read off the side's Segre classes (``RoofSide._segre``).
 
-    By the projective-bundle formula (Fulton, Intersection Theory 3.1), for x*y = sum c_z z it is
-    the sum of c_z times the point coefficient of the xi^(r-1) part of NF(z, s).  Below xi^r,
-    x*y*xi^s is its own normal form, with a xi^(r-1) part only when s = r - 1."""
-    r, point, xy = side.rank, side.base.point_label, side.base.basis_product(x, y)
-    if s < r:
-        return xy.get(point, 0) if s == r - 1 else 0
-    return sum(c * m for z, c in xy.items() for j, w, m in side._nf(z, s) if j == r - 1 and w == point)
+    By the projective-bundle formula (Fulton, Intersection Theory 3.1), int_X z*xi^(r-1+k) =
+    int_B z*s_k, so for x*y = sum c_z z it is the sum of c_z * sigma(z) with k = s - r + 1: zero for
+    s < r - 1 or when x*y has a degree other than n - k, as the normal form NF(z, s) gives."""
+    base, k = side.base, s - side.rank + 1
+    if k < 0 or base._degrees[x] + base._degrees[y] + k != base.dimension:
+        return 0
+    sigma = side._segre()
+    return sum(c * sigma[z] for z, c in base.basis_product(x, y).items())
 
 
 def _table_gram(side: RoofSide) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix of the middle monomials read off the normal-form table: the entry of x*xi^e
+    """The Gram matrix of the middle monomials read off the Segre classes: the entry of x*xi^e
     and y*xi^f is int_X x*y*xi^(e+f+1) (``_table_integral``).  Equal to ``middle_lattice``'s, its
     integrality error included: the first non-integral entry in row order lies in the upper
     triangle, which is computed and mirrored."""
@@ -644,7 +662,7 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
 
 def _split_locus(lat: MiddleLattice, split: _Splitting) -> BundleClass:
     """The locus class from the splitting L = S + Zj: +-j, signed as in ``_locus_class``, with the
-    pairing against xi^(r-1) * L read off the normal-form table (``_table_integral``), and the
+    pairing against xi^(r-1) * L read off the Segre classes (``_table_integral``), and the
     errors of ``_locus_class`` and its ``pairing_on_M``."""
     side = lat.side
     h = side.base.hyperplane
@@ -900,10 +918,10 @@ class RoofQuery:
     raised while building is raised again once, by the outermost build, as the same type
     with the text ``stage '<innermost piece>' failed: <message>``.
 
-    A side's Gram matrix is read off its normal-form table (``_table_gram``).  Where the
+    A side's Gram matrix is read off its Segre classes (``_table_gram``).  Where the
     pullback sublattice S is unimodular (``_splitting``), the middle lattice splits as
     L = S + Zj, and its determinant, locus class and discriminant group are read off that
-    splitting: det S * j.j; +-j, signed by its pairing with xi^(r-1) * L read off the table;
+    splitting: det S * j.j; +-j, signed by its pairing with xi^(r-1) * L read off the same;
     and Z/|j.j|, generated by the dual vector of the monomial of xi exponent r - 1 (valid,
     not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they come from
     ``det``, ``_locus_class`` and ``discriminant_group`` on the Gram matrix.
@@ -913,7 +931,8 @@ class RoofQuery:
     discriminant group are then those of the other side, re-homed onto it once the other
     side has built them; otherwise a side builds its own, so an error always comes from
     the side that was asked for.  This is the one place where twins share anything: each
-    side has its own normal-form table, which a twin whose pieces are all re-homed never fills."""
+    side has its own normal-form table and Segre data, which a twin whose pieces are all re-homed
+    never builds."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}

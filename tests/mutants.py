@@ -57,7 +57,7 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
 GOLDEN, RECORDS, CONTRACT, CLI = "test_cli_golden.py", "test_records.py", "test_contract.py", "test_cli.py"
-INPUTS, CHECKS = "test_input_checks.py", "test_checks.py"
+INPUTS, CHECKS, SEGRE = "test_input_checks.py", "test_checks.py", "test_engine_segre.py"
 
 MUTANTS = (
     # latticecore: Smith normal form
@@ -233,6 +233,8 @@ MUTANTS = (
     _m("middle-lattice-side-type-unchecked", "roofcalc",
        'after the basis checks."""\n    _typed(side, RoofSide, "side", RoofError)\n',
        'after the basis checks."""\n', ROOF, CONTRACT),
+    _m("reduce-drops-the-degree-of-a-zero-term", "roofcalc", "        else:  # a zero term has a degree too\n",
+       "        elif cls.coeffs:\n", ROOF),
     _m("reduce-side-unchecked", "roofcalc",
        '    if type(side) is not RoofSide:\n        _typed(side, RoofSide, "side", RoofError)\n', "", CONTRACT),
     _m("les-sequence-length-unchecked", "bwbcoh", "    if len(names) != 3 or len(tables) != 3:", "    if False:",
@@ -253,12 +255,12 @@ MUTANTS = (
     _m("nf-zero-cutoff-off-by-one", "roofcalc", "+ e > self.dim_total:", "+ e > self.dim_total + 1:", ROOF),
     _m("middle-gram-entry-corrupted", "roofcalc", "tuple(pairing_on_M(side, a, b) for b in classes)",
        "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_engine_gram.py"),
-    # roofcalc: the query engine's Gram matrix, read off the normal-form table
-    _m("table-gram-reads-xi-r-minus-2", "roofcalc", "if j == r - 1 and w == point)", "if j == r - 2 and w == point)",
-       "test_engine_gram.py"),
+    # roofcalc: the query engine's Gram matrix, read off the Segre classes
+    _m("segre-recurrence-sign-flipped", "roofcalc", "[{z: (-1) ** (i + 1) * m", "[{z: (-1) ** i * m", SEGRE),
+    _m("segre-index-shifted", "roofcalc", "k = side.base, s - side.rank + 1", "k = side.base, s - side.rank", SEGRE),
+    _m("segre-read-for-every-label", "roofcalc",
+       "if k < 0 or base._degrees[x] + base._degrees[y] + k != base.dimension:", "if k < 0:", SEGRE),
     _m("table-gram-lower-triangle-zero", "roofcalc", "gram[i][k] = gram[k][i] = int(val)", "gram[i][k] = int(val)",
-       "test_engine_gram.py"),
-    _m("table-gram-drops-the-short-branch", "roofcalc", "return xy.get(point, 0) if s == r - 1 else 0", "return 0",
        "test_engine_gram.py"),
     _m("table-gram-integrality-unchecked", "roofcalc",
        '            if val.denominator != 1:\n                raise IntegralityError(', '            if False:\n'

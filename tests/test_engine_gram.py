@@ -1,12 +1,11 @@
-"""The query engine's Gram matrices, read off the normal-form table, against ``middle_lattice``.
+"""The query engine's Gram matrices, read off the Segre classes, against ``middle_lattice``.
 
 ``RoofQuery.lattice`` reads each entry int x*xi^e . y*xi^f . xi off the side's
-normal-form table, as the point coefficient of the xi^(r-1) part of
-x*y*xi^(e+f+1); ``middle_lattice`` computes it by definition, as
-``pairing_on_M`` of the two monomial classes.  The two must give the same
-lattice: Gram matrix, determinant and classes.  Each side is queried on a
-freshly loaded config, before the public path runs, so the table read fills
-the table itself instead of finding it filled by ``reduce``.
+Segre classes, as int_B x*y*s_k with k = e + f + 2 - r; ``middle_lattice``
+computes it by definition, as ``pairing_on_M`` of the two monomial classes.
+The two must give the same lattice: Gram matrix, determinant and classes.
+Each side is queried on a freshly loaded config, before the public path runs,
+so the engine reads data it built itself, not data the public path left.
 """
 
 import json
@@ -21,7 +20,7 @@ from roofpairs.configs import config_from_dict, load_config
 from roofpairs.gradedring import GradedClass, IntegralityError, make_quadric_ring
 from roofpairs.roofcalc import RoofConfig, RoofQuery, RoofSide, middle_lattice
 
-from test_roof_queries import CONFIGS, roof_relation, synthetic_roof
+from test_roof_queries import CONFIGS, _fresh, roof_relation, synthetic_roof
 
 DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
 
@@ -46,13 +45,8 @@ def test_committed_config(path):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_query_config(config):
-    # a RoofConfig is rebuilt from its sides' data, so each check starts from empty normal-form tables
-    def fresh():
-        sides = [RoofSide(s.name, s.base, s.rank, s.groth_coeffs, s.middle_basis)
-                 for s in (config.side, config.tilde_side)]
-        return RoofConfig(config.name, *sides, config.polarization_degree, config.declared_locus_signs)
-
-    check_both_sides(fresh)
+    # a RoofConfig is rebuilt from its sides' data, so each check starts from empty normal-form tables and Segre data
+    check_both_sides(lambda: _fresh(config))
 
 
 @settings(max_examples=20, deadline=None)

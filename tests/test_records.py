@@ -4,8 +4,8 @@ Eleven are NamedTuples; ``BasisElement``, ``ChernVector``, ``RoofConfig``
 and ``RootSystem`` among them validate their fields in ``__new__``, also
 through ``_make`` and ``_replace``, with the exception types and messages
 tested below; ``test_contract.py`` probes each field of the input records.
-``RoofSide`` is the one plain class: it owns a normal-form table that takes
-no part in equality.
+``RoofSide`` is the one plain class: it owns a normal-form table and Segre
+data that take no part in equality.
 """
 
 import pytest
@@ -90,8 +90,10 @@ def test_side_equality_ignores_the_normal_form_table(g2):
     field, build = RECORDS[roofcalc.RoofSide]
     first, second = build(g2), build(g2)
     roofcalc.reduce(first, {first.rank + 1: first.base.unit()})  # fills first._table only
+    first._segre()  # and first._sigma
     unit, r = first.base.unit_label, first.rank
     assert (unit, r) in first._table and (unit, r + 1) in first._table and not second._table
+    assert first._sigma and not second._sigma
     assert first == second and hash(first) == hash(second)
 
 

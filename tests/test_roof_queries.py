@@ -354,7 +354,7 @@ def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_c
 
 @pytest.mark.parametrize("command", ["describe", "lemma7"])
 def test_engine_gram_is_read_without_pairings(command, count_calls):
-    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the normal-form table, and so is the
+    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the Segre classes, and so is the
     # pairing that signs the locus class; describe's locus self-pairing is k^T G k on the locus coordinates.
     # Pairing each entry, as middle_lattice does, made 84 and 82; the locus sign and self-pairings made 3 and 1.
     cfg = CONFIGS[-1]
@@ -366,27 +366,63 @@ def test_engine_gram_is_read_without_pairings(command, count_calls):
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
 def test_twins_share_pieces_only_through_the_query(name):
-    # the query re-homes every piece of the tilde side from its twin, so the tilde side reduces nothing
-    # and its own normal-form table stays empty
+    # the query re-homes every piece of the tilde side from its twin, so the tilde side computes no
+    # Segre data of its own
     cfg = builtin_config(name)
-    assert cfg.side._table is not cfg.tilde_side._table
+    assert cfg.side._sigma is not cfg.tilde_side._sigma
     cmd_describe(cfg)
-    assert cfg.side._table and cfg.tilde_side._table == {}
+    cmd_lemma7(cfg)
+    assert cfg.side._sigma and cfg.tilde_side._sigma == {}
 
 
 @pytest.mark.parametrize("cfg, same_relation", [
     (load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json"), True),
     (config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation")), False),
 ], ids=["tilde-reversed", "switched-relation"])
-def test_sides_that_are_not_twins_fill_their_own_normal_form_tables(cfg, same_relation):
+def test_sides_that_are_not_twins_compute_their_own_segre_data(cfg, same_relation):
     # one base and rank, and either another middle basis or another relation: each side builds its own
-    # pieces into its own table, whose entries agree exactly when the relations do
+    # pieces from its own Segre data, which agree exactly when the relations do
     assert cfg.side.base is cfg.tilde_side.base
+    assert (cfg.side.groth_coeffs == cfg.tilde_side.groth_coeffs) == same_relation
     cmd_describe(cfg)
-    side, tilde = cfg.side._table, cfg.tilde_side._table
-    common = side.keys() & tilde.keys()
-    assert side is not tilde and common
-    assert all(side[k] == tilde[k] for k in common) == same_relation
+    side, tilde = cfg.side._sigma, cfg.tilde_side._sigma
+    assert side is not tilde and side and tilde
+    assert (side == tilde) == same_relation
+
+
+def _fresh(config):
+    """``config`` rebuilt from its sides' data, with empty normal-form tables and Segre data."""
+    sides = [roofcalc.RoofSide(s.name, s.base, s.rank, s.groth_coeffs, s.middle_basis)
+             for s in (config.side, config.tilde_side)]
+    return roofcalc.RoofConfig(config.name, *sides, config.polarization_degree, config.declared_locus_signs)
+
+
+DATA_CONFIGS = [load_config(p) for p in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))]
+
+
+@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
+def test_describe_reads_no_normal_form(cfg):
+    # every Gram entry and the locus sign are read off the Segre data; NON_UNIMODULAR, left out, falls
+    # back to the public locus class, which pairs classes by definition
+    cfg = _fresh(cfg)
+    cmd_describe(cfg)
+    assert cfg.side._table == {} and cfg.tilde_side._table == {}
+
+
+@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
+def test_lemma7_reduces_only_in_its_side_switch(cfg):
+    # lemma7's lattices and locus classes read no normal form; its side switch lifts the locus class to
+    # (L, xi) and substitutes there, so every entry it adds has a label in the support of a power of L
+    cfg = _fresh(cfg)
+    query = roofcalc.RoofQuery(cfg)
+    for side in (cfg.side, cfg.tilde_side):
+        query.locus(side)
+    assert cfg.side._table == {} and cfg.tilde_side._table == {}
+    cmd_lemma7(cfg)
+    base = cfg.side.base
+    support = {z for p in range(base.dimension + 1) for z in base.l_power(p).coeffs}
+    entries = [key for s in (cfg.side, cfg.tilde_side) for key in s._table]
+    assert entries and all(x in support for x, _ in entries)
 
 
 @pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 2, 7)],

@@ -16,6 +16,7 @@ from roofpairs.gradedring import (
     GradedClass,
     IncompatibleRingError,
     IntegralityError,
+    RingPresentation,
     integrate,
     make_quadric_ring,
 )
@@ -123,6 +124,33 @@ class TestReduceAndPushforward:
         q5 = g2.side.base
         with pytest.raises(roofcalc.RoofError):
             reduce(g2.side, {0: q5.l_power(1), 1: q5.l_power(1)})
+
+    def test_a_zero_term_keeps_its_degree(self, g2):
+        q5, r = g2.side.base, g2.rank
+        for e in (0, r - 1, r, 2 * r):
+            assert reduce(g2.side, {e: q5.zero(1)}) == BundleClass(g2.side, e + 1, [q5.zero(e + 1 - i)
+                                                                                   for i in range(r)])
+        with pytest.raises(roofcalc.RoofError, match="not homogeneous of degree 2"):
+            reduce(g2.side, {0: q5.l_power(2), 1: q5.zero(2)})
+
+
+def test_a_zero_hyperplane_gives_one_locus_error_on_both_paths(g2):
+    # over a Q5 ring whose hyperplane class is zero, xi^(r-1) * L is the zero class of codimension r,
+    # so both the public path, which pairs it, and the engine, which reads it off the Segre classes,
+    # find that the locus class pairs to zero with it; reduce once gave that zero class degree 0,
+    # and the public path reported "codimensions 3 + 0 + 1 != dim X = 7"
+    q5 = g2.side.base
+    table = {(x, y): p for (x, y), p in q5._products.items() if q5.unit_label not in (x, y)}
+    flat = RingPresentation("Q5-flat", 5, q5.basis, q5.point_label, table, hyperplane_form={})
+    sides = [RoofSide(s.name, flat, s.rank, tuple(GradedClass(flat, c.degree, c.coeffs) for c in s.groth_coeffs),
+                      s.middle_basis) for s in (g2.side, g2.tilde_side)]
+    config = RoofConfig("flat", *sides, cy_degree(sides[0]))
+    with pytest.raises(UnexpectedRankError) as expected:
+        locus_pushforward_class(config.side)
+    with pytest.raises(UnexpectedRankError) as got:
+        roofcalc.RoofQuery(config).locus(config.side)
+    assert str(expected.value) == "locus class pairs to zero with the normalization monomial"
+    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
 
 
 class TestPairing:
@@ -567,9 +595,9 @@ def object_reduce(side, expression, degree=None):
             raise RoofError("negative xi exponent")
         if not cls.is_zero:
             terms[e] = cls if e not in terms else terms[e] + cls
-    if degree is None:
-        degree = next((e + cls.degree for e, cls in terms.items()), 0)
-    if any(e + cls.degree != degree for e, cls in terms.items()):
+    if degree is None:  # a zero term has a degree too
+        degree = next((e + cls.degree for e, cls in expression.items()), 0)
+    if any(e + cls.degree != degree for e, cls in expression.items()):
         raise RoofError("expression is not homogeneous")
     r = side.rank
     signed = [c if i % 2 else -c for i, c in enumerate(side.groth_coeffs, start=1)]
