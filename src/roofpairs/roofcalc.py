@@ -15,8 +15,8 @@ Fourier-Mukai pipeline: both sides' isotropic pairs, the switched generator
 and its integer coordinates in the other side's isotropic basis.
 
 The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
-side builds the normal form NF(x, e) of base label x times xi^e once, on first
-use (``RoofSide._nf``), and ``reduce`` adds c * NF(x, e) for each c * x * xi^e.
+side keeps one table of xi^e = sum_(j<r) P_e[j] * xi^j, r <= e <= N, built row by
+row on first use (``RoofSide._power``); ``reduce`` adds c * P_e for c * xi^e.
 A BundleClass holds its parts as such dicts, which products, reductions and
 coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
 
@@ -30,7 +30,7 @@ Where the pullback sublattice S is unimodular, it reads the determinant, the
 locus class and the discriminant group off the splitting L = S + Zj
 (``_splitting``) instead of eliminating on the whole Gram matrix.  Both build
 the lattice from ``_middle_classes`` (the basis checks and the monomial
-classes) and ``_nondegenerate``.  Each side keeps its own normal-form table and
+classes) and ``_nondegenerate``.  Each side keeps its own xi-power table and
 Segre data; twin sides share pieces only through ``RoofQuery``, which
 re-homes one side's lattice, locus class and group onto the other.
 """
@@ -90,7 +90,7 @@ class RoofSide:
     lists the monomials (base label, xi exponent) spanning the middle
     algebraic cohomology of a hyperplane section, stored as tuple pairs;
     ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
-    hashed by these five fields; its normal-form table ``_table`` and Segre data
+    hashed by these five fields; its xi-power table ``_powers`` and Segre data
     ``_sigma`` take no part and are its own, never shared with another side
     (twin sides share pieces only through ``RoofQuery``).  A plain class, unlike
     the other records: it owns that data, and ``reduce`` reads its fields on
@@ -118,7 +118,9 @@ class RoofSide:
                 raise InvalidRoofError(f"middle_basis entries must be (label, exponent) pairs, got {middle_basis!r}")
             middle_basis = tuple((x, _index(e, "middle_basis exponent", InvalidRoofError)) for x, e in middle_basis)
         object.__setattr__(self, "middle_basis", middle_basis or None)
-        object.__setattr__(self, "_table", {})  # (x, e) -> NF(x, e), filled by _nf
+        # P_r, P_(r+1), ..., P_N, built by _power from the relation xi^r = sum_i (-1)^(i+1) c_i * xi^(r-i)
+        relation = tuple({z: (-1) ** (i + 1) * m for z, m in c.coeffs.items()} for i, c in enumerate(groth_coeffs, 1))
+        object.__setattr__(self, "_powers", [relation[::-1]])
         object.__setattr__(self, "_sigma", {})  # z -> int_B z * s_(n - deg z), filled by _segre
 
     def __setattr__(self, name, value):
@@ -133,39 +135,26 @@ class RoofSide:
     def __hash__(self):
         return hash(self._key())
 
-    def _nf(self, x: str, e: int) -> tuple[tuple[int, str, int | Fraction], ...]:
-        """NF(x, e) for e >= r: the nonzero terms (j, z, m), j < r, of x * xi^e = sum m z * xi^j; zero
-        past the top degree.  NF(x, r) is x times the relation; NF(x, e) for e > r is xi * NF(x, e - 1),
-        its xi^r part folded through NF(z, r).  Each entry is built once, at most n deep."""
-        if self.base._degrees[x] + e > self.dim_total:
-            return ()
-        key = (x, e)
-        nf = self._table.get(key)
-        if nf is None:
-            r, parts = self.rank, [{} for _ in range(self.rank)]
-            if e == r:  # x * xi^r = sum_i x * (-1)^(i+1) c_i * xi^(r-i)
-                for i, s in enumerate(self.groth_coeffs, start=1):
-                    self.base.add_product(parts[r - i], {x: (-1) ** (i + 1)}, s.coeffs)
-            else:
-                for j, z, m in self._nf(x, e - 1):
-                    if j + 1 < r:
-                        parts[j + 1][z] = parts[j + 1].get(z, 0) + m
-                    else:
-                        for i, w, k in self._nf(z, r):
-                            parts[i][w] = parts[i].get(w, 0) + m * k
-            nf = self._table[key] = tuple((j, z, m) for j, p in enumerate(parts) for z, m in p.items() if m)
-        return nf
+    def _power(self, e: int) -> tuple[dict[str, int | Fraction], ...]:
+        """P_e for r <= e <= N: xi^e = sum_(j<r) P_e[j] * xi^j, with P_e[j] of degree e - j on the base.
+        P_r is the signed relation; P_(e+1) is xi * P_e, its xi^r part P_e[r-1] folded through P_r.  Rows
+        are built once, in order, up to the one asked for; a coefficient that cancels stays as a 0."""
+        rows = self._powers
+        while len(rows) <= e - self.rank:
+            top, row = rows[-1][-1], [{}, *map(dict, rows[-1][:-1])]
+            low = max(self.rank + len(rows) - self.base.dimension, 0)  # the parts below have degree above n
+            for p, c in zip(row[low:], rows[0][low:]):
+                self.base.add_product(p, top, c)
+            rows.append(tuple(row))
+        return rows[e - self.rank]
 
     def _segre(self) -> dict[str, int | Fraction]:
-        """sigma(z) = int_B z * s_k for each base label z, k = n - deg z, built once, on first use, from
-        the Segre classes s_0 = 1, s_k = sum_(i=1..min(k, r)) (-1)^(i+1) c_i * s_(k-i) (``_nf``'s signs)."""
+        """sigma(z) = int_B z * s_k for each base label z, k = n - deg z, built once, on first use.  By the
+        projective-bundle formula the Segre class s_k is the xi^(r-1) part of xi^(r-1+k): s_0 = 1 and
+        s_k = P_(r-1+k)[r-1] (``_power``)."""
         if not self._sigma:
-            base, s = self.base, [{self.base.unit_label: 1}]
-            signed = [{z: (-1) ** (i + 1) * m for z, m in c.coeffs.items()} for i, c in enumerate(self.groth_coeffs, 1)]
-            for k in range(1, base.dimension + 1):
-                s.append({})
-                for i, c in enumerate(signed[:k], start=1):
-                    base.add_product(s[k], s[k - i], c)
+            base, r = self.base, self.rank
+            s = [{base.unit_label: 1}] + [self._power(r - 1 + k)[r - 1] for k in range(1, base.dimension + 1)]
             for z, d in base._degrees.items():
                 self._sigma[z] = sum(m * base.basis_product(z, w).get(base.point_label, 0)
                                      for w, m in s[base.dimension - d].items())
@@ -324,12 +313,14 @@ def reduce(
 ) -> BundleClass:
     """Fold a formal polynomial in xi with base-class coefficients to normal form.
 
-    Terms below xi^r are already reduced; a term c * x * xi^e with e >= r adds
-    c times NF(x, e), the normal form of x * xi^e, which the side computes once
-    (``RoofSide._nf``).  The exponent of a ``GradedClass`` term must be an
-    integer (``operator.index``: 4.0 and True are refused, not rounded), and
-    so must an explicit ``degree``.  The ring's own operations pass plain
-    {label: coefficient} dicts, trusted and consumed, with ``degree``.
+    Terms below xi^r are already reduced.  A term c * xi^e with r <= e <= N adds
+    the base product c * P_e[j] to the xi^j part, where xi^e = sum_j P_e[j] * xi^j
+    is a row of the side's table (``RoofSide._power``); parts of degree above n
+    vanish and are skipped, and a term past N is zero.  The exponent of a
+    ``GradedClass`` term must be an integer (``operator.index``: 4.0 and True
+    are refused, not rounded), and so must an explicit ``degree``.  The ring's
+    own operations pass plain {label: coefficient} dicts, trusted and consumed,
+    with ``degree``.
     """
     if type(side) is not RoofSide:
         _typed(side, RoofSide, "side", RoofError)
@@ -365,14 +356,12 @@ def reduce(
     if degree is None:
         degree = 0
 
-    r, table = side.rank, side._table
-    parts = [terms.pop(j, None) or {} for j in range(r)]
+    parts = [terms.pop(j, None) or {} for j in range(side.rank)]
+    low = max(degree - base.dimension, 0)  # the parts below have degree above n and vanish
     for e, coeffs in terms.items():
-        for x, c in coeffs.items():
-            if c:
-                for j, z, m in table.get((x, e)) or side._nf(x, e):
-                    p = parts[j]
-                    p[z] = p.get(z, 0) + c * m
+        if e <= side.dim_total:  # xi^e = 0 past the top degree
+            for out, p in zip(parts[low:], side._power(e)[low:]):
+                base.add_product(out, coeffs, p)
     return BundleClass._of(side, degree, parts)
 
 
@@ -449,7 +438,7 @@ def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
 
     By the projective-bundle formula (Fulton, Intersection Theory 3.1), int_X z*xi^(r-1+k) =
     int_B z*s_k, so for x*y = sum c_z z it is the sum of c_z * sigma(z) with k = s - r + 1: zero for
-    s < r - 1 or when x*y has a degree other than n - k, as the normal form NF(z, s) gives."""
+    s < r - 1 or when x*y has a degree other than n - k, as the normal form of x*y*xi^s gives."""
     base, k = side.base, s - side.rank + 1
     if k < 0 or base._degrees[x] + base._degrees[y] + k != base.dimension:
         return 0
@@ -924,15 +913,17 @@ class RoofQuery:
     splitting: det S * j.j; +-j, signed by its pairing with xi^(r-1) * L read off the same;
     and Z/|j.j|, generated by the dual vector of the monomial of xi exponent r - 1 (valid,
     not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they come from
-    ``det``, ``_locus_class`` and ``discriminant_group`` on the Gram matrix.
+    ``det``, ``_locus_class`` and ``discriminant_group`` on the Gram matrix, and a locus class
+    whose self-pairing breaks the sign law (-1)^(r-1) d, as S^perp's generator does for a degenerate
+    S, is an ``UnexpectedRankError``.
 
     The two sides are twins when they differ only in name: one base ring, rank, relation
     and middle basis, as on every built-in.  A twin's middle lattice, locus class and
     discriminant group are then those of the other side, re-homed onto it once the other
     side has built them; otherwise a side builds its own, so an error always comes from
     the side that was asked for.  This is the one place where twins share anything: each
-    side has its own normal-form table and Segre data, which a twin whose pieces are all re-homed
-    never builds."""
+    side has its own xi-power table and Segre data; a twin whose pieces are all re-homed builds no
+    Segre data, and only the table rows that its own reductions ask for."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
@@ -981,7 +972,15 @@ class RoofQuery:
     def locus(self, side: RoofSide) -> BundleClass:
         def build():
             lat, split = self._split_lattice(side)
-            return _locus_class(lat) if split is None else _split_locus(lat, split)
+            if split is not None:
+                return _split_locus(lat, split)
+            cls, law = _locus_class(lat), (-1) ** (side.rank - 1) * self.config.polarization_degree
+            k = coordinates_in_lattice(lat, cls)
+            pairing = sum(x * g * y for x, row in zip(k, lat.gram) for g, y in zip(row, k))
+            if pairing != law:
+                raise UnexpectedRankError(
+                    f"locus class {cls} has self-pairing {pairing}, but the sign law needs (-1)^(r-1) d = {law}")
+            return cls
 
         return self._shared("locus class", side, build, lambda c: BundleClass._of(side, c.degree, c._flat))
 

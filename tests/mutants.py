@@ -247,16 +247,26 @@ MUTANTS = (
     _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
-    _m("fold-unsigned-relation", "roofcalc", "{x: (-1) ** (i + 1)}", "{x: 1}", ROOF),
-    _m("nf-takes-xi-to-the-r-as-reduced", "roofcalc", "if j + 1 < r:", "if j + 1 <= r:", ROOF),
-    _m("nf-key-drops-the-exponent", "roofcalc", "key = (x, e)", "key = x", ROOF),
-    _m("nf-memo-shared-by-all-sides", "roofcalc", '"_table", {})', '"_table", globals().setdefault("_NF_MEMO", {}))',
-       ROOF, "test_records.py"),
-    _m("nf-zero-cutoff-off-by-one", "roofcalc", "+ e > self.dim_total:", "+ e > self.dim_total + 1:", ROOF),
+    # roofcalc: the xi-power table, xi^e = sum_(j<r) P_e[j] * xi^j, and reduce's reading of it
+    _m("fold-unsigned-relation", "roofcalc", "{z: (-1) ** (i + 1) * m for", "{z: m for", ROOF),
+    _m("power-row-keeps-its-top-part-unfolded", "roofcalc", "[{}, *map(dict, rows[-1][:-1])]",
+       "[dict(rows[-1][-1]), *map(dict, rows[-1][:-1])]", ROOF),
+    _m("power-row-ignores-the-exponent", "roofcalc", "        return rows[e - self.rank]\n",
+       "        return rows[-1]\n", ROOF),
+    _m("segre-memo-shared-by-all-sides", "roofcalc", '"_sigma", {})', '"_sigma", globals().setdefault("_SIGMA", {}))',
+       SEGRE, "test_records.py"),
+    _m("power-table-shared-by-all-sides", "roofcalc", '"_powers", [relation[::-1]])',
+       '"_powers", globals().setdefault("_POWERS", [relation[::-1]]))', ROOF, RECORDS),
+    _m("power-cutoff-off-by-one", "roofcalc", "if e <= side.dim_total:", "if e <= side.dim_total + 1:", ROOF),
+    _m("power-vanishing-skip-off-by-one", "roofcalc", "low = max(self.rank + len(rows) - self.base.dimension, 0)",
+       "low = max(self.rank + len(rows) - self.base.dimension + 1, 0)", ROOF),
+    _m("reduce-vanishing-skip-off-by-one", "roofcalc", "low = max(degree - base.dimension, 0)",
+       "low = max(degree - base.dimension + 1, 0)", ROOF),
     _m("middle-gram-entry-corrupted", "roofcalc", "tuple(pairing_on_M(side, a, b) for b in classes)",
        "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_engine_gram.py"),
     # roofcalc: the query engine's Gram matrix, read off the Segre classes
-    _m("segre-recurrence-sign-flipped", "roofcalc", "[{z: (-1) ** (i + 1) * m", "[{z: (-1) ** i * m", SEGRE),
+    _m("segre-read-off-the-next-power", "roofcalc", "self._power(r - 1 + k)[r - 1]", "self._power(r + k)[r - 1]",
+       SEGRE),
     _m("segre-index-shifted", "roofcalc", "k = side.base, s - side.rank + 1", "k = side.base, s - side.rank", SEGRE),
     _m("segre-read-for-every-label", "roofcalc",
        "if k < 0 or base._degrees[x] + base._degrees[y] + k != base.dimension:", "if k < 0:", SEGRE),
@@ -273,6 +283,8 @@ MUTANTS = (
     _m("splitting-group-order-signed", "roofcalc", "d = abs(split.jj)", "d = split.jj", "test_engine_splitting.py"),
     _m("splitting-locus-sign-inverted", "roofcalc", "sign = 1 if p > 0 else -1", "sign = -1 if p > 0 else 1",
        "test_engine_splitting.py"),
+    _m("locus-sign-law-unchecked", "roofcalc", "            if pairing != law:\n", "            if False:\n",
+       "test_roof_queries.py"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),

@@ -25,16 +25,21 @@ def test_bundle_ring_laws_hold_on_both_sides(name):
 
 @pytest.fixture
 def dropped_fold(monkeypatch):
-    """Each normal form NF(x, e) with e > r loses its last term, in the side's memo too."""
-    nf = RoofSide._nf
+    """Each folded row P_e, e > r, of the xi-power table loses the last term of its last nonzero part, in the
+    side's table too, so the rows built after it fold from the shortened row."""
+    power = RoofSide._power
 
-    def dropping(self, x, e):
-        terms = nf(self, x, e)
-        if e > self.rank and len(terms) > 1:
-            terms = self._table[x, e] = terms[:-1]
-        return terms
+    def dropping(self, e):
+        rows = self._powers
+        while len(rows) <= e - self.rank:
+            power(self, self.rank + len(rows))
+            row = rows[-1]
+            if sum(map(len, row)) > 1:
+                j = max(j for j, p in enumerate(row) if p)
+                rows[-1] = tuple(dict(list(p.items())[:-1]) if i == j else p for i, p in enumerate(row))
+        return rows[e - self.rank]
 
-    monkeypatch.setattr(RoofSide, "_nf", dropping)
+    monkeypatch.setattr(RoofSide, "_power", dropping)
 
 
 @pytest.mark.parametrize("name", ("g2dagger", "d4"))

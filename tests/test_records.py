@@ -89,10 +89,16 @@ def test_validating_records_reject_bad_fields(case, g2):
 def test_side_equality_ignores_the_normal_form_table(g2):
     field, build = RECORDS[roofcalc.RoofSide]
     first, second = build(g2), build(g2)
-    roofcalc.reduce(first, {first.rank + 1: first.base.unit()})  # fills first._table only
-    first._segre()  # and first._sigma
-    unit, r = first.base.unit_label, first.rank
-    assert (unit, r) in first._table and (unit, r + 1) in first._table and not second._table
+    r, c1 = first.rank, first.groth_coeffs[0]
+    # each side starts with the row xi^r of its xi-power table, its relation; xi^(r+1) adds the next row,
+    # xi * xi^r: the relation shifted up by one, its xi^r part c_1 folded back through the relation
+    xi = roofcalc.reduce(first, {r + 1: first.base.unit()})
+    assert len(first._powers) == 2 and len(second._powers) == 1
+    rel = [first.groth_coeffs[r - j - 1].scale((-1) ** (r - j + 1)) for j in range(r)]
+    expected = [(c1 * rel[j] + rel[j - 1] if j else c1 * rel[0]).coeffs for j in range(r)]
+    assert [dict(p) for p in first._powers[1]] == [p.coeffs for p in xi.parts] == expected
+    first._segre()  # and first._sigma, from every row up to the top degree
+    assert len(first._powers) == first.dim_total - r + 1 and len(second._powers) == 1
     assert first._sigma and not second._sigma
     assert first == second and hash(first) == hash(second)
 
@@ -107,7 +113,11 @@ def test_sides_on_one_base_keep_their_own_normal_forms(g2):
             # x * xi^r = sum_i (-1)^(i+1) x * c_i * xi^(r-i), read off the relation in one step
             expected = [(x * side.groth_coeffs[r - j - 1]).scale((-1) ** (r - j + 1)).coeffs for j in range(r)]
             assert [p.coeffs for p in roofcalc.reduce(side, {r: x}).parts] == expected, (side.name, b.label)
-    assert sides[0]._table and sides[0]._table != sides[1]._table
+    # each side's table starts from its own relation, the expected normal form above at x = 1
+    for side in sides:
+        expected = [side.groth_coeffs[r - j - 1].scale((-1) ** (r - j + 1)).coeffs for j in range(r)]
+        assert [dict(p) for p in side._powers[0]] == expected
+    assert sides[0]._powers is not sides[1]._powers and sides[0]._powers != sides[1]._powers
 
 
 def test_root_system_is_a_cache_key():

@@ -299,6 +299,22 @@ def test_describe_stage_label_reaches_stderr(tmp_path, capsys):
                             "orthogonal complement of the pullback sublattice has rank 0, expected 1\n")
 
 
+def test_describe_refuses_a_locus_class_that_breaks_the_sign_law(tmp_path, capsys):
+    # d4 without Pi2: S's centre block is Pi1.Pi1 = 0 on Q6, so S is degenerate and the query falls back.
+    # The generator of S^perp, -Pi1*xi + 6*Pi1*L, lies in S itself: its self-pairing is 0, where the sign
+    # law of a locus class needs (-1)^(r-1) d = -12
+    data = copy.deepcopy(BUILTIN_CONFIGS["d4"])
+    for side in data["sides"]:
+        side["middle_basis"] = [m for m in side["middle_basis"] if m[0] != "Pi2"]
+    path = tmp_path / "d4-no-pi2.json"
+    path.write_text(json.dumps(data))
+    assert main(["describe", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: locus class -Pi1*xi + 6*Pi1*L "
+                            "has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12\n")
+
+
 def test_error_outside_a_stage_keeps_its_message(g2):
     q = roofcalc.RoofQuery(g2)
 
@@ -367,12 +383,15 @@ def test_engine_gram_is_read_without_pairings(command, count_calls):
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
 def test_twins_share_pieces_only_through_the_query(name):
     # the query re-homes every piece of the tilde side from its twin, so the tilde side computes no
-    # Segre data of its own
+    # Segre data of its own, and its xi-power table holds only the rows that lemma7's side switch
+    # reduces with, not all N - r + 1; no side builds a row above N
     cfg = builtin_config(name)
     assert cfg.side._sigma is not cfg.tilde_side._sigma
     cmd_describe(cfg)
     cmd_lemma7(cfg)
     assert cfg.side._sigma and cfg.tilde_side._sigma == {}
+    rows = cfg.side.dim_total - cfg.rank + 1
+    assert len(cfg.tilde_side._powers) < rows and len(cfg.side._powers) <= rows
 
 
 @pytest.mark.parametrize("cfg, same_relation", [
@@ -391,7 +410,7 @@ def test_sides_that_are_not_twins_compute_their_own_segre_data(cfg, same_relatio
 
 
 def _fresh(config):
-    """``config`` rebuilt from its sides' data, with empty normal-form tables and Segre data."""
+    """``config`` rebuilt from its sides' data, with fresh xi-power tables and empty Segre data."""
     sides = [roofcalc.RoofSide(s.name, s.base, s.rank, s.groth_coeffs, s.middle_basis)
              for s in (config.side, config.tilde_side)]
     return roofcalc.RoofConfig(config.name, *sides, config.polarization_degree, config.declared_locus_signs)
@@ -400,29 +419,65 @@ def _fresh(config):
 DATA_CONFIGS = [load_config(p) for p in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))]
 
 
+@pytest.fixture
+def record_reductions(monkeypatch):
+    """Record each ``reduce`` call as (whether it has a term at xi^r or above, the base labels of those
+    terms, whether it runs inside ``switch_side``)."""
+    calls, inside = [], []
+    reduce, switch_side = roofcalc.reduce, roofcalc.switch_side
+
+    def recording(side, expression, degree=None):
+        folds = max(expression, default=0) >= side.rank
+        labels = {z for e, c in expression.items() if e >= side.rank for z in getattr(c, "coeffs", c)}
+        calls.append((folds, labels, bool(inside)))
+        return reduce(side, expression, degree)
+
+    def switching(config, a):
+        inside.append(True)
+        try:
+            return switch_side(config, a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(roofcalc, "reduce", recording)
+    monkeypatch.setattr(roofcalc, "switch_side", switching)
+    return calls
+
+
+def _monomial_reductions(cfg):
+    """One reduction per middle monomial of each side that builds its own lattice: a twin of the side builds
+    none."""
+    twins = cfg.side._key()[1:] == cfg.tilde_side._key()[1:]
+    return len(cfg.side.middle_basis) + (0 if twins else len(cfg.tilde_side.middle_basis))
+
+
 @pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
-def test_describe_reads_no_normal_form(cfg):
-    # every Gram entry and the locus sign are read off the Segre data; NON_UNIMODULAR, left out, falls
-    # back to the public locus class, which pairs classes by definition
+def test_describe_reads_no_normal_form(cfg, record_reductions):
+    # every Gram entry and the locus sign are read off the Segre data, so describe folds no power of xi:
+    # it reduces each middle monomial, below xi^r, once.  NON_UNIMODULAR, left out, falls back to the
+    # public locus class, which pairs classes by definition
     cfg = _fresh(cfg)
     cmd_describe(cfg)
-    assert cfg.side._table == {} and cfg.tilde_side._table == {}
+    assert len(record_reductions) == _monomial_reductions(cfg)
+    assert not any(folds for folds, _, _ in record_reductions)
 
 
 @pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
-def test_lemma7_reduces_only_in_its_side_switch(cfg):
-    # lemma7's lattices and locus classes read no normal form; its side switch lifts the locus class to
-    # (L, xi) and substitutes there, so every entry it adds has a label in the support of a power of L
+def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
+    # lemma7's lattices and locus classes fold no power of xi; its side switch lifts the locus class to
+    # (L, xi) and substitutes there, so every reduction past xi^r runs inside the switch, and every label
+    # it folds lies in the support of a power of L
     cfg = _fresh(cfg)
     query = roofcalc.RoofQuery(cfg)
     for side in (cfg.side, cfg.tilde_side):
         query.locus(side)
-    assert cfg.side._table == {} and cfg.tilde_side._table == {}
+    assert len(record_reductions) == _monomial_reductions(cfg)
+    assert not any(folds for folds, _, _ in record_reductions)
     cmd_lemma7(cfg)
     base = cfg.side.base
     support = {z for p in range(base.dimension + 1) for z in base.l_power(p).coeffs}
-    entries = [key for s in (cfg.side, cfg.tilde_side) for key in s._table]
-    assert entries and all(x in support for x, _ in entries)
+    folded = [(labels, switched) for folds, labels, switched in record_reductions if folds]
+    assert folded and all(switched and labels <= support for labels, switched in folded)
 
 
 @pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 2, 7)],

@@ -532,10 +532,10 @@ def test_reduce_matches_repeated_substitution(case):
 
 
 # ---------------------------------------------------------------------------
-# the per-side table of normal forms NF(x, e) of x * xi^e
+# the per-side table of xi powers: xi^e = sum_(j<r) P_e[j] * xi^j for r <= e <= N
 # ---------------------------------------------------------------------------
 
-# each builds a fresh side, whose table starts empty
+# each builds a fresh side, whose table holds only the row xi^r
 TABLE_SIDES = {
     "g2dagger": lambda: builtin_config("g2dagger").side,
     "d4": lambda: builtin_config("d4").side,
@@ -544,10 +544,12 @@ TABLE_SIDES = {
 
 
 def assert_table_within_bound(side):
-    """Entries only for r <= e and deg x + e <= dim_total: at most #labels * n of them."""
-    degrees = side.base._degrees
-    assert all(side.rank <= e and degrees[x] + e <= side.dim_total for x, e in side._table)
-    assert len(side._table) <= len(degrees) * side.base.dimension
+    """Rows only for r <= e <= dim_total, each the repeated substitution of its power of xi (a row may keep a
+    coefficient that cancels as a 0)."""
+    r, base = side.rank, side.base
+    assert 1 <= len(side._powers) <= side.dim_total - r + 1
+    for e, row in enumerate(side._powers, start=r):
+        assert [{z: m for z, m in p.items() if m} for p in row] == ref_reduce(side, {e: base.unit()}), e
 
 
 @pytest.mark.parametrize("name", TABLE_SIDES)
@@ -559,19 +561,19 @@ def test_table_matches_repeated_substitution_at_every_power(name):
         for b in base.basis:
             cls = base.basis_class(b.label)
             assert [p.coeffs for p in reduce(side, {e: cls}).parts] == ref_reduce(side, {e: cls}), (b.label, e)
-    assert side._table
+    assert len(side._powers) == side.dim_total - side.rank + 1
     assert_table_within_bound(side)
 
 
 def test_huge_xi_power_is_zero_at_once():
     side = TABLE_SIDES["q10"]()
     middle_lattice(side)
-    filled = dict(side._table)
+    filled = list(side._powers)
     assert_table_within_bound(side)
     for e in (side.dim_total + 1, 10**6):
         a = xi_power(side, e)
         assert a.is_zero and a.degree == e
-    assert side._table == filled
+    assert side._powers == filled
 
 
 # ---------------------------------------------------------------------------
