@@ -28,18 +28,18 @@ k = e + f + 2 - r, a sum over the base product x*y of the pairings
 sigma(z) = int_B z*s_k that each side builds once (``RoofSide._segre``).
 Where the pullback sublattice S is unimodular, it reads the determinant, the
 locus class and the discriminant group off the splitting L = S + Zj
-(``_splitting``) instead of eliminating on the whole Gram matrix.  Both build
-the lattice from ``_middle_classes`` (the basis checks and the monomial
-classes) and ``_nondegenerate``.  Each side keeps its own xi-power table and
-Segre data; twin sides share pieces only through ``RoofQuery``, which
-re-homes one side's lattice, locus class and group onto the other.
+(``_splitting``) instead of eliminating on the whole Gram matrix, and elsewhere
+the locus class off one rational solve, G v = e_top.  Both build the lattice
+from ``_middle_classes`` and ``_nondegenerate``.  Each side keeps its own
+xi-power table and Segre data; twin sides share pieces only through
+``RoofQuery``, which re-homes one side's lattice, locus class and group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -619,8 +619,9 @@ def locus_pushforward_class(side: RoofSide) -> BundleClass:
 
     The pullback sublattice is spanned by the middle-basis monomials of
     xi-exponent at most r - 2.  The generator's sign is normalized so that
-    its pairing with xi^(r-1) * L is strictly positive.  Builds the side's
-    middle lattice on each call; ``RoofQuery.locus`` builds it once.
+    its pairing with xi^(r-1) * L is strictly positive; one whose self-pairing breaks the sign
+    law (-1)^(r-1) d, d = ``cy_degree(side)``, as on a degenerate pullback sublattice, is an
+    ``UnexpectedRankError``.  Builds the side's middle lattice on each call; ``RoofQuery.locus`` once.
     """
     return _locus_class(middle_lattice(side))
 
@@ -644,14 +645,26 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
     p = pairing_on_M(side, cls, reduce(side, {side.rank - 1: h}))  # xi^(r-1) * L, nef, fixes the sign
     if p == 0:
         raise UnexpectedRankError("locus class pairs to zero with the normalization monomial")
-    if p < 0:
-        cls = -cls
-    return cls
+    return _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side))
 
 
-def _split_locus(lat: MiddleLattice, split: _Splitting) -> BundleClass:
-    """The locus class from the splitting L = S + Zj: +-j, signed as in ``_locus_class``, with the
-    pairing against xi^(r-1) * L read off the Segre classes (``_table_integral``), and the
+def _top_dual(lat: MiddleLattice) -> tuple[int, ...]:
+    """S^perp's generator in closed form, with ``_locus_class``'s rank error.  G is nondegenerate, so S^perp
+    is G^-1 of the vectors on the monomials of xi exponent r - 1, and its rank is their number; with one,
+    e_top, v = G^-1 e_top spans it.  m*v, for the lcm m of v's denominators, is primitive: no prime of m
+    divides all of it, and if another p did, m*v = p*u would make G u = (m/p) e_top integral."""
+    top = [i for i, (_, e) in enumerate(lat.monomials) if e == lat.side.rank - 1]
+    if len(top) != 1:
+        raise UnexpectedRankError(
+            f"orthogonal complement of the pullback sublattice has rank {len(top)}, expected 1")
+    v = _solve_rational(lat.gram, [int(i == top[0]) for i in range(lat.rank)])[0]
+    m = lcm(*(x.denominator for x in v))
+    return tuple(int(x * m) for x in v)
+
+
+def _signed(lat: MiddleLattice, k: Sequence[int]) -> tuple[int, ...]:
+    """The coordinates k of S^perp's generator, signed as in ``_locus_class``, with the pairing of
+    their class against xi^(r-1) * L read off the Segre classes (``_table_integral``), and the
     errors of ``_locus_class`` and its ``pairing_on_M``."""
     side = lat.side
     h = side.base.hyperplane
@@ -660,14 +673,24 @@ def _split_locus(lat: MiddleLattice, split: _Splitting) -> BundleClass:
     r, mc = side.rank, side.middle_codim
     if mc + r + 1 != side.dim_total:  # xi^(r-1) * L has codimension r, as pairing_on_M checks it
         raise DegreeMismatchError(f"codimensions {mc} + {r} + 1 != dim X = {side.dim_total}")
-    p = sum(k * c * _table_integral(side, x, label, e + r)
-            for k, (x, e) in zip(split.j, lat.monomials) if k for label, c in h.coeffs.items())
+    p = sum(x * c * _table_integral(side, y, label, e + r)
+            for x, (y, e) in zip(k, lat.monomials) if x for label, c in h.coeffs.items())
     if p.denominator != 1:
         raise IntegralityError(f"non-integral intersection number {p}")
     if p == 0:
         raise UnexpectedRankError("locus class pairs to zero with the normalization monomial")
-    sign = 1 if p > 0 else -1
-    return class_from_coordinates(lat, [sign * k for k in split.j])
+    return tuple(x if p > 0 else -x for x in k)
+
+
+def _lawful(lat: MiddleLattice, k: Sequence[int], d: int) -> BundleClass:
+    """The class of the locus coordinates k, unless its self-pairing k^T G k breaks the sign law
+    (-1)^(r-1) d of a locus class, as S^perp's generator does where S is degenerate."""
+    cls, law = class_from_coordinates(lat, k), (-1) ** (lat.side.rank - 1) * d
+    pairing = sum(x * g * y for x, row in zip(k, lat.gram) for g, y in zip(row, k))
+    if pairing != law:
+        raise UnexpectedRankError(
+            f"locus class {cls} has self-pairing {pairing}, but the sign law needs (-1)^(r-1) d = {law}")
+    return cls
 
 
 def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
@@ -909,13 +932,12 @@ class RoofQuery:
 
     A side's Gram matrix is read off its Segre classes (``_table_gram``).  Where the
     pullback sublattice S is unimodular (``_splitting``), the middle lattice splits as
-    L = S + Zj, and its determinant, locus class and discriminant group are read off that
-    splitting: det S * j.j; +-j, signed by its pairing with xi^(r-1) * L read off the same;
-    and Z/|j.j|, generated by the dual vector of the monomial of xi exponent r - 1 (valid,
-    not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they come from
-    ``det``, ``_locus_class`` and ``discriminant_group`` on the Gram matrix, and a locus class
-    whose self-pairing breaks the sign law (-1)^(r-1) d, as S^perp's generator does for a degenerate
-    S, is an ``UnexpectedRankError``.
+    L = S + Zj, and its determinant and discriminant group are read off that splitting:
+    det S * j.j and Z/|j.j|, generated by the dual vector of the monomial of xi exponent
+    r - 1 (valid, not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they
+    come from ``det`` and ``discriminant_group`` on the Gram matrix.  The locus class is +-j,
+    or else G^-1 e_top made primitive (``_top_dual``), signed by its pairing with
+    xi^(r-1) * L read off the Segre classes (``_signed``), and held to the sign law (``_lawful``).
 
     The two sides are twins when they differ only in name: one base ring, rank, relation
     and middle basis, as on every built-in.  A twin's middle lattice, locus class and
@@ -972,15 +994,8 @@ class RoofQuery:
     def locus(self, side: RoofSide) -> BundleClass:
         def build():
             lat, split = self._split_lattice(side)
-            if split is not None:
-                return _split_locus(lat, split)
-            cls, law = _locus_class(lat), (-1) ** (side.rank - 1) * self.config.polarization_degree
-            k = coordinates_in_lattice(lat, cls)
-            pairing = sum(x * g * y for x, row in zip(k, lat.gram) for g, y in zip(row, k))
-            if pairing != law:
-                raise UnexpectedRankError(
-                    f"locus class {cls} has self-pairing {pairing}, but the sign law needs (-1)^(r-1) d = {law}")
-            return cls
+            k = _top_dual(lat) if split is None else split.j
+            return _lawful(lat, _signed(lat, k), self.config.polarization_degree)
 
         return self._shared("locus class", side, build, lambda c: BundleClass._of(side, c.degree, c._flat))
 

@@ -281,16 +281,27 @@ MUTANTS = (
     _m("splitting-block-reversal-sign-flipped", "roofcalc", "det_s = (-1) ** sum(", "det_s = -(-1) ** sum(",
        "test_engine_splitting.py"),
     _m("splitting-group-order-signed", "roofcalc", "d = abs(split.jj)", "d = split.jj", "test_engine_splitting.py"),
-    _m("splitting-locus-sign-inverted", "roofcalc", "sign = 1 if p > 0 else -1", "sign = -1 if p > 0 else 1",
+    _m("splitting-locus-sign-inverted", "roofcalc", "x if p > 0 else -x for x in k", "-x if p > 0 else x for x in k",
        "test_engine_splitting.py"),
-    _m("locus-sign-law-unchecked", "roofcalc", "            if pairing != law:\n", "            if False:\n",
-       "test_roof_queries.py"),
+    # roofcalc: the locus class off G^-1 e_top where there is no splitting, and the one sign-law check
+    _m("locus-sign-law-unchecked", "roofcalc", "    if pairing != law:\n", "    if False:\n", "test_roof_queries.py"),
+    _m("locus-law-skipped-on-the-splitting-branch", "roofcalc",
+       "            return _lawful(lat, _signed(lat, k), self.config.polarization_degree)\n",
+       "            return class_from_coordinates(lat, _signed(lat, k)) if split else \\\n"
+       "                _lawful(lat, _signed(lat, k), self.config.polarization_degree)\n", "test_roof_queries.py"),
+    _m("public-locus-law-unchecked", "roofcalc",
+       "return _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side))",
+       "return class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])", "test_roof_queries.py"),
+    _m("closed-form-rank-counts-the-pullback", "roofcalc", "has rank {len(top)}, expected 1",
+       "has rank {lat.rank - len(top)}, expected 1", "test_engine_splitting.py"),
+    _m("closed-form-scaled-by-the-determinant", "roofcalc", "m = lcm(*(x.denominator for x in v))",
+       "m = lat.determinant", "test_engine_splitting.py"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),
     _m("residue-crt-no-compatibility-test", "roofcalc", "        if (r - k0) % h:\n            return None\n", "",
        ROOF),
-    _m("locus-sign-not-normalised", "roofcalc", "    if p < 0:\n        cls = -cls\n", "", ROOF),
+    _m("locus-sign-not-normalised", "roofcalc", "kernel[0] if p > 0 else [-x for x in kernel[0]]", "kernel[0]", ROOF),
     # roofcalc: the checks of RoofConfig
     _m("roof-config-rank-unchecked", "roofcalc", "if side.rank != tilde_side.rank:", "if False:", RECORDS),
     _m("roof-config-dimension-unchecked", "roofcalc", "if side.dim_total != tilde_side.dim_total:", "if False:",

@@ -3,14 +3,16 @@
 ``RoofQuery`` reads them off the splitting L = S + Zj of a side's middle
 lattice when the pullback sublattice S (the monomials x*xi^e with
 e <= r - 2) is unimodular: det L = det S * j.j, the discriminant group is
-Z/|j.j| and the locus class is +-j.  Otherwise it runs ``det``,
-``discriminant_group`` and the orthogonal kernel on the Gram matrix.  Either
-way ``describe`` must report what ``middle_lattice``, ``discriminant_group``,
-``locus_pushforward_class`` and ``pairing_on_M`` give, and each group
-generator must have exactly the order of its factor.  The cases: every config
-under ``tests/data/``, the 26 query configs, hypothesis-drawn Q4-Q10 roofs,
-and a base whose pairing on the middle degree has determinant 2, where the
-closed form does not apply.
+Z/|j.j| and the locus class is +-j.  Otherwise it runs ``det`` and
+``discriminant_group`` on the Gram matrix, and its locus class is
+G^-1 e_top made primitive.  Either way ``describe`` must report what
+``middle_lattice``, ``discriminant_group``, ``locus_pushforward_class`` and
+``pairing_on_M`` give, and each group generator must have exactly the order
+of its factor.  The cases: every config under ``tests/data/``, the 26 query
+configs, hypothesis-drawn Q4-Q10 roofs, and a base whose pairing on the
+middle degree has determinant 2, where the closed form does not apply.  The
+public orthogonal kernel is the reference for the fallback's locus class, on
+that base and on seeded partial middle bases of Q4-Q8 roofs.
 """
 
 import json
@@ -21,20 +23,27 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roofpairs import latticecore
-from roofpairs.cli import _side_report, cmd_describe, cmd_lemma7
+from roofpairs import latticecore, roofcalc
+from roofpairs.cli import _side_report, cmd_describe, cmd_lemma7, cmd_mukai
 from roofpairs.configs import config_from_dict, load_config
-from roofpairs.latticecore import _solve_rational, discriminant_group
+from roofpairs.errors import GradedRingError, LatticeError
+from roofpairs.gradedring import BasisElement, RingPresentation
+from roofpairs.latticecore import _solve_rational, discriminant_group, orthogonal_kernel
 from roofpairs.roofcalc import (
+    DegenerateBasisError,
     DegreeMismatchError,
+    RoofConfig,
+    RoofError,
     RoofQuery,
+    RoofSide,
+    UnexpectedRankError,
     coordinates_in_lattice,
     locus_pushforward_class,
     middle_lattice,
     pairing_on_M,
 )
 
-from test_roof_queries import CONFIGS, NON_UNIMODULAR, roof_relation, synthetic_roof
+from test_roof_queries import CONFIGS, NON_UNIMODULAR, STAGE_CASES, roof_relation, synthetic_roof
 
 DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
 
@@ -84,10 +93,11 @@ def test_synthetic_roof(n, seed, amp):
 
 
 def test_non_unimodular_pullback_falls_back(count_calls):
+    # the twins share the group; the locus class is read off G^-1 e_top, with no orthogonal kernel (it made 1)
     assert check_config(NON_UNIMODULAR) == [None, None]
     counts = count_calls("latticecore.discriminant_group", "latticecore.orthogonal_kernel")
     report = cmd_describe(NON_UNIMODULAR)["sides"][0]
-    assert counts == {"latticecore.discriminant_group": 1, "latticecore.orthogonal_kernel": 1}  # the twins share
+    assert counts == {"latticecore.discriminant_group": 1, "latticecore.orthogonal_kernel": 0}
     assert (report["gram"], report["gram_determinant"], report["discriminant_group"]) == (
         [[2, 2], [2, 0]], -4, "Z/2 x Z/2")
     assert report["locus_self_pairing"] == -2
@@ -120,3 +130,101 @@ def test_at_cap_roof_decomposes_no_full_gram_matrix(monkeypatch):
     cmd_describe(config)
     cmd_lemma7(config)
     assert rows and max(rows) < n
+
+
+# ---------------------------------------------------------------------------
+# the fallback's locus class against the orthogonal kernel
+# ---------------------------------------------------------------------------
+
+def _partial_bases(count=24, seed=42):
+    """Synthetic Q4-Q8 roofs whose twin sides keep a seeded part of their middle basis, with or without the
+    top monomial L*xi^(r-1); the bases that are degenerate are left out."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randint(4, 8)
+        data = synthetic_roof(n, roof_relation(rng, n - 2, 2), f"partial-q{n}-{len(out)}")
+        top, *rest = data["sides"][0]["middle_basis"]
+        assert top == ["L", n - 3]
+        kept = rng.sample(rest, rng.randint(1, len(rest) - 1))
+        for side in data["sides"]:
+            side["middle_basis"] = kept if len(out) % 4 == 3 else [top, *kept]
+        config = config_from_dict(data)
+        try:
+            middle_lattice(config.side)
+        except DegenerateBasisError:
+            continue
+        out.append(config)
+    return out
+
+
+PARTIAL = _partial_bases()
+
+
+def test_partial_bases_reach_every_branch():
+    kinds = {(sum(e == c.rank - 1 for _, e in c.side.middle_basis), RoofQuery(c)._split_lattice(c.side)[1] is None)
+             for c in PARTIAL}
+    assert kinds == {(0, True), (1, True), (1, False)}
+
+
+@pytest.mark.parametrize("config", [NON_UNIMODULAR, *PARTIAL, *CONFIGS], ids=lambda c: c.name)
+def test_fallback_locus_class_is_the_orthogonal_kernel(config):
+    # with one top monomial, G^-1 e_top made primitive is the generator of S^perp up to sign, on a full basis
+    # too; the query and the public function give one locus class, or both refuse it with one text (on this
+    # seed, every partial basis with a top monomial breaks the sign law)
+    q = RoofQuery(config)
+    lat = q.lattice(config.side)
+    pullback = [[int(i == k) for k in range(lat.rank)] for i, (_, e) in enumerate(lat.monomials)
+                if e <= config.rank - 2]
+    kernel = orthogonal_kernel(lat.gram, pullback)
+    if len(kernel) == 1:
+        assert roofcalc._top_dual(lat) in (kernel[0], tuple(-x for x in kernel[0]))
+    try:
+        expected = locus_pushforward_class(config.side)
+    except UnexpectedRankError as exc:
+        with pytest.raises(UnexpectedRankError) as got:
+            q.locus(config.side)
+        assert str(got.value) == f"stage 'locus class' failed: {exc}"
+    else:
+        assert len(kernel) == 1 and q.locus(config.side) == expected
+
+
+def two_top_monomials() -> RoofConfig:
+    """A rank-1 roof over P1 x P2 (h^2 = 0, k^3 = 0, h*k^2 = pt) with middle basis h and k, both of xi exponent
+    r - 1 = 0: S is empty, and its complement, the whole lattice, has rank 2.  The Gram matrix is [[0, 1], [1, 1]]
+    for c_1 = h + k."""
+    labels = (("1", 0), ("h", 1), ("k", 1), ("hk", 2), ("k2", 2), ("pt", 3))
+    ring = RingPresentation("P1xP2", 3, tuple(BasisElement(*b) for b in labels), "pt",
+                            {("h", "h"): {}, ("h", "k"): {"hk": 1}, ("k", "k"): {"k2": 1}, ("h", "hk"): {},
+                             ("h", "k2"): {"pt": 1}, ("k", "hk"): {"pt": 1}, ("k", "k2"): {}},
+                            hyperplane_form={"h": 1, "k": 1})
+    sides = [RoofSide(name, ring, 1, (ring.l_power(1),), (("h", 0), ("k", 0))) for name in ("side", "side~")]
+    return RoofConfig("two-top-monomials", *sides, 3)
+
+
+NO_TOP = [c for c in PARTIAL if all(e != c.rank - 1 for _, e in c.side.middle_basis)]
+
+
+@pytest.mark.parametrize("config, rank", [(two_top_monomials(), 2), (STAGE_CASES[2][1], 0), *((c, 0) for c in NO_TOP)],
+                         ids=lambda c: getattr(c, "name", c))
+def test_rank_error_without_one_top_monomial(config, rank):
+    # the toy of STAGE_CASES[2] and the partial bases in NO_TOP have no top monomial
+    with pytest.raises(UnexpectedRankError) as expected:
+        locus_pushforward_class(config.side)
+    assert str(expected.value) == f"orthogonal complement of the pullback sublattice has rank {rank}, expected 1"
+    with pytest.raises(UnexpectedRankError) as got:
+        RoofQuery(config).locus(config.side)
+    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
+
+
+def test_query_never_takes_the_public_locus_path(count_calls):
+    # describe, lemma7 and mukai, run to their end or to their error, on every input of these tests
+    counts = count_calls("roofcalc._locus_class", "latticecore.orthogonal_kernel", "roofcalc.pairing_on_M")
+    configs = [*map(load_config, DATA), *CONFIGS, NON_UNIMODULAR, two_top_monomials(),
+               *(c for _, c, _ in STAGE_CASES), *PARTIAL]
+    for config in configs:
+        for command in (cmd_describe, cmd_lemma7, lambda c: cmd_mukai(c, 50)):
+            try:
+                command(config)
+            except (RoofError, GradedRingError, LatticeError):
+                pass
+    assert counts == dict.fromkeys(counts, 0)

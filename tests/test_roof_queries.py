@@ -233,6 +233,25 @@ def _toy(side=None, tilde=None):
                              "sides": [dict(TOY_SIDE, **(side or {})), dict(TOY_SIDE, **(tilde or {}))]})
 
 
+def _q6_partial_tilde():
+    """A synthetic Q6 roof whose tilde middle basis lacks L^2*xi^2 and Pi1*L: describe reports both sides,
+    whose locus classes keep the sign law, but the switched locus class has an L^2*xi^2 term (a seeded
+    search found it)."""
+    data = synthetic_roof(6, [0, 2, 4, 2], "q6-partial-tilde")
+    data["sides"][1]["middle_basis"] = [["L", 3], ["Pi1", 1], ["Pi2", 1]]
+    return data
+
+
+def _d4_without_pi2():
+    """d4 with Pi2 removed from both middle bases.  S's centre block is Pi1.Pi1 = 0 on Q6, so S is degenerate;
+    the generator of S^perp, -Pi1*xi + 6*Pi1*L, lies in S itself, and its self-pairing is 0, where the sign
+    law of a locus class needs (-1)^(r-1) d = -12."""
+    data = copy.deepcopy(BUILTIN_CONFIGS["d4"])
+    for side in data["sides"]:
+        side["middle_basis"] = [m for m in side["middle_basis"] if m[0] != "Pi2"]
+    return data
+
+
 STAGE_CASES = [
     # a repeated monomial makes the side's Gram matrix singular
     ("middle lattice", _toy(side={"middle_basis": [["Pi1", 0], ["Pi1", 0], ["L", 1]]}),
@@ -245,12 +264,16 @@ STAGE_CASES = [
      lambda cfg: roofcalc.locus_pushforward_class(cfg.side)),
     ("locus class", _toy(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
      lambda cfg: roofcalc.locus_pushforward_class(cfg.tilde_side)),
+    # S = <Pi1> is unimodular, so the tilde side splits, but +-j = -L*xi + Pi1 has self-pairing -1, not -2
+    ("locus class", _toy(tilde={"middle_basis": [["Pi1", 0], ["L", 1]]}),
+     lambda cfg: roofcalc.locus_pushforward_class(cfg.tilde_side)),
+    # S is degenerate, so the side falls back, and S^perp's generator has self-pairing 0, not -12
+    ("locus class", config_from_dict(_d4_without_pi2()), lambda cfg: roofcalc.locus_pushforward_class(cfg.side)),
     # the tilde relation does not match the side's under L -> xi - L~
     ("side switch", _toy(tilde={"groth": [[["L", 3]], [["Pi1", 1], ["Pi2", 1]]]}),
      lambda cfg: roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))),
-    # the switched class has a Pi2 term the tilde middle basis lacks
-    ("residue scan", _toy(tilde={"middle_basis": [["Pi1", 0], ["L", 1]]}),
-     roofcalc.residue_scan),
+    # the switched class has an L^2*xi^2 term the tilde middle basis lacks
+    ("residue scan", config_from_dict(_q6_partial_tilde()), roofcalc.residue_scan),
 ]
 
 
@@ -276,10 +299,10 @@ def test_describe_failure_matches_public_functions(stage, cfg, public):
 
 
 def test_stage_label_reaches_stderr(tmp_path, capsys):
-    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
-            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["L", 1]])]}
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_q6_partial_tilde()))
+    assert main(["describe", "--config", str(path)]) == 0
+    capsys.readouterr()
     assert main(["lemma7", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -300,19 +323,41 @@ def test_describe_stage_label_reaches_stderr(tmp_path, capsys):
 
 
 def test_describe_refuses_a_locus_class_that_breaks_the_sign_law(tmp_path, capsys):
-    # d4 without Pi2: S's centre block is Pi1.Pi1 = 0 on Q6, so S is degenerate and the query falls back.
-    # The generator of S^perp, -Pi1*xi + 6*Pi1*L, lies in S itself: its self-pairing is 0, where the sign
-    # law of a locus class needs (-1)^(r-1) d = -12
-    data = copy.deepcopy(BUILTIN_CONFIGS["d4"])
-    for side in data["sides"]:
-        side["middle_basis"] = [m for m in side["middle_basis"] if m[0] != "Pi2"]
     path = tmp_path / "d4-no-pi2.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_d4_without_pi2()))
     assert main(["describe", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: locus class -Pi1*xi + 6*Pi1*L "
                             "has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12\n")
+
+
+def test_public_locus_functions_refuse_a_class_that_breaks_the_sign_law():
+    # the public path keeps the definitions (the orthogonal kernel, pairing_on_M) and holds its class to the
+    # same law as the query, with the same text
+    cfg = config_from_dict(_d4_without_pi2())
+    for public in (roofcalc.locus_pushforward_class, roofcalc.locus_coordinates, roofcalc.polarized_sign_check):
+        with pytest.raises(roofcalc.UnexpectedRankError) as got:
+            public(cfg.side)
+        assert str(got.value) == ("locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, "
+                                  "but the sign law needs (-1)^(r-1) d = -12")
+
+
+@pytest.mark.parametrize("command", ["describe", "lemma7"])
+def test_split_locus_class_keeps_the_sign_law(command, tmp_path, capsys):
+    # S = <Pi1> on the tilde side is unimodular, so that side splits; +-j = -L*xi + Pi1 has self-pairing -1,
+    # where the law needs (-1)^(r-1) d = -2
+    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
+            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["L", 1]])]}
+    cfg = config_from_dict(data)
+    assert roofcalc.RoofQuery(cfg)._split_lattice(cfg.tilde_side)[1] is not None
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: locus class -L*xi + Pi1 "
+                            "has self-pairing -1, but the sign law needs (-1)^(r-1) d = -2\n")
 
 
 def test_error_outside_a_stage_keeps_its_message(g2):
@@ -356,25 +401,26 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
 def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
     # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group,
     # and only lemma7 switches the locus class to the other side.  Where the pullback sublattice is
-    # unimodular, the locus class and the group are read off the splitting L = S + Zj, with no
-    # orthogonal kernel or Smith form; NON_UNIMODULAR falls back to both.
+    # unimodular, the group is read off the splitting L = S + Zj, with no Smith form; NON_UNIMODULAR falls
+    # back to discriminant_group.  The locus class never takes the public path, with its orthogonal kernel
     counts = count_calls("roofcalc._middle_classes", "roofcalc._locus_class", "latticecore.discriminant_group",
                          "latticecore.orthogonal_kernel", "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     fallback = int(cfg is NON_UNIMODULAR)
-    assert counts == {"roofcalc._middle_classes": distinct, "roofcalc._locus_class": fallback,
+    assert counts == {"roofcalc._middle_classes": distinct, "roofcalc._locus_class": 0,
                       "latticecore.discriminant_group": fallback if command == "describe" else 0,
-                      "latticecore.orthogonal_kernel": fallback,
+                      "latticecore.orthogonal_kernel": 0,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
 
 
 @pytest.mark.parametrize("command", ["describe", "lemma7"])
-def test_engine_gram_is_read_without_pairings(command, count_calls):
+@pytest.mark.parametrize("cfg", [CONFIGS[-1], NON_UNIMODULAR], ids=lambda c: c.name)
+def test_engine_gram_is_read_without_pairings(command, cfg, count_calls):
     # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the Segre classes, and so is the
     # pairing that signs the locus class; describe's locus self-pairing is k^T G k on the locus coordinates.
     # Pairing each entry, as middle_lattice does, made 84 and 82; the locus sign and self-pairings made 3 and 1.
-    cfg = CONFIGS[-1]
-    assert cfg.name == "syn-q10-21" and len(cfg.side.middle_basis) == 9
+    # NON_UNIMODULAR's fallback locus class is signed the same way
+    assert cfg is NON_UNIMODULAR or cfg.name == "syn-q10-21" and len(cfg.side.middle_basis) == 9
     counts = count_calls("roofcalc.pairing_on_M")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     assert counts == {"roofcalc.pairing_on_M": 0}
@@ -451,11 +497,10 @@ def _monomial_reductions(cfg):
     return len(cfg.side.middle_basis) + (0 if twins else len(cfg.tilde_side.middle_basis))
 
 
-@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS + [NON_UNIMODULAR], ids=lambda c: c.name)
 def test_describe_reads_no_normal_form(cfg, record_reductions):
     # every Gram entry and the locus sign are read off the Segre data, so describe folds no power of xi:
-    # it reduces each middle monomial, below xi^r, once.  NON_UNIMODULAR, left out, falls back to the
-    # public locus class, which pairs classes by definition
+    # it reduces each middle monomial, below xi^r, once, on NON_UNIMODULAR's fallback too
     cfg = _fresh(cfg)
     cmd_describe(cfg)
     assert len(record_reductions) == _monomial_reductions(cfg)
@@ -480,14 +525,14 @@ def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
     assert folded and all(switched and labels <= support for labels, switched in folded)
 
 
-@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 2, 7)],
+@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 1, 5)],
                          ids=lambda c: getattr(c, "name", c))
 def test_describe_decomposes_each_gram_matrix_once(cfg, smith, det, count_calls):
     # g2dagger's twin sides read their group and locus class off the splitting, with one det per 1 x 1
     # anti-diagonal block of S; its reordered tilde side builds its own.  NON_UNIMODULAR falls back: the
-    # block det, the Gram det, and one Smith form each for the group and the locus class, whose checks make
-    # the other four dets.  Decomposing for each report field separately made 6 Smith and 18 det calls on
-    # g2dagger, and before the splitting, 2 Smith and 6 det calls.
+    # block det, the Gram det, and discriminant_group's det and Smith form, whose check makes the other two
+    # dets; its locus class is one rational solve, with no Smith form.  Decomposing for each report field
+    # separately made 6 Smith and 18 det calls on g2dagger, and before the splitting, 2 Smith and 6 det calls.
     counts = count_calls("latticecore.smith_normal_form", "latticecore.det")
     cmd_describe(cfg)
     assert counts == {"latticecore.smith_normal_form": smith, "latticecore.det": det}
