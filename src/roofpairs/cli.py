@@ -82,8 +82,8 @@ def _side_report(q: RoofQuery, side: RoofSide) -> dict:
 
     lat = q.lattice(side)
     gram = [list(r) for r in lat.gram]
-    group = q.group(side)
-    locus, coords = q.locus(side), q.locus_coordinates(side)
+    coords = q.locus(side)  # before the group: a config refused at the locus class pays for no Smith form
+    locus, group = roofcalc.class_from_coordinates(lat, coords), q.group(side)
     h, idx = side.base.hyperplane, side.base.fano_index
     return {
         "base": side.base.name,
@@ -169,7 +169,7 @@ def cmd_mukai(cfg, bound: int) -> dict:
         "command": "mukai",
         "name": cfg.name,
         "bound": bound,
-        "polarization": {"coordinates": list(q.locus_coordinates(cfg.side))},
+        "polarization": {"coordinates": list(q.locus(cfg.side))},
         "theta_v": _vector(q.lattice(cfg.side), sol.a),
         "theta_w": _vector(q.lattice(cfg.side), sol.b),
         "solution_orbits": len(sol.orbits),

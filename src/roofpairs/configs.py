@@ -14,7 +14,8 @@ one message from ``RoofConfig`` (through ``cy_degree``) in either form.
 ``config_from_dict`` builds one quadric ring per distinct base dimension, so
 the two sides of a roof over one quadric share their base.  Sides that then
 agree in every field but the name are twins; they share pieces only through
-``RoofQuery``, which builds their lattice pieces once.
+``RoofQuery``, which keys each piece that names no side by a representative
+side and so builds it once for both.
 """
 
 from __future__ import annotations

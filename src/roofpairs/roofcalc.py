@@ -32,7 +32,7 @@ locus class and the discriminant group off the splitting L = S + Zj
 the locus class off one rational solve, G v = e_top.  Both build the lattice
 from ``_middle_classes`` and ``_nondegenerate``.  Each side keeps its own
 xi-power table and Segre data; twin sides share pieces only through
-``RoofQuery``, which re-homes one side's lattice, locus class and group.
+``RoofQuery``, which keys each piece that names no side by a representative side.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class RoofSide:
     ``rank`` and each exponent go through ``operator.index``.  Read-only, equal and
     hashed by these five fields; its xi-power table ``_powers`` and Segre data
     ``_sigma`` take no part and are its own, never shared with another side
-    (twin sides share pieces only through ``RoofQuery``).  A plain class, unlike
-    the other records: it owns that data, and ``reduce`` reads its fields on
-    every call, where a NamedTuple ran about 2 % slower.
+    (twin sides share only the pieces that name no side, through ``RoofQuery``).
+    A plain class, unlike the other records: it owns that data, and ``reduce``
+    reads its fields on every call, where a NamedTuple ran about 2 % slower.
     """
 
     def __init__(self, name: str, base: RingPresentation, rank: int, groth_coeffs: tuple[GradedClass, ...],
@@ -463,19 +463,9 @@ def _table_gram(side: RoofSide) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, gram))
 
 
-class _Splitting(NamedTuple):
-    """L = S + Zj for a unimodular pullback sublattice S.  ``j`` holds the coordinates of the
-    generator of S's orthogonal complement that has coordinate 1 on the monomial ``top`` of xi
-    exponent r - 1; the determinant of L is ``det_s * jj``, with jj = j.j."""
-
-    top: int
-    j: tuple[int, ...]
-    jj: int
-    det_s: int
-
-
-def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[_Splitting]:
-    """The splitting L = S + Zj of the middle lattice, or None when this closed form does not apply.
+def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The determinant of the middle lattice and the coordinates of j, read off its splitting L = S + Zj, or
+    None when this closed form does not apply.
 
     Order the middle monomials x*xi^e by e and let S be spanned by those with e <= r - 2.  The
     pairing of the e-block with the f-block vanishes for e + f < r - 2, so S's Gram matrix is block
@@ -484,7 +474,7 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[_Split
     when exactly one monomial has e = r - 1, every B_e is square, the blocks above the anti-diagonal
     vanish and det S = +-1.  Then S is unimodular, so it splits off (Milnor-Husemoller, Symmetric
     Bilinear Forms): L = S + Zj and det L = det S * j.j.  j = e_top - c with G_SS c = G_S,top,
-    solved block by block through the unimodular B_e, last block first."""
+    solved block by block through the unimodular B_e, last block first, and j.j = G_top,top - G_top,S c."""
     k = side.rank - 2
     blocks = [[i for i, (_, e) in enumerate(side.middle_basis) if e == f] for f in range(k + 2)]
     top = blocks.pop()
@@ -503,8 +493,8 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[_Split
         rhs = [gram[i][b] - sum(gram[i][j] * c[j] for block in blocks[k - e + 1:] for j in block) for i in rows]
         for i, x in zip(cols, _solve_integral([[gram[row][col] for row in rows] for col in cols], rhs)):
             c[i] = x
-    j = tuple(int(i == b) - x for i, x in enumerate(c))
-    return _Splitting(b, j, gram[b][b] - sum(g * x for g, x in zip(gram[b], c)), det_s)
+    jj = gram[b][b] - sum(g * x for g, x in zip(gram[b], c))
+    return det_s * jj, tuple(int(i == b) - x for i, x in enumerate(c))
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
@@ -621,7 +611,8 @@ def locus_pushforward_class(side: RoofSide) -> BundleClass:
     xi-exponent at most r - 2.  The generator's sign is normalized so that
     its pairing with xi^(r-1) * L is strictly positive; one whose self-pairing breaks the sign
     law (-1)^(r-1) d, d = ``cy_degree(side)``, as on a degenerate pullback sublattice, is an
-    ``UnexpectedRankError``.  Builds the side's middle lattice on each call; ``RoofQuery.locus`` once.
+    ``UnexpectedRankError``.  Builds the side's middle lattice on each call; ``RoofQuery.locus``, its
+    coordinates, once.
     """
     return _locus_class(middle_lattice(side))
 
@@ -645,7 +636,7 @@ def _locus_class(lat: MiddleLattice) -> BundleClass:
     p = pairing_on_M(side, cls, reduce(side, {side.rank - 1: h}))  # xi^(r-1) * L, nef, fixes the sign
     if p == 0:
         raise UnexpectedRankError("locus class pairs to zero with the normalization monomial")
-    return _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side))
+    return class_from_coordinates(lat, _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side)))
 
 
 def _top_dual(lat: MiddleLattice) -> tuple[int, ...]:
@@ -682,15 +673,15 @@ def _signed(lat: MiddleLattice, k: Sequence[int]) -> tuple[int, ...]:
     return tuple(x if p > 0 else -x for x in k)
 
 
-def _lawful(lat: MiddleLattice, k: Sequence[int], d: int) -> BundleClass:
-    """The class of the locus coordinates k, unless its self-pairing k^T G k breaks the sign law
+def _lawful(lat: MiddleLattice, k: Sequence[int], d: int) -> tuple[int, ...]:
+    """The locus coordinates k, unless the self-pairing k^T G k of their class breaks the sign law
     (-1)^(r-1) d of a locus class, as S^perp's generator does where S is degenerate."""
-    cls, law = class_from_coordinates(lat, k), (-1) ** (lat.side.rank - 1) * d
+    law = (-1) ** (lat.side.rank - 1) * d
     pairing = sum(x * g * y for x, row in zip(k, lat.gram) for g, y in zip(row, k))
     if pairing != law:
-        raise UnexpectedRankError(
-            f"locus class {cls} has self-pairing {pairing}, but the sign law needs (-1)^(r-1) d = {law}")
-    return cls
+        raise UnexpectedRankError(f"locus class {class_from_coordinates(lat, k)} has self-pairing {pairing}, "
+                                  f"but the sign law needs (-1)^(r-1) d = {law}")
+    return tuple(k)
 
 
 def locus_coordinates(side: RoofSide) -> tuple[int, ...]:
@@ -933,22 +924,28 @@ class RoofQuery:
     A side's Gram matrix is read off its Segre classes (``_table_gram``).  Where the
     pullback sublattice S is unimodular (``_splitting``), the middle lattice splits as
     L = S + Zj, and its determinant and discriminant group are read off that splitting:
-    det S * j.j and Z/|j.j|, generated by the dual vector of the monomial of xi exponent
+    det S * j.j and Z/|det L|, generated by the dual vector of the monomial of xi exponent
     r - 1 (valid, not canonical, like every ``DiscriminantGroup`` generator).  Elsewhere they
-    come from ``det`` and ``discriminant_group`` on the Gram matrix.  The locus class is +-j,
-    or else G^-1 e_top made primitive (``_top_dual``), signed by its pairing with
+    come from ``det`` and ``discriminant_group`` on the Gram matrix.  The locus coordinates are
+    +-j, or else G^-1 e_top made primitive (``_top_dual``), signed by their pairing with
     xi^(r-1) * L read off the Segre classes (``_signed``), and held to the sign law (``_lawful``).
 
     The two sides are twins when they differ only in name: one base ring, rank, relation
-    and middle basis, as on every built-in.  A twin's middle lattice, locus class and
-    discriminant group are then those of the other side, re-homed onto it once the other
-    side has built them; otherwise a side builds its own, so an error always comes from
-    the side that was asked for.  This is the one place where twins share anything: each
-    side has its own xi-power table and Segre data; a twin whose pieces are all re-homed builds no
-    Segre data, and only the table rows that its own reductions ask for."""
+    and middle basis, as on every built-in.  Each piece that names no side, the Gram matrix
+    with its determinant and j, the locus coordinates and the discriminant group, is keyed by
+    a representative of the config side asked for, picked once: the side for a twin tilde
+    side, and otherwise the side itself.  The first side asked for builds it from its own
+    data, so an error always comes from that side.  Only the middle lattice, whose classes
+    name their side, is built per side, from the shared Gram data and the side's own basis
+    checks.  Each side has its own xi-power table and Segre data; a twin that takes its
+    pieces from the other side builds no Segre data, and only the table rows that its own
+    reductions ask for."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
+        side, tilde = config.side, config.tilde_side
+        # keys of the pieces that name no side; a lattice is keyed by id(side), an int, never one of these
+        self._rep = {id(side): "side", id(tilde): "side" if tilde._key()[1:] == side._key()[1:] else "tilde side"}
 
     def _once(self, stage: str, key, build):
         if (stage, key) not in self._built:
@@ -964,64 +961,51 @@ class RoofQuery:
                     self.stage = outer
         return self._built[stage, key]
 
-    def _shared(self, stage: str, side: RoofSide, build, rehome):
-        """``_once`` for a piece of ``side``, taken from its twin through ``rehome`` when the twin has it."""
-        if (stage, id(side)) not in self._built:
-            cfg = self.config
-            twin = cfg.tilde_side if side is cfg.side else cfg.side if side is cfg.tilde_side else None
-            if twin is not None and (stage, id(twin)) in self._built and twin._key()[1:] == side._key()[1:]:
-                self._built[stage, id(side)] = rehome(self._built[stage, id(twin)])
-        return self._once(stage, id(side), build)
-
-    def _split_lattice(self, side: RoofSide) -> tuple[MiddleLattice, Optional[_Splitting]]:
-        """The middle lattice with its splitting, or None where it has none."""
+    def _gram(self, side: RoofSide) -> tuple[tuple[tuple[int, ...], ...], int, Optional[tuple[int, ...]]]:
+        """The Gram matrix of ``side``'s middle basis, its determinant, and j, or None where it does not split."""
         def build():
-            classes, gram = _middle_classes(side), _table_gram(side)
+            gram = _table_gram(side)
             split = _splitting(side, gram)
-            d = latticecore.det(gram) if split is None else split.det_s * split.jj
-            return _nondegenerate(side, classes, gram, d), split
+            return (gram, latticecore.det(gram), None) if split is None else (gram, *split)
 
-        def rehome(pair):
-            lat, split = pair
-            return lat._replace(
-                side=side, classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)), split
-
-        return self._shared("middle lattice", side, build, rehome)
+        return self._once("middle lattice", self._rep[id(side)], build)
 
     def lattice(self, side: RoofSide) -> MiddleLattice:
-        return self._split_lattice(side)[0]
-
-    def locus(self, side: RoofSide) -> BundleClass:
         def build():
-            lat, split = self._split_lattice(side)
-            k = _top_dual(lat) if split is None else split.j
-            return _lawful(lat, _signed(lat, k), self.config.polarization_degree)
+            classes = _middle_classes(side)
+            gram, det, _ = self._gram(side)
+            return _nondegenerate(side, classes, gram, det)
 
-        return self._shared("locus class", side, build, lambda c: BundleClass._of(side, c.degree, c._flat))
+        return self._once("middle lattice", id(side), build)
+
+    def locus(self, side: RoofSide) -> tuple[int, ...]:
+        """The coordinates of ``side``'s locus class in its middle lattice."""
+        def build():
+            lat, j = self.lattice(side), self._gram(side)[2]
+            k = _signed(lat, _top_dual(lat) if j is None else j)
+            return _lawful(lat, k, self.config.polarization_degree)
+
+        return self._once("locus class", self._rep[id(side)], build)
 
     def group(self, side: RoofSide) -> latticecore.DiscriminantGroup:
-        def build():  # the dual vector of the top monomial maps S to 0 and j to 1, so it generates Z/|j.j|
-            lat, split = self._split_lattice(side)
-            if split is None:
+        def build():  # the dual of the top monomial maps S to 0 and j to 1: it generates Z/|j.j| = Z/|det L|
+            lat, j = self.lattice(side), self._gram(side)[2]
+            if j is None:
                 return latticecore.discriminant_group(lat.gram)
-            d = abs(split.jj)
-            dual = tuple(int(i == split.top) for i in range(lat.rank))
+            d = abs(lat.determinant)
+            dual = tuple(int(e == side.rank - 1) for _, e in lat.monomials)
             return latticecore.DiscriminantGroup((d,), (dual,)) if d > 1 else latticecore.DiscriminantGroup((), ())
 
-        return self._shared("discriminant group", side, build, lambda g: g)
-
-    def locus_coordinates(self, side: RoofSide) -> tuple[int, ...]:
-        return coordinates_in_lattice(self.lattice(side), self.locus(side))
+        return self._once("discriminant group", self._rep[id(side)], build)
 
     def residue_scan(self) -> ResidueScan:
         """``residue_scan``, in the stage order lemma7 reports: both lattices, then both locus classes."""
         cfg, sides = self.config, (self.config.side, self.config.tilde_side)
-        _, lat_t = map(self.lattice, sides)
+        lat, lat_t = map(self.lattice, sides)
         locus, locus_t = map(self.locus, sides)
-        switched = self._once("side switch", None, lambda: switch_side(cfg, locus))
+        switched = self._once("side switch", None, lambda: switch_side(cfg, class_from_coordinates(lat, locus)))
         return self._once("residue scan", None, lambda: _scan_coordinates(
-            cfg, coordinates_in_lattice(lat_t, switched), coordinates_in_lattice(lat_t, locus_t)))
+            cfg, coordinates_in_lattice(lat_t, switched), locus_t))
 
     def mukai(self, bound: int):
-        return self._once("mukai vector", bound,
-                          lambda: _mukai(self.config, self.lattice, self.locus_coordinates, bound))
+        return self._once("mukai vector", bound, lambda: _mukai(self.config, self.lattice, self.locus, bound))

@@ -1,8 +1,8 @@
 """The mutant catalogue: named faults in the exact kernels that the tests must detect.
 
 Each mutant replaces one source fragment, which must occur exactly once in
-its file under ``src/roofpairs/``, and names the test files that must fail
-on the result.  ``python tests/mutants.py`` (no options) copies ``src/``,
+its file under ``src/roofpairs/``, and names the test files, or test node
+ids (``file::test``), that must fail on the result.  ``python tests/mutants.py`` (no options) copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory per mutant,
 applies the patch there and runs pytest on the named files with a fixed
 hypothesis seed; a run past the timeout counts as killed.  A control run on
@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
     module: str  # file name under src/roofpairs/
     fragment: str  # occurs exactly once in that file
     replacement: str
-    killers: tuple[str, ...]  # test files under tests/; the mutant is killed when their run fails
+    killers: tuple[str, ...]  # test files under tests/, or node ids in them; killed when their run fails
 
 
 def _m(name, module, fragment, replacement, *killers) -> Mutant:
@@ -168,19 +168,26 @@ MUTANTS = (
     _m("stage-named-at-every-level", "roofcalc", "                if outer is not None:\n",
        "                if False:\n", "test_roof_queries.py", CLI),
     # roofcalc: the pieces RoofQuery shares between twin sides
-    _m("twin-key-drops-relation", "roofcalc", "twin._key()[1:] == side._key()[1:]",
-       "twin._key()[1:3] + twin._key()[4:] == side._key()[1:3] + side._key()[4:]", "test_roof_queries.py"),
-    _m("twin-key-drops-middle-basis", "roofcalc", "twin._key()[1:] == side._key()[1:]",
-       "twin._key()[1:4] == side._key()[1:4]", "test_roof_queries.py", GOLDEN),
-    _m("re-homed-lattice-keeps-twin-side", "roofcalc", "side=side, classes=tuple(", "classes=tuple(", ROOF,
-       "test_roof_queries.py"),
-    _m("re-homed-lattice-keeps-twin-classes", "roofcalc",
-       ", classes=tuple(BundleClass._of(side, c.degree, c._flat) for c in lat.classes)", "", ROOF),
+    _m("twin-key-drops-relation", "roofcalc", "tilde._key()[1:] == side._key()[1:]",
+       "tilde._key()[1:3] + tilde._key()[4:] == side._key()[1:3] + side._key()[4:]", "test_roof_queries.py"),
+    _m("twin-key-drops-middle-basis", "roofcalc", "tilde._key()[1:] == side._key()[1:]",
+       "tilde._key()[1:4] == side._key()[1:4]", "test_roof_queries.py", GOLDEN),
+    _m("lattice-built-on-the-first-side", "roofcalc", "return _nondegenerate(side, classes, gram, det)",
+       "return _nondegenerate(self.config.side, classes, gram, det)", ROOF, "test_roof_queries.py"),
+    _m("lattice-built-with-the-first-side-classes", "roofcalc",
+       "classes = _middle_classes(side)\n            gram, det, _ = self._gram(side)",
+       "classes = _middle_classes(self.config.side)\n            gram, det, _ = self._gram(side)", ROOF),
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
-    _m("re-homed-locus-keeps-twin-side", "roofcalc", "lambda c: BundleClass._of(side, c.degree, c._flat))",
-       "lambda c: c)", ROOF, "test_roof_queries.py"),
-    _m("twin-pieces-not-re-homed", "roofcalc", "self._built[stage, id(side)] = rehome(self._built[stage, id(twin)])",
-       "pass", "test_roof_queries.py"),
+    _m("switched-locus-built-on-the-tilde-lattice", "roofcalc", "switch_side(cfg, class_from_coordinates(lat, locus))",
+       "switch_side(cfg, class_from_coordinates(lat_t, locus))", ROOF, "test_roof_queries.py"),
+    _m("twin-pieces-not-shared", "roofcalc", 'id(tilde): "side" if', 'id(tilde): "tilde side" if',
+       "test_roof_queries.py"),
+    _m("group-built-before-the-locus", "cli",
+       "    coords = q.locus(side)  # before the group: a config refused at the locus class pays for no Smith form\n"
+       "    locus, group = roofcalc.class_from_coordinates(lat, coords), q.group(side)\n",
+       "    group = q.group(side)\n"
+       "    coords = q.locus(side)\n    locus = roofcalc.class_from_coordinates(lat, coords)\n",
+       "test_engine_splitting.py::test_describe_refused_at_the_locus_class_builds_no_group"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
@@ -280,18 +287,18 @@ MUTANTS = (
        "test_engine_splitting.py"),
     _m("splitting-block-reversal-sign-flipped", "roofcalc", "det_s = (-1) ** sum(", "det_s = -(-1) ** sum(",
        "test_engine_splitting.py"),
-    _m("splitting-group-order-signed", "roofcalc", "d = abs(split.jj)", "d = split.jj", "test_engine_splitting.py"),
+    _m("splitting-group-order-signed", "roofcalc", "d = abs(lat.determinant)", "d = lat.determinant",
+       "test_engine_splitting.py"),
     _m("splitting-locus-sign-inverted", "roofcalc", "x if p > 0 else -x for x in k", "-x if p > 0 else x for x in k",
        "test_engine_splitting.py"),
     # roofcalc: the locus class off G^-1 e_top where there is no splitting, and the one sign-law check
     _m("locus-sign-law-unchecked", "roofcalc", "    if pairing != law:\n", "    if False:\n", "test_roof_queries.py"),
     _m("locus-law-skipped-on-the-splitting-branch", "roofcalc",
-       "            return _lawful(lat, _signed(lat, k), self.config.polarization_degree)\n",
-       "            return class_from_coordinates(lat, _signed(lat, k)) if split else \\\n"
-       "                _lawful(lat, _signed(lat, k), self.config.polarization_degree)\n", "test_roof_queries.py"),
+       "            return _lawful(lat, k, self.config.polarization_degree)\n",
+       "            return k if j else _lawful(lat, k, self.config.polarization_degree)\n", "test_roof_queries.py"),
     _m("public-locus-law-unchecked", "roofcalc",
-       "return _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side))",
-       "return class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])", "test_roof_queries.py"),
+       "class_from_coordinates(lat, _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side)))",
+       "class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])", "test_roof_queries.py"),
     _m("closed-form-rank-counts-the-pullback", "roofcalc", "has rank {len(top)}, expected 1",
        "has rank {lat.rank - len(top)}, expected 1", "test_engine_splitting.py"),
     _m("closed-form-scaled-by-the-determinant", "roofcalc", "m = lcm(*(x.denominator for x in v))",
@@ -356,7 +363,8 @@ MUTANTS = (
     _m("motivic-one-term-product-drops-c2", "motivicring", "c1 * c2 for m2, c2 in big.items()}",
        "c1 for m2, c2 in big.items()}", MOT),
     _m("motivic-mul-zero-factor-unhandled", "motivicring",
-       "        if not small:\n            return MotivicPoly._of({})\n", "", MOT),
+       "        if not small:\n            return MotivicPoly._of({})\n", "",
+       f"{MOT}::test_substitute_by_single_terms"),
     _m("motivic-sub-adds", "motivicring", "return self._plus(other, -1)", "return self._plus(other, 1)", MOT),
     _m("motivic-pow-wrong-bit", "motivicring", "if e & 1:", "if e & 2:", MOT),
     _m("proj-class-one-term-short", "motivicring", "for i in range(k + 1)}", "for i in range(k)}", MOT),
@@ -366,14 +374,15 @@ MUTANTS = (
        "        if len(assignments) > 1:  # a later image then reads the exponents an earlier one wrote\n"
        "            (s, image), *others = assignments.items()\n"
        "            return self.substitute({s: image}).substitute(dict(others))\n"
-       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n", MOT),
+       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n",
+       f"{MOT}::test_substitute_by_single_terms"),
     _m("substitute-skips-image-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
        MOT),
     _m("substitute-keeps-cancelled-zeros", "motivicring",
        "                if v:\n                    out[m] = v\n                else:\n                    del out[m]\n",
        "                out[m] = v\n", MOT),
     _m("substitute-shift-keyed-by-first-image", "motivicring", "exponents_of = itemgetter(*positions)",
-       "exponents_of = itemgetter(positions[0])", MOT),
+       "exponents_of = itemgetter(positions[0])", f"{MOT}::test_substitute_swap"),
 )
 
 # Not run: the known equivalent mutants, each with its reason.
@@ -430,7 +439,7 @@ def run_pytest(mutant: Mutant | None, killers) -> tuple[int | None, str, float]:
 
 
 def main() -> int:
-    killers = sorted({k for m in MUTANTS for k in m.killers})
+    killers = sorted({k.split("::")[0] for m in MUTANTS for k in m.killers})
     code, output, seconds = run_pytest(None, killers)
     if code != 0:
         print(output)

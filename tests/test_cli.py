@@ -192,16 +192,17 @@ class TestMukai:
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
         assert counts["latticecore.isotropic_pair_solve"] == 2
 
-    @pytest.mark.parametrize("argv, lattices", [
-        (["g2dagger"], 1),  # the two sides carry the same data: the tilde side re-homes the side's lattice
+    @pytest.mark.parametrize("argv, grams", [
+        (["g2dagger"], 1),  # the two sides carry the same data: the tilde side takes the side's Gram matrix
         (["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")], 2),
     ], ids=["built-in", "tilde-reversed"])
-    def test_one_middle_lattice_per_side(self, capsys, count_calls, argv, lattices):
-        # the query engine builds its lattices from _middle_classes, never through the public middle_lattice
-        counts = count_calls("roofcalc._middle_classes", "roofcalc.middle_lattice")
+    def test_one_middle_lattice_per_side(self, capsys, count_calls, argv, grams):
+        # the query engine builds each side's lattice from its own _middle_classes and a Gram matrix per distinct
+        # side, never through the public middle_lattice
+        counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc.middle_lattice")
         code, report = run_json(capsys, "mukai", *argv)
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
-        assert counts == {"roofcalc._middle_classes": lattices, "roofcalc.middle_lattice": 0}
+        assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0}
 
     def test_rank_checked_before_the_locus_classes(self, capsys, count_calls):
         # d4 declares five middle monomials per side: the basis length shows it, no lattice is built

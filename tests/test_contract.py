@@ -4,7 +4,7 @@
 each slot has a kind, a valid value, a call that puts a value into that slot
 with every other argument valid, and a pattern that an error about the slot
 matches.  ``junk(kind, valid)`` derives the wrong values of each kind: 1.5,
-4.0, "2", None and True in every slot; ragged, empty or wrong-length
+4.0, Fraction(5, 2), Fraction(4), "2", None and True in every slot; ragged, empty or wrong-length
 sequences; a config where a side is meant and the reverse; a class from
 another side or ring; and mappings with junk keys or values.  One test, run
 once per probe, puts each junk value into its slot, and ``check`` accepts two
@@ -15,7 +15,8 @@ wording, the slot's pattern spells out the whole message.
 
 Every integer slot of every layer is an index slot: it reads its value
 through ``errors._index``, so ``check`` accepts only the layer's error there,
-for 1.5, 4.0, "2", None, True and the valid value written as a float alike.
+for each of those scalars and the valid value written as a float alike, with
+the shared text ``must be an integer, got <value>``.
 Entries of matrices, vectors and tables are read through ``operator.index``
 or the same rule, so their junk is 1.5, "2" and None.
 """
@@ -51,6 +52,8 @@ CHERN = roofpairs.ChernVector(3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis
 PARTS = (Q5.l_power(2), Q5.l_power(1), Q5.unit())
 MONO = (4, 0, 0, 0, 0, 0)
 NON_INTEGERS = (1.5, "2", None)
+# the scalars put into every slot: numbers that are not ints, exact ones too, a digit string, None and a bool
+SCALARS = (1.5, 4.0, Fraction(5, 2), Fraction(4), "2", None, True)
 
 
 def _with(seq, i, value) -> tuple:
@@ -68,7 +71,7 @@ def _rows(m, row) -> list:
 
 # kind -> the junk of that kind beyond the five scalars, derived from a valid value
 JUNK: dict[str, Callable[[object], list]] = {
-    # an index slot's valid value as a float is refused too; 4.0 is already among the five scalars
+    # an index slot's valid value as a float is refused too; 4.0 is already among the scalars
     "index": lambda v: [float(v)] if v != 4 else [],
     "name": lambda v: [[]], "key": lambda v: [[]],
     "side": lambda v: [G2], "config": lambda v: [SIDE], "ring": lambda v: [SIDE, Q5.unit()],
@@ -99,7 +102,7 @@ JUNK: dict[str, Callable[[object], list]] = {
 def junk(kind: str, valid) -> list:
     """The junk of ``kind``; any string is a name, and None or an empty value is an optional slot left out."""
     base = kind.removeprefix("optional ")
-    values = [*(s for s in (1.5, 4.0, "2", None, True) if not (base == "name" and s == "2")), *JUNK[base](valid)]
+    values = [*(s for s in SCALARS if not (base == "name" and s == "2")), *JUNK[base](valid)]
     return [v for v in values if base == kind or v not in (None, (), {})]
 
 
@@ -307,16 +310,20 @@ def _valid(name: str, slot: str):
 
 def check(name: str, slot: str, value) -> None:
     """``value`` in the slot gives the valid call's result or the layer's error naming the slot; in an
-    integer slot, only the error."""
+    integer slot, only the error, and for a scalar, with the shared text of ``errors._index``."""
     s = SLOTS[name][slot]
-    layer = LAYER[_home(name)]
+    layer, integer = LAYER[_home(name)], s.kind.removeprefix("optional ") == "index"
     try:
         got = s.call(value)
     except layer as exc:
         assert type(exc).__module__.startswith("roofpairs.") or layer is ValueError, repr(exc)
         assert re.search(s.names, str(exc)), f"{name} {slot}: {exc}"
+        if integer:
+            # reduce's xi exponents, the keys of an expression, keep roofcalc's plural wording
+            assert re.search(f"must be (an integer|integers), got {re.escape(repr(value))}$", str(exc)), \
+                f"{name} {slot}: {exc}"
     else:
-        assert s.kind.removeprefix("optional ") != "index", f"{name} {slot} took {value!r}"
+        assert not integer, f"{name} {slot} took {value!r}"
         assert _value(got) == _valid(name, slot), f"{name} {slot} returned {got!r}"
 
 

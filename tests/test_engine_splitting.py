@@ -43,7 +43,7 @@ from roofpairs.roofcalc import (
     pairing_on_M,
 )
 
-from test_roof_queries import CONFIGS, NON_UNIMODULAR, STAGE_CASES, roof_relation, synthetic_roof
+from test_roof_queries import CONFIGS, NON_UNIMODULAR, STAGE_CASES, _d4_without_pi2, roof_relation, synthetic_roof
 
 DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
 
@@ -55,10 +55,14 @@ def generator_order(gram, g) -> int:
     return lcm(*(x.denominator for x in solution))
 
 
+def splits(side) -> bool:
+    """Whether the closed form applies to ``side``'s middle lattice, built by the public definition."""
+    return roofcalc._splitting(side, middle_lattice(side).gram) is not None
+
+
 def check_config(config) -> list:
-    """Each side's describe report and group against the public functions; returns the splittings."""
+    """Each side's describe report and group against the public functions; returns whether each side splits."""
     q = RoofQuery(config)
-    splits = []
     for side in (config.side, config.tilde_side):
         report, group = _side_report(q, side), q.group(side)
         lat = middle_lattice(side)
@@ -68,33 +72,32 @@ def check_config(config) -> list:
         assert group.factors == expected.factors, side.name
         assert report["discriminant_group"] == str(expected)
         assert [generator_order(lat.gram, g) for g in group.generators] == list(group.factors), side.name
-        assert q.locus(side) == locus and report["locus_class"] == str(locus), side.name
-        assert report["locus_coordinates"] == list(coordinates_in_lattice(lat, locus)), side.name
+        assert report["locus_class"] == str(locus), side.name
+        assert q.locus(side) == coordinates_in_lattice(lat, locus) == tuple(report["locus_coordinates"]), side.name
         assert report["locus_self_pairing"] == pairing_on_M(side, locus, locus), side.name
-        splits.append(q._split_lattice(side)[1])
-    return splits
+    return [splits(side) for side in (config.side, config.tilde_side)]
 
 
 @pytest.mark.parametrize("path", DATA, ids=lambda p: p.stem)
 def test_committed_config(path):
-    assert None not in check_config(load_config(path))
+    assert all(check_config(load_config(path)))
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_query_config(config):
-    assert None not in check_config(config)
+    assert all(check_config(config))
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1), amp=st.integers(1, 4))
 def test_synthetic_roof(n, seed, amp):
-    assert None not in check_config(
-        config_from_dict(synthetic_roof(n, roof_relation(random.Random(seed), n - 2, amp), "hyp")))
+    assert all(check_config(
+        config_from_dict(synthetic_roof(n, roof_relation(random.Random(seed), n - 2, amp), "hyp"))))
 
 
 def test_non_unimodular_pullback_falls_back(count_calls):
     # the twins share the group; the locus class is read off G^-1 e_top, with no orthogonal kernel (it made 1)
-    assert check_config(NON_UNIMODULAR) == [None, None]
+    assert check_config(NON_UNIMODULAR) == [False, False]
     counts = count_calls("latticecore.discriminant_group", "latticecore.orthogonal_kernel")
     report = cmd_describe(NON_UNIMODULAR)["sides"][0]
     assert counts == {"latticecore.discriminant_group": 1, "latticecore.orthogonal_kernel": 0}
@@ -108,7 +111,7 @@ def test_degree_mismatch_keeps_its_error():
     side = {"groth": [[["L", 1]], [["L^2", 1]]], "middle_basis": [["Pi1", 0], ["Pi2", 0], ["L^2", 1]]}
     config = config_from_dict({"name": "q6-rank-2", "rank": 2, "base_dim": [6, 6], "polarization_degree": 2,
                                "sides": [side, json.loads(json.dumps(side))]})
-    assert RoofQuery(config)._split_lattice(config.side)[1] is not None
+    assert splits(config.side)
     with pytest.raises(DegreeMismatchError) as expected:
         locus_pushforward_class(config.side)
     assert str(expected.value) == "codimensions 3 + 2 + 1 != dim X = 7"
@@ -161,9 +164,8 @@ PARTIAL = _partial_bases()
 
 
 def test_partial_bases_reach_every_branch():
-    kinds = {(sum(e == c.rank - 1 for _, e in c.side.middle_basis), RoofQuery(c)._split_lattice(c.side)[1] is None)
-             for c in PARTIAL}
-    assert kinds == {(0, True), (1, True), (1, False)}
+    kinds = {(sum(e == c.rank - 1 for _, e in c.side.middle_basis), splits(c.side)) for c in PARTIAL}
+    assert kinds == {(0, False), (1, False), (1, True)}
 
 
 @pytest.mark.parametrize("config", [NON_UNIMODULAR, *PARTIAL, *CONFIGS], ids=lambda c: c.name)
@@ -185,7 +187,22 @@ def test_fallback_locus_class_is_the_orthogonal_kernel(config):
             q.locus(config.side)
         assert str(got.value) == f"stage 'locus class' failed: {exc}"
     else:
-        assert len(kernel) == 1 and q.locus(config.side) == expected
+        assert len(kernel) == 1 and q.locus(config.side) == coordinates_in_lattice(lat, expected)
+
+
+@pytest.mark.parametrize("config", [config_from_dict(_d4_without_pi2()),
+                                    *(c for c in PARTIAL if c.name == "partial-q7-1")], ids=lambda c: c.name)
+def test_describe_refused_at_the_locus_class_builds_no_group(config, count_calls):
+    # a fallback config with a top monomial whose locus class breaks the sign law: describe builds the locus
+    # class before the group, so it takes no Smith form; building the group first made one of each
+    assert not splits(config.side)
+    with pytest.raises(UnexpectedRankError) as expected:
+        locus_pushforward_class(config.side)
+    counts = count_calls("latticecore.discriminant_group", "latticecore.smith_normal_form")
+    with pytest.raises(UnexpectedRankError) as got:
+        cmd_describe(config)
+    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def two_top_monomials() -> RoofConfig:

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from roofpairs import latticecore
 from roofpairs.configs import config_from_dict, load_config
-from roofpairs.roofcalc import RoofQuery, pairing_on_M
+from roofpairs.roofcalc import RoofQuery, class_from_coordinates, pairing_on_M
 
 from test_roof_queries import CONFIGS, roof_relation, synthetic_roof
 
@@ -55,7 +55,8 @@ def check_splitting(config) -> None:
     # the engine reads its determinant and group off this splitting, so they are recomputed here on the whole matrix
     q = RoofQuery(config)
     for side in (config.side, config.tilde_side):
-        lat, j = q.lattice(side), q.locus(side)
+        lat = q.lattice(side)
+        j = class_from_coordinates(lat, q.locus(side))
         det_s, jj, det_g = det_pullback(lat), pairing_on_M(side, j, j), latticecore.det(lat.gram)
         assert det_s != 0 and det_s * jj % det_g == 0, (side.name, det_s, jj, det_g)
         square = det_s * jj // det_g  # the squared index of S + Zj in L

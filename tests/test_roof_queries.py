@@ -12,6 +12,7 @@ import pytest
 from roofpairs import latticecore, roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, main
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
+from roofpairs.errors import GradedRingError, LatticeError
 from roofpairs.gradedring import BasisElement, RingPresentation, make_quadric_ring
 
 
@@ -350,7 +351,7 @@ def test_split_locus_class_keeps_the_sign_law(command, tmp_path, capsys):
     data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
             "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["L", 1]])]}
     cfg = config_from_dict(data)
-    assert roofcalc.RoofQuery(cfg)._split_lattice(cfg.tilde_side)[1] is not None
+    assert roofcalc._splitting(cfg.tilde_side, roofcalc.middle_lattice(cfg.tilde_side).gram) is not None
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert main([command, "--config", str(path)]) == 1
@@ -399,15 +400,16 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
                                            (SWITCHED_RELATION, 2), (CONFIGS[-1], 1), (NON_UNIMODULAR, 1)],
                          ids=lambda c: getattr(c, "name", c))
 def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
-    # sides that carry the same data share their lattice, locus class and group; lemma7 needs no group,
-    # and only lemma7 switches the locus class to the other side.  Where the pullback sublattice is
-    # unimodular, the group is read off the splitting L = S + Zj, with no Smith form; NON_UNIMODULAR falls
-    # back to discriminant_group.  The locus class never takes the public path, with its orthogonal kernel
-    counts = count_calls("roofcalc._middle_classes", "roofcalc._locus_class", "latticecore.discriminant_group",
-                         "latticecore.orthogonal_kernel", "roofcalc.switch_side")
+    # sides that carry the same data share their Gram matrix, locus coordinates and group; each side checks
+    # its own basis for its own lattice.  lemma7 needs no group, and only lemma7 switches the locus class to
+    # the other side.  Where the pullback sublattice is unimodular, the group is read off the splitting
+    # L = S + Zj, with no Smith form; NON_UNIMODULAR falls back to discriminant_group.  The locus class never
+    # takes the public path, with its orthogonal kernel
+    counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc._locus_class",
+                         "latticecore.discriminant_group", "latticecore.orthogonal_kernel", "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     fallback = int(cfg is NON_UNIMODULAR)
-    assert counts == {"roofcalc._middle_classes": distinct, "roofcalc._locus_class": 0,
+    assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": distinct, "roofcalc._locus_class": 0,
                       "latticecore.discriminant_group": fallback if command == "describe" else 0,
                       "latticecore.orthogonal_kernel": 0,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
@@ -428,9 +430,9 @@ def test_engine_gram_is_read_without_pairings(command, cfg, count_calls):
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
 def test_twins_share_pieces_only_through_the_query(name):
-    # the query re-homes every piece of the tilde side from its twin, so the tilde side computes no
-    # Segre data of its own, and its xi-power table holds only the rows that lemma7's side switch
-    # reduces with, not all N - r + 1; no side builds a row above N
+    # the query keys the tilde side's Gram matrix, locus class and group by its twin, so the tilde side
+    # computes no Segre data of its own, and its xi-power table holds only the rows that lemma7's side
+    # switch reduces with, not all N - r + 1; no side builds a row above N
     cfg = builtin_config(name)
     assert cfg.side._sigma is not cfg.tilde_side._sigma
     cmd_describe(cfg)
@@ -453,6 +455,41 @@ def test_sides_that_are_not_twins_compute_their_own_segre_data(cfg, same_relatio
     side, tilde = cfg.side._sigma, cfg.tilde_side._sigma
     assert side is not tilde and side and tilde
     assert (side == tilde) == same_relation
+
+
+def _pieces(cfg, order):
+    """Each side's lattice, locus coordinates and group, or the error text of each, asking the sides in ``order``
+    (0 for the side, 1 for the tilde side) on a fresh copy of ``cfg``; the copy's sides that built Segre data."""
+    cfg = _fresh(cfg)
+    sides, q, out = (cfg.side, cfg.tilde_side), roofcalc.RoofQuery(cfg), {}
+    for which in order:
+        for piece in ("lattice", "locus", "group"):
+            try:
+                value = getattr(q, piece)(sides[which])
+            except (roofcalc.RoofError, GradedRingError, LatticeError) as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            if piece == "lattice" and not isinstance(value, str):
+                assert value.side is sides[which] and all(c.side is sides[which] for c in value.classes)
+                value = (value.monomials, value.gram, value.determinant, tuple(map(str, value.classes)))
+            out[which, piece] = value
+    return out, [which for which in (0, 1) if sides[which]._sigma]
+
+
+TILDE_FIRST = [builtin_config("g2dagger"), builtin_config("d4"), NON_UNIMODULAR, CONFIGS[-1],
+               load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json"),
+               *(c for _, c, _ in STAGE_CASES)]
+
+
+@pytest.mark.parametrize("cfg", TILDE_FIRST, ids=lambda c: c.name)
+def test_tilde_side_first_gives_the_same_pieces(cfg):
+    # the first side asked for builds each piece that twins share, from its own data: either order gives one
+    # lattice per side, living on that side, and the same locus coordinates, groups and error texts.  Where
+    # every piece is built, the twin asked second builds no Segre data; a piece that failed is built again
+    side_first, built = _pieces(cfg, (0, 1))
+    tilde_first, built_tilde_first = _pieces(cfg, (1, 0))
+    assert side_first == tilde_first
+    if cfg.side._key()[1:] == cfg.tilde_side._key()[1:] and not any(isinstance(v, str) for v in side_first.values()):
+        assert (built, built_tilde_first) == ([0], [1])
 
 
 def _fresh(config):
@@ -491,8 +528,8 @@ def record_reductions(monkeypatch):
 
 
 def _monomial_reductions(cfg):
-    """One reduction per middle monomial of each side that builds its own lattice: a twin of the side builds
-    none."""
+    """One reduction per middle monomial of each side whose locus class is built on its own lattice: a twin of
+    the side takes the side's locus coordinates and builds no lattice for them."""
     twins = cfg.side._key()[1:] == cfg.tilde_side._key()[1:]
     return len(cfg.side.middle_basis) + (0 if twins else len(cfg.tilde_side.middle_basis))
 
@@ -500,10 +537,10 @@ def _monomial_reductions(cfg):
 @pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS + [NON_UNIMODULAR], ids=lambda c: c.name)
 def test_describe_reads_no_normal_form(cfg, record_reductions):
     # every Gram entry and the locus sign are read off the Segre data, so describe folds no power of xi:
-    # it reduces each middle monomial, below xi^r, once, on NON_UNIMODULAR's fallback too
+    # it reduces each side's middle monomials, below xi^r, once, on NON_UNIMODULAR's fallback too
     cfg = _fresh(cfg)
     cmd_describe(cfg)
-    assert len(record_reductions) == _monomial_reductions(cfg)
+    assert len(record_reductions) == len(cfg.side.middle_basis) + len(cfg.tilde_side.middle_basis)
     assert not any(folds for folds, _, _ in record_reductions)
 
 

@@ -407,21 +407,23 @@ class TestRoofQuery:
             assert q.residue_scan() == residue_scan(cfg)
             for side in (cfg.side, cfg.tilde_side):
                 assert q.lattice(side) == middle_lattice(side)
-                assert q.locus(side) == locus_pushforward_class(side)
-                assert q.locus_coordinates(side) == locus_coordinates(side)
+                assert class_from_coordinates(q.lattice(side), q.locus(side)) == locus_pushforward_class(side)
+                assert q.locus(side) == locus_coordinates(side)
         assert roofcalc.RoofQuery(g2).mukai(50)[-1] == roofcalc.mukai_vector(g2, 50)
 
-    @pytest.mark.parametrize("reordered, lattices", [(False, 1), (True, 2)], ids=["built-in", "tilde-reversed"])
-    def test_each_piece_built_once(self, g2, count_calls, reordered, lattices):
-        # the built-in's sides carry the same data, so the tilde side re-homes the side's lattice
+    @pytest.mark.parametrize("reordered, grams", [(False, 1), (True, 2)], ids=["built-in", "tilde-reversed"])
+    def test_each_piece_built_once(self, g2, count_calls, reordered, grams):
+        # the built-in's sides carry the same data, so the tilde side takes the side's Gram matrix; each side
+        # checks its own basis for its own lattice
         cfg = _reordered_tilde("g2dagger", -1) if reordered else g2
-        counts = count_calls("roofcalc._middle_classes", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+        counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc.switch_side",
+                             "latticecore.isotropic_pair_solve")
         q = roofcalc.RoofQuery(cfg)
         for _ in range(2):
             q.residue_scan()
             q.mukai(50)
         # switch_side: the side's locus class, and theta(v) for the Mukai vector
-        assert counts == {"roofcalc._middle_classes": lattices, "roofcalc.switch_side": 2,
+        assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": grams, "roofcalc.switch_side": 2,
                           "latticecore.isotropic_pair_solve": 2}
         assert q.stage is None  # nothing is being built
 
@@ -430,7 +432,7 @@ class TestRoofQuery:
         q = roofcalc.RoofQuery(g2)
         sides = (g2.tilde_side, g2.side) if tilde_first else (g2.side, g2.tilde_side)
         for side in sides:
-            lat, locus = q.lattice(side), q.locus(side)
+            lat, locus = q.lattice(side), class_from_coordinates(q.lattice(side), q.locus(side))
             assert lat.side is side and all(c.side is side for c in lat.classes) and locus.side is side
             assert lat == middle_lattice(side) and locus == locus_pushforward_class(side)
             group = q.group(side)
