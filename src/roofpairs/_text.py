@@ -23,11 +23,10 @@ def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
     """
     parts: list[str] = []
     for c, mono in terms:
-        if not mono:
-            term = str(c)
-        elif c == 1 or c == -1:
-            term = mono if c == 1 else f"-{mono}"
+        size = -c if c < 0 else c
+        term = (mono if size == 1 else f"{size}*{mono}") if mono else str(size)
+        if c < 0:
+            parts.append(f"- {term}" if parts else f"-{term}")
         else:
-            term = f"{c}*{mono}"
-        parts.append(term if not parts else f"- {term[1:]}" if term[0] == "-" else f"+ {term}")
+            parts.append(f"+ {term}" if parts else term)
     return " ".join(parts) or "0"

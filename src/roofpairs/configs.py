@@ -74,7 +74,7 @@ def _label_pair(ring: RingPresentation, item, what: str) -> tuple[str, int]:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise ConfigError(f"{what}: expected [label, integer] pair, got {item!r}")
     label, value = item
-    if not any(b.label == label for b in ring.basis):
+    if not isinstance(label, str) or label not in ring._degrees:
         raise ConfigError(f"{what}: unknown basis label {label!r} on {ring.name}")
     return label, _index(value, f"{what}: value of {label!r}", ConfigError)
 

@@ -12,10 +12,14 @@ public constructor (and so in ``var`` and ``const``); the ring operations
 build their results already in canonical form (nonzero ``int`` coefficients
 on tuples of non-negative ``int`` exponents) and wrap them without checking
 again.  Projective-space classes are written down in closed form, powers are
-taken by repeated squaring, and each operation is one pass over the terms: a
-product by a single term c*x^a shifts every term of the other factor, a
-difference builds no negated copy, and a substitution by single-term images
-sends each monomial to exactly one monomial.
+taken by repeated squaring, and each sum, product and substitution is one
+pass over the terms: a product by a single term c*x^a shifts every term of
+the other factor, a difference builds no negated copy, and a substitution by
+single-term images sends each monomial to exactly one monomial.  A shift adds
+the six exponents of SYMBOLS written out one by one, so a monomial of any
+other length fails at the unpacking instead of being added wrong.  ``str``
+sorts the terms once and renders each once, writing the power of L per term
+and the text of the other symbols once per distinct part.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -26,7 +30,7 @@ checked here as an exact polynomial identity for each concrete rank.
 from __future__ import annotations
 
 from math import prod
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -135,11 +139,13 @@ class MotivicPoly:
         if not small:
             return MotivicPoly._of({})
         (m1, c1), *rest = small.items()
+        a0, a1, a2, a3, a4, a5 = m1
         # distinct terms shifted by one monomial stay distinct, and c1 * c2 != 0
-        out = {tuple(map(add, m1, m2)): c1 * c2 for m2, c2 in big.items()}
-        for m1, c1 in rest:
-            for m2, c2 in big.items():
-                m = tuple(map(add, m1, m2))
+        out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5): c1 * c2
+               for (b0, b1, b2, b3, b4, b5), c2 in big.items()}
+        for (a0, a1, a2, a3, a4, a5), c1 in rest:
+            for (b0, b1, b2, b3, b4, b5), c2 in big.items():
+                m = (b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5)
                 c = out.get(m, 0) + c1 * c2
                 if c:
                     out[m] = c
@@ -170,6 +176,8 @@ class MotivicPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {_UNIT}:  # a constant equals its int, so it hashes as that int
+            return hash(self.coeffs.get(_UNIT, 0))
         return hash(frozenset(self.coeffs.items()))
 
     @property
@@ -202,8 +210,9 @@ class MotivicPoly:
                     cleared[i] = mono[i]
                 image = prod((img ** mono[i] for i, img in assigned if mono[i]), start=_ONE)
                 terms = shifts[key] = tuple((tuple(map(sub, m, cleared)), k) for m, k in image.coeffs.items())
-            for shift, k in terms:
-                m = tuple(map(add, mono, shift))
+            e0, e1, e2, e3, e4, e5 = mono
+            for (s0, s1, s2, s3, s4, s5), k in terms:
+                m = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s5)
                 v = out.get(m, 0) + c * k
                 if v:
                     out[m] = v
@@ -211,14 +220,28 @@ class MotivicPoly:
                     del out[m]
         return MotivicPoly._of(out)
 
+    def _by_degree(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """(total degree, exponents, coefficient) of each term, in the order ``str`` prints them."""
+        co = self.coeffs
+        # the exponent tuples are distinct, so two coefficients are never compared
+        return sorted(zip(map(sum, co), co, co.values()))
+
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
+        """The (exponents, coefficient) terms by total degree, then by exponents."""
+        return [(mono, c) for _, mono, c in self._by_degree()]
 
     def __str__(self):
-        return signed_sum(
-            (c, "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, mono) if e))
-            for mono, c in self.sorted_items()
-        )
+        """Each term is rendered once, as its power of L (``SYMBOLS[0]``) and the text of the rest."""
+        rest_text: dict[tuple[int, ...], str] = {}  # (0, 2, 0, 1, 0) -> "*Y^2*B", built once per call
+        terms = []
+        for _, mono, c in self._by_degree():
+            e, rest = mono[0], mono[1:]
+            text = rest_text.get(rest)
+            if text is None:
+                text = rest_text[rest] = "".join(
+                    f"*{s}" if x == 1 else f"*{s}^{x}" for s, x in zip(SYMBOLS[1:], rest) if x)
+            terms.append((c, text[1:] if not e else f"L{text}" if e == 1 else f"L^{e}{text}"))
+        return signed_sum(terms)
 
     def __repr__(self):
         return f"MotivicPoly({self})"

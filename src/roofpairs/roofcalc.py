@@ -483,7 +483,9 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[tuple[
     if any(gram[i][j] for e in range(k) for f in range(k - e) for i in blocks[e] for j in blocks[f]):
         return None
     sizes = [len(b) for b in blocks]
+    # a 1 x 1 block, the usual case, is its own determinant
     det_s = (-1) ** sum(a * b for a, b in combinations(sizes, 2)) * prod(
+        gram[blocks[e][0]][blocks[k - e][0]] if sizes[e] == 1 else
         latticecore.det([[gram[i][j] for j in blocks[k - e]] for i in blocks[e]]) for e in range(k + 1))
     if det_s not in (1, -1):
         return None
@@ -491,7 +493,11 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[tuple[
     for e in range(k + 1):  # row block e reads B_e c_(k-e) = g_e - sum_(f > k-e) G_(e,f) c_f
         rows, cols = blocks[e], blocks[k - e]
         rhs = [gram[i][b] - sum(gram[i][j] * c[j] for block in blocks[k - e + 1:] for j in block) for i in rows]
-        for i, x in zip(cols, _solve_integral([[gram[row][col] for row in rows] for col in cols], rhs)):
+        if sizes[e] == 1:  # B_e = (+-1), since det S = +-1, and it is its own inverse
+            solution = [rhs[0] * gram[rows[0]][cols[0]]]
+        else:
+            solution = _solve_integral([[gram[row][col] for row in rows] for col in cols], rhs)
+        for i, x in zip(cols, solution):
             c[i] = x
     jj = gram[b][b] - sum(g * x for g, x in zip(gram[b], c))
     return det_s * jj, tuple(int(i == b) - x for i, x in enumerate(c))

@@ -198,8 +198,9 @@ MUTANTS = (
        'bwbcoh.bundle_cohomology(5, "Sdual", 1).get(0, 0)\n           - bwbcoh.bundle_cohomology(5, "O", 1).get(0, 0)',
        "48 - 7", CHECKS),
     # _text: the signed-sum renderer
-    _m("signed-sum-shows-minus-one", "_text", "elif c == 1 or c == -1:", "elif c == 1:", GRADED, GOLDEN),
-    _m("signed-sum-always-plus", "_text", 'f"- {term[1:]}" if term[0] == "-" else ', "", GRADED, GOLDEN),
+    _m("signed-sum-shows-minus-one", "_text", "(mono if size == 1 else", "(mono if c == 1 else", GRADED, GOLDEN),
+    _m("signed-sum-always-plus", "_text", 'parts.append(f"- {term}" if parts', 'parts.append(f"+ -{term}" if parts',
+       GRADED, GOLDEN),
     # gradedring
     _m("graded-mul-drops-multiplicity", "gradedring", "out[z] = out.get(z, 0) + ce * m",
        "out[z] = out.get(z, 0) + ce", GRADED),
@@ -291,6 +292,11 @@ MUTANTS = (
        "test_engine_splitting.py"),
     _m("splitting-locus-sign-inverted", "roofcalc", "x if p > 0 else -x for x in k", "-x if p > 0 else x for x in k",
        "test_engine_splitting.py"),
+    _m("splitting-one-by-one-block-det-unsigned", "roofcalc", "gram[blocks[e][0]][blocks[k - e][0]] if sizes[e] == 1",
+       "abs(gram[blocks[e][0]][blocks[k - e][0]]) if sizes[e] == 1",
+       "test_engine_splitting.py::test_splitting_of_a_synthetic_gram_matrix"),
+    _m("splitting-one-by-one-block-solve-unsigned", "roofcalc", "solution = [rhs[0] * gram[rows[0]][cols[0]]]",
+       "solution = [rhs[0]]", "test_engine_splitting.py::test_splitting_of_a_synthetic_gram_matrix"),
     # roofcalc: the locus class off G^-1 e_top where there is no splitting, and the one sign-law check
     _m("locus-sign-law-unchecked", "roofcalc", "    if pairing != law:\n", "    if False:\n", "test_roof_queries.py"),
     _m("locus-law-skipped-on-the-splitting-branch", "roofcalc",
@@ -353,15 +359,21 @@ MUTANTS = (
     _m("les-known-middle-returned-as-given", "bwbcoh", "{k: v for k, v in enumerate(entries[1::3]) if v}",
        "dict(seq.tables[1])", BWB),
     # motivicring
-    _m("motivic-term-order-lexicographic", "motivicring", "key=lambda mc: (sum(mc[0]), mc[0])",
-       "key=lambda mc: mc[0]", MOT),
-    _m("motivic-str-shows-exponent-one", "motivicring", 's if e == 1 else f"{s}^{e}"', 'f"{s}^{e}"', MOT),
+    _m("motivic-term-order-lexicographic", "motivicring", "sorted(zip(map(sum, co), co, co.values()))",
+       "sorted(zip(co, co, co.values()))", MOT),
+    _m("motivic-str-shows-exponent-one", "motivicring", 'f"*{s}" if x == 1 else f"*{s}^{x}"', 'f"*{s}^{x}"', MOT),
+    _m("motivic-str-shows-l-exponent-one", "motivicring", 'f"L{text}" if e == 1 else f"L^{e}{text}"',
+       'f"L^{e}{text}"', MOT),
     _m("motivic-mul-keeps-zeros", "motivicring",
        "                c = out.get(m, 0) + c1 * c2\n                if c:\n                    out[m] = c\n"
        "                else:\n                    del out[m]\n",
        "                out[m] = out.get(m, 0) + c1 * c2\n", MOT),
-    _m("motivic-one-term-product-drops-c2", "motivicring", "c1 * c2 for m2, c2 in big.items()}",
-       "c1 for m2, c2 in big.items()}", MOT),
+    _m("motivic-one-term-product-drops-c2", "motivicring", "): c1 * c2\n", "): c1\n", MOT),
+    _m("motivic-one-term-shift-swaps-b-and-bt", "motivicring",
+       "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4,", "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a4, b4 + a3,",
+       MOT),
+    _m("motivic-product-shift-swaps-y-and-yt", "motivicring",
+       "m = (b0 + a0, b1 + a1, b2 + a2,", "m = (b0 + a0, b1 + a2, b2 + a1,", MOT),
     _m("motivic-mul-zero-factor-unhandled", "motivicring",
        "        if not small:\n            return MotivicPoly._of({})\n", "",
        f"{MOT}::test_substitute_by_single_terms"),
@@ -376,8 +388,10 @@ MUTANTS = (
        "            return self.substitute({s: image}).substitute(dict(others))\n"
        "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n",
        f"{MOT}::test_substitute_by_single_terms"),
+    _m("substitute-shift-swaps-l-and-m", "motivicring", "m = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s5)",
+       "m = (e0 + s5, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s0)", f"{MOT}::test_substitute_by_single_terms"),
     _m("substitute-skips-image-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
-       MOT),
+       f"{MOT}::test_substitute_by_single_terms"),
     _m("substitute-keeps-cancelled-zeros", "motivicring",
        "                if v:\n                    out[m] = v\n                else:\n                    del out[m]\n",
        "                out[m] = v\n", MOT),

@@ -457,6 +457,19 @@ def test_malformed_config_is_usage_error(tmp_path, data, message):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("label", [["L"], {"L": 1}, 1, None, 2.5, True, "l"], ids=repr)
+@pytest.mark.parametrize("slot", ["chern", "middle_basis"])
+def test_label_not_on_the_base_is_unknown(label, slot):
+    # unhashable and non-str labels get the text of a misspelt one, not a TypeError
+    if slot == "chern":
+        data, what = _g2_side(chern=[[[label, 2]], [["L^2", 2]], [["Pi", 2]]]), "chern[1]"
+    else:
+        data, what = _g2_side(middle_basis=[["Pi", 0], ["L^2", 1], [label, 2]]), "middle_basis"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    assert str(err.value) == f"side 'g2-probe:side' {what}: unknown basis label {label!r} on Q5"
+
+
 def _g2_text(degree: str) -> bytes:
     return json.dumps(_g2()).replace('"polarization_degree": 12', f'"polarization_degree": {degree}').encode()
 

@@ -18,6 +18,7 @@ that base and on seeded partial middle bases of Q4-Q8 roofs.
 import json
 import pathlib
 import random
+import types
 from math import lcm
 
 import pytest
@@ -104,6 +105,54 @@ def test_non_unimodular_pullback_falls_back(count_calls):
     assert (report["gram"], report["gram_determinant"], report["discriminant_group"]) == (
         [[2, 2], [2, 0]], -4, "Z/2 x Z/2")
     assert report["locus_self_pairing"] == -2
+
+
+def _unimodular(rng, size, symmetric):
+    """A random integer matrix of determinant +-1, symmetric when asked."""
+    d = [[rng.choice((1, -1)) if i == j else 0 for j in range(size)] for i in range(size)]
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * (size - 1)):
+        i, j = rng.sample(range(size), 2)
+        sign = rng.choice((1, -1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    if not symmetric:
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*u)] for row in d]
+    return [[sum(u[k][i] * d[k][k] * u[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+
+
+def synthetic_splitting_input(rng, rank):
+    """A side stand-in and a Gram matrix of the shape ``_splitting`` reads: block anti-triangular S with
+    unimodular anti-diagonal blocks of size 1 or 2 (signs of either kind), one top monomial, other entries random."""
+    k = rank - 2
+    sizes = [0] * (k + 1)
+    for e in range(k // 2 + 1):
+        sizes[e] = sizes[k - e] = rng.choice((1, 1, 2))
+    exps = [e for e in range(k + 1) for _ in range(sizes[e])] + [k + 1]
+    blocks = [[i for i, x in enumerate(exps) if x == e] for e in range(k + 2)]
+    n = len(exps)
+    gram = [[0] * n for _ in range(n)]
+    for e in range(k // 2 + 1):
+        b = _unimodular(rng, sizes[e], symmetric=e == k - e)
+        for (x, i), (y, j) in ((p, q) for p in enumerate(blocks[e]) for q in enumerate(blocks[k - e])):
+            gram[i][j] = gram[j][i] = b[x][y]
+    for i in range(n):
+        for j in range(i, n):
+            if exps[i] + exps[j] > k:
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+    side = types.SimpleNamespace(rank=rank, middle_basis=[(f"x{i}", e) for i, e in enumerate(exps)])
+    return side, gram, blocks[-1][0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_splitting_of_a_synthetic_gram_matrix(seed):
+    # det L against Bareiss on the whole matrix, and j = e_top - c with c in S against orthogonality to S;
+    # the 1 x 1 blocks here are -1 as often as +1, which no roof config of the suite produces
+    rng = random.Random(seed)
+    side, gram, top = synthetic_splitting_input(rng, rng.randint(2, 6))
+    det_l, j = roofcalc._splitting(side, gram)
+    assert det_l == latticecore.det(gram)
+    assert j[top] == 1 and all(type(x) is int for x in j)
+    assert all(sum(g * x for g, x in zip(gram[i], j)) == 0 for i in range(len(gram)) if i != top)
 
 
 def test_degree_mismatch_keeps_its_error():

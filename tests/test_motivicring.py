@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import roofpairs.motivicring as motivicring
+from roofpairs._text import signed_sum
 from roofpairs.motivicring import (
     B,
     B_TILDE,
@@ -203,6 +204,33 @@ single_term_images = st.dictionaries(
     st.sampled_from(SYMBOLS),
     st.one_of(one_term, st.sampled_from(VARIABLES), st.builds(MotivicPoly.const, st.integers(-3, 3))),
     max_size=4)
+
+
+def ref_str(p):
+    """Terms by (total degree, exponents), each symbol written S or S^e, joined with '*'."""
+    terms = sorted(p.coeffs.items(), key=lambda mc: (sum(mc[0]), mc[0]))
+    return signed_sum((c, "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, mono) if e))
+                      for mono, c in terms)
+
+
+@given(p=wide_polys)
+def test_str_against_reference(p):
+    assert str(p) == ref_str(p)
+
+
+@pytest.mark.parametrize("p", [MotivicPoly(), L, -L, 2 * L ** 3, Y * B ** 2, -L * Y * MotivicPoly.var("M") ** 3,
+                               l_equivalence_residual(4), L ** 2 * Y - 3 * B_TILDE + 7])
+def test_str_by_example_against_reference(p):
+    # every place of the L power (absent, L, L^e) and of the rest (absent, S, S^e, several symbols)
+    assert str(p) == ref_str(p)
+
+
+@pytest.mark.parametrize("c", [0, 1, 3, -7, 10**40])
+def test_constant_hashes_as_its_integer(c):
+    # a constant equals its int, so a set or dict must take them as one key; const(0) has no terms
+    p = MotivicPoly.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1 and {c: "int"}[p] == "int"
 
 
 @given(p=wide_polys, images=single_term_images)

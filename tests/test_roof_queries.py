@@ -562,14 +562,16 @@ def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
     assert folded and all(switched and labels <= support for labels, switched in folded)
 
 
-@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 2), (CONFIGS[2], 0, 4), (NON_UNIMODULAR, 1, 5)],
+@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 0), (CONFIGS[2], 0, 0), (NON_UNIMODULAR, 1, 4)],
                          ids=lambda c: getattr(c, "name", c))
 def test_describe_decomposes_each_gram_matrix_once(cfg, smith, det, count_calls):
-    # g2dagger's twin sides read their group and locus class off the splitting, with one det per 1 x 1
-    # anti-diagonal block of S; its reordered tilde side builds its own.  NON_UNIMODULAR falls back: the
-    # block det, the Gram det, and discriminant_group's det and Smith form, whose check makes the other two
-    # dets; its locus class is one rational solve, with no Smith form.  Decomposing for each report field
-    # separately made 6 Smith and 18 det calls on g2dagger, and before the splitting, 2 Smith and 6 det calls.
+    # g2dagger's twin sides read their group and locus class off the splitting, with no det: every
+    # anti-diagonal block of S is 1 x 1 and is read as its entry; its reordered tilde side builds its own.
+    # NON_UNIMODULAR falls back: the Gram det, and discriminant_group's det and Smith form, whose check makes
+    # the other two dets; its locus class is one rational solve, with no Smith form.  Decomposing for each
+    # report field separately made 6 Smith and 18 det calls on g2dagger; before the splitting, 2 Smith and
+    # 6 det calls; and with one det per 1 x 1 block, 2 det calls (4 on the reordered config, 5 on
+    # NON_UNIMODULAR).
     counts = count_calls("latticecore.smith_normal_form", "latticecore.det")
     cmd_describe(cfg)
     assert counts == {"latticecore.smith_normal_form": smith, "latticecore.det": det}
