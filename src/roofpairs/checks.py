@@ -154,7 +154,9 @@ def _switch(cs: CheckSet, g2, d4) -> None:
     for cfg in (g2, d4):
         ok = []
         for s in (cfg.side, cfg.tilde_side):
-            for cls in roofcalc.middle_lattice(s).classes:
+            lat = roofcalc.middle_lattice(s)
+            for i in range(lat.rank):
+                cls = roofcalc.class_from_coordinates(lat, [int(i == k) for k in range(lat.rank)])
                 back = roofcalc.switch_side(cfg, roofcalc.switch_side(cfg, cls))
                 ok.append(back == cls)
         cs.add(f"double-switch-identity-{cfg.name}", all(ok), True)

@@ -29,8 +29,9 @@ sigma(z) = int_B z*s_k that each side builds once (``RoofSide._segre``).
 Where the pullback sublattice S is unimodular, it reads the determinant, the
 locus class and the discriminant group off the splitting L = S + Zj
 (``_splitting``) instead of eliminating on the whole Gram matrix, and elsewhere
-the locus class off one rational solve, G v = e_top.  Both build the lattice
-from ``_middle_classes`` and ``_nondegenerate``.  Each side keeps its own
+the locus class off one rational solve, G v = e_top.  Both run ``_check_middle_basis``
+and ``_nondegenerate`` and hold no classes: a declared monomial x*xi^e, e < r, is its
+own normal form (``class_from_coordinates``).  Each side keeps its own
 xi-power table and Segre data; twin sides share pieces only through
 ``RoofQuery``, which keys each piece that names no side by a representative side.
 """
@@ -387,11 +388,10 @@ def pairing_on_M(side: RoofSide, a: BundleClass, b: BundleClass) -> int:
 
 
 class MiddleLattice(NamedTuple):
-    """Declared middle basis with its exact integer intersection matrix and its determinant."""
+    """Declared middle basis, its exact integer intersection matrix and determinant; a class is its coordinates."""
 
     side: RoofSide
     monomials: tuple[tuple[str, int], ...]
-    classes: tuple[BundleClass, ...]
     gram: tuple[tuple[int, ...], ...]
     determinant: int
 
@@ -403,34 +403,32 @@ class MiddleLattice(NamedTuple):
 def middle_lattice(side: RoofSide) -> MiddleLattice:
     """Gram matrix of the declared middle basis under the hyperplane-section pairing,
     each entry by definition: ``pairing_on_M`` of two monomial classes."""
-    classes = _middle_classes(side)
+    _check_middle_basis(side)
+    classes = [monomial(side, label, e) for label, e in side.middle_basis]
     gram = tuple(tuple(pairing_on_M(side, a, b) for b in classes) for a in classes)
-    return _nondegenerate(side, classes, gram, latticecore.det(gram))
+    return _nondegenerate(side, gram, latticecore.det(gram))
 
 
-def _middle_classes(side: RoofSide) -> tuple[BundleClass, ...]:
-    """The classes of the declared middle monomials, after the basis checks."""
+def _check_middle_basis(side: RoofSide) -> None:
+    """The basis checks of a middle lattice: each declared monomial x*xi^e has 0 <= e < r, a label on the
+    base and middle codimension, so it is its own normal form."""
     _typed(side, RoofSide, "side", RoofError)
     if side.middle_basis is None:
         raise RoofError(f"side {side.name!r} declares no middle basis")
     mc = side.middle_codim
-    classes = []
     for label, e in side.middle_basis:
         if not 0 <= e < side.rank:
             raise RoofError(f"middle monomial xi exponent {e} outside [0, {side.rank - 1}]")
-        cls = monomial(side, label, e)
-        if cls.degree != mc:
-            raise RoofError(f"middle monomial {label}*xi^{e} has codimension {cls.degree}, expected {mc}")
-        classes.append(cls)
-    return tuple(classes)
+        degree = e + side.base.basis_class(label).degree
+        if degree != mc:
+            raise RoofError(f"middle monomial {label}*xi^{e} has codimension {degree}, expected {mc}")
 
 
-def _nondegenerate(side: RoofSide, classes: tuple[BundleClass, ...], gram: tuple[tuple[int, ...], ...],
-                   determinant: int) -> MiddleLattice:
+def _nondegenerate(side: RoofSide, gram: tuple[tuple[int, ...], ...], determinant: int) -> MiddleLattice:
     """The middle lattice of ``side``, unless its determinant is 0."""
     if determinant == 0:
         raise DegenerateBasisError("declared middle basis is degenerate under the pairing")
-    return MiddleLattice(side, side.middle_basis, classes, gram, determinant)
+    return MiddleLattice(side, side.middle_basis, gram, determinant)
 
 
 def _table_integral(side: RoofSide, x: str, y: str, s: int) -> int | Fraction:
@@ -504,15 +502,11 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[tuple[
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
-    """The class sum_k coords[k] * lat.classes[k], summed part by part on plain dicts."""
-    side, mc = lat.side, lat.side.middle_codim
-    acc: list[dict[str, int | Fraction]] = [{} for _ in range(side.rank)]
-    for c, cls in zip(coords, lat.classes):
-        c = _exact(c)
-        for out, p in zip(acc, cls._flat):
-            for z, v in p.items():
-                out[z] = out.get(z, 0) + c * v
-    return BundleClass._of(side, mc, acc)
+    """The class sum_k coords[k] * x_k*xi^e_k; each declared monomial, e_k < r, is its own normal form."""
+    parts: list[dict[str, int | Fraction]] = [{} for _ in range(lat.side.rank)]
+    for c, (label, e) in zip(coords, lat.monomials):
+        parts[e][label] = parts[e].get(label, 0) + _exact(c)
+    return BundleClass._of(lat.side, lat.side.middle_codim, parts)
 
 
 def coordinates_in_lattice(lat: MiddleLattice, a: BundleClass) -> tuple[int | Fraction, ...]:
@@ -941,11 +935,11 @@ class RoofQuery:
     with its determinant and j, the locus coordinates and the discriminant group, is keyed by
     a representative of the config side asked for, picked once: the side for a twin tilde
     side, and otherwise the side itself.  The first side asked for builds it from its own
-    data, so an error always comes from that side.  Only the middle lattice, whose classes
-    name their side, is built per side, from the shared Gram data and the side's own basis
-    checks.  Each side has its own xi-power table and Segre data; a twin that takes its
-    pieces from the other side builds no Segre data, and only the table rows that its own
-    reductions ask for."""
+    data, so an error always comes from that side.  Only the middle lattice is built per
+    side, from the shared Gram data and the side's own basis checks, which reduce nothing:
+    the engine reduces only inside its side switch.  Each side has its own xi-power table
+    and Segre data; a twin that takes its pieces from the other side builds no Segre data,
+    and only the table rows that its own side switch asks for."""
 
     def __init__(self, config: RoofConfig):
         self.config, self.stage, self._built = config, None, {}
@@ -978,9 +972,9 @@ class RoofQuery:
 
     def lattice(self, side: RoofSide) -> MiddleLattice:
         def build():
-            classes = _middle_classes(side)
+            _check_middle_basis(side)
             gram, det, _ = self._gram(side)
-            return _nondegenerate(side, classes, gram, det)
+            return _nondegenerate(side, gram, det)
 
         return self._once("middle lattice", id(side), build)
 

@@ -172,11 +172,18 @@ MUTANTS = (
        "tilde._key()[1:3] + tilde._key()[4:] == side._key()[1:3] + side._key()[4:]", "test_roof_queries.py"),
     _m("twin-key-drops-middle-basis", "roofcalc", "tilde._key()[1:] == side._key()[1:]",
        "tilde._key()[1:4] == side._key()[1:4]", "test_roof_queries.py", GOLDEN),
-    _m("lattice-built-on-the-first-side", "roofcalc", "return _nondegenerate(side, classes, gram, det)",
-       "return _nondegenerate(self.config.side, classes, gram, det)", ROOF, "test_roof_queries.py"),
-    _m("lattice-built-with-the-first-side-classes", "roofcalc",
-       "classes = _middle_classes(side)\n            gram, det, _ = self._gram(side)",
-       "classes = _middle_classes(self.config.side)\n            gram, det, _ = self._gram(side)", ROOF),
+    _m("lattice-built-on-the-first-side", "roofcalc", "return _nondegenerate(side, gram, det)",
+       "return _nondegenerate(self.config.side, gram, det)", ROOF, "test_roof_queries.py"),
+    _m("lattice-checked-on-the-first-side", "roofcalc",
+       "_check_middle_basis(side)\n            gram, det, _ = self._gram(side)",
+       "_check_middle_basis(self.config.side)\n            gram, det, _ = self._gram(side)",
+       "test_roof_queries.py::test_describe_failure_matches_public_functions"),
+    # roofcalc: a lattice's class written down from its coordinates, each on its own monomial
+    _m("coordinate-on-the-wrong-xi-power", "roofcalc", "parts[e][label] = parts[e].get(label, 0) + _exact(c)",
+       "parts[-1 - e][label] = parts[-1 - e].get(label, 0) + _exact(c)", "test_engine_gram.py::test_query_config"),
+    _m("coordinate-on-the-wrong-label", "roofcalc", "parts[e][label] = parts[e].get(label, 0) + _exact(c)",
+       "parts[e][lat.monomials[0][0]] = parts[e].get(lat.monomials[0][0], 0) + _exact(c)",
+       "test_engine_gram.py::test_query_config"),
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
     _m("switched-locus-built-on-the-tilde-lattice", "roofcalc", "switch_side(cfg, class_from_coordinates(lat, locus))",
        "switch_side(cfg, class_from_coordinates(lat_t, locus))", ROOF, "test_roof_queries.py"),
@@ -239,8 +246,8 @@ MUTANTS = (
     _m("integrate-operand-type-unchecked", "gradedring", '    _typed(a, GradedClass, "integrate", GradedRingError)\n',
        "", CONTRACT),
     _m("middle-lattice-side-type-unchecked", "roofcalc",
-       'after the basis checks."""\n    _typed(side, RoofSide, "side", RoofError)\n',
-       'after the basis checks."""\n', ROOF, CONTRACT),
+       'its own normal form."""\n    _typed(side, RoofSide, "side", RoofError)\n',
+       'its own normal form."""\n', ROOF, CONTRACT),
     _m("reduce-drops-the-degree-of-a-zero-term", "roofcalc", "        else:  # a zero term has a degree too\n",
        "        elif cls.coeffs:\n", ROOF),
     _m("reduce-side-unchecked", "roofcalc",

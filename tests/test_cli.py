@@ -197,22 +197,23 @@ class TestMukai:
         (["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")], 2),
     ], ids=["built-in", "tilde-reversed"])
     def test_one_middle_lattice_per_side(self, capsys, count_calls, argv, grams):
-        # the query engine builds each side's lattice from its own _middle_classes and a Gram matrix per distinct
+        # the query engine builds each side's lattice from its own basis checks and a Gram matrix per distinct
         # side, never through the public middle_lattice
-        counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc.middle_lattice")
+        counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice")
         code, report = run_json(capsys, "mukai", *argv)
         assert code == 0 and report["mukai_vector"] == [2, 1, -3]
-        assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0}
+        assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams,
+                          "roofcalc.middle_lattice": 0}
 
     def test_rank_checked_before_the_locus_classes(self, capsys, count_calls):
         # d4 declares five middle monomials per side: the basis length shows it, no lattice is built
-        counts = count_calls("roofcalc._middle_classes", "latticecore.isotropic_pair_solve")
+        counts = count_calls("roofcalc._check_middle_basis", "latticecore.isotropic_pair_solve")
         assert main(["mukai", "d4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: LatticeError: stage 'mukai vector' failed: "
                                 "isotropic_pair_solve expects a rank-3 gram matrix\n")
-        assert counts == {"roofcalc._middle_classes": 0, "latticecore.isotropic_pair_solve": 0}
+        assert counts == {"roofcalc._check_middle_basis": 0, "latticecore.isotropic_pair_solve": 0}
 
     @pytest.mark.parametrize("config", ["g2dagger", "d4"])
     @pytest.mark.parametrize("which", [0, 1])

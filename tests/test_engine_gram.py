@@ -3,7 +3,9 @@
 ``RoofQuery.lattice`` reads each entry int x*xi^e . y*xi^f . xi off the side's
 Segre classes, as int_B x*y*s_k with k = e + f + 2 - r; ``middle_lattice``
 computes it by definition, as ``pairing_on_M`` of the two monomial classes.
-The two must give the same lattice: Gram matrix, determinant and classes.
+The two must give the same lattice: Gram matrix and determinant.  A lattice
+holds no classes: on both, the unit coordinates e_i name the i-th declared
+monomial, its normal form by ``reduce``, and that class reads back as e_i.
 Each side is queried on a freshly loaded config, before the public path runs,
 so the engine reads data it built itself, not data the public path left.
 """
@@ -18,11 +20,22 @@ from hypothesis import given, settings, strategies as st
 
 from roofpairs.configs import config_from_dict, load_config
 from roofpairs.gradedring import GradedClass, IntegralityError, make_quadric_ring
-from roofpairs.roofcalc import RoofConfig, RoofQuery, RoofSide, middle_lattice
+from roofpairs.roofcalc import (
+    RoofConfig, RoofQuery, RoofSide, class_from_coordinates, coordinates_in_lattice, middle_lattice, monomial,
+)
 
-from test_roof_queries import CONFIGS, _fresh, roof_relation, synthetic_roof
+from test_roof_queries import CONFIGS, NON_UNIMODULAR, _fresh, roof_relation, synthetic_roof
 
 DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
+
+
+def check_unit_coordinates(lat) -> None:
+    """e_i names the normal form of the i-th declared monomial x*xi^e, and that class has the coordinates e_i."""
+    for i, (label, e) in enumerate(lat.monomials):
+        unit = tuple(int(i == k) for k in range(lat.rank))
+        cls = monomial(lat.side, label, e)
+        assert class_from_coordinates(lat, unit) == cls, (lat.side.name, label, e)
+        assert coordinates_in_lattice(lat, cls) == unit, (lat.side.name, label, e)
 
 
 def check_both_sides(fresh) -> None:
@@ -34,8 +47,9 @@ def check_both_sides(fresh) -> None:
         public = middle_lattice(side)
         assert engine.gram == public.gram, side.name
         assert engine.determinant == public.determinant, side.name
-        assert engine.classes == public.classes, side.name
         assert engine == public
+        check_unit_coordinates(engine)
+        check_unit_coordinates(public)
 
 
 @pytest.mark.parametrize("path", DATA, ids=lambda p: p.stem)
@@ -47,6 +61,10 @@ def test_committed_config(path):
 def test_query_config(config):
     # a RoofConfig is rebuilt from its sides' data, so each check starts from empty normal-form tables and Segre data
     check_both_sides(lambda: _fresh(config))
+
+
+def test_non_unimodular_config():
+    check_both_sides(lambda: _fresh(NON_UNIMODULAR))
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from roofpairs import latticecore, roofcalc
-from roofpairs.cli import cmd_describe, cmd_lemma7, main
+from roofpairs.cli import cmd_describe, cmd_lemma7, cmd_mukai, main
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
 from roofpairs.errors import GradedRingError, LatticeError
 from roofpairs.gradedring import BasisElement, RingPresentation, make_quadric_ring
@@ -405,11 +405,11 @@ def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_c
     # the other side.  Where the pullback sublattice is unimodular, the group is read off the splitting
     # L = S + Zj, with no Smith form; NON_UNIMODULAR falls back to discriminant_group.  The locus class never
     # takes the public path, with its orthogonal kernel
-    counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc._locus_class",
+    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc._locus_class",
                          "latticecore.discriminant_group", "latticecore.orthogonal_kernel", "roofcalc.switch_side")
     (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
     fallback = int(cfg is NON_UNIMODULAR)
-    assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": distinct, "roofcalc._locus_class": 0,
+    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": distinct, "roofcalc._locus_class": 0,
                       "latticecore.discriminant_group": fallback if command == "describe" else 0,
                       "latticecore.orthogonal_kernel": 0,
                       "roofcalc.switch_side": 0 if command == "describe" else 1}
@@ -469,8 +469,10 @@ def _pieces(cfg, order):
             except (roofcalc.RoofError, GradedRingError, LatticeError) as exc:
                 value = f"{type(exc).__name__}: {exc}"
             if piece == "lattice" and not isinstance(value, str):
-                assert value.side is sides[which] and all(c.side is sides[which] for c in value.classes)
-                value = (value.monomials, value.gram, value.determinant, tuple(map(str, value.classes)))
+                units = [roofcalc.class_from_coordinates(value, [int(i == k) for k in range(value.rank)])
+                         for i in range(value.rank)]
+                assert value.side is sides[which] and all(c.side is sides[which] for c in units)
+                value = (value.monomials, value.gram, value.determinant, tuple(map(str, units)))
             out[which, piece] = value
     return out, [which for which in (0, 1) if sides[which]._sigma]
 
@@ -527,43 +529,46 @@ def record_reductions(monkeypatch):
     return calls
 
 
-def _monomial_reductions(cfg):
-    """One reduction per middle monomial of each side whose locus class is built on its own lattice: a twin of
-    the side takes the side's locus coordinates and builds no lattice for them."""
-    twins = cfg.side._key()[1:] == cfg.tilde_side._key()[1:]
-    return len(cfg.side.middle_basis) + (0 if twins else len(cfg.tilde_side.middle_basis))
-
-
 @pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS + [NON_UNIMODULAR], ids=lambda c: c.name)
 def test_describe_reads_no_normal_form(cfg, record_reductions):
-    # every Gram entry and the locus sign are read off the Segre data, so describe folds no power of xi:
-    # it reduces each side's middle monomials, below xi^r, once, on NON_UNIMODULAR's fallback too
+    # every Gram entry and the locus sign are read off the Segre data, and each middle monomial, below xi^r,
+    # is its own normal form, so describe reduces nothing, on NON_UNIMODULAR's fallback too.  Building each
+    # lattice's monomial classes made one reduction per middle monomial of each side
     cfg = _fresh(cfg)
     cmd_describe(cfg)
-    assert len(record_reductions) == len(cfg.side.middle_basis) + len(cfg.tilde_side.middle_basis)
-    assert not any(folds for folds, _, _ in record_reductions)
+    assert record_reductions == []
 
 
 @pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
 def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
-    # lemma7's lattices and locus classes fold no power of xi; its side switch lifts the locus class to
-    # (L, xi) and substitutes there, so every reduction past xi^r runs inside the switch, and every label
-    # it folds lies in the support of a power of L
+    # lemma7's lattices and locus classes reduce nothing; its side switch lifts the locus class to (L, xi)
+    # and substitutes there, so every reduction runs inside the switch, and every label it folds past xi^r
+    # lies in the support of a power of L
     cfg = _fresh(cfg)
     query = roofcalc.RoofQuery(cfg)
     for side in (cfg.side, cfg.tilde_side):
         query.locus(side)
-    assert len(record_reductions) == _monomial_reductions(cfg)
-    assert not any(folds for folds, _, _ in record_reductions)
+    assert record_reductions == []
     cmd_lemma7(cfg)
+    assert all(switched for _, _, switched in record_reductions)
     base = cfg.side.base
     support = {z for p in range(base.dimension + 1) for z in base.l_power(p).coeffs}
-    folded = [(labels, switched) for folds, labels, switched in record_reductions if folds]
-    assert folded and all(switched and labels <= support for labels, switched in folded)
+    folded = [labels for folds, labels, _ in record_reductions if folds]
+    assert folded and all(labels <= support for labels in folded)
+
+
+@pytest.mark.parametrize("cfg", [builtin_config("g2dagger"),
+                                 load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")],
+                         ids=["g2dagger", "tilde-reversed"])
+def test_mukai_reduces_only_in_its_side_switch(cfg, record_reductions):
+    # mukai switches theta(v) to the tilde side; its lattices and locus coordinates, and the classes it prints,
+    # reduce nothing
+    cmd_mukai(_fresh(cfg), 50)
+    assert record_reductions and all(switched for _, _, switched in record_reductions)
 
 
 @pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 0), (CONFIGS[2], 0, 0), (NON_UNIMODULAR, 1, 4)],
-                         ids=lambda c: getattr(c, "name", c))
+                         ids=[CONFIGS[0].name, CONFIGS[2].name, NON_UNIMODULAR.name])  # pins kept out of the ids
 def test_describe_decomposes_each_gram_matrix_once(cfg, smith, det, count_calls):
     # g2dagger's twin sides read their group and locus class off the splitting, with no det: every
     # anti-diagonal block of S is 1 x 1 and is read as its entry; its reordered tilde side builds its own.

@@ -163,8 +163,8 @@ class TestPairing:
 
     def test_symmetry_on_all_pairs(self, g2, d4):
         for cfg in (g2, d4):
-            lat = middle_lattice(cfg.side)
-            for a, b in product(lat.classes, repeat=2):
+            classes = [monomial(cfg.side, *m) for m in cfg.side.middle_basis]
+            for a, b in product(classes, repeat=2):
                 assert pairing_on_M(cfg.side, a, b) == pairing_on_M(cfg.side, b, a)
 
     def test_degree_mismatch(self, g2):
@@ -293,7 +293,7 @@ class TestSwitchSide:
     def test_involution_on_all_middle_monomials(self, g2, d4, toy):
         for cfg in (g2, d4):
             for side in (cfg.side, cfg.tilde_side):
-                for cls in middle_lattice(side).classes:
+                for cls in (monomial(side, *m) for m in side.middle_basis):
                     assert switch_side(cfg, switch_side(cfg, cls)) == cls
         # the symmetric toy only switches the hyperplane-polynomial subspace
         cls = locus_pushforward_class(toy.side)
@@ -416,14 +416,14 @@ class TestRoofQuery:
         # the built-in's sides carry the same data, so the tilde side takes the side's Gram matrix; each side
         # checks its own basis for its own lattice
         cfg = _reordered_tilde("g2dagger", -1) if reordered else g2
-        counts = count_calls("roofcalc._middle_classes", "roofcalc._table_gram", "roofcalc.switch_side",
+        counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.switch_side",
                              "latticecore.isotropic_pair_solve")
         q = roofcalc.RoofQuery(cfg)
         for _ in range(2):
             q.residue_scan()
             q.mukai(50)
         # switch_side: the side's locus class, and theta(v) for the Mukai vector
-        assert counts == {"roofcalc._middle_classes": 2, "roofcalc._table_gram": grams, "roofcalc.switch_side": 2,
+        assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.switch_side": 2,
                           "latticecore.isotropic_pair_solve": 2}
         assert q.stage is None  # nothing is being built
 
@@ -433,7 +433,7 @@ class TestRoofQuery:
         sides = (g2.tilde_side, g2.side) if tilde_first else (g2.side, g2.tilde_side)
         for side in sides:
             lat, locus = q.lattice(side), class_from_coordinates(q.lattice(side), q.locus(side))
-            assert lat.side is side and all(c.side is side for c in lat.classes) and locus.side is side
+            assert lat.side is side and locus.side is side
             assert lat == middle_lattice(side) and locus == locus_pushforward_class(side)
             group = q.group(side)
             assert group.factors == latticecore.discriminant_group([list(r) for r in lat.gram]).factors
@@ -455,7 +455,7 @@ class TestSharedRing:
 
     def test_a_class_stays_on_its_side(self, g2):
         side, tilde = g2.side, g2.tilde_side
-        a = middle_lattice(side).classes[0]
+        a = monomial(side, *side.middle_basis[0])
         with pytest.raises(RoofError, match="^classes do not live on the requested side$"):
             pairing_on_M(tilde, a, a)
         with pytest.raises(RoofError, match="^class is not supported on the declared middle basis$"):
@@ -630,11 +630,11 @@ def object_mul(a, b):
 
 
 def object_class_from_coordinates(lat, coords):
-    """class_from_coordinates on GradedClass objects: a running sum of scaled parts."""
+    """class_from_coordinates on GradedClass objects: a running sum of the scaled parts of the monomial classes."""
     side, mc = lat.side, lat.side.middle_codim
     parts = [side.base.zero(mc - i) for i in range(side.rank)]
-    for c, cls in zip(coords, lat.classes):
-        parts = [p + q.scale(c) for p, q in zip(parts, cls.parts)]
+    for c, (label, e) in zip(coords, lat.monomials):
+        parts = [p + q.scale(c) for p, q in zip(parts, monomial(side, label, e).parts)]
     return BundleClass(side, mc, parts)
 
 
