@@ -15,8 +15,10 @@ Subcommands::
 runs); numbers are exact integers, rationals are rendered as "p/q".
 
 Exit codes: 0 success, 1 verification/pipeline failure, 2 usage or
-configuration error.  A reader that closes the pipe early (``| head -1``)
-ends the command with exit 1 and nothing on stderr.
+configuration error.  An exit-1 error of ``describe``, ``lemma7`` or ``mukai``
+ends with its input, `` (config PATH)`` or `` (built-in NAME)``.  A reader
+that closes the pipe early (``| head -1``) ends the command with exit 1 and
+nothing on stderr.
 
 Each subcommand is declared once, in ``build_parser``: its arguments, the
 function that builds its report and the one that renders the report as
@@ -70,6 +72,13 @@ def _config(args: argparse.Namespace) -> RoofConfig:
     from .configs import resolve_config
 
     return resolve_config(args.name, args.config)
+
+
+def _input(args: argparse.Namespace) -> str:
+    """The input that an exit-1 error of describe, lemma7 or mukai names; nothing for the other commands."""
+    if not hasattr(args, "config"):
+        return ""
+    return f" (built-in {args.name})" if args.config is None else f" (config {args.config})"
 
 
 def _vector(lat: MiddleLattice, coords, **extra) -> dict:
@@ -396,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RoofError, GradedRingError, LatticeError, BWBError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}{_input(args)}", file=sys.stderr)
         return 1
     finally:
         if limit is not None:

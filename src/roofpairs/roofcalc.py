@@ -502,7 +502,10 @@ def _splitting(side: RoofSide, gram: Sequence[Sequence[int]]) -> Optional[tuple[
 
 
 def class_from_coordinates(lat: MiddleLattice, coords: Sequence) -> BundleClass:
-    """The class sum_k coords[k] * x_k*xi^e_k; each declared monomial, e_k < r, is its own normal form."""
+    """The class sum_k coords[k] * x_k*xi^e_k; each declared monomial, e_k < r, is its own normal form.
+    ``coords`` is a list or tuple of ``lat.rank`` numbers; anything else is a RoofError."""
+    if len(_typed(coords, (list, tuple), "coordinates", RoofError)) != lat.rank:
+        raise RoofError(f"expected {lat.rank} coordinates, one per declared middle monomial, got {len(coords)}")
     parts: list[dict[str, int | Fraction]] = [{} for _ in range(lat.side.rank)]
     for c, (label, e) in zip(coords, lat.monomials):
         parts[e][label] = parts[e].get(label, 0) + _exact(c)

@@ -57,7 +57,8 @@ def _m(name, module, fragment, replacement, *killers) -> Mutant:
 LAT, ROOF, GRADED, BWB, MOT = ("test_latticecore.py", "test_roofcalc.py", "test_gradedring.py",
                                "test_bwbcoh.py", "test_motivicring.py")
 GOLDEN, RECORDS, CONTRACT, CLI = "test_cli_golden.py", "test_records.py", "test_contract.py", "test_cli.py"
-INPUTS, CHECKS, SEGRE = "test_input_checks.py", "test_checks.py", "test_engine_segre.py"
+INPUTS, CHECKS, ORACLES = "test_input_checks.py", "test_checks.py", "test_engine_oracles.py"
+SEGRE = f"{ORACLES}::test_segre_oracle"
 
 MUTANTS = (
     # latticecore: Smith normal form
@@ -180,10 +181,13 @@ MUTANTS = (
        "test_roof_queries.py::test_describe_failure_matches_public_functions"),
     # roofcalc: a lattice's class written down from its coordinates, each on its own monomial
     _m("coordinate-on-the-wrong-xi-power", "roofcalc", "parts[e][label] = parts[e].get(label, 0) + _exact(c)",
-       "parts[-1 - e][label] = parts[-1 - e].get(label, 0) + _exact(c)", "test_engine_gram.py::test_query_config"),
+       "parts[-1 - e][label] = parts[-1 - e].get(label, 0) + _exact(c)", f"{ORACLES}::test_gram_oracle"),
     _m("coordinate-on-the-wrong-label", "roofcalc", "parts[e][label] = parts[e].get(label, 0) + _exact(c)",
        "parts[e][lat.monomials[0][0]] = parts[e].get(lat.monomials[0][0], 0) + _exact(c)",
-       "test_engine_gram.py::test_query_config"),
+       f"{ORACLES}::test_gram_oracle"),
+    _m("coordinate-count-unchecked", "roofcalc",
+       'if len(_typed(coords, (list, tuple), "coordinates", RoofError)) != lat.rank:', "if False:",
+       f"{ROOF}::TestBundleClassChecks::test_one_coordinate_per_middle_monomial"),
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
     _m("switched-locus-built-on-the-tilde-lattice", "roofcalc", "switch_side(cfg, class_from_coordinates(lat, locus))",
        "switch_side(cfg, class_from_coordinates(lat_t, locus))", ROOF, "test_roof_queries.py"),
@@ -194,7 +198,7 @@ MUTANTS = (
        "    locus, group = roofcalc.class_from_coordinates(lat, coords), q.group(side)\n",
        "    group = q.group(side)\n"
        "    coords = q.locus(side)\n    locus = roofcalc.class_from_coordinates(lat, coords)\n",
-       "test_engine_splitting.py::test_describe_refused_at_the_locus_class_builds_no_group"),
+       f"{ORACLES}::test_describe_refused_at_the_locus_class_builds_no_group"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),
@@ -278,7 +282,7 @@ MUTANTS = (
     _m("reduce-vanishing-skip-off-by-one", "roofcalc", "low = max(degree - base.dimension, 0)",
        "low = max(degree - base.dimension + 1, 0)", ROOF),
     _m("middle-gram-entry-corrupted", "roofcalc", "tuple(pairing_on_M(side, a, b) for b in classes)",
-       "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", "test_engine_gram.py"),
+       "tuple(pairing_on_M(side, a, b) + (a is b is classes[-1]) for b in classes)", f"{ORACLES}::test_gram_oracle"),
     # roofcalc: the query engine's Gram matrix, read off the Segre classes
     _m("segre-read-off-the-next-power", "roofcalc", "self._power(r - 1 + k)[r - 1]", "self._power(r + k)[r - 1]",
        SEGRE),
@@ -286,24 +290,24 @@ MUTANTS = (
     _m("segre-read-for-every-label", "roofcalc",
        "if k < 0 or base._degrees[x] + base._degrees[y] + k != base.dimension:", "if k < 0:", SEGRE),
     _m("table-gram-lower-triangle-zero", "roofcalc", "gram[i][k] = gram[k][i] = int(val)", "gram[i][k] = int(val)",
-       "test_engine_gram.py"),
+       f"{ORACLES}::test_gram_oracle"),
     _m("table-gram-integrality-unchecked", "roofcalc",
        '            if val.denominator != 1:\n                raise IntegralityError(', '            if False:\n'
-       '                raise IntegralityError(', "test_engine_gram.py"),
+       '                raise IntegralityError(', f"{ORACLES}::test_fraction_relation"),
     # roofcalc: the query engine's determinant, locus class and group, read off the splitting L = S + Zj
     _m("splitting-admits-any-nonzero-det-s", "roofcalc", "if det_s not in (1, -1):", "if det_s == 0:",
-       "test_engine_splitting.py"),
+       f"{ORACLES}::test_describe_oracle"),
     _m("splitting-block-reversal-sign-flipped", "roofcalc", "det_s = (-1) ** sum(", "det_s = -(-1) ** sum(",
-       "test_engine_splitting.py"),
+       f"{ORACLES}::test_describe_oracle"),
     _m("splitting-group-order-signed", "roofcalc", "d = abs(lat.determinant)", "d = lat.determinant",
-       "test_engine_splitting.py"),
+       f"{ORACLES}::test_describe_oracle"),
     _m("splitting-locus-sign-inverted", "roofcalc", "x if p > 0 else -x for x in k", "-x if p > 0 else x for x in k",
-       "test_engine_splitting.py"),
+       f"{ORACLES}::test_describe_oracle"),
     _m("splitting-one-by-one-block-det-unsigned", "roofcalc", "gram[blocks[e][0]][blocks[k - e][0]] if sizes[e] == 1",
        "abs(gram[blocks[e][0]][blocks[k - e][0]]) if sizes[e] == 1",
-       "test_engine_splitting.py::test_splitting_of_a_synthetic_gram_matrix"),
+       f"{ORACLES}::test_splitting_of_a_synthetic_gram_matrix"),
     _m("splitting-one-by-one-block-solve-unsigned", "roofcalc", "solution = [rhs[0] * gram[rows[0]][cols[0]]]",
-       "solution = [rhs[0]]", "test_engine_splitting.py::test_splitting_of_a_synthetic_gram_matrix"),
+       "solution = [rhs[0]]", f"{ORACLES}::test_splitting_of_a_synthetic_gram_matrix"),
     # roofcalc: the locus class off G^-1 e_top where there is no splitting, and the one sign-law check
     _m("locus-sign-law-unchecked", "roofcalc", "    if pairing != law:\n", "    if False:\n", "test_roof_queries.py"),
     _m("locus-law-skipped-on-the-splitting-branch", "roofcalc",
@@ -313,9 +317,9 @@ MUTANTS = (
        "class_from_coordinates(lat, _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side)))",
        "class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])", "test_roof_queries.py"),
     _m("closed-form-rank-counts-the-pullback", "roofcalc", "has rank {len(top)}, expected 1",
-       "has rank {lat.rank - len(top)}, expected 1", "test_engine_splitting.py"),
+       "has rank {lat.rank - len(top)}, expected 1", f"{ORACLES}::test_rank_error_without_one_top_monomial"),
     _m("closed-form-scaled-by-the-determinant", "roofcalc", "m = lcm(*(x.denominator for x in v))",
-       "m = lat.determinant", "test_engine_splitting.py"),
+       "m = lat.determinant", f"{ORACLES}::test_fallback_locus_class_is_the_orthogonal_kernel"),
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),

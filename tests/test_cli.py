@@ -124,11 +124,10 @@ class TestLemma7:
         data = json.loads(json.dumps(BUILTIN_CONFIGS["g2dagger"]))
         data["sides"][0]["middle_basis"] = [["Pi", 0], ["L^2", 1]]
         data["sides"][1]["middle_basis"] = [["Pi", 0], ["Pi", 0], ["L", 2]]
-        path = tmp_path / "roof.json"
-        path.write_text(json.dumps(data))
+        path = _write(tmp_path, data)
         assert main(["lemma7", "--config", str(path)]) == 1
         assert capsys.readouterr().err == ("error: DegenerateBasisError: stage 'middle lattice' failed: "
-                                           "declared middle basis is degenerate under the pairing\n")
+                                           f"declared middle basis is degenerate under the pairing (config {path})\n")
 
     def test_pipeline_failure_names_stage(self, tmp_path, capsys, toy_path):
         # a middle basis missing the top xi-monomial leaves no rank-1 complement
@@ -212,7 +211,7 @@ class TestMukai:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: LatticeError: stage 'mukai vector' failed: "
-                                "isotropic_pair_solve expects a rank-3 gram matrix\n")
+                                "isotropic_pair_solve expects a rank-3 gram matrix (built-in d4)\n")
         assert counts == {"roofcalc._check_middle_basis": 0, "latticecore.isotropic_pair_solve": 0}
 
     @pytest.mark.parametrize("config", ["g2dagger", "d4"])
@@ -220,12 +219,11 @@ class TestMukai:
     def test_missing_middle_basis_is_named(self, tmp_path, capsys, config, which):
         data = json.loads(json.dumps(BUILTIN_CONFIGS[config]))
         del data["sides"][which]["middle_basis"]
-        path = tmp_path / "roof.json"
-        path.write_text(json.dumps(data))
+        path = _write(tmp_path, data)
         assert main(["mukai", "--config", str(path)]) == 1
         side = ("side", "tilde")[which]
         assert capsys.readouterr().err == (f"error: RoofError: stage 'middle lattice' failed: "
-                                           f"side '{config}:{side}' declares no middle basis\n")
+                                           f"side '{config}:{side}' declares no middle basis (config {path})\n")
 
 
 @pytest.mark.parametrize("argv", [["mukai", "g2dagger"], ["verify-all"]])

@@ -1,52 +1,133 @@
-"""The query engine's determinant, discriminant group and locus class against the public functions.
+"""The query engine against its oracles, on every config of ``roofcorpus.CORPUS`` and on hypothesis-drawn roofs.
 
-``RoofQuery`` reads them off the splitting L = S + Zj of a side's middle
-lattice when the pullback sublattice S (the monomials x*xi^e with
-e <= r - 2) is unimodular: det L = det S * j.j, the discriminant group is
-Z/|j.j| and the locus class is +-j.  Otherwise it runs ``det`` and
-``discriminant_group`` on the Gram matrix, and its locus class is
-G^-1 e_top made primitive.  Either way ``describe`` must report what
-``middle_lattice``, ``discriminant_group``, ``locus_pushforward_class`` and
-``pairing_on_M`` give, and each group generator must have exactly the order
-of its factor.  The cases: every config under ``tests/data/``, the 26 query
-configs, hypothesis-drawn Q4-Q10 roofs, and a base whose pairing on the
-middle degree has determinant 2, where the closed form does not apply.  The
-public orthogonal kernel is the reference for the fallback's locus class, on
-that base and on seeded partial middle bases of Q4-Q8 roofs.
+``RoofQuery`` computes each side's invariants its own way; each oracle
+computes them another way and must agree:
+
+- Gram matrix: the engine reads each entry int x*xi^e . y*xi^f . xi off the
+  side's Segre classes, as int_B x*y*s_k with k = e + f + 2 - r;
+  ``middle_lattice`` pairs the two monomial classes with ``pairing_on_M``.
+  A lattice holds no classes: on both, the unit coordinates e_i name the
+  i-th declared monomial, its normal form by ``reduce``, and that class
+  reads back as e_i.  Each side is queried on a fresh copy of its config,
+  before the public path runs, so the engine reads data it built itself;
+- Segre data: by the projective-bundle formula, int_X z*xi^(r-1+k) =
+  int_B z*s_k for a base label z.  ``RoofSide._segre`` reads s_k off the
+  xi-power table, and ``roofcalc._table_integral`` reads int_X x*y*xi^s off
+  it; the reference runs the recurrence s_0 = 1,
+  s_k = sum_(i=1..min(k, r)) (-1)^(i+1) c_i * s_(k-i) on the base's classes;
+- ``describe``: the engine reads determinant, group and locus class off the
+  splitting L = S + Zj when the pullback sublattice S (the monomials x*xi^e
+  with e <= r - 2) is unimodular: det L = det S * j.j, the group is Z/|j.j|
+  and the locus class is +-j.  Otherwise it runs ``det`` and
+  ``discriminant_group`` on the Gram matrix, and its locus class is
+  G^-1 e_top made primitive.  Either way the report must equal
+  ``middle_lattice``, ``discriminant_group``, ``locus_pushforward_class`` and
+  ``pairing_on_M``, and each group generator must have the order of its factor;
+- the splitting identity: ordered by e, S's Gram matrix is block
+  anti-triangular, so det S is the signed product of its anti-diagonal
+  blocks, expanded by Leibniz; j spans S^perp, so S + Zj has index k in L
+  and det S * (j.j) = det G * k^2, with det G and the group by Bareiss and
+  the Smith form on the whole matrix, up to the 23 x 23 one of the Q24 roof.
+
+The public orthogonal kernel is the reference for the fallback's locus
+class, on ``NON_UNIMODULAR`` and on the ``PARTIAL`` bases.
 """
 
 import json
 import pathlib
 import random
 import types
-from math import lcm
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import isqrt, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from roofpairs import latticecore, roofcalc
 from roofpairs.cli import _side_report, cmd_describe, cmd_lemma7, cmd_mukai
 from roofpairs.configs import config_from_dict, load_config
 from roofpairs.errors import GradedRingError, LatticeError
-from roofpairs.gradedring import BasisElement, RingPresentation
+from roofpairs.gradedring import (
+    BasisElement, GradedClass, IntegralityError, RingPresentation, integrate, make_quadric_ring,
+)
 from roofpairs.latticecore import _solve_rational, discriminant_group, orthogonal_kernel
 from roofpairs.roofcalc import (
-    DegenerateBasisError,
-    DegreeMismatchError,
-    RoofConfig,
-    RoofError,
-    RoofQuery,
-    RoofSide,
-    UnexpectedRankError,
-    coordinates_in_lattice,
-    locus_pushforward_class,
-    middle_lattice,
-    pairing_on_M,
+    DegenerateBasisError, DegreeMismatchError, RoofConfig, RoofError, RoofQuery, RoofSide, UnexpectedRankError,
+    _table_integral, class_from_coordinates, coordinates_in_lattice, locus_pushforward_class, middle_lattice,
+    monomial, pairing_on_M,
 )
 
-from test_roof_queries import CONFIGS, NON_UNIMODULAR, STAGE_CASES, _d4_without_pi2, roof_relation, synthetic_roof
+from roofcorpus import (
+    CONFIGS, CORPUS, NON_UNIMODULAR, SPLIT_TILDE_TOY, STAGE_CASES, SYNTHETIC_ROOFS, _d4_without_pi2, _fresh,
+    roof_relation, synthetic_roof,
+)
 
-DATA = sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# the oracles
+# ---------------------------------------------------------------------------
+
+def check_unit_coordinates(lat) -> None:
+    """e_i names the normal form of the i-th declared monomial x*xi^e, and that class has the coordinates e_i."""
+    for i, (label, e) in enumerate(lat.monomials):
+        unit = tuple(int(i == k) for k in range(lat.rank))
+        cls = monomial(lat.side, label, e)
+        assert class_from_coordinates(lat, unit) == cls, (lat.side.name, label, e)
+        assert coordinates_in_lattice(lat, cls) == unit, (lat.side.name, label, e)
+
+
+def check_gram(config) -> None:
+    """Each side of a fresh copy of ``config``, queried first, against the public path on it."""
+    for which in (0, 1):
+        fresh = _fresh(config)
+        side = (fresh.side, fresh.tilde_side)[which]
+        engine = RoofQuery(fresh).lattice(side)
+        public = middle_lattice(side)
+        assert engine.gram == public.gram, side.name
+        assert engine.determinant == public.determinant, side.name
+        assert engine == public
+        check_unit_coordinates(engine)
+        check_unit_coordinates(public)
+
+
+def segre_classes(side):
+    """s_0, ..., s_n by the recurrence s_k = sum_(i=1..min(k, r)) (-1)^(i+1) c_i * s_(k-i)."""
+    base, s = side.base, [side.base.unit()]
+    for k in range(1, base.dimension + 1):
+        s_k = base.zero(k)
+        for i, c in enumerate(side.groth_coeffs[:k], start=1):
+            s_k = s_k + (c * s[k - i]).scale((-1) ** (i + 1))
+        s.append(s_k)
+    return s
+
+
+def ref_integral(side, segre, x, y, s):
+    """int_X x*y*xi^s = int_B x*y*s_k with k = s - r + 1, and 0 for k outside 0..n."""
+    base, k = side.base, s - side.rank + 1
+    return integrate(base.basis_class(x) * base.basis_class(y) * segre[k]) if 0 <= k <= base.dimension else 0
+
+
+def sigma(side, k, z):
+    """sigma_k(z) = int_B z*s_k: the side's Segre data for z of degree n - k, and 0 otherwise."""
+    base = side.base
+    return side._segre()[z] if base._degrees[z] == base.dimension - k else 0
+
+
+def check_segre(config) -> None:
+    for side in (config.side, config.tilde_side):
+        base, r, n = side.base, side.rank, side.base.dimension
+        labels, segre = [b.label for b in base.basis], segre_classes(side)
+        for z in labels:
+            for k in range(n + 1):
+                assert sigma(side, k, z) == ref_integral(side, segre, z, base.unit_label, r - 1 + k), (side.name, z, k)
+        # every product x*y, of the right degree for s or not, and every s from below r - 1 to past the top
+        for i, x in enumerate(labels):
+            for y in labels[i:]:
+                for s in range(r - 2, r + n + 1):
+                    assert _table_integral(side, x, y, s) == ref_integral(side, segre, x, y, s), (side.name, x, y, s)
 
 
 def generator_order(gram, g) -> int:
@@ -61,7 +142,7 @@ def splits(side) -> bool:
     return roofcalc._splitting(side, middle_lattice(side).gram) is not None
 
 
-def check_config(config) -> list:
+def check_describe(config) -> list:
     """Each side's describe report and group against the public functions; returns whether each side splits."""
     q = RoofQuery(config)
     for side in (config.side, config.tilde_side):
@@ -79,26 +160,112 @@ def check_config(config) -> list:
     return [splits(side) for side in (config.side, config.tilde_side)]
 
 
-@pytest.mark.parametrize("path", DATA, ids=lambda p: p.stem)
-def test_committed_config(path):
-    assert all(check_config(load_config(path)))
+def _leibniz(m) -> int:
+    n = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2)) * prod(m[i][p[i]] for i in range(n))
+               for p in permutations(range(n)))
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-def test_query_config(config):
-    assert all(check_config(config))
+def det_pullback(lat) -> int:
+    """det S from the anti-diagonal blocks of S's Gram matrix, after checking that it is block anti-triangular."""
+    k = lat.side.rank - 2
+    blocks = [[i for i, (_, e) in enumerate(lat.monomials) if e == f] for f in range(k + 1)]
+    gram = lat.gram
+    for e in range(k):
+        for f in range(k - e):  # e + f < r - 2
+            assert not any(gram[i][j] for i in blocks[e] for j in blocks[f]), (e, f)
+    sizes = [len(b) for b in blocks]
+    assert sizes == sizes[::-1], sizes  # every anti-diagonal block is square
+    sign = (-1) ** sum(a * b for a, b in combinations(sizes, 2))  # reversing blocks of these sizes
+    return sign * prod(_leibniz([[gram[i][j] for j in blocks[k - e]] for i in blocks[e]]) for e in range(k + 1))
+
+
+def check_splitting(config) -> None:
+    # the engine reads its determinant and group off this splitting, so they are recomputed here on the whole matrix
+    q = RoofQuery(config)
+    for side in (config.side, config.tilde_side):
+        lat = q.lattice(side)
+        j = class_from_coordinates(lat, q.locus(side))
+        det_s, jj, det_g = det_pullback(lat), pairing_on_M(side, j, j), latticecore.det(lat.gram)
+        assert det_s != 0 and det_s * jj % det_g == 0, (side.name, det_s, jj, det_g)
+        square = det_s * jj // det_g  # the squared index of S + Zj in L
+        assert square > 0 and isqrt(square) ** 2 == square, (side.name, square)
+        if abs(det_s) == 1:
+            assert square == 1
+            assert latticecore.discriminant_group(lat.gram).factors == ((abs(jj),) if abs(jj) > 1 else ()), side.name
+
+
+# ---------------------------------------------------------------------------
+# each oracle over the corpus, and all of them on drawn roofs
+# ---------------------------------------------------------------------------
+
+on_corpus = pytest.mark.parametrize("config", CORPUS, ids=lambda c: c.name)
+
+
+@on_corpus
+def test_gram_oracle(config):
+    check_gram(config)
+
+
+@on_corpus
+def test_segre_oracle(config):
+    check_segre(config)
+
+
+@on_corpus
+def test_describe_oracle(config):
+    # every side splits but those of NON_UNIMODULAR, which fall back
+    assert check_describe(config) == [config is not NON_UNIMODULAR] * 2
+
+
+@on_corpus
+def test_splitting_oracle(config):
+    check_splitting(config)
+
+
+def test_every_committed_file_reaches_every_oracle():
+    # the corpus opens with the configs of the files under tests/data/, read here again, and each oracle runs on it
+    names = [json.loads(path.read_text())["name"] for path in sorted(DATA.glob("*.json"))]
+    assert names and [c.name for c in CORPUS[:len(names)]] == names
+    for test in (test_gram_oracle, test_segre_oracle, test_describe_oracle, test_splitting_oracle):
+        assert [m.args for m in test.pytestmark] == [("config", CORPUS)], test.__name__
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1), amp=st.integers(1, 4))
-def test_synthetic_roof(n, seed, amp):
-    assert all(check_config(
-        config_from_dict(synthetic_roof(n, roof_relation(random.Random(seed), n - 2, amp), "hyp"))))
+@given(data=SYNTHETIC_ROOFS)
+def test_oracles_on_a_synthetic_roof(data):
+    config = config_from_dict(data)
+    check_gram(config)
+    check_segre(config)
+    assert all(check_describe(config))
+    check_splitting(config)
 
+
+def test_fraction_relation():
+    # c_1 = L/2 on Q4: the entry of Pi1 and L*xi is int Pi1 * L * c_1 = 1/2, the first in row order, so the
+    # engine's Gram matrix raises the public path's IntegralityError; the Segre data is rational and equal to
+    # the recurrence
+    ring = make_quadric_ring(4)
+    coeffs = (GradedClass(ring, 1, {"L": Fraction(1, 2)}), GradedClass(ring, 2, {"Pi1": 1, "Pi2": 1}))
+    basis = (("Pi1", 0), ("Pi2", 0), ("L", 1))
+    side = RoofSide("half", ring, 2, coeffs, basis)
+    config = RoofConfig("half", side, RoofSide("half~", ring, 2, coeffs, basis), 2)
+    with pytest.raises(IntegralityError) as got:
+        RoofQuery(config).lattice(side)
+    with pytest.raises(IntegralityError) as expected:
+        middle_lattice(side)
+    assert str(expected.value) == "non-integral intersection number 1/2"
+    assert str(got.value) == f"stage 'middle lattice' failed: {expected.value}"
+    check_segre(_fresh(config))
+    assert sigma(side, 1, "Pi1*L") == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the splitting and its fallback
+# ---------------------------------------------------------------------------
 
 def test_non_unimodular_pullback_falls_back(count_calls):
     # the twins share the group; the locus class is read off G^-1 e_top, with no orthogonal kernel (it made 1)
-    assert check_config(NON_UNIMODULAR) == [False, False]
     counts = count_calls("latticecore.discriminant_group", "latticecore.orthogonal_kernel")
     report = cmd_describe(NON_UNIMODULAR)["sides"][0]
     assert counts == {"latticecore.discriminant_group": 1, "latticecore.orthogonal_kernel": 0}
@@ -172,7 +339,7 @@ def test_degree_mismatch_keeps_its_error():
 
 def test_at_cap_roof_decomposes_no_full_gram_matrix(monkeypatch):
     # Bareiss and the Smith form on the 23 x 23 Gram matrix took 0.8 s of describe's 0.86 s
-    config = load_config(pathlib.Path(__file__).parent / "data" / "q24_at_cap.json")
+    config = load_config(DATA / "q24_at_cap.json")
     n = len(config.side.middle_basis)
     assert n == 23
     rows = []
@@ -184,9 +351,10 @@ def test_at_cap_roof_decomposes_no_full_gram_matrix(monkeypatch):
     assert rows and max(rows) < n
 
 
-# ---------------------------------------------------------------------------
-# the fallback's locus class against the orthogonal kernel
-# ---------------------------------------------------------------------------
+def test_a_split_side_can_break_the_sign_law():
+    # S = <Pi1> on the tilde side is unimodular, so that side splits, and its locus class is refused
+    assert splits(config_from_dict(SPLIT_TILDE_TOY).tilde_side)
+
 
 def _partial_bases(count=24, seed=42):
     """Synthetic Q4-Q8 roofs whose twin sides keep a seeded part of their middle basis, with or without the
@@ -285,8 +453,7 @@ def test_rank_error_without_one_top_monomial(config, rank):
 def test_query_never_takes_the_public_locus_path(count_calls):
     # describe, lemma7 and mukai, run to their end or to their error, on every input of these tests
     counts = count_calls("roofcalc._locus_class", "latticecore.orthogonal_kernel", "roofcalc.pairing_on_M")
-    configs = [*map(load_config, DATA), *CONFIGS, NON_UNIMODULAR, two_top_monomials(),
-               *(c for _, c, _ in STAGE_CASES), *PARTIAL]
+    configs = [*CORPUS, two_top_monomials(), *(c for _, c, _ in STAGE_CASES), *PARTIAL]
     for config in configs:
         for command in (cmd_describe, cmd_lemma7, lambda c: cmd_mukai(c, 50)):
             try:

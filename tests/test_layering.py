@@ -182,6 +182,12 @@ def test_no_assert_statements():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
+def test_no_test_module_imports_another():
+    # the tests share their configs and builders through plain modules such as roofcorpus
+    for path in pathlib.Path(__file__).parent.glob("test_*.py"):
+        assert not any(m.startswith("test_") for m in _absolute_imports(path)), path.name
+
+
 def test_latticecore_is_a_leaf():
     path = pathlib.Path(roofpairs.__file__).with_name("latticecore.py")
     assert _package_imports(path) == {"errors"}

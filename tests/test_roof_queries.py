@@ -1,122 +1,21 @@
 """describe and lemma7 build each lattice and class once; their reports must equal
 reports assembled from the public roofcalc functions, which rebuild them per call."""
 
-import copy
 import json
 import pathlib
 import random
-from math import comb
 
 import pytest
 
 from roofpairs import latticecore, roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, cmd_mukai, main
-from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
+from roofpairs.configs import builtin_config, config_from_dict
 from roofpairs.errors import GradedRingError, LatticeError
-from roofpairs.gradedring import BasisElement, RingPresentation, make_quadric_ring
 
-
-# ---------------------------------------------------------------------------
-# synthetic roofs: identical sides on Q_n, rank n-2, c_i = a_i L^i
-# ---------------------------------------------------------------------------
-
-def _switch(b):
-    """Coefficients of f(xi - L, xi) for f = sum_i b_i L^i xi^(r-i)."""
-    out = [0] * len(b)
-    for i, bi in enumerate(b):
-        for k in range(i + 1):
-            out[k] += bi * comb(i, k) * (-1) ** k
-    return out
-
-
-def roof_relation(rng, r, amp):
-    """a_1..a_r with f(xi - L, xi) = (-1)^r f, f monic in xi and a_r > 0."""
-    while True:
-        g = [0] + [rng.randint(-amp, amp) for _ in range(r)]
-        s = sum(g)
-        if r % 2 == 0:
-            if s % 2 == 0:
-                continue
-            g[0] = (1 - s) // 2
-        elif s != -1:
-            continue
-        f = [x + (-1) ** r * y for x, y in zip(g, _switch(g))]
-        a = [(-1) ** i * c for i, c in enumerate(f)]
-        if a[r] > 0:
-            return a[1:]
-
-
-def synthetic_roof(n, a, name):
-    """Config data with c_i = a_i L^i and every monomial of middle codimension as middle basis."""
-    ring, r = make_quadric_ring(n), n - 2
-    side = {
-        "groth": [[[lbl, a[i - 1] * c] for lbl, c in ring.l_power(i).coeffs.items()]
-                  for i in range(1, r + 1)],
-        "middle_basis": [[b.label, r - b.degree] for b in ring.basis if 0 <= r - b.degree < r],
-        "declared_locus_sign": 1,
-    }
-    return {"name": name, "rank": r, "base_dim": [n, n], "polarization_degree": 2 * a[-1],
-            "sides": [side, json.loads(json.dumps(side))]}
-
-
-def switched_relation_roof(n, a, name):
-    """``synthetic_roof`` with the tilde relation f(xi - L~, xi) of the side's f, made monic:
-    the two sides share base, rank and middle basis and differ only in the relation.
-    Needs sum_i (-1)^i a_i = (-1)^r (with a_0 = 1), so that both sides have degree 2 a_r."""
-    r = n - 2
-    b = [(-1) ** i * c for i, c in enumerate([1, *a])]
-    at = [(-1) ** (i + r) * c for i, c in enumerate(_switch(b))]
-    assert at[0] == 1 and at[r] == a[-1] and at[1:] != list(a)
-    data = synthetic_roof(n, a, name)
-    data["sides"][1] = synthetic_roof(n, at[1:], name)["sides"][0]
-    return data
-
-
-def _synthetic_configs():
-    """Three distinct roofs on each base Q4..Q10; a repeated draw widens the range."""
-    rng, seen, out = random.Random(17), set(), []
-    for n in range(4, 11):
-        for _ in range(3):
-            amp = 2
-            while (n, tuple(a := roof_relation(rng, n - 2, amp))) in seen:
-                amp += 1
-            seen.add((n, tuple(a)))
-            out.append(synthetic_roof(n, a, f"syn-q{n}-{len(seen)}"))
-    return out
-
-
-def _reordered_tilde(name, sign):
-    """A built-in with the tilde middle basis reversed and a tilde locus sign of ``sign``:
-    the two sides then have different coordinates and declared conventions."""
-    data = copy.deepcopy(BUILTIN_CONFIGS[name])
-    tilde = data["sides"][1]
-    tilde["middle_basis"].reverse()
-    tilde["declared_locus_sign"] = sign
-    data["name"] = f"{name}-reordered"
-    return config_from_dict(data)
-
-
-def non_unimodular_roof() -> roofcalc.RoofConfig:
-    """A rank-2 roof over a fourfold with one class in each degree, H^2 = A, H*A = 2 H3, A^2 = 2 pt and
-    H*H3 = pt.  S is spanned by A, with A.A = 2, so det S = 2: the Gram matrix [[2, 2], [2, 0]] has the
-    discriminant group Z/2 x Z/2, not the Z/|j.j| = Z/2 of the closed form.  The relation
-    f = xi^2 - H*xi + H^2 satisfies f(xi - H, xi) = f, so lemma7 can switch sides."""
-    labels = (("1", 0), ("H", 1), ("A", 2), ("H3", 3), ("pt", 4))
-    ring = RingPresentation("X4", 4, tuple(BasisElement(*b) for b in labels), "pt",
-                            {("H", "H"): {"A": 1}, ("H", "A"): {"H3": 2}, ("A", "A"): {"pt": 2},
-                             ("H", "H3"): {"pt": 1}}, hyperplane_form={"H": 1})
-    coeffs, basis = (ring.l_power(1), ring.l_power(2)), (("A", 0), ("H", 1))
-    return roofcalc.RoofConfig("non-unimodular", roofcalc.RoofSide("side", ring, 2, coeffs, basis),
-                               roofcalc.RoofSide("side~", ring, 2, coeffs, basis), 2)
-
-
-SYNTHETIC = _synthetic_configs()
-# a seeded search found this pair: f = xi^3 - 3L xi^2 + 2L^2 xi - L^3 and f(xi - L~, xi) on Q5
-SWITCHED_RELATION = config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation"))
-CONFIGS = ([builtin_config("g2dagger"), builtin_config("d4")]
-           + [_reordered_tilde("g2dagger", -1), _reordered_tilde("d4", 1), SWITCHED_RELATION]
-           + [config_from_dict(d) for d in SYNTHETIC])
-NON_UNIMODULAR = non_unimodular_roof()
+from roofcorpus import (
+    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, STAGE_CASES, SWITCHED_RELATION, SYNTHETIC, _d4_without_pi2, _fresh,
+    SPLIT_TILDE_TOY, _q6_partial_tilde, _toy_data, roof_relation, synthetic_roof,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -225,59 +124,6 @@ def test_q16_snapshot_roof_is_built_from_its_seed():
 # a config failing in each stage keeps its stage label and message
 # ---------------------------------------------------------------------------
 
-TOY_SIDE = {"groth": [[["L", 1]], [["Pi1", 1], ["Pi2", 1]]],
-            "middle_basis": [["Pi1", 0], ["Pi2", 0], ["L", 1]]}
-
-
-def _toy(side=None, tilde=None):
-    return config_from_dict({"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
-                             "sides": [dict(TOY_SIDE, **(side or {})), dict(TOY_SIDE, **(tilde or {}))]})
-
-
-def _q6_partial_tilde():
-    """A synthetic Q6 roof whose tilde middle basis lacks L^2*xi^2 and Pi1*L: describe reports both sides,
-    whose locus classes keep the sign law, but the switched locus class has an L^2*xi^2 term (a seeded
-    search found it)."""
-    data = synthetic_roof(6, [0, 2, 4, 2], "q6-partial-tilde")
-    data["sides"][1]["middle_basis"] = [["L", 3], ["Pi1", 1], ["Pi2", 1]]
-    return data
-
-
-def _d4_without_pi2():
-    """d4 with Pi2 removed from both middle bases.  S's centre block is Pi1.Pi1 = 0 on Q6, so S is degenerate;
-    the generator of S^perp, -Pi1*xi + 6*Pi1*L, lies in S itself, and its self-pairing is 0, where the sign
-    law of a locus class needs (-1)^(r-1) d = -12."""
-    data = copy.deepcopy(BUILTIN_CONFIGS["d4"])
-    for side in data["sides"]:
-        side["middle_basis"] = [m for m in side["middle_basis"] if m[0] != "Pi2"]
-    return data
-
-
-STAGE_CASES = [
-    # a repeated monomial makes the side's Gram matrix singular
-    ("middle lattice", _toy(side={"middle_basis": [["Pi1", 0], ["Pi1", 0], ["L", 1]]}),
-     lambda cfg: roofcalc.middle_lattice(cfg.side)),
-    # an xi exponent beyond rank - 1 on the tilde side
-    ("middle lattice", _toy(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0], ["L", 2]]}),
-     lambda cfg: roofcalc.middle_lattice(cfg.tilde_side)),
-    # no top xi-monomial: the pullback complement is not rank one
-    ("locus class", _toy(side={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
-     lambda cfg: roofcalc.locus_pushforward_class(cfg.side)),
-    ("locus class", _toy(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
-     lambda cfg: roofcalc.locus_pushforward_class(cfg.tilde_side)),
-    # S = <Pi1> is unimodular, so the tilde side splits, but +-j = -L*xi + Pi1 has self-pairing -1, not -2
-    ("locus class", _toy(tilde={"middle_basis": [["Pi1", 0], ["L", 1]]}),
-     lambda cfg: roofcalc.locus_pushforward_class(cfg.tilde_side)),
-    # S is degenerate, so the side falls back, and S^perp's generator has self-pairing 0, not -12
-    ("locus class", config_from_dict(_d4_without_pi2()), lambda cfg: roofcalc.locus_pushforward_class(cfg.side)),
-    # the tilde relation does not match the side's under L -> xi - L~
-    ("side switch", _toy(tilde={"groth": [[["L", 3]], [["Pi1", 1], ["Pi2", 1]]]}),
-     lambda cfg: roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))),
-    # the switched class has an L^2*xi^2 term the tilde middle basis lacks
-    ("residue scan", config_from_dict(_q6_partial_tilde()), roofcalc.residue_scan),
-]
-
-
 @pytest.mark.parametrize("stage, cfg, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
 def test_lemma7_failure_keeps_stage_label(stage, cfg, public):
     with pytest.raises(roofcalc.RoofError) as expected:
@@ -299,38 +145,37 @@ def test_describe_failure_matches_public_functions(stage, cfg, public):
         assert cmd_describe(cfg) == expected
 
 
-def test_stage_label_reaches_stderr(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(_q6_partial_tilde()))
-    assert main(["describe", "--config", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["lemma7", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: RoofError: stage 'residue scan' failed: "
-                            "class is not supported on the declared middle basis\n")
+# a config file that fails in a stage: the one line on stderr names the stage and the file
+STDERR_CASES = [
+    ("lemma7", _q6_partial_tilde(),
+     "RoofError: stage 'residue scan' failed: class is not supported on the declared middle basis"),
+    ("describe", _toy_data(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
+     "UnexpectedRankError: stage 'locus class' failed: orthogonal complement of the pullback sublattice has rank 0, "
+     "expected 1"),
+    ("describe", _d4_without_pi2(), "UnexpectedRankError: stage 'locus class' failed: locus class -Pi1*xi + 6*Pi1*L "
+     "has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12"),
+    # the tilde side splits, and +-j = -L*xi + Pi1 has self-pairing -1, where the law needs (-1)^(r-1) d = -2
+    *((command, SPLIT_TILDE_TOY, "UnexpectedRankError: stage 'locus class' failed: locus class -L*xi + Pi1 has "
+       "self-pairing -1, but the sign law needs (-1)^(r-1) d = -2") for command in ("describe", "lemma7")),
+]
 
 
-def test_describe_stage_label_reaches_stderr(tmp_path, capsys):
-    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
-            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["Pi2", 0]])]}
+@pytest.mark.parametrize("command, data, error", STDERR_CASES, ids=[
+    "residue-scan", "no-top-monomial", "fallback-sign-law", "split-sign-law-describe", "split-sign-law-lemma7"])
+def test_stage_and_input_reach_stderr(command, data, error, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
-    assert main(["describe", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: "
-                            "orthogonal complement of the pullback sublattice has rank 0, expected 1\n")
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error} (config {path})\n")
 
 
-def test_describe_refuses_a_locus_class_that_breaks_the_sign_law(tmp_path, capsys):
-    path = tmp_path / "d4-no-pi2.json"
-    path.write_text(json.dumps(_d4_without_pi2()))
-    assert main(["describe", "--config", str(path)]) == 1
+def test_describe_reports_the_roof_whose_residue_scan_fails(tmp_path, capsys):
+    # both sides of the Q6 partial-tilde roof keep the sign law; only lemma7's switched class leaves the basis
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(_q6_partial_tilde()))
+    assert main(["describe", "--config", str(path)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: locus class -Pi1*xi + 6*Pi1*L "
-                            "has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12\n")
+    assert captured.out and captured.err == ""
 
 
 def test_public_locus_functions_refuse_a_class_that_breaks_the_sign_law():
@@ -342,23 +187,6 @@ def test_public_locus_functions_refuse_a_class_that_breaks_the_sign_law():
             public(cfg.side)
         assert str(got.value) == ("locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, "
                                   "but the sign law needs (-1)^(r-1) d = -12")
-
-
-@pytest.mark.parametrize("command", ["describe", "lemma7"])
-def test_split_locus_class_keeps_the_sign_law(command, tmp_path, capsys):
-    # S = <Pi1> on the tilde side is unimodular, so that side splits; +-j = -L*xi + Pi1 has self-pairing -1,
-    # where the law needs (-1)^(r-1) d = -2
-    data = {"name": "toy-broken", "rank": 2, "base_dim": [4, 4], "polarization_degree": 2,
-            "sides": [TOY_SIDE, dict(TOY_SIDE, middle_basis=[["Pi1", 0], ["L", 1]])]}
-    cfg = config_from_dict(data)
-    assert roofcalc._splitting(cfg.tilde_side, roofcalc.middle_lattice(cfg.tilde_side).gram) is not None
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
-    assert main([command, "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: UnexpectedRankError: stage 'locus class' failed: locus class -L*xi + Pi1 "
-                            "has self-pairing -1, but the sign law needs (-1)^(r-1) d = -2\n")
 
 
 def test_error_outside_a_stage_keeps_its_message(g2):
@@ -443,8 +271,8 @@ def test_twins_share_pieces_only_through_the_query(name):
 
 
 @pytest.mark.parametrize("cfg, same_relation", [
-    (load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json"), True),
-    (config_from_dict(switched_relation_roof(5, [3, 2, 1], "q5-switched-relation")), False),
+    (_fresh(DATA_CONFIGS["g2dagger_tilde_reversed"]), True),
+    (_fresh(SWITCHED_RELATION), False),
 ], ids=["tilde-reversed", "switched-relation"])
 def test_sides_that_are_not_twins_compute_their_own_segre_data(cfg, same_relation):
     # one base and rank, and either another middle basis or another relation: each side builds its own
@@ -477,8 +305,7 @@ def _pieces(cfg, order):
     return out, [which for which in (0, 1) if sides[which]._sigma]
 
 
-TILDE_FIRST = [builtin_config("g2dagger"), builtin_config("d4"), NON_UNIMODULAR, CONFIGS[-1],
-               load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json"),
+TILDE_FIRST = [*CONFIGS[:2], NON_UNIMODULAR, CONFIGS[-1], DATA_CONFIGS["g2dagger_tilde_reversed"],
                *(c for _, c, _ in STAGE_CASES)]
 
 
@@ -492,16 +319,6 @@ def test_tilde_side_first_gives_the_same_pieces(cfg):
     assert side_first == tilde_first
     if cfg.side._key()[1:] == cfg.tilde_side._key()[1:] and not any(isinstance(v, str) for v in side_first.values()):
         assert (built, built_tilde_first) == ([0], [1])
-
-
-def _fresh(config):
-    """``config`` rebuilt from its sides' data, with fresh xi-power tables and empty Segre data."""
-    sides = [roofcalc.RoofSide(s.name, s.base, s.rank, s.groth_coeffs, s.middle_basis)
-             for s in (config.side, config.tilde_side)]
-    return roofcalc.RoofConfig(config.name, *sides, config.polarization_degree, config.declared_locus_signs)
-
-
-DATA_CONFIGS = [load_config(p) for p in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))]
 
 
 @pytest.fixture
@@ -529,7 +346,7 @@ def record_reductions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS + [NON_UNIMODULAR], ids=lambda c: c.name)
+@pytest.mark.parametrize("cfg", CORPUS, ids=lambda c: c.name)
 def test_describe_reads_no_normal_form(cfg, record_reductions):
     # every Gram entry and the locus sign are read off the Segre data, and each middle monomial, below xi^r,
     # is its own normal form, so describe reduces nothing, on NON_UNIMODULAR's fallback too.  Building each
@@ -539,7 +356,7 @@ def test_describe_reads_no_normal_form(cfg, record_reductions):
     assert record_reductions == []
 
 
-@pytest.mark.parametrize("cfg", DATA_CONFIGS + CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("cfg", [*DATA_CONFIGS.values(), *CONFIGS], ids=lambda c: c.name)
 def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
     # lemma7's lattices and locus classes reduce nothing; its side switch lifts the locus class to (L, xi)
     # and substitutes there, so every reduction runs inside the switch, and every label it folds past xi^r
@@ -557,8 +374,7 @@ def test_lemma7_reduces_only_in_its_side_switch(cfg, record_reductions):
     assert folded and all(labels <= support for labels in folded)
 
 
-@pytest.mark.parametrize("cfg", [builtin_config("g2dagger"),
-                                 load_config(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")],
+@pytest.mark.parametrize("cfg", [CONFIGS[0], DATA_CONFIGS["g2dagger_tilde_reversed"]],
                          ids=["g2dagger", "tilde-reversed"])
 def test_mukai_reduces_only_in_its_side_switch(cfg, record_reductions):
     # mukai switches theta(v) to the tilde side; its lattices and locus coordinates, and the classes it prints,

@@ -1,5 +1,4 @@
 import copy
-import pathlib
 import re
 from fractions import Fraction
 from itertools import product
@@ -43,7 +42,7 @@ from roofpairs.roofcalc import (
     xi_power,
 )
 from golden_grams import D4_GRAM, G2_GRAM
-from test_roof_queries import SYNTHETIC, _reordered_tilde
+from roofcorpus import DATA_CONFIGS, SYNTHETIC, _reordered_tilde
 
 
 class TestSideConstruction:
@@ -582,11 +581,8 @@ def test_huge_xi_power_is_zero_at_once():
 # integer fold kernel: oracle against the object-level loops it replaced
 # ---------------------------------------------------------------------------
 
-KERNEL_SIDES = (
-    [builtin_config(name).side for name in ("g2dagger", "d4")]
-    + [load_config(str(pathlib.Path(__file__).parent / "data" / "toy_symmetric.json")).side]
-    + [config_from_dict(d).side for d in SYNTHETIC]
-)
+KERNEL_SIDES = ([builtin_config(name).side for name in ("g2dagger", "d4")] + [DATA_CONFIGS["toy_symmetric"].side]
+                + [config_from_dict(d).side for d in SYNTHETIC])
 KERNEL_LATTICES = {}
 
 
@@ -778,6 +774,17 @@ class TestBundleClassChecks:
     def test_inexact_scalar_rejected(self, g2, bad):
         with pytest.raises(GradedRingError):
             xi_power(g2.side, 1).scale(bad)
+
+    @pytest.mark.parametrize("coords, message", [
+        ([1], "expected 3 coordinates, one per declared middle monomial, got 1"),
+        ([1, 2, 3, 4, 5], "expected 3 coordinates, one per declared middle monomial, got 5"),
+        ({0: 1}, "coordinates: expected a list or tuple, got dict"),
+        (iter([1, 0, 0]), "coordinates: expected a list or tuple, got list_iterator"),
+    ])
+    def test_one_coordinate_per_middle_monomial(self, g2, coords, message):
+        with pytest.raises(RoofError) as info:
+            class_from_coordinates(middle_lattice(g2.side), coords)
+        assert str(info.value) == message
 
     def test_zero_classes_of_different_degrees_differ(self, g2):
         zero1, zero2 = xi_power(g2.side, 1).scale(0), xi_power(g2.side, 2).scale(0)
