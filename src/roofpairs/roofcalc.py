@@ -173,13 +173,16 @@ class RoofSide:
         return d // 2
 
     def relation_string(self) -> str:
-        terms = [f"xi^{self.rank}"]
+        """sum_i (-1)^i c_i * xi^(r-i) = 0; a zero c_i is left out, and one of several terms is parenthesised."""
+        terms = [(1, f"xi^{self.rank}")]
         for i, c in enumerate(self.groth_coeffs, start=1):
-            e = self.rank - i
-            xi = "" if e == 0 else ("*xi" if e == 1 else f"*xi^{e}")
-            body = f"({c})" if len(c.coeffs) > 1 else str(c)
-            terms.append(("- " if i % 2 == 1 else "+ ") + body + xi)
-        return " ".join(terms) + " = 0"
+            if len(c.coeffs) == 1:
+                ((label, m),) = c.coeffs.items()
+                terms.append(((-1) ** i * m, monomial_name(self, label, self.rank - i)))
+            elif c.coeffs:
+                xi = monomial_name(self, self.base.unit_label, self.rank - i)
+                terms.append(((-1) ** i, "*".join(p for p in (f"({c})", xi) if p)))
+        return signed_sum(terms) + " = 0"
 
 
 class BundleClass:
@@ -861,6 +864,8 @@ def residue_scan(config: RoofConfig) -> ResidueScan:
 def _scan_coordinates(config: RoofConfig, j: tuple[int, ...], jt: tuple[int, ...]) -> ResidueScan:
     """The residue scan of ``config`` on given coordinates of j and j~ in the tilde lattice."""
     d = config.polarization_degree
+    if d < 1:
+        raise InvalidRoofError(f"the residue scan needs a polarization degree of at least 1, got {d}")
     residue_set, witnesses = _divisibility_scan(j, jt, d)
     orbit = sorted({k % d for k in residue_set} | {(-k) % d for k in residue_set})
     obstructed = not ({1 % d, (-1) % d} & set(orbit))

@@ -174,11 +174,11 @@ MUTANTS = (
     _m("twin-key-drops-middle-basis", "roofcalc", "tilde._key()[1:] == side._key()[1:]",
        "tilde._key()[1:4] == side._key()[1:4]", "test_roof_queries.py", GOLDEN),
     _m("lattice-built-on-the-first-side", "roofcalc", "return _nondegenerate(side, gram, det)",
-       "return _nondegenerate(self.config.side, gram, det)", ROOF, "test_roof_queries.py"),
+       "return _nondegenerate(self.config.side, gram, det)", "test_roof_queries.py"),
     _m("lattice-checked-on-the-first-side", "roofcalc",
        "_check_middle_basis(side)\n            gram, det, _ = self._gram(side)",
        "_check_middle_basis(self.config.side)\n            gram, det, _ = self._gram(side)",
-       "test_roof_queries.py::test_describe_failure_matches_public_functions"),
+       f"{ORACLES}::test_describe_failure_matches_public_functions"),
     # roofcalc: a lattice's class written down from its coordinates, each on its own monomial
     _m("coordinate-on-the-wrong-xi-power", "roofcalc", "parts[e][label] = parts[e].get(label, 0) + _exact(c)",
        "parts[-1 - e][label] = parts[-1 - e].get(label, 0) + _exact(c)", f"{ORACLES}::test_gram_oracle"),
@@ -188,9 +188,13 @@ MUTANTS = (
     _m("coordinate-count-unchecked", "roofcalc",
        'if len(_typed(coords, (list, tuple), "coordinates", RoofError)) != lat.rank:', "if False:",
        f"{ROOF}::TestBundleClassChecks::test_one_coordinate_per_middle_monomial"),
+    _m("bundle-mul-drops-the-first-part", "roofcalc", "ps = [(i, p) for i, p in enumerate(self._flat) if p]",
+       "ps = [(i, p) for i, p in enumerate(self._flat) if p and i]",
+       f"{ROOF}::test_fold_kernel_matches_its_definitions"),
     _m("config-builds-a-ring-per-side", "configs", "for d in dict.fromkeys(base_dims)}", "for d in base_dims}", ROOF),
     _m("switched-locus-built-on-the-tilde-lattice", "roofcalc", "switch_side(cfg, class_from_coordinates(lat, locus))",
-       "switch_side(cfg, class_from_coordinates(lat_t, locus))", ROOF, "test_roof_queries.py"),
+       "switch_side(cfg, class_from_coordinates(lat_t, locus))", f"{ORACLES}::test_lemma7_oracle",
+       "test_roof_queries.py"),
     _m("twin-pieces-not-shared", "roofcalc", 'id(tilde): "side" if', 'id(tilde): "tilde side" if',
        "test_roof_queries.py"),
     _m("group-built-before-the-locus", "cli",
@@ -263,6 +267,8 @@ MUTANTS = (
     _m("quadric-l-low-coefficient-one", "gradedring", '{"Pi": 2} if odd', '{"Pi": 1} if odd', GRADED),
     _m("quadric-pi2-not-folded", "gradedring", '        if g == "Pi2" and k:\n            g = "Pi1"\n', "", GRADED),
     # roofcalc
+    _m("relation-coefficient-sign-ignored", "roofcalc", "((-1) ** i * m, monomial_name",
+       "((-1) ** i * abs(m), monomial_name", f"{ROOF}::TestSideConstruction::test_relation_prints_each_sign_once"),
     _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
@@ -315,7 +321,8 @@ MUTANTS = (
        "            return k if j else _lawful(lat, k, self.config.polarization_degree)\n", "test_roof_queries.py"),
     _m("public-locus-law-unchecked", "roofcalc",
        "class_from_coordinates(lat, _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side)))",
-       "class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])", "test_roof_queries.py"),
+       "class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])",
+       f"{ROOF}::TestLocusClass::test_a_class_that_breaks_the_sign_law_is_refused"),
     _m("closed-form-rank-counts-the-pullback", "roofcalc", "has rank {len(top)}, expected 1",
        "has rank {lat.rank - len(top)}, expected 1", f"{ORACLES}::test_rank_error_without_one_top_monomial"),
     _m("closed-form-scaled-by-the-determinant", "roofcalc", "m = lcm(*(x.denominator for x in v))",
@@ -323,6 +330,8 @@ MUTANTS = (
     _m("pairing-reads-first-part", "roofcalc", "xi_power(side, 1))._flat[-1]", "xi_power(side, 1))._flat[0]",
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),
+    _m("residue-scan-degree-unchecked", "roofcalc", "    if d < 1:\n", "    if False:\n",
+       "test_roofcalc.py::TestResidueScan::test_zero_degree_is_refused"),
     _m("residue-crt-no-compatibility-test", "roofcalc", "        if (r - k0) % h:\n            return None\n", "",
        ROOF),
     _m("locus-sign-not-normalised", "roofcalc", "kernel[0] if p > 0 else [-x for x in kernel[0]]", "kernel[0]", ROOF),

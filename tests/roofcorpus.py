@@ -184,6 +184,16 @@ def _d4_without_pi2():
     return data
 
 
+def _zero_degree():
+    """``_d4_without_pi2`` with c_1 = c_4 = 0, c_2 = -4 L^2 and c_3 = -2 Pi1 on both sides: its zero-locus degree is
+    0, so the config loads and describe reports it, but the residue scan has no residues mod 0 to take."""
+    data = _d4_without_pi2()
+    data["name"], data["polarization_degree"] = "d4-zero-degree", 0
+    for side in data["sides"]:
+        side["groth"] = [[], [["L^2", -4]], [["Pi1", -2]], []]
+    return data
+
+
 STAGE_CASES = [(stage, config_from_dict(data), public) for stage, data, public in [
     # a repeated monomial makes the side's Gram matrix singular
     ("middle lattice", _toy_data(side={"middle_basis": [["Pi1", 0], ["Pi1", 0], ["L", 1]]}),
@@ -204,4 +214,6 @@ STAGE_CASES = [(stage, config_from_dict(data), public) for stage, data, public i
      lambda cfg: roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))),
     # the switched class has an L^2*xi^2 term the tilde middle basis lacks
     ("residue scan", _q6_partial_tilde(), roofcalc.residue_scan),
+    # a zero polarization degree
+    ("residue scan", _zero_degree(), roofcalc.residue_scan),
 ]]

@@ -43,6 +43,9 @@ def test_criterion_01_relation_derivation():
     side = roofcalc.RoofSide("side", q5, twisted.rank, twisted.components)
     assert side.groth_coeffs == twisted.components
     assert side.relation_string() == "xi^3 - 5*L*xi^2 + 9*L^2*xi - 12*Pi = 0"
+    # the built-in g2dagger side carries this relation
+    assert [c.coeffs for c in G2.side.groth_coeffs] == [c.coeffs for c in twisted.components]
+    assert D4.side.relation_string() == "xi^4 - 6*L*xi^3 + 14*L^2*xi^2 - (14*Pi1 + 16*Pi2)*xi + 12*Pi1*L = 0"
     report(1, "twist (2,2,2) -> (5,9,12) and the degree-3 relation, coefficient for coefficient")
 
 
@@ -51,7 +54,7 @@ def test_criterion_02_intersection_tables():
     lat4 = roofcalc.middle_lattice(D4.side)
     assert lat2.gram == G2_GRAM
     assert lat4.gram == D4_GRAM
-    assert lat2.determinant == -12
+    assert lat2.determinant == lat4.determinant == -12
     snf = latticecore.smith_normal_form([list(r) for r in lat2.gram])
     assert snf.invariant_factors == (1, 1, 12)
     assert str(latticecore.discriminant_group([list(r) for r in lat2.gram])) == "Z/12"
@@ -61,6 +64,7 @@ def test_criterion_02_intersection_tables():
 
 def test_criterion_03_pushforward_classes():
     assert roofcalc.locus_coordinates(G2.side) == (18, -5, 1)
+    assert str(roofcalc.locus_pushforward_class(G2.side)) == "L*xi^2 - 5*L^2*xi + 18*Pi"
     v4 = roofcalc.locus_coordinates(D4.side)
     declared = (-30, 14, 14, -6, 1)
     assert v4 == tuple(-x for x in declared)  # sign discrepancy, logged in the config
@@ -81,26 +85,32 @@ def test_criterion_04_polarized_sign_law():
     assert roofcalc.polarized_sign_check(G2.side) == 12
     assert roofcalc.polarized_sign_check(D4.side) == -12
     for cfg in (G2, D4):
-        assert roofcalc.polarized_sign_check(cfg.side) == (-1) ** (cfg.rank - 1) * 12
-    report(4, "self-pairings +12 (rank 3) and -12 (rank 4) match the parity law")
+        for side in (cfg.side, cfg.tilde_side):
+            assert roofcalc.cy_degree(side) == 12
+            assert roofcalc.polarized_sign_check(side) == (-1) ** (cfg.rank - 1) * 12
+    report(4, "degree 12 on every side; self-pairings +12 (rank 3) and -12 (rank 4) match the parity law")
 
 
 def test_criterion_05_side_switch():
     lat2t = roofcalc.middle_lattice(G2.tilde_side)
     j2 = roofcalc.switch_side(G2, roofcalc.locus_pushforward_class(G2.side))
     assert roofcalc.coordinates_in_lattice(lat2t, j2) == (42, -23, 7)
+    assert str(j2) == "7*L*xi^2 - 23*L^2*xi + 42*Pi"
+    plane = roofcalc.class_from_coordinates(roofcalc.middle_lattice(G2.side), (1, 0, 0))
+    assert roofcalc.coordinates_in_lattice(lat2t, roofcalc.switch_side(G2, plane)) == (5, -3, 1)
 
     lat4 = roofcalc.middle_lattice(D4.side)
     lat4t = roofcalc.middle_lattice(D4.tilde_side)
     declared = roofcalc.class_from_coordinates(lat4, (-30, 14, 14, -6, 1))
     j4 = roofcalc.switch_side(D4, declared)
     assert roofcalc.coordinates_in_lattice(lat4t, j4) == (42, -38, -50, 30, -7)
+    assert str(j4) == "-7*L*xi^3 + 30*L^2*xi^2 - 38*Pi1*xi - 50*Pi2*xi + 42*Pi1*L"
 
     for cfg in (G2, D4):
         for side in (cfg.side, cfg.tilde_side):
             for cls in (roofcalc.monomial(side, *m) for m in side.middle_basis):
                 assert roofcalc.switch_side(cfg, roofcalc.switch_side(cfg, cls)) == cls
-    report(5, "switch images on both roofs; double switch is the identity on all middle monomials")
+    report(5, "switch images on both roofs, Pi -> (5,-3,1); double switch is the identity on all middle monomials")
 
 
 def test_criterion_06_residue_scan():
@@ -108,6 +118,8 @@ def test_criterion_06_residue_scan():
     scan4 = roofcalc.residue_scan(D4)
     assert scan2.declared_witness == (7, (-7, 1, 0))            # L~^2 xi - 7 Pi~
     assert scan4.declared_witness == (-7, (-14, 5, 4, -1, 0))   # -L~^2 xi^2 + 5 Pi~1 xi + 4 Pi~2 xi - 14 Pi~1 L~
+    assert (scan2.residue_set, scan4.residue_set) == ((7,), (5,))
+    assert dict(scan2.witnesses)[7] == (-7, 1, 0)
     for scan in (scan2, scan4):
         assert scan.sign_orbit == (5, 7)
         assert not ({1, 11} & set(scan.sign_orbit))

@@ -20,22 +20,30 @@ computes them another way and must agree:
   with e <= r - 2) is unimodular: det L = det S * j.j, the group is Z/|j.j|
   and the locus class is +-j.  Otherwise it runs ``det`` and
   ``discriminant_group`` on the Gram matrix, and its locus class is
-  G^-1 e_top made primitive.  Either way the report must equal
-  ``middle_lattice``, ``discriminant_group``, ``locus_pushforward_class`` and
-  ``pairing_on_M``, and each group generator must have the order of its factor;
+  G^-1 e_top made primitive.  Either way the report must equal one built from
+  ``middle_lattice``, ``smith_normal_form``, ``discriminant_group``,
+  ``locus_pushforward_class`` and ``pairing_on_M``, and each group generator
+  must have the order of its factor;
 - the splitting identity: ordered by e, S's Gram matrix is block
   anti-triangular, so det S is the signed product of its anti-diagonal
   blocks, expanded by Leibniz; j spans S^perp, so S + Zj has index k in L
   and det S * (j.j) = det G * k^2, with det G and the group by Bareiss and
   the Smith form on the whole matrix, up to the 23 x 23 one of the Q24 roof.
 
-The public orthogonal kernel is the reference for the fallback's locus
-class, on ``NON_UNIMODULAR`` and on the ``PARTIAL`` bases.
+- ``lemma7``: the residue scan and report against ``residue_scan``,
+  ``switch_side`` and the public locus functions;
+- ``mukai``: the Mukai vector against ``mukai_vector``, or the same error.
+
+Where the public path raises, the query raises the same error, its text
+prefixed by the stage that failed (``check_stage_error``).  The public
+orthogonal kernel is the reference for the fallback's locus class, on
+``NON_UNIMODULAR`` and on the ``PARTIAL`` bases.
 """
 
 import json
 import pathlib
 import random
+import re
 import types
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -45,22 +53,22 @@ import pytest
 from hypothesis import given, settings
 
 from roofpairs import latticecore, roofcalc
-from roofpairs.cli import _side_report, cmd_describe, cmd_lemma7, cmd_mukai
+from roofpairs.cli import cmd_describe, cmd_lemma7, cmd_mukai
 from roofpairs.configs import config_from_dict, load_config
 from roofpairs.errors import GradedRingError, LatticeError
 from roofpairs.gradedring import (
     BasisElement, GradedClass, IntegralityError, RingPresentation, integrate, make_quadric_ring,
 )
-from roofpairs.latticecore import _solve_rational, discriminant_group, orthogonal_kernel
+from roofpairs.latticecore import _solve_rational, orthogonal_kernel
 from roofpairs.roofcalc import (
     DegenerateBasisError, DegreeMismatchError, RoofConfig, RoofError, RoofQuery, RoofSide, UnexpectedRankError,
-    _table_integral, class_from_coordinates, coordinates_in_lattice, locus_pushforward_class, middle_lattice,
-    monomial, pairing_on_M,
+    _table_integral, class_from_coordinates, coordinates_in_lattice, cy_degree, locus_pushforward_class,
+    middle_lattice, monomial, mukai_vector, pairing_on_M, residue_scan, switch_side,
 )
 
 from roofcorpus import (
-    CONFIGS, CORPUS, NON_UNIMODULAR, SPLIT_TILDE_TOY, STAGE_CASES, SYNTHETIC_ROOFS, _d4_without_pi2, _fresh,
-    roof_relation, synthetic_roof,
+    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, SPLIT_TILDE_TOY, STAGE_CASES, SYNTHETIC, SYNTHETIC_ROOFS,
+    _d4_without_pi2, _fresh, roof_relation, synthetic_roof,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -142,22 +150,105 @@ def splits(side) -> bool:
     return roofcalc._splitting(side, middle_lattice(side).gram) is not None
 
 
+def ref_side_report(side) -> dict:
+    """describe's report of one side, from the public functions, which rebuild each piece per call."""
+    lat = middle_lattice(side)
+    gram = [list(r) for r in lat.gram]
+    locus = locus_pushforward_class(side)
+    h, idx = side.base.hyperplane, side.base.fano_index
+    return {
+        "base": side.base.name,
+        "rank": side.rank,
+        "relation": side.relation_string(),
+        "relation_coefficients": [str(c) for c in side.groth_coeffs],
+        "mukai_index_condition": bool(h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
+        "middle_basis": [str(monomial(side, lbl, e)) for lbl, e in lat.monomials],
+        "gram": gram,
+        "gram_determinant": lat.determinant,
+        "smith_factors": list(latticecore.smith_normal_form(gram).invariant_factors),
+        "discriminant_group": str(latticecore.discriminant_group(gram)),
+        "zero_locus_degree": cy_degree(side),
+        "locus_class": str(locus),
+        "locus_coordinates": list(coordinates_in_lattice(lat, locus)),
+        "locus_self_pairing": pairing_on_M(side, locus, locus),
+    }
+
+
+def ref_describe(config) -> dict:
+    return {"command": "describe", "name": config.name, "rank": config.rank, "base_dimension": config.n,
+            "polarization_degree": config.polarization_degree,
+            "sides": [ref_side_report(config.side), ref_side_report(config.tilde_side)]}
+
+
 def check_describe(config) -> list:
-    """Each side's describe report and group against the public functions; returns whether each side splits."""
+    """describe's report against one built from the public functions, and each group generator against the order
+    of its factor; returns whether each side splits."""
+    assert cmd_describe(config) == ref_describe(config)
     q = RoofQuery(config)
-    for side in (config.side, config.tilde_side):
-        report, group = _side_report(q, side), q.group(side)
-        lat = middle_lattice(side)
-        locus = locus_pushforward_class(side)
-        expected = discriminant_group(lat.gram)
-        assert report["gram_determinant"] == lat.determinant, side.name
-        assert group.factors == expected.factors, side.name
-        assert report["discriminant_group"] == str(expected)
-        assert [generator_order(lat.gram, g) for g in group.generators] == list(group.factors), side.name
-        assert report["locus_class"] == str(locus), side.name
-        assert q.locus(side) == coordinates_in_lattice(lat, locus) == tuple(report["locus_coordinates"]), side.name
-        assert report["locus_self_pairing"] == pairing_on_M(side, locus, locus), side.name
-    return [splits(side) for side in (config.side, config.tilde_side)]
+    grams = [(side, q.lattice(side).gram) for side in (config.side, config.tilde_side)]
+    for side, gram in grams:
+        group = q.group(side)
+        assert [generator_order(gram, g) for g in group.generators] == list(group.factors), side.name
+    return [roofcalc._splitting(side, gram) is not None for side, gram in grams]
+
+
+def ref_lemma7(config, scan) -> dict:
+    """lemma7's report from the public functions, on the public ``scan`` of ``config``."""
+    lat_t = middle_lattice(config.tilde_side)
+    assert scan.jt_coords == roofcalc.locus_coordinates(config.tilde_side)
+    switched = switch_side(config, locus_pushforward_class(config.side))
+    assert switched == class_from_coordinates(lat_t, scan.j_coords)
+
+    def entry(k, coords):
+        return {"k": k, "coordinates": list(coords), "class": str(class_from_coordinates(lat_t, coords))}
+
+    declared = scan.declared_witness
+    return {
+        "command": "lemma7",
+        "name": config.name,
+        "polarization_degree": scan.degree,
+        "switched_locus": {"coordinates": list(scan.j_coords), "class": str(switched)},
+        "tilde_locus": {"coordinates": list(scan.jt_coords),
+                        "class": str(locus_pushforward_class(config.tilde_side))},
+        "residue_set": list(scan.residue_set),
+        "sign_orbit": list(scan.sign_orbit),
+        "iso_obstructed": scan.iso_obstructed,
+        "witnesses": [entry(k, w) for k, w in scan.witnesses],
+        "declared_form": {
+            "locus_signs": list(config.declared_locus_signs),
+            "residue_set": list(scan.declared_residue_set),
+            "witness": None if declared is None else entry(*declared),
+        },
+    }
+
+
+def check_lemma7(config) -> None:
+    """The query's residue scan and lemma7's report against ``residue_scan`` and the public functions."""
+    scan = residue_scan(config)
+    assert RoofQuery(config).residue_scan() == scan
+    assert cmd_lemma7(config) == ref_lemma7(config, scan)
+
+
+def check_stage_error(stage, engine, public) -> None:
+    """``public()`` raises, and ``engine()`` raises the same type, its text prefixed by ``stage`` (any stage for
+    None)."""
+    with pytest.raises((RoofError, GradedRingError, LatticeError)) as expected:
+        public()
+    with pytest.raises(type(expected.value)) as got:
+        engine()
+    assert type(got.value) is type(expected.value)
+    label = "[a-z ]+" if stage is None else re.escape(stage)
+    assert re.fullmatch(f"stage '{label}' failed: {re.escape(str(expected.value))}", str(got.value)), got.value
+
+
+def check_mukai(config) -> None:
+    """The query's Mukai vector against ``mukai_vector``, or the error of the public path."""
+    try:
+        expected = mukai_vector(config, 50)
+    except (RoofError, GradedRingError, LatticeError):
+        check_stage_error(None, lambda: RoofQuery(config).mukai(50), lambda: mukai_vector(config, 50))
+    else:
+        assert RoofQuery(config).mukai(50)[-1] == expected
 
 
 def _leibniz(m) -> int:
@@ -223,12 +314,39 @@ def test_splitting_oracle(config):
     check_splitting(config)
 
 
+@on_corpus
+def test_mukai_oracle(config):
+    check_mukai(config)
+
+
+# the public lemma7 report of the 23 x 23 Q24 roof takes seconds; the other oracles cover that file
+BELOW_CAP = [c for c in CORPUS if c is not DATA_CONFIGS["q24_at_cap"]]
+
+
+@pytest.mark.parametrize("config", BELOW_CAP, ids=lambda c: c.name)
+def test_lemma7_oracle(config):
+    check_lemma7(config)
+
+
 def test_every_committed_file_reaches_every_oracle():
     # the corpus opens with the configs of the files under tests/data/, read here again, and each oracle runs on it
     names = [json.loads(path.read_text())["name"] for path in sorted(DATA.glob("*.json"))]
     assert names and [c.name for c in CORPUS[:len(names)]] == names
-    for test in (test_gram_oracle, test_segre_oracle, test_describe_oracle, test_splitting_oracle):
+    for test in (test_gram_oracle, test_segre_oracle, test_describe_oracle, test_splitting_oracle, test_mukai_oracle):
         assert [m.args for m in test.pytestmark] == [("config", CORPUS)], test.__name__
+    assert [m.args for m in test_lemma7_oracle.pytestmark] == [("config", BELOW_CAP)]
+    assert [c.name for c in CORPUS if c not in BELOW_CAP] == ["q24-at-cap"]
+
+
+def test_synthetic_roofs_cover_every_base():
+    assert sorted({d["base_dim"][0] for d in SYNTHETIC}) == list(range(4, 11))
+    assert len({json.dumps(d["sides"][0]["groth"]) for d in SYNTHETIC}) == len(SYNTHETIC) == 21
+
+
+def test_q16_snapshot_roof_is_built_from_its_seed():
+    # the describe/lemma7 snapshots of data/q16_roof.json cover reductions through r = 14 powers
+    a = roof_relation(random.Random(17), 14, 2)
+    assert json.loads((DATA / "q16_roof.json").read_text()) == synthetic_roof(16, a, "q16-seed-17")
 
 
 @settings(max_examples=20, deadline=None)
@@ -239,6 +357,29 @@ def test_oracles_on_a_synthetic_roof(data):
     check_segre(config)
     assert all(check_describe(config))
     check_splitting(config)
+    check_lemma7(config)
+    check_mukai(config)
+
+
+# ---------------------------------------------------------------------------
+# a config failing in a stage: the query raises the public path's error, named by that stage
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stage, config, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+def test_lemma7_failure_keeps_stage_label(stage, config, public):
+    check_stage_error(stage, lambda: cmd_lemma7(config), lambda: public(config))
+
+
+@pytest.mark.parametrize("stage, config, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
+def test_describe_failure_matches_public_functions(stage, config, public):
+    # describe fails where its public report does, in the same stage; the configs that fail only from the
+    # side switch on give both reports
+    try:
+        expected = ref_describe(config)
+    except RoofError:
+        check_stage_error(stage, lambda: cmd_describe(config), lambda: ref_describe(config))
+    else:
+        assert cmd_describe(config) == expected
 
 
 def test_fraction_relation():
@@ -250,14 +391,28 @@ def test_fraction_relation():
     basis = (("Pi1", 0), ("Pi2", 0), ("L", 1))
     side = RoofSide("half", ring, 2, coeffs, basis)
     config = RoofConfig("half", side, RoofSide("half~", ring, 2, coeffs, basis), 2)
-    with pytest.raises(IntegralityError) as got:
-        RoofQuery(config).lattice(side)
-    with pytest.raises(IntegralityError) as expected:
+    with pytest.raises(IntegralityError, match="^non-integral intersection number 1/2$"):
         middle_lattice(side)
-    assert str(expected.value) == "non-integral intersection number 1/2"
-    assert str(got.value) == f"stage 'middle lattice' failed: {expected.value}"
+    check_stage_error("middle lattice", lambda: RoofQuery(config).lattice(side), lambda: middle_lattice(side))
     check_segre(_fresh(config))
     assert sigma(side, 1, "Pi1*L") == Fraction(1, 2)
+
+
+def test_a_zero_hyperplane_gives_one_locus_error_on_both_paths(g2):
+    # over a Q5 ring whose hyperplane class is zero, xi^(r-1) * L is the zero class of codimension r,
+    # so both the public path, which pairs it, and the engine, which reads it off the Segre classes,
+    # find that the locus class pairs to zero with it; reduce once gave that zero class degree 0,
+    # and the public path reported "codimensions 3 + 0 + 1 != dim X = 7"
+    q5 = g2.side.base
+    table = {(x, y): p for (x, y), p in q5._products.items() if q5.unit_label not in (x, y)}
+    flat = RingPresentation("Q5-flat", 5, q5.basis, q5.point_label, table, hyperplane_form={})
+    sides = [RoofSide(s.name, flat, s.rank, tuple(GradedClass(flat, c.degree, c.coeffs) for c in s.groth_coeffs),
+                      s.middle_basis) for s in (g2.side, g2.tilde_side)]
+    config = RoofConfig("flat", *sides, cy_degree(sides[0]))
+    with pytest.raises(UnexpectedRankError, match="^locus class pairs to zero with the normalization monomial$"):
+        locus_pushforward_class(config.side)
+    check_stage_error("locus class", lambda: RoofQuery(config).locus(config.side),
+                      lambda: locus_pushforward_class(config.side))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +483,10 @@ def test_degree_mismatch_keeps_its_error():
     config = config_from_dict({"name": "q6-rank-2", "rank": 2, "base_dim": [6, 6], "polarization_degree": 2,
                                "sides": [side, json.loads(json.dumps(side))]})
     assert splits(config.side)
-    with pytest.raises(DegreeMismatchError) as expected:
+    with pytest.raises(DegreeMismatchError, match=r"^codimensions 3 \+ 2 \+ 1 != dim X = 7$"):
         locus_pushforward_class(config.side)
-    assert str(expected.value) == "codimensions 3 + 2 + 1 != dim X = 7"
     for command in (cmd_describe, cmd_lemma7):
-        with pytest.raises(DegreeMismatchError) as got:
-            command(config)
-        assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
+        check_stage_error("locus class", lambda: command(config), lambda: locus_pushforward_class(config.side))
 
 
 def test_at_cap_roof_decomposes_no_full_gram_matrix(monkeypatch):
@@ -399,10 +551,8 @@ def test_fallback_locus_class_is_the_orthogonal_kernel(config):
         assert roofcalc._top_dual(lat) in (kernel[0], tuple(-x for x in kernel[0]))
     try:
         expected = locus_pushforward_class(config.side)
-    except UnexpectedRankError as exc:
-        with pytest.raises(UnexpectedRankError) as got:
-            q.locus(config.side)
-        assert str(got.value) == f"stage 'locus class' failed: {exc}"
+    except UnexpectedRankError:
+        check_stage_error("locus class", lambda: q.locus(config.side), lambda: locus_pushforward_class(config.side))
     else:
         assert len(kernel) == 1 and q.locus(config.side) == coordinates_in_lattice(lat, expected)
 
@@ -416,9 +566,8 @@ def test_describe_refused_at_the_locus_class_builds_no_group(config, count_calls
     with pytest.raises(UnexpectedRankError) as expected:
         locus_pushforward_class(config.side)
     counts = count_calls("latticecore.discriminant_group", "latticecore.smith_normal_form")
-    with pytest.raises(UnexpectedRankError) as got:
+    with pytest.raises(UnexpectedRankError, match=f"^stage 'locus class' failed: {re.escape(str(expected.value))}$"):
         cmd_describe(config)
-    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
     assert counts == dict.fromkeys(counts, 0)
 
 
@@ -442,12 +591,11 @@ NO_TOP = [c for c in PARTIAL if all(e != c.rank - 1 for _, e in c.side.middle_ba
                          ids=lambda c: getattr(c, "name", c))
 def test_rank_error_without_one_top_monomial(config, rank):
     # the toy of STAGE_CASES[2] and the partial bases in NO_TOP have no top monomial
-    with pytest.raises(UnexpectedRankError) as expected:
+    with pytest.raises(UnexpectedRankError, match=f"^orthogonal complement of the pullback sublattice has rank {rank}, "
+                                                  "expected 1$"):
         locus_pushforward_class(config.side)
-    assert str(expected.value) == f"orthogonal complement of the pullback sublattice has rank {rank}, expected 1"
-    with pytest.raises(UnexpectedRankError) as got:
-        RoofQuery(config).locus(config.side)
-    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
+    check_stage_error("locus class", lambda: RoofQuery(config).locus(config.side),
+                      lambda: locus_pushforward_class(config.side))
 
 
 def test_query_never_takes_the_public_locus_path(count_calls):

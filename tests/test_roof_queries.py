@@ -1,101 +1,21 @@
-"""describe and lemma7 build each lattice and class once; their reports must equal
-reports assembled from the public roofcalc functions, which rebuild them per call."""
+"""The query engine's own behaviour: the stage that names an error, the line that reaches stderr, each piece built
+once per distinct side, and the pieces that twin sides share.  ``test_engine_oracles.py`` holds the query's
+results equal to the public functions'."""
 
 import json
 import pathlib
-import random
 
 import pytest
 
-from roofpairs import latticecore, roofcalc
+from roofpairs import roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, cmd_mukai, main
-from roofpairs.configs import builtin_config, config_from_dict
+from roofpairs.configs import builtin_config
 from roofpairs.errors import GradedRingError, LatticeError
 
 from roofcorpus import (
-    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, STAGE_CASES, SWITCHED_RELATION, SYNTHETIC, _d4_without_pi2, _fresh,
-    SPLIT_TILDE_TOY, _q6_partial_tilde, _toy_data, roof_relation, synthetic_roof,
+    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, STAGE_CASES, SWITCHED_RELATION, _d4_without_pi2, _fresh,
+    SPLIT_TILDE_TOY, _q6_partial_tilde, _toy_data, _zero_degree,
 )
-
-
-# ---------------------------------------------------------------------------
-# reference reports from the public functions
-# ---------------------------------------------------------------------------
-
-def ref_side_report(side):
-    lat = roofcalc.middle_lattice(side)
-    gram = [list(r) for r in lat.gram]
-    locus = roofcalc.locus_pushforward_class(side)
-    h, idx = side.base.hyperplane, side.base.fano_index
-    return {
-        "base": side.base.name,
-        "rank": side.rank,
-        "relation": side.relation_string(),
-        "relation_coefficients": [str(c) for c in side.groth_coeffs],
-        "mukai_index_condition": bool(
-            h is not None and idx is not None and side.groth_coeffs[0] == h * idx),
-        "middle_basis": [str(roofcalc.monomial(side, lbl, e)) for lbl, e in lat.monomials],
-        "gram": gram,
-        "gram_determinant": lat.determinant,
-        "smith_factors": list(latticecore.smith_normal_form(gram).invariant_factors),
-        "discriminant_group": str(latticecore.discriminant_group(gram)),
-        "zero_locus_degree": roofcalc.cy_degree(side),
-        "locus_class": str(locus),
-        "locus_coordinates": list(roofcalc.locus_coordinates(side)),
-        "locus_self_pairing": roofcalc.pairing_on_M(side, locus, locus),
-    }
-
-
-def ref_describe(cfg):
-    return {
-        "command": "describe",
-        "name": cfg.name,
-        "rank": cfg.rank,
-        "base_dimension": cfg.n,
-        "polarization_degree": cfg.polarization_degree,
-        "sides": [ref_side_report(cfg.side), ref_side_report(cfg.tilde_side)],
-    }
-
-
-def ref_lemma7(cfg):
-    scan = roofcalc.residue_scan(cfg)
-    lat_t = roofcalc.middle_lattice(cfg.tilde_side)
-    assert scan.jt_coords == roofcalc.locus_coordinates(cfg.tilde_side)
-    switched = roofcalc.switch_side(cfg, roofcalc.locus_pushforward_class(cfg.side))
-    assert switched == roofcalc.class_from_coordinates(lat_t, scan.j_coords)
-
-    def entry(k, coords):
-        return {"k": k, "coordinates": list(coords),
-                "class": str(roofcalc.class_from_coordinates(lat_t, coords))}
-
-    declared = scan.declared_witness
-    return {
-        "command": "lemma7",
-        "name": cfg.name,
-        "polarization_degree": scan.degree,
-        "switched_locus": {"coordinates": list(scan.j_coords), "class": str(switched)},
-        "tilde_locus": {"coordinates": list(scan.jt_coords),
-                        "class": str(roofcalc.locus_pushforward_class(cfg.tilde_side))},
-        "residue_set": list(scan.residue_set),
-        "sign_orbit": list(scan.sign_orbit),
-        "iso_obstructed": scan.iso_obstructed,
-        "witnesses": [entry(k, w) for k, w in scan.witnesses],
-        "declared_form": {
-            "locus_signs": list(cfg.declared_locus_signs),
-            "residue_set": list(scan.declared_residue_set),
-            "witness": None if declared is None else entry(*declared),
-        },
-    }
-
-
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
-def test_describe_equals_public_functions(cfg):
-    assert cmd_describe(cfg) == ref_describe(cfg)
-
-
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
-def test_lemma7_equals_public_functions(cfg):
-    assert cmd_lemma7(cfg) == ref_lemma7(cfg)
 
 
 def test_sides_that_differ_only_in_the_relation_keep_their_own_lattices():
@@ -104,46 +24,12 @@ def test_sides_that_differ_only_in_the_relation_keep_their_own_lattices():
     assert side.base is tilde.base and side.middle_basis == tilde.middle_basis
     assert side.groth_coeffs != tilde.groth_coeffs
     grams = [s["gram"] for s in cmd_describe(cfg)["sides"]]
-    assert grams == [[list(r) for r in roofcalc.middle_lattice(s).gram] for s in (side, tilde)]
     assert grams[0] != grams[1]
-
-
-def test_synthetic_roofs_cover_every_base():
-    assert sorted({d["base_dim"][0] for d in SYNTHETIC}) == list(range(4, 11))
-    assert len({json.dumps(d["sides"][0]["groth"]) for d in SYNTHETIC}) == len(SYNTHETIC) == 21
-
-
-def test_q16_snapshot_roof_is_built_from_its_seed():
-    # the describe/lemma7 snapshots of data/q16_roof.json cover reductions through r = 14 powers
-    path = pathlib.Path(__file__).parent / "data" / "q16_roof.json"
-    a = roof_relation(random.Random(17), 14, 2)
-    assert json.loads(path.read_text()) == synthetic_roof(16, a, "q16-seed-17")
 
 
 # ---------------------------------------------------------------------------
 # a config failing in each stage keeps its stage label and message
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("stage, cfg, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
-def test_lemma7_failure_keeps_stage_label(stage, cfg, public):
-    with pytest.raises(roofcalc.RoofError) as expected:
-        public(cfg)
-    with pytest.raises(type(expected.value)) as got:
-        cmd_lemma7(cfg)
-    assert str(got.value) == f"stage '{stage}' failed: {expected.value}"
-
-
-@pytest.mark.parametrize("stage, cfg, public", STAGE_CASES, ids=[c[0] for c in STAGE_CASES])
-def test_describe_failure_matches_public_functions(stage, cfg, public):
-    try:
-        expected = ref_describe(cfg)
-    except roofcalc.RoofError as exc:
-        with pytest.raises(type(exc)) as got:
-            cmd_describe(cfg)
-        assert str(got.value) == f"stage '{stage}' failed: {exc}"
-    else:
-        assert cmd_describe(cfg) == expected
-
 
 # a config file that fails in a stage: the one line on stderr names the stage and the file
 STDERR_CASES = [
@@ -157,11 +43,14 @@ STDERR_CASES = [
     # the tilde side splits, and +-j = -L*xi + Pi1 has self-pairing -1, where the law needs (-1)^(r-1) d = -2
     *((command, SPLIT_TILDE_TOY, "UnexpectedRankError: stage 'locus class' failed: locus class -L*xi + Pi1 has "
        "self-pairing -1, but the sign law needs (-1)^(r-1) d = -2") for command in ("describe", "lemma7")),
+    ("lemma7", _zero_degree(), "InvalidRoofError: stage 'residue scan' failed: the residue scan needs a "
+     "polarization degree of at least 1, got 0"),
 ]
 
 
 @pytest.mark.parametrize("command, data, error", STDERR_CASES, ids=[
-    "residue-scan", "no-top-monomial", "fallback-sign-law", "split-sign-law-describe", "split-sign-law-lemma7"])
+    "residue-scan", "no-top-monomial", "fallback-sign-law", "split-sign-law-describe", "split-sign-law-lemma7",
+    "zero-degree"])
 def test_stage_and_input_reach_stderr(command, data, error, tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
@@ -169,24 +58,15 @@ def test_stage_and_input_reach_stderr(command, data, error, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {error} (config {path})\n")
 
 
-def test_describe_reports_the_roof_whose_residue_scan_fails(tmp_path, capsys):
-    # both sides of the Q6 partial-tilde roof keep the sign law; only lemma7's switched class leaves the basis
+@pytest.mark.parametrize("data", [_q6_partial_tilde(), _zero_degree()], ids=["partial-tilde", "zero-degree"])
+def test_describe_reports_the_roof_whose_residue_scan_fails(data, tmp_path, capsys):
+    # both sides of the Q6 partial-tilde roof keep the sign law, and only lemma7's switched class leaves the
+    # basis; the zero-degree roof has no residues mod 0 to scan
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps(_q6_partial_tilde()))
+    path.write_text(json.dumps(data))
     assert main(["describe", "--config", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
-
-
-def test_public_locus_functions_refuse_a_class_that_breaks_the_sign_law():
-    # the public path keeps the definitions (the orthogonal kernel, pairing_on_M) and holds its class to the
-    # same law as the query, with the same text
-    cfg = config_from_dict(_d4_without_pi2())
-    for public in (roofcalc.locus_pushforward_class, roofcalc.locus_coordinates, roofcalc.polarized_sign_check):
-        with pytest.raises(roofcalc.UnexpectedRankError) as got:
-            public(cfg.side)
-        assert str(got.value) == ("locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, "
-                                  "but the sign law needs (-1)^(r-1) d = -12")
 
 
 def test_error_outside_a_stage_keeps_its_message(g2):
@@ -208,20 +88,47 @@ def test_error_outside_a_stage_keeps_its_message(g2):
 
 def test_nested_failure_is_named_once_by_its_innermost_stage():
     # mukai builds both lattices inside its own stage; the failing lattice names itself, once
-    cfg = STAGE_CASES[1][1]
-    q = roofcalc.RoofQuery(cfg)
-    with pytest.raises(roofcalc.RoofError) as expected:
-        roofcalc.middle_lattice(cfg.tilde_side)
+    q = roofcalc.RoofQuery(STAGE_CASES[1][1])
     for _ in range(2):  # a failed query keeps no label: the second attempt reads the same
-        with pytest.raises(type(expected.value)) as got:
+        with pytest.raises(roofcalc.RoofError) as got:
             q.mukai(50)
-        assert str(got.value) == f"stage 'middle lattice' failed: {expected.value}"
+        assert str(got.value) == "stage 'middle lattice' failed: middle monomial xi exponent 2 outside [0, 1]"
         assert q.stage is None
 
 
 # ---------------------------------------------------------------------------
 # each query builds each piece once per distinct side
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg, grams", [(CONFIGS[0], 1), (CONFIGS[2], 2)], ids=["built-in", "tilde-reversed"])
+def test_scan_and_mukai_build_each_piece_once(cfg, grams, count_calls):
+    # the built-in's sides carry the same data, so the tilde side takes the side's Gram matrix; each side checks
+    # its own basis for its own lattice, and never through the public middle_lattice.  switch_side: the side's
+    # locus class, and theta(v) for the Mukai vector; one isotropic solve per side
+    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice",
+                         "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+    q = roofcalc.RoofQuery(cfg)
+    for _ in range(2):
+        q.residue_scan()
+        q.mukai(50)
+    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0,
+                      "roofcalc.switch_side": 2, "latticecore.isotropic_pair_solve": 2}
+    assert q.stage is None  # nothing is being built
+
+
+@pytest.mark.parametrize("argv, grams", [
+    (["g2dagger"], 1),
+    (["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")], 2),
+], ids=["built-in", "tilde-reversed"])
+def test_mukai_command_builds_each_piece_once(argv, grams, capsys, count_calls):
+    # the command renders theta(v), theta(w) and the switched generator with the query's own lattices and
+    # locus classes: one query, one switch (theta(v)), and no public middle_lattice or mukai_vector
+    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice",
+                         "roofcalc.mukai_vector", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+    assert main(["mukai", *argv]) == 0 and capsys.readouterr().err == ""
+    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0,
+                      "roofcalc.mukai_vector": 0, "roofcalc.switch_side": 1, "latticecore.isotropic_pair_solve": 2}
+
 
 @pytest.mark.parametrize("command", ["describe", "lemma7"])
 @pytest.mark.parametrize("cfg, distinct", [(CONFIGS[0], 1), (CONFIGS[1], 1), (CONFIGS[2], 2), (CONFIGS[3], 2),
@@ -268,6 +175,9 @@ def test_twins_share_pieces_only_through_the_query(name):
     assert cfg.side._sigma and cfg.tilde_side._sigma == {}
     rows = cfg.side.dim_total - cfg.rank + 1
     assert len(cfg.tilde_side._powers) < rows and len(cfg.side._powers) <= rows
+    q = roofcalc.RoofQuery(cfg)
+    assert q.lattice(cfg.side).gram is q.lattice(cfg.tilde_side).gram
+    assert q.group(cfg.side) is q.group(cfg.tilde_side)
 
 
 @pytest.mark.parametrize("cfg, same_relation", [

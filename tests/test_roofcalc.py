@@ -1,13 +1,11 @@
 import copy
 import re
 from fractions import Fraction
-from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roofpairs import latticecore, roofcalc
+from roofpairs import roofcalc
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
 from roofpairs.errors import GradedRingError, RoofError
 from roofpairs.gradedring import (
@@ -15,7 +13,6 @@ from roofpairs.gradedring import (
     GradedClass,
     IncompatibleRingError,
     IntegralityError,
-    RingPresentation,
     integrate,
     make_quadric_ring,
 )
@@ -41,22 +38,74 @@ from roofpairs.roofcalc import (
     switch_side,
     xi_power,
 )
-from golden_grams import D4_GRAM, G2_GRAM
-from roofcorpus import DATA_CONFIGS, SYNTHETIC, _reordered_tilde
+from roofcorpus import CORPUS, DATA_CONFIGS, SYNTHETIC, _d4_without_pi2, _q6_partial_tilde, _zero_degree
+
+
+def _split_signed(text):
+    """The (sign, term) pairs of a printed signed sum, split outside parentheses."""
+    parts, depth, start, sign = [], 0, 0, 1
+    if text.startswith("-"):
+        sign, start = -1, 1
+    for i, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0 and text[i:i + 3] in (" + ", " - "):
+            parts.append((sign, text[start:i]))
+            sign, start = (1 if text[i + 1] == "+" else -1), i + 3
+    return parts + [(sign, text[start:])]
+
+
+def _read_term(term, labels, unit):
+    """(label, coefficient) of an unsigned ``n*label``, ``label`` or ``n``."""
+    if re.fullmatch(r"\d+(?:/\d+)?", term):
+        return unit, Fraction(term)
+    m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?(.+)", term)
+    assert m[2] in labels, term
+    return m[2], Fraction(m[1] or 1)
+
+
+def _read_relation(text, base):
+    """The coefficient of each power of xi in a printed relation ``... = 0``, as {e: {label: c}}."""
+    lhs, zero = text.split(" = ")
+    assert zero == "0"
+    labels = {b.label for b in base.basis}
+    read = {}
+    for sign, term in _split_signed(lhs):
+        m = re.fullmatch(r"(.*?)\*?\bxi(?:\^(\d+))?", term)
+        e, coeff = (int(m[2] or 1), m[1]) if m else (0, term)
+        assert e not in read and not coeff.startswith("-"), text
+        if coeff.startswith("("):
+            assert coeff.endswith(")"), text
+            inner = [(s, _read_term(t, labels, base.unit_label)) for s, t in _split_signed(coeff[1:-1])]
+            assert len(inner) > 1, text
+        else:
+            inner = [(1, _read_term(coeff, labels, base.unit_label) if coeff else (base.unit_label, 1))]
+        read[e] = {label: sign * s * c for s, (label, c) in inner}
+        assert 0 not in read[e].values(), text
+    return read
 
 
 class TestSideConstruction:
-    def test_chern_side_reproduces_relation(self, g2):
-        side = g2.side
-        q5 = side.base
-        assert side.groth_coeffs[0] == q5.l_power(1) * 5
-        assert side.groth_coeffs[1] == q5.l_power(2) * 9
-        assert side.groth_coeffs[2] == q5.basis_class("Pi") * 12
-        assert side.relation_string() == "xi^3 - 5*L*xi^2 + 9*L^2*xi - 12*Pi = 0"
+    def test_relation_prints_each_sign_once(self):
+        # each printed "- -11*L*xi^7", "- 0*xi^3" or "+ -4*L^2*xi^2": a zero coefficient is left out, a one-term one
+        # carries its own sign, and one of several terms keeps its parentheses
+        relations = [config_from_dict(data).side.relation_string() for data in (
+            next(d for d in SYNTHETIC if d["name"] == "syn-q10-19"), _q6_partial_tilde(), _zero_degree())]
+        assert relations == [
+            "xi^8 + 11*L*xi^7 + 9*L^2*xi^6 - 63*L^3*xi^5 + 91*L^4*xi^4 - (77*Pi1 + 77*Pi2)*xi^3 + 70*Pi1*L*xi^2"
+            " - 16*Pi1*L^2*xi + 4*Pi1*L^3 = 0",
+            "xi^4 + 2*L^2*xi^2 - (4*Pi1 + 4*Pi2)*xi + 4*Pi1*L = 0",
+            "xi^4 - 4*L^2*xi^2 + 2*Pi1*xi = 0",
+        ]
 
-    def test_direct_coefficients_side(self, d4):
-        assert d4.side.relation_string() == \
-            "xi^4 - 6*L*xi^3 + 14*L^2*xi^2 - (14*Pi1 + 16*Pi2)*xi + 12*Pi1*L = 0"
+    @pytest.mark.parametrize("config", CORPUS, ids=lambda c: c.name)
+    def test_relation_reads_back_as_the_relation(self, config):
+        # sum_i (-1)^i c_i xi^(r-i), each sign printed once and no zero term: a "+ -", "- 0*" or a
+        # dropped or doubled power of xi does not read back
+        for side in (config.side, config.tilde_side):
+            expected = {side.rank: {side.base.unit_label: 1}}
+            expected.update({side.rank - i: {k: (-1) ** i * v for k, v in c.coeffs.items()}
+                             for i, c in enumerate(side.groth_coeffs, start=1) if c.coeffs})
+            assert _read_relation(side.relation_string(), side.base) == expected
 
     def test_rank_one_projectivization(self):
         q5 = make_quadric_ring(5)
@@ -133,39 +182,7 @@ class TestReduceAndPushforward:
             reduce(g2.side, {0: q5.l_power(2), 1: q5.zero(2)})
 
 
-def test_a_zero_hyperplane_gives_one_locus_error_on_both_paths(g2):
-    # over a Q5 ring whose hyperplane class is zero, xi^(r-1) * L is the zero class of codimension r,
-    # so both the public path, which pairs it, and the engine, which reads it off the Segre classes,
-    # find that the locus class pairs to zero with it; reduce once gave that zero class degree 0,
-    # and the public path reported "codimensions 3 + 0 + 1 != dim X = 7"
-    q5 = g2.side.base
-    table = {(x, y): p for (x, y), p in q5._products.items() if q5.unit_label not in (x, y)}
-    flat = RingPresentation("Q5-flat", 5, q5.basis, q5.point_label, table, hyperplane_form={})
-    sides = [RoofSide(s.name, flat, s.rank, tuple(GradedClass(flat, c.degree, c.coeffs) for c in s.groth_coeffs),
-                      s.middle_basis) for s in (g2.side, g2.tilde_side)]
-    config = RoofConfig("flat", *sides, cy_degree(sides[0]))
-    with pytest.raises(UnexpectedRankError) as expected:
-        locus_pushforward_class(config.side)
-    with pytest.raises(UnexpectedRankError) as got:
-        roofcalc.RoofQuery(config).locus(config.side)
-    assert str(expected.value) == "locus class pairs to zero with the normalization monomial"
-    assert str(got.value) == f"stage 'locus class' failed: {expected.value}"
-
-
 class TestPairing:
-    def test_table_entries(self, g2, d4):
-        s = g2.side
-        assert pairing_on_M(s, monomial(s, "Pi", 0), monomial(s, "L^2", 1)) == 1
-        assert pairing_on_M(s, monomial(s, "L", 2), monomial(s, "L", 2)) == 82
-        t = d4.side
-        assert pairing_on_M(t, monomial(t, "L^2", 2), monomial(t, "L^2", 2)) == 44
-
-    def test_symmetry_on_all_pairs(self, g2, d4):
-        for cfg in (g2, d4):
-            classes = [monomial(cfg.side, *m) for m in cfg.side.middle_basis]
-            for a, b in product(classes, repeat=2):
-                assert pairing_on_M(cfg.side, a, b) == pairing_on_M(cfg.side, b, a)
-
     def test_degree_mismatch(self, g2):
         s = g2.side
         with pytest.raises(DegreeMismatchError):
@@ -173,16 +190,6 @@ class TestPairing:
 
 
 class TestMiddleLattice:
-    def test_gram_3x3(self, g2):
-        assert middle_lattice(g2.side).gram == G2_GRAM
-
-    def test_gram_5x5(self, d4):
-        assert middle_lattice(d4.side).gram == D4_GRAM
-
-    def test_determinants(self, g2, d4):
-        assert middle_lattice(g2.side).determinant == -12
-        assert abs(middle_lattice(d4.side).determinant) == 12
-
     def test_degenerate_basis_rejected(self, g2):
         bad = RoofSide("bad", g2.side.base, 3, g2.side.groth_coeffs,
                        (("Pi", 0), ("Pi", 0), ("L", 2)))
@@ -191,30 +198,6 @@ class TestMiddleLattice:
 
 
 class TestLocusClass:
-    def test_gram_3x3_class(self, g2):
-        cls = locus_pushforward_class(g2.side)
-        assert str(cls) == "L*xi^2 - 5*L^2*xi + 18*Pi"
-        assert locus_coordinates(g2.side) == (18, -5, 1)
-
-    def test_gram_5x5_class_sign_normalized(self, d4):
-        # declared representative is the negative of the positivity-normalized one
-        assert locus_coordinates(d4.side) == (30, -14, -14, 6, -1)
-        assert d4.declared_locus_signs == (-1, -1)
-
-    def test_orthogonality_rows(self, g2, d4):
-        for cfg in (g2, d4):
-            lat = middle_lattice(cfg.side)
-            v = locus_coordinates(cfg.side)
-            for i, (_, e) in enumerate(lat.monomials):
-                if e <= cfg.rank - 2:
-                    assert sum(lat.gram[i][j] * v[j] for j in range(len(v))) == 0
-
-    def test_normalization_pairing_is_degree(self, g2, d4):
-        for cfg in (g2, d4):
-            cls = locus_pushforward_class(cfg.side)
-            norm = reduce(cfg.side, {cfg.rank - 1: cfg.side.base.hyperplane})
-            assert pairing_on_M(cfg.side, cls, norm) == 12
-
     def test_sign_flip_on_reversed_basis(self):
         # reversing the d4 middle basis makes the raw kernel vector (1, -6, 14, 14, -30)
         # pair to -12, so the class must be flipped to the golden vector reversed
@@ -231,14 +214,18 @@ class TestLocusClass:
         with pytest.raises(UnexpectedRankError):
             locus_pushforward_class(short)
 
+    def test_a_class_that_breaks_the_sign_law_is_refused(self):
+        # the public path keeps the definitions (the orthogonal kernel, pairing_on_M) and holds its class to the
+        # same law as the query, with the same text
+        cfg = config_from_dict(_d4_without_pi2())
+        for public in (locus_pushforward_class, locus_coordinates, polarized_sign_check):
+            with pytest.raises(UnexpectedRankError) as got:
+                public(cfg.side)
+            assert str(got.value) == ("locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, "
+                                      "but the sign law needs (-1)^(r-1) d = -12")
+
 
 class TestSignLawAndDegrees:
-    def test_self_pairings(self, g2, d4):
-        assert polarized_sign_check(g2.side) == 12
-        assert polarized_sign_check(d4.side) == -12
-        assert polarized_sign_check(g2.tilde_side) == 12
-        assert polarized_sign_check(d4.tilde_side) == -12
-
     @pytest.mark.parametrize("which", ["sdie", "Tilde", "", None])
     def test_unknown_side_is_rejected(self, which):
         # the function once picked a side of a config by name; a name or None is not a side
@@ -249,14 +236,8 @@ class TestSignLawAndDegrees:
         with pytest.raises(RoofError, match="expected a RoofSide, got RoofConfig$"):
             polarized_sign_check(g2)
 
-    def test_sign_matches_rank_parity(self, g2, d4, toy):
-        for cfg in (g2, d4, toy):
-            expected = (-1) ** (cfg.rank - 1) * cfg.polarization_degree
-            assert polarized_sign_check(cfg.side) == expected
-
-    def test_cy_degree(self, g2, d4):
-        assert cy_degree(g2.side) == 12
-        assert cy_degree(d4.side) == 12
+    def test_sign_matches_rank_parity(self, toy):
+        assert polarized_sign_check(toy.side) == (-1) ** (toy.rank - 1) * toy.polarization_degree == -2
 
     def test_cy_degree_hypersurface(self):
         q5 = make_quadric_ring(5)
@@ -265,44 +246,14 @@ class TestSignLawAndDegrees:
 
 
 class TestSwitchSide:
-    def test_locus_switch_3x3(self, g2):
-        lat_t = middle_lattice(g2.tilde_side)
-        j = switch_side(g2, locus_pushforward_class(g2.side))
-        assert str(j) == "7*L*xi^2 - 23*L^2*xi + 42*Pi"
-        assert coordinates_in_lattice(lat_t, j) == (42, -23, 7)
-
     def test_xi_is_fixed(self, g2):
         switched = switch_side(g2, xi_power(g2.side, 1))
         assert switched == xi_power(g2.tilde_side, 1)
 
-    def test_plane_class_switch(self, g2):
-        lat = middle_lattice(g2.side)
-        lat_t = middle_lattice(g2.tilde_side)
-        img = switch_side(g2, class_from_coordinates(lat, (1, 0, 0)))
-        assert coordinates_in_lattice(lat_t, img) == (5, -3, 1)
-
-    def test_declared_representative_5x5(self, d4):
-        lat = middle_lattice(d4.side)
-        lat_t = middle_lattice(d4.tilde_side)
-        declared = class_from_coordinates(lat, (-30, 14, 14, -6, 1))
-        img = switch_side(d4, declared)
-        assert coordinates_in_lattice(lat_t, img) == (42, -38, -50, 30, -7)
-        assert str(img) == "-7*L*xi^3 + 30*L^2*xi^2 - 38*Pi1*xi - 50*Pi2*xi + 42*Pi1*L"
-
-    def test_involution_on_all_middle_monomials(self, g2, d4, toy):
-        for cfg in (g2, d4):
-            for side in (cfg.side, cfg.tilde_side):
-                for cls in (monomial(side, *m) for m in side.middle_basis):
-                    assert switch_side(cfg, switch_side(cfg, cls)) == cls
+    def test_involution_on_the_toy_locus_class(self, toy):
         # the symmetric toy only switches the hyperplane-polynomial subspace
         cls = locus_pushforward_class(toy.side)
         assert switch_side(toy, switch_side(toy, cls)) == cls
-
-    def test_unbalanced_spinor_monomial_round_trip(self, d4):
-        cls = monomial(d4.side, "Pi1", 1)
-        img = switch_side(d4, cls)
-        assert not img.is_zero
-        assert switch_side(d4, img) == cls
 
     def test_unswitchable_class_rejected(self, toy):
         with pytest.raises(roofcalc.SwitchError):
@@ -365,83 +316,17 @@ class TestResidueScan:
         assert roofcalc._divisibility_scan((0,), (6,), 6)[0] == tuple(range(6))
         assert roofcalc._divisibility_scan((5,), (2,), 1) == ((0,), ((0, (5,)), (-1, (7,))))
 
-    def test_gram_3x3(self, g2):
-        scan = residue_scan(g2)
-        assert scan.residue_set == (7,)
-        assert scan.sign_orbit == (5, 7)
-        assert scan.iso_obstructed
-        assert dict(scan.witnesses)[7] == (-7, 1, 0)
-        assert scan.declared_witness == (7, (-7, 1, 0))
-
-    def test_gram_5x5(self, d4):
-        scan = residue_scan(d4)
-        assert scan.residue_set == (5,)
-        assert scan.sign_orbit == (5, 7)
-        assert scan.iso_obstructed
-        assert scan.declared_witness == (-7, (-14, 5, 4, -1, 0))
-
-    def test_unit_residue_certified_absent(self, g2, d4):
-        for cfg in (g2, d4):
-            scan = residue_scan(cfg)
-            assert 1 not in scan.sign_orbit and 11 not in scan.sign_orbit
-
-    def test_witnesses_integral_and_primitive(self, g2, d4):
-        import math
-
-        for cfg in (g2, d4):
-            for _, w in residue_scan(cfg).witnesses:
-                assert math.gcd(*w) == 1
-
     def test_symmetric_toy_not_obstructed(self, toy):
         scan = residue_scan(toy)
         assert scan.degree == 2
         assert scan.residue_set == (1,)
         assert not scan.iso_obstructed
 
-
-class TestRoofQuery:
-    def test_matches_the_public_functions(self, g2, d4, toy):
-        for cfg in (g2, d4, toy):
-            q = roofcalc.RoofQuery(cfg)
-            assert q.residue_scan() == residue_scan(cfg)
-            for side in (cfg.side, cfg.tilde_side):
-                assert q.lattice(side) == middle_lattice(side)
-                assert class_from_coordinates(q.lattice(side), q.locus(side)) == locus_pushforward_class(side)
-                assert q.locus(side) == locus_coordinates(side)
-        assert roofcalc.RoofQuery(g2).mukai(50)[-1] == roofcalc.mukai_vector(g2, 50)
-
-    @pytest.mark.parametrize("reordered, grams", [(False, 1), (True, 2)], ids=["built-in", "tilde-reversed"])
-    def test_each_piece_built_once(self, g2, count_calls, reordered, grams):
-        # the built-in's sides carry the same data, so the tilde side takes the side's Gram matrix; each side
-        # checks its own basis for its own lattice
-        cfg = _reordered_tilde("g2dagger", -1) if reordered else g2
-        counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.switch_side",
-                             "latticecore.isotropic_pair_solve")
-        q = roofcalc.RoofQuery(cfg)
-        for _ in range(2):
-            q.residue_scan()
-            q.mukai(50)
-        # switch_side: the side's locus class, and theta(v) for the Mukai vector
-        assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.switch_side": 2,
-                          "latticecore.isotropic_pair_solve": 2}
-        assert q.stage is None  # nothing is being built
-
-    @pytest.mark.parametrize("tilde_first", [False, True])
-    def test_re_homed_pieces_live_on_their_side(self, g2, tilde_first):
-        q = roofcalc.RoofQuery(g2)
-        sides = (g2.tilde_side, g2.side) if tilde_first else (g2.side, g2.tilde_side)
-        for side in sides:
-            lat, locus = q.lattice(side), class_from_coordinates(q.lattice(side), q.locus(side))
-            assert lat.side is side and locus.side is side
-            assert lat == middle_lattice(side) and locus == locus_pushforward_class(side)
-            group = q.group(side)
-            assert group.factors == latticecore.discriminant_group([list(r) for r in lat.gram]).factors
-            # generators are valid, not canonical: each has exactly the order of its factor in Z^n / G Z^n
-            for d, g in zip(group.factors, group.generators):
-                solution, _ = latticecore._solve_rational(lat.gram, g)  # G is symmetric: its rows are its columns
-                assert lcm(*(x.denominator for x in solution)) == d
-        assert q.lattice(g2.side).gram is q.lattice(g2.tilde_side).gram
-        assert q.group(g2.side) is q.group(g2.tilde_side)
+    def test_zero_degree_is_refused(self):
+        # residues mod 0 raised ZeroDivisionError
+        with pytest.raises(InvalidRoofError, match=r"^the residue scan needs a polarization degree of at least 1, "
+                                                   r"got 0$"):
+            residue_scan(config_from_dict(_zero_degree()))
 
 
 class TestSharedRing:
@@ -578,7 +463,7 @@ def test_huge_xi_power_is_zero_at_once():
 
 
 # ---------------------------------------------------------------------------
-# integer fold kernel: oracle against the object-level loops it replaced
+# integer fold kernel: reduce, products and coordinates against their definitions
 # ---------------------------------------------------------------------------
 
 KERNEL_SIDES = ([builtin_config(name).side for name in ("g2dagger", "d4")] + [DATA_CONFIGS["toy_symmetric"].side]
@@ -586,57 +471,29 @@ KERNEL_SIDES = ([builtin_config(name).side for name in ("g2dagger", "d4")] + [DA
 KERNEL_LATTICES = {}
 
 
-def object_reduce(side, expression, degree=None):
-    """reduce as it was on GradedClass objects: every fold step multiplies the
-    class of the top power by each signed relation coefficient."""
-    terms = {}
-    for e, cls in expression.items():
-        if e < 0:
-            raise RoofError("negative xi exponent")
-        if not cls.is_zero:
-            terms[e] = cls if e not in terms else terms[e] + cls
-    if degree is None:  # a zero term has a degree too
-        degree = next((e + cls.degree for e, cls in expression.items()), 0)
-    if any(e + cls.degree != degree for e, cls in expression.items()):
-        raise RoofError("expression is not homogeneous")
-    r = side.rank
-    signed = [c if i % 2 else -c for i, c in enumerate(side.groth_coeffs, start=1)]
-    for top in range(max(terms, default=0), r - 1, -1):
-        cls = terms.pop(top, None)
-        if cls is None or cls.is_zero:
-            continue
-        for i, coeff in enumerate(signed, start=1):
-            piece = cls * coeff
-            terms[top - i] = piece if top - i not in terms else terms[top - i] + piece
-    parts = [terms[i] if i in terms and 0 <= degree - i <= side.base.dimension
-             else side.base.zero(degree - i) for i in range(r)]
-    return BundleClass(side, degree, parts)
-
-
-def object_mul(a, b):
-    """BundleClass.__mul__ as it was: one GradedClass product per pair of parts."""
-    a._check(b)
-    terms = {}
-    for i, p in enumerate(a.parts):
-        for j, q in enumerate(b.parts):
-            if not p.is_zero and not q.is_zero:
-                prod = p * q
-                terms[i + j] = prod if i + j not in terms else terms[i + j] + prod
-    return object_reduce(a.side, terms, degree=a.degree + b.degree)
-
-
-def object_class_from_coordinates(lat, coords):
-    """class_from_coordinates on GradedClass objects: a running sum of the scaled parts of the monomial classes."""
-    side, mc = lat.side, lat.side.middle_codim
-    parts = [side.base.zero(mc - i) for i in range(side.rank)]
-    for c, (label, e) in zip(coords, lat.monomials):
-        parts = [p + q.scale(c) for p, q in zip(parts, monomial(side, label, e).parts)]
-    return BundleClass(side, mc, parts)
+def typed(parts):
+    """Part dicts with coefficient types: 2 and Fraction(2) differ here."""
+    return [{k: (type(v), v) for k, v in p.items()} for p in parts]
 
 
 def exact_parts(a):
-    """The degree and the stored part dicts with coefficient types: 2 and Fraction(2) differ here."""
-    return a.degree, [{k: (type(v), v) for k, v in p.items()} for p in a._flat]
+    return a.degree, typed(a._flat)
+
+
+def ref_mul(a, b):
+    """a * b by definition: each product of a part of a and a part of b, at the sum of their xi exponents,
+    folded by ``ref_reduce``."""
+    terms = {}
+    for i, p in enumerate(a.parts):
+        for j, q in enumerate(b.parts):
+            terms[i + j] = terms[i + j] + p * q if i + j in terms else p * q
+    return a.degree + b.degree, typed(ref_reduce(a.side, terms))
+
+
+def ref_class_from_coordinates(lat, coords):
+    """sum_k coords[k] * (the k-th declared monomial), in bundle-class arithmetic."""
+    terms = [monomial(lat.side, label, e).scale(c) for c, (label, e) in zip(coords, lat.monomials)]
+    return sum(terms[1:], terms[0])
 
 
 @st.composite
@@ -665,13 +522,12 @@ def kernel_cases(draw):
 
 @settings(deadline=None)
 @given(case=kernel_cases())
-def test_fold_kernel_matches_object_loops(case):
+def test_fold_kernel_matches_its_definitions(case):
     side, degree, expression, a, b, lat, coords = case
-    assert exact_parts(reduce(side, expression, degree)) == exact_parts(object_reduce(side, expression, degree))
-    assert exact_parts(reduce(side, expression)) == exact_parts(object_reduce(side, expression))
-    assert exact_parts(a * b) == exact_parts(object_mul(a, b))
-    assert exact_parts(class_from_coordinates(lat, coords)) == \
-        exact_parts(object_class_from_coordinates(lat, coords))
+    folded = (degree, typed(ref_reduce(side, expression)))
+    assert exact_parts(reduce(side, expression, degree)) == exact_parts(reduce(side, expression)) == folded
+    assert exact_parts(a * b) == ref_mul(a, b)
+    assert exact_parts(class_from_coordinates(lat, coords)) == exact_parts(ref_class_from_coordinates(lat, coords))
 
 
 def test_kernel_sides_cover_every_base():
@@ -690,10 +546,8 @@ class TestFoldKernelErrors:
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, 2.0, "1", None])
     def test_inexact_coordinate_rejected(self, g2, bad):
-        lat = middle_lattice(g2.side)
-        for build in (class_from_coordinates, object_class_from_coordinates):
-            with pytest.raises(GradedRingError):
-                build(lat, [1, bad, 0])
+        with pytest.raises(GradedRingError):
+            class_from_coordinates(middle_lattice(g2.side), [1, bad, 0])
 
     @pytest.mark.parametrize("expression", [
         lambda q: {-1: q.unit()},
@@ -701,26 +555,20 @@ class TestFoldKernelErrors:
         lambda q: {0: q.l_power(1), 1: q.l_power(1)},
         lambda q: {4: q.unit(), 1: q.l_power(2)},
     ], ids=["negative-exponent", "negative-exponent-zero-class", "non-homogeneous", "non-homogeneous-folded"])
-    def test_malformed_expression_raises_as_before(self, g2, expression):
+    def test_malformed_expression_raises(self, g2, expression):
         expr = expression(g2.side.base)
-        for fold in (reduce, object_reduce):
+        for degree in (None, 2):
             with pytest.raises(RoofError):
-                fold(g2.side, expr)
-        with pytest.raises(RoofError):
-            reduce(g2.side, expr, degree=2)
+                reduce(g2.side, expr, degree)
 
     def test_product_across_sides_rejected(self, g2, d4):
-        for mul in (BundleClass.__mul__, object_mul):
-            with pytest.raises(RoofError):
-                mul(xi_power(g2.side, 1), xi_power(d4.side, 1))
+        with pytest.raises(RoofError):
+            xi_power(g2.side, 1) * xi_power(d4.side, 1)
 
 
 # ---------------------------------------------------------------------------
 # flat bundle classes: oracle against the same operations part by part
 # ---------------------------------------------------------------------------
-
-# test_fold_kernel_matches_object_loops covers reduce, products and
-# class_from_coordinates; its references also work part by part.
 
 @st.composite
 def flat_cases(draw):
