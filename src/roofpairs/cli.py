@@ -48,9 +48,9 @@ BUILTIN_NAMES = ("d4", "g2dagger")
 
 # Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
 # error.  At the caps, as fresh processes on a 2-vCPU host with Python 3.11.7
-# (medians of 8 and 20 runs), `bwb 500 Splusdual 0` takes about 0.30 s and
-# `motivic --rank 50000` about 0.39 s: in process, about 0.14 s for the residual
-# and 0.08 s to render it as text, once, since a closed form equal to it prints
+# (medians of 8 and 10 runs), `bwb 500 Splusdual 0` takes about 0.30 s and
+# `motivic --rank 50000` about 0.31 s: in process, about 0.12 s for the residual
+# and 0.085 s to render it as text, once, since a closed form equal to it prints
 # the same text.
 MAX_QUADRIC_DIM = 500
 MAX_TWIST = 10**9

@@ -11,15 +11,16 @@ taken as it is, and any other value, 4.0 and True included, raises
 public constructor (and so in ``var`` and ``const``); the ring operations
 build their results already in canonical form (nonzero ``int`` coefficients
 on tuples of non-negative ``int`` exponents) and wrap them without checking
-again.  Projective-space classes are written down in closed form, powers are
-taken by repeated squaring, and each sum, product and substitution is one
-pass over the terms: a product by a single term c*x^a shifts every term of
-the other factor, a difference builds no negated copy, and a substitution by
-single-term images sends each monomial to exactly one monomial.  A shift adds
-the six exponents of SYMBOLS written out one by one, so a monomial of any
-other length fails at the unpacking instead of being added wrong.  ``str``
-sorts the terms once and renders each once, writing the power of L per term
-and the text of the other symbols once per distinct part.
+again.  Projective-space classes are written down in closed form and powers
+are taken by repeated squaring.  One accumulator adds c*x^a times a
+polynomial into a dict in one pass, dropping zeros, for sums (no negated
+copy), products after their first term, substitutions and the fibration
+class, [P^(r-2)]*([B] - [Y]) added into [P^(r-1)]*[Y]; the residual
+subtracts the substituted section from a copy of it as it substitutes.  A
+shift adds the six exponents of SYMBOLS written out one by one, so a
+monomial of any other length fails at the unpacking.  ``str`` sorts the
+terms once and renders each once, writing the power of L per term and the
+text of the other symbols once per distinct part.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -29,10 +30,11 @@ checked here as an exact polynomial identity for each concrete rank.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import prod
 from operator import itemgetter, sub
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ._text import signed_sum
 from .errors import _index, _typed
@@ -48,6 +50,19 @@ def _symbol(name: str) -> int:
     if _typed(name, str, "symbol", ValueError) not in _INDEX:
         raise ValueError(f"unknown symbol {name!r}; choose from {SYMBOLS}")
     return _INDEX[name]
+
+
+def _accumulate(out: dict, c: int, a: tuple[int, ...], terms: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """Add c*x^a times the (monomial, coefficient) ``terms`` into ``out``, dropping zeros; return ``out``."""
+    a0, a1, a2, a3, a4, a5 = a
+    for (b0, b1, b2, b3, b4, b5), k in terms:
+        m = (b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5)
+        v = out.get(m, 0) + c * k
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
 
 
 class MotivicPoly:
@@ -95,11 +110,14 @@ class MotivicPoly:
 
     # -- ring structure -------------------------------------------------------
 
-    def _coerce(self, other) -> "MotivicPoly":
+    def _coerce(self, other, what: str = "") -> "MotivicPoly":
+        """``other`` as a polynomial; else NotImplemented, or a ValueError about ``what`` if it is given."""
         if isinstance(other, MotivicPoly):
             return other
         if isinstance(other, int) and type(other) is not bool:
             return MotivicPoly.const(other)
+        if what:
+            raise ValueError(f"{what}: expected a MotivicPoly or int, got {type(other).__name__}")
         return NotImplemented
 
     def _plus(self, other, sign: int):
@@ -107,14 +125,7 @@ class MotivicPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            c = out.get(m, 0) + sign * c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return MotivicPoly._of(out)
+        return MotivicPoly._of(_accumulate(dict(self.coeffs), sign, _UNIT, other.coeffs.items()))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -138,19 +149,12 @@ class MotivicPoly:
         small, big = sorted((self.coeffs, other.coeffs), key=len)
         if not small:
             return MotivicPoly._of({})
-        (m1, c1), *rest = small.items()
-        a0, a1, a2, a3, a4, a5 = m1
+        ((a0, a1, a2, a3, a4, a5), c1), *rest = small.items()
         # distinct terms shifted by one monomial stay distinct, and c1 * c2 != 0
         out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5): c1 * c2
                for (b0, b1, b2, b3, b4, b5), c2 in big.items()}
-        for (a0, a1, a2, a3, a4, a5), c1 in rest:
-            for (b0, b1, b2, b3, b4, b5), c2 in big.items():
-                m = (b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5)
-                c = out.get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
+        for a, c1 in rest:
+            _accumulate(out, c1, a, big.items())
         return MotivicPoly._of(out)
 
     __rmul__ = __mul__
@@ -184,41 +188,35 @@ class MotivicPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def substitute(self, assignments: Mapping[str, "MotivicPoly"]) -> "MotivicPoly":
-        """Ring homomorphism sending each named symbol to the given polynomial.
+    def substitute(self, assignments: Mapping[str, "MotivicPoly | int"]) -> "MotivicPoly":
+        """Ring homomorphism sending each named symbol to the given polynomial or int.
 
-        The images are simultaneous, so ``{"Y": Y_TILDE, "Yt": Y}`` swaps the
-        two symbols: every exponent is read from the original monomial.  The
-        product of the images' powers is built once per tuple of exponents on
-        the assigned symbols, as shifts that also clear those exponents; each
-        monomial then takes one shift per term of that product, so under
-        single-term images it goes to exactly one monomial.
+        Any other image, True included, and assignments that are not a
+        mapping raise ValueError.  The images are simultaneous, so
+        ``{"Y": Y_TILDE, "Yt": Y}`` swaps the two symbols: every exponent is
+        read from the original monomial.  The product of the images' powers is
+        built once per group of terms with equal exponents on the assigned
+        symbols, as shifts that also clear those exponents, and each of its
+        terms shifts the whole group in one pass.
         """
-        assigned = sorted((_symbol(s), image) for s, image in assignments.items())
-        if not assigned:
-            return MotivicPoly._of(dict(self.coeffs))
+        return MotivicPoly._of(self._substitute_into({}, 1, assignments))
+
+    def _substitute_into(self, out: dict, sign: int, assignments) -> dict:
+        """Add ``sign`` times the image of ``self`` under ``assignments`` into ``out``, and return ``out``."""
+        assigned = sorted((_symbol(s), self._coerce(image, f"image of {s}"))
+                          for s, image in _typed(assignments, Mapping, "substitute assignments", ValueError).items())
         positions = [i for i, _ in assigned]
-        exponents_of = itemgetter(*positions)
-        shifts: dict = {}  # assigned exponents -> ((shift, coefficient), ...) of the images' product
-        out: dict[tuple[int, ...], int] = {}
-        for mono, c in self.coeffs.items():
-            key = exponents_of(mono)
-            terms = shifts.get(key)
-            if terms is None:
-                cleared = [0] * len(SYMBOLS)
-                for i in positions:
-                    cleared[i] = mono[i]
-                image = prod((img ** mono[i] for i, img in assigned if mono[i]), start=_ONE)
-                terms = shifts[key] = tuple((tuple(map(sub, m, cleared)), k) for m, k in image.coeffs.items())
-            e0, e1, e2, e3, e4, e5 = mono
-            for (s0, s1, s2, s3, s4, s5), k in terms:
-                m = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s5)
-                v = out.get(m, 0) + c * k
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return MotivicPoly._of(out)
+        exponents_of = itemgetter(*positions) if positions else lambda mono: ()
+        groups: dict = {}  # exponents on the assigned symbols -> [(monomial, coefficient), ...]
+        for term in self.coeffs.items():
+            groups.setdefault(exponents_of(term[0]), []).append(term)
+        for group in groups.values():
+            mono = group[0][0]
+            cleared = [mono[i] if i in positions else 0 for i in range(len(SYMBOLS))]
+            image = prod((img ** mono[i] for i, img in assigned if mono[i]), start=_ONE)
+            for m, k in image.coeffs.items():
+                _accumulate(out, sign * k, tuple(map(sub, m, cleared)), group)
+        return out
 
     def _by_degree(self) -> list[tuple[int, tuple[int, ...], int]]:
         """(total degree, exponents, coefficient) of each term, in the order ``str`` prints them."""
@@ -268,8 +266,7 @@ def proj_class(k: int) -> MotivicPoly:
     k = _index(k, "projective space dimension", ValueError)
     if k < 0:
         raise ValueError("projective space dimension must be nonnegative")
-    rest = (0,) * (len(SYMBOLS) - 1)
-    return MotivicPoly._of({(i,) + rest: 1 for i in range(k + 1)})
+    return MotivicPoly._of(dict.fromkeys(zip(range(k + 1), *[repeat(0)] * (len(SYMBOLS) - 1)), 1))
 
 
 def fibration_class(r: int) -> MotivicPoly:
@@ -281,7 +278,10 @@ def fibration_class(r: int) -> MotivicPoly:
     r = _index(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
-    return proj_class(r - 1) * Y + proj_class(r - 2) * (B - Y)
+    out, fibre = (proj_class(r - 1) * Y).coeffs, proj_class(r - 2).coeffs
+    for a, c in (B - Y).coeffs.items():
+        _accumulate(out, c, a, fibre.items())
+    return MotivicPoly._of(out)
 
 
 def l_equivalence_residual(r: int) -> MotivicPoly:
@@ -292,7 +292,7 @@ def l_equivalence_residual(r: int) -> MotivicPoly:
     annihilated by L^(r-1).
     """
     section = fibration_class(r)
-    return section - section.substitute({"Y": Y_TILDE, "B": B_TILDE})
+    return MotivicPoly._of(section._substitute_into(dict(section.coeffs), -1, {"Y": Y_TILDE, "B": B_TILDE}))
 
 
 def residual_closed_form(r: int) -> MotivicPoly:

@@ -173,7 +173,8 @@ class RoofSide:
         return d // 2
 
     def relation_string(self) -> str:
-        """sum_i (-1)^i c_i * xi^(r-i) = 0; a zero c_i is left out, and one of several terms is parenthesised."""
+        """sum_i (-1)^i c_i * xi^(r-i) = 0; a zero c_i is left out, and one of several terms is parenthesised,
+        with the sign outside when all its terms are negative."""
         terms = [(1, f"xi^{self.rank}")]
         for i, c in enumerate(self.groth_coeffs, start=1):
             if len(c.coeffs) == 1:
@@ -181,7 +182,8 @@ class RoofSide:
                 terms.append(((-1) ** i * m, monomial_name(self, label, self.rank - i)))
             elif c.coeffs:
                 xi = monomial_name(self, self.base.unit_label, self.rank - i)
-                terms.append(((-1) ** i, "*".join(p for p in (f"({c})", xi) if p)))
+                sign = -1 if max(c.coeffs.values()) < 0 else 1
+                terms.append(((-1) ** i * sign, "*".join(p for p in (f"({c * sign})", xi) if p)))
         return signed_sum(terms) + " = 0"
 
 

@@ -269,6 +269,8 @@ MUTANTS = (
     # roofcalc
     _m("relation-coefficient-sign-ignored", "roofcalc", "((-1) ** i * m, monomial_name",
        "((-1) ** i * abs(m), monomial_name", f"{ROOF}::TestSideConstruction::test_relation_prints_each_sign_once"),
+    _m("relation-negative-sum-sign-kept-inside", "roofcalc", "sign = -1 if max(c.coeffs.values()) < 0 else 1",
+       "sign = 1", f"{ROOF}::TestSideConstruction::test_all_negative_coefficient_has_its_sign_outside"),
     _m("bundle-str-ascending-xi", "roofcalc", "in reversed(tuple(enumerate(self.parts)))",
        "in enumerate(self.parts)", ROOF, GOLDEN),
     _m("monomial-name-xi-to-the-one", "roofcalc", '("xi" if e == 1 else f"xi^{e}")', 'f"xi^{e}"', ROOF, GOLDEN),
@@ -384,39 +386,44 @@ MUTANTS = (
     _m("motivic-str-shows-exponent-one", "motivicring", 'f"*{s}" if x == 1 else f"*{s}^{x}"', 'f"*{s}^{x}"', MOT),
     _m("motivic-str-shows-l-exponent-one", "motivicring", 'f"L{text}" if e == 1 else f"L^{e}{text}"',
        'f"L^{e}{text}"', MOT),
-    _m("motivic-mul-keeps-zeros", "motivicring",
-       "                c = out.get(m, 0) + c1 * c2\n                if c:\n                    out[m] = c\n"
-       "                else:\n                    del out[m]\n",
-       "                out[m] = out.get(m, 0) + c1 * c2\n", MOT),
     _m("motivic-one-term-product-drops-c2", "motivicring", "): c1 * c2\n", "): c1\n", MOT),
+    _m("motivic-one-term-product-drops-c1", "motivicring", "): c1 * c2\n", "): c2\n",
+       f"{MOT}::test_product_against_double_loop"),
     _m("motivic-one-term-shift-swaps-b-and-bt", "motivicring",
        "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4,", "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a4, b4 + a3,",
        MOT),
-    _m("motivic-product-shift-swaps-y-and-yt", "motivicring",
+    # the accumulator that sums, products, substitutions and the fibration class share
+    _m("accumulate-keeps-cancelled-zeros", "motivicring",
+       "        if v:\n            out[m] = v\n        else:\n            del out[m]\n", "        out[m] = v\n",
+       f"{MOT}::test_fibration_class_against_double_loop_to_rank_120"),
+    _m("accumulate-shift-swaps-y-and-yt", "motivicring",
        "m = (b0 + a0, b1 + a1, b2 + a2,", "m = (b0 + a0, b1 + a2, b2 + a1,", MOT),
+    _m("accumulate-shift-swaps-l-and-m", "motivicring", "m = (b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5)",
+       "m = (b0 + a5, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a0)", f"{MOT}::test_substitute_by_single_terms"),
+    _m("accumulate-skips-term-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
+       f"{MOT}::test_substitute_by_single_terms"),
+    _m("residual-sign-flipped", "motivicring", "dict(section.coeffs), -1,", "dict(section.coeffs), 1,",
+       f"{MOT}::test_residual_closed_form_to_rank_200"),
     _m("motivic-mul-zero-factor-unhandled", "motivicring",
        "        if not small:\n            return MotivicPoly._of({})\n", "",
        f"{MOT}::test_substitute_by_single_terms"),
     _m("motivic-sub-adds", "motivicring", "return self._plus(other, -1)", "return self._plus(other, 1)", MOT),
     _m("motivic-pow-wrong-bit", "motivicring", "if e & 1:", "if e & 2:", MOT),
-    _m("proj-class-one-term-short", "motivicring", "for i in range(k + 1)}", "for i in range(k)}", MOT),
-    _m("substitute-keeps-assigned-exponents", "motivicring", "cleared[i] = mono[i]", "cleared[i] = 0", MOT),
+    _m("proj-class-one-term-short", "motivicring", "zip(range(k + 1),", "zip(range(k),", MOT),
+    _m("substitute-keeps-assigned-exponents", "motivicring", "mono[i] if i in positions else 0", "0", MOT),
     _m("substitute-images-applied-in-turn", "motivicring",
-       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n",
+       "        assigned = sorted((_symbol(s), self._coerce(image, f\"image of {s}\"))\n",
        "        if len(assignments) > 1:  # a later image then reads the exponents an earlier one wrote\n"
        "            (s, image), *others = assignments.items()\n"
-       "            return self.substitute({s: image}).substitute(dict(others))\n"
-       "        assigned = sorted((_symbol(s), image) for s, image in assignments.items())\n",
+       "            return self.substitute({s: image})._substitute_into(out, sign, dict(others))\n"
+       "        assigned = sorted((_symbol(s), self._coerce(image, f\"image of {s}\"))\n",
        f"{MOT}::test_substitute_by_single_terms"),
-    _m("substitute-shift-swaps-l-and-m", "motivicring", "m = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s5)",
-       "m = (e0 + s5, e1 + s1, e2 + s2, e3 + s3, e4 + s4, e5 + s0)", f"{MOT}::test_substitute_by_single_terms"),
-    _m("substitute-skips-image-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
-       f"{MOT}::test_substitute_by_single_terms"),
-    _m("substitute-keeps-cancelled-zeros", "motivicring",
-       "                if v:\n                    out[m] = v\n                else:\n                    del out[m]\n",
-       "                out[m] = v\n", MOT),
     _m("substitute-shift-keyed-by-first-image", "motivicring", "exponents_of = itemgetter(*positions)",
        "exponents_of = itemgetter(positions[0])", f"{MOT}::test_substitute_swap"),
+    _m("substitute-image-unchecked", "motivicring", 'self._coerce(image, f"image of {s}")', "image", CONTRACT),
+    _m("substitute-assignments-untyped", "motivicring",
+       '_typed(assignments, Mapping, "substitute assignments", ValueError).items()', "assignments.items()",
+       CONTRACT),
 )
 
 # Not run: the known equivalent mutants, each with its reason.

@@ -36,7 +36,7 @@ from roofpairs import errors
 from roofpairs.bwbcoh import SequenceSpec, named_bundle_table, quadric_root_system
 from roofpairs.configs import builtin_config
 from roofpairs.gradedring import BasisElement, RingPresentation
-from roofpairs.motivicring import residual_closed_form
+from roofpairs.motivicring import Y_TILDE, residual_closed_form
 from roofpairs.roofcalc import reduce, xi_power
 
 from golden_grams import G2_GRAM
@@ -94,6 +94,9 @@ JUNK: dict[str, Callable[[object], list]] = {
     "expression": lambda v: [*({**v, e: Q5.unit()} for e in (1.5, None, -1)),
                              *({**v, 1: j} for j in (*NON_INTEGERS, Q6.unit(), TILDE.base.unit()))],
     "table": lambda v: [*({**v, k: 1} for k in ("2", 1.5, None)), *({**v, 1: j} for j in NON_INTEGERS)],
+    # a substitution's symbol -> image mapping, also given as a list of pairs; an image is a polynomial or an int
+    "assignments": lambda v: [*JUNK["mapping"](v), list(v.items())],
+    "image": lambda v: [Q5.unit(), [v]],
     "monomials": lambda v: [*({**v, m: 1} for m in (5, (1, 2), ("2",) * 6, (-1,) * 6)),
                             *({**v, MONO: j} for j in NON_INTEGERS)],
 }
@@ -256,6 +259,12 @@ TABLE: dict[str, dict[str, Slot]] = {
         "power": S("index", 4, lambda v: roofpairs.MotivicPoly.var("L") ** v, "exponent"),
         "var name": S("key", "L", lambda v: roofpairs.MotivicPoly.var(v), "symbol"),
         "const": S("index", 4, lambda v: roofpairs.MotivicPoly.const(v), "coefficient"),
+        "substitute assignments": S(
+            "assignments", {"Y": Y_TILDE}, lambda v: roofpairs.fibration_class(3).substitute(v),
+            r"^(substitute assignments: expected a Mapping, got \w+|symbol: expected a str, got \w+"
+            r"|unknown symbol .+|image of Y: expected a MotivicPoly or int, got \w+)$"),
+        "substitute image": S("image", Y_TILDE, lambda v: roofpairs.fibration_class(3).substitute({"Y": v}),
+                              r"^image of Y: expected a MotivicPoly or int, got \w+$"),
     },
     "fibration_class": {"rank": S("index", 4, lambda v: roofpairs.fibration_class(v), "rank")},
     "l_equivalence_residual": {"rank": S("index", 4, lambda v: roofpairs.l_equivalence_residual(v), "rank")},

@@ -123,9 +123,10 @@ def ref_pow(p, e):
 
 
 def ref_proj_class(k):
-    out = MotivicPoly.const(0)
-    for i in range(k + 1):
-        out = out + ref_pow(L, i)
+    out = power = MotivicPoly.const(1)
+    for _ in range(k):
+        power = ref_mul(power, L)
+        out = out + power
     return out
 
 
@@ -158,6 +159,17 @@ def closed_form_residual(r):
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 30])
 def test_proj_class_against_repeated_multiplication(k):
     assert proj_class(k) == ref_proj_class(k)
+
+
+def test_fibration_class_against_double_loop_to_rank_120():
+    # [P^(r-1)] Y + [P^(r-2)] (B - Y): the products through ref_mul, B - Y and the sum written out by hand
+    b_minus_y = MotivicPoly({**B.coeffs, **{m: -c for m, c in Y.coeffs.items()}})
+    for r in range(2, 121):
+        expected = {}
+        for part in (ref_mul(ref_proj_class(r - 1), Y), ref_mul(ref_proj_class(r - 2), b_minus_y)):
+            for m, c in part.coeffs.items():
+                expected[m] = expected.get(m, 0) + c
+        assert fibration_class(r).coeffs == {m: c for m, c in expected.items() if c}, r
 
 
 def test_residual_closed_form_to_rank_200():
@@ -262,6 +274,7 @@ def test_rename_onto_a_symbol_already_present(a, b):
     (Y ** 2 + Y_TILDE ** 2, {"Y": Y_TILDE, "Yt": -Y}, Y_TILDE ** 2 + Y ** 2),
     (Y * Y_TILDE - L * B, {"Y": L, "Yt": B}, MotivicPoly()),
     (Y ** 5 + 4 * B, {"Y": MotivicPoly.const(2)}, 32 + 4 * B),
+    (Y ** 5 + 4 * B, {"Y": 2, "B": -1}, 28),
     (Y ** 5 + 4 * B, {"Y": MotivicPoly()}, 4 * B),
 ])
 def test_substitute_by_single_terms(p, images, expected):

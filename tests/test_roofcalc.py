@@ -97,6 +97,21 @@ class TestSideConstruction:
             "xi^4 - 4*L^2*xi^2 + 2*Pi1*xi = 0",
         ]
 
+    @pytest.mark.parametrize("dim, signs, printed", [
+        (4, (-1, -1), "xi^2 - L*xi - (Pi1 + Pi2) = 0"),
+        (6, (-1, -1), "xi^3 - L*xi^2 + L^2*xi + (Pi1 + Pi2) = 0"),
+        (4, (1, -1), "xi^2 - L*xi + (Pi1 - Pi2) = 0"),
+        (4, (-1, 1), "xi^2 - L*xi + (-Pi1 + Pi2) = 0"),
+    ])
+    def test_all_negative_coefficient_has_its_sign_outside(self, dim, signs, printed):
+        # c_r = s1*Pi1 + s2*Pi2 after c_i = L^i on Q4 (rank 2) or Q6 (rank 3): "- (Pi1 + Pi2)" or "+ (Pi1 + Pi2)",
+        # never "+ (-Pi1 - Pi2)"; mixed signs stay inside the parentheses
+        ring, rank = make_quadric_ring(dim), dim // 2
+        last = signs[0] * ring.basis_class("Pi1") + signs[1] * ring.basis_class("Pi2")
+        side = RoofSide("s", ring, rank, (*(ring.l_power(i) for i in range(1, rank)), last))
+        assert side.relation_string() == printed
+        assert _read_relation(printed, ring)[0] == {"Pi1": (-1) ** rank * signs[0], "Pi2": (-1) ** rank * signs[1]}
+
     @pytest.mark.parametrize("config", CORPUS, ids=lambda c: c.name)
     def test_relation_reads_back_as_the_relation(self, config):
         # sum_i (-1)^i c_i xi^(r-i), each sign printed once and no zero term: a "+ -", "- 0*" or a
