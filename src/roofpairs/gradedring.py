@@ -289,11 +289,6 @@ class GradedClass:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def assert_integral(self) -> "GradedClass":
-        if not self.is_integral:
-            raise IntegralityError(f"non-integral class {self}")
-        return self
-
     def coefficient(self, label: str) -> int | Fraction:
         return self.coeffs.get(label, 0)
 

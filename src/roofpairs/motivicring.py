@@ -224,10 +224,6 @@ class MotivicPoly:
         # the exponent tuples are distinct, so two coefficients are never compared
         return sorted(zip(map(sum, co), co, co.values()))
 
-    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        """The (exponents, coefficient) terms by total degree, then by exponents."""
-        return [(mono, c) for _, mono, c in self._by_degree()]
-
     def __str__(self):
         """Each term is rendered once, as its power of L (``SYMBOLS[0]``) and the text of the rest."""
         rest_text: dict[tuple[int, ...], str] = {}  # (0, 2, 0, 1, 0) -> "*Y^2*B", built once per call

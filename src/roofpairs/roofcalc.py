@@ -926,10 +926,10 @@ def _mukai(config: RoofConfig, lattice, coordinates, bound: int):
 
 
 class RoofQuery:
-    """One configuration's pipeline, each piece built once, on first request; ``stage``
-    names the piece being built.  A ``RoofError``, ``GradedRingError`` or ``LatticeError``
-    raised while building is raised again once, by the outermost build, as the same type
-    with the text ``stage '<innermost piece>' failed: <message>``.
+    """One configuration's pipeline, each piece built once, on first request.  A ``RoofError``,
+    ``GradedRingError`` or ``LatticeError`` raised while building is raised again by the
+    innermost build that failed, as the same type with the text ``stage '<piece>' failed:
+    <message>``; the builds around it pass the named error on unchanged.
 
     A side's Gram matrix is read off its Segre classes (``_table_gram``).  Where the
     pullback sublattice S is unimodular (``_splitting``), the middle lattice splits as
@@ -952,23 +952,21 @@ class RoofQuery:
     and only the table rows that its own side switch asks for."""
 
     def __init__(self, config: RoofConfig):
-        self.config, self.stage, self._built = config, None, {}
+        self.config, self._built = config, {}
         side, tilde = config.side, config.tilde_side
         # keys of the pieces that name no side; a lattice is keyed by id(side), an int, never one of these
         self._rep = {id(side): "side", id(tilde): "side" if tilde._key()[1:] == side._key()[1:] else "tilde side"}
 
     def _once(self, stage: str, key, build):
         if (stage, key) not in self._built:
-            outer, self.stage = self.stage, stage
             try:
                 self._built[stage, key] = build()
             except (RoofError, GradedRingError, LatticeError) as exc:
-                if outer is not None:
-                    raise  # self.stage still names this piece, or the one inside it that raised
-                raise type(exc)(f"stage '{self.stage}' failed: {exc}") from exc
-            finally:  # a piece that failed inside another leaves its name for the outermost build
-                if outer is None or (stage, key) in self._built:
-                    self.stage = outer
+                if hasattr(exc, "stage"):
+                    raise  # named by the piece inside this one that failed
+                named = type(exc)(f"stage '{stage}' failed: {exc}")
+                named.stage = stage
+                raise named from exc
         return self._built[stage, key]
 
     def _gram(self, side: RoofSide) -> tuple[tuple[tuple[int, ...], ...], int, Optional[tuple[int, ...]]]:

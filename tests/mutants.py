@@ -166,8 +166,8 @@ MUTANTS = (
     # roofcalc: the declared locus signs of RoofConfig, and the stage that RoofQuery names
     _m("roof-config-signs-unchecked", "roofcalc", "if any(s not in (1, -1) for s in signs):", "if False:", ROOF,
        CLI),
-    _m("stage-named-at-every-level", "roofcalc", "                if outer is not None:\n",
-       "                if False:\n", "test_roof_queries.py", CLI),
+    _m("stage-named-at-every-level", "roofcalc", 'if hasattr(exc, "stage"):', "if False:", "test_roof_queries.py",
+       CLI),
     # roofcalc: the pieces RoofQuery shares between twin sides
     _m("twin-key-drops-relation", "roofcalc", "tilde._key()[1:] == side._key()[1:]",
        "tilde._key()[1:3] + tilde._key()[4:] == side._key()[1:3] + side._key()[4:]", "test_roof_queries.py"),
@@ -202,7 +202,7 @@ MUTANTS = (
        "    locus, group = roofcalc.class_from_coordinates(lat, coords), q.group(side)\n",
        "    group = q.group(side)\n"
        "    coords = q.locus(side)\n    locus = roofcalc.class_from_coordinates(lat, coords)\n",
-       f"{ORACLES}::test_describe_refused_at_the_locus_class_builds_no_group"),
+       "test_roof_queries.py::test_what_each_command_builds"),
     # checks: the bundle-ring law check of verify-all
     _m("law-check-unit-law-dropped", "checks",
        '            elif ab != (b if x == "1" else a):\n                return False\n', "", CHECKS),

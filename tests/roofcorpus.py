@@ -9,6 +9,8 @@ corpus from here, and never from one another.
   ``SWITCHED_RELATION`` and the 21 ``SYNTHETIC`` roofs on Q4-Q10);
 - ``NON_UNIMODULAR``: a roof whose pullback sublattice has determinant 2;
 - ``CORPUS``: the three above, every config the engine's oracles run on;
+- ``PARTIAL``: synthetic roofs whose twin sides keep part of their middle
+  basis, with or without the top monomial;
 - ``SPLIT_TILDE_TOY``: a toy roof whose split tilde side breaks the sign law;
 - ``STAGE_CASES``: a config failing in each stage of a query, with the
   public function that fails on it;
@@ -145,6 +147,33 @@ CONFIGS = ([builtin_config("g2dagger"), builtin_config("d4")]
            + [config_from_dict(d) for d in SYNTHETIC])
 NON_UNIMODULAR = non_unimodular_roof()
 CORPUS = [*DATA_CONFIGS.values(), *CONFIGS, NON_UNIMODULAR]
+
+
+def _partial_bases(count=24, seed=42):
+    """Synthetic Q4-Q8 roofs whose twin sides keep a seeded part of their middle basis, with or without the
+    top monomial L*xi^(r-1); the degenerate bases are left out.  At most 2 * count are drawn (the defaults keep
+    24 of 38), so that a ``middle_lattice`` that finds every basis degenerate cannot hang the import."""
+    rng, out = random.Random(seed), []
+    for _ in range(2 * count):
+        n = rng.randint(4, 8)
+        data = synthetic_roof(n, roof_relation(rng, n - 2, 2), f"partial-q{n}-{len(out)}")
+        top, *rest = data["sides"][0]["middle_basis"]
+        assert top == ["L", n - 3]
+        kept = rng.sample(rest, rng.randint(1, len(rest) - 1))
+        for side in data["sides"]:
+            side["middle_basis"] = kept if len(out) % 4 == 3 else [top, *kept]
+        config = config_from_dict(data)
+        try:
+            roofcalc.middle_lattice(config.side)
+        except roofcalc.DegenerateBasisError:
+            continue
+        out.append(config)
+        if len(out) == count:
+            break
+    return out
+
+
+PARTIAL = _partial_bases()
 
 
 # ---------------------------------------------------------------------------

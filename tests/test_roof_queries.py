@@ -1,5 +1,5 @@
-"""The query engine's own behaviour: the stage that names an error, the line that reaches stderr, each piece built
-once per distinct side, and the pieces that twin sides share.  ``test_engine_oracles.py`` holds the query's
+"""The query engine's own behaviour: the stage that names an error, the line that reaches stderr, what each command
+builds, and the pieces that twin sides share.  ``test_engine_oracles.py`` holds the query's
 results equal to the public functions'."""
 
 import json
@@ -9,12 +9,12 @@ import pytest
 
 from roofpairs import roofcalc
 from roofpairs.cli import cmd_describe, cmd_lemma7, cmd_mukai, main
-from roofpairs.configs import builtin_config
+from roofpairs.configs import builtin_config, config_from_dict
 from roofpairs.errors import GradedRingError, LatticeError
 
 from roofcorpus import (
-    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, STAGE_CASES, SWITCHED_RELATION, _d4_without_pi2, _fresh,
-    SPLIT_TILDE_TOY, _q6_partial_tilde, _toy_data, _zero_degree,
+    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, PARTIAL, SPLIT_TILDE_TOY, STAGE_CASES, SWITCHED_RELATION,
+    _d4_without_pi2, _fresh, _q6_partial_tilde, _toy_data, _zero_degree,
 )
 
 
@@ -69,21 +69,17 @@ def test_describe_reports_the_roof_whose_residue_scan_fails(data, tmp_path, caps
     assert captured.out and captured.err == ""
 
 
-def test_error_outside_a_stage_keeps_its_message(g2):
+def test_error_names_the_stage_that_raised_it(g2):
     q = roofcalc.RoofQuery(g2)
 
     def build():
-        q.lattice(g2.side)  # a stage that finished leaves no label behind
+        q.lattice(g2.side)
         raise roofcalc.SwitchError("raised after the stage")
 
-    with pytest.raises(roofcalc.SwitchError) as got:
-        build()
-    assert str(got.value) == "raised after the stage"
-    # inside a stage, the error names that stage, not the one that finished before it
+    # the error names the stage it was raised in, not the one that finished before it
     with pytest.raises(roofcalc.SwitchError) as got:
         q._once("side switch", None, build)
     assert str(got.value) == "stage 'side switch' failed: raised after the stage"
-    assert q.stage is None
 
 
 def test_nested_failure_is_named_once_by_its_innermost_stage():
@@ -93,74 +89,101 @@ def test_nested_failure_is_named_once_by_its_innermost_stage():
         with pytest.raises(roofcalc.RoofError) as got:
             q.mukai(50)
         assert str(got.value) == "stage 'middle lattice' failed: middle monomial xi exponent 2 outside [0, 1]"
-        assert q.stage is None
 
 
 # ---------------------------------------------------------------------------
-# each query builds each piece once per distinct side
+# what each command builds: one row per command and config
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cfg, grams", [(CONFIGS[0], 1), (CONFIGS[2], 2)], ids=["built-in", "tilde-reversed"])
-def test_scan_and_mukai_build_each_piece_once(cfg, grams, count_calls):
-    # the built-in's sides carry the same data, so the tilde side takes the side's Gram matrix; each side checks
-    # its own basis for its own lattice, and never through the public middle_lattice.  switch_side: the side's
-    # locus class, and theta(v) for the Mukai vector; one isotropic solve per side
-    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice",
-                         "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
+# the private builders and the kernel functions that a query may call; every row pins all twelve
+NAMES = ("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice", "roofcalc._locus_class",
+         "roofcalc.pairing_on_M", "roofcalc.switch_side", "roofcalc.mukai_vector", "latticecore.discriminant_group",
+         "latticecore.orthogonal_kernel", "latticecore.smith_normal_form", "latticecore.det",
+         "latticecore.isotropic_pair_solve")
+
+
+def _row(**calls):
+    """The calls a row makes, by function name, keyed as ``NAMES``; the functions left out make none."""
+    names = {name.split(".")[1]: name for name in NAMES}
+    return {names[f]: n for f, n in calls.items()}
+
+
+def _scan_and_mukai_twice(cfg):
     q = roofcalc.RoofQuery(cfg)
     for _ in range(2):
         q.residue_scan()
         q.mukai(50)
-    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0,
-                      "roofcalc.switch_side": 2, "latticecore.isotropic_pair_solve": 2}
-    assert q.stage is None  # nothing is being built
 
 
-@pytest.mark.parametrize("argv, grams", [
-    (["g2dagger"], 1),
-    (["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")], 2),
-], ids=["built-in", "tilde-reversed"])
-def test_mukai_command_builds_each_piece_once(argv, grams, capsys, count_calls):
-    # the command renders theta(v), theta(w) and the switched generator with the query's own lattices and
-    # locus classes: one query, one switch (theta(v)), and no public middle_lattice or mukai_vector
-    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc.middle_lattice",
-                         "roofcalc.mukai_vector", "roofcalc.switch_side", "latticecore.isotropic_pair_solve")
-    assert main(["mukai", *argv]) == 0 and capsys.readouterr().err == ""
-    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": grams, "roofcalc.middle_lattice": 0,
-                      "roofcalc.mukai_vector": 0, "roofcalc.switch_side": 1, "latticecore.isotropic_pair_solve": 2}
+RUNS = {"describe": cmd_describe, "lemma7": cmd_lemma7, "scan-mukai-twice": _scan_and_mukai_twice}
+TILDE_REVERSED = ["--config", str(pathlib.Path(__file__).parent / "data" / "g2dagger_tilde_reversed.json")]
+D4_WITHOUT_PI2 = config_from_dict({**_d4_without_pi2(), "name": "d4-without-pi2"})
+
+# command, its config (mukai: its command-line arguments), the error type it stops with, and what it builds.
+# Each side checks its own basis for its own lattice, never through the public middle_lattice, and sides that
+# carry the same data share one Gram matrix (_table_gram counts the distinct sides), locus class and group.  The
+# Gram matrix is read off the Segre classes, with no pairing_on_M, and the locus class never takes the public
+# path, with its orthogonal kernel.  Where the pullback sublattice is unimodular, det and group are read off the
+# splitting L = S + Zj, with no det for a 1 x 1 block; non-unimodular falls back to the Gram det and to
+# discriminant_group, whose Smith check makes two more dets.  Only lemma7 switches the locus class, after both
+# lattices and locus classes, and only describe builds a group, after the locus class, so a config refused there
+# takes no Smith form.  mukai switches theta(v) once, solves once per side, and refuses d4's rank off the
+# declared bases, before any lattice.  A refusal builds nothing after the stage that failed.
+BUILDS = [
+    ("describe", CONFIGS[0], None, _row(_check_middle_basis=2, _table_gram=1)),
+    ("lemma7", CONFIGS[0], None, _row(_check_middle_basis=2, _table_gram=1, switch_side=1)),
+    ("describe", CONFIGS[1], None, _row(_check_middle_basis=2, _table_gram=1, det=1)),
+    ("lemma7", CONFIGS[1], None, _row(_check_middle_basis=2, _table_gram=1, switch_side=1, det=1)),
+    ("describe", CONFIGS[2], None, _row(_check_middle_basis=2, _table_gram=2)),
+    ("lemma7", CONFIGS[2], None, _row(_check_middle_basis=2, _table_gram=2, switch_side=1)),
+    ("describe", CONFIGS[3], None, _row(_check_middle_basis=2, _table_gram=2, det=2)),
+    ("lemma7", CONFIGS[3], None, _row(_check_middle_basis=2, _table_gram=2, switch_side=1, det=2)),
+    ("describe", SWITCHED_RELATION, None, _row(_check_middle_basis=2, _table_gram=2)),
+    ("lemma7", SWITCHED_RELATION, None, _row(_check_middle_basis=2, _table_gram=2, switch_side=1)),
+    ("describe", CONFIGS[-1], None, _row(_check_middle_basis=2, _table_gram=1, det=1)),
+    ("lemma7", CONFIGS[-1], None, _row(_check_middle_basis=2, _table_gram=1, switch_side=1, det=1)),
+    ("describe", NON_UNIMODULAR, None,
+     _row(_check_middle_basis=2, _table_gram=1, discriminant_group=1, smith_normal_form=1, det=4)),
+    ("lemma7", NON_UNIMODULAR, None, _row(_check_middle_basis=2, _table_gram=1, switch_side=1, det=1)),
+    ("mukai", ["g2dagger"], None, _row(_check_middle_basis=2, _table_gram=1, switch_side=1, isotropic_pair_solve=2)),
+    ("mukai", TILDE_REVERSED, None, _row(_check_middle_basis=2, _table_gram=2, switch_side=1, isotropic_pair_solve=2)),
+    ("scan-mukai-twice", CONFIGS[0], None,
+     _row(_check_middle_basis=2, _table_gram=1, switch_side=2, isotropic_pair_solve=2)),
+    ("scan-mukai-twice", CONFIGS[2], None,
+     _row(_check_middle_basis=2, _table_gram=2, switch_side=2, isotropic_pair_solve=2)),
+    # refusals: STAGE_CASES[4] is the split tilde toy, [-2] q6-partial-tilde and [-1] d4-zero-degree
+    ("mukai", ["d4"], "LatticeError", _row()),
+    ("describe", D4_WITHOUT_PI2, "UnexpectedRankError", _row(_check_middle_basis=1, _table_gram=1, det=1)),
+    ("lemma7", D4_WITHOUT_PI2, "UnexpectedRankError", _row(_check_middle_basis=2, _table_gram=1, det=1)),
+    ("describe", PARTIAL[1], "UnexpectedRankError", _row(_check_middle_basis=1, _table_gram=1, det=1)),
+    ("lemma7", PARTIAL[1], "UnexpectedRankError", _row(_check_middle_basis=2, _table_gram=1, det=1)),
+    ("describe", STAGE_CASES[4][1], "UnexpectedRankError", _row(_check_middle_basis=2, _table_gram=2, det=1)),
+    ("lemma7", STAGE_CASES[4][1], "UnexpectedRankError", _row(_check_middle_basis=2, _table_gram=2, det=1)),
+    ("lemma7", STAGE_CASES[-2][1], "RoofError", _row(_check_middle_basis=2, _table_gram=2, switch_side=1, det=4)),
+    ("lemma7", STAGE_CASES[-1][1], "InvalidRoofError",
+     _row(_check_middle_basis=2, _table_gram=1, switch_side=1, det=1)),
+]
 
 
-@pytest.mark.parametrize("command", ["describe", "lemma7"])
-@pytest.mark.parametrize("cfg, distinct", [(CONFIGS[0], 1), (CONFIGS[1], 1), (CONFIGS[2], 2), (CONFIGS[3], 2),
-                                           (SWITCHED_RELATION, 2), (CONFIGS[-1], 1), (NON_UNIMODULAR, 1)],
-                         ids=lambda c: getattr(c, "name", c))
-def test_each_piece_built_once_per_distinct_side(command, cfg, distinct, count_calls):
-    # sides that carry the same data share their Gram matrix, locus coordinates and group; each side checks
-    # its own basis for its own lattice.  lemma7 needs no group, and only lemma7 switches the locus class to
-    # the other side.  Where the pullback sublattice is unimodular, the group is read off the splitting
-    # L = S + Zj, with no Smith form; NON_UNIMODULAR falls back to discriminant_group.  The locus class never
-    # takes the public path, with its orthogonal kernel
-    counts = count_calls("roofcalc._check_middle_basis", "roofcalc._table_gram", "roofcalc._locus_class",
-                         "latticecore.discriminant_group", "latticecore.orthogonal_kernel", "roofcalc.switch_side")
-    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    fallback = int(cfg is NON_UNIMODULAR)
-    assert counts == {"roofcalc._check_middle_basis": 2, "roofcalc._table_gram": distinct, "roofcalc._locus_class": 0,
-                      "latticecore.discriminant_group": fallback if command == "describe" else 0,
-                      "latticecore.orthogonal_kernel": 0,
-                      "roofcalc.switch_side": 0 if command == "describe" else 1}
+def _run(command, arg, capsys):
+    """The name of the error type that ``command`` stops with on ``arg``, or None where it finishes."""
+    if command == "mukai":  # through the command line, which writes "error: <type>: <text>" to stderr
+        code, err = main(["mukai", *arg]), capsys.readouterr().err
+        assert (code, err == "") in {(0, True), (1, False)}
+        return err.split(": ")[1] if code else None
+    try:
+        RUNS[command](arg)
+    except (roofcalc.RoofError, GradedRingError, LatticeError) as exc:
+        return type(exc).__name__
+    return None
 
 
-@pytest.mark.parametrize("command", ["describe", "lemma7"])
-@pytest.mark.parametrize("cfg", [CONFIGS[-1], NON_UNIMODULAR], ids=lambda c: c.name)
-def test_engine_gram_is_read_without_pairings(command, cfg, count_calls):
-    # the twin sides of syn-q10-21 have a 9 x 9 Gram matrix, read off the Segre classes, and so is the
-    # pairing that signs the locus class; describe's locus self-pairing is k^T G k on the locus coordinates.
-    # Pairing each entry, as middle_lattice does, made 84 and 82; the locus sign and self-pairings made 3 and 1.
-    # NON_UNIMODULAR's fallback locus class is signed the same way
-    assert cfg is NON_UNIMODULAR or cfg.name == "syn-q10-21" and len(cfg.side.middle_basis) == 9
-    counts = count_calls("roofcalc.pairing_on_M")
-    (cmd_describe if command == "describe" else cmd_lemma7)(cfg)
-    assert counts == {"roofcalc.pairing_on_M": 0}
+@pytest.mark.parametrize("command, arg, error, row", BUILDS, ids=[
+    f"{command}-{getattr(arg, 'name', None) or pathlib.Path(arg[-1]).stem}" for command, arg, _, _ in BUILDS])
+def test_what_each_command_builds(command, arg, error, row, count_calls, capsys):
+    counts = count_calls(*NAMES)
+    assert _run(command, arg, capsys) == error
+    assert counts == {**dict.fromkeys(NAMES, 0), **row}
 
 
 @pytest.mark.parametrize("name", ["g2dagger", "d4"])
@@ -291,18 +314,3 @@ def test_mukai_reduces_only_in_its_side_switch(cfg, record_reductions):
     # reduce nothing
     cmd_mukai(_fresh(cfg), 50)
     assert record_reductions and all(switched for _, _, switched in record_reductions)
-
-
-@pytest.mark.parametrize("cfg, smith, det", [(CONFIGS[0], 0, 0), (CONFIGS[2], 0, 0), (NON_UNIMODULAR, 1, 4)],
-                         ids=[CONFIGS[0].name, CONFIGS[2].name, NON_UNIMODULAR.name])  # pins kept out of the ids
-def test_describe_decomposes_each_gram_matrix_once(cfg, smith, det, count_calls):
-    # g2dagger's twin sides read their group and locus class off the splitting, with no det: every
-    # anti-diagonal block of S is 1 x 1 and is read as its entry; its reordered tilde side builds its own.
-    # NON_UNIMODULAR falls back: the Gram det, and discriminant_group's det and Smith form, whose check makes
-    # the other two dets; its locus class is one rational solve, with no Smith form.  Decomposing for each
-    # report field separately made 6 Smith and 18 det calls on g2dagger; before the splitting, 2 Smith and
-    # 6 det calls; and with one det per 1 x 1 block, 2 det calls (4 on the reordered config, 5 on
-    # NON_UNIMODULAR).
-    counts = count_calls("latticecore.smith_normal_form", "latticecore.det")
-    cmd_describe(cfg)
-    assert counts == {"latticecore.smith_normal_form": smith, "latticecore.det": det}
