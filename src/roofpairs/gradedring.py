@@ -285,10 +285,6 @@ class GradedClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
-
     def coefficient(self, label: str) -> int | Fraction:
         return self.coeffs.get(label, 0)
 

@@ -234,12 +234,8 @@ class BundleClass:
     def is_zero(self) -> bool:
         return not any(self._flat)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for p in self._flat for c in p.values())
-
     def assert_integral(self) -> "BundleClass":
-        if not self.is_integral:
+        if any(c.denominator != 1 for p in self._flat for c in p.values()):
             raise IntegralityError(f"non-integral bundle class {self}")
         return self
 

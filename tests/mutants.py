@@ -109,7 +109,7 @@ MUTANTS = (
        'if any(len(_typed(row, (list, tuple), "gram matrix row", LatticeError)) != n for row in gram):', "if False:",
        LAT),
     _m("isotropic-bound-not-an-index", "latticecore", 'bound = _index(bound, "the coordinate bound", LatticeError)',
-       "bound = bound", LAT),
+       "bound = bound", CONTRACT),
     _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", LAT),
     _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", LAT),
     _m("quadric-dimension-not-an-index", "gradedring", 'dim = _index(dim, "quadric dimension", InvalidDimensionError)',
@@ -122,7 +122,7 @@ MUTANTS = (
        "ring, r = c.ring, c.rank", CONTRACT),
     _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
     _m("reduce-exponent-not-an-index", "roofcalc", 'if type(e) is bool or not hasattr(type(e), "__index__"):',
-       "if type(e) is bool:", ROOF),
+       "if type(e) is bool:", CONTRACT),
     _m("reduce-exponent-admits-bools", "roofcalc", "if type(e) is bool or not hasattr(", "if not hasattr(", ROOF,
        CONTRACT),
     _m("reduce-degree-unchecked", "roofcalc",

@@ -197,7 +197,8 @@ TABLE: dict[str, dict[str, Slot]] = {
                      "b": S("class", XI3, lambda v: roofpairs.pairing_on_M(SIDE, XI3, v),
                             r"second class: expected a BundleClass, got \w+|classes do not live on the requested side"),
                      "side": S("side", SIDE, lambda v: roofpairs.pairing_on_M(v, XI3, XI3), "side")},
-    "polarized_sign_check": {"side": S("side", SIDE, lambda v: roofpairs.polarized_sign_check(v), "side")},
+    "polarized_sign_check": {"side": S("side", SIDE, lambda v: roofpairs.polarized_sign_check(v),
+                                       r"^side: expected a RoofSide, got \w+$")},
     "reduce": {
         "side": S("side", SIDE, lambda v: reduce(v, {1: Q5.unit()}), "side"),
         "expression": S("expression", {1: Q5.unit()}, lambda v: reduce(SIDE, v), "expression|xi exponent"),

@@ -1,4 +1,3 @@
-import doctest
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -20,11 +19,6 @@ from roofpairs.gradedring import (
 
 Q5 = make_quadric_ring(5)
 Q6 = make_quadric_ring(6)
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(gradedring)
-    assert failures == 0
 
 
 def test_signed_sum():
@@ -178,8 +172,8 @@ def integral_class(draw, ring, degree):
     c=integral_class(Q6, 3),
 )
 def test_integrality_closed_and_bilinear(a, b, c):
-    assert (a * b).is_integral
-    assert (a + a).is_integral
+    for x in (a * b, a + a):
+        assert all(c.denominator == 1 for c in x.coeffs.values())
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
 

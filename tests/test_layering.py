@@ -2,6 +2,7 @@
 while every public name stays importable from ``roofpairs``."""
 
 import ast
+import doctest
 import importlib
 import json
 import pathlib
@@ -186,6 +187,14 @@ def test_no_test_module_imports_another():
     # the tests share their configs and builders through plain modules such as roofcorpus
     for path in pathlib.Path(__file__).parent.glob("test_*.py"):
         assert not any(m.startswith("test_") for m in _absolute_imports(path)), path.name
+
+
+# importing __main__ runs the command line
+@pytest.mark.parametrize("name", sorted(p.stem for p in pathlib.Path(roofpairs.__file__).parent.glob("*.py")
+                                        if p.stem != "__main__"))
+def test_doctests_pass(name):
+    module = roofpairs if name == "__init__" else importlib.import_module(f"roofpairs.{name}")
+    assert doctest.testmod(module).failed == 0
 
 
 def test_latticecore_is_a_leaf():

@@ -1,4 +1,3 @@
-import doctest
 import re
 from fractions import Fraction
 
@@ -20,11 +19,6 @@ from roofpairs.motivicring import (
     l_equivalence_residual,
     proj_class,
 )
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(motivicring)
-    assert failures == 0
 
 
 def test_str_orders_terms_by_total_degree():

@@ -1,6 +1,6 @@
-"""The query engine's own behaviour: the stage that names an error, the line that reaches stderr, what each command
-builds, and the pieces that twin sides share.  ``test_engine_oracles.py`` holds the query's
-results equal to the public functions'."""
+"""The query engine's own behaviour: the stage that names an error, what each command builds, and the pieces that
+twin sides share.  ``test_engine_oracles.py`` holds the query's results equal to the public functions', and the
+error line that reaches stderr is a row of ``ERRORS`` in ``test_cli.py``."""
 
 import json
 import pathlib
@@ -13,8 +13,8 @@ from roofpairs.configs import builtin_config, config_from_dict
 from roofpairs.errors import GradedRingError, LatticeError
 
 from roofcorpus import (
-    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, PARTIAL, SPLIT_TILDE_TOY, STAGE_CASES, SWITCHED_RELATION,
-    _d4_without_pi2, _fresh, _q6_partial_tilde, _toy_data, _zero_degree,
+    CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, PARTIAL, STAGE_CASES, SWITCHED_RELATION, _d4_without_pi2, _fresh,
+    _q6_partial_tilde, _zero_degree,
 )
 
 
@@ -30,33 +30,6 @@ def test_sides_that_differ_only_in_the_relation_keep_their_own_lattices():
 # ---------------------------------------------------------------------------
 # a config failing in each stage keeps its stage label and message
 # ---------------------------------------------------------------------------
-
-# a config file that fails in a stage: the one line on stderr names the stage and the file
-STDERR_CASES = [
-    ("lemma7", _q6_partial_tilde(),
-     "RoofError: stage 'residue scan' failed: class is not supported on the declared middle basis"),
-    ("describe", _toy_data(tilde={"middle_basis": [["Pi1", 0], ["Pi2", 0]]}),
-     "UnexpectedRankError: stage 'locus class' failed: orthogonal complement of the pullback sublattice has rank 0, "
-     "expected 1"),
-    ("describe", _d4_without_pi2(), "UnexpectedRankError: stage 'locus class' failed: locus class -Pi1*xi + 6*Pi1*L "
-     "has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12"),
-    # the tilde side splits, and +-j = -L*xi + Pi1 has self-pairing -1, where the law needs (-1)^(r-1) d = -2
-    *((command, SPLIT_TILDE_TOY, "UnexpectedRankError: stage 'locus class' failed: locus class -L*xi + Pi1 has "
-       "self-pairing -1, but the sign law needs (-1)^(r-1) d = -2") for command in ("describe", "lemma7")),
-    ("lemma7", _zero_degree(), "InvalidRoofError: stage 'residue scan' failed: the residue scan needs a "
-     "polarization degree of at least 1, got 0"),
-]
-
-
-@pytest.mark.parametrize("command, data, error", STDERR_CASES, ids=[
-    "residue-scan", "no-top-monomial", "fallback-sign-law", "split-sign-law-describe", "split-sign-law-lemma7",
-    "zero-degree"])
-def test_stage_and_input_reach_stderr(command, data, error, tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(data))
-    assert main([command, "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {error} (config {path})\n")
-
 
 @pytest.mark.parametrize("data", [_q6_partial_tilde(), _zero_degree()], ids=["partial-tilde", "zero-degree"])
 def test_describe_reports_the_roof_whose_residue_scan_fails(data, tmp_path, capsys):

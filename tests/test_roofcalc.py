@@ -171,12 +171,6 @@ class TestReduceAndPushforward:
     def test_xi_cubed_pushforward(self, g2):
         assert xi_power(g2.side, 3).parts[-1] == g2.side.base.l_power(1) * 5
 
-    @pytest.mark.parametrize("e", [1.5, 4.0, "2", None], ids=repr)
-    def test_exponent_of_a_class_must_be_an_integer(self, g2, e):
-        # 1.5 recursed without end through the normal-form table, and 4.0 was answered as 4
-        with pytest.raises(RoofError, match=f"xi exponents must be integers, got {re.escape(repr(e))}"):
-            reduce(g2.side, {e: g2.side.base.unit()})
-
     def test_xi_power_exponent_must_be_an_integer(self, g2):
         with pytest.raises(RoofError, match=r"got 1\.5"):
             xi_power(g2.side, 1.5)
@@ -241,16 +235,6 @@ class TestLocusClass:
 
 
 class TestSignLawAndDegrees:
-    @pytest.mark.parametrize("which", ["sdie", "Tilde", "", None])
-    def test_unknown_side_is_rejected(self, which):
-        # the function once picked a side of a config by name; a name or None is not a side
-        with pytest.raises(RoofError, match=f"expected a RoofSide, got {type(which).__name__}$"):
-            polarized_sign_check(which)
-
-    def test_a_config_is_not_a_side(self, g2):
-        with pytest.raises(RoofError, match="expected a RoofSide, got RoofConfig$"):
-            polarized_sign_check(g2)
-
     def test_sign_matches_rank_parity(self, toy):
         assert polarized_sign_check(toy.side) == (-1) ** (toy.rank - 1) * toy.polarization_degree == -2
 
