@@ -46,7 +46,15 @@ def _g2(**fields):
 
 
 def _g2_side(**fields):
-    return _g2(sides=[dict(G2_SIDE, **fields), G2_SIDE])
+    """A g2 probe whose first side has the given fields replaced, or dropped where None."""
+    side = {k: v for k, v in dict(G2_SIDE, **fields).items() if v is not None}
+    return _g2(sides=[side, G2_SIDE])
+
+
+def _g2_without(field):
+    data = _g2()
+    del data[field]
+    return data
 
 
 def _g2_text(degree: str) -> bytes:
@@ -123,6 +131,18 @@ ERRORS = [
     (["describe"], _g2(polarization_degree=True), 2, "error: polarization_degree must be an integer, got True"),
     (["describe"], _g2(sides=[1, 2]), 2, "error: side 'g2-probe:side' must be an object, got 1"),
     (["describe"], [_g2()], 2, "error: a configuration must be an object, got list"),
+    *((["describe"], _g2_without(field), 2, f"error: missing configuration field {field!r}")
+      for field in ("rank", "sides")),
+    (["describe"], _g2(base_dim=[5, 5, 5]), 2, "error: a roof has exactly two sides"),
+    (["describe"], _g2(sides=[G2_SIDE]), 2, "error: a roof has exactly two sides"),
+    (["describe"], _g2(base_dim=5), 2, "error: base_dim must be a list, got 5"),
+    (["describe"], _g2_side(groth=[[], [], []]), 2,
+     "error: side 'g2-probe:side': give either 'chern' or 'groth', not both"),
+    (["describe"], _g2_side(chern=None, twist=None), 2, "error: side 'g2-probe:side': needs 'chern' or 'groth' data"),
+    (["describe"], _g2_side(chern=[[["L", 2]], [["L^2", 2]]]), 2,
+     "error: side 'g2-probe:side': expected 3 Chern components"),
+    (["describe"], _g2_side(chern=None, twist=None, groth=[[], []]), 2,
+     "error: side 'g2-probe:side': expected 3 relation coefficients"),
     # Q6 has Pi1 and Pi2 but no Pi
     (["describe"], _g2(base_dim=[6, 6]), 2, "error: side 'g2-probe:side' middle_basis: unknown basis label 'Pi' on Q6"),
     (["describe"], _g2(base_dim=[1, 1]), 2, "error: base_dim: quadric dimension must be >= 2, got 1"),
@@ -167,7 +187,12 @@ ERRORS = [
      "error: Underdetermined: 2 unknown dimensions in one zero-flanked run of ('C(2)', 'G(1)', 'O(2)')"),
     *((argv, None, 2, "roofpairs: error: bwb takes DIM BUNDLE [TWIST] or --case, not both")
       for argv in (["bwb", "5", "O", "1", "--case", "2"], ["bwb", "--case", "1", "5"])),
-    # arguments out of range
+    *((argv, None, 2, "roofpairs: error: bwb needs DIM BUNDLE [TWIST] or --case") for argv in (["bwb"], ["bwb", "5"])),
+    # arguments that are no integer, or out of range
+    *((argv, None, 2, f"roofpairs {argv[0]}: error: argument {name}: invalid int value: {argv[-1]!r}")
+      for argv, name in ((["mukai", "g2dagger", "--bound", "x"], "--bound"), (["motivic", "--rank", "2.5"], "--rank"),
+                         (["bwb", "5", "O", "1/2"], "twist"))),
+    (["bwb", "five", "O", "0"], None, 2, "roofpairs bwb: error: argument dim: invalid int value: 'five'"),
     *(([*argv, "--bound", bound], None, 2,
        f"roofpairs {argv[0]}: error: argument --bound: must be a non-negative integer, got {bound}")
       for argv in (["mukai", "g2dagger"], ["verify-all"]) for bound in ("-3", "-1")),
