@@ -88,7 +88,7 @@ MUTANTS = (
        "    if (_form(gram, a, a), _form(gram, b, b), _form(gram, a, ell), _form(gram, b, ell), _form(gram, a, b)) \\\n"
        "            != (0, 0, 0, 0, 1):\n", "    if False:\n", LAT),
     # latticecore: the input contract, the tall path and the Smith oracle
-    _m("int-rows-truncates-entries", "latticecore", "list(map(index, row))", "list(map(int, row))", LAT),
+    _m("int-rows-truncates-entries", "latticecore", "list(map(index, row))", "list(map(int, row))", INPUTS),
     _m("smith-tall-transforms-unswapped", "latticecore",
        "SmithDecomposition(_transposed(v, rows), _transposed(d, rows), _transposed(u, cols))",
        "SmithDecomposition(_transposed(u, cols), _transposed(d, rows), _transposed(v, rows))", LAT),
@@ -100,8 +100,8 @@ MUTANTS = (
        "            return False\n", "", LAT),
     # the library boundary: integer scalars and matching shapes at the public entries
     _m("mat-mul-shapes-unchecked", "latticecore",
-       "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", LAT),
-    _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", LAT),
+       "if any(len(row) != len(b) for row in a) or any(len(row) != len(cols) for row in b):", "if False:", INPUTS),
+    _m("mat-vec-shapes-unchecked", "latticecore", "if any(len(row) != len(v) for row in a):", "if False:", INPUTS),
     _m("kernel-sublattice-width-unchecked", "latticecore", 'n, "sublattice")', 'None, "sublattice")', LAT),
     _m("weight-coordinate-admits-floats", "bwbcoh", '_typed(c, Fraction, "weight coordinate", BWBError)',
        '_typed(c, (Fraction, float), "weight coordinate", BWBError)', CONTRACT),
@@ -110,17 +110,17 @@ MUTANTS = (
        LAT),
     _m("isotropic-bound-not-an-index", "latticecore", 'bound = _index(bound, "the coordinate bound", LatticeError)',
        "bound = bound", CONTRACT),
-    _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", LAT),
-    _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", LAT),
+    _m("isotropic-ell-length-unchecked", "latticecore", "if len(ell) != 3:", "if False:", INPUTS),
+    _m("isotropic-ell-entries-unchecked", "latticecore", "ell = tuple(map(index, ell))", "ell = tuple(ell)", INPUTS),
     _m("quadric-dimension-not-an-index", "gradedring", 'dim = _index(dim, "quadric dimension", InvalidDimensionError)',
-       "dim = dim", GRADED),
+       "dim = dim", INPUTS),
     _m("ring-dimension-not-an-index", "gradedring",
        'self.dimension = dimension = _index(dimension, "ring dimension", GradedRingError)',
        "self.dimension = dimension", CONTRACT),
     _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power", GradedRingError)', "pass", CONTRACT),
     _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)',
        "ring, r = c.ring, c.rank", CONTRACT),
-    _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", GRADED),
+    _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", INPUTS),
     _m("reduce-exponent-not-an-index", "roofcalc", 'if type(e) is bool or not hasattr(type(e), "__index__"):',
        "if type(e) is bool:", CONTRACT),
     _m("reduce-exponent-admits-bools", "roofcalc", "if type(e) is bool or not hasattr(", "if not hasattr(", ROOF,
@@ -144,7 +144,7 @@ MUTANTS = (
     _m("sequence-twist-not-integral", "bwbcoh",
        '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n'
        '    t = _index(t, "twist", BWBError)\n',
-       '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n', BWB),
+       '    """Table for a dictionary bundle or one of the sequence-resolved bundles."""\n', INPUTS),
     _m("proj-class-dimension-not-integral", "motivicring",
        'k = _index(k, "projective space dimension", ValueError)', "pass", CONTRACT),
     _m("fibration-rank-not-integral", "motivicring",
@@ -227,7 +227,7 @@ MUTANTS = (
        "self.ring is other.ring and", GRADED),
     # gradedring: the exact associativity check on sorted triples
     _m("assoc-drops-third-arrangement", "gradedring",
-       " \\\n                    or xyz != self._combo_times_label(products[x, z], y)", "", GRADED),
+       " \\\n                    or xyz != self._combo_times_label(products[x, z], y)", "", INPUTS),
     _m("assoc-skips-top-degree-triples", "gradedring", "degrees[x] + degrees[y] + degrees[z] > self.dimension",
        "degrees[x] + degrees[y] + degrees[z] >= self.dimension", GRADED),
     _m("assoc-skips-repeated-labels", "gradedring", "            if degrees[x] + degrees[y] + degrees[z]",
@@ -235,8 +235,8 @@ MUTANTS = (
     _m("assoc-check-skipped", "gradedring", 'raise GradedRingError(f"table not associative at ({x}, {y}, {z})")',
        "pass", GRADED),
     # gradedring: the checks of ChernVector
-    _m("chern-vector-length-unchecked", "gradedring", "if len(components) != rank:", "if False:", RECORDS),
-    _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", RECORDS),
+    _m("chern-vector-length-unchecked", "gradedring", "if len(components) != rank:", "if False:", INPUTS),
+    _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", INPUTS),
     # the record checks of structured input: labels, Chern vectors, middle bases and sequence tables
     _m("graded-class-unknown-label-leaks", "gradedring", "d = degrees.get(label)", "d = degrees[label]", CONTRACT),
     _m("chern-vector-empty-accepted", "gradedring", "        if not components:\n", "        if False:\n", INPUTS),
@@ -324,7 +324,7 @@ MUTANTS = (
     _m("public-locus-law-unchecked", "roofcalc",
        "class_from_coordinates(lat, _lawful(lat, kernel[0] if p > 0 else [-x for x in kernel[0]], cy_degree(side)))",
        "class_from_coordinates(lat, kernel[0] if p > 0 else [-x for x in kernel[0]])",
-       f"{ROOF}::TestLocusClass::test_a_class_that_breaks_the_sign_law_is_refused"),
+       INPUTS),
     _m("closed-form-rank-counts-the-pullback", "roofcalc", "has rank {len(top)}, expected 1",
        "has rank {lat.rank - len(top)}, expected 1", f"{ORACLES}::test_rank_error_without_one_top_monomial"),
     _m("closed-form-scaled-by-the-determinant", "roofcalc", "m = lcm(*(x.denominator for x in v))",
@@ -333,20 +333,20 @@ MUTANTS = (
        ROOF),
     _m("switch-substitution-unsigned", "roofcalc", "c * comb(p, k) * (-1) ** k", "c * comb(p, k)", ROOF),
     _m("residue-scan-degree-unchecked", "roofcalc", "    if d < 1:\n", "    if False:\n",
-       "test_roofcalc.py::TestResidueScan::test_zero_degree_is_refused"),
+       INPUTS),
     _m("residue-crt-no-compatibility-test", "roofcalc", "        if (r - k0) % h:\n            return None\n", "",
        ROOF),
     _m("locus-sign-not-normalised", "roofcalc", "kernel[0] if p > 0 else [-x for x in kernel[0]]", "kernel[0]", ROOF),
     # roofcalc: the checks of RoofConfig
-    _m("roof-config-rank-unchecked", "roofcalc", "if side.rank != tilde_side.rank:", "if False:", RECORDS),
+    _m("roof-config-rank-unchecked", "roofcalc", "if side.rank != tilde_side.rank:", "if False:", INPUTS),
     _m("roof-config-dimension-unchecked", "roofcalc", "if side.dim_total != tilde_side.dim_total:", "if False:",
-       RECORDS),
-    _m("roof-config-degree-unchecked", "roofcalc", "if d != polarization_degree:", "if False:", RECORDS),
+       INPUTS),
+    _m("roof-config-degree-unchecked", "roofcalc", "if d != polarization_degree:", "if False:", INPUTS),
     _m("record-make-skips-validation", "roofcalc", "    _make = classmethod(lambda cls, iterable: cls(*iterable))", "",
-       RECORDS),
+       INPUTS),
     # bwbcoh: the checks of RootSystem
-    _m("root-system-family-unchecked", "bwbcoh", 'if family not in ("B", "D"):', "if False:", RECORDS),
-    _m("root-system-rank-unchecked", "bwbcoh", "if rank < 2:", "if False:", RECORDS),
+    _m("root-system-family-unchecked", "bwbcoh", 'if family not in ("B", "D"):', "if False:", INPUTS),
+    _m("root-system-rank-unchecked", "bwbcoh", "if rank < 2:", "if False:", INPUTS),
     # bwbcoh: the Weyl-group kernel
     _m("conjugate-d-parity-flipped", "bwbcoh", "sum(c < 0 for c in doubled) % 2:",
        "sum(c < 0 for c in doubled) % 2 == 0:", BWB),
@@ -361,13 +361,13 @@ MUTANTS = (
     # bwbcoh: the weight dictionary and its entry points
     _m("twist-not-doubled", "bwbcoh", "(w[0] + 2 * t,)", "(w[0] + t,)", BWB),
     _m("sminus-as-splus", "bwbcoh", '"Sminus": ((-1,) + half[1:] + (-1,),)', '"Sminus": ((-1,) + half,)', BWB),
-    _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", BWB),
+    _m("small-quadrics-accepted", "bwbcoh", "    if n < 3:", "    if n < 1:", INPUTS),
     _m("non-integral-twist-accepted", "bwbcoh", '    t = _index(t, "twist", BWBError)\n    tables = [',
-       "    tables = [", BWB),
+       "    tables = [", INPUTS),
     _m("cayley-twist-converts-integral-floats", "bwbcoh",
        'cannot force it."""\n    t = _index(t, "twist", BWBError)\n',
        'cannot force it."""\n    t = _index(int(t) if type(t) is float and t.is_integer() else t, "twist", BWBError)\n',
-       BWB),
+       INPUTS),
     # bwbcoh: the long exact sequence solver
     _m("les-run-parity-flipped", "bwbcoh", "value = -total if unknowns[0] % 2 == 0 else total",
        "value = total if unknowns[0] % 2 == 0 else -total", BWB),
@@ -377,7 +377,7 @@ MUTANTS = (
     _m("les-negative-dimension-accepted", "bwbcoh", "                if value < 0:", "                if False:",
        BWB),
     _m("les-degree-outside-accepted", "bwbcoh", "            if k not in range(top + 1):", "            if False:",
-       BWB),
+       INPUTS),
     _m("les-known-middle-returned-as-given", "bwbcoh", "{k: v for k, v in enumerate(entries[1::3]) if v}",
        "dict(seq.tables[1])", BWB),
     # motivicring

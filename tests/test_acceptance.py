@@ -14,7 +14,7 @@ from itertools import product
 from roofpairs import bwbcoh, latticecore, roofcalc
 from roofpairs.cli import main
 from roofpairs.configs import builtin_config
-from roofpairs.gradedring import ChernVector, chern_twist, make_quadric_ring
+from roofpairs.gradedring import chern_twist, make_quadric_ring
 from roofpairs.motivicring import (
     B,
     B_TILDE,
@@ -26,6 +26,7 @@ from roofpairs.motivicring import (
 )
 
 from golden_grams import D4_GRAM, G2_GRAM
+from references import ottaviani_chern
 
 G2 = builtin_config("g2dagger")
 D4 = builtin_config("d4")
@@ -37,7 +38,7 @@ def report(n: int, text: str) -> None:
 
 def test_criterion_01_relation_derivation():
     q5 = make_quadric_ring(5)
-    c = ChernVector(3, (q5.l_power(1) * 2, q5.l_power(2) * 2, q5.basis_class("Pi") * 2))
+    c = ottaviani_chern(q5)
     twisted = chern_twist(c, 1)
     assert twisted.components == (q5.l_power(1) * 5, q5.l_power(2) * 9, q5.basis_class("Pi") * 12)
     side = roofcalc.RoofSide("side", q5, twisted.rank, twisted.components)

@@ -40,6 +40,7 @@ from roofpairs.motivicring import Y_TILDE, residual_closed_form
 from roofpairs.roofcalc import reduce, xi_power
 
 from golden_grams import G2_GRAM
+from references import ottaviani_chern
 
 G2, D4 = builtin_config("g2dagger"), builtin_config("d4")
 SIDE, TILDE, Q5, Q6 = G2.side, G2.tilde_side, G2.side.base, D4.side.base
@@ -48,7 +49,7 @@ G2_LOCUS = (18, -5, 1)
 ONE, P1 = BasisElement("1", 0), BasisElement("p", 1)
 B3, RHO_B3 = quadric_root_system(5), (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2))
 SEQUENCE = SequenceSpec(("a", "b", "c"), ({0: 1}, None, {}), 4)
-CHERN = roofpairs.ChernVector(3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2))
+CHERN = ottaviani_chern(Q5)
 PARTS = (Q5.l_power(2), Q5.l_power(1), Q5.unit())
 MONO = (4, 0, 0, 0, 0, 0)
 NON_INTEGERS = (1.5, "2", None)
@@ -147,7 +148,8 @@ TABLE: dict[str, dict[str, Slot]] = {
         "ring": S("ring", Q5, lambda v: roofpairs.GradedClass(v, 1, {"L": 1}), "ring"),
         "degree": S("index", 1, lambda v: roofpairs.GradedClass(Q5, v, {"L": 1}), "degree"),
         "coeffs": S("mapping", {"L": 1}, lambda v: roofpairs.GradedClass(Q5, 1, v),
-                    "coefficients|unknown basis label .+ on Q5"),
+                    r"^(coefficients(: expected a Mapping| must be exact integers or Fractions), got \w+"
+                    r"|unknown basis label .+ on Q5)$"),
     },
     "RingPresentation": {
         "name": S("name", "toy", lambda v: _ring(name=v), "name"),

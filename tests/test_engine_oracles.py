@@ -46,7 +46,7 @@ import random
 import re
 import types
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import isqrt, lcm, prod
 
 import pytest
@@ -66,6 +66,7 @@ from roofpairs.roofcalc import (
     middle_lattice, monomial, mukai_vector, pairing_on_M, residue_scan, switch_side,
 )
 
+from references import leibniz_det
 from roofcorpus import (
     CONFIGS, CORPUS, DATA_CONFIGS, NON_UNIMODULAR, PARTIAL, SPLIT_TILDE_TOY, STAGE_CASES, SYNTHETIC,
     SYNTHETIC_ROOFS, _d4_without_pi2, _fresh, roof_relation, synthetic_roof,
@@ -251,12 +252,6 @@ def check_mukai(config) -> None:
         assert RoofQuery(config).mukai(50)[-1] == expected
 
 
-def _leibniz(m) -> int:
-    n = len(m)
-    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2)) * prod(m[i][p[i]] for i in range(n))
-               for p in permutations(range(n)))
-
-
 def det_pullback(lat) -> int:
     """det S from the anti-diagonal blocks of S's Gram matrix, after checking that it is block anti-triangular."""
     k = lat.side.rank - 2
@@ -268,7 +263,7 @@ def det_pullback(lat) -> int:
     sizes = [len(b) for b in blocks]
     assert sizes == sizes[::-1], sizes  # every anti-diagonal block is square
     sign = (-1) ** sum(a * b for a, b in combinations(sizes, 2))  # reversing blocks of these sizes
-    return sign * prod(_leibniz([[gram[i][j] for j in blocks[k - e]] for i in blocks[e]]) for e in range(k + 1))
+    return sign * prod(leibniz_det([[gram[i][j] for j in blocks[k - e]] for i in blocks[e]]) for e in range(k + 1))
 
 
 def check_splitting(config) -> None:

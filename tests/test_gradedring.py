@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -11,11 +10,12 @@ from roofpairs.gradedring import (
     GradedClass,
     GradedRingError,
     IncompatibleRingError,
-    InvalidDimensionError,
     chern_twist,
     integrate,
     make_quadric_ring,
 )
+
+from references import THIRD_ARRANGEMENT, ottaviani_chern
 
 Q5 = make_quadric_ring(5)
 Q6 = make_quadric_ring(6)
@@ -29,22 +29,6 @@ def test_signed_sum():
 
 
 class TestQuadricRings:
-    def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimensionError):
-            make_quadric_ring(1)
-
-    @pytest.mark.parametrize("dim", [2.0, 5.0, "5", None], ids=repr)
-    def test_dimension_must_be_an_integer(self, dim):
-        # 2.0 and 5.0 raised TypeError from range()
-        with pytest.raises(InvalidDimensionError, match=f"must be an integer, got {re.escape(repr(dim))}"):
-            make_quadric_ring(dim)
-
-    @pytest.mark.parametrize("label", ["nope", "pi", ["Pi"]], ids=repr)
-    def test_unknown_basis_label(self, label):
-        # a KeyError (or a TypeError for an unhashable label) before
-        with pytest.raises(GradedRingError, match=f"unknown basis label {re.escape(repr(label))} on Q5"):
-            Q5.basis_class(label)
-
     def test_q5_half_point_relation(self):
         # L^3 = 2*Pi and Pi*L^2 is the point class
         assert Q5.l_power(3) == Q5.basis_class("Pi") * 2
@@ -129,19 +113,15 @@ class TestIntegrate:
         assert integrate(pi1 * pi1) == 0
 
 
-def ottaviani_chern():
-    return ChernVector(3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2))
-
-
 class TestChernTwist:
     def test_twist_by_one(self):
-        twisted = chern_twist(ottaviani_chern(), 1)
+        twisted = chern_twist(ottaviani_chern(Q5), 1)
         assert twisted.components[0] == Q5.l_power(1) * 5
         assert twisted.components[1] == Q5.l_power(2) * 9
         assert twisted.components[2] == Q5.basis_class("Pi") * 12
 
     def test_zero_twist_is_identity(self):
-        c = ottaviani_chern()
+        c = ottaviani_chern(Q5)
         assert chern_twist(c, 0).components == c.components
 
     def test_line_bundle(self):
@@ -150,7 +130,7 @@ class TestChernTwist:
 
     @pytest.mark.parametrize("s,t", [(1, 1), (2, -1), (-3, 5), (0, 4), (-2, -2)])
     def test_composition(self, s, t):
-        c = ottaviani_chern()
+        c = ottaviani_chern(Q5)
         once = chern_twist(chern_twist(c, s), t)
         combined = chern_twist(c, s + t)
         assert once.components == combined.components
@@ -267,11 +247,6 @@ class TestCoefficientRepresentation:
         assert cls.coeffs == {"Pi2": 5}
         assert cls.coefficient("Pi1") == 0
 
-    @pytest.mark.parametrize("bad", [1.5, "2", None])
-    def test_inexact_coefficient_rejected(self, bad):
-        with pytest.raises(GradedRingError, match="exact integers or Fractions"):
-            GradedClass(Q5, 1, {"L": bad})
-
     def test_degree_checked(self):
         with pytest.raises(GradedRingError, match="has degree 2, not 1"):
             GradedClass(Q5, 1, {"L^2": 1})
@@ -359,16 +334,10 @@ def graded_tables(draw):
 class TestExactAssociativity:
     """The check compares (xy)z, (yz)x and (xz)y on sorted non-unit triples of degree at most the top."""
 
-    def test_failure_only_in_the_third_arrangement_is_rejected(self):
-        # a*c = b*b = -2q and b*q = -2p: (ab)c = (bc)a = 0, but (ac)b = -2q*b = 4p
-        basis = [gradedring.BasisElement(lbl, d)
-                 for lbl, d in (("1", 0), ("a", 1), ("b", 1), ("c", 1), ("q", 2), ("p", 3))]
-        table = {pair: {} for pair in combinations_with_replacement("abc", 2)}
-        table.update({(x, "q"): {} for x in "abc"})
-        table.update({("a", "c"): {"q": -2}, ("b", "b"): {"q": -2}, ("b", "q"): {"p": -2}})
+    def test_the_third_arrangement_table_fails_the_full_cube(self):
+        # test_input_checks.py pins the refusal of this table; the cube shows that it is not associative
+        basis, _, table = THIRD_ARRANGEMENT
         assert _full_cube_fails(3, basis, table)
-        with pytest.raises(GradedRingError, match=r"not associative at \(a, b, c\)"):
-            gradedring.RingPresentation("T3c", 3, basis, "p", table)
 
     @settings(max_examples=150, deadline=None)
     @given(graded_tables())
@@ -402,41 +371,16 @@ class TestExactAssociativity:
 
 
 class TestTableEntriesAreChecked:
-    """Every listed table entry is checked, including those the implicit rules would hide."""
+    """Table entries that the checks accept, next to the implicit rules; test_input_checks.py pins the refused ones."""
 
     @staticmethod
     def _ring(extra):
         basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("h", 1), ("p", 2))]
         return gradedring.RingPresentation("T2", 2, basis, "p", {("h", "h"): {"p": 1}, **extra})
 
-    def test_entry_beyond_top_degree_rejected(self):
-        with pytest.raises(GradedRingError, match=r"h\*p exceeds top degree but is nonzero"):
-            self._ring({("h", "p"): {"p": 7}})
-
     def test_empty_entry_beyond_top_degree_accepted(self):
         ring = self._ring({("h", "p"): {}})
         assert ring.basis_product("h", "p") == {}
-
-    @pytest.mark.parametrize("entry", [("1", "h"), ("h", "1")])
-    def test_entry_on_the_unit_rejected(self, entry):
-        with pytest.raises(GradedRingError, match="products with the unit are implicit"):
-            self._ring({entry: {"h": 1}})
-
-    @pytest.mark.parametrize("entry, combo, label", [
-        (("h", "q"), {"p": 1}, "q"),
-        (("q", "h"), {"p": 1}, "q"),
-        (("h", "h2"), {}, "h2"),
-        (("p", "h"), {"pt": 1}, "pt"),
-    ])
-    def test_unknown_label_rejected(self, entry, combo, label):
-        with pytest.raises(GradedRingError, match=f"names unknown label {label!r}"):
-            self._ring({entry: combo})
-
-    @pytest.mark.parametrize("coefficient", [1.5, Fraction(3, 2), 2.0, "1"])
-    def test_non_integer_coefficient_rejected(self, coefficient):
-        with pytest.raises(GradedRingError,
-                           match=r"gives 'h' \* 'h' the coefficient .* on 'p', not an integer"):
-            self._ring({("h", "h"): {"p": coefficient}})
 
     def test_integral_fraction_coefficient_accepted(self):
         product = self._ring({("h", "h"): {"p": Fraction(4, 2)}}).basis_product("h", "h")
@@ -447,11 +391,6 @@ class TestTableEntriesAreChecked:
         basis = [gradedring.BasisElement(lbl, d) for lbl, d in (("1", 0), ("h", 1), ("k", 1), ("p", 2))]
         table = {("h", "h"): {}, ("k", "k"): {}, ("h", "k"): {"p": 1}, **extra}
         return gradedring.RingPresentation("T2hk", 2, basis, "p", table)
-
-    def test_conflicting_entries_for_one_pair_rejected(self):
-        with pytest.raises(GradedRingError,
-                           match=r"lists 'h' \* 'k' and 'k' \* 'h' with different products"):
-            self._two_generator_table({("k", "h"): {"p": 5}})
 
     def test_identical_entries_for_one_pair_accepted(self):
         ring = self._two_generator_table({("k", "h"): {"p": 1, "h": 0}})

@@ -1,6 +1,3 @@
-import re
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +8,6 @@ from roofpairs.motivicring import (
     B_TILDE,
     L,
     SYMBOLS,
-    InvalidRankError,
     MotivicPoly,
     Y,
     Y_TILDE,
@@ -37,10 +33,6 @@ class TestProjClass:
     def test_telescoping(self, k):
         assert proj_class(k) * (L - 1) == L ** (k + 1) - 1
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            proj_class(-1)
-
 
 class TestFibrationClass:
     def test_rank_two(self):
@@ -53,10 +45,6 @@ class TestFibrationClass:
     def test_surface_equals_base_collapse(self, r):
         collapsed = fibration_class(r).substitute({"Y": B})
         assert collapsed == proj_class(r - 2) * B + L ** (r - 1) * B
-
-    def test_rank_one_rejected(self):
-        with pytest.raises(InvalidRankError):
-            fibration_class(1)
 
 
 class TestResidual:
@@ -275,35 +263,6 @@ def test_substitute_by_single_terms(p, images, expected):
     assert p.substitute(images) == expected
 
 
-class TestNoTruncation:
-    @pytest.mark.parametrize("make", [
-        lambda: MotivicPoly({(1, 0, 0, 0, 0, 0): 1.5}),
-        lambda: MotivicPoly({(1, 0, 0, 0, 0, 0): Fraction(7, 2)}),
-        lambda: MotivicPoly.const(2.9),
-        lambda: MotivicPoly.const("3"),
-        lambda: MotivicPoly.const(float("nan")),
-        lambda: MotivicPoly.const(float("inf")),
-        lambda: MotivicPoly({(1.5, 0, 0, 0, 0, 0): 1}),
-        lambda: MotivicPoly({(Fraction(3, 2), 0, 0, 0, 0, 0): 1}),
-        lambda: MotivicPoly({(-1, 0, 0, 0, 0, 0): 1}),
-        lambda: MotivicPoly({(1, 0, 0): 1}),
-    ])
-    def test_rejected(self, make):
-        with pytest.raises(ValueError):
-            make()
-
-    @pytest.mark.parametrize("coeffs, message", [
-        ({(Fraction(2, 1), 0, 0, 0, 0, 0): 3}, "exponent must be an integer, got Fraction(2, 1)"),
-        ({(2.0, 0, 0, 0, 0, 0): 3}, "exponent must be an integer, got 2.0"),
-        ({(0,) * 6: Fraction(6, 2)}, "coefficient must be an integer, got Fraction(3, 1)"),
-        ({(0,) * 6: 2.0}, "coefficient must be an integer, got 2.0"),
-    ], ids=repr)
-    def test_integral_values_of_other_types_refused(self, coeffs, message):
-        # these used to become the ints 2 and 3; every layer now refuses them alike
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            MotivicPoly(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # results of the ring operations are canonical without re-validation
 # ---------------------------------------------------------------------------
@@ -372,29 +331,3 @@ def test_closed_form_residual_to_rank_300():
         assert expected.coeffs == closed_form_residual(r)
         assert l_equivalence_residual(r) == expected
         assert str(l_equivalence_residual(r)) == str(expected)
-
-
-def test_closed_form_residual_rejects_rank_one():
-    with pytest.raises(InvalidRankError):
-        motivicring.residual_closed_form(1)
-
-
-# ---------------------------------------------------------------------------
-# unknown symbols and non-int exponents at the public boundary
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["y", "Lambda", ""])
-def test_substitute_rejects_unknown_symbol_like_var(name):
-    with pytest.raises(ValueError) as from_var:
-        MotivicPoly.var(name)
-    with pytest.raises(ValueError) as from_substitute:
-        Y.substitute({"Y": L, name: L})
-    assert str(from_substitute.value) == str(from_var.value)
-    assert f"unknown symbol {name!r}" in str(from_var.value)
-
-
-# 2.0 and Fraction(6, 2) used to be taken as the exponents 2 and 3
-@pytest.mark.parametrize("e", [1.5, Fraction(1, 2), float("nan"), "2", 2.0, Fraction(6, 2)])
-def test_non_integral_exponent_raises_value_error(e):
-    with pytest.raises(ValueError, match="exponent must be an integer"):
-        Y ** e

@@ -2,8 +2,8 @@
 
 Eleven are NamedTuples; ``BasisElement``, ``ChernVector``, ``RoofConfig``
 and ``RootSystem`` among them validate their fields in ``__new__``, also
-through ``_make`` and ``_replace``, with the exception types and messages
-tested below; ``test_contract.py`` probes each field of the input records.
+through ``_make`` and ``_replace``: ``test_input_checks.py`` pins each
+refusal, and ``test_contract.py`` probes each field of the input records.
 ``RoofSide`` is the one plain class: it owns a normal-form table and Segre
 data that take no part in equality.
 """
@@ -13,6 +13,7 @@ import pytest
 from roofpairs import bwbcoh, checks, gradedring, latticecore, roofcalc
 
 from golden_grams import G2_GRAM
+from references import ottaviani_chern
 
 Q5 = gradedring.make_quadric_ring(5)
 G2_LOCUS = (18, -5, 1)
@@ -21,8 +22,7 @@ G2_LOCUS = (18, -5, 1)
 # each call builds a new instance from equal fields
 RECORDS = {
     gradedring.BasisElement: ("label", lambda g2: gradedring.BasisElement("L", 1)),
-    gradedring.ChernVector: ("rank", lambda g2: gradedring.ChernVector(
-        3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2))),
+    gradedring.ChernVector: ("rank", lambda g2: ottaviani_chern(Q5)),
     latticecore.SmithDecomposition: ("U", lambda g2: latticecore.smith_normal_form(G2_GRAM)),
     latticecore.DiscriminantGroup: ("factors", lambda g2: latticecore.discriminant_group(G2_GRAM)),
     latticecore.MukaiSolution: ("a", lambda g2: latticecore.isotropic_pair_solve(G2_GRAM, G2_LOCUS, 50)),
@@ -48,42 +48,6 @@ def test_record_is_read_only_and_equal_by_value(cls, g2):
     with pytest.raises(AttributeError):
         setattr(first, field, getattr(second, field))
     assert first == second
-
-
-def _side(base, rank):
-    return roofcalc.RoofSide("other", base, rank, tuple(base.l_power(i) for i in range(1, rank + 1)))
-
-
-# each validating constructor, called with fields that break one of its checks
-INVALID = {
-    "chern-length": (lambda g2: gradedring.ChernVector(2, (Q5.l_power(1), Q5.l_power(2), Q5.l_power(3))),
-                     gradedring.GradedRingError, "Chern vector length must equal the rank"),
-    "chern-degree": (lambda g2: gradedring.ChernVector(2, (Q5.l_power(1), Q5.l_power(1))),
-                     gradedring.GradedRingError, "component 2 has degree 1"),
-    "roof-rank": (lambda g2: roofcalc.RoofConfig("bad", g2.side, _side(g2.side.base, 2), 12),
-                  roofcalc.InvalidRoofError, "the two sides must have equal rank"),
-    "roof-dimension": (lambda g2: roofcalc.RoofConfig("bad", g2.side, _side(gradedring.make_quadric_ring(6), 3), 12),
-                       roofcalc.InvalidRoofError, "the two sides must have equal total-space dimension"),
-    "roof-degree": (lambda g2: roofcalc.RoofConfig("bad", g2.side, g2.tilde_side, 13),
-                    roofcalc.InvalidRoofError, "declared polarization degree 13 != computed 12 on 'g2dagger:side'"),
-    "root-family": (lambda g2: bwbcoh.RootSystem("A", 3), bwbcoh.BWBError, "family must be 'B' or 'D', got 'A'"),
-    "root-rank": (lambda g2: bwbcoh.RootSystem("B", 1), bwbcoh.BWBError, "rank must be at least 2"),
-    "roof-replace": (lambda g2: g2._replace(polarization_degree=1.5), roofcalc.InvalidRoofError,
-                     "polarization degree must be an integer, got 1.5"),
-    "root-make": (lambda g2: bwbcoh.RootSystem._make(("B", 1)), bwbcoh.BWBError, "rank must be at least 2"),
-    "basis-replace": (lambda g2: gradedring.BasisElement("L", 1)._replace(degree="1"), gradedring.GradedRingError,
-                      "basis degree must be an integer, got '1'"),
-    "chern-make": (lambda g2: gradedring.ChernVector._make((2, (Q5.l_power(1),))), gradedring.GradedRingError,
-                   "Chern vector length must equal the rank"),
-}
-
-
-@pytest.mark.parametrize("case", INVALID)
-def test_validating_records_reject_bad_fields(case, g2):
-    build, error, message = INVALID[case]
-    with pytest.raises(error) as info:
-        build(g2)
-    assert type(info.value) is error and str(info.value) == message
 
 
 def test_side_equality_ignores_the_normal_form_table(g2):

@@ -17,6 +17,8 @@ import pytest
 from roofpairs import bwbcoh
 from roofpairs.gradedring import ChernVector, chern_twist, integrate, make_quadric_ring
 
+from references import ottaviani_chern
+
 Q5 = make_quadric_ring(5)
 Q6 = make_quadric_ring(6)
 
@@ -195,10 +197,6 @@ def line_bundle(ring, t: int) -> ChernVector:
     return ChernVector(1, (ring.l_power(1) * t,))
 
 
-def ottaviani_chern() -> ChernVector:
-    return ChernVector(3, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2))
-
-
 def spinor_dual_chern() -> ChernVector:
     # from the defining extension: total class equals that of the rank-3 quotient
     return ChernVector(4, (Q5.l_power(1) * 2, Q5.l_power(2) * 2, Q5.basis_class("Pi") * 2, Q5.zero(4)))
@@ -206,7 +204,7 @@ def spinor_dual_chern() -> ChernVector:
 
 def cayley_chern() -> ChernVector:
     # c(C(2)) = c(G(1)) / c(O(2)), then untwist by -2
-    g1 = mixed_from_chern(chern_twist(ottaviani_chern(), 1))
+    g1 = mixed_from_chern(chern_twist(ottaviani_chern(Q5), 1))
     o2 = mixed_one(Q5)
     o2[1] = Q5.l_power(1) * 2
     c2_mixed = mixed_mul(g1, mixed_inverse(o2))
@@ -261,7 +259,7 @@ class TestLineBundles:
 
 class TestTwistedBundles:
     def test_ottaviani_sections(self):
-        assert chi(3, chern_twist(ottaviani_chern(), 1)) == 41
+        assert chi(3, chern_twist(ottaviani_chern(Q5), 1)) == 41
 
     def test_spinor_dual_twists(self):
         for t, expected in ((0, 8), (1, 48), (-3, 0), (-2, 0)):
@@ -270,10 +268,10 @@ class TestTwistedBundles:
     def test_ottaviani_twists_match_pipeline(self):
         for t in range(-5, 4):
             table = bwbcoh.ottaviani_table(t)
-            assert chi(3, chern_twist(ottaviani_chern(), t)) == bwbcoh.euler_characteristic(table)
+            assert chi(3, chern_twist(ottaviani_chern(Q5), t)) == bwbcoh.euler_characteristic(table)
 
     def test_ottaviani_dual(self):
-        assert chi(3, chern_twist(dual_chern(ottaviani_chern()), 1)) == 1
+        assert chi(3, chern_twist(dual_chern(ottaviani_chern(Q5)), 1)) == 1
 
     def test_cayley_chern_data(self):
         c = cayley_chern()
@@ -284,8 +282,8 @@ class TestTwistedBundles:
 
 class TestTensorBundles:
     def test_vanishing_case_2_chi(self):
-        g1 = chern_character(3, chern_twist(ottaviani_chern(), -3))
-        g2 = chern_character(3, ottaviani_chern())
+        g1 = chern_character(3, chern_twist(ottaviani_chern(Q5), -3))
+        g2 = chern_character(3, ottaviani_chern(Q5))
         assert chi_of_character(mixed_mul(g1, g2)) == 1
 
     def test_vanishing_case_3_chi(self):
@@ -330,7 +328,7 @@ class TestSerreDuality:
     @pytest.mark.parametrize("t", range(-6, 2))
     def test_chi_antisymmetry(self, t):
         # chi(E) = -chi(Edual(-5)) on an odd-dimensional variety
-        c = ottaviani_chern()
+        c = ottaviani_chern(Q5)
         left = chi(3, chern_twist(c, t))
         right = chi(3, chern_twist(dual_chern(c), -5 - t))
         assert left == -right

@@ -7,18 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from roofpairs import roofcalc
 from roofpairs.configs import BUILTIN_CONFIGS, builtin_config, config_from_dict, load_config
-from roofpairs.errors import GradedRingError, RoofError
+from roofpairs.errors import RoofError
 from roofpairs.gradedring import (
     ChernVector,
     GradedClass,
-    IncompatibleRingError,
-    IntegralityError,
     integrate,
     make_quadric_ring,
 )
 from roofpairs.roofcalc import (
     BundleClass,
-    DegenerateBasisError,
     DegreeMismatchError,
     InvalidRoofError,
     RoofConfig,
@@ -38,7 +35,7 @@ from roofpairs.roofcalc import (
     switch_side,
     xi_power,
 )
-from roofcorpus import CORPUS, DATA_CONFIGS, SYNTHETIC, _d4_without_pi2, _q6_partial_tilde, _zero_degree
+from roofcorpus import CORPUS, DATA_CONFIGS, SYNTHETIC, _q6_partial_tilde, _zero_degree
 
 
 def _split_signed(text):
@@ -127,12 +124,6 @@ class TestSideConstruction:
         side = RoofSide("side", q5, 1, (q5.l_power(1),))
         assert reduce(side, {1: q5.unit()}) == reduce(side, {0: q5.l_power(1)})
 
-    def test_rank_exceeding_base_rejected(self):
-        q5 = make_quadric_ring(5)
-        side = RoofSide("wide", q5, 6, tuple(q5.l_power(i) for i in range(1, 7)))
-        with pytest.raises(InvalidRoofError, match="side 'wide': bundle rank exceeds what the base dimension"):
-            cy_degree(side)
-
     def test_middle_basis_pairs_become_tuples(self, g2):
         side = g2.side
         listed = RoofSide(side.name, side.base, side.rank, list(side.groth_coeffs),
@@ -171,17 +162,6 @@ class TestReduceAndPushforward:
     def test_xi_cubed_pushforward(self, g2):
         assert xi_power(g2.side, 3).parts[-1] == g2.side.base.l_power(1) * 5
 
-    def test_xi_power_exponent_must_be_an_integer(self, g2):
-        with pytest.raises(RoofError, match=r"got 1\.5"):
-            xi_power(g2.side, 1.5)
-        with pytest.raises(RoofError, match="got True"):
-            xi_power(g2.side, True)
-
-    def test_inhomogeneous_rejected(self, g2):
-        q5 = g2.side.base
-        with pytest.raises(roofcalc.RoofError):
-            reduce(g2.side, {0: q5.l_power(1), 1: q5.l_power(1)})
-
     def test_a_zero_term_keeps_its_degree(self, g2):
         q5, r = g2.side.base, g2.rank
         for e in (0, r - 1, r, 2 * r):
@@ -196,14 +176,6 @@ class TestPairing:
         s = g2.side
         with pytest.raises(DegreeMismatchError):
             pairing_on_M(s, monomial(s, "Pi", 0), monomial(s, "L", 1))
-
-
-class TestMiddleLattice:
-    def test_degenerate_basis_rejected(self, g2):
-        bad = RoofSide("bad", g2.side.base, 3, g2.side.groth_coeffs,
-                       (("Pi", 0), ("Pi", 0), ("L", 2)))
-        with pytest.raises(DegenerateBasisError):
-            middle_lattice(bad)
 
 
 class TestLocusClass:
@@ -222,17 +194,6 @@ class TestLocusClass:
                          (("Pi", 0), ("L^2", 1)))
         with pytest.raises(UnexpectedRankError):
             locus_pushforward_class(short)
-
-    def test_a_class_that_breaks_the_sign_law_is_refused(self):
-        # the public path keeps the definitions (the orthogonal kernel, pairing_on_M) and holds its class to the
-        # same law as the query, with the same text
-        cfg = config_from_dict(_d4_without_pi2())
-        for public in (locus_pushforward_class, locus_coordinates, polarized_sign_check):
-            with pytest.raises(UnexpectedRankError) as got:
-                public(cfg.side)
-            assert str(got.value) == ("locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, "
-                                      "but the sign law needs (-1)^(r-1) d = -12")
-
 
 class TestSignLawAndDegrees:
     def test_sign_matches_rank_parity(self, toy):
@@ -253,15 +214,6 @@ class TestSwitchSide:
         # the symmetric toy only switches the hyperplane-polynomial subspace
         cls = locus_pushforward_class(toy.side)
         assert switch_side(toy, switch_side(toy, cls)) == cls
-
-    def test_unswitchable_class_rejected(self, toy):
-        with pytest.raises(roofcalc.SwitchError):
-            switch_side(toy, monomial(toy.side, "Pi1", 0))
-
-    def test_non_integral_result_rejected(self, g2):
-        half_pi = monomial(g2.side, "Pi", 0).scale(Fraction(1, 2))
-        with pytest.raises(IntegralityError):
-            switch_side(g2, half_pi)
 
     def test_inconsistent_sides_detected(self, g2):
         q5a, q5b = make_quadric_ring(5), make_quadric_ring(5)
@@ -321,13 +273,6 @@ class TestResidueScan:
         assert scan.residue_set == (1,)
         assert not scan.iso_obstructed
 
-    def test_zero_degree_is_refused(self):
-        # residues mod 0 raised ZeroDivisionError
-        with pytest.raises(InvalidRoofError, match=r"^the residue scan needs a polarization degree of at least 1, "
-                                                   r"got 0$"):
-            residue_scan(config_from_dict(_zero_degree()))
-
-
 class TestSharedRing:
     @pytest.mark.parametrize("name", ["g2dagger", "d4", "toy"])
     def test_one_ring_per_base_dimension(self, name, toy_path, count_calls):
@@ -346,10 +291,6 @@ class TestSharedRing:
 
 
 class TestConfigInvariants:
-    def test_rank_mismatch_rejected(self, g2, toy):
-        with pytest.raises(InvalidRoofError):
-            RoofConfig("bad", g2.side, toy.side, 12)
-
     def test_polarization_degree_checked(self, g2):
         with pytest.raises(InvalidRoofError):
             RoofConfig("bad", g2.side, g2.tilde_side, 11)
@@ -533,38 +474,6 @@ def test_kernel_sides_cover_every_base():
     assert sorted({s.base.dimension for s in KERNEL_SIDES}) == list(range(4, 11))
 
 
-class TestFoldKernelErrors:
-    def test_foreign_ring_rejected_at_every_exponent(self, g2):
-        foreign = make_quadric_ring(5)
-        assert foreign is not g2.side.base
-        for e in (0, g2.rank - 1, g2.rank, 3 * g2.rank):
-            with pytest.raises(IncompatibleRingError):
-                reduce(g2.side, {e: foreign.basis_class("L")})
-        with pytest.raises(IncompatibleRingError):
-            reduce(g2.side, {0: g2.side.base.l_power(1), 1: foreign.zero(0)})
-
-    @pytest.mark.parametrize("bad", [0.0, 1.5, 2.0, "1", None])
-    def test_inexact_coordinate_rejected(self, g2, bad):
-        with pytest.raises(GradedRingError):
-            class_from_coordinates(middle_lattice(g2.side), [1, bad, 0])
-
-    @pytest.mark.parametrize("expression", [
-        lambda q: {-1: q.unit()},
-        lambda q: {-1: q.zero(1)},
-        lambda q: {0: q.l_power(1), 1: q.l_power(1)},
-        lambda q: {4: q.unit(), 1: q.l_power(2)},
-    ], ids=["negative-exponent", "negative-exponent-zero-class", "non-homogeneous", "non-homogeneous-folded"])
-    def test_malformed_expression_raises(self, g2, expression):
-        expr = expression(g2.side.base)
-        for degree in (None, 2):
-            with pytest.raises(RoofError):
-                reduce(g2.side, expr, degree)
-
-    def test_product_across_sides_rejected(self, g2, d4):
-        with pytest.raises(RoofError):
-            xi_power(g2.side, 1) * xi_power(d4.side, 1)
-
-
 # ---------------------------------------------------------------------------
 # flat bundle classes: oracle against the same operations part by part
 # ---------------------------------------------------------------------------
@@ -601,26 +510,6 @@ class TestBundleClassChecks:
         base = g2.side.base
         cls = BundleClass(g2.side, 2, [base.l_power(2), base.l_power(1).scale(3), base.zero(0)])
         assert cls == reduce(g2.side, {0: base.l_power(2), 1: base.l_power(1).scale(3)})
-
-    def test_wrong_part_count_rejected(self, g2):
-        base = g2.side.base
-        with pytest.raises(RoofError, match="exactly rank"):
-            BundleClass(g2.side, 2, [base.l_power(2), base.l_power(1)])
-
-    def test_misgraded_part_rejected(self, g2):
-        base = g2.side.base
-        with pytest.raises(RoofError, match=r"xi\^1 component has degree 2 on 'Q5', expected 1"):
-            BundleClass(g2.side, 2, [base.l_power(2), base.l_power(2), base.unit()])
-
-    def test_part_off_the_base_rejected(self, g2):
-        foreign = make_quadric_ring(5)
-        with pytest.raises(RoofError, match="on the base 'Q5'"):
-            BundleClass(g2.side, 2, [foreign.l_power(2), foreign.zero(1), foreign.zero(0)])
-
-    @pytest.mark.parametrize("bad", [0.0, 1.5, "1", None])
-    def test_inexact_scalar_rejected(self, g2, bad):
-        with pytest.raises(GradedRingError):
-            xi_power(g2.side, 1).scale(bad)
 
     @pytest.mark.parametrize("coords, message", [
         ([1], "expected 3 coordinates, one per declared middle monomial, got 1"),
