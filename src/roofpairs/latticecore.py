@@ -121,15 +121,20 @@ def _bareiss(a: Matrix, ncols: int, jordan: bool = True) -> tuple[list[int], int
     return pivots, prev, sign
 
 
-def _int_rows(m: Sequence[Sequence[int]], width: Optional[int], what: str = "matrix") -> Matrix:
+def _int_rows(m: Sequence[Sequence[int]], width: Optional[int], what: str = "matrix", square: str = "") -> Matrix:
     """A copy of ``m`` as lists of ints; a row that is not a sequence or a non-integer entry is a
-    ``LatticeError``, and so is a row that is not ``width`` long, unless ``width`` is None."""
+    ``LatticeError``, and so is a row that is not ``width`` long, unless ``width`` is None.  A caller
+    that needs a square matrix passes its name as ``square``: rows of one length other than ``width``
+    are then refused by the matrix's shape, and only a ragged matrix by its row lengths."""
     try:  # operator.index copies ints (and bools) exactly and refuses floats, Fractions and strings
         a = [list(map(index, row)) for row in m]
     except TypeError as exc:
         raise LatticeError(f"{what} entries must be ints: {exc}") from None
     if width is not None and any(len(row) != width for row in a):
-        raise LatticeError(f"{what} rows must have {width} entries each, got {[len(row) for row in a]}")
+        lengths = [len(row) for row in a]
+        if square and len(set(lengths)) == 1:
+            raise LatticeError(f"{square} needs a square matrix, got {_shape(a)}")
+        raise LatticeError(f"{what} rows must have {width} {'entry' if width == 1 else 'entries'} each, got {lengths}")
     return a
 
 
@@ -141,7 +146,7 @@ def _transposed(m: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...]
 def det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix by fraction-free (Bareiss) forward elimination."""
     n = len(m)
-    pivots, d, sign = _bareiss(_int_rows(m, n), n, jordan=False)
+    pivots, d, sign = _bareiss(_int_rows(m, n, square="det"), n, jordan=False)
     return sign * d if len(pivots) == n else 0
 
 

@@ -12,15 +12,18 @@ public constructor (and so in ``var`` and ``const``); the ring operations
 build their results already in canonical form (nonzero ``int`` coefficients
 on tuples of non-negative ``int`` exponents) and wrap them without checking
 again.  Projective-space classes are written down in closed form and powers
-are taken by repeated squaring.  One accumulator adds c*x^a times a
-polynomial into a dict in one pass, dropping zeros, for sums (no negated
-copy), products after their first term, substitutions and the fibration
-class, [P^(r-2)]*([B] - [Y]) added into [P^(r-1)]*[Y]; the residual
-subtracts the substituted section from a copy of it as it substitutes.  A
-shift adds the six exponents of SYMBOLS written out one by one, so a
-monomial of any other length fails at the unpacking.  ``str`` sorts the
-terms once and renders each once, writing the power of L per term and the
-text of the other symbols once per distinct part.
+are taken by repeated squaring, the lowest set bit of the exponent starting
+the product, so no unit is multiplied in.  One accumulator adds c*x^a times
+a polynomial into a dict in one pass, dropping zeros, for sums (no negated
+copy), products after their first term and substitutions; the residual
+subtracts the substituted section from a copy of it as it substitutes.  The
+fibration class writes [P^(r-1)]*[Y] down in closed form and adds
+[P^(r-2)]*([B] - [Y]) into it in one pass over the fibre, each L^i*Y term
+dropped as its coefficient reaches zero.  A shift adds the six exponents of
+SYMBOLS written out one by one, so a monomial of any other length fails at
+the unpacking.  ``str`` sorts the terms once and renders each once, writing
+the power of L per term and the text of the other symbols once per distinct
+part.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -160,14 +163,16 @@ class MotivicPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        """Square-and-multiply power."""
+        """Square-and-multiply power; the lowest set bit of ``e`` starts the product, so no unit is multiplied."""
         e = _index(e, "exponent", ValueError)
         if e < 0:
             raise ValueError("negative powers are not in the ring")
-        out, base = MotivicPoly._of({_UNIT: 1}), self
+        if not e:
+            return MotivicPoly._of({_UNIT: 1})
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:
                 base = base * base
@@ -213,7 +218,8 @@ class MotivicPoly:
         for group in groups.values():
             mono = group[0][0]
             cleared = [mono[i] if i in positions else 0 for i in range(len(SYMBOLS))]
-            image = prod((img ** mono[i] for i, img in assigned if mono[i]), start=_ONE)
+            first, *rest = [img ** mono[i] for i, img in assigned if mono[i]] or [_ONE]
+            image = prod(rest, start=first)
             for m, k in image.coeffs.items():
                 _accumulate(out, sign * k, tuple(map(sub, m, cleared)), group)
         return out
@@ -274,9 +280,17 @@ def fibration_class(r: int) -> MotivicPoly:
     r = _index(r, "rank", ValueError)
     if r < 2:
         raise InvalidRankError(f"rank must be at least 2, got {r}")
-    out, fibre = (proj_class(r - 1) * Y).coeffs, proj_class(r - 2).coeffs
-    for a, c in (B - Y).coeffs.items():
-        _accumulate(out, c, a, fibre.items())
+    # [P^(r-1)][Y] in closed form: L^i*Y for i < r, exponents in SYMBOLS order (L, Y, Yt, B, Bt, M)
+    out = dict.fromkeys(zip(range(r), repeat(1), repeat(0), repeat(0), repeat(0), repeat(0)), 1)
+    # [P^(r-2)]([B] - [Y]) in one pass over the fibre: add L^i*B and subtract L^i*Y, dropping each L^i*Y at zero
+    for i in range(r - 1):
+        b, y = (i, 0, 0, 1, 0, 0), (i, 1, 0, 0, 0, 0)
+        out[b] = out.get(b, 0) + 1
+        v = out.get(y, 0) - 1
+        if v:
+            out[y] = v
+        else:
+            del out[y]
     return MotivicPoly._of(out)
 
 

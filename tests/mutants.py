@@ -392,10 +392,10 @@ MUTANTS = (
     _m("motivic-one-term-shift-swaps-b-and-bt", "motivicring",
        "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4,", "out = {(b0 + a0, b1 + a1, b2 + a2, b3 + a4, b4 + a3,",
        MOT),
-    # the accumulator that sums, products, substitutions and the fibration class share
+    # the accumulator that sums, products and substitutions share
     _m("accumulate-keeps-cancelled-zeros", "motivicring",
        "        if v:\n            out[m] = v\n        else:\n            del out[m]\n", "        out[m] = v\n",
-       f"{MOT}::test_fibration_class_against_double_loop_to_rank_120"),
+       f"{MOT}::TestProjClass::test_telescoping"),
     _m("accumulate-shift-swaps-y-and-yt", "motivicring",
        "m = (b0 + a0, b1 + a1, b2 + a2,", "m = (b0 + a0, b1 + a2, b2 + a1,", MOT),
     _m("accumulate-shift-swaps-l-and-m", "motivicring", "m = (b0 + a0, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a5)",
@@ -409,6 +409,17 @@ MUTANTS = (
        f"{MOT}::test_substitute_by_single_terms"),
     _m("motivic-sub-adds", "motivicring", "return self._plus(other, -1)", "return self._plus(other, 1)", MOT),
     _m("motivic-pow-wrong-bit", "motivicring", "if e & 1:", "if e & 2:", MOT),
+    _m("motivic-pow-first-factor-dropped", "motivicring", "out = base if out is None else out * base",
+       "out = _ONE if out is None else out * base", f"{MOT}::test_first_power_is_the_polynomial"),
+    # the fibration class: [P^(r-1)][Y] in closed form, then one pass over the fibre adding [P^(r-2)]([B] - [Y])
+    _m("fibration-keeps-cancelled-y-terms", "motivicring",
+       "        v = out.get(y, 0) - 1\n        if v:\n            out[y] = v\n        else:\n            del out[y]\n",
+       "        out[y] = out.get(y, 0) - 1\n", MOT),
+    _m("fibration-fibre-one-term-short", "motivicring", "    for i in range(r - 1):\n        b, y =",
+       "    for i in range(r - 2):\n        b, y =",
+       f"{MOT}::test_fibration_class_against_ring_arithmetic_to_rank_300"),
+    _m("fibration-drops-the-top-y-term", "motivicring", "zip(range(r), repeat(1),", "zip(range(r - 1), repeat(1),",
+       f"{MOT}::test_fibration_class_against_double_loop_to_rank_300"),
     _m("proj-class-one-term-short", "motivicring", "zip(range(k + 1),", "zip(range(k),", MOT),
     _m("substitute-keeps-assigned-exponents", "motivicring", "mono[i] if i in positions else 0", "0", MOT),
     _m("substitute-images-applied-in-turn", "motivicring",

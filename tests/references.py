@@ -33,3 +33,12 @@ _TABLE.update({(x, "q"): {} for x in "abc"})
 _TABLE.update({("a", "c"): {"q": -2}, ("b", "b"): {"q": -2}, ("b", "q"): {"p": -2}})
 THIRD_ARRANGEMENT = (
     [BasisElement(label, d) for label, d in (("1", 0), ("a", 1), ("b", 1), ("c", 1), ("q", 2), ("p", 3))], "p", _TABLE)
+
+
+# Three-dimensional grams with no isotropic pair orthogonal to ell = (0, 0, 1) in any box
+PLANES_WITHOUT_A_PAIR = (
+    [[0, 0, 0], [0, 0, 0], [0, 0, 1]],  # the form vanishes on ell^perp
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],  # ell^perp has a radical line only
+    [[1, 0, 0], [0, -2, 0], [0, 0, 1]],  # discriminant 8 is not a square
+    [[0, 2, 0], [2, 0, 0], [0, 0, 1]],  # U(2): the isotropic rays pair to 2
+)

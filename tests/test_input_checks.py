@@ -24,7 +24,7 @@ from roofpairs import bwbcoh, gradedring as gr, latticecore as lc, motivicring a
 from roofpairs.configs import builtin_config, config_from_dict
 
 from golden_grams import G2_GRAM
-from references import THIRD_ARRANGEMENT
+from references import PLANES_WITHOUT_A_PAIR, THIRD_ARRANGEMENT
 from roofcorpus import DATA_CONFIGS, _d4_without_pi2, _zero_degree
 
 G2, D4, TOY = builtin_config("g2dagger"), builtin_config("d4"), DATA_CONFIGS["toy_symmetric"]
@@ -62,6 +62,16 @@ def _t2(extra):
     return _ring(2, [ONE, H1, P2], table={("h", "h"): {"p": 1}, **extra})
 
 
+def _switch_between_inconsistent_sides():
+    """Switch the locus class of a roof whose two Q5 sides differ in their relation's L coefficient, 5 against 4."""
+    sides = []
+    for name, c in (("a", 5), ("b", 4)):
+        q5 = gr.make_quadric_ring(5)
+        relation = (q5.l_power(1) * c, q5.l_power(2) * 9, q5.basis_class("Pi") * 12)
+        sides.append(rc.RoofSide(name, q5, 3, relation, (("Pi", 0), ("L^2", 1), ("L", 2))))
+    return rc.switch_side(rc.RoofConfig("mismatch", *sides, 12), rc.locus_pushforward_class(sides[0]))
+
+
 def _side(base, rank):
     return rc.RoofSide("other", base, rank, tuple(base.l_power(i) for i in range(1, rank + 1)))
 
@@ -95,6 +105,12 @@ CASES = [
      "multiplication table of 'toy' lists 'h' * 'k' and 'k' * 'h' with different products"),
     ("not associative in the third arrangement only", lambda: _ring(3, *THIRD_ARRANGEMENT), gr.GradedRingError,
      "table not associative at (a, b, c)"),
+    ("product across two Q5 rings", lambda: Q5.basis_class("Pi") * FOREIGN_Q5.basis_class("Pi"),
+     gr.IncompatibleRingError, "classes live in different rings ('Q5' vs 'Q5')"),
+    ("product of two fresh Q5 rings", lambda: gr.make_quadric_ring(5).l_power(1) * gr.make_quadric_ring(5).l_power(1),
+     gr.IncompatibleRingError, "classes live in different rings ('Q5' vs 'Q5')"),
+    ("sum of two degrees", lambda: Q5.l_power(1) + Q5.l_power(2), gr.GradedRingError,
+     "cannot add classes of different degrees"),
     ("l_power without hyperplane", lambda: _ring(1, [ONE, P1]).l_power(1), gr.GradedRingError,
      "'toy' carries no hyperplane-power data"),
     ("negative l_power", lambda: Q5.l_power(-1), gr.GradedRingError, "negative power of the hyperplane class"),
@@ -153,6 +169,12 @@ CASES = [
     ("degenerate middle basis", lambda: rc.middle_lattice(rc.RoofSide(
         "bad", Q5, 3, SIDE.groth_coeffs, (("Pi", 0), ("Pi", 0), ("L", 2)))), rc.DegenerateBasisError,
      "declared middle basis is degenerate under the pairing"),
+    ("pairing off the total dimension",
+     lambda: rc.pairing_on_M(SIDE, rc.monomial(SIDE, "Pi", 0), rc.monomial(SIDE, "L", 1)), rc.DegreeMismatchError,
+     "codimensions 3 + 2 + 1 != dim X = 7"),
+    ("locus class of a short middle basis", lambda: rc.locus_pushforward_class(rc.RoofSide(
+        "short", Q5, 3, SIDE.groth_coeffs, (("Pi", 0), ("L^2", 1)))), rc.UnexpectedRankError,
+     "orthogonal complement of the pullback sublattice has rank 0, expected 1"),
     ("coordinates off the middle degree",
      lambda: rc.coordinates_in_lattice(rc.middle_lattice(SIDE), rc.xi_power(SIDE, 1)), rc.DegreeMismatchError,
      "class is not of middle degree"),
@@ -166,6 +188,8 @@ CASES = [
      "Pi1 is not expressible as a polynomial in (L, xi)"),
     ("non-integral switch", lambda: rc.switch_side(G2, rc.monomial(SIDE, "Pi", 0).scale(HALF)), gr.IntegralityError,
      "non-integral bundle class 1/2*L*xi^2 - 3/2*L^2*xi + 5/2*Pi"),
+    ("switch between inconsistent sides", _switch_between_inconsistent_sides, rc.InvalidRoofError,
+     "the two sides are inconsistent under the hyperplane substitution"),
     ("foreign side", lambda: G2.other(rc.RoofSide("s", Q5, 3, SIDE.groth_coeffs)), rc.RoofError,
      "side does not belong to this configuration"),
     ("residue scan of degree 0", lambda: rc.residue_scan(config_from_dict(_zero_degree())), rc.InvalidRoofError,
@@ -176,19 +200,22 @@ CASES = [
      "the two sides must have equal rank"),
     ("sides of two dimensions", lambda: rc.RoofConfig("bad", SIDE, _side(gr.make_quadric_ring(6), 3), 12),
      rc.InvalidRoofError, "the two sides must have equal total-space dimension"),
-    ("wrong polarization degree", lambda: rc.RoofConfig("bad", SIDE, G2.tilde_side, 13), rc.InvalidRoofError,
-     "declared polarization degree 13 != computed 12 on 'g2dagger:side'"),
+    *((f"wrong polarization degree {d}", lambda d=d: rc.RoofConfig("bad", SIDE, G2.tilde_side, d),
+       rc.InvalidRoofError, f"declared polarization degree {d} != computed 12 on 'g2dagger:side'") for d in (11, 13)),
     ("polarization degree replaced", lambda: G2._replace(polarization_degree=1.5), rc.InvalidRoofError,
      "polarization degree must be an integer, got 1.5"),
     # latticecore
     *((f"{fn.__name__} of {m}", lambda fn=fn, m=m: fn(m), lc.LatticeError, message) for fn, m, message in (
-        (lc.det, [[1, 2]], "matrix rows must have 1 entries each, got [2]"),
+        (lc.det, [[1, 2]], "det needs a square matrix, got 1x2"),
+        (lc.det, [[1, 2, 3], [4, 5, 6]], "det needs a square matrix, got 2x3"),
+        (lc.det, [[1, 2], [3, 4], [5, 6]], "det needs a square matrix, got 3x2"),
         (lc.det, [[1, 2], [3]], "matrix rows must have 2 entries each, got [2, 1]"),
+        (lc.det, [[1], [2, 3]], "matrix rows must have 2 entries each, got [1, 2]"),
         (lc.det, [[1.5, 2], [3, 5]], "matrix entries must be ints: 'float' object..."),
         (lc.det, [[2.0, 0], [0, 1]], "matrix entries must be ints: 'float' object..."),
         (lc.det, [[Fraction(2), 0], [0, 1]], "matrix entries must be ints: 'Fraction' object..."),
         (lc.smith_normal_form, [[1, 2], [3]], "matrix rows must have 2 entries each, got [2, 1]"),
-        (lc.smith_normal_form, [[1], [2, 3]], "matrix rows must have 1 entries each, got [1, 2]"),
+        (lc.smith_normal_form, [[1], [2, 3]], "matrix rows must have 1 entry each, got [1, 2]"),
         (lc.smith_normal_form, [[1.5, 2], [3, 5]], "matrix entries must be ints: 'float' object..."),
         (lc.smith_normal_form, [[1, 2], [3, "4"]], "matrix entries must be ints: 'str' object..."),
         (lc.smith_normal_form, [[1], [2], [Fraction(1, 2)]], "matrix entries must be ints: 'Fraction' object..."))),
@@ -219,6 +246,11 @@ CASES = [
     *((f"polarization {ell}", lambda ell=ell: lc.isotropic_pair_solve(G2_GRAM, ell, bound=5), lc.LatticeError,
        f"the polarization vector ell must have integer entries, got {list(ell)}") for ell in (
         (18, -5, 1.0), (18, "-5", 1))),
+    ("isotropic pair on a definite form", lambda: lc.isotropic_pair_solve([[2, 0, 0], [0, 2, 0], [0, 0, 2]], (1, 0, 0),
+                                                                           bound=4),
+     lc.SearchExhaustedError, "no isotropic pair inside the [-4, 4] box"),
+    *((f"isotropic pair on {g}", lambda g=g: lc.isotropic_pair_solve(g, (0, 0, 1), bound=6), lc.SearchExhaustedError,
+       "no isotropic pair inside the [-6, 6] box") for g in PLANES_WITHOUT_A_PAIR),
     ("isotropic polarization", lambda: lc.isotropic_pair_solve([[0, 1, 0], [1, 0, 0], [0, 0, 2]], (1, 0, 0), bound=4),
      lc.LatticeError, "the polarization vector must have nonzero self-pairing"),
     # bwbcoh
@@ -229,6 +261,22 @@ CASES = [
      "half-integrality must be uniform across coordinates: (Fraction(1, 2), 1, 0)"),
     ("weight of a third", lambda: bwbcoh.weight((Fraction(1, 3), 0, 0)), bwbcoh.BWBError,
      "coordinates must be integral or half-integral: (Fraction(1, 3), 0, 0)"),
+    *((f"cohomology of {name} on Q{n}", lambda n=n, name=name: bwbcoh.bundle_cohomology(n, name, 0),
+       bwbcoh.UnsupportedBundleError, f"no weight dictionary entry for {name!r} on Q{n}")
+      for n, name in ((7, "Sym2Sdual"), (5, "Nope"))),
+    ("named bundle G on Q6", lambda: bwbcoh.named_bundle_table(6, "G", 1), bwbcoh.UnsupportedBundleError,
+     "unsupported bundle descriptor 'G' on Q6"),
+    *((f"sequence {name}", lambda spec=spec: bwbcoh.les_solve(bwbcoh.SequenceSpec(*spec)), error, message)
+      for name, spec, error, message in (
+          ("with a nonzero alternating sum", (("A", "B", "C"), ({0: 1}, {0: 1}, {0: 1}), 5),
+           bwbcoh.InconsistentSequenceError, "alternating sum 1 != 0 in a zero-flanked run of ('A', 'B', 'C')"),
+          ("forcing a negative dimension", (("A", "B", "C"), ({0: 3}, {0: 1}, None), 5),
+           bwbcoh.InconsistentSequenceError, "forced negative dimension in ('A', 'B', 'C')"),
+          ("with two unknowns", (("C(1)", "G", "O(1)"), (None, {0: 7}, {0: 7}), 5), bwbcoh.Underdetermined,
+           "2 unknown dimensions in one zero-flanked run of ('C(1)', 'G', 'O(1)')"))),
+    # C(2) sits in 0 -> C(2) -> G(1) -> O(2) -> 0; dimensions alone only pin h^0 - h^1 = 14, so no guess
+    ("cayley twist 2", lambda: bwbcoh.cayley_table(2), bwbcoh.Underdetermined,
+     "2 unknown dimensions in one zero-flanked run of ('C(2)', 'G(1)', 'O(2)')"),
     *((f"{name} on Q{n} of {bundle}", lambda f=f, n=n, b=bundle: f(n, b), bwbcoh.BWBError,
        "quadric dimension must be at least 3 for the cohomology engine")
       for (name, f), n, bundle in product(SMALL_QUADRIC_CALLS.items(), (1, 2), ("O", "Bogus"))

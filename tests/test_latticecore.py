@@ -24,7 +24,7 @@ from roofpairs.latticecore import (
 )
 
 from golden_grams import D4_GRAM, G2_GRAM
-from references import leibniz_det
+from references import PLANES_WITHOUT_A_PAIR, leibniz_det
 
 
 class TestSmithNormalForm:
@@ -503,21 +503,11 @@ class TestIsotropicPairs:
         assert (sol.a, sol.b) == ((0, 1, 0), (1, 0, 0)) or (sol.a, sol.b) == ((1, 0, 0), (0, 1, 0))
         assert len(sol.orbits) == 1
 
-    def test_definite_form_exhausts(self):
-        with pytest.raises(SearchExhaustedError):
-            isotropic_pair_solve([[2, 0, 0], [0, 2, 0], [0, 0, 2]], (1, 0, 0), bound=4)
-
-    @pytest.mark.parametrize("gram", [
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],   # the form vanishes on ell^perp
-        [[1, 0, 0], [0, 0, 0], [0, 0, 1]],   # ell^perp has a radical line only
-        [[1, 0, 0], [0, -2, 0], [0, 0, 1]],  # discriminant 8 is not a square
-        [[0, 2, 0], [2, 0, 0], [0, 0, 1]],   # U(2): the isotropic rays pair to 2
-    ])
-    def test_planes_without_a_pair_exhaust(self, gram):
-        with pytest.raises(SearchExhaustedError):
+    @pytest.mark.parametrize("gram", PLANES_WITHOUT_A_PAIR)
+    def test_the_box_search_finds_no_pair_on_the_planes_without_one(self, gram):
+        # the solver's refusal of these planes is a row of test_input_checks.py::CASES
+        with pytest.raises(SearchExhaustedError, match=r"^no isotropic pair inside the \[-6, 6\] box$"):
             _ref_box_search(gram, (0, 0, 1), 6)
-        with pytest.raises(SearchExhaustedError):
-            isotropic_pair_solve(gram, (0, 0, 1), bound=6)
 
 
 def test_verify_refuses_a_product_that_misses_d():

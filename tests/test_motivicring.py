@@ -143,15 +143,29 @@ def test_proj_class_against_repeated_multiplication(k):
     assert proj_class(k) == ref_proj_class(k)
 
 
-def test_fibration_class_against_double_loop_to_rank_120():
-    # [P^(r-1)] Y + [P^(r-2)] (B - Y): the products through ref_mul, B - Y and the sum written out by hand
+def test_fibration_class_against_double_loop_to_rank_300():
+    # [P^(r-1)] Y + [P^(r-2)] (B - Y): the products through ref_mul, B - Y and the sum written out by hand;
+    # the fibre [P^(r-2)] grows by ref_mul's power of L from one rank to the next, as ref_proj_class builds it
     b_minus_y = MotivicPoly({**B.coeffs, **{m: -c for m, c in Y.coeffs.items()}})
-    for r in range(2, 121):
+    fibre = power = MotivicPoly.const(1)
+    for r in range(2, 301):
+        power = ref_mul(power, L)
+        total = fibre + power  # [P^(r-1)]
         expected = {}
-        for part in (ref_mul(ref_proj_class(r - 1), Y), ref_mul(ref_proj_class(r - 2), b_minus_y)):
+        for part in (ref_mul(total, Y), ref_mul(fibre, b_minus_y)):
             for m, c in part.coeffs.items():
                 expected[m] = expected.get(m, 0) + c
         assert fibration_class(r).coeffs == {m: c for m, c in expected.items() if c}, r
+        fibre = total
+
+
+def test_fibration_class_against_ring_arithmetic_to_rank_300():
+    # the same terms as the products and the sum of the ring, in the same order
+    for r in range(2, 301):
+        got = fibration_class(r)
+        expected = proj_class(r - 1) * Y + proj_class(r - 2) * (B - Y)
+        assert list(got.coeffs.items()) == list(expected.coeffs.items()), r
+        assert_canonical(got)
 
 
 def test_residual_closed_form_to_rank_200():
@@ -192,6 +206,13 @@ def test_product_against_double_loop(a, b):
     for got in (a * b, b * a):
         assert got == expected
         assert_canonical(got)
+
+
+@given(p=st.one_of(polys, wide_polys, st.sampled_from(VARIABLES), st.just(MotivicPoly())))
+def test_first_power_is_the_polynomial(p):
+    # the lowest set bit of the exponent starts the product, with no unit multiplied in
+    assert p ** 1 == p
+    assert_canonical(p ** 1)
 
 
 single_term_images = st.dictionaries(
