@@ -164,7 +164,11 @@ class RingPresentation:
 
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Product of two basis elements as an integer combination of basis labels."""
-        return self._products[x, y]
+        try:
+            return self._products[x, y]
+        except (KeyError, TypeError):  # the table holds every pair of labels, so x or y is not one
+            bad = y if isinstance(x, str) and x in self._degrees else x
+            raise GradedRingError(f"unknown basis label {bad!r} on {self.name}") from None
 
     def _validate_table(self) -> None:
         """Complete ``_products`` with the implied entries and check it, on every construction.

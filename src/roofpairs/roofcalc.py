@@ -16,9 +16,10 @@ and its integer coordinates in the other side's isotropic basis.
 
 The bundle-ring arithmetic runs on plain {label: coefficient} dicts.  Each
 side keeps one table of xi^e = sum_(j<r) P_e[j] * xi^j, r <= e <= N, built row by
-row on first use (``RoofSide._power``); ``reduce`` adds c * P_e for c * xi^e.
-A BundleClass holds its parts as such dicts, which products, reductions and
-coordinate sums build directly; ``BundleClass.parts`` builds GradedClasses.
+row on first use (``RoofSide._power``); ``reduce`` checks every term c * xi^e,
+a class or such a dict, and adds c * P_e.  A BundleClass holds its parts as such
+dicts, which products, reductions and coordinate sums build directly, and is
+built through ``reduce``; ``BundleClass.parts`` builds GradedClasses.
 
 ``middle_lattice`` computes each Gram entry by its definition, ``pairing_on_M``
 of two monomial classes.  ``RoofQuery``, the engine of describe, lemma7 and
@@ -41,7 +42,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm, prod
-from operator import index
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import latticecore
@@ -190,9 +190,9 @@ class RoofSide:
 class BundleClass:
     """Normal form sum_(i < r) xi^i * (base class of degree d - i).
 
-    The parts are held as {label: coefficient} dicts (``_flat``) with no zeros
-    and integral values as ints; ``parts`` builds GradedClasses on each read, and
-    ``parts[-1]``, the xi^(r-1) part, is the pushforward to the base.
+    ``BundleClass(side, degree, parts)``, its side, degree and r parts checked, is ``reduce`` of sum_i
+    parts[i] * xi^i.  The parts are held as {label: coefficient} dicts (``_flat``) with no zeros and integral
+    values as ints; ``parts`` builds GradedClasses on each read, and ``parts[-1]`` is the pushforward to the base.
     """
 
     __slots__ = ("side", "degree", "_flat")
@@ -202,14 +202,7 @@ class BundleClass:
         degree = _index(degree, "degree", RoofError)
         if len(_typed(parts, (tuple, list), "xi components", RoofError)) != side.rank:
             raise RoofError("normal form needs exactly rank xi-components")
-        for i, p in enumerate(parts):
-            _typed(p, GradedClass, f"xi^{i} component", RoofError)
-            if p.coeffs and (p.ring is not side.base or p.degree != degree - i):
-                raise RoofError(f"xi^{i} component has degree {p.degree} on {p.ring.name!r}, "
-                                f"expected {degree - i} on the base {side.base.name!r}")
-        self.side = side
-        self.degree = degree
-        self._flat = tuple(dict(p.coeffs) for p in parts)
+        self.side, self.degree, self._flat = side, degree, reduce(side, dict(enumerate(parts)), degree)._flat
 
     @classmethod
     def _of(cls, side: RoofSide, degree: int, flat) -> "BundleClass":
@@ -311,54 +304,56 @@ def xi_power(side: RoofSide, e: int) -> BundleClass:
 
 
 def reduce(
-    side: RoofSide, expression: Mapping[int, GradedClass], degree: Optional[int] = None
+    side: RoofSide, expression: Mapping[int, GradedClass | dict[str, int | Fraction]], degree: Optional[int] = None
 ) -> BundleClass:
     """Fold a formal polynomial in xi with base-class coefficients to normal form.
 
-    Terms below xi^r are already reduced.  A term c * xi^e with r <= e <= N adds
-    the base product c * P_e[j] to the xi^j part, where xi^e = sum_j P_e[j] * xi^j
-    is a row of the side's table (``RoofSide._power``); parts of degree above n
-    vanish and are skipped, and a term past N is zero.  The exponent of a
-    ``GradedClass`` term must be an integer (``operator.index``: 4.0 and True
-    are refused, not rounded), and so must an explicit ``degree``.  The ring's
-    own operations pass plain {label: coefficient} dicts, trusted and consumed,
-    with ``degree``.
+    Every term c * xi^e passes one rule: e is an integer at least 0 (``errors._index``), and c is a class on
+    the side's base of degree ``degree - e``: a GradedClass, whose degree, zero or not, sets ``degree`` when
+    that is None, or a {label: coefficient} dict, the shape of the ring's own products, which needs an
+    explicit ``degree``.  Terms below xi^r are already reduced; c * xi^e with r <= e <= N adds c * P_e[j]
+    to the xi^j part, where xi^e = sum_j P_e[j] * xi^j is a row of the side's table (``RoofSide._power``);
+    parts of degree above n vanish and are skipped, and a term past N is zero.
     """
     if type(side) is not RoofSide:
         _typed(side, RoofSide, "side", RoofError)
     if degree is not None and type(degree) is not int:
         degree = _index(degree, "expression degree", RoofError)
-    try:
-        items = expression.items()
-    except AttributeError:  # not a mapping, so the rule raises
-        items = _typed(expression, Mapping, "expression", RoofError).items()
-    base = side.base
+    if type(expression) is not dict:
+        _typed(expression, Mapping, "expression", RoofError)
+    base, given, labels = side.base, degree, side.base._degrees
     terms: dict[int, dict[str, int | Fraction]] = {}
-    for e, cls in items:
-        if type(cls) is not dict:
-            if type(cls) is not GradedClass:
-                _typed(cls, GradedClass, "expression term", RoofError)
-            if type(e) is not int:
-                if type(e) is bool or not hasattr(type(e), "__index__"):
-                    raise RoofError(f"xi exponents must be integers, got {e!r}")
-                e = index(e)
+    for e, cls in expression.items():
+        if type(e) is not int:
+            e = _index(e, "xi exponent", RoofError)
         if e < 0:
             raise RoofError("negative xi exponent")
-        if type(cls) is dict:
-            terms[e] = cls
-        else:  # a zero term has a degree too
+        if isinstance(cls, dict):
+            if given is None:
+                raise RoofError(f"expression term xi^{e} is a dict, which needs an explicit degree")
+            coeffs, d = cls, degree - e
+            for label, c in cls.items():
+                if labels.get(label) != d:  # refuse an unknown label; a known one gives the term's degree
+                    d = base.basis_class(label).degree
+                    break
+                if type(c) is not int:
+                    _exact(c)
+        else:
+            if type(cls) is not GradedClass:
+                _typed(cls, (GradedClass, dict), "expression term", RoofError)
+            if cls.ring is not base:
+                raise IncompatibleRingError(f"expression has a class off the base {base.name!r} of {side.name!r}")
+            coeffs, d = cls.coeffs, cls.degree
             if degree is None:
-                degree = e + cls.degree
-            if e + cls.degree != degree:
-                raise RoofError(f"expression is not homogeneous of degree {degree!r}")
-            terms[e] = dict(cls.coeffs)
-    for cls in expression.values():
-        if type(cls) is not dict and cls.ring is not base:
-            raise IncompatibleRingError(f"expression has a class off the base {base.name!r} of {side.name!r}")
+                degree = e + d
+        if e + d != degree:
+            raise RoofError(f"expression is not homogeneous of degree {degree}: its xi^{e} term has degree {d}, "
+                            f"expected {degree - e}")
+        terms[e] = coeffs
     if degree is None:
         degree = 0
 
-    parts = [terms.pop(j, None) or {} for j in range(side.rank)]
+    parts = [dict(terms.pop(j, ())) for j in range(side.rank)]
     low = max(degree - base.dimension, 0)  # the parts below have degree above n and vanish
     for e, coeffs in terms.items():
         if e <= side.dim_total:  # xi^e = 0 past the top degree

@@ -120,11 +120,13 @@ MUTANTS = (
     _m("l-power-not-an-index", "gradedring", 'p = _index(p, "hyperplane power", GradedRingError)', "pass", CONTRACT),
     _m("chern-twist-not-an-index", "gradedring", 'ring, r, t = c.ring, c.rank, _index(t, "twist", GradedRingError)',
        "ring, r = c.ring, c.rank", CONTRACT),
-    _m("basis-label-error-unwrapped", "gradedring", "except (KeyError, TypeError):", "except ():", INPUTS),
-    _m("reduce-exponent-not-an-index", "roofcalc", 'if type(e) is bool or not hasattr(type(e), "__index__"):',
-       "if type(e) is bool:", CONTRACT),
-    _m("reduce-exponent-admits-bools", "roofcalc", "if type(e) is bool or not hasattr(", "if not hasattr(", ROOF,
-       CONTRACT),
+    _m("basis-label-error-unwrapped", "gradedring", "self._degrees[label]\n        except (KeyError, TypeError):",
+       "self._degrees[label]\n        except ():", INPUTS),
+    _m("basis-product-error-unwrapped", "gradedring", "self._products[x, y]\n        except (KeyError, TypeError):",
+       "self._products[x, y]\n        except ():", INPUTS),
+    _m("reduce-exponent-not-an-index", "roofcalc", 'e = _index(e, "xi exponent", RoofError)', "e = int(e)", CONTRACT),
+    _m("reduce-exponent-admits-bools", "roofcalc", 'e = _index(e, "xi exponent", RoofError)', "e = e.__index__()",
+       ROOF, CONTRACT),
     _m("reduce-degree-unchecked", "roofcalc",
        '    if degree is not None and type(degree) is not int:\n        degree = _index(degree, "expression degree", '
        'RoofError)\n', "", CONTRACT),
@@ -256,8 +258,17 @@ MUTANTS = (
     _m("middle-lattice-side-type-unchecked", "roofcalc",
        'its own normal form."""\n    _typed(side, RoofSide, "side", RoofError)\n',
        'its own normal form."""\n', ROOF, CONTRACT),
-    _m("reduce-drops-the-degree-of-a-zero-term", "roofcalc", "        else:  # a zero term has a degree too\n",
-       "        elif cls.coeffs:\n", ROOF),
+    _m("reduce-drops-the-degree-of-a-zero-term", "roofcalc", "            coeffs, d = cls.coeffs, cls.degree\n",
+       "            coeffs, d = cls.coeffs, cls.degree\n            if not coeffs:\n                continue\n", ROOF),
+    # reduce is the one door of a bundle class: every term checked, dict terms and parts included
+    _m("reduce-dict-terms-unchecked", "roofcalc", "            for label, c in cls.items():\n",
+       "            for label, c in ():\n", INPUTS),
+    _m("reduce-dict-term-needs-no-degree", "roofcalc", "            if given is None:\n", "            if False:\n",
+       INPUTS),
+    _m("reduce-admits-a-term-off-the-base", "roofcalc", "            if cls.ring is not base:\n",
+       "            if False:\n", INPUTS),
+    _m("bundle-class-bypasses-reduce", "roofcalc", "reduce(side, dict(enumerate(parts)), degree)._flat",
+       "tuple(dict(p.coeffs) for p in parts)", INPUTS),
     _m("reduce-side-unchecked", "roofcalc",
        '    if type(side) is not RoofSide:\n        _typed(side, RoofSide, "side", RoofError)\n', "", CONTRACT),
     _m("les-sequence-length-unchecked", "bwbcoh", "    if len(names) != 3 or len(tables) != 3:", "    if False:",
@@ -414,7 +425,7 @@ MUTANTS = (
     # the fibration class: [P^(r-1)][Y] in closed form, then one pass over the fibre adding [P^(r-2)]([B] - [Y])
     _m("fibration-keeps-cancelled-y-terms", "motivicring",
        "        v = out.get(y, 0) - 1\n        if v:\n            out[y] = v\n        else:\n            del out[y]\n",
-       "        out[y] = out.get(y, 0) - 1\n", MOT),
+       "        out[y] = out.get(y, 0) - 1\n", f"{MOT}::test_fibration_class_against_double_loop_to_rank_300"),
     _m("fibration-fibre-one-term-short", "motivicring", "    for i in range(r - 1):\n        b, y =",
        "    for i in range(r - 2):\n        b, y =",
        f"{MOT}::test_fibration_class_against_ring_arithmetic_to_rank_300"),

@@ -16,7 +16,6 @@ from roofpairs.errors import ConfigError
 from roofcorpus import SPLIT_TILDE_TOY, _d4_without_pi2, _q6_partial_tilde, _toy_data, _zero_degree
 
 DATA = pathlib.Path(__file__).parent / "data"
-GOLDEN = DATA / "cli_golden"
 
 
 def run(capsys, *argv):
@@ -368,19 +367,6 @@ class TestMotivic:
         (row,) = report["identities"]
         assert code == 1 and report["all_match"] is False and row["match"] is False
         assert row["expected"] == str(wrong) != row["residual"] == str(motivicring.l_equivalence_residual(4))
-
-
-# Runs the CLI with numpy made unimportable: the package must need nothing beyond the stdlib.
-WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
-                 "from roofpairs.cli import main; sys.exit(main(sys.argv[1:]))")
-
-
-@pytest.mark.parametrize("snapshot", ["mukai_g2dagger.json", "verify_all.json"])
-def test_runs_without_numpy(snapshot):
-    want = json.loads((GOLDEN / "commands.json").read_text())[snapshot]
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *want["argv"]], capture_output=True, timeout=60)
-    assert proc.returncode == want["exit"], proc.stderr
-    assert proc.stdout == (GOLDEN / snapshot).read_bytes()
 
 
 def test_closed_pipe_exits_1_quietly():

@@ -93,7 +93,7 @@ JUNK: dict[str, Callable[[object], list]] = {
     "mapping": lambda v: [*({**v, k: v[next(iter(v))]} for k in (1.5, None, "2", (1,))),
                           *({**v, next(iter(v)): j} for j in NON_INTEGERS)],
     "expression": lambda v: [*({**v, e: Q5.unit()} for e in (1.5, None, -1)),
-                             *({**v, 1: j} for j in (*NON_INTEGERS, Q6.unit(), TILDE.base.unit()))],
+                             *({**v, 1: j} for j in (*NON_INTEGERS, Q6.unit(), TILDE.base.unit(), {"1": 1}))],
     "table": lambda v: [*({**v, k: 1} for k in ("2", 1.5, None)), *({**v, 1: j} for j in NON_INTEGERS)],
     # a substitution's symbol -> image mapping, also given as a list of pairs; an image is a polynomial or an int
     "assignments": lambda v: [*JUNK["mapping"](v), list(v.items())],
@@ -172,7 +172,7 @@ TABLE: dict[str, dict[str, Slot]] = {
     # roofcalc
     "BundleClass": {"side": S("side", SIDE, lambda v: roofpairs.BundleClass(v, 2, PARTS), "side"),
                     "degree": S("index", 2, lambda v: roofpairs.BundleClass(SIDE, v, PARTS), "degree"),
-                    "parts": S("classes", PARTS, lambda v: roofpairs.BundleClass(SIDE, 2, v), "component")},
+                    "parts": S("classes", PARTS, lambda v: roofpairs.BundleClass(SIDE, 2, v), "component|expression")},
     "RoofConfig": {
         "name": S("name", "g2", lambda v: _config(name=v), "name"),
         "side": S("side", SIDE, lambda v: _config(side=v), "side"),
@@ -331,8 +331,7 @@ def check(name: str, slot: str, value) -> None:
         assert type(exc).__module__.startswith("roofpairs.") or layer is ValueError, repr(exc)
         assert re.search(s.names, str(exc)), f"{name} {slot}: {exc}"
         if integer:
-            # reduce's xi exponents, the keys of an expression, keep roofcalc's plural wording
-            assert re.search(f"must be (an integer|integers), got {re.escape(repr(value))}$", str(exc)), \
+            assert re.search(f"must be an integer, got {re.escape(repr(value))}$", str(exc)), \
                 f"{name} {slot}: {exc}"
     else:
         assert not integer, f"{name} {slot} took {value!r}"

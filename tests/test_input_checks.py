@@ -43,11 +43,13 @@ SMALL_QUADRIC_CALLS = {"dictionary_names": lambda n, name: bwbcoh.dictionary_nam
 MALFORMED_EXPRESSIONS = {
     "negative exponent": (lambda q: {-1: q.unit()}, "negative xi exponent", "negative xi exponent"),
     "negative exponent of a zero class": (lambda q: {-1: q.zero(1)}, "negative xi exponent", "negative xi exponent"),
-    "non-homogeneous": (lambda q: {0: q.l_power(1), 1: q.l_power(1)}, "expression is not homogeneous of degree 1",
-                        "expression is not homogeneous of degree 2"),
+    "non-homogeneous": (lambda q: {0: q.l_power(1), 1: q.l_power(1)},
+                        "expression is not homogeneous of degree 1: its xi^1 term has degree 1, expected 0",
+                        "expression is not homogeneous of degree 2: its xi^0 term has degree 1, expected 2"),
     "non-homogeneous once folded": (lambda q: {4: q.unit(), 1: q.l_power(2)},
-                                    "expression is not homogeneous of degree 4",
-                                    "expression is not homogeneous of degree 2"),
+                                    "expression is not homogeneous of degree 4: its xi^1 term has degree 2, expected 3",
+                                    "expression is not homogeneous of degree 2: its xi^4 term has degree 0, "
+                                    "expected -2"),
 }
 SYMBOL_CALLS = {"var": mr.MotivicPoly.var,
                 "substitute": lambda name: mr.Y.substitute({"Y": mr.L, name: mr.L})}
@@ -114,6 +116,8 @@ CASES = [
     ("l_power without hyperplane", lambda: _ring(1, [ONE, P1]).l_power(1), gr.GradedRingError,
      "'toy' carries no hyperplane-power data"),
     ("negative l_power", lambda: Q5.l_power(-1), gr.GradedRingError, "negative power of the hyperplane class"),
+    *((f"basis product {x!r} * {y!r}", lambda x=x, y=y: FOREIGN_Q5.basis_product(x, y), gr.GradedRingError,
+       f"unknown basis label {label!r} on Q5") for x, y, label in (("nope", "L", "nope"), ("L", ["L"], ["L"]))),
     *((f"basis label {label!r}", lambda label=label: Q5.basis_class(label), gr.GradedRingError,
        f"unknown basis label {label!r} on Q5") for label in ("nope", "pi", ["Pi"])),
     ("quadric of dimension 1", lambda: gr.make_quadric_ring(1), gr.InvalidDimensionError,
@@ -141,7 +145,7 @@ CASES = [
     ("rank exceeding the base", lambda: rc.cy_degree(rc.RoofSide("wide", Q5, 6, tuple(
         Q5.l_power(i) for i in range(1, 7)))), rc.InvalidRoofError,
      "side 'wide': bundle rank exceeds what the base dimension supports"),
-    *((f"xi power {e!r}", lambda e=e: rc.xi_power(SIDE, e), rc.RoofError, f"xi exponents must be integers, got {e!r}")
+    *((f"xi power {e!r}", lambda e=e: rc.xi_power(SIDE, e), rc.RoofError, f"xi exponent must be an integer, got {e!r}")
       for e in (1.5, True)),
     ("bundle classes of two degrees", lambda: rc.xi_power(SIDE, 1) + rc.xi_power(SIDE, 2), rc.RoofError,
      "cannot add bundle classes of different degrees"),
@@ -149,11 +153,12 @@ CASES = [
      "bundle classes live on different roof sides"),
     ("part count other than the rank", lambda: rc.BundleClass(SIDE, 2, [Q5.l_power(2), Q5.l_power(1)]),
      rc.RoofError, "normal form needs exactly rank xi-components"),
+    # a bundle class is reduce of its parts, so reduce's rule refuses a part
     ("misgraded part", lambda: rc.BundleClass(SIDE, 2, [Q5.l_power(2), Q5.l_power(2), Q5.unit()]), rc.RoofError,
-     "xi^1 component has degree 2 on 'Q5', expected 1 on the base 'Q5'"),
+     "expression is not homogeneous of degree 2: its xi^1 term has degree 2, expected 1"),
     ("part off the base", lambda: rc.BundleClass(SIDE, 2, [FOREIGN_Q5.l_power(2), FOREIGN_Q5.zero(1),
-                                                          FOREIGN_Q5.zero(0)]), rc.RoofError,
-     "xi^0 component has degree 2 on 'Q5', expected 2 on the base 'Q5'"),
+                                                          FOREIGN_Q5.zero(0)]), gr.IncompatibleRingError,
+     "expression has a class off the base 'Q5' of 'g2dagger:side'"),
     *((f"scalar {s!r}", lambda s=s: rc.xi_power(SIDE, 1).scale(s), gr.GradedRingError,
        f"coefficients must be exact integers or Fractions, got {type(s).__name__}")
       for s in (0.0, 1.5, "1", None)),
@@ -163,6 +168,18 @@ CASES = [
        gr.IncompatibleRingError, "expression has a class off the base 'Q5' of 'g2dagger:side'") for e in (0, 2, 3, 9)),
     ("foreign zero class beside a term", lambda: rc.reduce(SIDE, {0: Q5.l_power(1), 1: FOREIGN_Q5.zero(0)}),
      gr.IncompatibleRingError, "expression has a class off the base 'Q5' of 'g2dagger:side'"),
+    # a {label: coefficient} term, the shape of the ring's own products, passes the same rule
+    *((f"dict term {expression}, degree {d}", lambda x=expression, d=d: rc.reduce(SIDE, x, d), error, message)
+      for expression, d, error, message in (
+          ({1.5: {}}, None, rc.RoofError, "xi exponent must be an integer, got 1.5"),
+          ({4.0: {"L": 1}}, None, rc.RoofError, "xi exponent must be an integer, got 4.0"),
+          ({3: {"nope": 1}}, 4, gr.GradedRingError, "unknown basis label 'nope' on Q5"),
+          ({3: {"L": "x"}}, 4, gr.GradedRingError, "coefficients must be exact integers or Fractions, got str"),
+          ({0: {"L": 1}}, 0, rc.RoofError,
+           "expression is not homogeneous of degree 0: its xi^0 term has degree 1, expected 0"),
+          ({0: {"L": 1}}, None, rc.RoofError, "expression term xi^0 is a dict, which needs an explicit degree"))),
+    ("dict term beside a class, no degree", lambda: rc.reduce(SIDE, {0: Q5.l_power(1), 1: {"1": 1}}), rc.RoofError,
+     "expression term xi^1 is a dict, which needs an explicit degree"),
     ("middle monomial of the wrong codimension",
      lambda: rc.middle_lattice(rc.RoofSide("s", Q5, 3, SIDE.groth_coeffs, (("1", 0),))), rc.RoofError,
      "middle monomial 1*xi^0 has codimension 0, expected 3"),

@@ -176,6 +176,17 @@ def _absolute_imports(path: pathlib.Path) -> set[str]:
     return found
 
 
+def test_imports_only_the_standard_library():
+    # pins dependencies = [] in pyproject.toml against every third-party module, numpy included; the one
+    # dynamic import, in __init__, loads the package's own modules
+    package = pathlib.Path(roofpairs.__file__).parent
+    for path in package.glob("*.py"):
+        assert _absolute_imports(path) - sys.stdlib_module_names == set(), path.name
+        calls = {node.func.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+        assert "import_module" not in calls or path.name == "__init__.py", path.name
+
+
 def test_no_assert_statements():
     # python -O strips asserts, so every internal check in the package raises explicitly
     for path in pathlib.Path(roofpairs.__file__).parent.glob("*.py"):

@@ -197,10 +197,12 @@ def test_substitute_against_reference(p, images):
 coefficients = st.one_of(st.integers(-8, 8), st.integers(-10**40, 10**40))
 wide_polys = st.builds(MotivicPoly, st.dictionaries(monomials, coefficients, max_size=6))
 one_term = st.builds(lambda m, c: MotivicPoly({m: c}), monomials, coefficients.filter(bool))
-VARIABLES = [MotivicPoly.var(s) for s in SYMBOLS]
+# strategies and parametrize lists build no polynomial at collection: a fault in the ring operations
+# then fails the tests that reach it, not the collection of the whole module
+variables = st.sampled_from(SYMBOLS).map(MotivicPoly.var)
 
 
-@given(a=wide_polys, b=st.one_of(one_term, st.sampled_from(VARIABLES), st.just(MotivicPoly()), polys, wide_polys))
+@given(a=wide_polys, b=st.one_of(one_term, variables, st.builds(MotivicPoly), polys, wide_polys))
 def test_product_against_double_loop(a, b):
     expected = ref_mul(a, b)
     for got in (a * b, b * a):
@@ -208,7 +210,7 @@ def test_product_against_double_loop(a, b):
         assert_canonical(got)
 
 
-@given(p=st.one_of(polys, wide_polys, st.sampled_from(VARIABLES), st.just(MotivicPoly())))
+@given(p=st.one_of(polys, wide_polys, variables, st.builds(MotivicPoly)))
 def test_first_power_is_the_polynomial(p):
     # the lowest set bit of the exponent starts the product, with no unit multiplied in
     assert p ** 1 == p
@@ -217,7 +219,7 @@ def test_first_power_is_the_polynomial(p):
 
 single_term_images = st.dictionaries(
     st.sampled_from(SYMBOLS),
-    st.one_of(one_term, st.sampled_from(VARIABLES), st.builds(MotivicPoly.const, st.integers(-3, 3))),
+    st.one_of(one_term, variables, st.builds(MotivicPoly.const, st.integers(-3, 3))),
     max_size=4)
 
 
@@ -233,10 +235,17 @@ def test_str_against_reference(p):
     assert str(p) == ref_str(p)
 
 
-@pytest.mark.parametrize("p", [MotivicPoly(), L, -L, 2 * L ** 3, Y * B ** 2, -L * Y * MotivicPoly.var("M") ** 3,
-                               l_equivalence_residual(4), L ** 2 * Y - 3 * B_TILDE + 7])
-def test_str_by_example_against_reference(p):
+STR_EXAMPLES = {
+    "zero": MotivicPoly, "L": lambda: L, "-L": lambda: -L, "2*L^3": lambda: 2 * L ** 3, "Y*B^2": lambda: Y * B ** 2,
+    "-L*Y*M^3": lambda: -L * Y * MotivicPoly.var("M") ** 3, "residual(4)": lambda: l_equivalence_residual(4),
+    "L^2*Y - 3*Bt + 7": lambda: L ** 2 * Y - 3 * B_TILDE + 7,
+}
+
+
+@pytest.mark.parametrize("build", STR_EXAMPLES.values(), ids=STR_EXAMPLES)
+def test_str_by_example_against_reference(build):
     # every place of the L power (absent, L, L^e) and of the rest (absent, S, S^e, several symbols)
+    p = build()
     assert str(p) == ref_str(p)
 
 
@@ -271,16 +280,21 @@ def test_rename_onto_a_symbol_already_present(a, b):
     assert_canonical(got)
 
 
-@pytest.mark.parametrize("p, images, expected", [
-    (Y ** 4 * L, {"Y": 3 * Y_TILDE}, 81 * Y_TILDE ** 4 * L),
-    (Y ** 3 * B ** 2, {"Y": -2 * L, "B": -B_TILDE}, -8 * L ** 3 * B_TILDE ** 2),
-    (Y ** 2 + Y_TILDE ** 2, {"Y": Y_TILDE, "Yt": -Y}, Y_TILDE ** 2 + Y ** 2),
-    (Y * Y_TILDE - L * B, {"Y": L, "Yt": B}, MotivicPoly()),
-    (Y ** 5 + 4 * B, {"Y": MotivicPoly.const(2)}, 32 + 4 * B),
-    (Y ** 5 + 4 * B, {"Y": 2, "B": -1}, 28),
-    (Y ** 5 + 4 * B, {"Y": MotivicPoly()}, 4 * B),
-])
-def test_substitute_by_single_terms(p, images, expected):
+# name -> a builder of (polynomial, images, expected substitution)
+SINGLE_TERM_SUBSTITUTIONS = {
+    "Y^4*L, Y->3Yt": lambda: (Y ** 4 * L, {"Y": 3 * Y_TILDE}, 81 * Y_TILDE ** 4 * L),
+    "Y^3*B^2, Y->-2L, B->-Bt": lambda: (Y ** 3 * B ** 2, {"Y": -2 * L, "B": -B_TILDE}, -8 * L ** 3 * B_TILDE ** 2),
+    "Y^2 + Yt^2, Y->Yt, Yt->-Y": lambda: (Y ** 2 + Y_TILDE ** 2, {"Y": Y_TILDE, "Yt": -Y}, Y_TILDE ** 2 + Y ** 2),
+    "Y*Yt - L*B, Y->L, Yt->B": lambda: (Y * Y_TILDE - L * B, {"Y": L, "Yt": B}, MotivicPoly()),
+    "Y^5 + 4B, Y->const 2": lambda: (Y ** 5 + 4 * B, {"Y": MotivicPoly.const(2)}, 32 + 4 * B),
+    "Y^5 + 4B, Y->2, B->-1": lambda: (Y ** 5 + 4 * B, {"Y": 2, "B": -1}, 28),
+    "Y^5 + 4B, Y->0": lambda: (Y ** 5 + 4 * B, {"Y": MotivicPoly()}, 4 * B),
+}
+
+
+@pytest.mark.parametrize("build", SINGLE_TERM_SUBSTITUTIONS.values(), ids=SINGLE_TERM_SUBSTITUTIONS)
+def test_substitute_by_single_terms(build):
+    p, images, expected = build()
     assert p.substitute(images) == expected
 
 
@@ -318,24 +332,29 @@ def test_operation_results_are_canonical(a, b, e, images):
 SWAP = {"Y": Y_TILDE, "Yt": Y}
 
 
-@pytest.mark.parametrize("p", [
-    Y,
-    Y - Y_TILDE,
-    fibration_class(4) + Y ** 2 * Y_TILDE - 3 * L * Y_TILDE ** 3 + B * Y,
-    l_equivalence_residual(5) * (Y + 2 * Y_TILDE),
-])
-def test_substitute_swap(p):
+SWAPPED = {"Y": lambda: Y, "Y - Yt": lambda: Y - Y_TILDE,
+           "fibration(4) + terms": lambda: fibration_class(4) + Y ** 2 * Y_TILDE - 3 * L * Y_TILDE ** 3 + B * Y,
+           "residual(5) * (Y + 2Yt)": lambda: l_equivalence_residual(5) * (Y + 2 * Y_TILDE)}
+
+
+@pytest.mark.parametrize("build", SWAPPED.values(), ids=SWAPPED)
+def test_substitute_swap(build):
+    p = build()
     swapped = p.substitute(SWAP)
     assert swapped == ref_substitute(p, SWAP)
     assert swapped.substitute(SWAP) == p
 
 
-@pytest.mark.parametrize("images", [
-    {"Y": Y - 2 * B + 1, "L": 1 + L + L ** 2},
-    {"B": L * B_TILDE - Y, "Bt": B + B_TILDE, "M": L - 1},
-    {"L": L ** 2 - Y * Y_TILDE, "Y": 3 * B - L + 2, "Yt": Y_TILDE ** 2 + Y},
-])
-def test_substitute_multi_term_images(images):
+MULTI_TERM_IMAGES = {
+    "Y, L": lambda: {"Y": Y - 2 * B + 1, "L": 1 + L + L ** 2},
+    "B, Bt, M": lambda: {"B": L * B_TILDE - Y, "Bt": B + B_TILDE, "M": L - 1},
+    "L, Y, Yt": lambda: {"L": L ** 2 - Y * Y_TILDE, "Y": 3 * B - L + 2, "Yt": Y_TILDE ** 2 + Y},
+}
+
+
+@pytest.mark.parametrize("build", MULTI_TERM_IMAGES.values(), ids=MULTI_TERM_IMAGES)
+def test_substitute_multi_term_images(build):
+    images = build()
     p = fibration_class(4) * (Y_TILDE - B) + MotivicPoly.var("M") ** 2 * L - 5 * B_TILDE * Y ** 2
     assert p.substitute(images) == ref_substitute(p, images)
 
