@@ -49,9 +49,9 @@ BUILTIN_NAMES = ("d4", "g2dagger")
 # Caps of `bwb` DIM and |TWIST| and of `motivic --rank`; beyond them is a usage
 # error.  At the caps, as fresh processes on a 2-vCPU host with Python 3.11.7
 # (medians of 8 and 10 runs), `bwb 500 Splusdual 0` takes about 0.30 s and
-# `motivic --rank 50000` about 0.31 s: in process, about 0.12 s for the residual
-# and 0.085 s to render it as text, once, since a closed form equal to it prints
-# the same text.
+# `motivic --rank 50000` about 0.42 s on a busy host: in process, about 0.08 s
+# for the residual and 0.1 s to render it as text, once, since a closed form
+# equal to it prints the same text.
 MAX_QUADRIC_DIM = 500
 MAX_TWIST = 10**9
 MAX_MOTIVIC_RANK = 50000

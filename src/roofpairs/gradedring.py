@@ -61,12 +61,12 @@ class BasisElement(NamedTuple("BasisElement", [("label", str), ("degree", int)])
 
 
 def _exact(x) -> int | Fraction:
-    """An exact rational coefficient: an int when integral, a Fraction otherwise."""
+    """An exact rational coefficient: an int when integral, a Fraction otherwise; never a bool."""
     if type(x) is int:
         return x
     if type(x) is Fraction or isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return int(x)
     raise GradedRingError(f"coefficients must be exact integers or Fractions, got {type(x).__name__}")
 
@@ -137,7 +137,7 @@ class RingPresentation:
                     f"multiplication table of {name!r} lists {x!r} * {y!r}; products with the unit are implicit")
             product = {}
             for k, v in combo.items():
-                c = _exact(v) if isinstance(v, (int, Fraction)) else None
+                c = _exact(v) if type(v) is not bool and isinstance(v, (int, Fraction)) else None
                 if type(c) is not int:
                     raise GradedRingError(
                         f"multiplication table of {name!r} gives {x!r} * {y!r} the coefficient {v!r} "
@@ -253,9 +253,9 @@ class RingPresentation:
 class GradedClass:
     """A homogeneous class: exact rational coefficients over basis labels of one degree.
 
-    Zero coefficients are dropped; a nonzero one is stored as an ``int`` when
-    it is integral and as a ``Fraction`` otherwise (``Fraction(4, 2)`` is
-    stored as ``2``).
+    Every label must be a basis label of ``degree``, a zero coefficient's too.
+    Zeros are dropped; a nonzero coefficient is stored as an ``int`` when
+    integral and as a ``Fraction`` otherwise (``Fraction(4, 2)`` as ``2``).
     """
 
     __slots__ = ("ring", "degree", "coeffs")
@@ -274,13 +274,12 @@ class GradedClass:
         for label, c in coeffs.items():
             if type(c) is not int:
                 c = _exact(c)
-            if not c:
-                continue
             d = degrees.get(label)
             if d != degree:
                 raise GradedRingError(f"unknown basis label {label!r} on {ring.name}" if d is None
                                       else f"coefficient key {label!r} has degree {d}, not {degree}")
-            clean[label] = c
+            if c:
+                clean[label] = c
         self.coeffs = clean
 
     # -- predicates ---------------------------------------------------------

@@ -2,28 +2,24 @@
 
 The fragment is the free commutative ring on six formal symbols: the class
 ``L`` of the affine line and the classes of the two surfaces, two bases and
-the hyperplane section of a roof.  Everything is kept in canonical expanded
-form (integer-coefficient monomials with integer exponents) so equality is
-coefficient-wise.  Every integer input (an exponent, coefficient, power, rank
-or projective dimension) follows the shared ``errors._index`` rule: an int is
-taken as it is, and any other value, 4.0 and True included, raises
-``ValueError`` instead of being converted.  The checks run once, in the
-public constructor (and so in ``var`` and ``const``); the ring operations
-build their results already in canonical form (nonzero ``int`` coefficients
-on tuples of non-negative ``int`` exponents) and wrap them without checking
-again.  Projective-space classes are written down in closed form and powers
-are taken by repeated squaring, the lowest set bit of the exponent starting
-the product, so no unit is multiplied in.  One accumulator adds c*x^a times
-a polynomial into a dict in one pass, dropping zeros, for sums (no negated
-copy), products after their first term and substitutions; the residual
-subtracts the substituted section from a copy of it as it substitutes.  The
-fibration class writes [P^(r-1)]*[Y] down in closed form and adds
-[P^(r-2)]*([B] - [Y]) into it in one pass over the fibre, each L^i*Y term
-dropped as its coefficient reaches zero.  A shift adds the six exponents of
-SYMBOLS written out one by one, so a monomial of any other length fails at
-the unpacking.  ``str`` sorts the terms once and renders each once, writing
-the power of L per term and the text of the other symbols once per distinct
-part.
+the hyperplane section of a roof.  Polynomials are kept in canonical form,
+nonzero ``int`` coefficients on tuples of non-negative ``int`` exponents, so
+equality is coefficient-wise.  Every integer input (an exponent, coefficient,
+power, rank or projective dimension) follows the ``errors._index`` rule, so
+4.0 and True raise ``ValueError`` instead of being converted.  The public
+constructor (and so ``var`` and ``const``) checks once; the ring operations
+wrap their canonical results unchecked.  Projective-space classes are
+written in closed form, and powers are taken by repeated squaring from the
+lowest set bit of the exponent, so no unit is multiplied in.  One
+accumulator adds c*x^a times a polynomial into a dict in one pass, dropping
+zeros, for sums (no negated copy), products after their first term and
+substitutions.  The fibration class and the residual are single passes that
+drop each term as it cancels: over the fibre, adding [P^(r-2)]*([B] - [Y])
+into the closed form of [P^(r-1)]*[Y], and over the section, subtracting its
+image under {Y -> Y~, B -> B~}, which only moves exponents.  Shifts and
+relabelings write the six exponents out, so a monomial of any other length
+fails at the unpacking.  ``str`` sorts the terms once, building the text of
+the symbols other than L once per distinct part.
 
 The point of the module is the piecewise-fibration bookkeeping: the two
 projective-bundle descriptions of the hyperplane-section class cancel to an
@@ -204,10 +200,6 @@ class MotivicPoly:
         symbols, as shifts that also clear those exponents, and each of its
         terms shifts the whole group in one pass.
         """
-        return MotivicPoly._of(self._substitute_into({}, 1, assignments))
-
-    def _substitute_into(self, out: dict, sign: int, assignments) -> dict:
-        """Add ``sign`` times the image of ``self`` under ``assignments`` into ``out``, and return ``out``."""
         assigned = sorted((_symbol(s), self._coerce(image, f"image of {s}"))
                           for s, image in _typed(assignments, Mapping, "substitute assignments", ValueError).items())
         positions = [i for i, _ in assigned]
@@ -215,14 +207,14 @@ class MotivicPoly:
         groups: dict = {}  # exponents on the assigned symbols -> [(monomial, coefficient), ...]
         for term in self.coeffs.items():
             groups.setdefault(exponents_of(term[0]), []).append(term)
+        out: dict = {}
         for group in groups.values():
             mono = group[0][0]
             cleared = [mono[i] if i in positions else 0 for i in range(len(SYMBOLS))]
             first, *rest = [img ** mono[i] for i, img in assigned if mono[i]] or [_ONE]
-            image = prod(rest, start=first)
-            for m, k in image.coeffs.items():
-                _accumulate(out, sign * k, tuple(map(sub, m, cleared)), group)
-        return out
+            for m, k in prod(rest, start=first).coeffs.items():
+                _accumulate(out, k, tuple(map(sub, m, cleared)), group)
+        return MotivicPoly._of(out)
 
     def _by_degree(self) -> list[tuple[int, tuple[int, ...], int]]:
         """(total degree, exponents, coefficient) of each term, in the order ``str`` prints them."""
@@ -299,10 +291,19 @@ def l_equivalence_residual(r: int) -> MotivicPoly:
 
     Identically ([Y] - [Y~]) * L^(r-1) + [P^(r-2)] * ([B] - [B~]); whenever
     the two bases have equal class, the surface-class difference is
-    annihilated by L^(r-1).
+    annihilated by L^(r-1).  The section's image under {Y -> Y~, B -> B~} only
+    moves exponents, so one pass subtracts it from a copy of the section.
     """
     section = fibration_class(r)
-    return MotivicPoly._of(section._substitute_into(dict(section.coeffs), -1, {"Y": Y_TILDE, "B": B_TILDE}))
+    out = dict(section.coeffs)
+    for (e0, e1, e2, e3, e4, e5), c in section.coeffs.items():
+        m = (e0, 0, e2 + e1, 0, e4 + e3, e5)
+        v = out.get(m, 0) - c
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return MotivicPoly._of(out)
 
 
 def residual_closed_form(r: int) -> MotivicPoly:

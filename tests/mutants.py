@@ -241,6 +241,13 @@ MUTANTS = (
     _m("chern-vector-degree-unchecked", "gradedring", "if c.degree != i:", "if False:", INPUTS),
     # the record checks of structured input: labels, Chern vectors, middle bases and sequence tables
     _m("graded-class-unknown-label-leaks", "gradedring", "d = degrees.get(label)", "d = degrees[label]", CONTRACT),
+    _m("graded-class-skips-labels-of-zeros", "gradedring", "            d = degrees.get(label)\n",
+       "            if not c:\n                continue\n            d = degrees.get(label)\n", INPUTS),
+    # gradedring: an exact coefficient is an int or a Fraction, never a bool
+    _m("exact-admits-bools", "gradedring", "if isinstance(x, int) and type(x) is not bool:", "if isinstance(x, int):",
+       INPUTS),
+    _m("table-coefficient-admits-bools", "gradedring",
+       "type(v) is not bool and isinstance(v, (int, Fraction))", "isinstance(v, (int, Fraction))", INPUTS),
     _m("chern-vector-empty-accepted", "gradedring", "        if not components:\n", "        if False:\n", INPUTS),
     _m("side-middle-basis-pairs-unchecked", "roofcalc",
        "if any(not isinstance(m, (tuple, list)) or len(m) != 2 for m in middle_basis):", "if False:", CONTRACT),
@@ -405,7 +412,7 @@ MUTANTS = (
        MOT),
     # the accumulator that sums, products and substitutions share
     _m("accumulate-keeps-cancelled-zeros", "motivicring",
-       "        if v:\n            out[m] = v\n        else:\n            del out[m]\n", "        out[m] = v\n",
+       "c * k\n        if v:\n            out[m] = v\n        else:\n            del out[m]\n", "c * k\n        out[m] = v\n",
        f"{MOT}::TestProjClass::test_telescoping"),
     _m("accumulate-shift-swaps-y-and-yt", "motivicring",
        "m = (b0 + a0, b1 + a1, b2 + a2,", "m = (b0 + a0, b1 + a2, b2 + a1,", MOT),
@@ -413,8 +420,11 @@ MUTANTS = (
        "m = (b0 + a5, b1 + a1, b2 + a2, b3 + a3, b4 + a4, b5 + a0)", f"{MOT}::test_substitute_by_single_terms"),
     _m("accumulate-skips-term-coefficients", "motivicring", "v = out.get(m, 0) + c * k", "v = out.get(m, 0) + c",
        f"{MOT}::test_substitute_by_single_terms"),
-    _m("residual-sign-flipped", "motivicring", "dict(section.coeffs), -1,", "dict(section.coeffs), 1,",
+    # the residual: the section's image under {Y -> Y~, B -> B~} relabels exponents, subtracted in one pass
+    _m("residual-sign-flipped", "motivicring", "v = out.get(m, 0) - c", "v = out.get(m, 0) + c",
        f"{MOT}::test_residual_closed_form_to_rank_200"),
+    _m("residual-relabel-moves-y-into-bt", "motivicring", "m = (e0, 0, e2 + e1, 0, e4 + e3, e5)",
+       "m = (e0, 0, e2, 0, e4 + e3 + e1, e5)", f"{MOT}::test_residual_against_substituted_section_to_rank_300"),
     _m("motivic-mul-zero-factor-unhandled", "motivicring",
        "        if not small:\n            return MotivicPoly._of({})\n", "",
        f"{MOT}::test_substitute_by_single_terms"),
@@ -437,7 +447,7 @@ MUTANTS = (
        "        assigned = sorted((_symbol(s), self._coerce(image, f\"image of {s}\"))\n",
        "        if len(assignments) > 1:  # a later image then reads the exponents an earlier one wrote\n"
        "            (s, image), *others = assignments.items()\n"
-       "            return self.substitute({s: image})._substitute_into(out, sign, dict(others))\n"
+       "            return self.substitute({s: image}).substitute(dict(others))\n"
        "        assigned = sorted((_symbol(s), self._coerce(image, f\"image of {s}\"))\n",
        f"{MOT}::test_substitute_by_single_terms"),
     _m("substitute-shift-keyed-by-first-image", "motivicring", "exponents_of = itemgetter(*positions)",
@@ -462,6 +472,11 @@ EXCLUDED = (
      "equivalent: a wrong pair can no longer be returned; with a non-square discriminant the rays are"
      " irrational, so their integer stand-ins are not isotropic, and isotropic_pair_solve checks its answer"
      " (a^2 = b^2 = a.ell = b.ell = 0, a.b = 1) before returning it"),
+    (_m("residual-keeps-cancelled-zeros", "motivicring",
+        "        v = out.get(m, 0) - c\n        if v:\n            out[m] = v\n        else:\n            del out[m]\n",
+        "        out[m] = out.get(m, 0) - c\n", f"{MOT}::test_residual_against_substituted_section_to_rank_300"),
+     "equivalent: every term of the section carries Y or B and every image term neither, so no image lands on"
+     " a section term and no sum cancels; the drop keeps the pass canonical for any section"),
 )
 
 

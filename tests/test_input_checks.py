@@ -101,7 +101,7 @@ CASES = [
                                   (("h", "h2"), {}, "h2"), (("p", "h"), {"pt": 1}, "pt"))),
     *((f"table coefficient {c!r}", lambda c=c: _t2({("h", "h"): {"p": c}}), gr.GradedRingError,
        f"multiplication table of 'toy' gives 'h' * 'h' the coefficient {c!r} on 'p', not an integer")
-      for c in (1.5, Fraction(3, 2), 2.0, "1")),
+      for c in (1.5, Fraction(3, 2), 2.0, "1", True)),
     ("conflicting entries for one pair", lambda: _ring(2, [ONE, H1, gr.BasisElement("k", 1), P2], table={
         ("h", "h"): {}, ("k", "k"): {}, ("h", "k"): {"p": 1}, ("k", "h"): {"p": 5}}), gr.GradedRingError,
      "multiplication table of 'toy' lists 'h' * 'k' and 'k' * 'h' with different products"),
@@ -120,6 +120,14 @@ CASES = [
        f"unknown basis label {label!r} on Q5") for x, y, label in (("nope", "L", "nope"), ("L", ["L"], ["L"]))),
     *((f"basis label {label!r}", lambda label=label: Q5.basis_class(label), gr.GradedRingError,
        f"unknown basis label {label!r} on Q5") for label in ("nope", "pi", ["Pi"])),
+    # a class checks every label, a zero coefficient's too, and takes no bool as a coefficient
+    *((f"graded class {coeffs}", lambda c=coeffs: gr.GradedClass(Q5, 1, c), gr.GradedRingError, message)
+      for coeffs, message in (({"nope": 0}, "unknown basis label 'nope' on Q5"),
+                              ({"Pi": 0}, "coefficient key 'Pi' has degree 3, not 1"),
+                              ({"L": True}, "coefficients must be exact integers or Fractions, got bool"),
+                              ({"L": False}, "coefficients must be exact integers or Fractions, got bool"))),
+    ("graded class scaled by True", lambda: Q5.l_power(1).scale(True), gr.GradedRingError,
+     "coefficients must be exact integers or Fractions, got bool"),
     ("quadric of dimension 1", lambda: gr.make_quadric_ring(1), gr.InvalidDimensionError,
      "quadric dimension must be >= 2, got 1"),
     *((f"quadric dimension {d!r}", lambda d=d: gr.make_quadric_ring(d), gr.InvalidDimensionError,
@@ -161,7 +169,7 @@ CASES = [
      "expression has a class off the base 'Q5' of 'g2dagger:side'"),
     *((f"scalar {s!r}", lambda s=s: rc.xi_power(SIDE, 1).scale(s), gr.GradedRingError,
        f"coefficients must be exact integers or Fractions, got {type(s).__name__}")
-      for s in (0.0, 1.5, "1", None)),
+      for s in (0.0, 1.5, "1", None, True)),
     *((f"{name}, degree {d}", lambda m=make, d=d: rc.reduce(SIDE, m(Q5), d), rc.RoofError, message)
       for name, (make, *messages) in MALFORMED_EXPRESSIONS.items() for d, message in zip((None, 2), messages)),
     *((f"foreign ring at xi^{e}", lambda e=e: rc.reduce(SIDE, {e: FOREIGN_Q5.basis_class("L")}),
@@ -175,6 +183,7 @@ CASES = [
           ({4.0: {"L": 1}}, None, rc.RoofError, "xi exponent must be an integer, got 4.0"),
           ({3: {"nope": 1}}, 4, gr.GradedRingError, "unknown basis label 'nope' on Q5"),
           ({3: {"L": "x"}}, 4, gr.GradedRingError, "coefficients must be exact integers or Fractions, got str"),
+          ({0: {"L": True}}, 1, gr.GradedRingError, "coefficients must be exact integers or Fractions, got bool"),
           ({0: {"L": 1}}, 0, rc.RoofError,
            "expression is not homogeneous of degree 0: its xi^0 term has degree 1, expected 0"),
           ({0: {"L": 1}}, None, rc.RoofError, "expression term xi^0 is a dict, which needs an explicit degree"))),
@@ -197,7 +206,7 @@ CASES = [
      "class is not of middle degree"),
     *((f"coordinate {c!r}", lambda c=c: rc.class_from_coordinates(rc.middle_lattice(SIDE), [1, c, 0]),
        gr.GradedRingError, f"coefficients must be exact integers or Fractions, got {type(c).__name__}")
-      for c in (0.0, 1.5, 2.0, "1", None)),
+      for c in (0.0, 1.5, 2.0, "1", None, True)),
     *((f"{public.__name__} breaking the sign law", lambda f=public: f(D4_WITHOUT_PI2.side), rc.UnexpectedRankError,
        "locus class -Pi1*xi + 6*Pi1*L has self-pairing 0, but the sign law needs (-1)^(r-1) d = -12")
       for public in (rc.locus_pushforward_class, rc.locus_coordinates, rc.polarized_sign_check)),

@@ -168,6 +168,18 @@ def test_fibration_class_against_ring_arithmetic_to_rank_300():
         assert_canonical(got)
 
 
+def test_residual_against_substituted_section_to_rank_300():
+    # the relabeling pass against the ring's general substitution of the same section, built per rank
+    images = {"Y": Y_TILDE, "B": B_TILDE}
+    for r in range(2, 301):
+        s = fibration_class(r)
+        expected = s - s.substitute(images)
+        got = l_equivalence_residual(r)
+        assert got == expected, r
+        assert str(got) == str(expected), r
+        assert_canonical(got)
+
+
 def test_residual_closed_form_to_rank_200():
     for r in range(2, 201):
         assert l_equivalence_residual(r).coeffs == closed_form_residual(r)
